@@ -66,11 +66,7 @@ def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     for k in range(1, K + 1):
         rhs = states[k - 1] + dt * map.apply_B(spec, v.values[k - 1])
         states[k] = scipy.linalg.lu_solve(lu_at(k), rhs)
-    h = np.array([spec.h_norm(s) for s in states])
-    vn = np.array([spec.v_norm(s) for s in states])
-    an = np.zeros(K + 1)
-    return Trajectory(spec.grid, spec.n_components, traj.times.copy(), states,
-                      h, vn, an, np.ones(K, dtype=int), np.zeros(K))
+    return Trajectory(spec, traj.times.copy(), states, np.ones(K, dtype=int), np.zeros(K))
 
 
 def solve_adjoint(spec: OperatorSpec, traj: Trajectory, terminal: Field) -> AdjointState:

@@ -328,15 +328,10 @@ def audit_sign_condition(
     y_tar = np.asarray(y_tar, dtype=float).ravel()
     if y_tar.size != spec.n_dof:
         raise ValueError("target must be a full state vector")
-    n = spec.grid.size
     worst = 0.0
     for _ in range(samples):
         y = smooth_sample(spec, rng, scale=2.0)
-        yhat = y.copy()
-        if map.projection == "first":
-            yhat[:n] = y_tar[:n]
-        else:
-            yhat = y_tar.copy()
+        yhat = map.auxiliary_state(spec, y, y_tar)
         d = map.project_state(spec, y - yhat)
         dsq = spec.state_inner(d, d)
         if dsq < 1e-16:

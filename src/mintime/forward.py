@@ -8,6 +8,7 @@ failure the step is retried on up to 6 binary subdivisions before giving up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -85,17 +86,37 @@ class Control:
 
 @dataclass
 class Trajectory:
-    """States and per-step diagnostics of one forward solve."""
+    """States and per-step solver counts of one solve on its time grid.
 
-    grid: Grid
-    n_components: int
+    The state norms are evaluated on first read and kept.
+    """
+
+    spec: OperatorSpec
     times: np.ndarray
     states: np.ndarray              # (steps+1, n_dof)
-    h_norms: np.ndarray             # (steps+1,)
-    v_norms: np.ndarray
-    a_norms: np.ndarray             # ||A_H y||_H
     newton_iters: np.ndarray        # (steps,)
     residuals: np.ndarray           # (steps,)
+
+    @property
+    def grid(self) -> Grid:
+        return self.spec.grid
+
+    @property
+    def n_components(self) -> int:
+        return self.spec.n_components
+
+    @cached_property
+    def h_norms(self) -> np.ndarray:
+        return np.array([self.spec.h_norm(s) for s in self.states])
+
+    @cached_property
+    def v_norms(self) -> np.ndarray:
+        return np.array([self.spec.v_norm(s) for s in self.states])
+
+    @cached_property
+    def a_norms(self) -> np.ndarray:
+        """||A_H y||_H at every grid time."""
+        return np.array([self.spec.a_norm(s) for s in self.states])
 
     @property
     def steps(self) -> int:
@@ -207,12 +228,11 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray,
 
 
 def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
-                  T: float | None = None, diagnostics: bool = True) -> Trajectory:
+                  T: float | None = None) -> Trajectory:
     """Integrate the controlled system over the control's time grid.
 
     ``T``, when given, must match the control horizon; the control value of
-    step k is held on (t_k, t_{k+1}]. ``diagnostics=False`` skips the
-    per-step norm bookkeeping (used by the optimizer's inner loop).
+    step k is held on (t_k, t_{k+1}].
     """
     if y0.values.size != spec.n_dof:
         raise ValueError("initial state does not match the operator")
@@ -224,9 +244,6 @@ def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
     dt = u.dt
     states = np.empty((K + 1, spec.n_dof))
     states[0] = y0.values
-    h_norms = np.zeros(K + 1)
-    v_norms = np.zeros(K + 1)
-    a_norms = np.zeros(K + 1)
     newton_iters = np.zeros(K, dtype=int)
     residuals = np.zeros(K)
 
@@ -238,12 +255,4 @@ def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
         newton_iters[k] = iters
         residuals[k] = res
 
-    if diagnostics:
-        for k in range(K + 1):
-            h_norms[k] = spec.h_norm(states[k])
-            v_norms[k] = spec.v_norm(states[k])
-            a_norms[k] = spec.a_norm(states[k])
-
-    times = dt * np.arange(K + 1)
-    return Trajectory(spec.grid, spec.n_components, times, states,
-                      h_norms, v_norms, a_norms, newton_iters, residuals)
+    return Trajectory(spec, dt * np.arange(K + 1), states, newton_iters, residuals)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -198,7 +197,3 @@ class Field:
         if other.n_components != self.n_components:
             raise ValueError("fields have different component counts")
 
-
-def field_from_components(grid: Grid, components: Sequence[np.ndarray]) -> Field:
-    vals = np.concatenate([np.asarray(c, dtype=float).ravel() for c in components])
-    return Field(grid, vals, n_components=len(components))

@@ -72,17 +72,25 @@ class OperatorSpec:
     def weights(self) -> np.ndarray:
         return self.grid.component_weights()
 
+    @cached_property
+    def gamma_op(self) -> SpectralLaplacian:
+        """The canonical isomorphism Gamma_H used for V-norms and powers:
+        -Lap on the first component's walls, shifted by the identity under
+        Neumann walls so that it is invertible."""
+        bc = self.grid.bcs[0]
+        return SpectralLaplacian(self.grid, bc, shift=1.0 if bc.kind == "neumann" else 0.0)
+
+    @cached_property
+    def _lap(self) -> np.ndarray:
+        """Dense nodal matrix of the unshifted -Lap on the first component's walls."""
+        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
+
     # -- to be provided by subclasses ---------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def gamma_op(self) -> SpectralLaplacian:
-        """The canonical isomorphism Gamma_H used for V-norms and powers."""
         raise NotImplementedError
 
     # -- state (H) inner product --------------------------------------------
@@ -164,61 +172,30 @@ class PotentialDrift(OperatorSpec):
         self.is_linear = self.beta.name in ("zero", "linear")
 
     @cached_property
-    def gamma_op(self) -> SpectralLaplacian:
-        bc = self.grid.bcs[0]
-        shift = 1.0 if bc.kind == "neumann" else 0.0
-        return SpectralLaplacian(self.grid, bc, shift=shift)
-
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
-
-    @cached_property
     def _drift(self) -> np.ndarray:
-        """Matrix of -div(b .), centered differences, zero boundary rows."""
+        """Matrix of -div(b .), centered differences, zero boundary rows.
+
+        Under Dirichlet walls the stored nodes are interior and (b y)
+        vanishes on the wall, so every row keeps its stencil; otherwise the
+        wall rows stay zero (b.nu = 0 by reflection). In 2D the 1D stencil
+        acts along each axis of the C-ordered node array.
+        """
         g = self.grid
-        n = g.size
-        d = np.zeros((n, n))
         bc = g.bcs[0]
-        hs = g.spacing(bc)
         b = self.b
-        if g.dimension == 1:
-            baxes = (b if isinstance(b, (tuple, list)) else (b,))
-        else:
-            baxes = b if isinstance(b, (tuple, list)) else (b, b)
-        for axis, h in enumerate(hs):
-            braw = np.asarray(baxes[axis], dtype=float)
-            barr = np.full(n, float(braw)) if braw.ndim == 0 else braw.ravel()
-            if g.dimension == 1:
-                for i in range(n):
-                    interior = 0 < i < n - 1
-                    if bc.kind == "dirichlet":
-                        # stored nodes are interior; (by) vanishes on the wall
-                        if i + 1 < n:
-                            d[i, i + 1] -= barr[i + 1] / (2 * h)
-                        if i - 1 >= 0:
-                            d[i, i - 1] += barr[i - 1] / (2 * h)
-                    elif interior:
-                        d[i, i + 1] -= barr[i + 1] / (2 * h)
-                        d[i, i - 1] += barr[i - 1] / (2 * h)
-                    # boundary rows stay zero: b.nu = 0 by reflection
-            else:
+        baxes = b if isinstance(b, (tuple, list)) else (b,) * g.dimension
+        d = np.zeros((g.size, g.size))
+        for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc))):
+            stencil = np.eye(n, k=-1) - np.eye(n, k=1)
+            if bc.kind != "dirichlet":
+                stencil[[0, -1]] = 0.0
+            if g.dimension == 2:
                 nx, ny = g.nodes
-                for i in range(nx):
-                    for jj in range(ny):
-                        row = i * ny + jj
-                        if axis == 0:
-                            if 0 < i < nx - 1 or bc.kind == "dirichlet":
-                                if i + 1 < nx:
-                                    d[row, (i + 1) * ny + jj] -= barr[(i + 1) * ny + jj] / (2 * h)
-                                if i - 1 >= 0:
-                                    d[row, (i - 1) * ny + jj] += barr[(i - 1) * ny + jj] / (2 * h)
-                        else:
-                            if 0 < jj < ny - 1 or bc.kind == "dirichlet":
-                                if jj + 1 < ny:
-                                    d[row, i * ny + jj + 1] -= barr[i * ny + jj + 1] / (2 * h)
-                                if jj - 1 >= 0:
-                                    d[row, i * ny + jj - 1] += barr[i * ny + jj - 1] / (2 * h)
+                stencil = (np.kron(stencil, np.eye(ny)) if axis == 0
+                           else np.kron(np.eye(nx), stencil))
+            braw = np.asarray(baxes[axis], dtype=float)
+            barr = np.full(g.size, float(braw)) if braw.ndim == 0 else braw.ravel()
+            d += stencil * barr[None, :] / (2 * h)
         return d
 
     @cached_property
@@ -261,14 +238,6 @@ class PorousMedia(OperatorSpec):
             raise ValueError("porous medium is the slow diffusion case: kappa < 1")
         self.state_tag = HMINUS1
         self.is_linear = self.beta.name == "linear"
-
-    @cached_property
-    def gamma_op(self) -> SpectralLaplacian:
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0)
-
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        return self.gamma_op.matrix
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dof(y)
@@ -320,16 +289,6 @@ class ReactionDiffusion2(_TwoComponent):
         self.state_tag = L2
         self.is_linear = self.f.is_linear and self.g.is_linear
 
-    @cached_property
-    def gamma_op(self) -> SpectralLaplacian:
-        bc = self.grid.bcs[0]
-        shift = 1.0 if bc.kind == "neumann" else 0.0
-        return SpectralLaplacian(self.grid, bc, shift=shift)
-
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
-
     def apply(self, w: np.ndarray) -> np.ndarray:
         w = self._check_dof(w)
         y, z = self._split(w)
@@ -371,16 +330,6 @@ class FitzHughNagumo(_TwoComponent):
             raise ValueError("first diffusivity must be positive")
         self.state_tag = L2
         self.is_linear = True
-
-    @cached_property
-    def gamma_op(self) -> SpectralLaplacian:
-        bc = self.grid.bcs[0]
-        shift = 1.0 if bc.kind == "neumann" else 0.0
-        return SpectralLaplacian(self.grid, bc, shift=shift)
-
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         w = self._check_dof(w)
@@ -441,16 +390,6 @@ class PhaseField(_TwoComponent):
             raise ValueError("diffusivities k, nu must be positive")
         self.state_tag = L2
         self.is_linear = False
-
-    @cached_property
-    def gamma_op(self) -> SpectralLaplacian:
-        bc = self.grid.bcs[0]
-        shift = 1.0 if bc.kind == "neumann" else 0.0
-        return SpectralLaplacian(self.grid, bc, shift=shift)
-
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         w = self._check_dof(w)
@@ -594,12 +533,14 @@ class ControlMap:
         out[: spec.grid.size] = v[: spec.grid.size]
         return out
 
-    def project_control(self, spec: OperatorSpec, u: np.ndarray) -> np.ndarray:
-        if self.projection == "full" or self.mode == "nonlocal":
-            return np.asarray(u, dtype=float).copy()
-        g = self.ugrid(spec)
-        out = np.zeros_like(np.asarray(u, dtype=float))
-        out[: g.size] = u[: g.size]
+    def auxiliary_state(self, spec: OperatorSpec, y: np.ndarray,
+                        y_tar: np.ndarray) -> np.ndarray:
+        """yhat: the target on the controlled components, the running value
+        elsewhere (the paper's choice of the second component)."""
+        if self.projection == "full":
+            return np.asarray(y_tar, dtype=float).copy()
+        out = np.asarray(y, dtype=float).copy()
+        out[: spec.grid.size] = y_tar[: spec.grid.size]
         return out
 
     # -- U-space geometry ---------------------------------------------------------

@@ -104,16 +104,6 @@ def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float |
     return float(np.log((rho - a_norm) / gap) / c1)
 
 
-def _yhat(spec: OperatorSpec, map: ControlMap, y: np.ndarray, y_tar: np.ndarray) -> np.ndarray:
-    """Auxiliary state: target on the controlled components, the running
-    value elsewhere (the paper's choice of the second component)."""
-    if map.projection == "full":
-        return y_tar.copy()
-    out = y.copy()
-    out[: spec.grid.size] = y_tar[: spec.grid.size]
-    return out
-
-
 def _feedback_gain_constant(spec: OperatorSpec, map: ControlMap, samples: int,
                             seed: int) -> float:
     """Audited constant C with ||P v||_H <= C ||B* v||_U* on smooth samples.
@@ -161,14 +151,13 @@ def run_sliding(
     c1 = float(entry.constants["C1"])
     gain_c = _feedback_gain_constant(spec, map, audit_samples, seed)
     dev0 = spec.h_norm(map.project_state(spec, y0.values - y_tar.values))
-    a_sup = spec.h_norm(spec.apply(_yhat(spec, map, y0.values, y_tar.values)))
+    a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
     steps = int(np.ceil(T_max / dt - 1e-12))
     times = [0.0]
     devs = [dev0]
     unorms: list[float] = []
     states = [y0.values.copy()]
-    applied: list[np.ndarray] = []
     hit_time = None
     hit_index = None
 
@@ -180,15 +169,17 @@ def run_sliding(
             break
         u = sign_feedback(map, spec, y, y_tar, rho)
         y = step_implicit(spec, map, y, u, dt)
-        applied.append(u.values)
         unorms.append(map.u_norm(spec, u.values))
         states.append(y.values.copy())
         times.append((k + 1) * dt)
         dev = spec.h_norm(map.project_state(spec, y.values - y_tar.values))
         devs.append(dev)
-        # the bound's premise holds along the whole approach, so the
-        # auxiliary-state surrogate tracks the running second component
-        a_sup = max(a_sup, spec.h_norm(spec.apply(_yhat(spec, map, y.values, y_tar.values))))
+        if map.projection == "first":
+            # the bound's premise holds along the whole approach, so the
+            # auxiliary-state surrogate tracks the running second component
+            # (under the full projection yhat is y_tar throughout)
+            yhat = map.auxiliary_state(spec, y.values, y_tar.values)
+            a_sup = max(a_sup, spec.h_norm(spec.apply(yhat)))
         if dev <= hit_tol:
             hit_index = k + 1
             # linear interpolation of the tolerance crossing inside the step
@@ -199,15 +190,9 @@ def run_sliding(
 
     t_star = hit_time_bound(rho / gain_c, a_sup, c1, dev0)
 
-    arr_states = np.asarray(states)
-    nstep = len(applied)
-    approach = Trajectory(
-        spec.grid, spec.n_components, np.asarray(times), arr_states,
-        np.array([spec.h_norm(s) for s in arr_states]),
-        np.array([spec.v_norm(s) for s in arr_states]),
-        np.array([spec.a_norm(s) for s in arr_states]),
-        np.ones(nstep, dtype=int), np.zeros(nstep),
-    )
+    nstep = len(states) - 1
+    approach = Trajectory(spec, np.asarray(times), np.asarray(states),
+                          np.ones(nstep, dtype=int), np.zeros(nstep))
 
     continuation = None
     full_times = np.asarray(times)
@@ -257,8 +242,6 @@ def _continuation_with_controls(
     steps = int(np.round(T_extra / dt))
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")
-    n = spec.grid.size
-    m = map.control_size(spec)
     y = state_at_hit.values.copy()
     states = [y.copy()]
     unorms = []
@@ -266,13 +249,8 @@ def _continuation_with_controls(
     for k in range(steps):
         # equivalent control from the manifold-restricted dynamics at the
         # current uncontrolled state, then an honest implicit step
-        yhat = _yhat(spec, map, y, y_tar.values)
-        pinned_rows = spec.apply(yhat)
-        if map.projection == "full":
-            u = pinned_rows.copy()
-        else:
-            u = np.zeros(m)
-            u[:n] = pinned_rows[:n]
+        yhat = map.auxiliary_state(spec, y, y_tar.values)
+        u = map.project_state(spec, spec.apply(yhat))
         nu = map.u_norm(spec, u)
         if rho is not None and nu > rho * (1 + 1e-9):
             raise SaturationError(
@@ -285,15 +263,8 @@ def _continuation_with_controls(
         )
         y = ynew.values
         states.append(y.copy())
-    arr = np.asarray(states)
-    times = dt * np.arange(steps + 1)
-    traj = Trajectory(
-        spec.grid, spec.n_components, times, arr,
-        np.array([spec.h_norm(s) for s in arr]),
-        np.array([spec.v_norm(s) for s in arr]),
-        np.array([spec.a_norm(s) for s in arr]),
-        np.ones(steps, dtype=int), np.zeros(steps),
-    )
+    traj = Trajectory(spec, dt * np.arange(steps + 1), np.asarray(states),
+                      np.ones(steps, dtype=int), np.zeros(steps))
     return traj, unorms
 
 

@@ -74,11 +74,7 @@ class PenalizedProblem:
 
     def rho_margin(self) -> float:
         """rho minus the ||A_H yhat||_H surrogate of the reachability bound."""
-        yhat = self.y_tar.values.copy()
-        if self.map.projection == "first":
-            yhat = self.y0.values.copy()
-            n = self.spec.grid.size
-            yhat[:n] = self.y_tar.values[:n]
+        yhat = self.map.auxiliary_state(self.spec, self.y0.values, self.y_tar.values)
         return self.rho - self.spec.h_norm(self.spec.apply(yhat))
 
 
@@ -225,14 +221,16 @@ def _grid_for(prob: PenalizedProblem, T: float) -> tuple[int, float]:
 
 
 def _href_terms(prob: PenalizedProblem, uvals: np.ndarray, dte: float):
-    """Accumulated control gap h_k and its running F-values, or (None, None)."""
+    """Accumulated control gap h_k, its F-values and the optimality map's
+    tail dt sum_{j>=k} F(h_j), or (None, None, None) without ``u_ref``."""
     if prob.u_ref is None:
-        return None, None
+        return None, None, None
     K = uvals.shape[0]
     ref = _resample_steps(prob.u_ref.values, prob.u_ref.dt, K, dte)
     gap = prob.map.project_control_batch(prob.spec, uvals - ref)
     h = dte * np.cumsum(gap, axis=0)
-    return h, prob.map.F_batch(prob.spec, h)
+    F_h = prob.map.F_batch(prob.spec, h)
+    return h, F_h, dte * (np.cumsum(F_h[::-1], axis=0)[::-1])
 
 
 def _j_parts(prob: PenalizedProblem, T: float, uvals: np.ndarray, dte: float,
@@ -244,16 +242,11 @@ def _j_parts(prob: PenalizedProblem, T: float, uvals: np.ndarray, dte: float,
     pu = cmap.project_control_batch(spec, uvals)
     energy = float(dte * np.sum(cmap.u_norms_batch(spec, pu) ** 2))
     href_energy = 0.0
-    h, _ = _href_terms(prob, uvals, dte)
+    h, _, _ = _href_terms(prob, uvals, dte)
     if h is not None:
         href_energy = float(dte * np.sum(cmap.u_norms_batch(spec, h) ** 2))
     J = T + miss**2 / (2 * prob.eps) + 0.5 * prob.eps * energy + 0.5 * href_energy
     return J, miss, energy, href_energy
-
-
-def _j_value(prob: PenalizedProblem, T: float, uvals: np.ndarray, dte: float,
-             traj: Trajectory) -> tuple[float, float, float, float]:
-    return _j_parts(prob, T, uvals, dte, traj.states[-1])
 
 
 def eval_J_eps(prob: PenalizedProblem, T: float, u: Control) -> float:
@@ -262,27 +255,22 @@ def eval_J_eps(prob: PenalizedProblem, T: float, u: Control) -> float:
     if u.steps != K or abs(u.dt - dte) > 1e-12 * max(1.0, dte):
         raise ValueError("control grid does not match the horizon discretization")
     traj = solve_forward(prob.spec, prob.map, prob.y0, u, T)
-    return _j_value(prob, T, u.values, dte, traj)[0]
+    return _j_parts(prob, T, u.values, dte, traj.states[-1])[0]
 
 
 # ---------------------------------------------------------------------------
 # inner problem: fixed horizon
 
 
-def _optimality_candidate(prob: PenalizedProblem, traj: Trajectory,
-                          uvals: np.ndarray, dte: float) -> tuple[np.ndarray, AdjointState]:
-    """One application of the optimality map at the current control."""
-    spec, cmap = prob.spec, prob.map
-    terminal = cmap.project_state(spec, traj.states[-1] - prob.y_tar.values) / prob.eps
-    adj = solve_adjoint(spec, traj, Field(spec.grid, terminal, spec.n_components))
-    Z = -cmap.bstar_batch(spec, adj.values[:-1])  # -B* p_{k-1}, k = 1..K
-    _, F_h = _href_terms(prob, uvals, dte)
-    if F_h is not None:
-        # tail_k = dt * sum_{j >= k} F(h_j)
-        tail = dte * (np.cumsum(F_h[::-1], axis=0)[::-1])
+def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray, uvals: np.ndarray,
+               dte: float) -> np.ndarray:
+    """The optimality map (eps F + N_K)^-1(-B* p_{k-1} - tail_k) at the
+    current control, from the rows B* p_{k-1}, k = 1..K."""
+    Z = -bstar_rows
+    _, _, tail = _href_terms(prob, uvals, dte)
+    if tail is not None:
         Z = Z - tail
-    cand = cmap.resolvent_batch(spec, Z, prob.eps, prob.rho)
-    return cand, adj
+    return prob.map.resolvent_batch(prob.spec, Z, prob.eps, prob.rho)
 
 
 def inner_solve_control(prob: PenalizedProblem, T: float,
@@ -307,8 +295,11 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
 
     def fwd(vals: np.ndarray) -> Trajectory:
         return solve_forward(spec, cmap, prob.y0,
-                             Control(dte, vals, prob.rho, cmap.u_tag), T,
-                             diagnostics=False)
+                             Control(dte, vals, prob.rho, cmap.u_tag), T)
+
+    def adjoint_of(traj: Trajectory) -> AdjointState:
+        p_term = cmap.project_state(spec, traj.states[-1] - prob.y_tar.values) / prob.eps
+        return solve_adjoint(spec, traj, Field(spec.grid, p_term, spec.n_components))
 
     def terminal_of(vals: np.ndarray) -> np.ndarray:
         if kernel is not None:
@@ -317,17 +308,13 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
         return scratch["traj"].states[-1]
 
     def candidate_of(vals: np.ndarray, y_term: np.ndarray) -> np.ndarray:
-        p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
         if kernel is not None:
-            Z = -kernel.bstar_rows(p_term)
+            p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
+            rows = kernel.bstar_rows(p_term)
         else:
-            adj = solve_adjoint(spec, scratch["traj"],
-                                Field(spec.grid, p_term, spec.n_components))
-            Z = -cmap.bstar_batch(spec, adj.values[:-1])
-        _, F_h = _href_terms(prob, vals, dte)
-        if F_h is not None:
-            Z = Z - dte * (np.cumsum(F_h[::-1], axis=0)[::-1])
-        return cmap.resolvent_batch(spec, Z, prob.eps, prob.rho)
+            # scratch holds the trajectory that produced y_term
+            rows = cmap.bstar_batch(spec, adjoint_of(scratch["traj"]).values[:-1])
+        return _candidate(prob, rows, vals, dte)
 
     y_term = terminal_of(uvals)
     J, *_ = _j_parts(prob, T, uvals, dte, y_term)
@@ -374,10 +361,10 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
 
     # final artifacts always come from the generic sequential scheme
     traj = fwd(uvals)
-    cand, adj = _optimality_candidate(prob, traj, uvals, dte)
-    gap = cand - uvals
+    adj = adjoint_of(traj)
+    gap = _candidate(prob, cmap.bstar_batch(spec, adj.values[:-1]), uvals, dte) - uvals
     stat = math.sqrt(dte * float(np.sum(cmap.u_norms_batch(spec, gap) ** 2)))
-    J, miss, energy, href_energy = _j_value(prob, T, uvals, dte, traj)
+    J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, traj.states[-1])
     return InnerSolution(
         control=Control(dte, uvals, prob.rho, cmap.u_tag),
         trajectory=traj,
@@ -412,9 +399,8 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
         spec.state_inner(spec.apply(states[k]), p[k]) for k in range(K)
     ])
 
-    h, F_h = _href_terms(prob, uvals, dte)
+    h, F_h, tail = _href_terms(prob, uvals, dte)
     if F_h is not None:
-        tail = dte * (np.cumsum(F_h[::-1], axis=0)[::-1])
         cross = dte * np.array([
             sum(cmap.u_pairing(spec, F_h[j], pu[j]) for j in range(k, K))
             for k in range(K)
@@ -456,8 +442,8 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
 def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
                  boundary: bool, probes: int) -> OptimalityReport:
     res = _condition_residuals(prob, sol)
-    _, _, _, href_energy = _j_value(prob, T, sol.control.values, sol.control.dt,
-                                    sol.trajectory)
+    _, _, _, href_energy = _j_parts(prob, T, sol.control.values, sol.control.dt,
+                                    sol.trajectory.states[-1])
     times = sol.trajectory.times[:-1]
     return OptimalityReport(
         eps=prob.eps,

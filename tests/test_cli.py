@@ -160,6 +160,14 @@ def test_optimize_command_and_determinism(tmp_path):
     assert (out1 / "residuals.csv").exists()
     res = np.genfromtxt(out1 / "residuals.csv", delimiter=",", names=True)
     assert set(res.dtype.names) == {"t", "u_norm", "bstar_p_norm", "g73_residual"}
+    # the final probe's trajectory carries its norms; the report stays as it was
+    traj = np.genfromtxt(out1 / "trajectory.csv", delimiter=",", names=True)
+    later = traj["t"] > 0.0
+    assert later.sum() == len(traj) - 1 > 0
+    assert np.all(traj["h_norm"][later] > 0.0)
+    assert np.all(traj["a_norm"][later] > 0.0)
+    assert set(report) == {"command", "seed", "rho", "rho_margin", "T_bracket",
+                           "levels", "final"}
 
 
 def test_cli_command_must_match_config(tmp_path):

@@ -89,6 +89,68 @@ def test_case3_linear_constants_on_neumann():
     np.testing.assert_allclose(out.component(1), -0.25 + 2.0, atol=1e-10)
 
 
+def _drift_reference(g, b):
+    """Index-loop assembly of -div(b .), the reference for the stencil form."""
+    n = g.size
+    d = np.zeros((n, n))
+    bc = g.bcs[0]
+    hs = g.spacing(bc)
+    if g.dimension == 1:
+        baxes = (b if isinstance(b, (tuple, list)) else (b,))
+    else:
+        baxes = b if isinstance(b, (tuple, list)) else (b, b)
+    for axis, h in enumerate(hs):
+        braw = np.asarray(baxes[axis], dtype=float)
+        barr = np.full(n, float(braw)) if braw.ndim == 0 else braw.ravel()
+        if g.dimension == 1:
+            for i in range(n):
+                interior = 0 < i < n - 1
+                if bc.kind == "dirichlet":
+                    # stored nodes are interior; (by) vanishes on the wall
+                    if i + 1 < n:
+                        d[i, i + 1] -= barr[i + 1] / (2 * h)
+                    if i - 1 >= 0:
+                        d[i, i - 1] += barr[i - 1] / (2 * h)
+                elif interior:
+                    d[i, i + 1] -= barr[i + 1] / (2 * h)
+                    d[i, i - 1] += barr[i - 1] / (2 * h)
+                # boundary rows stay zero: b.nu = 0 by reflection
+        else:
+            nx, ny = g.nodes
+            for i in range(nx):
+                for jj in range(ny):
+                    row = i * ny + jj
+                    if axis == 0:
+                        if 0 < i < nx - 1 or bc.kind == "dirichlet":
+                            if i + 1 < nx:
+                                d[row, (i + 1) * ny + jj] -= barr[(i + 1) * ny + jj] / (2 * h)
+                            if i - 1 >= 0:
+                                d[row, (i - 1) * ny + jj] += barr[(i - 1) * ny + jj] / (2 * h)
+                    else:
+                        if 0 < jj < ny - 1 or bc.kind == "dirichlet":
+                            if jj + 1 < ny:
+                                d[row, i * ny + jj + 1] -= barr[i * ny + jj + 1] / (2 * h)
+                            if jj - 1 >= 0:
+                                d[row, i * ny + jj - 1] += barr[i * ny + jj - 1] / (2 * h)
+    return d
+
+
+@pytest.mark.parametrize("bform", ["scalar", "tuple", "nodal"])
+@pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.8)], ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_drift_stencil_matches_index_loop(dim, bc, bform):
+    nodes = (7,) if dim == 1 else (5, 4)
+    g = Grid(extent=(1.0,) * dim, nodes=nodes, bcs=(bc,))
+    rng = np.random.default_rng(11)
+    b = {
+        "scalar": -0.7,
+        "tuple": (0.4,) if dim == 1 else (0.4, rng.standard_normal(nodes)),
+        "nodal": rng.standard_normal(g.size),
+    }[bform]
+    spec = PotentialDrift(g, beta=scalar_fn("linear", 1.0), b=b)
+    assert np.array_equal(spec._drift, _drift_reference(g, b))
+
+
 # ---------------------------------------------------------------------------
 # Gateaux derivative
 

@@ -220,10 +220,18 @@ def test_case3_equivalent_control_matches_linear_formula():
     from mintime.sliding import _continuation_with_controls
 
     traj, unorms = _continuation_with_controls(spec, cm, start, ytar, 5e-3, 5e-3, rho=None)
-    yhat = start.values.copy()
+    # first-component projection: target in y, the running z kept
+    yhat = cm.auxiliary_state(spec, start.values, ytar.values)
+    np.testing.assert_array_equal(yhat, np.concatenate([y1tar, z0]))
+    # full projection: the target itself
+    full = ControlMap(mode="identity", u_tag=L2, projection="full")
+    np.testing.assert_array_equal(full.auxiliary_state(spec, start.values, ytar.values),
+                                  ytar.values)
     got = spec.apply(yhat)[:n]
     np.testing.assert_allclose(got, expected, atol=1e-11)
     assert len(unorms) == 1
+    u_expected = np.concatenate([expected, np.zeros(n)])
+    assert unorms[0] == pytest.approx(cm.u_norm(spec, u_expected), rel=1e-10)
 
 
 def test_saturation_error_when_rho_too_small():

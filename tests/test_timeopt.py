@@ -126,7 +126,7 @@ def test_inner_matches_dense_lq_solution_unconstrained():
 
     def terminal(uflat):
         u = Control(dte, uflat.reshape(K, m), prob.rho)
-        return solve_forward(spec, cm, prob.y0, u, T, diagnostics=False).states[-1]
+        return solve_forward(spec, cm, prob.y0, u, T).states[-1]
 
     base = terminal(np.zeros(K * m))
     G = np.empty((nd, K * m))
