@@ -31,8 +31,6 @@ from .operators import (
     apply_A,
     apply_Aprime,
     apply_Aprime_adjoint,
-    apply_B,
-    apply_Bstar,
 )
 from .forward import Control, StepFailure, Trajectory, solve_forward, step_implicit
 from .adjoint import AdjointState, solve_adjoint, solve_variation

@@ -103,9 +103,6 @@ def duality_gap(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     p = solve_adjoint(spec, traj, terminal)
     lhs = spec.state_inner(Y.states[-1], terminal.values)
     dt = float(traj.times[1] - traj.times[0])
-    rhs = 0.0
-    for k in range(1, traj.steps + 1):
-        bstar = map.apply_Bstar(spec, p.values[k - 1])
-        rhs += dt * map.u_pairing(spec, bstar, v.values[k - 1])
+    rhs = dt * float(np.sum(map.u_pairing(spec, map.apply_Bstar(spec, p.values[:-1]), v.values)))
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, abs(lhs - rhs) / denom

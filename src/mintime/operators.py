@@ -25,11 +25,10 @@ from .spaces import (
     L2,
     NormTag,
     SpectralLaplacian,
-    duality_map_F,
-    duality_map_F_inverse,
-    dual_norm,
-    norm,
-    resolvent_eF_NK,
+    duality_rows,
+    inner_rows,
+    norm_rows,
+    resolvent_rows,
 )
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "apply_A",
     "apply_Aprime",
     "apply_Aprime_adjoint",
-    "apply_B",
-    "apply_Bstar",
 ]
 
 
@@ -482,24 +479,27 @@ class ControlMap:
         g = self.ugrid(spec)
         return g.size * g.n_components
 
-    def _u_spectral(self, spec: OperatorSpec) -> SpectralLaplacian | None:
+    def _uspace(self, spec: OperatorSpec) -> tuple[Grid, NormTag, SpectralLaplacian | None]:
+        """The grid, norm tag and spectral operator of U, as the row kernels take them."""
+        g = self.ugrid(spec)
         if not self.u_tag.needs_spectral:
-            return None
-        if self.ugrid(spec) is not spec.grid:
+            return g, self.u_tag, None
+        if g is not spec.grid:
             raise ValueError("spectral control norms require the state grid")
-        return spec.gamma_op
+        return g, self.u_tag, spec.gamma_op
 
     # -- B and B* -------------------------------------------------------------
 
     def apply_B(self, spec: OperatorSpec, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float).ravel()
-        if u.size != self.control_size(spec):
-            raise ValueError(f"expected {self.control_size(spec)} control dof, got {u.size}")
+        """B u for one control (m,) or a stack of them (rows, m)."""
+        u = np.asarray(u, dtype=float)
+        if u.shape[-1] != self.control_size(spec):
+            raise ValueError(f"expected {self.control_size(spec)} control dof, got {u.shape[-1]}")
         if self.mode == "identity":
             return u.copy()
         if self.mode == "first_component":
-            out = np.zeros(spec.n_dof)
-            out[: spec.grid.size] = u[: spec.grid.size]
+            out = np.zeros((*u.shape[:-1], spec.n_dof))
+            out[..., : spec.grid.size] = u[..., : spec.grid.size]
             return out
         wq = self.control_grid.weights(0)
         if self.kernel.shape != (spec.grid.size, self.control_grid.size):
@@ -507,22 +507,23 @@ class ControlMap:
                 f"kernel shape {self.kernel.shape} does not match state x control "
                 f"({spec.grid.size} x {self.control_grid.size})"
             )
-        return self.kernel @ (wq * u)
+        return (u * wq) @ self.kernel.T
 
     def apply_Bstar(self, spec: OperatorSpec, v: np.ndarray) -> np.ndarray:
-        """B* v as a U*-element: <u, B*v> = (Bu, v)_H exactly."""
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != spec.n_dof:
-            raise ValueError(f"expected {spec.n_dof} state dof, got {v.size}")
-        if self.mode == "identity":
-            return spec.metric_apply(v) / spec.weights
+        """B* v as a U*-element, <u, B*v> = (Bu, v)_H exactly, for one state
+        (n_dof,) or a stack of them (rows, n_dof)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1] != spec.n_dof:
+            raise ValueError(f"expected {spec.n_dof} state dof, got {v.shape[-1]}")
+        if self.mode == "nonlocal":
+            return (v * spec.grid.weights(0)) @ self.kernel
+        if spec.state_tag.kind == "L2":
+            out = v.copy()
+        else:
+            out = spec.metric_apply(v) / spec.weights
         if self.mode == "first_component":
-            out = np.zeros(spec.n_dof)
-            n = spec.grid.size
-            out[:n] = (spec.metric_apply(v) / spec.weights)[:n]
-            return out
-        ws = spec.grid.weights(0)
-        return self.kernel.T @ (ws * v)
+            out[..., spec.grid.size:] = 0.0
+        return out
 
     # -- projections ------------------------------------------------------------
 
@@ -543,90 +544,32 @@ class ControlMap:
         out[: spec.grid.size] = y_tar[: spec.grid.size]
         return out
 
-    # -- U-space geometry ---------------------------------------------------------
-
-    def _ufield(self, spec: OperatorSpec, u: np.ndarray) -> Field:
-        g = self.ugrid(spec)
-        return Field(g, u, g.n_components)
-
-    def u_norm(self, spec: OperatorSpec, u: np.ndarray) -> float:
-        return norm(self._ufield(spec, u), self.u_tag, self._u_spectral(spec))
-
-    def ustar_norm(self, spec: OperatorSpec, zeta: np.ndarray) -> float:
-        return dual_norm(self._ufield(spec, zeta), self.u_tag, self._u_spectral(spec))
-
-    def F(self, spec: OperatorSpec, u: np.ndarray) -> np.ndarray:
-        return duality_map_F(self._ufield(spec, u), self.u_tag, self._u_spectral(spec)).values
-
-    def F_inverse(self, spec: OperatorSpec, zeta: np.ndarray) -> np.ndarray:
-        return duality_map_F_inverse(self._ufield(spec, zeta), self.u_tag, self._u_spectral(spec)).values
-
-    def resolvent(self, spec: OperatorSpec, zeta: np.ndarray, eps: float, rho: float) -> np.ndarray:
-        return resolvent_eF_NK(
-            self._ufield(spec, zeta), self.u_tag, eps, rho, self._u_spectral(spec)
-        ).values
-
-    def u_pairing(self, spec: OperatorSpec, zeta: np.ndarray, u: np.ndarray) -> float:
-        g = self.ugrid(spec)
-        return float(np.dot(g.component_weights() * np.asarray(zeta), np.asarray(u)))
-
-    # -- batched variants over per-step arrays (rows = time steps) -------------
+    # -- U-space geometry: one control is one row of a (rows, m) stack ----------
 
     def u_norms_batch(self, spec: OperatorSpec, U: np.ndarray) -> np.ndarray:
-        if self.u_tag.kind == "L2":
-            w = self.ugrid(spec).component_weights()
-            return np.sqrt(np.maximum(U * U @ w, 0.0))
-        return np.array([self.u_norm(spec, row) for row in U])
+        return norm_rows(U, *self._uspace(spec))
 
     def ustar_norms_batch(self, spec: OperatorSpec, Z: np.ndarray) -> np.ndarray:
-        if self.u_tag.kind == "L2":
-            w = self.ugrid(spec).component_weights()
-            return np.sqrt(np.maximum(Z * Z @ w, 0.0))
-        return np.array([self.ustar_norm(spec, row) for row in Z])
+        return norm_rows(Z, *self._uspace(spec), dual=True)
+
+    def F_batch(self, spec: OperatorSpec, U: np.ndarray) -> np.ndarray:
+        return duality_rows(U, *self._uspace(spec))
+
+    def F_inverse_batch(self, spec: OperatorSpec, Z: np.ndarray) -> np.ndarray:
+        return duality_rows(Z, *self._uspace(spec), inverse=True)
 
     def resolvent_batch(self, spec: OperatorSpec, Z: np.ndarray, eps: float,
                         rho: float) -> np.ndarray:
-        if self.u_tag.kind == "L2":
-            nz = self.ustar_norms_batch(spec, Z)
-            scale = np.where(
-                nz > 0.0, np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300)), 0.0
-            )
-            return Z * scale[:, None]
-        return np.vstack([self.resolvent(spec, row, eps, rho) for row in Z])
+        g, tag, s = self._uspace(spec)
+        return resolvent_rows(Z, g, tag, eps, rho, s)
 
-    def bstar_batch(self, spec: OperatorSpec, P: np.ndarray) -> np.ndarray:
-        if self.mode in ("identity", "first_component") and spec.state_tag.kind == "L2":
-            out = P.copy()
-            if self.mode == "first_component":
-                out[:, spec.grid.size:] = 0.0
-            return out
-        if self.mode == "nonlocal":
-            ws = spec.grid.weights(0)
-            return (P * ws[None, :]) @ self.kernel
-        return np.vstack([self.apply_Bstar(spec, row) for row in P])
+    def u_pairing(self, spec: OperatorSpec, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row-wise duality pairing <zeta, u> of U* against U."""
+        return inner_rows(zeta, u, self.ugrid(spec))
 
     def project_control_batch(self, spec: OperatorSpec, U: np.ndarray) -> np.ndarray:
         if self.projection == "full" or self.mode == "nonlocal":
             return U
         out = U.copy()
-        out[:, self.ugrid(spec).size:] = 0.0
+        out[..., self.ugrid(spec).size:] = 0.0
         return out
-
-    def F_batch(self, spec: OperatorSpec, U: np.ndarray) -> np.ndarray:
-        if self.u_tag.kind == "L2":
-            return U
-        return np.vstack([self.F(spec, row) for row in U])
-
-
-def apply_B(map: ControlMap, spec: OperatorSpec, u: Field) -> Field:
-    vals = map.apply_B(spec, u.values)
-    return Field(spec.grid, vals, spec.n_components)
-
-
-def apply_Bstar(map: ControlMap, spec: OperatorSpec, v: Field) -> Field:
-    vals = map.apply_Bstar(spec, v.values)
-    g = spec.grid  # B* lands on the state grid except in nonlocal mode
-    if map.mode == "nonlocal":
-        g = map.control_grid
-        return Field(g, vals, 1)
-    return Field(g, vals, spec.n_components)

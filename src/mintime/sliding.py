@@ -84,11 +84,11 @@ def sign_feedback(map: ControlMap, spec: OperatorSpec, y: Field, y_tar: Field,
         raise ValueError("rho must be positive")
     diff = map.project_state(spec, y.values - y_tar.values)
     v = map.apply_Bstar(spec, diff)
-    nv = map.ustar_norm(spec, v)
+    nv = float(map.ustar_norms_batch(spec, v))
     g = map.ugrid(spec)
     if nv == 0.0:
         return Field(g, np.zeros(map.control_size(spec)), g.n_components)
-    u = -rho * map.F_inverse(spec, v) / nv
+    u = -rho * map.F_inverse_batch(spec, v) / nv
     return Field(g, u, g.n_components)
 
 
@@ -119,7 +119,7 @@ def _feedback_gain_constant(spec: OperatorSpec, map: ControlMap, samples: int,
         v = smooth_sample(spec, rng)
         pv = map.project_state(spec, v)
         num = spec.h_norm(pv)
-        den = map.ustar_norm(spec, map.apply_Bstar(spec, pv))
+        den = map.ustar_norms_batch(spec, map.apply_Bstar(spec, pv))
         if den > 1e-14:
             worst = max(worst, num / den)
     return max(worst, 1e-12)
@@ -169,7 +169,7 @@ def run_sliding(
             break
         u = sign_feedback(map, spec, y, y_tar, rho)
         y = step_implicit(spec, map, y, u, dt)
-        unorms.append(map.u_norm(spec, u.values))
+        unorms.append(float(map.u_norms_batch(spec, u.values)))
         states.append(y.values.copy())
         times.append((k + 1) * dt)
         dev = spec.h_norm(map.project_state(spec, y.values - y_tar.values))
@@ -251,7 +251,7 @@ def _continuation_with_controls(
         # current uncontrolled state, then an honest implicit step
         yhat = map.auxiliary_state(spec, y, y_tar.values)
         u = map.project_state(spec, spec.apply(yhat))
-        nu = map.u_norm(spec, u)
+        nu = float(map.u_norms_batch(spec, u))
         if rho is not None and nu > rho * (1 + 1e-9):
             raise SaturationError(
                 f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}"

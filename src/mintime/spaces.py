@@ -34,6 +34,10 @@ __all__ = [
     "duality_map_F",
     "duality_map_F_inverse",
     "resolvent_eF_NK",
+    "inner_rows",
+    "norm_rows",
+    "duality_rows",
+    "resolvent_rows",
 ]
 
 
@@ -194,19 +198,21 @@ class SpectralLaplacian:
         return m + self.shift * np.eye(self.n)
 
     def apply_fn(self, values: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Apply fn(operator) spectrally to one component's nodal values."""
-        v = np.asarray(values, dtype=float).ravel()
-        if v.size != self.n:
-            raise ValueError(f"expected {self.n} nodal values, got {v.size}")
+        """Apply fn(operator) spectrally along the last axis: one component's
+        nodal values, shape (n,), or a stack of them, shape (rows, n)."""
+        v = np.asarray(values, dtype=float)
+        if v.shape[-1] != self.n:
+            raise ValueError(f"expected {self.n} nodal values, got {v.shape[-1]}")
         if self.grid.dimension == 1:
             ax = self._axes[0]
-            coef = ax.eigenvectors.T @ (ax.weights * v)
-            return ax.eigenvectors @ (fn(ax.eigenvalues + self.shift) * coef)
+            coef = (v.reshape(-1, self.n) * ax.weights) @ ax.eigenvectors
+            out = (fn(ax.eigenvalues + self.shift) * coef) @ ax.eigenvectors.T
+            return out.reshape(v.shape)
         ax, ay = self._axes
-        V = v.reshape(self.grid.nodes)
+        V = v.reshape(-1, *self.grid.nodes)
         coef = ax.eigenvectors.T @ (ax.weights[:, None] * V * ay.weights[None, :]) @ ay.eigenvectors
         lam = ax.eigenvalues[:, None] + ay.eigenvalues[None, :] + self.shift
-        return (ax.eigenvectors @ (fn(lam) * coef) @ ay.eigenvectors.T).ravel()
+        return (ax.eigenvectors @ (fn(lam) * coef) @ ay.eigenvectors.T).reshape(v.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.apply_fn(values, lambda lam: lam)
@@ -231,13 +237,12 @@ class SpectralLaplacian:
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations
+# Row kernels. Values live on a grid as (n_components * n,) or
+# (rows, n_components * n) arrays, each component a contiguous block of n
+# nodes; every kernel works along the last axis, so one element is one row.
 
-
-def _component_weights(field: Field) -> np.ndarray:
-    if field.n_components != field.grid.n_components:
-        raise ValueError("field component count does not match its grid")
-    return field.grid.component_weights()
+# The spectral power a of each Hilbert tag: ||u||^2 = <Gamma^a u, u>, F = Gamma^a.
+_GAMMA_POWER = {"L2": 0, "H1": 1, "H1dual": -1, "Hminus1": -1}
 
 
 def _require_spectral(tag: NormTag, s: SpectralLaplacian | None) -> SpectralLaplacian:
@@ -251,168 +256,167 @@ def _require_spectral(tag: NormTag, s: SpectralLaplacian | None) -> SpectralLapl
     return s
 
 
-def _per_component(field: Field, s: SpectralLaplacian, op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    out = np.empty_like(field.values)
-    n = field.grid.size
-    for c in range(field.n_components):
-        out[c * n : (c + 1) * n] = op(field.component(c))
-    return out
+def _rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    size = grid.size * grid.n_components
+    if v.shape[-1] != size:
+        raise ValueError(f"expected {size} values per row, got {v.shape[-1]}")
+    return v
 
 
-def pairing(zeta: Field, u: Field) -> float:
-    """Duality pairing <zeta, u>: the weighted nodal product, which realizes
-    every (U*, U) pairing used here (L2, Lp, H^-1 against H^1_0)."""
-    w = _component_weights(u)
-    return float(np.dot(w * zeta.values, u.values))
+def _blocks(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(..., components, nodes) view of the values and the (components, nodes) weights."""
+    w = grid.component_weights().reshape(grid.n_components, grid.size)
+    return v.reshape(*v.shape[:-1], *w.shape), w
 
 
-def inner_product(a: Field, b: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
-    """Inner product of two fields under a Hilbert norm tag."""
-    a._check_compatible(b)
-    if not tag.is_hilbert:
-        raise ValueError(f"{tag.kind} is not an inner-product norm")
-    w = _component_weights(a)
-    if tag.kind == "L2":
-        return float(np.dot(w * a.values, b.values))
+def _blockwise(values: np.ndarray, s: SpectralLaplacian,
+               op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A spectral map of s applied to every component block of every row."""
+    return op(values.reshape(-1, s.n)).reshape(values.shape)
+
+
+def _gamma_rows(v: np.ndarray, tag: NormTag, s: SpectralLaplacian | None,
+                sign: int = 1) -> np.ndarray:
+    """Gamma^(sign * a) per component block, a the tag's spectral power; the
+    input itself when a = 0."""
+    power = sign * _GAMMA_POWER[tag.kind]
+    if power == 0:
+        return v
     s = _require_spectral(tag, s)
-    if tag.kind == "H1":
-        ga = _per_component(a, s, s.apply)
-    else:  # H1dual, Hminus1
-        ga = _per_component(a, s, s.apply_inverse)
-    return float(np.dot(w * ga, b.values))
-
-
-def norm(a: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
-    if tag.kind == "Lp":
-        w = _component_weights(a)
-        p = tag.p
-        n = a.grid.size
-        comp = [
-            np.dot(w[c * n : (c + 1) * n], np.abs(a.component(c)) ** p) ** (1.0 / p)
-            for c in range(a.n_components)
-        ]
-        return float(np.sqrt(np.sum(np.square(comp))))
-    val = inner_product(a, a, tag, s)
-    return float(np.sqrt(max(val, 0.0)))
-
-
-_DUAL_TAG = {"L2": L2, "Lp": None, "H1": H1DUAL, "H1dual": H1, "Hminus1": H1}
-
-
-def dual_norm(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> float:
-    """Norm of a U*-element for the U described by ``tag``."""
-    if tag.kind == "Lp":
-        q = tag.p / (tag.p - 1.0)
-        w = _component_weights(zeta)
-        n = zeta.grid.size
-        comp = [
-            np.dot(w[c * n : (c + 1) * n], np.abs(zeta.component(c)) ** q) ** (1.0 / q)
-            for c in range(zeta.n_components)
-        ]
-        return float(np.sqrt(np.sum(np.square(comp))))
-    if tag.kind == "Hminus1":
-        s = _require_spectral(tag, s)
-        # dual of H^-1 is H^1_0
-        return norm(zeta, H1, s)
-    return norm(zeta, _DUAL_TAG[tag.kind], s)
-
-
-def gamma_apply(y: Field, s: SpectralLaplacian) -> Field:
-    """Canonical isomorphism: (shift*I - Laplacian) y, applied per component."""
-    return Field(y.grid, _per_component(y, s, s.apply), y.n_components)
-
-
-def yosida_apply(y: Field, s: SpectralLaplacian, nu: float) -> Field:
-    """Yosida approximation Gamma (I + nu Gamma)^-1 y."""
-    return Field(y.grid, _per_component(y, s, lambda v: s.apply_yosida(v, nu)), y.n_components)
-
-
-def gamma_power(y: Field, s: SpectralLaplacian, alpha: float) -> Field:
-    """Spectral fractional power Gamma^alpha y, alpha in [-1, 1]."""
-    return Field(y.grid, _per_component(y, s, lambda v: s.apply_power(v, alpha)), y.n_components)
+    return _blockwise(v, s, s.apply if power > 0 else s.apply_inverse)
 
 
 def _lp_map(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    nrm = np.dot(weights, np.abs(values) ** p) ** (1.0 / p)
-    if nrm == 0.0:
-        return np.zeros_like(values)
+    """Duality map of Lp along the last axis, ||v||^(2-p) sign(v) |v|^(p-1);
+    zero on zero rows."""
+    nrm = np.sum(weights * np.abs(values) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+    nrm = np.where(nrm > 0.0, nrm, 1.0)  # sign(v) = 0 on zero rows
     return nrm ** (2.0 - p) * np.sign(values) * np.abs(values) ** (p - 1.0)
 
 
-def duality_map_F(u: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
-    """Duality mapping F of U: <F(u), u> = ||u||_U^2 and ||F(u)||_U* = ||u||_U.
+def inner_rows(a: np.ndarray, b: np.ndarray, grid: Grid, tag: NormTag = L2,
+               s: SpectralLaplacian | None = None) -> np.ndarray:
+    """Row-wise inner product under a Hilbert norm tag. Under L2 this is the
+    duality pairing <zeta, u>, the weighted nodal product, which realizes
+    every (U*, U) pairing used here (L2, Lp, H^-1 against H^1_0)."""
+    if not tag.is_hilbert:
+        raise ValueError(f"{tag.kind} is not an inner-product norm")
+    a, b = _rows(a, grid), _rows(b, grid)
+    return (_gamma_rows(a, tag, s) * b) @ grid.component_weights()
 
-    Identity on L2, the power nonlinearity on Lp, and the inverse spectral
-    Laplacian on H^-1 (whose dual pairing is the extended L2 pairing).
+
+def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
+              s: SpectralLaplacian | None = None, dual: bool = False) -> np.ndarray:
+    """Row-wise ||.||_U, or with ``dual`` the norm of U* for the U of ``tag``.
+    Lp norms of several components combine as the l2 norm of the
+    per-component norms."""
+    v = _rows(values, grid)
+    if tag.kind == "Lp":
+        blocks, w = _blocks(v, grid)
+        p = tag.p / (tag.p - 1.0) if dual else tag.p
+        comp = np.sum(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
+        return np.sqrt(np.sum(np.square(comp), axis=-1))
+    gv = _gamma_rows(v, tag, s, -1 if dual else 1)
+    return np.sqrt(np.maximum((gv * v) @ grid.component_weights(), 0.0))
+
+
+def duality_rows(values: np.ndarray, grid: Grid, tag: NormTag,
+                 s: SpectralLaplacian | None = None, inverse: bool = False) -> np.ndarray:
+    """Row-wise duality mapping F of U: <F(u), u> = ||u||_U^2 and
+    ||F(u)||_U* = ||u||_U; with ``inverse``, F^-1, the duality mapping of U*.
+
+    F is the identity on L2, the power nonlinearity on Lp, the spectral
+    Laplacian on H^1 and its inverse on H^-1 (whose dual pairing is the
+    extended L2 pairing).
     """
-    if tag.kind == "L2":
-        return u.copy()
+    v = _rows(values, grid)
     if tag.kind == "Lp":
-        w = _component_weights(u)
-        n = u.grid.size
-        out = np.empty_like(u.values)
-        for c in range(u.n_components):
-            sl = slice(c * n, (c + 1) * n)
-            out[sl] = _lp_map(u.values[sl], w[sl], tag.p)
-        return Field(u.grid, out, u.n_components)
-    if tag.kind == "Hminus1":
-        s = _require_spectral(tag, s)
-        return Field(u.grid, _per_component(u, s, s.apply_inverse), u.n_components)
-    if tag.kind == "H1":
-        s = _require_spectral(tag, s)
-        return gamma_apply(u, s)
-    raise ValueError(f"no duality map for tag {tag.kind}")
+        blocks, w = _blocks(v, grid)
+        q = tag.p / (tag.p - 1.0) if inverse else tag.p
+        return _lp_map(blocks, w, q).reshape(v.shape)
+    return np.array(_gamma_rows(v, tag, s, -1 if inverse else 1))
 
 
-def duality_map_F_inverse(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
-    """F^-1, which is the duality mapping of U*."""
-    if tag.kind == "L2":
-        return zeta.copy()
-    if tag.kind == "Lp":
-        q = tag.p / (tag.p - 1.0)
-        w = _component_weights(zeta)
-        n = zeta.grid.size
-        out = np.empty_like(zeta.values)
-        for c in range(zeta.n_components):
-            sl = slice(c * n, (c + 1) * n)
-            out[sl] = _lp_map(zeta.values[sl], w[sl], q)
-        return Field(zeta.grid, out, zeta.n_components)
-    if tag.kind == "Hminus1":
-        s = _require_spectral(tag, s)
-        return gamma_apply(zeta, s)
-    if tag.kind == "H1":
-        s = _require_spectral(tag, s)
-        return Field(zeta.grid, _per_component(zeta, s, s.apply_inverse), zeta.n_components)
-    raise ValueError(f"no duality map for tag {tag.kind}")
-
-
-def resolvent_eF_NK(
-    zeta: Field,
-    tag: NormTag,
-    eps: float,
-    rho: float,
-    s: SpectralLaplacian | None = None,
-) -> Field:
-    """Exact resolvent (eps*F + N_K)^-1 zeta on the ball K = {||u||_U <= rho}.
+def resolvent_rows(values: np.ndarray, grid: Grid, tag: NormTag, eps: float, rho: float,
+                   s: SpectralLaplacian | None = None) -> np.ndarray:
+    """Row-wise exact resolvent (eps*F + N_K)^-1 zeta on the ball K = {||u||_U <= rho}.
 
     Positive homogeneity of F collapses the inclusion to a radial clamp:
-    u = F^-1(zeta) * min(1/eps, rho/||zeta||_U*). For eps = 0 this is the
-    normal-cone inverse rho F^-1(zeta)/||zeta||, undefined at zeta = 0.
+    u = F^-1(zeta) * min(1/eps, rho/||zeta||_U*), and 0 at zeta = 0. For
+    eps = 0 this is the normal-cone inverse rho F^-1(zeta)/||zeta||,
+    undefined at zeta = 0.
     """
     if not rho > 0.0:
         raise ValueError("ball radius must be positive")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    nz = dual_norm(zeta, tag, s)
+    nz = norm_rows(values, grid, tag, s, dual=True)
     if eps == 0.0:
-        if nz == 0.0:
+        if np.any(nz == 0.0):
             raise IndeterminateSelectionError(
                 "N_K^-1(0) is the whole ball; the caller must pick a selection"
             )
         scale = rho / nz
-    elif nz == 0.0:
-        return Field(zeta.grid, np.zeros_like(zeta.values), zeta.n_components)
     else:
-        scale = min(1.0 / eps, rho / nz)
-    finv = duality_map_F_inverse(zeta, tag, s)
-    return Field(zeta.grid, scale * finv.values, zeta.n_components)
+        scale = np.where(nz > 0.0, np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300)), 0.0)
+    return duality_rows(values, grid, tag, s, inverse=True) * np.asarray(scale)[..., None]
+
+
+# ---------------------------------------------------------------------------
+# Field-level operations: the one-row case of the kernels above
+
+
+def _like(field: Field, values: np.ndarray) -> Field:
+    return Field(field.grid, values, field.n_components)
+
+
+def pairing(zeta: Field, u: Field) -> float:
+    """Duality pairing <zeta, u>, the weighted nodal product."""
+    return float(inner_rows(zeta.values, u.values, u.grid))
+
+
+def inner_product(a: Field, b: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
+    """Inner product of two fields under a Hilbert norm tag."""
+    a._check_compatible(b)
+    return float(inner_rows(a.values, b.values, a.grid, tag, s))
+
+
+def norm(a: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
+    return float(norm_rows(a.values, a.grid, tag, s))
+
+
+def dual_norm(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> float:
+    """Norm of a U*-element for the U described by ``tag``."""
+    return float(norm_rows(zeta.values, zeta.grid, tag, s, dual=True))
+
+
+def gamma_apply(y: Field, s: SpectralLaplacian) -> Field:
+    """Canonical isomorphism: (shift*I - Laplacian) y, applied per component."""
+    return _like(y, _gamma_rows(_rows(y.values, y.grid), H1, s))
+
+
+def yosida_apply(y: Field, s: SpectralLaplacian, nu: float) -> Field:
+    """Yosida approximation Gamma (I + nu Gamma)^-1 y."""
+    return _like(y, _blockwise(_rows(y.values, y.grid), s, lambda v: s.apply_yosida(v, nu)))
+
+
+def gamma_power(y: Field, s: SpectralLaplacian, alpha: float) -> Field:
+    """Spectral fractional power Gamma^alpha y, alpha in [-1, 1]."""
+    return _like(y, _blockwise(_rows(y.values, y.grid), s, lambda v: s.apply_power(v, alpha)))
+
+
+def duality_map_F(u: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
+    """Duality mapping F of U (see ``duality_rows``)."""
+    return _like(u, duality_rows(u.values, u.grid, tag, s))
+
+
+def duality_map_F_inverse(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
+    """F^-1, which is the duality mapping of U*."""
+    return _like(zeta, duality_rows(zeta.values, zeta.grid, tag, s, inverse=True))
+
+
+def resolvent_eF_NK(zeta: Field, tag: NormTag, eps: float, rho: float,
+                    s: SpectralLaplacian | None = None) -> Field:
+    """Exact resolvent (eps*F + N_K)^-1 zeta on the ball (see ``resolvent_rows``)."""
+    return _like(zeta, resolvent_rows(zeta.values, zeta.grid, tag, eps, rho, s))

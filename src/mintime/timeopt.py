@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# inner iterations without a 1% gap improvement before the fixed point
+# counts as stalled at its attainable accuracy
+PLATEAU_PATIENCE = 200
 
 
 @dataclass
@@ -59,7 +62,6 @@ class PenalizedProblem:
     inner_cap: int = 500
     theta0: float = 0.5
     golden_tol_factor: float = 1e-4
-    plateau_patience: int = 200
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -162,8 +164,8 @@ class _LinearKernel:
         lu = sla.lu_factor(eye + dte * spec.jacobian(np.zeros(n)))
         S = sla.lu_solve(lu, eye)
         # B and B* as matrices; S* is the state-metric transpose M^-1 S^T M
-        bmat = np.column_stack([cmap.apply_B(spec, col) for col in np.eye(m)])
-        rmat = np.column_stack([cmap.apply_Bstar(spec, col) for col in eye])  # (m, n)
+        bmat = cmap.apply_B(spec, np.eye(m)).T
+        rmat = cmap.apply_Bstar(spec, eye).T  # (m, n)
         mcols = np.column_stack([spec.metric_apply(col) for col in eye])
         minv = np.column_stack([spec.metric_solve(col) for col in eye])
         Sstar = minv @ S.T @ mcols
@@ -313,7 +315,7 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
             rows = kernel.bstar_rows(p_term)
         else:
             # scratch holds the trajectory that produced y_term
-            rows = cmap.bstar_batch(spec, adjoint_of(scratch["traj"]).values[:-1])
+            rows = cmap.apply_Bstar(spec, adjoint_of(scratch["traj"]).values[:-1])
         return _candidate(prob, rows, vals, dte)
 
     y_term = terminal_of(uvals)
@@ -338,8 +340,8 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= prob.plateau_patience:
-                break  # the fixed point has stalled at its attainable accuracy
+            if since_best >= PLATEAU_PATIENCE:
+                break
         accepted = False
         while theta >= 1e-4:
             u_try = uvals + theta * gap
@@ -362,7 +364,7 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
     # final artifacts always come from the generic sequential scheme
     traj = fwd(uvals)
     adj = adjoint_of(traj)
-    gap = _candidate(prob, cmap.bstar_batch(spec, adj.values[:-1]), uvals, dte) - uvals
+    gap = _candidate(prob, cmap.apply_Bstar(spec, adj.values[:-1]), uvals, dte) - uvals
     stat = math.sqrt(dte * float(np.sum(cmap.u_norms_batch(spec, gap) ** 2)))
     J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, traj.states[-1])
     return InnerSolution(
@@ -391,7 +393,7 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
     p = sol.adjoint.values
     states = sol.trajectory.states
 
-    bstar = cmap.bstar_batch(spec, p[:-1])            # B* p_{k-1}
+    bstar = cmap.apply_Bstar(spec, p[:-1])            # B* p_{k-1}
     bstar_norms = cmap.ustar_norms_batch(spec, bstar)
     pu = cmap.project_control_batch(spec, uvals)
     pu_norms = cmap.u_norms_batch(spec, pu)
@@ -401,11 +403,9 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
 
     h, F_h, tail = _href_terms(prob, uvals, dte)
     if F_h is not None:
-        cross = dte * np.array([
-            sum(cmap.u_pairing(spec, F_h[j], pu[j]) for j in range(k, K))
-            for k in range(K)
-        ])
-        h_T_norm = cmap.u_norm(spec, h[-1])
+        # dt sum_{j>=k} <F(h_j), P u_j> as a reversed cumulative sum
+        cross = dte * np.cumsum(cmap.u_pairing(spec, F_h, pu)[::-1])[::-1]
+        h_T_norm = float(cmap.u_norms_batch(spec, h[-1]))
         rhs = 1.0 + 0.5 * h_T_norm**2
     else:
         tail = np.zeros_like(bstar)
@@ -420,11 +420,9 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
 
     # (g72): u = rho F^-1(-B*p)/||B*p|| on steps with a usable dual direction
     live = bstar_norms > 1e-9 * max(1.0, float(bstar_norms.max(initial=0.0)))
-    g72_vals = []
-    for k in np.nonzero(live)[0]:
-        ideal = prob.rho * cmap.F_inverse(spec, -bstar[k]) / bstar_norms[k]
-        g72_vals.append(cmap.u_norm(spec, pu[k] - ideal))
-    g72_avg = float(np.mean(g72_vals)) if g72_vals else float("nan")
+    ideal = prob.rho * cmap.F_inverse_batch(spec, -bstar[live]) / bstar_norms[live, None]
+    g72_vals = cmap.u_norms_batch(spec, pu[live] - ideal)
+    g72_avg = float(np.mean(g72_vals)) if live.any() else float("nan")
 
     saturation = float(np.mean(pu_norms >= 0.99 * prob.rho))
     return {
@@ -436,6 +434,7 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
         "saturation_fraction": saturation,
         "u_norms": pu_norms,
         "bstar_p_norms": bstar_norms,
+        "cross_terms": cross,
     }
 
 
@@ -523,13 +522,14 @@ def eps_continuation(
     eps_schedule: list[float],
     T_bracket: tuple[float, float],
     chain_u_ref: bool = False,
-    shrink_bracket: bool = True,
     return_final_solution: bool = False,
 ):
     """Warm-started sweep of the penalization parameter toward zero.
 
     ``chain_u_ref`` feeds each level's converged control in as the next
-    level's reference, activating the functional's history term. Returns the
+    level's reference, activating the functional's history term. After a
+    level whose horizon is interior, the bracket narrows to
+    [0.55, 1.7] T_eps_star within ``T_bracket``. Returns the
     per-level reports, plus the last level's inner solution when
     ``return_final_solution`` is set.
     """
@@ -551,7 +551,7 @@ def eps_continuation(
         report, sol = outer_minimize(current, bracket, u_warm)
         reports.append(report)
         u_warm = sol.control
-        if shrink_bracket and not report.boundary_hit:
+        if not report.boundary_hit:
             t = report.T_eps_star
             lo = max(T_bracket[0], 0.55 * t)
             hi = min(T_bracket[1], 1.7 * t)

@@ -24,7 +24,7 @@ from mintime import (
     robin,
     scalar_fn,
 )
-from mintime.operators import apply_B, apply_Bstar
+from mintime.spaces import IndeterminateSelectionError
 
 
 def grid1(n=16, bc=None):
@@ -307,15 +307,110 @@ def test_nonlocal_rank_one_kernel():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_field_level_B_wrappers():
+def test_B_and_Bstar_shapes_on_rows_and_stacks():
     spec = all_specs(10)["porous_media"]
     cm = ControlMap(mode="identity", u_tag=HMINUS1)
     rng = np.random.default_rng(13)
-    u = Field(spec.grid, rng.standard_normal(spec.grid.size))
-    bu = apply_B(cm, spec, u)
-    bstar = apply_Bstar(cm, spec, bu)
-    assert bu.values.shape == (spec.n_dof,)
-    assert bstar.values.shape == (cm.control_size(spec),)
+    u = rng.standard_normal(spec.grid.size)
+    bu = cm.apply_B(spec, u)
+    bstar = cm.apply_Bstar(spec, bu)
+    assert bu.shape == (spec.n_dof,)
+    assert bstar.shape == (cm.control_size(spec),)
+    stack = np.vstack([u, 2.0 * u, -u])
+    assert cm.apply_B(spec, stack).shape == (3, spec.n_dof)
+    assert cm.apply_Bstar(spec, cm.apply_B(spec, stack)).shape == (3, cm.control_size(spec))
+
+
+def _row_case(case):
+    """(spec, map, spectral operator of U) for one U-norm tag and control mode,
+    on Dirichlet walls so that H^-1 control norms are defined."""
+    tag_name, mode = case
+    tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
+    if mode == "first_component":
+        spec = ReactionDiffusion2(grid2(9, dirichlet()), d1=1.0, d2=0.5)
+        cm = ControlMap(mode=mode, u_tag=tag, projection="first")
+    elif mode == "nonlocal":
+        spec = PotentialDrift(grid1(9))
+        gc = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(),))
+        kernel = np.random.default_rng(3).standard_normal((9, 7))
+        cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)
+    else:
+        spec = PotentialDrift(grid1(9))
+        cm = ControlMap(mode=mode, u_tag=tag)
+    return spec, cm, (spec.gamma_op if tag.needs_spectral else None)
+
+
+ROW_CASES = [(t, m) for t in ("L2", "L4", "Hminus1") for m in ("identity", "first_component")]
+ROW_CASES.append(("L2", "nonlocal"))
+
+
+@pytest.mark.parametrize("case", ROW_CASES, ids=["-".join(c) for c in ROW_CASES])
+def test_control_map_rows_match_single_rows_and_fields(case):
+    import warnings
+
+    from mintime import spaces
+
+    spec, cm, s = _row_case(case)
+    ug = cm.ugrid(spec)
+    m = cm.control_size(spec)
+    rng = np.random.default_rng(41)
+    U = rng.standard_normal((6, m)) * rng.uniform(0.05, 20.0, (6, 1))
+    U[2] = 0.0
+    Z = rng.standard_normal((6, m))
+    Z[4] = 0.0
+    eps, rho = 0.3, 1.0
+
+    def close(got, want):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want), initial=0.0))
+
+    def field(row):
+        return Field(ug, row, ug.n_components)
+
+    row_maps = {
+        "u_norms": (lambda X: cm.u_norms_batch(spec, X),
+                    lambda r: spaces.norm(field(r), cm.u_tag, s)),
+        "ustar_norms": (lambda X: cm.ustar_norms_batch(spec, X),
+                        lambda r: spaces.dual_norm(field(r), cm.u_tag, s)),
+        "F": (lambda X: cm.F_batch(spec, X),
+              lambda r: spaces.duality_map_F(field(r), cm.u_tag, s).values),
+        "F_inverse": (lambda X: cm.F_inverse_batch(spec, X),
+                      lambda r: spaces.duality_map_F_inverse(field(r), cm.u_tag, s).values),
+        "resolvent": (lambda X: cm.resolvent_batch(spec, X, eps, rho),
+                      lambda r: spaces.resolvent_eF_NK(field(r), cm.u_tag, eps, rho, s).values),
+        "project": (lambda X: cm.project_control_batch(spec, X), None),
+        "B": (lambda X: cm.apply_B(spec, X), None),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, (batch, spaces_fn) in row_maps.items():
+            for X in (U, Z):
+                stacked = batch(X)
+                close(stacked, [batch(row) for row in X])
+                if spaces_fn is not None:
+                    close(stacked, [spaces_fn(row) for row in X])
+        for X in (U, Z):
+            close(cm.u_pairing(spec, Z, X), [cm.u_pairing(spec, z, x) for z, x in zip(Z, X)])
+            close(cm.u_pairing(spec, Z, X),
+                  [spaces.pairing(field(z), field(x)) for z, x in zip(Z, X)])
+        V = rng.standard_normal((6, spec.n_dof))
+        close(cm.apply_Bstar(spec, V), [cm.apply_Bstar(spec, v) for v in V])
+
+        # the zero row: zero norms, zero F, the zero resolvent
+        for name in ("u_norms", "ustar_norms", "F", "F_inverse", "resolvent"):
+            assert np.all(row_maps[name][0](U)[2] == 0.0), name
+
+        # (B u_k, v_k)_H = <u_k, B* v_k> on every row
+        lhs = [spec.state_inner(bu, v) for bu, v in zip(cm.apply_B(spec, U), V)]
+        rhs = cm.u_pairing(spec, cm.apply_Bstar(spec, V), U)
+        np.testing.assert_allclose(rhs, lhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(lhs)))
+
+        # eps = 0: the normal-cone inverse, indeterminate only on a zero row
+        live = np.delete(Z, 4, axis=0)
+        close(cm.u_norms_batch(spec, cm.resolvent_batch(spec, live, 0.0, rho)), np.full(5, rho))
+    with pytest.raises(IndeterminateSelectionError):
+        cm.resolvent_batch(spec, Z, 0.0, rho)
 
 
 # ---------------------------------------------------------------------------

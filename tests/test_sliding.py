@@ -59,7 +59,7 @@ def test_feedback_scalar_sign():
     ytar = Field(g, np.full(3, 0.5))
     u = sign_feedback(cm, spec, y, ytar, rho=2.0)
     np.testing.assert_allclose(u.values, -2.0, rtol=1e-12)
-    assert cm.u_norm(spec, u.values) == pytest.approx(2.0, rel=1e-12)
+    assert cm.u_norms_batch(spec, u.values) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_feedback_l4_norm_and_direction():
@@ -69,9 +69,9 @@ def test_feedback_l4_norm_and_direction():
     ytar = Field(spec.grid, np.zeros(spec.n_dof), 2)
     rho = 1.7
     u = sign_feedback(cm, spec, y, ytar, rho)
-    assert cm.u_norm(spec, u.values) == pytest.approx(rho, rel=1e-10)
+    assert cm.u_norms_batch(spec, u.values) == pytest.approx(rho, rel=1e-10)
     v = cm.apply_Bstar(spec, cm.project_state(spec, y.values))
-    direction = -cm.F_inverse(spec, v) / cm.ustar_norm(spec, v)
+    direction = -cm.F_inverse_batch(spec, v) / cm.ustar_norms_batch(spec, v)
     np.testing.assert_allclose(u.values, rho * direction, rtol=1e-10)
     # second control component is untouched
     np.testing.assert_allclose(u.values[spec.grid.size:], 0.0)
@@ -231,7 +231,7 @@ def test_case3_equivalent_control_matches_linear_formula():
     np.testing.assert_allclose(got, expected, atol=1e-11)
     assert len(unorms) == 1
     u_expected = np.concatenate([expected, np.zeros(n)])
-    assert unorms[0] == pytest.approx(cm.u_norm(spec, u_expected), rel=1e-10)
+    assert unorms[0] == pytest.approx(cm.u_norms_batch(spec, u_expected), rel=1e-10)
 
 
 def test_saturation_error_when_rho_too_small():

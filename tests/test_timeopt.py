@@ -251,6 +251,31 @@ def test_chained_uref_energy_decreases():
     assert href[-1] <= 1e-4
 
 
+def test_uref_cross_term_is_the_tail_double_sum():
+    # chained reference: dt sum_{j>=k} <F(h_j), P u_j> for every k
+    from dataclasses import replace
+
+    from mintime.timeopt import _condition_residuals, _href_terms
+
+    prob = replace(scalar_setup(dt=1e-2, eps=0.1), inner_cap=20)
+    T = 0.5
+    first = inner_solve_control(prob, T)
+    ref = Control(first.control.dt, 0.5 * first.control.values, prob.rho)
+    chained = replace(prob, eps=0.05, u_ref=ref)
+    sol = inner_solve_control(chained, T, first.control)
+    K, dte = sol.control.steps, sol.control.dt
+    assert K == 50
+    spec, cm = chained.spec, chained.map
+    _, F_h, _ = _href_terms(chained, sol.control.values, dte)
+    pu = cm.project_control_batch(spec, sol.control.values)
+    expected = dte * np.array([
+        sum(cm.u_pairing(spec, F_h[j], pu[j]) for j in range(k, K)) for k in range(K)
+    ])
+    assert np.all(expected > 0.0)
+    got = _condition_residuals(chained, sol)["cross_terms"]
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
 def test_degenerate_unreachable_target_reports_large_miss():
     # rho far below what the target needs: no crash, large residual miss
     prob = scalar_setup(a=1.0, c=0.9, rho=0.3, eps=1e-3, dt=2e-3)
