@@ -9,6 +9,9 @@ makes the discrete duality identity
     (Y_K, p_K)_H = sum_k dt <B v_k, p_{k-1}>_H = sum_k dt <v_k, B* p_{k-1}>
 
 hold to machine precision, which is this module's definition of correctness.
+Both sweeps solve with the operator's banded step factors (``step_factor``),
+the adjoint through their transpose. A trajectory whose intervals were
+sub-stepped is refused: its map is not one step of size dt per interval.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .forward import Control, Trajectory
 from .grids import Field
-from .operators import ControlMap, OperatorSpec
+from .operators import ControlMap, OperatorSpec, StepFactor
 
 __all__ = ["AdjointState", "solve_variation", "solve_adjoint", "duality_gap"]
 
@@ -41,17 +43,16 @@ class AdjointState:
         return self.values[-1]
 
 
-def _frozen_lu(spec: OperatorSpec, traj: Trajectory, dt: float):
-    """LU factors of I + dt A'(y_k) for k = 1..K (shared when linear)."""
-    if spec.is_linear:
-        j = spec.jacobian(traj.states[0])
-        lu = scipy.linalg.lu_factor(np.eye(spec.n_dof) + dt * j)
-        return lambda k: lu
-    factors = [
-        scipy.linalg.lu_factor(np.eye(spec.n_dof) + dt * spec.jacobian(traj.states[k]))
-        for k in range(1, traj.steps + 1)
-    ]
-    return lambda k: factors[k - 1]
+def _frozen_factors(spec: OperatorSpec, traj: Trajectory, dt: float) -> list[StepFactor]:
+    """Factors of I + dt A'(y_k) for k = 1..K, at slot k - 1 (one shared
+    factor when linear)."""
+    refined = np.flatnonzero(traj.substeps > 1)
+    if refined.size:
+        k = int(refined[0])
+        raise ValueError(
+            f"interval {k} was integrated in {int(traj.substeps[k])} sub-steps; "
+            "the one-step linearization is not the derivative of that map")
+    return [spec.step_factor(traj.states[k], dt) for k in range(1, traj.steps + 1)]
 
 
 def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
@@ -60,12 +61,12 @@ def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     if v.steps != traj.steps:
         raise ValueError("variation control must share the trajectory's time grid")
     dt = float(traj.times[1] - traj.times[0])
-    lu_at = _frozen_lu(spec, traj, dt)
+    factors = _frozen_factors(spec, traj, dt)
     K = traj.steps
     states = np.zeros((K + 1, spec.n_dof))
     for k in range(1, K + 1):
         rhs = states[k - 1] + dt * map.apply_B(spec, v.values[k - 1])
-        states[k] = scipy.linalg.lu_solve(lu_at(k), rhs)
+        states[k] = factors[k - 1].solve(rhs)
     return Trajectory(spec, traj.times.copy(), states, np.ones(K, dtype=int), np.zeros(K))
 
 
@@ -78,16 +79,12 @@ def solve_adjoint(spec: OperatorSpec, traj: Trajectory, terminal: Field) -> Adjo
     if terminal.values.size != spec.n_dof:
         raise ValueError("terminal payload does not match the operator")
     dt = float(traj.times[1] - traj.times[0])
-    lu_at = _frozen_lu(spec, traj, dt)
+    factors = _frozen_factors(spec, traj, dt)
     K = traj.steps
     values = np.zeros((K + 1, spec.n_dof))
     values[K] = terminal.values
     for k in range(K, 0, -1):
-        w = spec.metric_apply(values[k])
-        try:
-            q = scipy.linalg.lu_solve(lu_at(k), w, trans=1)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError(f"adjoint linear solve singular at step {k}") from exc
+        q = factors[k - 1].solve(spec.metric_apply(values[k]), trans=1)
         values[k - 1] = spec.metric_solve(q)
     return AdjointState(traj.times.copy(), values)
 

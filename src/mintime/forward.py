@@ -1,8 +1,10 @@
 """Backward-Euler time integration of y' + A_H y = Bu with full Newton.
 
-Linear operator kinds reuse one LU factorization per step size; nonlinear
-kinds assemble the Jacobian I + dt A'(y) each Newton iteration. On Newton
-failure the step is retried on up to 6 binary subdivisions before giving up.
+Every step solves with the banded LU factors of I + dt A'(y) from
+``OperatorSpec.step_factor``: linear kinds reuse one factorization per step
+size, nonlinear kinds refactor at each Newton iterate. On Newton failure the
+control interval is retried on up to 6 binary subdivisions before giving up;
+the trajectory records how many sub-steps each interval took.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .grids import Field, Grid
 from .operators import ControlMap, OperatorSpec
@@ -88,6 +89,8 @@ class Control:
 class Trajectory:
     """States and per-step solver counts of one solve on its time grid.
 
+    ``substeps[k]`` is the number of backward-Euler sub-steps that carried
+    interval k (1 unless Newton failed and the interval was subdivided).
     The state norms are evaluated on first read and kept.
     """
 
@@ -96,6 +99,11 @@ class Trajectory:
     states: np.ndarray              # (steps+1, n_dof)
     newton_iters: np.ndarray        # (steps,)
     residuals: np.ndarray           # (steps,)
+    substeps: np.ndarray | None = None  # (steps,), ones by default
+
+    def __post_init__(self):
+        if self.substeps is None:
+            self.substeps = np.ones(len(self.times) - 1, dtype=int)
 
     @property
     def grid(self) -> Grid:
@@ -159,26 +167,12 @@ def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
     return float(np.sqrt(np.dot(spec.weights, r * r)))
 
 
-def _linear_lu(spec: OperatorSpec, dt: float):
-    cache = getattr(spec, "_lu_cache", None)
-    if cache is None:
-        cache = {}
-        spec._lu_cache = cache
-    key = round(dt, 15)
-    if key not in cache:
-        j = spec.jacobian(np.zeros(spec.n_dof))
-        shift = spec.apply(np.zeros(spec.n_dof))  # A0 = 0 for the catalog
-        cache[key] = (scipy.linalg.lu_factor(np.eye(spec.n_dof) + dt * j), shift)
-    return cache[key]
-
-
 def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
                     dt: float) -> tuple[np.ndarray, int, float]:
     """Solve x + dt A_H(x) = rhs by Newton, returning (x, iters, residual)."""
     scale = 1.0 + _wnorm(spec, rhs)
     if spec.is_linear:
-        lu, shift = _linear_lu(spec, dt)
-        x = scipy.linalg.lu_solve(lu, rhs - dt * shift)
+        x = spec.step_factor(guess, dt).solve(rhs - dt * spec.offset)
         res = _wnorm(spec, x + dt * spec.apply(x) - rhs)
         return x, 1, res
     x = guess.copy()
@@ -188,8 +182,7 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
         res = _wnorm(spec, r)
         if res <= NEWTON_TOL * scale:
             return x, it, res
-        jac = np.eye(spec.n_dof) + dt * spec.jacobian(x)
-        x = x - scipy.linalg.solve(jac, r)
+        x = x - spec.step_factor(x, dt).solve(r)
     r = x + dt * spec.apply(x) - rhs
     res = _wnorm(spec, r)
     if res <= NEWTON_TOL * scale:
@@ -209,8 +202,10 @@ def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
 
 
 def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray,
-                          dt: float, step_index: int) -> tuple[np.ndarray, int, float]:
-    """Advance one control interval, halving the internal step on failure."""
+                          dt: float, step_index: int) -> tuple[np.ndarray, int, float, int]:
+    """Advance one control interval, halving the internal step on failure.
+
+    Returns (state, Newton iterations, last residual, sub-steps taken)."""
     for level in range(MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
@@ -221,7 +216,7 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray,
             for _ in range(nsub):
                 x, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt)
                 iters += it
-            return x, iters, res
+            return x, iters, res, nsub
         except StepFailure as exc:
             last = exc
     raise StepFailure(last.residual, step_index)
@@ -246,13 +241,13 @@ def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
     states[0] = y0.values
     newton_iters = np.zeros(K, dtype=int)
     residuals = np.zeros(K)
+    substeps = np.ones(K, dtype=int)
 
     y = states[0].copy()
     for k in range(K):
         bu = map.apply_B(spec, u.values[k])
-        y, iters, res = _step_with_refinement(spec, y, bu, dt, k)
+        y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
+            spec, y, bu, dt, k)
         states[k + 1] = y
-        newton_iters[k] = iters
-        residuals[k] = res
 
-    return Trajectory(spec, dt * np.arange(K + 1), states, newton_iters, residuals)
+    return Trajectory(spec, dt * np.arange(K + 1), states, newton_iters, residuals, substeps)

@@ -6,9 +6,14 @@ potential and drift, the porous medium equation (state space H^-1), the
 two-component reaction-diffusion systems (including FitzHugh-Nagumo with a
 diffusionless second component) and the Caginalp phase-field system.
 
-Linearizations are assembled as dense nodal Jacobians; the adjoint of the
-linearization is always the exact transpose with respect to the discrete
-inner products, never a separate discretization.
+Every linearization A'(y) is a nearest-neighbour stencil (the Laplacian and
+the drift) plus nodal couplings, so in node-major order (the components of
+one node adjacent) it is banded. Each kind writes it once, in LAPACK band
+storage: a cached y-independent part built from the per-axis 1D stencils,
+plus the y-dependent nodal diagonals. ``step_factor`` factors I + dt A'(y)
+from that band with ``dgbtrf``; the forward Newton step, the variation and
+the adjoint all solve with it, the adjoint through the exact transpose
+(``dgbtrs`` with ``trans=1``), never a separate discretization.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grids import Field, Grid
 from .nonlinearities import PairFn, ScalarFn, scalar_fn
@@ -25,6 +31,7 @@ from .spaces import (
     L2,
     NormTag,
     SpectralLaplacian,
+    _laplacian_matrix_1d,
     duality_rows,
     inner_rows,
     norm_rows,
@@ -39,18 +46,94 @@ __all__ = [
     "FitzHughNagumo",
     "PhaseField",
     "ControlMap",
+    "StepFactor",
     "apply_A",
     "apply_Aprime",
     "apply_Aprime_adjoint",
 ]
 
+# linear kinds keep the factors of this many step sizes
+LINEAR_FACTOR_CACHE = 16
+
+
+# Node diagonals: a one-component nodal matrix M as {s: d}, d[j] = M[j - s, j]
+# over the flat C-ordered node index j (s > 0 above the diagonal).
+
+
+def _axis_diagonals(m: np.ndarray) -> dict[int, np.ndarray]:
+    """Node diagonals of a tridiagonal 1D matrix."""
+    n = m.shape[0]
+    up, down = np.zeros(n), np.zeros(n)
+    up[1:] = np.diagonal(m, 1)
+    down[:-1] = np.diagonal(m, -1)
+    return {0: np.diagonal(m).copy(), 1: up, -1: down}
+
+
+def _lift(grid: Grid, m: np.ndarray, axis: int) -> dict[int, np.ndarray]:
+    """Node diagonals of the 1D matrix ``m`` acting along ``axis`` of the node
+    array (kron(m, I) or kron(I, m) in 2D)."""
+    shape = [1] * grid.dimension
+    shape[axis] = -1
+    stride = int(np.prod(grid.nodes[axis + 1:]))
+    return {s * stride: np.broadcast_to(d.reshape(shape), grid.nodes).ravel()
+            for s, d in _axis_diagonals(m).items()}
+
+
+def _add_diagonals(*parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    out: dict[int, np.ndarray] = {}
+    for part in parts:
+        for s, d in part.items():
+            out[s] = out[s] + d if s in out else d
+    return out
+
+
+def _scaled(c: float, diags: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    return {s: c * d for s, d in diags.items()}
+
+
+def _dense(diags: dict[int, np.ndarray], n: int) -> np.ndarray:
+    m = np.zeros((n, n))
+    for s, d in diags.items():
+        j = np.arange(max(s, 0), min(n, n + s))
+        m[j - s, j] = d[j]
+    return m
+
+
+class StepFactor:
+    """LU factors of I + dt A'(y), from LAPACK ``dgbtrf`` on the node-major band.
+
+    ``solve(r)`` returns (I + dt A'(y))^-1 r and ``solve(r, trans=1)`` the
+    transpose solve, both on component-major vectors.
+    """
+
+    def __init__(self, spec: "OperatorSpec", y: np.ndarray, dt: float):
+        bw = spec.bandwidth
+        # dgbtrf factors in place and needs bw extra rows on top for the fill
+        ab = np.zeros((3 * bw + 1, spec.n_dof), order="F")
+        ab[bw:] = dt * spec.band(y)
+        ab[2 * bw] += 1.0
+        self.lu, self.piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"I + dt A'(y) is singular (dgbtrf info {info}) at dt = {dt!r}")
+        self.bw = bw
+        self.order = spec.node_order
+
+    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        x, _ = dgbtrs(self.lu, self.bw, self.bw, rhs[self.order], self.piv,
+                      trans=trans, overwrite_b=1)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
 
 class OperatorSpec:
     """Base class: a configured A_H with its derivative and inner products.
 
-    Subclasses define ``apply`` (nodal A_H y), ``jacobian`` (dense nodal
-    derivative) and the norms of their functional frame. ``state_tag`` is the
-    H of the example: L2 except for the porous medium, whose H is H^-1.
+    Subclasses define ``apply`` (nodal A_H y), the blocks of their
+    linearization (``_base_blocks``, ``_nodal_blocks``) and the norms of their
+    functional frame. ``state_tag`` is the H of the example: L2 except for
+    the porous medium, whose H is H^-1.
     """
 
     grid: Grid
@@ -78,17 +161,101 @@ class OperatorSpec:
         return SpectralLaplacian(self.grid, bc, shift=1.0 if bc.kind == "neumann" else 0.0)
 
     @cached_property
+    def _lap_diagonals(self) -> dict[int, np.ndarray]:
+        """Node diagonals of the unshifted -Lap on the first component's walls."""
+        g = self.grid
+        bc = g.bcs[0]
+        return _add_diagonals(*(
+            _lift(g, _laplacian_matrix_1d(n, h, bc), axis)
+            for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc)))))
+
+    @cached_property
     def _lap(self) -> np.ndarray:
         """Dense nodal matrix of the unshifted -Lap on the first component's walls."""
-        return SpectralLaplacian(self.grid, self.grid.bcs[0], shift=0.0).matrix
+        return _dense(self._lap_diagonals, self.grid.size)
 
     # -- to be provided by subclasses ---------------------------------------
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
+    def _base_blocks(self):
+        """The y-independent part of A': (row component, column component,
+        node diagonals) triples."""
         raise NotImplementedError
+
+    def _nodal_blocks(self, y: np.ndarray):
+        """The y-dependent part of A': (row component, column component,
+        nodal values) triples on the node diagonal."""
+        return ()
+
+    # -- the linearization in band storage ----------------------------------
+
+    @cached_property
+    def bandwidth(self) -> int:
+        """Half-bandwidth of A'(y) in node-major order."""
+        nc = self.n_components
+        return nc * int(np.prod(self.grid.nodes[1:])) + nc - 1
+
+    @cached_property
+    def node_order(self) -> np.ndarray:
+        """The component-major dof index at each node-major position."""
+        return np.arange(self.n_dof).reshape(self.n_components, -1).T.ravel()
+
+    def _place(self, ab: np.ndarray, a: int, b: int, diags: dict[int, np.ndarray]) -> None:
+        """Add the (a, b) component block, given by node diagonals, to ``ab``."""
+        nc, bw = self.n_components, self.bandwidth
+        for s, d in diags.items():
+            ab[bw - (s * nc + b - a), b::nc] += d
+
+    @cached_property
+    def _band_base(self) -> np.ndarray:
+        ab = np.zeros((2 * self.bandwidth + 1, self.n_dof))
+        for a, b, diags in self._base_blocks():
+            self._place(ab, a, b, diags)
+        return ab
+
+    def band(self, y: np.ndarray) -> np.ndarray:
+        """A'(y) in band storage, ab[bw + i - j, j] = A'[i, j], for node-major
+        indices i, j (``node_order`` maps them to component-major ones)."""
+        y = self._check_dof(y)
+        ab = self._band_base.copy()
+        for a, b, vals in self._nodal_blocks(y):
+            self._place(ab, a, b, {0: vals})
+        return ab
+
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        """Dense component-major A'(y): the expansion of ``band``."""
+        ab = self.band(y)
+        bw, n = self.bandwidth, self.n_dof
+        j = np.broadcast_to(np.arange(n), ab.shape)
+        i = j + np.arange(-bw, bw + 1)[:, None]
+        keep = (i >= 0) & (i < n)
+        out = np.zeros((n, n))
+        order = self.node_order
+        out[order[i[keep]], order[j[keep]]] = ab[keep]
+        return out
+
+    @cached_property
+    def _linear_factors(self) -> dict[float, StepFactor]:
+        return {}
+
+    def step_factor(self, y: np.ndarray, dt: float) -> StepFactor:
+        """Factors of I + dt A'(y); linear kinds keep one per dt, shared by the
+        forward steps, the variation and the adjoint sweep."""
+        if not self.is_linear:
+            return StepFactor(self, y, dt)
+        cache = self._linear_factors
+        if dt not in cache:
+            if len(cache) >= LINEAR_FACTOR_CACHE:
+                del cache[next(iter(cache))]
+            cache[dt] = StepFactor(self, y, dt)
+        return cache[dt]
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """A_H(0), the constant term of a linear kind (zero for the catalog)."""
+        return self.apply(np.zeros(self.n_dof))
 
     # -- state (H) inner product --------------------------------------------
 
@@ -169,8 +336,8 @@ class PotentialDrift(OperatorSpec):
         self.is_linear = self.beta.name in ("zero", "linear")
 
     @cached_property
-    def _drift(self) -> np.ndarray:
-        """Matrix of -div(b .), centered differences, zero boundary rows.
+    def _drift_diagonals(self) -> dict[int, np.ndarray]:
+        """Node diagonals of -div(b .), centered differences, zero boundary rows.
 
         Under Dirichlet walls the stored nodes are interior and (b y)
         vanishes on the wall, so every row keeps its stencil; otherwise the
@@ -181,19 +348,20 @@ class PotentialDrift(OperatorSpec):
         bc = g.bcs[0]
         b = self.b
         baxes = b if isinstance(b, (tuple, list)) else (b,) * g.dimension
-        d = np.zeros((g.size, g.size))
+        parts = []
         for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc))):
             stencil = np.eye(n, k=-1) - np.eye(n, k=1)
             if bc.kind != "dirichlet":
                 stencil[[0, -1]] = 0.0
-            if g.dimension == 2:
-                nx, ny = g.nodes
-                stencil = (np.kron(stencil, np.eye(ny)) if axis == 0
-                           else np.kron(np.eye(nx), stencil))
             braw = np.asarray(baxes[axis], dtype=float)
             barr = np.full(g.size, float(braw)) if braw.ndim == 0 else braw.ravel()
-            d += stencil * barr[None, :] / (2 * h)
-        return d
+            parts.append({s: d * barr / (2 * h) for s, d in _lift(g, stencil, axis).items()})
+        return _add_diagonals(*parts)
+
+    @cached_property
+    def _drift(self) -> np.ndarray:
+        """Dense nodal matrix of -div(b .)."""
+        return _dense(self._drift_diagonals, self.grid.size)
 
     @cached_property
     def _a1_arr(self) -> np.ndarray:
@@ -206,11 +374,11 @@ class PotentialDrift(OperatorSpec):
         y = self._check_dof(y)
         return self._lap @ y + self.beta(y) + self._a1_arr * y + self._drift @ y
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_dof(y)
-        j = self._lap + self._drift
-        j = j + np.diag(self.beta.d(y) + self._a1_arr)
-        return j
+    def _base_blocks(self):
+        return [(0, 0, self._lap_diagonals), (0, 0, self._drift_diagonals)]
+
+    def _nodal_blocks(self, y):
+        return [(0, 0, self.beta.d(y) + self._a1_arr)]
 
 
 @dataclass
@@ -240,9 +408,12 @@ class PorousMedia(OperatorSpec):
         y = self._check_dof(y)
         return self._lap @ self.beta(y)
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_dof(y)
-        return self._lap * self.beta.d(y)[None, :]
+    def _base_blocks(self):
+        return [(0, 0, self._lap_diagonals)]
+
+    def band(self, y: np.ndarray) -> np.ndarray:
+        # -Lap beta'(y): column j of the Laplacian scaled by beta'(y_j)
+        return self._band_base * self.beta.d(self._check_dof(y))[None, :]
 
     def v_norm(self, y: np.ndarray) -> float:
         # V = L2 in the porous-medium frame
@@ -294,16 +465,14 @@ class ReactionDiffusion2(_TwoComponent):
             self.d2 * (self._lap @ z) + self.g(y, z),
         ])
 
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_dof(w)
+    def _base_blocks(self):
+        return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
+                (1, 1, _scaled(self.d2, self._lap_diagonals))]
+
+    def _nodal_blocks(self, w):
         y, z = self._split(w)
-        n = self.grid.size
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, :n] = self.d1 * self._lap + np.diag(self.f.dy(y, z))
-        j[:n, n:] = np.diag(self.f.dz(y, z))
-        j[n:, :n] = np.diag(self.g.dy(y, z))
-        j[n:, n:] = self.d2 * self._lap + np.diag(self.g.dz(y, z))
-        return j
+        return [(0, 0, self.f.dy(y, z)), (0, 1, self.f.dz(y, z)),
+                (1, 0, self.g.dy(y, z)), (1, 1, self.g.dz(y, z))]
 
 
 @dataclass
@@ -336,16 +505,11 @@ class FitzHughNagumo(_TwoComponent):
             -self.sigma * y + self.gamma * z,
         ])
 
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        self._check_dof(w)
-        n = self.grid.size
-        eye = np.eye(n)
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, :n] = self.d1 * self._lap + self.alpha0 * eye
-        j[:n, n:] = eye
-        j[n:, :n] = -self.sigma * eye
-        j[n:, n:] = self.gamma * eye
-        return j
+    def _base_blocks(self):
+        ones = np.ones(self.grid.size)
+        return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
+                (0, 0, {0: self.alpha0 * ones}), (0, 1, {0: ones}),
+                (1, 0, {0: -self.sigma * ones}), (1, 1, {0: self.gamma * ones})]
 
     def v_norm(self, w: np.ndarray) -> float:
         y, z = self._split(w)
@@ -398,19 +562,15 @@ class PhaseField(_TwoComponent):
             + self.gamma * self.l * phi - self.gamma * sig,
         ])
 
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_dof(w)
+    def _base_blocks(self):
+        lap = self._lap_diagonals
+        return [(0, 0, _scaled(self.k, lap)), (0, 1, _scaled(-self.k * self.l, lap)),
+                (1, 0, {0: np.full(self.grid.size, -self.gamma)}),
+                (1, 1, _scaled(self.nu, lap))]
+
+    def _nodal_blocks(self, w):
         _, phi = self._split(w)
-        n = self.grid.size
-        lap = self._lap
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, :n] = self.k * lap
-        j[:n, n:] = -self.k * self.l * lap
-        j[n:, :n] = -self.gamma * np.eye(n)
-        j[n:, n:] = self.nu * lap + np.diag(
-            self.beta.d(phi) + self.pi.d(phi) + self.gamma * self.l
-        )
-        return j
+        return [(1, 1, self.beta.d(phi) + self.pi.d(phi) + self.gamma * self.l)]
 
 
 # ---------------------------------------------------------------------------

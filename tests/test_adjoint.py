@@ -176,3 +176,74 @@ def test_terminal_gradient_matches_central_differences(idx):
     h = 1e-5
     fd = (terminal_cost(h) - terminal_cost(-h)) / (2 * h)
     assert grad == pytest.approx(fd, rel=1e-4)
+
+
+def _refinement_setup():
+    """Cubic drift-free diffusion from a steep start: with a 4-iteration Newton
+    cap the first interval of dt = 0.05 needs 64 sub-steps."""
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    (x,) = g.coordinates()
+    y0 = Field(g, 30.0 * np.cos(np.pi * x))
+    rng = np.random.default_rng(5)
+    u = Control(0.05, rng.standard_normal((4, g.size)), rho=1e9)
+    v = Control(0.05, rng.standard_normal((4, g.size)), rho=1e9)
+    return spec, cm, y0, u, v
+
+
+def test_adjoint_of_substepped_interval_raises(monkeypatch):
+    import mintime.forward as forward
+
+    spec, cm, y0, u, v = _refinement_setup()
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 4)
+    traj = solve_forward(spec, cm, y0, u)
+    assert traj.substeps[0] > 1 and np.all(traj.substeps[1:] == 1)
+    terminal = Field(spec.grid, traj.states[-1], 1)
+    for call in (lambda: solve_adjoint(spec, traj, terminal),
+                 lambda: solve_variation(spec, cm, traj, v),
+                 lambda: duality_gap(spec, cm, traj, v, terminal)):
+        with pytest.raises(ValueError, match="interval 0 was integrated in"):
+            call()
+
+
+def test_unrefined_steep_start_gradient_matches_central_differences():
+    spec, cm, y0, u, v = _refinement_setup()
+    traj = solve_forward(spec, cm, y0, u)
+    assert np.all(traj.substeps == 1)
+
+    def terminal_cost(lam):
+        yT = solve_forward(spec, cm, y0, Control(u.dt, u.values + lam * v.values,
+                                                  rho=1e9)).states[-1]
+        return 0.5 * spec.state_inner(yT, yT)
+
+    p = solve_adjoint(spec, traj, Field(spec.grid, traj.states[-1], 1))
+    grad = u.dt * float(np.sum(cm.u_pairing(spec, cm.apply_Bstar(spec, p.values[:-1]),
+                                            v.values)))
+    h = 1e-5
+    fd = (terminal_cost(h) - terminal_cost(-h)) / (2 * h)
+    assert grad == pytest.approx(fd, rel=1e-6)
+
+
+# criterion 1 over the size ladder: 1D 3/32/128 nodes, 2D 16^2/24^2/48^2
+_LADDER = [(3,), (32,), (128,), (16, 16), (24, 24), (48, 48)]
+
+
+@pytest.mark.parametrize("nodes", _LADDER, ids=lambda n: "x".join(map(str, n)))
+@pytest.mark.parametrize("kind", ["reaction_diffusion2", "phase_field"])
+def test_duality_identity_size_ladder(kind, nodes):
+    g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bcs=(neumann(), neumann()))
+    if kind == "reaction_diffusion2":
+        spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                                  g=pair_fn("tanh_pair", -0.2, 0.6))
+        cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    else:
+        spec = PhaseField(g, k=1.0, l=0.4, nu=1.0, gamma=0.7)
+        cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    rng = np.random.default_rng(len(nodes) * 1000 + g.size)
+    _, _, traj = _random_traj(spec, cm, rng, steps=4, dt=1e-2)
+    vv = rng.standard_normal((traj.steps, cm.control_size(spec)))
+    v = Control(traj.times[1] - traj.times[0], vv, rho=1e9, u_tag=cm.u_tag)
+    terminal = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
+    _, _, gap = duality_gap(spec, cm, traj, v, terminal)
+    assert gap <= 1e-10

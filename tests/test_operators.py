@@ -24,7 +24,8 @@ from mintime import (
     robin,
     scalar_fn,
 )
-from mintime.spaces import IndeterminateSelectionError
+from mintime.forward import Control, solve_forward
+from mintime.spaces import IndeterminateSelectionError, SpectralLaplacian
 
 
 def grid1(n=16, bc=None):
@@ -149,6 +150,106 @@ def test_drift_stencil_matches_index_loop(dim, bc, bform):
     }[bform]
     spec = PotentialDrift(g, beta=scalar_fn("linear", 1.0), b=b)
     assert np.array_equal(spec._drift, _drift_reference(g, b))
+
+
+# ---------------------------------------------------------------------------
+# the band is the Jacobian
+
+
+def _jacobian_reference(spec, w):
+    """The dense per-kind formulas of A'(w), component-major, built from the
+    dense Laplacian matrix and the index-loop drift."""
+    n = spec.grid.size
+    lap = SpectralLaplacian(spec.grid, spec.grid.bcs[0], shift=0.0).matrix
+    eye = np.eye(n)
+    y, z = w[:n], w[n:]
+    if isinstance(spec, PotentialDrift):
+        return lap + _drift_reference(spec.grid, spec.b) + np.diag(spec.beta.d(y) + spec._a1_arr)
+    if isinstance(spec, PorousMedia):
+        return lap * spec.beta.d(y)[None, :]
+    j = np.zeros((2 * n, 2 * n))
+    if isinstance(spec, ReactionDiffusion2):
+        j[:n, :n] = spec.d1 * lap + np.diag(spec.f.dy(y, z))
+        j[:n, n:] = np.diag(spec.f.dz(y, z))
+        j[n:, :n] = np.diag(spec.g.dy(y, z))
+        j[n:, n:] = spec.d2 * lap + np.diag(spec.g.dz(y, z))
+    elif isinstance(spec, FitzHughNagumo):
+        j[:n, :n] = spec.d1 * lap + spec.alpha0 * eye
+        j[:n, n:] = eye
+        j[n:, :n] = -spec.sigma * eye
+        j[n:, n:] = spec.gamma * eye
+    else:
+        j[:n, :n] = spec.k * lap
+        j[:n, n:] = -spec.k * spec.l * lap
+        j[n:, :n] = -spec.gamma * eye
+        j[n:, n:] = spec.nu * lap + np.diag(spec.beta.d(z) + spec.pi.d(z) + spec.gamma * spec.l)
+    return j
+
+
+_WALLS = {"dirichlet": dirichlet(), "neumann": neumann(), "robin": robin(0.8)}
+_BAND_CASES = [
+    (kind, dim, wall)
+    for kind in ("potential_drift", "porous_media", "reaction_diffusion2",
+                 "fitzhugh_nagumo", "phase_field")
+    for dim in (1, 2)
+    for wall in (("dirichlet",) if kind == "porous_media" else tuple(_WALLS))
+]
+
+
+def _band_spec(kind, dim, wall, rng):
+    nodes = (7,) if dim == 1 else (5, 4)  # unequal axes catch a swapped stride
+    n_c = 1 if kind in ("potential_drift", "porous_media") else 2
+    g = Grid(extent=(1.0,) * dim, nodes=nodes, bcs=(_WALLS[wall],) * n_c)
+    if kind == "potential_drift":
+        return PotentialDrift(g, beta=scalar_fn("cubic", 0.5), a1=rng.standard_normal(g.size),
+                              b=(0.3,) + (rng.standard_normal(g.size),) * (dim - 1))
+    if kind == "porous_media":
+        return PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5))
+    if kind == "reaction_diffusion2":
+        return ReactionDiffusion2(g, d1=1.0, d2=0.5, f=pair_fn("sat_rational", 1.0),
+                                  g=pair_fn("tanh_pair", 0.4, 0.3))
+    if kind == "fitzhugh_nagumo":
+        return FitzHughNagumo(g, alpha0=0.5, sigma=1.5, gamma=0.25, d1=0.7)
+    return PhaseField(g, k=1.0, l=0.5, nu=0.8, gamma=0.9)
+
+
+@pytest.mark.parametrize("kind,dim,wall", _BAND_CASES)
+def test_band_is_the_jacobian(kind, dim, wall):
+    rng = np.random.default_rng(31)
+    spec = _band_spec(kind, dim, wall, rng)
+    w = rng.standard_normal(spec.n_dof)
+    ref = _jacobian_reference(spec, w)
+    assert np.array_equal(spec.jacobian(w), ref)
+    # the half-bandwidth bound of node-major order: 2 n_c - 1 in 1D, n_c ny + n_c - 1 in 2D
+    n_c = spec.n_components
+    assert spec.bandwidth == (2 * n_c - 1 if dim == 1 else n_c * spec.grid.nodes[1] + n_c - 1)
+
+    dt = 0.05
+    step = np.eye(spec.n_dof) + dt * ref
+    factor = spec.step_factor(w, dt)
+    r = rng.standard_normal(spec.n_dof)
+    for trans, mat in ((0, step), (1, step.T)):
+        exact = np.linalg.solve(mat, r)
+        np.testing.assert_allclose(factor.solve(r, trans=trans), exact,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(exact)))
+
+
+def test_linear_kind_shares_one_factor_per_dt():
+    spec = all_specs(8)["fitzhugh_nagumo"]
+    zero, y = np.zeros(spec.n_dof), np.ones(spec.n_dof)
+    assert spec.step_factor(zero, 0.1) is spec.step_factor(y, 0.1)
+    assert spec.step_factor(zero, 0.2) is not spec.step_factor(zero, 0.1)
+
+
+def test_singular_step_matrix_raises():
+    # h = 1/2, a1 = -4, dt = 1/4: I + dt A' = [[2,-2,0],[-1,2,-1],[0,-2,2]], exactly singular
+    g = grid1(3, neumann())
+    spec = PotentialDrift(g, a1=-4.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        spec.step_factor(np.zeros(3), 0.25)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_forward(spec, cm, Field(g, np.ones(3)), Control.zeros(cm, spec, 0.25, 2, rho=1.0))
 
 
 # ---------------------------------------------------------------------------
