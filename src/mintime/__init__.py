@@ -30,7 +30,6 @@ from .operators import (
     ReactionDiffusion2,
     apply_A,
     apply_Aprime,
-    apply_Aprime_adjoint,
 )
 from .forward import Control, StepFailure, Trajectory, solve_forward, step_implicit
 from .adjoint import AdjointState, solve_adjoint, solve_variation

@@ -125,16 +125,20 @@ def _blockdiag_per_component(spec: OperatorSpec, block: np.ndarray) -> np.ndarra
 
 
 def _metric_vstar(spec: OperatorSpec) -> np.ndarray:
-    """Matrix M with ||v||_V*^2 = v^T M v."""
-    w = spec.grid.weights(0)
+    """Matrix M with ||v||_V*^2 = v^T M v, for the V* of ``spec.vstar_norms``:
+    Gamma^-1 on the components that V measures with Gamma, L2 on the rest,
+    after the H-Riesz map (Gamma^-1 in the H^-1 frame)."""
+    ginv = _dense_fn_matrix(spec.gamma_op, lambda lam: 1.0 / lam)
+    blocks = []
+    for c, with_gamma in enumerate(spec.v_gamma):
+        w = spec.grid.weights(c)
+        blocks.append(0.5 * (w[:, None] * ginv + (w[:, None] * ginv).T) if with_gamma
+                      else np.diag(w))
+    m = scipy.linalg.block_diag(*blocks)
     if spec.state_tag.kind == "Hminus1":
-        # porous-medium frame: ||v||_V* = ||Gamma^-1 v||_L2
-        ginv = _dense_fn_matrix(spec.gamma_op, lambda lam: 1.0 / lam)
-        m1 = ginv.T @ (w[:, None] * ginv)
-    else:
-        ginv = _dense_fn_matrix(spec.gamma_op, lambda lam: 1.0 / lam)
-        m1 = 0.5 * (w[:, None] * ginv + (w[:, None] * ginv).T)
-    return _blockdiag_per_component(spec, m1)
+        riesz = _blockdiag_per_component(spec, ginv)
+        m = riesz.T @ (m @ riesz)
+    return m
 
 
 def _metric_state(spec: OperatorSpec) -> np.ndarray:
@@ -220,16 +224,16 @@ def audit_hypotheses(
 
     # (g5): <Ay - Ay', y - y'> >= a1 ||y-y'||_V^2 - a2 ||y-y'||_H^2
     num = np.empty(samples)
-    lead = np.empty(samples)
     comp = np.empty(samples)
+    rows = np.empty((samples, spec.n_dof))
     for i in range(samples):
         y = smooth_sample(spec, rng)
         yb = smooth_sample(spec, rng)
         d = y - yb
+        rows[i] = d
         num[i] = spec.state_inner(spec.apply(y) - spec.apply(yb), d)
-        lead[i] = spec.v_norm(d) ** 2
         comp[i] = spec.h_norm(d) ** 2
-    a1, a2 = _best_lower_constant(num, lead, comp)
+    a1, a2 = _best_lower_constant(num, spec.v_norms(rows) ** 2, comp)
     report.add(AuditEntry(
         "monotonicity_g5", {"alpha1": a1, "alpha2": a2},
         passed=bool(np.isfinite(a1) and a1 > 0.0), method="sampling", samples=samples,
@@ -238,13 +242,14 @@ def audit_hypotheses(
     # (A0H): (A_H y, Gamma_H y)_H >= a3 ||Gamma_H y||_H^2 - a4 ||y||_V^2
     n = spec.grid.size
     s = spec.gamma_op
+    lead = np.empty(samples)
     for i in range(samples):
         y = smooth_sample(spec, rng)
+        rows[i] = y
         gy = np.concatenate([s.apply(y[c * n : (c + 1) * n]) for c in range(spec.n_components)])
         num[i] = spec.state_inner(spec.apply(y), gy)
         lead[i] = spec.h_norm(gy) ** 2
-        comp[i] = spec.v_norm(y) ** 2
-    a3, a4 = _best_lower_constant(num, lead, comp)
+    a3, a4 = _best_lower_constant(num, lead, spec.v_norms(rows) ** 2)
     report.add(AuditEntry(
         "domain_estimate_A0H", {"alpha3": a3, "alpha4": a4},
         passed=bool(np.isfinite(a3) and a3 > 0.0), method="sampling", samples=samples,
@@ -265,9 +270,9 @@ def audit_hypotheses(
         ))
     else:
         V, den = _bstar_samples(spec, map, rng, samples)
-        ratios = [spec.vstar_norm(map.project_state(spec, v)) / d
-                  for v, d in zip(V, den) if d > 1e-14]
-        cstar = float(np.max(ratios)) if ratios else np.nan
+        live = den > 1e-14
+        pv = np.array([map.project_state(spec, v) for v in V[live]])
+        cstar = float(np.max(spec.vstar_norms(pv) / den[live])) if live.any() else np.nan
         report.add(AuditEntry(
             "projection_bound_g74_2", {"Cstar": cstar},
             passed=bool(np.isfinite(cstar)), method="sampling", samples=samples,

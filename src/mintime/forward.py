@@ -119,7 +119,7 @@ class Trajectory:
 
     @cached_property
     def v_norms(self) -> np.ndarray:
-        return np.array([self.spec.v_norm(s) for s in self.states])
+        return self.spec.v_norms(self.states)
 
     @cached_property
     def a_norms(self) -> np.ndarray:

@@ -6,14 +6,18 @@ potential and drift, the porous medium equation (state space H^-1), the
 two-component reaction-diffusion systems (including FitzHugh-Nagumo with a
 diffusionless second component) and the Caginalp phase-field system.
 
-Every linearization A'(y) is a nearest-neighbour stencil (the Laplacian and
-the drift) plus nodal couplings, so in node-major order (the components of
-one node adjacent) it is banded. Each kind writes it once, in LAPACK band
-storage: a cached y-independent part built from the per-axis 1D stencils,
-plus the y-dependent nodal diagonals. ``step_factor`` factors I + dt A'(y)
-from that band with ``dgbtrf``; the forward Newton step, the variation and
-the adjoint all solve with it, the adjoint through the exact transpose
-(``dgbtrs`` with ``trans=1``), never a separate discretization.
+Every A_H is a nearest-neighbour stencil (the Laplacian and the drift) plus
+a nodal reaction, so in node-major order (the components of one node
+adjacent) its linearization A'(y) is banded. Each kind writes its stencils
+once, in LAPACK band storage: a cached y-independent band built from the
+per-axis 1D stencils, plus the y-dependent nodal diagonals, the derivative
+of the nodal reaction written beside it. ``apply`` is that cached band times
+y (``dgbmv``) plus the reaction; ``apply_Aprime`` is the full band A'(y)
+times the direction. ``step_factor`` factors I + dt A'(y) from the same band
+with ``dgbtrf``; the forward Newton step, the variation and the adjoint all
+solve with it, the adjoint through the exact transpose (``dgbtrs`` with
+``trans=1``), never a separate discretization. No operator holds a dense
+n_dof x n_dof matrix.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grids import Field, Grid
 from .nonlinearities import PairFn, ScalarFn, scalar_fn
 from .spaces import (
+    H1,
     HMINUS1,
     L2,
     NormTag,
@@ -49,7 +55,6 @@ __all__ = [
     "StepFactor",
     "apply_A",
     "apply_Aprime",
-    "apply_Aprime_adjoint",
 ]
 
 # linear kinds keep the factors of this many step sizes
@@ -91,14 +96,6 @@ def _scaled(c: float, diags: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return {s: c * d for s, d in diags.items()}
 
 
-def _dense(diags: dict[int, np.ndarray], n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    for s, d in diags.items():
-        j = np.arange(max(s, 0), min(n, n + s))
-        m[j - s, j] = d[j]
-    return m
-
-
 class StepFactor:
     """LU factors of I + dt A'(y), from LAPACK ``dgbtrf`` on the node-major band.
 
@@ -130,10 +127,11 @@ class StepFactor:
 class OperatorSpec:
     """Base class: a configured A_H with its derivative and inner products.
 
-    Subclasses define ``apply`` (nodal A_H y), the blocks of their
-    linearization (``_base_blocks``, ``_nodal_blocks``) and the norms of their
-    functional frame. ``state_tag`` is the H of the example: L2 except for
-    the porous medium, whose H is H^-1.
+    Subclasses define the blocks of their linearization (``_base_blocks``,
+    ``_nodal_blocks``), the nodal reaction that ``_nodal_blocks`` linearizes
+    (``_reaction``) and the components that V measures with Gamma_H
+    (``v_gamma``). ``state_tag`` is the H of the example: L2 except for the
+    porous medium, whose H is H^-1.
     """
 
     grid: Grid
@@ -169,15 +167,12 @@ class OperatorSpec:
             _lift(g, _laplacian_matrix_1d(n, h, bc), axis)
             for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc)))))
 
-    @cached_property
-    def _lap(self) -> np.ndarray:
-        """Dense nodal matrix of the unshifted -Lap on the first component's walls."""
-        return _dense(self._lap_diagonals, self.grid.size)
+    @property
+    def v_gamma(self) -> tuple[bool, ...]:
+        """Per component: whether V measures it with Gamma_H (else with L2)."""
+        return (True,) * self.n_components
 
     # -- to be provided by subclasses ---------------------------------------
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def _base_blocks(self):
         """The y-independent part of A': (row component, column component,
@@ -188,6 +183,16 @@ class OperatorSpec:
         """The y-dependent part of A': (row component, column component,
         nodal values) triples on the node diagonal."""
         return ()
+
+    def _reaction(self, y: np.ndarray) -> np.ndarray | float:
+        """The nodal part of A_H y that the y-independent band leaves out;
+        ``_nodal_blocks`` is its derivative."""
+        return 0.0
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Nodal A_H y: the y-independent band times y plus the reaction."""
+        y = self._check_dof(y)
+        return self._band_dot(self._band_base, y) + self._reaction(y)
 
     # -- the linearization in band storage ----------------------------------
 
@@ -210,16 +215,33 @@ class OperatorSpec:
 
     @cached_property
     def _band_base(self) -> np.ndarray:
-        ab = np.zeros((2 * self.bandwidth + 1, self.n_dof))
+        # Fortran order, as dgbmv takes it without a copy
+        ab = np.zeros((2 * self.bandwidth + 1, self.n_dof), order="F")
         for a, b, diags in self._base_blocks():
             self._place(ab, a, b, diags)
         return ab
+
+    def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product of a band in the storage of ``band`` with a
+        component-major vector, returned component-major."""
+        order, bw = self.node_order, self.bandwidth
+        n = order.size
+        m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
+        xs = np.zeros(m)
+        xs[:n] = x[order]
+        if m > n:
+            wide = np.zeros((ab.shape[0], m), order="F")
+            wide[:, :n] = ab
+            ab = wide
+        out = np.empty(n)
+        out[order] = dgbmv(m, m, bw, bw, 1.0, ab, xs)[:n]
+        return out
 
     def band(self, y: np.ndarray) -> np.ndarray:
         """A'(y) in band storage, ab[bw + i - j, j] = A'[i, j], for node-major
         indices i, j (``node_order`` maps them to component-major ones)."""
         y = self._check_dof(y)
-        ab = self._band_base.copy()
+        ab = self._band_base.copy(order="F")
         for a, b, vals in self._nodal_blocks(y):
             self._place(ab, a, b, {0: vals})
         return ab
@@ -281,24 +303,22 @@ class OperatorSpec:
 
     # -- V norm and its dual -------------------------------------------------
 
-    def v_norm(self, y: np.ndarray) -> float:
-        """||y||_V via <Gamma y, y>, per component."""
-        n = self.grid.size
-        acc = 0.0
-        w = self.grid.weights(0)
-        for c in range(self.n_components):
-            yc = y[c * n : (c + 1) * n]
-            acc += float(np.dot(w * self.gamma_op.apply(yc), yc))
-        return float(np.sqrt(max(acc, 0.0)))
+    def v_norms(self, y: np.ndarray) -> np.ndarray:
+        """||y||_V of a state (n_dof,) or of each row of a stack (rows, n_dof):
+        <Gamma_H y_c, y_c> on the components ``v_gamma`` marks, L2 on the rest."""
+        return self._v_rows(y, dual=False)
 
-    def vstar_norm(self, v: np.ndarray) -> float:
-        n = self.grid.size
-        acc = 0.0
-        w = self.grid.weights(0)
-        for c in range(self.n_components):
-            vc = v[c * n : (c + 1) * n]
-            acc += float(np.dot(w * self.gamma_op.apply_inverse(vc), vc))
-        return float(np.sqrt(max(acc, 0.0)))
+    def vstar_norms(self, v: np.ndarray) -> np.ndarray:
+        """||v||_V* for V* the dual of V in the state pairing: the dual V-norm
+        of the H-Riesz image of v (v itself in L2, Gamma^-1 v in H^-1)."""
+        if self.state_tag.kind == "Hminus1":
+            v = self.gamma_op.apply_inverse(v)
+        return self._v_rows(v, dual=True)
+
+    def _v_rows(self, y: np.ndarray, dual: bool) -> np.ndarray:
+        gam = np.repeat(self.v_gamma, self.grid.size)
+        return np.hypot(norm_rows(np.where(gam, y, 0.0), self.grid, H1, self.gamma_op, dual),
+                        norm_rows(np.where(gam, 0.0, y), self.grid))
 
     def a_norm(self, y: np.ndarray) -> float:
         """||A_H y||_H."""
@@ -359,23 +379,17 @@ class PotentialDrift(OperatorSpec):
         return _add_diagonals(*parts)
 
     @cached_property
-    def _drift(self) -> np.ndarray:
-        """Dense nodal matrix of -div(b .)."""
-        return _dense(self._drift_diagonals, self.grid.size)
-
-    @cached_property
     def _a1_arr(self) -> np.ndarray:
         arr = np.asarray(self.a1, dtype=float)
         if arr.ndim == 0:
             return np.full(self.grid.size, float(arr))
         return arr.ravel()
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_dof(y)
-        return self._lap @ y + self.beta(y) + self._a1_arr * y + self._drift @ y
-
     def _base_blocks(self):
         return [(0, 0, self._lap_diagonals), (0, 0, self._drift_diagonals)]
+
+    def _reaction(self, y):
+        return self.beta(y) + self._a1_arr * y
 
     def _nodal_blocks(self, y):
         return [(0, 0, self.beta.d(y) + self._a1_arr)]
@@ -404,24 +418,19 @@ class PorousMedia(OperatorSpec):
         self.state_tag = HMINUS1
         self.is_linear = self.beta.name == "linear"
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_dof(y)
-        return self._lap @ self.beta(y)
+    # V = L2 in the porous-medium frame
+    v_gamma = (False,)
 
     def _base_blocks(self):
         return [(0, 0, self._lap_diagonals)]
 
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        # -Lap beta(y): the Laplacian's band applied to beta(y)
+        return self._band_dot(self._band_base, self.beta(self._check_dof(y)))
+
     def band(self, y: np.ndarray) -> np.ndarray:
         # -Lap beta'(y): column j of the Laplacian scaled by beta'(y_j)
         return self._band_base * self.beta.d(self._check_dof(y))[None, :]
-
-    def v_norm(self, y: np.ndarray) -> float:
-        # V = L2 in the porous-medium frame
-        return float(np.sqrt(np.dot(self.weights, y * y)))
-
-    def vstar_norm(self, v: np.ndarray) -> float:
-        gi = self.gamma_op.apply_inverse(v)
-        return float(np.sqrt(np.dot(self.weights, gi * gi)))
 
 
 class _TwoComponent(OperatorSpec):
@@ -457,17 +466,13 @@ class ReactionDiffusion2(_TwoComponent):
         self.state_tag = L2
         self.is_linear = self.f.is_linear and self.g.is_linear
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_dof(w)
-        y, z = self._split(w)
-        return np.concatenate([
-            self.d1 * (self._lap @ y) + self.f(y, z),
-            self.d2 * (self._lap @ z) + self.g(y, z),
-        ])
-
     def _base_blocks(self):
         return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
                 (1, 1, _scaled(self.d2, self._lap_diagonals))]
+
+    def _reaction(self, w):
+        y, z = self._split(w)
+        return np.concatenate([self.f(y, z), self.g(y, z)])
 
     def _nodal_blocks(self, w):
         y, z = self._split(w)
@@ -497,33 +502,14 @@ class FitzHughNagumo(_TwoComponent):
         self.state_tag = L2
         self.is_linear = True
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_dof(w)
-        y, z = self._split(w)
-        return np.concatenate([
-            self.d1 * (self._lap @ y) + self.alpha0 * y + z,
-            -self.sigma * y + self.gamma * z,
-        ])
+    # no diffusion in the second component: V = H^1 x L2
+    v_gamma = (True, False)
 
     def _base_blocks(self):
         ones = np.ones(self.grid.size)
         return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
                 (0, 0, {0: self.alpha0 * ones}), (0, 1, {0: ones}),
                 (1, 0, {0: -self.sigma * ones}), (1, 1, {0: self.gamma * ones})]
-
-    def v_norm(self, w: np.ndarray) -> float:
-        y, z = self._split(w)
-        wq = self.grid.weights(0)
-        vy = float(np.dot(wq * self.gamma_op.apply(y), y))
-        vz = float(np.dot(wq, z * z))
-        return float(np.sqrt(max(vy + vz, 0.0)))
-
-    def vstar_norm(self, v: np.ndarray) -> float:
-        p, q = self._split(v)
-        wq = self.grid.weights(0)
-        vp = float(np.dot(wq * self.gamma_op.apply_inverse(p), p))
-        vq = float(np.dot(wq, q * q))
-        return float(np.sqrt(max(vp + vq, 0.0)))
 
 
 @dataclass
@@ -552,21 +538,16 @@ class PhaseField(_TwoComponent):
         self.state_tag = L2
         self.is_linear = False
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_dof(w)
-        sig, phi = self._split(w)
-        lap = self._lap
-        return np.concatenate([
-            self.k * (lap @ sig) - self.k * self.l * (lap @ phi),
-            self.nu * (lap @ phi) + self.beta(phi) + self.pi(phi)
-            + self.gamma * self.l * phi - self.gamma * sig,
-        ])
-
     def _base_blocks(self):
         lap = self._lap_diagonals
         return [(0, 0, _scaled(self.k, lap)), (0, 1, _scaled(-self.k * self.l, lap)),
                 (1, 0, {0: np.full(self.grid.size, -self.gamma)}),
                 (1, 1, _scaled(self.nu, lap))]
+
+    def _reaction(self, w):
+        _, phi = self._split(w)
+        return np.concatenate([np.zeros(self.grid.size),
+                               self.beta(phi) + self.pi(phi) + self.gamma * self.l * phi])
 
     def _nodal_blocks(self, w):
         _, phi = self._split(w)
@@ -583,15 +564,7 @@ def apply_A(spec: OperatorSpec, y: Field) -> Field:
 
 def apply_Aprime(spec: OperatorSpec, y: Field, z: Field) -> Field:
     y._check_compatible(z)
-    return Field(y.grid, spec.jacobian(y.values) @ z.values, y.n_components)
-
-
-def apply_Aprime_adjoint(spec: OperatorSpec, y: Field, p: Field) -> Field:
-    """Exact transpose of the linearization in the weighted L2 pairing."""
-    y._check_compatible(p)
-    j = spec.jacobian(y.values)
-    w = spec.weights
-    return Field(y.grid, (j.T @ (w * p.values)) / w, y.n_components)
+    return Field(y.grid, spec._band_dot(spec.band(y.values), z.values), y.n_components)
 
 
 # ---------------------------------------------------------------------------

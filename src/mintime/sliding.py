@@ -199,7 +199,7 @@ def run_sliding(
     if hit_time is not None and continue_after_hit:
         extra = int(np.floor((T_max - times[-1]) / dt + 1e-12))
         if extra > 0:
-            continuation, cont_unorms = _continuation_with_controls(
+            continuation, cont_unorms = sliding_continuation(
                 spec, map, Field(spec.grid, states[-1], spec.n_components),
                 y_tar, extra * dt, dt, rho=rho,
             )
@@ -209,7 +209,7 @@ def run_sliding(
                 spec.h_norm(map.project_state(spec, s - y_tar.values))
                 for s in continuation.states[1:]
             ]
-            unorms += cont_unorms
+            unorms.extend(cont_unorms)
 
     return SlidingRun(
         times=full_times,
@@ -228,15 +228,33 @@ def run_sliding(
     )
 
 
-def _continuation_with_controls(
+def sliding_continuation(
     spec: OperatorSpec,
     map: ControlMap,
     state_at_hit: Field,
     y_tar: Field,
     T_extra: float,
     dt: float,
-    rho: float | None,
-) -> tuple[Trajectory, list[float]]:
+    rho: float | None = None,
+    hit_tol: float | None = None,
+) -> tuple[Trajectory, np.ndarray]:
+    """Evolve past the hit with the equivalent control that pins the
+    controlled components to the target manifold; returns the trajectory and
+    the ||u_k||_U of each step's equivalent control.
+
+    Each step evaluates u from the manifold-restricted dynamics (for the
+    two-component systems: the first equation frozen at the target with the
+    current uncontrolled state) and advances the true system with it. The
+    control must stay inside the rho-ball when ``rho`` is given; leaving it
+    raises SaturationError, the sign that the largeness conditions on rho do
+    not hold along this trajectory.
+    """
+    if hit_tol is not None:
+        dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values))
+        if dev > hit_tol * (1 + 1e-9):
+            raise ValueError(
+                f"state is not on the manifold: deviation {dev:.3e} > hit_tol {hit_tol:.3e}"
+            )
     if map.mode == "nonlocal":
         raise NotImplementedError("sliding continuation needs a pointwise control map")
     steps = int(np.round(T_extra / dt))
@@ -265,34 +283,4 @@ def _continuation_with_controls(
         states.append(y.copy())
     traj = Trajectory(spec, dt * np.arange(steps + 1), np.asarray(states),
                       np.ones(steps, dtype=int), np.zeros(steps))
-    return traj, unorms
-
-
-def sliding_continuation(
-    spec: OperatorSpec,
-    map: ControlMap,
-    state_at_hit: Field,
-    y_tar: Field,
-    T_extra: float,
-    dt: float,
-    rho: float | None = None,
-    hit_tol: float | None = None,
-) -> Trajectory:
-    """Evolve past the hit with the equivalent control that pins the
-    controlled components to the target manifold.
-
-    Each step evaluates u from the manifold-restricted dynamics (for the
-    two-component systems: the first equation frozen at the target with the
-    current uncontrolled state) and advances the true system with it. The
-    control must stay inside the rho-ball when ``rho`` is given; leaving it
-    raises SaturationError, the sign that the largeness conditions on rho do
-    not hold along this trajectory.
-    """
-    if hit_tol is not None:
-        dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values))
-        if dev > hit_tol * (1 + 1e-9):
-            raise ValueError(
-                f"state is not on the manifold: deviation {dev:.3e} > hit_tol {hit_tol:.3e}"
-            )
-    traj, _ = _continuation_with_controls(spec, map, state_at_hit, y_tar, T_extra, dt, rho)
-    return traj
+    return traj, np.asarray(unorms)

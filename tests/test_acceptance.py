@@ -305,8 +305,8 @@ def test_criterion_8_manifold_invariance():
     # the audited rho-largeness bound for the continuation
     rho_bound = run_out.a_norm_surrogate + run_out.c1 * hit_tol
     state = Field(g, run_out.approach.states[-1], 2)
-    traj = sliding_continuation(spec, cm, state, ytar, T_extra=1.0, dt=dt,
-                                rho=rho, hit_tol=2 * hit_tol)
+    traj, _ = sliding_continuation(spec, cm, state, ytar, T_extra=1.0, dt=dt,
+                                   rho=rho, hit_tol=2 * hit_tol)
     devs = [spec.h_norm(cm.project_state(spec, s - ytar.values)) for s in traj.states]
     bound = 5 * (dt + hit_tol)
     ok = max(devs) <= bound and rho > rho_bound

@@ -5,6 +5,7 @@ import pytest
 
 from mintime import (
     ControlMap,
+    FitzHughNagumo,
     Grid,
     L2,
     L4,
@@ -18,7 +19,7 @@ from mintime import (
     robin,
     scalar_fn,
 )
-from mintime.audit import audit_hypotheses, audit_sign_condition
+from mintime.audit import _metric_vstar, audit_hypotheses, audit_sign_condition
 
 
 def test_porous_media_recovers_monotonicity_floor():
@@ -32,13 +33,23 @@ def test_porous_media_recovers_monotonicity_floor():
     assert rep.entries["monotonicity_g5"].passed
 
 
-def test_identity_map_full_projection_cstar_is_one():
-    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
-    spec = ReactionDiffusion2(g, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
+@pytest.mark.parametrize("kind", ["reaction_diffusion2", "fitzhugh_nagumo"])
+def test_identity_map_full_projection_cstar_is_one(kind):
+    if kind == "reaction_diffusion2":
+        # Gamma = I - Lap has lambda_min = 1, so sup ||v||_V*/||v||_L2 = 1 exactly
+        g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+        spec = ReactionDiffusion2(g, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
+    else:
+        # V* = H^-1 x L2: the diffusionless second component attains 1
+        g = Grid(extent=(1.0,), nodes=(12,), bcs=(dirichlet(), dirichlet()))
+        spec = FitzHughNagumo(g)
     cm = ControlMap(mode="identity", u_tag=L2)
     rep = audit_hypotheses(spec, cm, samples=100, seed=2)
-    # Gamma = I - Lap has lambda_min = 1, so sup ||v||_V*/||v||_L2 = 1 exactly
     assert rep.constant("projection_bound_g74_2", "Cstar") == pytest.approx(1.0, abs=1e-9)
+    # the audited metric and the operator's own V* norm agree
+    v = np.random.default_rng(9).standard_normal((4, spec.n_dof))
+    np.testing.assert_allclose(np.einsum("ri,ij,rj->r", v, _metric_vstar(spec), v),
+                               spec.vstar_norms(v) ** 2, rtol=1e-12)
 
 
 def test_potential_drift_audit_passes():

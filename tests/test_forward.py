@@ -158,7 +158,7 @@ def test_discrete_energy_inequality_linear_heat():
         yk, yk1 = traj.states[k], traj.states[k + 1]
         lhs = 0.5 * np.dot(w, yk1**2) - 0.5 * np.dot(w, yk**2)
         bu = cm.apply_B(spec, uvals[k])
-        rhs = dt * (np.dot(w, bu * yk1) - spec.v_norm(yk1) ** 2)
+        rhs = dt * (np.dot(w, bu * yk1) - spec.v_norms(yk1) ** 2)
         assert lhs <= rhs + 1e-10
 
 

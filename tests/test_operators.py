@@ -17,14 +17,14 @@ from mintime import (
     ReactionDiffusion2,
     apply_A,
     apply_Aprime,
-    apply_Aprime_adjoint,
     dirichlet,
     neumann,
     pair_fn,
     robin,
     scalar_fn,
 )
-from mintime.forward import Control, solve_forward
+from mintime.adjoint import solve_adjoint
+from mintime.forward import Control, Trajectory, solve_forward
 from mintime.spaces import IndeterminateSelectionError, SpectralLaplacian
 
 
@@ -149,11 +149,37 @@ def test_drift_stencil_matches_index_loop(dim, bc, bform):
         "nodal": rng.standard_normal(g.size),
     }[bform]
     spec = PotentialDrift(g, beta=scalar_fn("linear", 1.0), b=b)
-    assert np.array_equal(spec._drift, _drift_reference(g, b))
+    drift = np.zeros((g.size, g.size))
+    for s, d in spec._drift_diagonals.items():  # d[j] = drift[j - s, j]
+        for j in range(max(s, 0), min(g.size, g.size + s)):
+            drift[j - s, j] = d[j]
+    assert np.array_equal(drift, _drift_reference(g, b))
 
 
 # ---------------------------------------------------------------------------
 # the band is the Jacobian
+
+
+def _apply_reference(spec, w):
+    """The dense per-kind formulas of A_H w, component-major, built from the
+    dense Laplacian matrix and the index-loop drift."""
+    n = spec.grid.size
+    lap = SpectralLaplacian(spec.grid, spec.grid.bcs[0], shift=0.0).matrix
+    y, z = w[:n], w[n:]
+    if isinstance(spec, PotentialDrift):
+        return lap @ y + spec.beta(y) + spec._a1_arr * y + _drift_reference(spec.grid, spec.b) @ y
+    if isinstance(spec, PorousMedia):
+        return lap @ spec.beta(y)
+    if isinstance(spec, ReactionDiffusion2):
+        return np.concatenate([spec.d1 * (lap @ y) + spec.f(y, z),
+                               spec.d2 * (lap @ z) + spec.g(y, z)])
+    if isinstance(spec, FitzHughNagumo):
+        return np.concatenate([spec.d1 * (lap @ y) + spec.alpha0 * y + z,
+                               -spec.sigma * y + spec.gamma * z])
+    return np.concatenate([
+        spec.k * (lap @ y) - spec.k * spec.l * (lap @ z),
+        spec.nu * (lap @ z) + spec.beta(z) + spec.pi(z) + spec.gamma * spec.l * z - spec.gamma * y,
+    ])
 
 
 def _jacobian_reference(spec, w):
@@ -196,8 +222,8 @@ _BAND_CASES = [
 ]
 
 
-def _band_spec(kind, dim, wall, rng):
-    nodes = (7,) if dim == 1 else (5, 4)  # unequal axes catch a swapped stride
+def _band_spec(kind, dim, wall, rng, nodes=None):
+    nodes = nodes or ((7,) if dim == 1 else (5, 4))  # unequal axes catch a swapped stride
     n_c = 1 if kind in ("potential_drift", "porous_media") else 2
     g = Grid(extent=(1.0,) * dim, nodes=nodes, bcs=(_WALLS[wall],) * n_c)
     if kind == "potential_drift":
@@ -232,6 +258,62 @@ def test_band_is_the_jacobian(kind, dim, wall):
         exact = np.linalg.solve(mat, r)
         np.testing.assert_allclose(factor.solve(r, trans=trans), exact,
                                    rtol=0, atol=1e-12 * np.max(np.abs(exact)))
+
+
+# three nodes of two components: 6 dof, fewer than the kl + ku + 1 = 7 rows
+# that scipy's dgbmv demands of its matrix
+_APPLY_CASES = [case + ((),) for case in _BAND_CASES] + [
+    (kind, 1, "neumann", (3,))
+    for kind in ("reaction_diffusion2", "fitzhugh_nagumo", "phase_field")]
+
+
+@pytest.mark.parametrize("kind,dim,wall,nodes", _APPLY_CASES)
+def test_apply_matches_dense_formulas(kind, dim, wall, nodes):
+    rng = np.random.default_rng(37)
+    spec = _band_spec(kind, dim, wall, rng, nodes)
+    for _ in range(3):
+        w = rng.standard_normal(spec.n_dof)
+        ref = _apply_reference(spec, w)
+        got = spec.apply(w)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        z = rng.standard_normal(spec.n_dof)
+        jz = _jacobian_reference(spec, w) @ z
+        got = apply_Aprime(spec, Field(spec.grid, w, spec.n_components),
+                           Field(spec.grid, z, spec.n_components)).values
+        assert np.max(np.abs(got - jz)) <= 1e-14 * np.max(np.abs(jz))
+
+
+def _cached_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through instance attributes and
+    containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _cached_arrays(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _cached_arrays(v, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _cached_arrays(vars(obj), seen)
+
+
+def test_no_dense_matrix_cached_at_48x48():
+    g = Grid(extent=(1.0, 1.0), nodes=(48, 48), bcs=(neumann(), neumann()))
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.5, f=pair_fn("tanh_pair", 0.4, 0.3),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    w = 0.1 * np.random.default_rng(43).standard_normal(spec.n_dof)
+    spec.apply(w)
+    spec.band(w)
+    spec.step_factor(w, 1e-2).solve(w)
+    spec.v_norms(np.vstack([w, -w]))
+    sizes = [a.size for a in _cached_arrays(spec)]
+    assert sizes and max(sizes) < g.size**2
 
 
 def test_linear_kind_shares_one_factor_per_dt():
@@ -305,42 +387,50 @@ def test_example1_cubic_forward_difference_quotient():
 # adjoints
 
 
+def _adjoint_step(spec, y, dt, p):
+    """One step of ``solve_adjoint`` frozen at y: (I + dt A'(y))^-* p, the
+    transpose in the state metric."""
+    traj = Trajectory(spec, np.array([0.0, dt]), np.vstack([np.zeros(spec.n_dof), y]),
+                      np.ones(1, dtype=int), np.zeros(1))
+    return solve_adjoint(spec, traj, Field(spec.grid, p, spec.n_components)).values[0]
+
+
 @pytest.mark.parametrize("name", list(all_specs(8)))
 def test_adjoint_pairing_identity_machine_exact(name):
+    # (S^-1 z, p)_H = (z, S^-* p)_H for the step S = I + dt A'(y)
     spec = all_specs(16)[name]
     rng = np.random.default_rng(6)
-    w = spec.weights
+    dt = 0.05
     for _ in range(5):
-        y, z, p = (rand_field(spec, rng) for _ in range(3))
-        lhs = float(np.dot(w * apply_Aprime(spec, y, z).values, p.values))
-        rhs = float(np.dot(w * z.values, apply_Aprime_adjoint(spec, y, p).values))
+        y, z, p = (rng.standard_normal(spec.n_dof) for _ in range(3))
+        lhs = spec.state_inner(spec.step_factor(y, dt).solve(z), p)
+        rhs = spec.state_inner(z, _adjoint_step(spec, y, dt, p))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_self_adjoint_when_drift_vanishes():
     spec = PotentialDrift(grid1(14, robin(0.6)), beta=scalar_fn("cubic", 0.2), a1=0.4, b=0.0)
     rng = np.random.default_rng(7)
-    y, p = rand_field(spec, rng), rand_field(spec, rng)
-    np.testing.assert_allclose(
-        apply_Aprime_adjoint(spec, y, p).values,
-        apply_Aprime(spec, y, p).values,
-        atol=1e-9,
-    )
+    y, p = rng.standard_normal(spec.n_dof), rng.standard_normal(spec.n_dof)
+    dt = 0.05
+    np.testing.assert_allclose(_adjoint_step(spec, y, dt, p),
+                               spec.step_factor(y, dt).solve(p), atol=1e-9)
 
 
 def test_fitzhugh_nagumo_adjoint_is_dense_transpose():
     spec = FitzHughNagumo(grid2(10), alpha0=0.5, sigma=1.5, gamma=0.25)
     rng = np.random.default_rng(8)
-    y, p = rand_field(spec, rng), rand_field(spec, rng)
-    j = spec.jacobian(y.values)
-    w = spec.weights
-    expected = (j.T @ (w * p.values)) / w
-    np.testing.assert_allclose(apply_Aprime_adjoint(spec, y, p).values, expected, atol=1e-13)
-    # coupling constants land in transposed positions
-    n = spec.grid.size
-    jt = j.T
-    np.testing.assert_allclose(np.diag(jt[:n, n:]), -spec.sigma)
-    np.testing.assert_allclose(np.diag(jt[n:, :n]), 1.0)
+    y = rng.standard_normal(spec.n_dof)
+    dt, n, w = 0.05, spec.grid.size, spec.weights
+    eye = np.eye(spec.n_dof)
+    adj = np.column_stack([_adjoint_step(spec, y, dt, e) for e in eye])
+    # W^-1 (I + dt J)^-T W, the transpose in the weighted L2 metric
+    expected = np.linalg.solve((eye + dt * spec.jacobian(y)).T, np.diag(w)) / w[:, None]
+    np.testing.assert_allclose(adj, expected, atol=1e-13)
+    # the adjoint's generator W^-1 J^T W: coupling constants in transposed positions
+    astar = (np.linalg.inv(adj) - eye) / dt
+    np.testing.assert_allclose(np.diag(astar[:n, n:]), -spec.sigma, atol=1e-10)
+    np.testing.assert_allclose(np.diag(astar[n:, :n]), 1.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

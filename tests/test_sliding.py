@@ -176,7 +176,7 @@ def test_trivial_continuation_constant_target_no_reaction():
     n = g.size
     ytar = Field(g, np.concatenate([np.full(n, 0.4), np.zeros(n)]), 2)
     start = Field(g, np.concatenate([np.full(n, 0.4), 0.3 * np.ones(n)]), 2)
-    traj = sliding_continuation(spec, cm, start, ytar, T_extra=0.5, dt=1e-2, rho=1.0)
+    traj, _ = sliding_continuation(spec, cm, start, ytar, T_extra=0.5, dt=1e-2, rho=1.0)
     # f = 0 and a harmonic (constant) target: the equivalent control is zero
     # and the manifold is exactly invariant
     dev = np.max(np.abs(traj.states[:, :n] - 0.4))
@@ -192,8 +192,8 @@ def test_case1_continuation_deviation_bound():
     dt, hit_tol = 1e-3, 2e-3
     start_vals = np.concatenate([y1tar + hit_tol * np.cos(np.pi * x), 0.2 * np.ones(n)])
     start = Field(spec.grid, start_vals, 2)
-    traj = sliding_continuation(spec, cm, start, ytar, T_extra=1.0, dt=dt, rho=10.0,
-                                hit_tol=2 * hit_tol)
+    traj, _ = sliding_continuation(spec, cm, start, ytar, T_extra=1.0, dt=dt, rho=10.0,
+                                   hit_tol=2 * hit_tol)
     dev = [spec.h_norm(cm.project_state(spec, s - ytar.values)) for s in traj.states]
     assert max(dev) <= 5 * (dt + hit_tol)
 
@@ -217,9 +217,7 @@ def test_case3_equivalent_control_matches_linear_formula():
     # hand-coded linear-case equivalent control at the first step:
     # u = -D1 Lap y1tar + a1 y1tar + b1 z
     expected = spec.d1 * raw.apply(y1tar) + a1 * y1tar + b1 * z0
-    from mintime.sliding import _continuation_with_controls
-
-    traj, unorms = _continuation_with_controls(spec, cm, start, ytar, 5e-3, 5e-3, rho=None)
+    traj, unorms = sliding_continuation(spec, cm, start, ytar, 5e-3, 5e-3)
     # first-component projection: target in y, the running z kept
     yhat = cm.auxiliary_state(spec, start.values, ytar.values)
     np.testing.assert_array_equal(yhat, np.concatenate([y1tar, z0]))
