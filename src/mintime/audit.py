@@ -271,7 +271,7 @@ def audit_hypotheses(
     else:
         V, den = _bstar_samples(spec, map, rng, samples)
         live = den > 1e-14
-        pv = np.array([map.project_state(spec, v) for v in V[live]])
+        pv = map.project_state(spec, V[live])
         cstar = float(np.max(spec.vstar_norms(pv) / den[live])) if live.any() else np.nan
         report.add(AuditEntry(
             "projection_bound_g74_2", {"Cstar": cstar},

@@ -41,6 +41,7 @@ from .spaces import (
     duality_rows,
     inner_rows,
     norm_rows,
+    resolvent_derivative_rows,
     resolvent_rows,
 )
 
@@ -663,18 +664,20 @@ class ControlMap:
     def project_state(self, spec: OperatorSpec, v: np.ndarray) -> np.ndarray:
         if self.projection == "full":
             return np.asarray(v, dtype=float).copy()
-        out = np.zeros_like(np.asarray(v, dtype=float))
-        out[: spec.grid.size] = v[: spec.grid.size]
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        out[..., : spec.grid.size] = v[..., : spec.grid.size]
         return out
 
     def auxiliary_state(self, spec: OperatorSpec, y: np.ndarray,
                         y_tar: np.ndarray) -> np.ndarray:
         """yhat: the target on the controlled components, the running value
         elsewhere (the paper's choice of the second component)."""
+        y = np.asarray(y, dtype=float)
         if self.projection == "full":
-            return np.asarray(y_tar, dtype=float).copy()
-        out = np.asarray(y, dtype=float).copy()
-        out[: spec.grid.size] = y_tar[: spec.grid.size]
+            return np.broadcast_to(np.asarray(y_tar, dtype=float), y.shape).copy()
+        out = y.copy()
+        out[..., : spec.grid.size] = np.asarray(y_tar)[..., : spec.grid.size]
         return out
 
     # -- U-space geometry: one control is one row of a (rows, m) stack ----------
@@ -695,6 +698,13 @@ class ControlMap:
                         rho: float) -> np.ndarray:
         g, tag, s = self._uspace(spec)
         return resolvent_rows(Z, g, tag, eps, rho, s)
+
+    def resolvent_derivative_batch(self, spec: OperatorSpec, Z: np.ndarray, dZ: np.ndarray,
+                                   eps: float, rho: float) -> np.ndarray:
+        """The clamp derivative of ``resolvent_batch`` at the rows Z, applied
+        to the rows dZ (Hilbert U-norms)."""
+        g, tag, s = self._uspace(spec)
+        return resolvent_derivative_rows(Z, dZ, g, tag, eps, rho, s)
 
     def u_pairing(self, spec: OperatorSpec, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Row-wise duality pairing <zeta, u> of U* against U."""

@@ -38,6 +38,7 @@ __all__ = [
     "norm_rows",
     "duality_rows",
     "resolvent_rows",
+    "resolvent_derivative_rows",
 ]
 
 
@@ -361,6 +362,32 @@ def resolvent_rows(values: np.ndarray, grid: Grid, tag: NormTag, eps: float, rho
     else:
         scale = np.where(nz > 0.0, np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300)), 0.0)
     return duality_rows(values, grid, tag, s, inverse=True) * np.asarray(scale)[..., None]
+
+
+def resolvent_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: Grid,
+                              tag: NormTag, eps: float, rho: float,
+                              s: SpectralLaplacian | None = None) -> np.ndarray:
+    """Row-wise generalized derivative D of the radial clamp ``resolvent_rows``
+    at zeta, applied to dzeta, for a Hilbert tag (F linear).
+
+    On rows with ||zeta||_* <= rho eps the clamp is F^-1/eps; on the others
+    it is rho F^-1(zeta)/n with n = ||zeta||_*, whose derivative is
+    (rho/n)(F^-1 dzeta - F^-1 zeta <F^-1 zeta, dzeta>/n^2). D is symmetric
+    and nonnegative in the duality pairing.
+    """
+    if not tag.is_hilbert:
+        raise ValueError(f"{tag.kind} has a nonlinear duality map")
+    if not (rho > 0.0 and eps > 0.0):
+        raise ValueError("rho and eps must be positive")
+    z, dz = _rows(values, grid), _rows(directions, grid)
+    w = grid.component_weights()
+    fz = _gamma_rows(z, tag, s, -1)
+    fdz = _gamma_rows(dz, tag, s, -1)
+    nz = np.sqrt(np.maximum((fz * z) @ w, 0.0))  # as norm_rows(dual=True) forms it
+    inside = np.asarray(nz <= rho * eps)
+    n = np.where(inside, 1.0, nz)
+    radial = (rho / n)[..., None] * (fdz - fz * (((fz * dz) @ w) / n**2)[..., None])
+    return np.where(inside[..., None], fdz / eps, radial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,43 @@
 """Penalized minimal-time solver.
 
-The inner problem (fixed horizon T) iterates the optimality map: solve the
-state forward, load the terminal miss into the adjoint, sweep backward, and
-re-evaluate the control through the exact ball resolvent
+At a fixed horizon T the inner problem is the optimality system of J_eps:
+solve the state forward, load the terminal miss into the adjoint, sweep
+backward, and evaluate the control through the exact ball resolvent
 
-    u_k <- (eps F + N_K)^-1 ( -B* p_{k-1} - sum_{j>=k} dt F(h_j) ),
+    u_k = (eps F + N_K)^-1 ( -B* p_{k-1} - sum_{j>=k} dt F(h_j) ).
 
-damped and with monotone-descent backtracking on the penalized functional.
-The outer problem golden-sections the horizon. Driving eps -> 0 through a
-schedule, with warm starts, reproduces minimal-time optima; the final report
-carries the limit-condition residuals (the feedback inclusion and the
-transversality identity) along the trajectory.
+For a linear operator with a Hilbert U-norm and no reference control ``u_ref``
+the control depends on the terminal costate p_T alone, and the inner problem
+is the n_dof equation
+
+    p_T = P (y_K(u(p_T)) - y_tar) / eps    on range(P),
+
+solved by semismooth Newton: the generalized derivative of the radial clamp
+gives the Jacobian, and conjugate gradients in the state metric solve the
+Newton step. Nonlinear kinds, Lp control norms and ``u_ref`` (whose history
+term makes u depend on itself) iterate the optimality map as a damped fixed
+point with monotone-descent backtracking instead. Both solvers reach the
+state only through G: u -> y_K and G*: p_T -> (B* p_{k-1})_k, taken from
+precomputed step propagators on small linear problems and from forward,
+variation and adjoint sweeps over the banded step factor otherwise.
+
+The outer problem golden-sections the horizon; each probe warm-starts from
+the previous one, and only the chosen probe's trajectory and adjoint are
+solved sequentially (on first read). Driving eps -> 0 through a schedule,
+with warm starts, reproduces minimal-time optima; the final report carries
+the limit-condition residuals (the feedback inclusion and the transversality
+identity) along the trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .adjoint import AdjointState, solve_adjoint
+from .adjoint import AdjointState, solve_adjoint, solve_variation
 from .forward import Control, Trajectory, solve_forward
 from .grids import Field
 from .operators import ControlMap, OperatorSpec
@@ -39,6 +56,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # inner iterations without a 1% gap improvement before the fixed point
 # counts as stalled at its attainable accuracy
 PLATEAU_PATIENCE = 200
+# relative state-metric residual at which CG ends a Newton step
+CG_RTOL = 1e-10
+# Newton line search: sufficient decrease of ||F||_H and the smallest step
+ARMIJO = 1e-4
+MIN_STEP = 1e-8
 
 
 @dataclass
@@ -48,6 +70,9 @@ class PenalizedProblem:
     ``u_ref`` switches on the functional's history term (the integral of
     F of the accumulated control gap); by default it is absent, since the
     exact reference control is unknown outside of chained continuation runs.
+    ``p_warm`` is the terminal costate the Newton solve starts from (zero
+    when unset); ``outer_minimize`` and ``eps_continuation`` carry it from
+    probe to probe.
     """
 
     spec: OperatorSpec
@@ -62,6 +87,7 @@ class PenalizedProblem:
     inner_cap: int = 500
     theta0: float = 0.5
     golden_tol_factor: float = 1e-4
+    p_warm: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -79,19 +105,55 @@ class PenalizedProblem:
         yhat = self.map.auxiliary_state(self.spec, self.y0.values, self.y_tar.values)
         return self.rho - self.spec.h_norm(self.spec.apply(yhat))
 
+    @property
+    def takes_newton(self) -> bool:
+        """Whether u depends on p_T alone, so that the inner solve is Newton."""
+        return self.spec.is_linear and self.map.u_tag.is_hilbert and self.u_ref is None
+
 
 @dataclass
 class InnerSolution:
+    """One fixed-horizon solve.
+
+    ``J`` and ``miss`` come from the solver's own terminal state; ``stop``
+    says why it ended ("converged", "plateau" or "cap") and ``costate`` is
+    the Newton solve's p_T (None from the fixed point). The trajectory and
+    adjoint are solved sequentially on first read, and the stationarity
+    residual is measured on them.
+    """
+
+    prob: PenalizedProblem = field(repr=False)
     control: Control
-    trajectory: Trajectory
-    adjoint: AdjointState
     J: float
     miss: float
-    stationarity_residual: float
     iterations: int
-    converged: bool
-    theta_final: float
+    stop: str
     control_energy: float  # integral of ||P u||_U^2
+    costate: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        p = self.prob
+        return solve_forward(p.spec, p.map, p.y0, self.control)
+
+    @cached_property
+    def adjoint(self) -> AdjointState:
+        p = self.prob
+        traj = self.trajectory
+        p_term = p.map.project_state(p.spec, traj.states[-1] - p.y_tar.values) / p.eps
+        return solve_adjoint(p.spec, traj, Field(p.spec.grid, p_term, p.spec.n_components))
+
+    @cached_property
+    def stationarity_residual(self) -> float:
+        """U-norm of the optimality map's gap at the control, on the
+        sequential adjoint."""
+        p, u = self.prob, self.control
+        rows = p.map.apply_Bstar(p.spec, self.adjoint.values[:-1])
+        return _u_l2(p, _candidate(p, rows, u.values, u.dt) - u.values, u.dt)
 
 
 @dataclass
@@ -110,6 +172,7 @@ class OptimalityReport:
     href_energy: float
     inner_iterations: int
     inner_converged: bool
+    inner_stop: str
     boundary_hit: bool
     probes: int
     times: np.ndarray = field(repr=False, default=None)
@@ -133,22 +196,21 @@ class OptimalityReport:
             "href_energy": float(self.href_energy),
             "inner_iterations": int(self.inner_iterations),
             "inner_converged": bool(self.inner_converged),
+            "inner_stop": self.inner_stop,
             "boundary_hit": bool(self.boundary_hit),
             "probes": int(self.probes),
         }
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# G and G*: the two maps the inner solvers use
 
 
 class _LinearKernel:
     """Precomputed step propagators of a linear operator at fixed (T, K).
 
-    With S = (I + dt A')^-1 constant, the inner loop only ever needs
-    y_K(u) = S^K y0 + dt sum_k S^(K-k+1) B u_k and the rows B* p_{k-1} =
-    B* (S*)^(K-k+1) p_K, so both become one einsum per iteration. The final
-    trajectory and adjoint are re-solved sequentially once at the end.
+    With S = (I + dt A')^-1 constant, y_K(u) = S^K y0 + dt sum_k S^(K-k+1) B u_k
+    and the rows B* p_{k-1} = B* (S*)^(K-k+1) p_K are each one einsum.
     """
 
     # assembled propagators get large quickly; gate on problem size
@@ -168,23 +230,20 @@ class _LinearKernel:
         rmat = cmap.apply_Bstar(spec, eye).T  # (m, n)
         mcols = np.column_stack([spec.metric_apply(col) for col in eye])
         minv = np.column_stack([spec.metric_solve(col) for col in eye])
-        Sstar = minv @ S.T @ mcols
 
-        self.GB = np.empty((K, n, m))   # dt S^(K-k+1) B  at slot k-1
-        self.C = np.empty((K, m, n))    # B* (S*)^(K-k+1) at slot k-1
-        powB = S @ bmat
-        powS = Sstar.copy()
-        for p in range(1, K + 1):
-            k = K - p + 1
-            self.GB[k - 1] = dte * powB
-            self.C[k - 1] = rmat @ powS
-            if p < K:
-                powB = S @ powB
-                powS = Sstar @ powS
-        yc = prob.y0.values.copy()
-        for _ in range(K):
-            yc = S @ yc
-        self.y_const = yc
+        # S^p for p = 1..K by doubling: pows[j] = S^(j+1)
+        pows = np.empty((K, n, n))
+        pows[0] = S
+        done = 1
+        while done < K:
+            c = min(done, K - done)
+            pows[done:done + c] = pows[done - 1] @ pows[:c]
+            done += c
+        back = pows[::-1]               # S^(K-k+1) at slot k-1
+        self.GB = dte * (back @ bmat)   # dt S^(K-k+1) B
+        # B* (S*)^(K-k+1), with (S*)^p = M^-1 (S^p)^T M
+        self.C = (rmat @ minv) @ back.transpose(0, 2, 1) @ mcols
+        self.y_const = pows[-1] @ prob.y0.values
 
     @classmethod
     def try_build(cls, prob: PenalizedProblem, K: int, dte: float):
@@ -195,12 +254,46 @@ class _LinearKernel:
             return None
         return cls(prob, K, dte)
 
+    def propagate(self, vals: np.ndarray) -> np.ndarray:
+        """The linear part of G: dt sum_k S^(K-k+1) B v_k."""
+        return np.einsum("kim,km->i", self.GB, vals)
+
     def terminal_state(self, uvals: np.ndarray) -> np.ndarray:
-        return self.y_const + np.einsum("kim,km->i", self.GB, uvals)
+        return self.y_const + self.propagate(uvals)
 
     def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
         """B* p_{k-1} for k = 1..K as rows."""
         return np.einsum("kmn,n->km", self.C, p_terminal)
+
+
+class _Sweeps:
+    """G and G* from sequential sweeps over the banded step factor: the
+    forward solve of the latest control, and the variation and adjoint
+    linearized along it. Before the first forward solve the linearization
+    point is zero, which serves a linear kind: its factor is state-free."""
+
+    def __init__(self, prob: PenalizedProblem, K: int, dte: float):
+        self.prob, self.dte = prob, dte
+        spec = prob.spec
+        self.traj = Trajectory(spec, dte * np.arange(K + 1), np.zeros((K + 1, spec.n_dof)),
+                               np.zeros(K, dtype=int), np.zeros(K))
+
+    def _control(self, vals: np.ndarray) -> Control:
+        return Control(self.dte, vals, self.prob.rho, self.prob.map.u_tag)
+
+    def propagate(self, vals: np.ndarray) -> np.ndarray:
+        p = self.prob
+        return solve_variation(p.spec, p.map, self.traj, self._control(vals)).states[-1]
+
+    def terminal_state(self, uvals: np.ndarray) -> np.ndarray:
+        p = self.prob
+        self.traj = solve_forward(p.spec, p.map, p.y0, self._control(uvals))
+        return self.traj.states[-1]
+
+    def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
+        spec = self.prob.spec
+        adj = solve_adjoint(spec, self.traj, Field(spec.grid, p_terminal, spec.n_components))
+        return self.prob.map.apply_Bstar(spec, adj.values[:-1])
 
 
 def _resample_steps(values: np.ndarray, dt_old: float, steps_new: int,
@@ -275,65 +368,108 @@ def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray, uvals: np.ndarray
     return prob.map.resolvent_batch(prob.spec, Z, prob.eps, prob.rho)
 
 
-def inner_solve_control(prob: PenalizedProblem, T: float,
-                        u0: Control | None = None) -> InnerSolution:
-    """Damped fixed-point iteration on the optimality map at fixed horizon.
+def _u_l2(prob: PenalizedProblem, rows: np.ndarray, dte: float) -> float:
+    """The L2-in-time U-norm sqrt(dt sum_k ||row_k||_U^2)."""
+    return math.sqrt(dte * float(np.sum(prob.map.u_norms_batch(prob.spec, rows) ** 2)))
 
-    Descent of the functional is enforced by halving the damping weight; a
-    capped non-converged iterate is returned flagged, not raised. Linear
-    operators run on precomputed step propagators; the returned trajectory
-    and adjoint are always re-solved with the generic scheme.
-    """
+
+def _cg(apply, b: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """Conjugate gradients for apply(x) = b, ``apply`` symmetric positive
+    definite in the state metric, from x = 0."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = r.copy()
+    rr = spec.state_inner(r, r)
+    stop = (CG_RTOL**2) * rr
+    for _ in range(spec.n_dof):
+        if rr <= stop:
+            break
+        q = apply(d)
+        alpha = rr / spec.state_inner(d, q)
+        x += alpha * d
+        r -= alpha * q
+        rr, rr_old = spec.state_inner(r, r), rr
+        d = r + (rr / rr_old) * d
+    return x
+
+
+def _newton(prob: PenalizedProblem, maps, T: float, dte: float):
+    """Semismooth Newton on F(p) = p - P(y_K(u(p)) - y_tar)/eps, with
+    backtracking on ||F||_H. Returns (u, y_K, p_T, iterations, stop)."""
     spec, cmap = prob.spec, prob.map
-    K, dte = _grid_for(prob, T)
-    m = cmap.control_size(spec)
+    eps, rho = prob.eps, prob.rho
+    tol = prob.inner_tol * rho * math.sqrt(T)
+
+    def state_at(p):
+        Z = -maps.bstar_rows(p)
+        u = cmap.resolvent_batch(spec, Z, eps, rho)
+        y_term = maps.terminal_state(u)
+        return Z, u, y_term, p - cmap.project_state(spec, y_term - prob.y_tar.values) / eps
+
+    def jacobian(Z):
+        return lambda d: d + cmap.project_state(spec, maps.propagate(
+            cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps
+
+    p = (np.zeros(spec.n_dof) if prob.p_warm is None
+         else cmap.project_state(spec, prob.p_warm))
+    Z, u, y_term, F = state_at(p)
+    F_norm = spec.h_norm(F)
+    stop = "cap"
+    for it in range(prob.inner_cap + 1):
+        # the optimality map at u's own costate p - F
+        gap = cmap.resolvent_batch(spec, Z + maps.bstar_rows(F), eps, rho) - u
+        if _u_l2(prob, gap, dte) <= tol:
+            stop = "converged"
+            break
+        if it == prob.inner_cap:
+            break
+        delta = _cg(jacobian(Z), -F, spec)
+        t = 1.0
+        while t >= MIN_STEP:
+            trial = state_at(p + t * delta)
+            trial_norm = spec.h_norm(trial[3])
+            if trial_norm <= (1.0 - ARMIJO * t) * F_norm:
+                break
+            t *= 0.5
+        else:
+            stop = "plateau"  # no step decreases ||F||_H
+            break
+        p = p + t * delta
+        Z, u, y_term, F = trial
+        F_norm = trial_norm
+    return u, y_term, p, min(it + 1, prob.inner_cap), stop
+
+
+def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
+                 u0: Control | None):
+    """Damped fixed point of the optimality map with monotone-descent
+    backtracking. Returns (u, y_K, iterations, stop)."""
+    spec, cmap = prob.spec, prob.map
     if u0 is None:
-        uvals = np.zeros((K, m))
+        uvals = np.zeros((K, cmap.control_size(spec)))
     else:
         uvals = _resample_steps(u0.values, u0.dt, K, dte)
 
-    kernel = _LinearKernel.try_build(prob, K, dte)
-    scratch: dict = {}
+    def candidate_of(vals, y_term):
+        # y_term is the latest forward solve, which sweeps linearize along
+        p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
+        return _candidate(prob, maps.bstar_rows(p_term), vals, dte)
 
-    def fwd(vals: np.ndarray) -> Trajectory:
-        return solve_forward(spec, cmap, prob.y0,
-                             Control(dte, vals, prob.rho, cmap.u_tag), T)
-
-    def adjoint_of(traj: Trajectory) -> AdjointState:
-        p_term = cmap.project_state(spec, traj.states[-1] - prob.y_tar.values) / prob.eps
-        return solve_adjoint(spec, traj, Field(spec.grid, p_term, spec.n_components))
-
-    def terminal_of(vals: np.ndarray) -> np.ndarray:
-        if kernel is not None:
-            return kernel.terminal_state(vals)
-        scratch["traj"] = fwd(vals)
-        return scratch["traj"].states[-1]
-
-    def candidate_of(vals: np.ndarray, y_term: np.ndarray) -> np.ndarray:
-        if kernel is not None:
-            p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
-            rows = kernel.bstar_rows(p_term)
-        else:
-            # scratch holds the trajectory that produced y_term
-            rows = cmap.apply_Bstar(spec, adjoint_of(scratch["traj"]).values[:-1])
-        return _candidate(prob, rows, vals, dte)
-
-    y_term = terminal_of(uvals)
+    y_term = maps.terminal_state(uvals)
     J, *_ = _j_parts(prob, T, uvals, dte, y_term)
     theta = prob.theta0
-    converged = False
-    iterations = 0
-    unorm_scale = prob.rho * math.sqrt(T)
+    tol = prob.inner_tol * prob.rho * math.sqrt(T)
     best_gap = np.inf
     since_best = 0
+    stop = "cap"
 
-    for it in range(prob.inner_cap):
-        iterations = it + 1
-        cand = candidate_of(uvals, y_term)
-        gap = cand - uvals
-        rel_gap = math.sqrt(dte * float(np.sum(cmap.u_norms_batch(spec, gap) ** 2)))
-        if rel_gap <= prob.inner_tol * unorm_scale:
-            converged = True
+    for it in range(prob.inner_cap + 1):
+        gap = candidate_of(uvals, y_term) - uvals
+        rel_gap = _u_l2(prob, gap, dte)
+        if rel_gap <= tol:
+            stop = "converged"
+            break
+        if it == prob.inner_cap:
             break
         if rel_gap < 0.99 * best_gap:
             best_gap = rel_gap
@@ -341,11 +477,12 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
         else:
             since_best += 1
             if since_best >= PLATEAU_PATIENCE:
+                stop = "plateau"
                 break
         accepted = False
         while theta >= 1e-4:
             u_try = uvals + theta * gap
-            y_try = terminal_of(u_try)
+            y_try = maps.terminal_state(u_try)
             J_try, *_ = _j_parts(prob, T, u_try, dte, y_try)
             if J_try <= J + 1e-12 * (1.0 + abs(J)):
                 uvals, y_term, J = u_try, y_try, J_try
@@ -357,27 +494,42 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
             # descent stalled at the damping floor: accept the tiny step and
             # let the gap criterion decide
             uvals = uvals + theta * gap
-            y_term = terminal_of(uvals)
+            y_term = maps.terminal_state(uvals)
             J, *_ = _j_parts(prob, T, uvals, dte, y_term)
             theta = prob.theta0
+    return uvals, y_term, min(it + 1, prob.inner_cap), stop
 
-    # final artifacts always come from the generic sequential scheme
-    traj = fwd(uvals)
-    adj = adjoint_of(traj)
-    gap = _candidate(prob, cmap.apply_Bstar(spec, adj.values[:-1]), uvals, dte) - uvals
-    stat = math.sqrt(dte * float(np.sum(cmap.u_norms_batch(spec, gap) ** 2)))
-    J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, traj.states[-1])
+
+def inner_solve_control(prob: PenalizedProblem, T: float,
+                        u0: Control | None = None) -> InnerSolution:
+    """Solve the optimality system of J_eps at the fixed horizon T.
+
+    Linear kinds with a Hilbert U-norm and no ``u_ref`` take semismooth
+    Newton on the terminal costate, started from ``prob.p_warm`` (else
+    zero). Nonlinear kinds, Lp control norms and ``u_ref`` take the damped
+    fixed point of the optimality map, started from ``u0`` (else zero). A
+    solve that stalls or hits ``inner_cap`` returns flagged, not raised.
+    Small linear problems run on precomputed step propagators; the
+    returned trajectory and adjoint always come from the sequential scheme.
+    """
+    spec, cmap = prob.spec, prob.map
+    K, dte = _grid_for(prob, T)
+    maps = _LinearKernel.try_build(prob, K, dte) or _Sweeps(prob, K, dte)
+    costate = None
+    if prob.takes_newton:
+        uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte)
+    else:
+        uvals, y_term, iterations, stop = _fixed_point(prob, maps, T, K, dte, u0)
+    J, miss, energy, _ = _j_parts(prob, T, uvals, dte, y_term)
     return InnerSolution(
+        prob=prob,
         control=Control(dte, uvals, prob.rho, cmap.u_tag),
-        trajectory=traj,
-        adjoint=adj,
         J=J,
         miss=miss,
-        stationarity_residual=stat,
         iterations=iterations,
-        converged=converged or stat <= prob.inner_tol * unorm_scale,
-        theta_final=theta,
+        stop=stop,
         control_energy=energy,
+        costate=costate,
     )
 
 
@@ -441,14 +593,14 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
 def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
                  boundary: bool, probes: int) -> OptimalityReport:
     res = _condition_residuals(prob, sol)
-    _, _, _, href_energy = _j_parts(prob, T, sol.control.values, sol.control.dt,
-                                    sol.trajectory.states[-1])
+    J, miss, _, href_energy = _j_parts(prob, T, sol.control.values, sol.control.dt,
+                                       sol.trajectory.states[-1])
     times = sol.trajectory.times[:-1]
     return OptimalityReport(
         eps=prob.eps,
         T_eps_star=T,
-        J=sol.J,
-        terminal_miss=sol.miss,
+        J=J,
+        terminal_miss=miss,
         stationarity_residual=sol.stationarity_residual,
         transversality_residual=res["transversality_residual"],
         g73_residual_avg=res["g73_residual_avg"],
@@ -459,6 +611,7 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
         href_energy=href_energy,
         inner_iterations=sol.iterations,
         inner_converged=sol.converged,
+        inner_stop=sol.stop,
         boundary_hit=boundary,
         probes=probes,
         times=times,
@@ -474,21 +627,24 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
 
 def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
                    u_warm: Control | None = None) -> tuple[OptimalityReport, InnerSolution]:
-    """Golden-section search of the horizon with warm-started inner solves."""
+    """Golden-section search of the horizon. Each inner solve starts from the
+    previous probe's control and terminal costate (the first from ``u_warm``
+    and ``prob.p_warm``); only the chosen probe's trajectory and adjoint are
+    solved, for its report."""
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0.0 < T_lo < T_hi:
         raise ValueError("need 0 < T_lo < T_hi")
     tol = prob.golden_tol_factor * T_hi
     cache: dict[float, InnerSolution] = {}
-    warm = {"u": u_warm}
+    warm = {"u": u_warm, "p": prob.p_warm}
     probes = 0
 
     def phi(T: float) -> InnerSolution:
         nonlocal probes
         key = round(T, 12)
         if key not in cache:
-            sol = inner_solve_control(prob, T, warm["u"])
-            warm["u"] = sol.control
+            sol = inner_solve_control(replace(prob, p_warm=warm["p"]), T, warm["u"])
+            warm["u"], warm["p"] = sol.control, sol.costate
             cache[key] = sol
             probes += 1
         return cache[key]
@@ -529,7 +685,8 @@ def eps_continuation(
     ``chain_u_ref`` feeds each level's converged control in as the next
     level's reference, activating the functional's history term. After a
     level whose horizon is interior, the bracket narrows to
-    [0.55, 1.7] T_eps_star within ``T_bracket``. Returns the
+    [0.55, 1.7] T_eps_star within ``T_bracket``. Each level starts from the
+    previous level's control and terminal costate. Returns the
     per-level reports, plus the last level's inner solution when
     ``return_final_solution`` is set.
     """
@@ -546,6 +703,8 @@ def eps_continuation(
     current = prob
     for eps in eps_schedule:
         current = replace(current, eps=eps)
+        if sol is not None:
+            current = replace(current, p_warm=sol.costate)
         if chain_u_ref and u_warm is not None:
             current = replace(current, u_ref=u_warm)
         report, sol = outer_minimize(current, bracket, u_warm)

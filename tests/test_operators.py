@@ -457,6 +457,23 @@ def test_first_component_map():
     np.testing.assert_allclose(bu[n:], 0.0)
 
 
+@pytest.mark.parametrize("projection", ["full", "first"])
+def test_projection_of_a_stack_is_its_rows_projected(projection):
+    spec = ReactionDiffusion2(grid2(3), d1=1.0, d2=0.5)
+    mode = "first_component" if projection == "first" else "identity"
+    cm = ControlMap(mode=mode, u_tag=L2, projection=projection)
+    rng = np.random.default_rng(14)
+    V = rng.standard_normal((4, spec.n_dof))
+    y_tar = rng.standard_normal(spec.n_dof)
+    np.testing.assert_array_equal(cm.project_state(spec, V),
+                                  [cm.project_state(spec, v) for v in V])
+    np.testing.assert_array_equal(cm.auxiliary_state(spec, V, y_tar),
+                                  [cm.auxiliary_state(spec, v, y_tar) for v in V])
+    if projection == "first":
+        np.testing.assert_array_equal(cm.project_state(spec, np.ones((4, 6))),
+                                      np.tile([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (4, 1)))
+
+
 def test_first_component_requires_first_projection():
     with pytest.raises(ValueError):
         ControlMap(mode="first_component", u_tag=L2, projection="full")

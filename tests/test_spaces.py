@@ -28,7 +28,13 @@ from mintime import (
     robin,
     yosida_apply,
 )
-from mintime.spaces import IndeterminateSelectionError, pairing
+from mintime.spaces import (
+    IndeterminateSelectionError,
+    norm_rows,
+    pairing,
+    resolvent_derivative_rows,
+    resolvent_rows,
+)
 
 
 def unit_interval(n=64, bc=None):
@@ -340,6 +346,32 @@ def test_resolvent_eps_zero_and_indeterminacy():
     assert norm(u, L2) == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(IndeterminateSelectionError):
         resolvent_eF_NK(Field(g, np.zeros(6)), L2, 0.0, rho=1.0)
+
+
+@pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
+def test_resolvent_derivative_matches_central_differences(tag_name):
+    """The clamp derivative D against central differences of the resolvent,
+    on an interior and a saturated row away from the kink ||zeta||_* = rho eps."""
+    tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    g = unit_interval(7)
+    s = SpectralLaplacian(g, dirichlet()) if tag.needs_spectral else None
+    rng = np.random.default_rng(43)
+    eps, rho = 0.1, 2.0
+    base = rng.standard_normal((2, 7))
+    Z = base * (np.array([0.3, 3.0]) * rho * eps / norm_rows(base, g, tag, s, dual=True))[:, None]
+    dZ = rng.standard_normal((2, 7))
+    got = resolvent_derivative_rows(Z, dZ, g, tag, eps, rho, s)
+    h = 1e-5 * np.linalg.norm(Z, axis=1, keepdims=True) / np.linalg.norm(dZ, axis=1, keepdims=True)
+    fd = (resolvent_rows(Z + h * dZ, g, tag, eps, rho, s)
+          - resolvent_rows(Z - h * dZ, g, tag, eps, rho, s)) / (2 * h)
+    for row in range(2):
+        assert np.linalg.norm(got[row] - fd[row]) <= 1e-7 * np.linalg.norm(got[row])
+    # a zero row lies inside the ball: D = F^-1/eps, with no division warning
+    zero = resolvent_derivative_rows(np.zeros(7), dZ[0], g, tag, eps, rho, s)
+    np.testing.assert_allclose(zero, resolvent_derivative_rows(1e-3 * Z[0], dZ[0], g, tag,
+                                                               eps, rho, s), rtol=1e-14)
+    with pytest.raises(ValueError, match="nonlinear"):
+        resolvent_derivative_rows(Z, dZ, g, L4, eps, rho)
 
 
 @pytest.mark.parametrize("tag_name", ["L2", "L4"])

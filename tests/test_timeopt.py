@@ -1,4 +1,4 @@
-"""Penalized minimal-time solver: functional, inner fixed point, T-search."""
+"""Penalized minimal-time solver: functional, inner Newton and fixed point, T-search."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,10 @@ from mintime import (
 )
 from mintime.forward import Control, solve_forward
 from mintime.oracle import analytic_min_time_scalar
+from mintime import timeopt
 from mintime.timeopt import (
     PenalizedProblem,
+    _LinearKernel,
     eps_continuation,
     eval_J_eps,
     inner_solve_control,
@@ -183,6 +185,66 @@ def test_inner_descent_and_feasibility_nonlinear():
     assert sol.miss < spec.h_norm(y0.values - ytar.values)
 
 
+@pytest.mark.parametrize("T", [0.69, 0.7, 0.8])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_cold_start_grid_is_stationary_on_the_sequential_scheme(eps, T):
+    # T* = ln 2: below it the control saturates, above it it is interior
+    prob = scalar_setup(eps=eps)
+    sol = inner_solve_control(prob, T)
+    assert sol.stop == "converged"
+    assert prob.takes_newton and sol.costate is not None
+    # On interior rows u = -B*p/eps with p_T = P(y_K - y_tar)/eps, so the
+    # roundoff of y_K (about sqrt(K) machine epsilons of ||P y_tar||) reaches
+    # the optimality map's gap amplified by 1/eps^2; that floor lies above
+    # the tolerance only at eps = 1e-4.
+    K = sol.control.steps
+    y_tar = prob.spec.h_norm(prob.map.project_state(prob.spec, prob.y_tar.values))
+    floor = np.sqrt(K) * np.finfo(float).eps * y_tar / eps**2
+    assert sol.stationarity_residual <= max(prob.inner_tol * prob.rho * np.sqrt(T), floor)
+
+
+def test_kernel_and_sweep_backends_agree(monkeypatch):
+    prob = scalar_setup(eps=1e-3, dt=1e-2)
+    horizons = (0.5, 0.8)  # saturated and interior
+    kernel = [inner_solve_control(prob, T) for T in horizons]
+    monkeypatch.setattr(_LinearKernel, "try_build", classmethod(lambda cls, *args: None))
+    for T, a in zip(horizons, kernel):
+        b = inner_solve_control(prob, T)
+        assert a.converged and b.converged
+        np.testing.assert_allclose(b.control.values, a.control.values, rtol=0.0, atol=1e-9)
+
+
+def test_sweep_backend_reproduces_the_uniform_reduction():
+    # 49 Neumann nodes carry 98 dof, above the propagator stacks' size cap;
+    # constant data keep the solution uniform, so every node's control row
+    # is the 3-node one
+    small = inner_solve_control(scalar_setup(eps=1e-3, dt=1e-2), 0.8)
+    prob = scalar_setup(eps=1e-3, dt=1e-2, nodes=49)
+    assert prob.spec.n_dof == 98
+    assert _LinearKernel.try_build(prob, 80, 1e-2) is None
+    big = inner_solve_control(prob, 0.8)
+    assert big.converged
+    np.testing.assert_allclose(big.control.values[:, :49],
+                               np.repeat(small.control.values[:, :1], 49, axis=1),
+                               rtol=0.0, atol=1e-9)
+    np.testing.assert_array_equal(big.control.values[:, 49:], 0.0)
+
+
+def test_fixed_point_stop_reasons():
+    # an L4 control norm keeps the fixed point; its reasons reach the report
+    from dataclasses import replace
+
+    from mintime import L4
+
+    prob = scalar_setup(eps=1e-2, dt=1e-2)
+    prob = replace(prob, map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
+    assert not prob.takes_newton
+    capped = inner_solve_control(replace(prob, inner_cap=3), 0.8)
+    assert (capped.stop, capped.iterations, capped.converged) == ("cap", 3, False)
+    assert capped.costate is None
+    assert inner_solve_control(prob, 0.4).stop == "converged"
+
+
 # ---------------------------------------------------------------------------
 # outer problem and continuation
 
@@ -229,6 +291,28 @@ def test_eps_continuation_matches_oracle_and_decays_miss():
     final = reports[-1]
     assert final.saturation_fraction >= 0.99
     assert final.g73_residual_avg <= 0.05
+
+
+def test_continuation_solves_each_level_sequentially_once(monkeypatch):
+    calls = {"solve_forward": 0, "solve_adjoint": 0}
+
+    def counted(name):
+        fn = getattr(timeopt, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(timeopt, name, counted(name))
+    prob = scalar_setup(eps=1e-1, dt=1e-2)
+    reports, sol = eps_continuation(prob, [1e-1, 1e-2, 1e-3], (0.2, 1.4),
+                                    return_final_solution=True)
+    sol.trajectory, sol.adjoint  # the last level's winner, already solved
+    assert calls == {"solve_forward": 3, "solve_adjoint": 3}
+    assert [r.to_dict()["inner_stop"] for r in reports] == ["converged"] * 3
+    assert all(r.inner_converged for r in reports)
 
 
 def test_eps_schedule_validation():
