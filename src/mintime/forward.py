@@ -1,16 +1,21 @@
 """Backward-Euler time integration of y' + A_H y = Bu with full Newton.
 
-Every step solves with the banded LU factors of I + dt A'(y) from
-``OperatorSpec.step_factor``: linear kinds reuse one factorization per step
-size, nonlinear kinds refactor at each Newton iterate. On Newton failure the
-control interval is retried on up to 6 binary subdivisions before giving up;
-the trajectory records how many sub-steps each interval took.
+One stepping loop, ``_integrate``, carries every solve: open-loop controls
+(``solve_forward``) and feedback laws (the sliding approach and its post-hit
+continuation) alike take a control row at the head of each interval and hold
+it over the interval. Every step solves with the banded LU factors of
+I + dt A'(y) from ``OperatorSpec.step_factor``: linear kinds reuse one
+factorization per step size, nonlinear kinds refactor at each Newton
+iterate. On Newton failure the control interval is retried on up to 6
+binary subdivisions before giving up; the trajectory records the Newton
+iterations, last residual and sub-steps of each interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -192,12 +197,12 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
 
 def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
                   dt: float) -> Field:
-    """One backward-Euler step y+ + dt A_H(y+) = y + dt B u."""
+    """One backward-Euler interval y+ + dt A_H(y+) = y + dt B u, sub-stepped
+    on Newton failure like every interval of ``solve_forward``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     bu = map.apply_B(spec, u_step.values)
-    rhs = y.values + dt * bu
-    x, _, _ = _implicit_solve(spec, rhs, y.values, dt)
+    x, _, _, _ = _step_with_refinement(spec, y.values, bu, dt, 0)
     return Field(spec.grid, x, spec.n_components)
 
 
@@ -222,6 +227,39 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray,
     raise StepFailure(last.residual, step_index)
 
 
+def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
+               steps: int, control_at: Callable[[int, np.ndarray], np.ndarray],
+               stop: Callable[[np.ndarray], bool] | None = None,
+               ) -> tuple[Trajectory, np.ndarray]:
+    """The stepping loop of every solve, open-loop or feedback.
+
+    Interval k holds the control row ``control_at(k, y_k)`` taken at its
+    head; with ``stop``, the loop ends after the first interval whose end
+    state meets it. Returns the trajectory and the (steps taken, m) rows.
+    """
+    states = np.empty((steps + 1, spec.n_dof))
+    states[0] = y0
+    rows = np.empty((steps, map.control_size(spec)))
+    newton_iters = np.zeros(steps, dtype=int)
+    residuals = np.zeros(steps)
+    substeps = np.ones(steps, dtype=int)
+
+    y = states[0].copy()
+    K = steps
+    for k in range(steps):
+        rows[k] = control_at(k, y)
+        y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
+            spec, y, map.apply_B(spec, rows[k]), dt, k)
+        states[k + 1] = y
+        if stop is not None and stop(y):
+            K = k + 1
+            break
+
+    traj = Trajectory(spec, dt * np.arange(K + 1), states[:K + 1], newton_iters[:K],
+                      residuals[:K], substeps[:K])
+    return traj, rows[:K]
+
+
 def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
                   T: float | None = None) -> Trajectory:
     """Integrate the controlled system over the control's time grid.
@@ -234,20 +272,5 @@ def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
     if T is not None and abs(T - u.horizon) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"horizon {T} does not match the control grid {u.horizon}")
     u.check_admissible(map, spec)
-
-    K = u.steps
-    dt = u.dt
-    states = np.empty((K + 1, spec.n_dof))
-    states[0] = y0.values
-    newton_iters = np.zeros(K, dtype=int)
-    residuals = np.zeros(K)
-    substeps = np.ones(K, dtype=int)
-
-    y = states[0].copy()
-    for k in range(K):
-        bu = map.apply_B(spec, u.values[k])
-        y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
-            spec, y, bu, dt, k)
-        states[k + 1] = y
-
-    return Trajectory(spec, dt * np.arange(K + 1), states, newton_iters, residuals, substeps)
+    traj, _ = _integrate(spec, map, y0.values, u.dt, u.steps, lambda k, y: u.values[k])
+    return traj

@@ -2,7 +2,12 @@
 
 The closed loop applies u = -rho Sign(B* P(y - y_tar)) with the zero
 selection at the origin, evaluated explicitly at each step head and held over
-the step. The hit-time bound follows the feedback analysis: integrating
+the step; past the hit, the equivalent control holds the manifold. Both
+phases run on the forward solver's stepping loop, so their intervals are
+sub-stepped on Newton failure like every other solve, and their trajectories
+carry the true Newton and sub-step counts.
+
+The hit-time bound follows the feedback analysis: integrating
 d/dt dev <= C1 dev - (rho - a) gives
 
     T_* = (1/C1) ln[(rho - a) / (rho - (a + C1 dev0))],   a = ||A_H yhat||_H,
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import audit_sign_condition
-from .forward import Trajectory, step_implicit
+from .forward import Trajectory, _integrate
 from .grids import Field
 from .operators import ControlMap, OperatorSpec
 
@@ -153,62 +158,50 @@ def run_sliding(
     dev0 = spec.h_norm(map.project_state(spec, y0.values - y_tar.values))
     a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
-    steps = int(np.ceil(T_max / dt - 1e-12))
-    times = [0.0]
-    devs = [dev0]
-    unorms: list[float] = []
-    states = [y0.values.copy()]
+    def deviation(y: np.ndarray) -> float:
+        return spec.h_norm(map.project_state(spec, y - y_tar.values))
+
+    def law(k: int, y: np.ndarray) -> np.ndarray:
+        return sign_feedback(map, spec, Field(spec.grid, y, spec.n_components), y_tar, rho).values
+
+    # a start on the manifold takes no approach step and hits at t = 0
+    steps = 0 if dev0 <= hit_tol else int(np.ceil(T_max / dt - 1e-12))
+    approach, rows = _integrate(spec, map, y0.values, dt, steps, law,
+                                stop=lambda y: deviation(y) <= hit_tol)
+    devs = [dev0] + [deviation(s) for s in approach.states[1:]]
+    unorms = [float(map.u_norms_batch(spec, r)) for r in rows]
+    if map.projection == "first":
+        # the bound's premise holds along the whole approach, so the
+        # auxiliary-state surrogate tracks the running second component
+        # (under the full projection yhat is y_tar throughout)
+        for s in approach.states[1:]:
+            yhat = map.auxiliary_state(spec, s, y_tar.values)
+            a_sup = max(a_sup, spec.h_norm(spec.apply(yhat)))
+
+    times = approach.times
     hit_time = None
     hit_index = None
-
-    y = y0.copy()
-    for k in range(steps):
-        if devs[-1] <= hit_tol:
-            hit_index = k
-            hit_time = times[-1]
-            break
-        u = sign_feedback(map, spec, y, y_tar, rho)
-        y = step_implicit(spec, map, y, u, dt)
-        unorms.append(float(map.u_norms_batch(spec, u.values)))
-        states.append(y.values.copy())
-        times.append((k + 1) * dt)
-        dev = spec.h_norm(map.project_state(spec, y.values - y_tar.values))
-        devs.append(dev)
-        if map.projection == "first":
-            # the bound's premise holds along the whole approach, so the
-            # auxiliary-state surrogate tracks the running second component
-            # (under the full projection yhat is y_tar throughout)
-            yhat = map.auxiliary_state(spec, y.values, y_tar.values)
-            a_sup = max(a_sup, spec.h_norm(spec.apply(yhat)))
-        if dev <= hit_tol:
-            hit_index = k + 1
+    if devs[-1] <= hit_tol:
+        hit_index = approach.steps
+        hit_time = times[-1]
+        if hit_index:
             # linear interpolation of the tolerance crossing inside the step
             d0, d1 = devs[-2], devs[-1]
             frac = 1.0 if d0 == d1 else np.clip((d0 - hit_tol) / (d0 - d1), 0.0, 1.0)
             hit_time = times[-2] + frac * dt
-            break
 
     t_star = hit_time_bound(rho / gain_c, a_sup, c1, dev0)
 
-    nstep = len(states) - 1
-    approach = Trajectory(spec, np.asarray(times), np.asarray(states),
-                          np.ones(nstep, dtype=int), np.zeros(nstep))
-
     continuation = None
-    full_times = np.asarray(times)
+    full_times = times
     if hit_time is not None and continue_after_hit:
         extra = int(np.floor((T_max - times[-1]) / dt + 1e-12))
         if extra > 0:
             continuation, cont_unorms = sliding_continuation(
-                spec, map, Field(spec.grid, states[-1], spec.n_components),
-                y_tar, extra * dt, dt, rho=rho,
+                spec, map, approach.terminal, y_tar, extra * dt, dt, rho=rho,
             )
-            cont_times = times[-1] + dt * np.arange(1, continuation.steps + 1)
-            full_times = np.concatenate([full_times, cont_times])
-            devs += [
-                spec.h_norm(map.project_state(spec, s - y_tar.values))
-                for s in continuation.states[1:]
-            ]
+            full_times = np.concatenate([times, times[-1] + continuation.times[1:]])
+            devs += [deviation(s) for s in continuation.states[1:]]
             unorms.extend(cont_unorms)
 
     return SlidingRun(
@@ -260,27 +253,17 @@ def sliding_continuation(
     steps = int(np.round(T_extra / dt))
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")
-    y = state_at_hit.values.copy()
-    states = [y.copy()]
-    unorms = []
-    ug = map.ugrid(spec)
-    for k in range(steps):
+
+    def law(k: int, y: np.ndarray) -> np.ndarray:
         # equivalent control from the manifold-restricted dynamics at the
-        # current uncontrolled state, then an honest implicit step
-        yhat = map.auxiliary_state(spec, y, y_tar.values)
-        u = map.project_state(spec, spec.apply(yhat))
+        # current uncontrolled state, held over an honest implicit step
+        u = map.project_state(spec, spec.apply(map.auxiliary_state(spec, y, y_tar.values)))
         nu = float(map.u_norms_batch(spec, u))
         if rho is not None and nu > rho * (1 + 1e-9):
             raise SaturationError(
                 f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}"
             )
-        unorms.append(nu)
-        ynew = step_implicit(
-            spec, map, Field(spec.grid, y, spec.n_components),
-            Field(ug, u, ug.n_components), dt,
-        )
-        y = ynew.values
-        states.append(y.copy())
-    traj = Trajectory(spec, dt * np.arange(steps + 1), np.asarray(states),
-                      np.ones(steps, dtype=int), np.zeros(steps))
-    return traj, np.asarray(unorms)
+        return u
+
+    traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, law)
+    return traj, np.array([float(map.u_norms_batch(spec, r)) for r in rows])

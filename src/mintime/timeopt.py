@@ -32,7 +32,7 @@ identity) along the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -181,25 +181,13 @@ class OptimalityReport:
     g73_residuals: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "eps": float(self.eps),
-            "T_eps_star": float(self.T_eps_star),
-            "J": float(self.J),
-            "terminal_miss": float(self.terminal_miss),
-            "stationarity_residual": float(self.stationarity_residual),
-            "transversality_residual": float(self.transversality_residual),
-            "g73_residual_avg": float(self.g73_residual_avg),
-            "g72_residual_avg": float(self.g72_residual_avg),
-            "g72_skipped_steps": int(self.g72_skipped_steps),
-            "saturation_fraction": float(self.saturation_fraction),
-            "control_energy": float(self.control_energy),
-            "href_energy": float(self.href_energy),
-            "inner_iterations": int(self.inner_iterations),
-            "inner_converged": bool(self.inner_converged),
-            "inner_stop": self.inner_stop,
-            "boundary_hit": bool(self.boundary_hit),
-            "probes": int(self.probes),
-        }
+        """The report fields (``repr=True``) as plain Python values, each cast
+        to its declared type."""
+        return {f.name: _PLAIN[f.type](getattr(self, f.name))
+                for f in fields(self) if f.repr}
+
+
+_PLAIN = {"float": float, "int": int, "bool": bool, "str": str}
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +205,14 @@ class _LinearKernel:
     MAX_BUILD_FLOPS = 4e8
 
     def __init__(self, prob: PenalizedProblem, K: int, dte: float):
-        import scipy.linalg as sla
-
         spec, cmap = prob.spec, prob.map
         n = spec.n_dof
         m = cmap.control_size(spec)
         eye = np.eye(n)
-        lu = sla.lu_factor(eye + dte * spec.jacobian(np.zeros(n)))
-        S = sla.lu_solve(lu, eye)
-        # B and B* as matrices; S* is the state-metric transpose M^-1 S^T M
+        S = spec.step_factor(np.zeros(n), dte).solve(eye)
         bmat = cmap.apply_B(spec, np.eye(m)).T
-        rmat = cmap.apply_Bstar(spec, eye).T  # (m, n)
-        mcols = np.column_stack([spec.metric_apply(col) for col in eye])
-        minv = np.column_stack([spec.metric_solve(col) for col in eye])
+        metric = spec.metric_apply(eye).T       # M with (a, b)_H = a^T M b
+        wu = cmap.ugrid(spec).component_weights()
 
         # S^p for p = 1..K by doubling: pows[j] = S^(j+1)
         pows = np.empty((K, n, n))
@@ -239,10 +222,11 @@ class _LinearKernel:
             c = min(done, K - done)
             pows[done:done + c] = pows[done - 1] @ pows[:c]
             done += c
-        back = pows[::-1]               # S^(K-k+1) at slot k-1
-        self.GB = dte * (back @ bmat)   # dt S^(K-k+1) B
-        # B* (S*)^(K-k+1), with (S*)^p = M^-1 (S^p)^T M
-        self.C = (rmat @ minv) @ back.transpose(0, 2, 1) @ mcols
+        SB = pows[::-1] @ bmat          # S^(K-k+1) B at slot k-1
+        self.GB = dte * SB
+        # B* (S*)^(K-k+1) = W_u^-1 (S^(K-k+1) B)^T M, the exact transpose of
+        # G in the state metric
+        self.C = SB.transpose(0, 2, 1) @ metric / wu[:, None]
         self.y_const = pows[-1] @ prob.y0.values
 
     @classmethod

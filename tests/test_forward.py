@@ -207,3 +207,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(data["t"], traj.times)
     np.testing.assert_allclose(data["h_norm"], traj.h_norms)
     np.testing.assert_allclose(data["y0"], traj.states[:, 0])
+
+
+def test_step_implicit_substeps_like_solve_forward(monkeypatch):
+    import mintime.forward as forward
+
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    (x,) = g.coordinates()
+    y0 = Field(g, 30.0 * np.cos(np.pi * x))
+    u = Field(g, np.random.default_rng(5).standard_normal(g.size))
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 4)
+    traj = solve_forward(spec, cm, y0, Control(0.05, u.values[None, :], rho=1e9))
+    assert traj.substeps[0] > 1
+    out = step_implicit(spec, cm, y0, u, 0.05)
+    np.testing.assert_array_equal(out.values, traj.states[1])

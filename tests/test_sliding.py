@@ -16,6 +16,7 @@ from mintime import (
     pair_fn,
     scalar_fn,
 )
+from mintime.forward import NEWTON_TOL
 from mintime.sliding import (
     SaturationError,
     hit_time_bound,
@@ -262,3 +263,46 @@ def test_post_hit_chattering_bounded():
     assert run.hit
     post = run.deviations[run.hit_index:]
     assert np.max(post) <= 10 * hit_tol
+
+
+# ---------------------------------------------------------------------------
+# both phases step through the forward solver's loop
+
+
+def test_nonlinear_sliding_trajectories_carry_newton_counts():
+    spec, cm = case1_spec(16)
+    n = spec.grid.size
+    y0 = Field(spec.grid, np.concatenate([np.zeros(n), 0.2 * np.ones(n)]), 2)
+    ytar = Field(spec.grid, np.concatenate([0.3 * np.ones(n), np.zeros(n)]), 2)
+    dt = 1e-3
+    run = run_sliding(spec, cm, y0, ytar, rho=10.0, T_max=0.1, dt=dt, hit_tol=1e-2)
+    assert run.hit and run.continuation is not None
+    for traj in (run.approach, run.continuation):
+        assert np.all(traj.newton_iters >= 1)
+        assert np.any(traj.residuals > 0.0)   # Newton can land exactly
+        assert np.all(traj.substeps == 1)
+        # the step solved y+ + dt A(y+) = rhs, so rhs is recovered from y+
+        ends = traj.states[1:]
+        rhs = ends + dt * np.array([spec.apply(y) for y in ends])
+        scale = 1.0 + np.sqrt((rhs * rhs) @ spec.weights)
+        assert np.all(traj.residuals <= NEWTON_TOL * scale * (1 + 1e-6))
+
+
+def test_sliding_interval_substeps_when_newton_fails(monkeypatch):
+    import mintime.forward as forward
+
+    # cubic drift from a steep start: with a 4-iteration Newton cap the
+    # first interval of dt = 0.05 needs sub-steps, the later ones do not
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    (x,) = g.coordinates()
+    y0 = Field(g, 30.0 * np.cos(np.pi * x))
+    ytar = Field(g, np.zeros(g.size))
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 4)
+    run = run_sliding(spec, cm, y0, ytar, rho=5.0, T_max=0.5, dt=0.05, hit_tol=0.5,
+                      audit_samples=20)
+    assert run.hit
+    assert run.approach.substeps[0] > 1
+    assert np.all(run.approach.substeps[1:] == 1)
+    assert run.approach.newton_iters[0] > forward.NEWTON_MAX_ITER

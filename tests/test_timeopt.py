@@ -214,6 +214,19 @@ def test_kernel_and_sweep_backends_agree(monkeypatch):
         np.testing.assert_allclose(b.control.values, a.control.values, rtol=0.0, atol=1e-9)
 
 
+def test_linear_kernel_rows_are_the_metric_transpose():
+    # <G u, p>_H = dt sum_k <u_k, C_k p>_U on nonuniform trapezoid weights
+    prob = scalar_setup(eps=1e-3, dt=1e-2)
+    spec, cm = prob.spec, prob.map
+    ker = _LinearKernel(prob, 40, 1e-2)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((40, cm.control_size(spec)))
+    p = rng.standard_normal(spec.n_dof)
+    lhs = spec.state_inner(ker.propagate(u), p)
+    rhs = 1e-2 * float(np.sum(cm.u_pairing(spec, ker.bstar_rows(p), u)))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_sweep_backend_reproduces_the_uniform_reduction():
     # 49 Neumann nodes carry 98 dof, above the propagator stacks' size cap;
     # constant data keep the solution uniform, so every node's control row
@@ -379,3 +392,13 @@ def test_argmin_invariance_under_matched_rescaling():
     r1, _ = outer_minimize(base, (0.2, 1.4))
     r2, _ = outer_minimize(scaled, (0.2, 1.4))
     assert abs(r1.T_eps_star - r2.T_eps_star) <= 100 * eps + 4 * base.golden_tol_factor * 1.4
+
+
+def test_report_dict_holds_exactly_the_report_fields():
+    from dataclasses import fields
+
+    prob = scalar_setup(eps=1e-1, dt=1e-2)
+    (report,) = eps_continuation(prob, [1e-1], (0.2, 1.4))
+    d = report.to_dict()
+    assert list(d) == [f.name for f in fields(report) if f.repr]
+    assert all(type(v) in (float, int, bool, str) for v in d.values())
