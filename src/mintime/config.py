@@ -264,11 +264,12 @@ def _build_control(block: dict, spec: OperatorSpec) -> ControlMap:
     control_grid = None
     if mode == "nonlocal":
         kblock = _need(block, "kernel", "control")
-        control_grid = Grid(
-            extent=spec.grid.extent,
-            nodes=tuple(int(n) for n in _need(kblock, "nodes", "control.kernel")),
-            bcs=(BoundaryCondition("neumann"),),
-        )
+        nodes = _need(kblock, "nodes", "control.kernel")
+        try:
+            control_grid = Grid(extent=spec.grid.extent, nodes=tuple(int(n) for n in nodes),
+                                bcs=(BoundaryCondition("neumann"),))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("control.kernel.nodes", f"{nodes!r}: {exc}") from None
         row = _profile_values(_need(kblock, "row_profile", "control.kernel"),
                               spec.grid, 0, "control.kernel.row_profile")
         col = _profile_values(_need(kblock, "col_profile", "control.kernel"),

@@ -120,7 +120,7 @@ class Trajectory:
 
     @cached_property
     def h_norms(self) -> np.ndarray:
-        return np.array([self.spec.h_norm(s) for s in self.states])
+        return self.spec.h_norm(self.states)
 
     @cached_property
     def v_norms(self) -> np.ndarray:
@@ -129,7 +129,7 @@ class Trajectory:
     @cached_property
     def a_norms(self) -> np.ndarray:
         """||A_H y||_H at every grid time."""
-        return np.array([self.spec.a_norm(s) for s in self.states])
+        return self.spec.h_norm(self.spec.apply(self.states))
 
     @property
     def steps(self) -> int:

@@ -18,6 +18,13 @@ with ``dgbtrf``; the forward Newton step, the variation and the adjoint all
 solve with it, the adjoint through the exact transpose (``dgbtrs`` with
 ``trans=1``), never a separate discretization. No operator holds a dense
 n_dof x n_dof matrix.
+
+States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
+``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
+(n_dof,) or a stack of them (rows, n_dof) and work along the last axis. The
+H geometry is the row kernels under ``state_tag`` (``inner_rows``,
+``norm_rows``, ``duality_rows``), and a stacked ``apply`` runs ``dgbmv`` row
+by row, so each row is bit for bit the single-state product.
 """
 
 from __future__ import annotations
@@ -191,7 +198,8 @@ class OperatorSpec:
         return 0.0
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Nodal A_H y: the y-independent band times y plus the reaction."""
+        """Nodal A_H y of a state (n_dof,) or of each row of a stack
+        (rows, n_dof): the y-independent band times y plus the reaction."""
         y = self._check_dof(y)
         return self._band_dot(self._band_base, y) + self._reaction(y)
 
@@ -224,7 +232,11 @@ class OperatorSpec:
 
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product of a band in the storage of ``band`` with a
-        component-major vector, returned component-major."""
+        component-major vector, or with each row of a stack of them, returned
+        component-major."""
+        if x.ndim > 1:
+            rows = [self._band_dot(ab, row) for row in x.reshape(-1, x.shape[-1])]
+            return np.reshape(rows, x.shape)
         order, bw = self.node_order, self.bandwidth
         n = order.size
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
@@ -280,27 +292,24 @@ class OperatorSpec:
         """A_H(0), the constant term of a linear kind (zero for the catalog)."""
         return self.apply(np.zeros(self.n_dof))
 
-    # -- state (H) inner product --------------------------------------------
+    # -- state (H) geometry: the row kernels under state_tag -----------------
 
-    def state_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        if self.state_tag.kind == "L2":
-            return float(np.dot(self.weights * a, b))
-        # H^-1 state space (porous medium): (a, b)_H = <Gamma^-1 a, b>_L2
-        return float(np.dot(self.weights * self.gamma_op.apply_inverse(a), b))
+    def state_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a, b)_H of two states (n_dof,), or row-wise over stacks (rows, n_dof)."""
+        return inner_rows(a, b, self.grid, self.state_tag, self.gamma_op)
 
-    def h_norm(self, y: np.ndarray) -> float:
-        return float(np.sqrt(max(self.state_inner(y, y), 0.0)))
+    def h_norm(self, y: np.ndarray) -> np.ndarray:
+        """||y||_H of a state (n_dof,) or of each row of a stack (rows, n_dof)."""
+        return norm_rows(y, self.grid, self.state_tag, self.gamma_op)
 
     def metric_apply(self, v: np.ndarray) -> np.ndarray:
-        """M v with <a, b>_H = a^T M b."""
-        if self.state_tag.kind == "L2":
-            return self.weights * v
-        return self.weights * self.gamma_op.apply_inverse(v)
+        """M v with <a, b>_H = a^T M b, on a state or on each row of a stack."""
+        return self.weights * duality_rows(v, self.grid, self.state_tag, self.gamma_op)
 
     def metric_solve(self, v: np.ndarray) -> np.ndarray:
-        if self.state_tag.kind == "L2":
-            return v / self.weights
-        return self.gamma_op.apply(v / self.weights)
+        """M^-1 v, on a state or on each row of a stack."""
+        return duality_rows(v / self.weights, self.grid, self.state_tag, self.gamma_op,
+                            inverse=True)
 
     # -- V norm and its dual -------------------------------------------------
 
@@ -312,23 +321,18 @@ class OperatorSpec:
     def vstar_norms(self, v: np.ndarray) -> np.ndarray:
         """||v||_V* for V* the dual of V in the state pairing: the dual V-norm
         of the H-Riesz image of v (v itself in L2, Gamma^-1 v in H^-1)."""
-        if self.state_tag.kind == "Hminus1":
-            v = self.gamma_op.apply_inverse(v)
-        return self._v_rows(v, dual=True)
+        return self._v_rows(duality_rows(v, self.grid, self.state_tag, self.gamma_op),
+                            dual=True)
 
     def _v_rows(self, y: np.ndarray, dual: bool) -> np.ndarray:
         gam = np.repeat(self.v_gamma, self.grid.size)
         return np.hypot(norm_rows(np.where(gam, y, 0.0), self.grid, H1, self.gamma_op, dual),
                         norm_rows(np.where(gam, 0.0, y), self.grid))
 
-    def a_norm(self, y: np.ndarray) -> float:
-        """||A_H y||_H."""
-        return self.h_norm(self.apply(y))
-
     def _check_dof(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.n_dof:
-            raise ValueError(f"expected {self.n_dof} dof, got {y.size}")
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 0 or y.shape[-1] != self.n_dof:
+            raise ValueError(f"expected {self.n_dof} dof per row, got shape {y.shape}")
         return y
 
 
@@ -439,7 +443,7 @@ class _TwoComponent(OperatorSpec):
 
     def _split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.grid.size
-        return w[:n], w[n:]
+        return w[..., :n], w[..., n:]
 
 
 @dataclass
@@ -473,7 +477,7 @@ class ReactionDiffusion2(_TwoComponent):
 
     def _reaction(self, w):
         y, z = self._split(w)
-        return np.concatenate([self.f(y, z), self.g(y, z)])
+        return np.concatenate([self.f(y, z), self.g(y, z)], axis=-1)
 
     def _nodal_blocks(self, w):
         y, z = self._split(w)
@@ -547,8 +551,9 @@ class PhaseField(_TwoComponent):
 
     def _reaction(self, w):
         _, phi = self._split(w)
-        return np.concatenate([np.zeros(self.grid.size),
-                               self.beta(phi) + self.pi(phi) + self.gamma * self.l * phi])
+        return np.concatenate([np.zeros_like(phi),
+                               self.beta(phi) + self.pi(phi) + self.gamma * self.l * phi],
+                              axis=-1)
 
     def _nodal_blocks(self, w):
         _, phi = self._split(w)
@@ -651,10 +656,8 @@ class ControlMap:
             raise ValueError(f"expected {spec.n_dof} state dof, got {v.shape[-1]}")
         if self.mode == "nonlocal":
             return (v * spec.grid.weights(0)) @ self.kernel
-        if spec.state_tag.kind == "L2":
-            out = v.copy()
-        else:
-            out = spec.metric_apply(v) / spec.weights
+        # the H-Riesz image of v: v itself in L2, Gamma^-1 v in H^-1
+        out = duality_rows(v, spec.grid, spec.state_tag, spec.gamma_op)
         if self.mode == "first_component":
             out[..., spec.grid.size:] = 0.0
         return out

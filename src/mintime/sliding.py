@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import audit_sign_condition
+from .audit import audit_sign_condition, smooth_sample
 from .forward import Trajectory, _integrate
 from .grids import Field
 from .operators import ControlMap, OperatorSpec
@@ -116,18 +116,13 @@ def _feedback_gain_constant(spec: OperatorSpec, map: ControlMap, samples: int,
     For Hilbert-identified controls (B = I or a component selection with
     U = L2) this is exactly 1; for Lp controls it is the grid-level reverse
     embedding constant that scales the feedback's worst-case decrement."""
-    from .audit import smooth_sample
-
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(max(50, samples // 2)):
-        v = smooth_sample(spec, rng)
-        pv = map.project_state(spec, v)
-        num = spec.h_norm(pv)
-        den = map.ustar_norms_batch(spec, map.apply_Bstar(spec, pv))
-        if den > 1e-14:
-            worst = max(worst, num / den)
-    return max(worst, 1e-12)
+    pv = map.project_state(spec, np.array([smooth_sample(spec, rng)
+                                           for _ in range(max(50, samples // 2))]))
+    den = map.ustar_norms_batch(spec, map.apply_Bstar(spec, pv))
+    live = den > 1e-14
+    worst = np.max(spec.h_norm(pv[live]) / den[live], initial=0.0)
+    return max(float(worst), 1e-12)
 
 
 def run_sliding(
@@ -155,11 +150,12 @@ def run_sliding(
     entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
     c1 = float(entry.constants["C1"])
     gain_c = _feedback_gain_constant(spec, map, audit_samples, seed)
-    dev0 = spec.h_norm(map.project_state(spec, y0.values - y_tar.values))
-    a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
-    def deviation(y: np.ndarray) -> float:
+    def deviation(y: np.ndarray) -> np.ndarray:
         return spec.h_norm(map.project_state(spec, y - y_tar.values))
+
+    dev0 = deviation(y0.values)
+    a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
     def law(k: int, y: np.ndarray) -> np.ndarray:
         return sign_feedback(map, spec, Field(spec.grid, y, spec.n_components), y_tar, rho).values
@@ -168,15 +164,14 @@ def run_sliding(
     steps = 0 if dev0 <= hit_tol else int(np.ceil(T_max / dt - 1e-12))
     approach, rows = _integrate(spec, map, y0.values, dt, steps, law,
                                 stop=lambda y: deviation(y) <= hit_tol)
-    devs = [dev0] + [deviation(s) for s in approach.states[1:]]
-    unorms = [float(map.u_norms_batch(spec, r)) for r in rows]
+    devs = np.concatenate([[dev0], deviation(approach.states[1:])])
+    unorms = map.u_norms_batch(spec, rows)
     if map.projection == "first":
         # the bound's premise holds along the whole approach, so the
         # auxiliary-state surrogate tracks the running second component
         # (under the full projection yhat is y_tar throughout)
-        for s in approach.states[1:]:
-            yhat = map.auxiliary_state(spec, s, y_tar.values)
-            a_sup = max(a_sup, spec.h_norm(spec.apply(yhat)))
+        yhat = map.auxiliary_state(spec, approach.states[1:], y_tar.values)
+        a_sup = np.max(spec.h_norm(spec.apply(yhat)), initial=a_sup)
 
     times = approach.times
     hit_time = None
@@ -201,13 +196,13 @@ def run_sliding(
                 spec, map, approach.terminal, y_tar, extra * dt, dt, rho=rho,
             )
             full_times = np.concatenate([times, times[-1] + continuation.times[1:]])
-            devs += [deviation(s) for s in continuation.states[1:]]
-            unorms.extend(cont_unorms)
+            devs = np.concatenate([devs, deviation(continuation.states[1:])])
+            unorms = np.concatenate([unorms, cont_unorms])
 
     return SlidingRun(
         times=full_times,
-        deviations=np.asarray(devs),
-        control_norms=np.asarray(unorms),
+        deviations=devs,
+        control_norms=unorms,
         hit_time=hit_time,
         hit_index=hit_index,
         t_star=t_star,
@@ -266,4 +261,4 @@ def sliding_continuation(
         return u
 
     traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, law)
-    return traj, np.array([float(map.u_norms_batch(spec, r)) for r in rows])
+    return traj, map.u_norms_batch(spec, rows)

@@ -94,6 +94,10 @@ class PenalizedProblem:
             raise ValueError("eps must be positive")
         if not (self.rho > 0.0 and self.dt > 0.0):
             raise ValueError("rho and dt must be positive")
+        if not self.golden_tol_factor > 0.0:
+            raise ValueError("golden_tol_factor must be positive")
+        if self.inner_cap < 0:
+            raise ValueError("inner_cap must be nonnegative")
         dev = self.spec.h_norm(
             self.map.project_state(self.spec, self.y0.values - self.y_tar.values)
         )
@@ -533,9 +537,7 @@ def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
     bstar_norms = cmap.ustar_norms_batch(spec, bstar)
     pu = cmap.project_control_batch(spec, uvals)
     pu_norms = cmap.u_norms_batch(spec, pu)
-    ay_p = np.array([
-        spec.state_inner(spec.apply(states[k]), p[k]) for k in range(K)
-    ])
+    ay_p = spec.state_inner(spec.apply(states[:-1]), p[:-1])
 
     h, F_h, tail = _href_terms(prob, uvals, dte)
     if F_h is not None:

@@ -19,7 +19,15 @@ from mintime import (
     robin,
     scalar_fn,
 )
-from mintime.audit import _metric_vstar, audit_hypotheses, audit_sign_condition
+from mintime.audit import (
+    _bstar_matrix,
+    _dense_fn_matrix,
+    _metric_state,
+    _metric_vstar,
+    _projection_matrix,
+    audit_hypotheses,
+    audit_sign_condition,
+)
 
 
 def test_porous_media_recovers_monotonicity_floor():
@@ -101,3 +109,48 @@ def test_min_samples_guard():
     cm = ControlMap(mode="identity", u_tag=L2)
     with pytest.raises(ValueError):
         audit_hypotheses(spec, cm, samples=10)
+
+
+def _dense_map_cases():
+    porous = PorousMedia(Grid(extent=(1.0,), nodes=(9,), bcs=(dirichlet(),)),
+                         beta=scalar_fn("power", 0.5, 0.5, 0.5))
+    g2 = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(), neumann()))
+    rd = ReactionDiffusion2(g2, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
+    gd = Grid(extent=(1.0,), nodes=(8,), bcs=(robin(0.8),))
+    gc = Grid(extent=(1.0,), nodes=(5,), bcs=(neumann(),))
+    kernel = np.random.default_rng(12).standard_normal((8, 5))
+    return {
+        "porous-identity-Hminus1": (porous, ControlMap(mode="identity", u_tag=HMINUS1)),
+        "rd2-first-L2": (rd, ControlMap(mode="first_component", u_tag=L2, projection="first")),
+        "drift-nonlocal-L2": (PotentialDrift(gd), ControlMap(mode="nonlocal", u_tag=L2,
+                                                             kernel=kernel, control_grid=gc)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_dense_map_cases()))
+def test_dense_matrices_are_the_row_maps_on_the_identity(case):
+    spec, cm = _dense_map_cases()[case]
+    n = spec.n_dof
+    cols = np.eye(n)
+
+    def column_loop(fn, size=n):
+        # the column-by-column assembly the audit used to run
+        return np.column_stack([fn(np.eye(size)[:, j]) for j in range(size)])
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+    s = spec.gamma_op
+    fn = lambda lam: 1.0 / (1.0 + lam)  # noqa: E731
+    close(_dense_fn_matrix(s, fn), column_loop(lambda c: s.apply_fn(c, fn), s.n))
+    close(_metric_state(spec), column_loop(spec.metric_apply))
+    close(_bstar_matrix(spec, cm), column_loop(lambda c: cm.apply_Bstar(spec, c)))
+    p = cols.copy()
+    if cm.projection == "first":
+        p[spec.grid.size:, spec.grid.size:] = 0.0
+    assert np.array_equal(_projection_matrix(spec, cm), p)
+
+    # the dense metric is the row H-norm's quadratic form
+    v = np.random.default_rng(13).standard_normal((4, n))
+    np.testing.assert_allclose(np.einsum("ri,ij,rj->r", v, _metric_state(spec), v),
+                               spec.h_norm(v) ** 2, rtol=1e-12)

@@ -189,6 +189,41 @@ def test_numerical_failure_exits_1_with_payload(tmp_path):
     assert "trivial" in report["error"]["message"]
 
 
+def test_nonpositive_golden_tol_exits_1_with_payload(tmp_path):
+    # a zero tolerance would keep the golden-section search running forever
+    doc = yaml.safe_load(yaml.safe_dump(SCALAR_OPTIMIZE))
+    doc["numerics"]["golden_tol"] = 0.0
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, doc), out) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ValueError"
+    assert "golden_tol_factor" in report["error"]["message"]
+
+
+NONLOCAL_AUDIT = {
+    "command": "audit",
+    "seed": 3,
+    "grid": {"dimension": 1, "extent": 1.0, "nodes": 8, "bc": "neumann"},
+    "operator": {"kind": "potential_drift"},
+    "control": {"mode": "nonlocal", "norm": "L2", "rho": 1.0,
+                "kernel": {"nodes": [5], "row_profile": {"profile": "constant", "value": 1.0},
+                           "col_profile": {"profile": "constant", "value": 1.0}}},
+    "numerics": {"audit_samples": 100},
+}
+
+
+@pytest.mark.parametrize("nodes", [[2], 4])
+def test_bad_kernel_nodes_name_the_field(tmp_path, nodes):
+    assert parse_config(NONLOCAL_AUDIT).map.control_grid.nodes == (5,)
+    doc = yaml.safe_load(yaml.safe_dump(NONLOCAL_AUDIT))
+    doc["control"]["kernel"]["nodes"] = nodes
+    with pytest.raises(ConfigError, match="control.kernel.nodes"):
+        parse_config(doc)
+    out = tmp_path / "o"
+    assert main(["audit", "--config", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_sweep_runs_all_configs(tmp_path):
     cfgdir = tmp_path / "configs"
     cfgdir.mkdir()

@@ -284,6 +284,47 @@ def test_apply_matches_dense_formulas(kind, dim, wall, nodes):
         assert np.max(np.abs(got - jz)) <= 1e-14 * np.max(np.abs(jz))
 
 
+@pytest.mark.parametrize("kind,dim,wall,nodes", _APPLY_CASES)
+def test_state_geometry_on_stacks_matches_rows(kind, dim, wall, nodes):
+    rng = np.random.default_rng(47)
+    spec = _band_spec(kind, dim, wall, rng, nodes)
+    Y = rng.standard_normal((5, spec.n_dof))
+    Z = rng.standard_normal((5, spec.n_dof))
+
+    # every row of a stacked apply is bit for bit the single-state product
+    AY = spec.apply(Y)
+    assert AY.shape == Y.shape
+    assert np.array_equal(AY, [spec.apply(y) for y in Y])
+    assert np.array_equal(spec.apply(Y.reshape(5, 1, -1))[:, 0], AY)
+    with pytest.raises(ValueError):
+        spec.apply(Y[:, :-1])
+
+    def close(got, want):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+    close(spec.state_inner(Y, Z), [spec.state_inner(y, z) for y, z in zip(Y, Z)])
+    close(spec.h_norm(Y), [spec.h_norm(y) for y in Y])
+    close(spec.metric_apply(Y), [spec.metric_apply(y) for y in Y])
+    close(spec.metric_solve(Y), [spec.metric_solve(y) for y in Y])
+    close(spec.metric_solve(spec.metric_apply(Y)), Y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_porous_state_inner_is_the_inverse_laplacian_pairing(dim):
+    # (a, b)_H = <Gamma^-1 a, b>_L2 with Gamma the Dirichlet -Lap, row by row
+    rng = np.random.default_rng(53)
+    spec = _band_spec("porous_media", dim, "dirichlet", rng)
+    lap = SpectralLaplacian(spec.grid, dirichlet())
+    A = rng.standard_normal((4, spec.n_dof))
+    B = rng.standard_normal((4, spec.n_dof))
+    want = [np.dot(spec.grid.weights(0) * lap.apply_inverse(a), b) for a, b in zip(A, B)]
+    np.testing.assert_allclose(spec.state_inner(A, B), want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_allclose(spec.h_norm(A) ** 2, spec.state_inner(A, A), rtol=1e-13)
+
+
 def _cached_arrays(obj, seen=None):
     """Every ndarray reachable from obj through instance attributes and
     containers."""

@@ -108,6 +108,25 @@ def test_problem_invariants():
     assert prob.rho_margin() > 0  # rho = 1 > ||A yhat|| = 0.5
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+def test_nonpositive_golden_tolerance_rejected(tol):
+    # the golden-section loop runs while b - a > tol: it would never end
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="golden_tol_factor"):
+        replace(scalar_setup(), golden_tol_factor=tol)
+
+
+def test_negative_inner_cap_rejected():
+    # the inner solvers would return before binding their iteration count
+    from dataclasses import replace
+
+    prob = scalar_setup()
+    with pytest.raises(ValueError, match="inner_cap"):
+        replace(prob, inner_cap=-1)
+    assert replace(prob, inner_cap=0).inner_cap == 0
+
+
 # ---------------------------------------------------------------------------
 # inner problem
 
@@ -201,6 +220,26 @@ def test_cold_start_grid_is_stationary_on_the_sequential_scheme(eps, T):
     y_tar = prob.spec.h_norm(prob.map.project_state(prob.spec, prob.y_tar.values))
     floor = np.sqrt(K) * np.finfo(float).eps * y_tar / eps**2
     assert sol.stationarity_residual <= max(prob.inner_tol * prob.rho * np.sqrt(T), floor)
+
+
+def test_condition_residuals_apply_the_operator_once(monkeypatch):
+    # (A_H y_k, p_k) over the whole trajectory is one stacked apply
+    from mintime.operators import OperatorSpec
+
+    prob = scalar_setup(eps=1e-2, dt=1e-2)
+    sol = inner_solve_control(prob, 0.8)
+    sol.trajectory, sol.adjoint  # solved before counting
+    calls = []
+    apply = OperatorSpec.apply
+
+    def counted(self, y):
+        calls.append(np.shape(y))
+        return apply(self, y)
+
+    monkeypatch.setattr(OperatorSpec, "apply", counted)
+    res = timeopt._condition_residuals(prob, sol)
+    assert calls == [(sol.control.steps, prob.spec.n_dof)]
+    assert res["g73_residuals"].shape == (sol.control.steps,)
 
 
 def test_kernel_and_sweep_backends_agree(monkeypatch):
