@@ -21,7 +21,7 @@ from . import __version__
 from .audit import audit_hypotheses
 from .config import ConfigError, RunConfig, load_config
 from .forward import Control, solve_forward
-from .oracle import OdeReduction, analytic_min_time_scalar, brute_force_min_time
+from .oracle import analytic_min_time_scalar, brute_force_min_time
 from .sliding import run_sliding
 from .timeopt import PenalizedProblem, eps_continuation
 
@@ -45,51 +45,26 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig) -> None:
-    _write_json(outdir / "manifest.json", {
-        "tool": "mintime",
-        "version": __version__,
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "config": cfg.raw,
-    })
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_simulate(cfg: RunConfig, outdir: Path) -> dict:
-    dt = float(cfg.numerics["dt"])
-    T = float(cfg.simulate_block["T"])
-    steps = max(1, round(T / dt))
-    rho = float(cfg.raw["control"]["rho"])
-    m = cfg.map.control_size(cfg.spec)
-    ublock = cfg.simulate_block.get("u")
-    if ublock is None:
-        uvals = np.zeros((steps, m))
-    else:
-        from .config import _field_from_block
-
-        ugrid = cfg.map.ugrid(cfg.spec)
-        ufield = _field_from_block(ublock, ugrid, "simulate.u")
-        uvals = np.tile(ufield.values, (steps, 1))
-    u = Control(T / steps, uvals, rho, cfg.map.u_tag)
+    sim = cfg.simulate_block
+    T = sim["T"]
+    steps = max(1, round(T / cfg.numerics["dt"]))
+    u = Control(T / steps, np.tile(sim["u"].values, (steps, 1)), cfg.rho, cfg.map.u_tag)
     traj = solve_forward(cfg.spec, cfg.map, cfg.y0, u, T)
-    traj.to_csv(outdir / "trajectory.csv",
-                include_values=bool(cfg.simulate_block.get("write_values", False)))
+    traj.to_csv(outdir / "trajectory.csv", include_values=sim["write_values"])
     return {"summary": traj.summary()}
 
 
 def _cmd_slide(cfg: RunConfig, outdir: Path) -> dict:
     num = cfg.numerics
-    rho = float(cfg.raw["control"]["rho"])
     run_out = run_sliding(
-        cfg.spec, cfg.map, cfg.y0, cfg.y_tar, rho,
-        T_max=float(num["T_max"]), dt=float(num["dt"]),
-        hit_tol=float(num["hit_tol"]),
-        audit_samples=int(num.get("audit_samples", 150)),
-        seed=cfg.seed,
+        cfg.spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho,
+        T_max=num["T_max"], dt=num["dt"], hit_tol=num["hit_tol"],
+        audit_samples=num["audit_samples"], seed=cfg.seed,
     )
     rows = []
     for k, t in enumerate(run_out.times):
@@ -105,21 +80,15 @@ def _cmd_slide(cfg: RunConfig, outdir: Path) -> dict:
 
 def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
     num = cfg.numerics
-    rho = float(cfg.raw["control"]["rho"])
-    schedule = [float(e) for e in num["eps_schedule"]]
+    schedule = num["eps_schedule"]
     prob = PenalizedProblem(
-        cfg.spec, cfg.map, cfg.y0, cfg.y_tar, rho=rho, eps=schedule[0],
-        dt=float(num["dt"]),
-        inner_tol=float(num.get("inner_tol", 1e-8)),
-        inner_cap=int(num.get("inner_cap", 500)),
-        theta0=float(num.get("theta0", 0.5)),
-        golden_tol_factor=float(num.get("golden_tol", 1e-4)),
+        cfg.spec, cfg.map, cfg.y0, cfg.y_tar, rho=cfg.rho, eps=schedule[0], dt=num["dt"],
+        inner_tol=num["inner_tol"], inner_cap=num["inner_cap"], theta0=num["theta0"],
+        golden_tol_factor=num["golden_tol"],
     )
     bracket = tuple(num["T_bracket"])
     reports, final_sol = eps_continuation(
-        prob, schedule, bracket,
-        chain_u_ref=bool(num.get("chain_u_ref", False)),
-        return_final_solution=True,
+        prob, schedule, bracket, chain_u_ref=num["chain_u_ref"], return_final_solution=True,
     )
     final = reports[-1]
     _write_csv(outdir / "control.csv", ["t", "u_norm"],
@@ -129,7 +98,7 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
                zip(final.times, final.u_norms, final.bstar_p_norms, final.g73_residuals))
     final_sol.trajectory.to_csv(outdir / "trajectory.csv")
     return {
-        "rho": rho,
+        "rho": cfg.rho,
         "rho_margin": prob.rho_margin(),
         "T_bracket": list(bracket),
         "levels": [r.to_dict() for r in reports],
@@ -139,43 +108,22 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
 
 def _cmd_audit(cfg: RunConfig, outdir: Path) -> dict:
     num = cfg.numerics
-    y_tar = cfg.y_tar.values if cfg.y_tar is not None else None
     report = audit_hypotheses(
-        cfg.spec, cfg.map,
-        samples=int(num.get("audit_samples", 200)),
-        seed=cfg.seed,
-        y_tar=y_tar,
-        alpha=float(num.get("fractional_alpha", 0.5)),
+        cfg.spec, cfg.map, samples=num["audit_samples"], seed=cfg.seed,
+        y_tar=cfg.y_tar.values if cfg.y_tar is not None else None,
+        alpha=num["fractional_alpha"],
     )
     return {"audit": report.to_dict()}
 
 
 def _cmd_oracle(cfg: RunConfig, outdir: Path) -> dict:
-    block = cfg.oracle_block
-    rho = float(block["rho"])
-    dt = float(block.get("dt", 1e-3))
-    budget = int(block.get("switch_budget", 1))
-    t_max = float(block.get("t_max", 5.0))
-    out: dict = {"rho": rho, "dt": dt, "switch_budget": budget}
-    if "matrix" in block:
-        red = OdeReduction(
-            matrix=np.asarray(block["matrix"], dtype=float),
-            rho=rho,
-            y0=np.asarray(block.get("y0", [0.0, 0.0]), dtype=float),
-            target=np.asarray(block["target"], dtype=float),
-            target_first_only=bool(block.get("target_first_only", False)),
-        )
-        out["brute_force_T"] = brute_force_min_time(red, dt, budget, t_max=t_max)
-        if red.dimension == 1:
-            out["analytic_T"] = analytic_min_time_scalar(
-                float(red.matrix[0, 0]), float(red.y0[0]), float(red.target[0]), rho)
-    else:
-        a = float(block.get("a", 0.0))
-        y0 = float(block.get("y0", 0.0))
-        c = float(block["target"])
-        out["analytic_T"] = analytic_min_time_scalar(a, y0, c, rho)
-        red = OdeReduction(matrix=[[a]], rho=rho, y0=[y0], target=[c])
-        out["brute_force_T"] = brute_force_min_time(red, dt, budget, t_max=t_max)
+    block, red = cfg.oracle_block, cfg.reduction
+    dt, budget = block["dt"], block["switch_budget"]
+    out: dict = {"rho": cfg.rho, "dt": dt, "switch_budget": budget,
+                 "brute_force_T": brute_force_min_time(red, dt, budget, t_max=block["t_max"])}
+    if red.dimension == 1:
+        out["analytic_T"] = analytic_min_time_scalar(
+            float(red.matrix[0, 0]), float(red.y0[0]), float(red.target[0]), cfg.rho)
     return {"oracle": out}
 
 
@@ -202,7 +150,9 @@ def run(config_path, outdir, seed: int | None = None, command: str | None = None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(outdir, cfg)
+    _write_json(outdir / "manifest.json", {"tool": "mintime", "version": __version__,
+                                           "command": cfg.command, "seed": cfg.seed,
+                                           "config": cfg.raw})
     try:
         payload = _DISPATCH[cfg.command](cfg, outdir)
     except Exception as exc:  # numerical failure: serialize and signal

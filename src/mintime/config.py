@@ -2,42 +2,34 @@
 
 The file is a nested key-value document with blocks for the grid, the
 operator, the control map, targets/initial data, and the numerics of the
-chosen command. Everything needed to reproduce a run lands in the manifest,
-so no configuration is read from the environment.
+chosen command. Each block declares its keys once, as ``key: (parser,
+default)``; any other key, or a value of the wrong type, is a ConfigError
+naming ``<block>.<key>``. Defaults are written as in the YAML and parsed
+like given values; an absent key without one is left out (an absent
+operator key takes the class default), and ``null`` reads as absent.
+Everything needed to reproduce a run lands in the manifest, so no
+configuration is read from the environment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from .grids import BoundaryCondition, Field, Grid
 from .nonlinearities import PAIR_FAMILIES, SCALAR_FAMILIES, pair_fn, scalar_fn
-from .operators import (
-    ControlMap,
-    FitzHughNagumo,
-    OperatorSpec,
-    PhaseField,
-    PorousMedia,
-    PotentialDrift,
-    ReactionDiffusion2,
-)
+from .operators import (ControlMap, FitzHughNagumo, OperatorSpec, PhaseField, PorousMedia,
+                        PotentialDrift, ReactionDiffusion2)
+from .oracle import OdeReduction
 from .spaces import HMINUS1, L2, L4
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
-COMMANDS = ("simulate", "slide", "optimize", "audit", "oracle")
 NORM_TAGS = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}
-OPERATOR_KINDS = (
-    "potential_drift",
-    "porous_media",
-    "reaction_diffusion2",
-    "fitzhugh_nagumo",
-    "phase_field",
-)
+_REQUIRED = object()  # the default of a key that must be given
 
 
 class ConfigError(ValueError):
@@ -48,29 +40,11 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def _need(block: dict, key: str, where: str) -> Any:
-    if key not in block:
-        raise ConfigError(f"{where}.{key}", "missing")
-    return block[key]
-
-
-def _as_float(val, where: str) -> float:
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(where, f"expected a number, got {val!r}") from None
-
-
-def _as_positive(val, where: str) -> float:
-    x = _as_float(val, where)
-    if not x > 0.0:
-        raise ConfigError(where, f"must be positive, got {x}")
-    return x
-
-
 @dataclass
 class RunConfig:
-    """Parsed and validated configuration plus the built objects."""
+    """Parsed and validated configuration plus the built objects. The blocks
+    hold every key of the command's table, parsed, defaults filled in; ``raw``
+    is the document as read, which the manifest records."""
 
     command: str
     seed: int
@@ -83,268 +57,337 @@ class RunConfig:
     numerics: dict = field(default_factory=dict)
     oracle_block: dict = field(default_factory=dict)
     simulate_block: dict = field(default_factory=dict)
+    rho: float | None = None                 # control.rho, or oracle.rho
+    reduction: OdeReduction | None = None    # the oracle command's ODE
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# value parsers: (value, where) -> parsed value, or ConfigError naming `where`
 
 
-def _profile_values(profile: Any, grid: Grid, component: int, where: str) -> np.ndarray:
-    """Nodal values of one named analytic profile (or an explicit node list)."""
-    n = grid.size
-    if isinstance(profile, (int, float)):
-        return np.full(n, float(profile))
-    if isinstance(profile, list):
-        arr = np.asarray(profile, dtype=float)
-        if arr.size != n:
-            raise ConfigError(where, f"node list has {arr.size} values, grid has {n}")
-        return arr
-    if not isinstance(profile, dict):
-        raise ConfigError(where, f"expected a profile mapping, got {profile!r}")
-    kind = _need(profile, "profile", where)
-    coords = grid.coordinates(component)
-    x = coords[0]
-    scale = _as_float(profile.get("scale", 1.0), f"{where}.scale")
-    if kind == "zero":
-        return np.zeros(n)
-    if kind == "constant":
-        return np.full(n, _as_float(_need(profile, "value", where), f"{where}.value"))
-    if kind == "sin_pi":
-        vals = np.sin(np.pi * x / grid.extent[0])
-        if grid.dimension == 2:
-            vals = vals * np.sin(np.pi * coords[1] / grid.extent[1])
-        return scale * vals
-    if kind == "cos_pi":
-        vals = np.cos(np.pi * x / grid.extent[0])
-        if grid.dimension == 2:
-            vals = vals * np.cos(np.pi * coords[1] / grid.extent[1])
-        return scale * vals
-    if kind == "gauss":
-        center = _as_float(profile.get("center", 0.5), f"{where}.center")
-        width = _as_positive(profile.get("width", 0.1), f"{where}.width")
-        r2 = (x - center * grid.extent[0]) ** 2
-        if grid.dimension == 2:
-            r2 = r2 + (coords[1] - center * grid.extent[1]) ** 2
-        return scale * np.exp(-r2 / (2 * width**2))
-    raise ConfigError(where, f"unknown profile {kind!r}")
+def _join(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
-def _field_from_block(block: Any, grid: Grid, where: str) -> Field:
-    """A state field from one profile (all components) or a per-component list."""
-    ncomp = grid.n_components
-    if isinstance(block, list) and block and isinstance(block[0], (dict, list)):
-        if len(block) != ncomp:
-            raise ConfigError(where, f"need {ncomp} component profiles, got {len(block)}")
-        parts = [_profile_values(b, grid, c, f"{where}[{c}]") for c, b in enumerate(block)]
-        return Field(grid, np.concatenate(parts), ncomp)
-    vals = _profile_values(block, grid, 0, where)
-    return Field(grid, np.tile(vals, ncomp), ncomp)
+def _converted(convert: Callable, what: str):
+    def parse(val, where: str):
+        try:
+            return convert(val)
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise ConfigError(where, f"expected {what}, got {val!r}") from None
+    return parse
+
+
+_float = _converted(float, "a number")
+_int = _converted(int, "an integer")
+_array = _converted(lambda val: np.asarray(val, dtype=float), "numbers")
+_bool = _converted(lambda val: {0: False, 1: True}[val], "true or false")  # True == 1
+
+
+def _list(parse):
+    def each(val, where: str) -> list:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(where, f"expected a list, got {val!r}")
+        return [parse(v, f"{where}[{i}]") for i, v in enumerate(val)]
+    return each
+
+
+def _one_or_list(parse):
+    return lambda val, where: (_list(parse) if isinstance(val, list) else parse)(val, where)
+
+
+def _checked(parse, ok: Callable[[Any], bool], message: str):
+    """``parse``, then the condition ``ok`` on its result."""
+    def checked(val, where: str):
+        x = parse(val, where)
+        if not ok(x):
+            raise ConfigError(where, f"{message}, got {val!r}")
+        return x
+    return checked
+
+
+_positive = _checked(_float, lambda x: x > 0.0, "must be positive")
+_str = _checked(lambda val, where: val, lambda val: isinstance(val, str), "expected a string")
+
+
+def _choice(*options):
+    return _checked(_str, lambda val: val in options, f"must be one of {list(options)}")
+
+
+def _mapping(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(where or "<root>", f"expected a mapping, got {block!r}")
+    return block
+
+
+def _block(table: dict):
+    """The parser of a mapping whose keys are declared in ``table``."""
+    def parse(block, where: str) -> dict:
+        for key in _mapping(block, where):
+            if key not in table:
+                raise ConfigError(_join(where, key), f"unknown key; have {list(table)}")
+        out = {}
+        for key, (parse_value, default) in table.items():
+            value = default if block.get(key) is None else block[key]
+            if value is _REQUIRED:
+                raise ConfigError(_join(where, key), "missing")
+            if value is not None:
+                out[key] = parse_value(value, _join(where, key))
+        return out
+    return parse
+
+
+def _kind(block, key: str, kinds: dict, where: str) -> str:
+    """The value of ``key``, which selects the other keys of the mapping ``block``."""
+    if _mapping(block, where).get(key) is None:
+        raise ConfigError(_join(where, key), "missing")
+    return _choice(*kinds)(block[key], _join(where, key))
+
+
+def _build(where: str, make: Callable[[], Any]):
+    """``make()``, with a ValueError of the library as a ConfigError on ``where``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
-# blocks
+# nonlinearities and profiles
+
+_FAMILY = {"family": (_str, _REQUIRED), "params": (_list(_float), [])}
 
 
-def _build_grid(block: dict, n_components: int) -> Grid:
-    dim = int(block.get("dimension", 1))
-    if dim not in (1, 2):
-        raise ConfigError("grid.dimension", f"must be 1 or 2, got {dim}")
-    extent = block.get("extent", 1.0)
-    if isinstance(extent, (int, float)):
-        extent = [extent] * dim
-    nodes = _need(block, "nodes", "grid")
-    if isinstance(nodes, int):
-        nodes = [nodes] * dim
+def _family(families: dict, make: Callable, leading: int):
+    """The parser of a {family, params} block; a family's value function takes
+    ``leading`` arguments before its parameters."""
+    def parse(block, where: str):
+        b = _block(_FAMILY)(block, where)
+        name, params = _choice(*families)(b["family"], f"{where}.family"), b["params"]
+        want = families[name][0].__code__.co_argcount - leading
+        if len(params) != want:
+            raise ConfigError(f"{where}.params",
+                              f"{name} takes {want} parameters, got {len(params)}")
+        return make(name, *params)
+    return parse
+
+
+_scalar = _family(SCALAR_FAMILIES, scalar_fn, 1)
+_pair = _family(PAIR_FAMILIES, pair_fn, 2)
+
+
+def _product(trig):
+    """scale * prod_i trig(pi x_i / L_i) over the grid's axes."""
+    return lambda grid, coords, p: p["scale"] * np.prod(
+        [trig(np.pi * x / ext) for x, ext in zip(coords, grid.extent)], axis=0)
+
+
+def _gauss(grid: Grid, coords, p: dict) -> np.ndarray:
+    r2 = np.sum([(x - p["center"] * ext) ** 2 for x, ext in zip(coords, grid.extent)], axis=0)
+    return p["scale"] * np.exp(-r2 / (2 * p["width"] ** 2))
+
+
+_SCALE = {"scale": (_float, 1.0)}
+# profile -> (its keys besides `profile`, nodal values from (grid, coordinates, keys))
+_PROFILES = {
+    "zero": ({}, lambda grid, coords, p: np.zeros(grid.size)),
+    "constant": ({"value": (_float, _REQUIRED)},
+                 lambda grid, coords, p: np.full(grid.size, p["value"])),
+    "sin_pi": (_SCALE, _product(np.sin)),
+    "cos_pi": (_SCALE, _product(np.cos)),
+    "gauss": ({**_SCALE, "center": (_float, 0.5), "width": (_positive, 0.1)}, _gauss),
+}
+
+
+def _profile(val, where: str) -> Callable[[Grid, int], np.ndarray]:
+    """One component's profile (a number, a node list or a named profile
+    mapping), parsed to its nodal values as a function of (grid, component)."""
+    if isinstance(val, (int, float)):
+        val = {"profile": "constant", "value": val}
+    if isinstance(val, list):
+        nodes = _array(val, where)
+
+        def node_list(grid: Grid, c: int) -> np.ndarray:
+            if nodes.size != grid.size:
+                raise ConfigError(where, f"node list has {nodes.size} values, grid has {grid.size}")
+            return nodes
+        return node_list
+    keys, values = _PROFILES[_kind(val, "profile", _PROFILES, where)]
+    p = _block({"profile": (_str, _REQUIRED), **keys})(val, where)
+    return lambda grid, c: values(grid, grid.coordinates(c), p)
+
+
+def _field(val, where: str) -> Callable[[Grid], Field]:
+    """A state field (one profile for all components, or a list of one per
+    component), parsed to a function of the grid it lives on."""
+    if isinstance(val, list) and val and isinstance(val[0], (dict, list)):
+        parts = [_profile(v, f"{where}[{c}]") for c, v in enumerate(val)]
+    else:
+        parts = _profile(val, where)
+
+    def on(grid: Grid) -> Field:
+        ncomp = grid.n_components
+        profiles = parts if isinstance(parts, list) else [parts] * ncomp
+        if len(profiles) != ncomp:
+            raise ConfigError(where, f"need {ncomp} component profiles, got {len(profiles)}")
+        return Field(grid, np.concatenate([p(grid, c) for c, p in enumerate(profiles)]), ncomp)
+    return on
+
+
+_GRID = {
+    "dimension": (_checked(_int, lambda d: d in (1, 2), "must be 1 or 2"), 1),
+    "extent": (_one_or_list(_float), 1.0),
+    "nodes": (_one_or_list(_int), _REQUIRED),
+    "bc": (_choice("dirichlet", "neumann", "robin"), "neumann"),
+    "robin_gamma": (_float, 0.0),
+}
+
+# kind -> (class, state components, {key: parser}); an absent key takes the class default
+OPERATOR_KINDS = {
+    "potential_drift": (PotentialDrift, 1, {"beta": _scalar, "a1": _float, "b": _float}),
+    "porous_media": (PorousMedia, 1, {"beta": _scalar}),
+    "reaction_diffusion2": (ReactionDiffusion2, 2,
+                            {"d1": _positive, "d2": _positive, "f": _pair, "g": _pair}),
+    "fitzhugh_nagumo": (FitzHughNagumo, 2,
+                        {"alpha0": _float, "sigma": _float, "gamma": _float, "d1": _positive}),
+    "phase_field": (PhaseField, 2, {"k": _positive, "l": _float, "nu": _positive,
+                                    "gamma": _float, "beta": _scalar}),
+}
+
+
+def _operator(block, where: str) -> tuple[type, int, dict]:
+    cls, ncomp, keys = OPERATOR_KINDS[_kind(block, "kind", OPERATOR_KINDS, where)]
+    table = {"kind": (_str, _REQUIRED), **{key: (parse, None) for key, parse in keys.items()}}
+    return cls, ncomp, {k: v for k, v in _block(table)(block, where).items() if k != "kind"}
+
+
+_KERNEL = {"nodes": (_list(_int), _REQUIRED), "row_profile": (_profile, _REQUIRED),
+           "col_profile": (_profile, _REQUIRED)}
+_CONTROL = {
+    "mode": (_str, "identity"),
+    "norm": (_choice(*NORM_TAGS), "L2"),
+    "rho": (_positive, _REQUIRED),
+    "projection": (_str, None),
+    "kernel": (_block(_KERNEL), None),
+}
+_INITIAL = {"y0": (_field, {"profile": "zero"})}
+_TARGETS = {"y_tar": (_field, None)}
+
+_DT = {"dt": (_positive, 1e-3)}
+_NUMERICS = {
+    "simulate": {**_DT, "T_max": (_float, 1.0)},
+    "slide": {**_DT, "T_max": (_positive, 1.0), "hit_tol": (_positive, 1e-3),
+              "audit_samples": (_int, 150)},
+    "optimize": {
+        **_DT,
+        "eps_schedule": (_checked(_list(_positive), bool, "must be a nonempty list"),
+                         [1e-1, 1e-2, 1e-3, 1e-4]),
+        "T_bracket": (_checked(_list(_float), lambda b: len(b) == 2 and 0 < b[0] < b[1],
+                               "need [T_lo, T_hi] with 0 < T_lo < T_hi"), _REQUIRED),
+        "inner_tol": (_float, 1e-8), "inner_cap": (_int, 500), "theta0": (_float, 0.5),
+        "golden_tol": (_float, 1e-4), "chain_u_ref": (_bool, False),
+    },
+    "audit": {
+        "audit_samples": (_checked(_int, lambda n: n >= 100, "need at least 100 samples"), 200),
+        "fractional_alpha": (_float, 0.5),
+    },
+}
+_SIMULATE = {"T": (_positive, None), "u": (_field, {"profile": "zero"}),
+             "write_values": (_bool, False)}
+
+_ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_float, 1e-3), "switch_budget": (_int, 1),
+           "t_max": (_float, 5.0), "target_first_only": (_bool, False)}
+# the scalar reduction y' + a y = u, or a 1- or 2-state one given by its matrix
+_ORACLE_SCALAR = {**_ORACLE, "a": (_float, 0.0), "y0": (_float, 0.0),
+                  "target": (_float, _REQUIRED)}
+_ORACLE_MATRIX = {
+    **_ORACLE,
+    "matrix": (_checked(_array, lambda m: m.ndim == 2 and m.shape[0] == m.shape[1],
+                        "expected a square matrix"), _REQUIRED),
+    "y0": (_array, [0.0, 0.0]),
+    "target": (_array, _REQUIRED),
+}
+
+
+def _oracle(block, where: str) -> dict:
+    matrix = "matrix" in _mapping(block, where)
+    return _block(_ORACLE_MATRIX if matrix else _ORACLE_SCALAR)(block, where)
+
+
+# command -> the keys of the document's root
+_ROOT = {"command": (_str, _REQUIRED), "seed": (_int, 0)}
+_PDE_ROOT = {
+    **_ROOT,
+    "grid": (_block(_GRID), _REQUIRED),
+    "operator": (_operator, _REQUIRED),
+    "control": (_block(_CONTROL), _REQUIRED),
+    "initial": (_block(_INITIAL), {}),
+    "targets": (_block(_TARGETS), {}),
+}
+COMMANDS = {
+    "simulate": {**_PDE_ROOT, "numerics": (_block(_NUMERICS["simulate"]), {}),
+                 "simulate": (_block(_SIMULATE), {})},
+    **{command: {**_PDE_ROOT, "numerics": (_block(_NUMERICS[command]), {})}
+       for command in ("slide", "optimize", "audit")},
+    "oracle": {**_ROOT, "oracle": (_oracle, _REQUIRED)},
+}
+
+
+def _grid(g: dict, n_components: int) -> Grid:
+    dim = g["dimension"]
+    extent, nodes = (v if isinstance(v, list) else [v] * dim for v in (g["extent"], g["nodes"]))
     if len(extent) != dim or len(nodes) != dim:
         raise ConfigError("grid.nodes", "extent/nodes must match the dimension")
-    bc_kind = block.get("bc", "neumann")
-    if bc_kind not in ("dirichlet", "neumann", "robin"):
-        raise ConfigError("grid.bc", f"unknown boundary condition {bc_kind!r}")
-    gamma = _as_float(block.get("robin_gamma", 0.0), "grid.robin_gamma")
-    try:
-        bc = BoundaryCondition(bc_kind, gamma if bc_kind == "robin" else 0.0)
-        return Grid(
-            extent=tuple(float(e) for e in extent),
-            nodes=tuple(int(n) for n in nodes),
-            bcs=(bc,) * n_components,
-        )
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
+    gamma = g["robin_gamma"] if g["bc"] == "robin" else 0.0
+    return _build("grid", lambda: Grid(extent=tuple(extent), nodes=tuple(nodes),
+                                       bcs=(BoundaryCondition(g["bc"], gamma),) * n_components))
 
 
-def _scalar_from(block: Any, where: str):
-    if block is None:
-        return scalar_fn("zero")
-    if not isinstance(block, dict) or "family" not in block:
-        raise ConfigError(where, "expected {family: ..., params: [...]}")
-    fam = block["family"]
-    if fam not in SCALAR_FAMILIES:
-        raise ConfigError(f"{where}.family", f"unknown scalar family {fam!r}")
-    try:
-        return scalar_fn(fam, *[float(p) for p in block.get("params", [])])
-    except TypeError as exc:
-        raise ConfigError(f"{where}.params", str(exc)) from None
-
-
-def _pair_from(block: Any, where: str):
-    if block is None:
-        return pair_fn("zero2")
-    if not isinstance(block, dict) or "family" not in block:
-        raise ConfigError(where, "expected {family: ..., params: [...]}")
-    fam = block["family"]
-    if fam not in PAIR_FAMILIES:
-        raise ConfigError(f"{where}.family", f"unknown pair family {fam!r}")
-    try:
-        return pair_fn(fam, *[float(p) for p in block.get("params", [])])
-    except TypeError as exc:
-        raise ConfigError(f"{where}.params", str(exc)) from None
-
-
-def _build_operator(block: dict, grid_block: dict) -> tuple[OperatorSpec, Grid]:
-    kind = _need(block, "kind", "operator")
-    if kind not in OPERATOR_KINDS:
-        raise ConfigError("operator.kind", f"unknown kind {kind!r}; have {OPERATOR_KINDS}")
-    ncomp = 1 if kind in ("potential_drift", "porous_media") else 2
-    grid = _build_grid(grid_block, ncomp)
-    try:
-        if kind == "potential_drift":
-            spec = PotentialDrift(
-                grid,
-                beta=_scalar_from(block.get("beta"), "operator.beta"),
-                a1=_as_float(block.get("a1", 0.0), "operator.a1"),
-                b=_as_float(block.get("b", 0.0), "operator.b"),
-            )
-        elif kind == "porous_media":
-            spec = PorousMedia(grid, beta=_scalar_from(block.get("beta"), "operator.beta"))
-        elif kind == "reaction_diffusion2":
-            spec = ReactionDiffusion2(
-                grid,
-                d1=_as_positive(block.get("d1", 1.0), "operator.d1"),
-                d2=_as_positive(block.get("d2", 1.0), "operator.d2"),
-                f=_pair_from(block.get("f"), "operator.f"),
-                g=_pair_from(block.get("g"), "operator.g"),
-            )
-        elif kind == "fitzhugh_nagumo":
-            spec = FitzHughNagumo(
-                grid,
-                alpha0=_as_float(block.get("alpha0", 1.0), "operator.alpha0"),
-                sigma=_as_float(block.get("sigma", 1.0), "operator.sigma"),
-                gamma=_as_float(block.get("gamma", 1.0), "operator.gamma"),
-                d1=_as_positive(block.get("d1", 1.0), "operator.d1"),
-            )
-        else:
-            spec = PhaseField(
-                grid,
-                k=_as_positive(block.get("k", 1.0), "operator.k"),
-                l=_as_float(block.get("l", 1.0), "operator.l"),
-                nu=_as_positive(block.get("nu", 1.0), "operator.nu"),
-                gamma=_as_float(block.get("gamma", 1.0), "operator.gamma"),
-                beta=_scalar_from(block.get("beta", {"family": "cubic", "params": [0.0]}),
-                                  "operator.beta"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("operator", str(exc)) from None
-    return spec, grid
-
-
-def _build_control(block: dict, spec: OperatorSpec) -> ControlMap:
-    mode = block.get("mode", "identity")
-    norm_name = block.get("norm", "L2")
-    if norm_name not in NORM_TAGS:
-        raise ConfigError("control.norm", f"unknown norm tag {norm_name!r}")
-    if "rho" not in block:
-        raise ConfigError("control.rho", "missing")
-    _as_positive(block["rho"], "control.rho")
-    projection = block.get("projection")
-    if projection is None:
-        projection = "first" if mode == "first_component" else "full"
-    kernel = None
-    control_grid = None
-    if mode == "nonlocal":
-        kblock = _need(block, "kernel", "control")
-        nodes = _need(kblock, "nodes", "control.kernel")
-        try:
-            control_grid = Grid(extent=spec.grid.extent, nodes=tuple(int(n) for n in nodes),
-                                bcs=(BoundaryCondition("neumann"),))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("control.kernel.nodes", f"{nodes!r}: {exc}") from None
-        row = _profile_values(_need(kblock, "row_profile", "control.kernel"),
-                              spec.grid, 0, "control.kernel.row_profile")
-        col = _profile_values(_need(kblock, "col_profile", "control.kernel"),
-                              control_grid, 0, "control.kernel.col_profile")
-        kernel = np.outer(row, col)
-    try:
-        return ControlMap(mode=mode, u_tag=NORM_TAGS[norm_name], projection=projection,
-                          kernel=kernel, control_grid=control_grid)
-    except ValueError as exc:
-        raise ConfigError("control", str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# entry points
+def _control(c: dict, spec: OperatorSpec) -> ControlMap:
+    projection = c.get("projection", "first" if c["mode"] == "first_component" else "full")
+    kernel = control_grid = None
+    if c["mode"] == "nonlocal":
+        if "kernel" not in c:
+            raise ConfigError("control.kernel", "missing")
+        k = c["kernel"]
+        control_grid = _build("control.kernel.nodes", lambda: Grid(
+            extent=spec.grid.extent, nodes=tuple(k["nodes"]),
+            bcs=(BoundaryCondition("neumann"),)))
+        kernel = np.outer(k["row_profile"](spec.grid, 0), k["col_profile"](control_grid, 0))
+    return _build("control", lambda: ControlMap(
+        mode=c["mode"], u_tag=NORM_TAGS[c["norm"]], projection=projection,
+        kernel=kernel, control_grid=control_grid))
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    command = _need(doc, "command", "<root>")
-    if command not in COMMANDS:
-        raise ConfigError("command", f"unknown command {command!r}; have {COMMANDS}")
-    seed = int(doc.get("seed", 0))
-    cfg = RunConfig(command=command, seed=seed, raw=doc)
+    command = _kind(doc, "command", COMMANDS, "")
+    top = _block(COMMANDS[command])(doc, "")
+    cfg = RunConfig(command=command, seed=top["seed"], raw=doc)
 
     if command == "oracle":
-        block = _need(doc, "oracle", "<root>")
-        cfg.oracle_block = dict(block)
-        _as_positive(block.get("rho", 0), "oracle.rho")
+        ob = cfg.oracle_block = top["oracle"]
+        cfg.rho = ob["rho"]
+        cfg.reduction = _build("oracle", lambda: OdeReduction(
+            matrix=ob.get("matrix", ob.get("a")), rho=ob["rho"], y0=ob["y0"],
+            target=ob["target"], target_first_only=ob["target_first_only"]))
         return cfg
 
-    spec, grid = _build_operator(_need(doc, "operator", "<root>"),
-                                 _need(doc, "grid", "<root>"))
-    cfg.spec, cfg.grid = spec, grid
-    cfg.map = _build_control(_need(doc, "control", "<root>"), spec)
-
-    init = doc.get("initial", {"y0": {"profile": "zero"}})
-    cfg.y0 = _field_from_block(_need(init, "y0", "initial"), grid, "initial.y0")
-    targets = doc.get("targets")
-    if command in ("slide", "optimize") or (targets and "y_tar" in targets):
-        if not targets or "y_tar" not in targets:
-            raise ConfigError("targets.y_tar", "missing")
-        cfg.y_tar = _field_from_block(targets["y_tar"], grid, "targets.y_tar")
-
-    num = dict(doc.get("numerics", {}))
-    num.setdefault("dt", 1e-3)
-    _as_positive(num["dt"], "numerics.dt")
-    if command == "slide":
-        num.setdefault("T_max", 1.0)
-        num.setdefault("hit_tol", 1e-3)
-        _as_positive(num["T_max"], "numerics.T_max")
-        _as_positive(num["hit_tol"], "numerics.hit_tol")
-    if command == "optimize":
-        sched = num.get("eps_schedule", [1e-1, 1e-2, 1e-3, 1e-4])
-        if not isinstance(sched, list) or not sched:
-            raise ConfigError("numerics.eps_schedule", "must be a nonempty list")
-        num["eps_schedule"] = [
-            _as_positive(e, "numerics.eps_schedule") for e in sched
-        ]
-        bracket = num.get("T_bracket")
-        if (not isinstance(bracket, (list, tuple)) or len(bracket) != 2
-                or not 0 < float(bracket[0]) < float(bracket[1])):
-            raise ConfigError("numerics.T_bracket", "need [T_lo, T_hi] with 0 < T_lo < T_hi")
-        num["T_bracket"] = [float(bracket[0]), float(bracket[1])]
-    if command == "audit":
-        num.setdefault("audit_samples", 200)
-        if int(num["audit_samples"]) < 100:
-            raise ConfigError("numerics.audit_samples", "need at least 100 samples")
-    cfg.numerics = num
-    cfg.simulate_block = dict(doc.get("simulate", {}))
+    cls, ncomp, kwargs = top["operator"]
+    cfg.grid = _grid(top["grid"], ncomp)
+    cfg.spec = _build("operator", lambda: cls(cfg.grid, **kwargs))
+    cfg.rho = top["control"]["rho"]
+    cfg.map = _control(top["control"], cfg.spec)
+    cfg.y0 = top["initial"]["y0"](cfg.grid)
+    y_tar = top["targets"].get("y_tar")
+    if y_tar is None and command in ("slide", "optimize"):
+        raise ConfigError("targets.y_tar", "missing")
+    if y_tar is not None:
+        cfg.y_tar = y_tar(cfg.grid)
+    cfg.numerics = top["numerics"]
     if command == "simulate":
-        cfg.simulate_block.setdefault("T", num.get("T_max", 1.0))
-        _as_positive(cfg.simulate_block["T"], "simulate.T")
-        if "rho" not in doc.get("control", {}):
-            raise ConfigError("control.rho", "missing")
+        sim = cfg.simulate_block = top["simulate"]
+        sim["T"] = sim.get("T") or _positive(cfg.numerics["T_max"], "simulate.T")
+        sim["u"] = sim["u"](cfg.map.ugrid(cfg.spec))
     return cfg
 
 

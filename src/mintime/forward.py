@@ -181,18 +181,14 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
         res = _wnorm(spec, x + dt * spec.apply(x) - rhs)
         return x, 1, res
     x = guess.copy()
-    res = np.inf
-    for it in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER + 1):
         r = x + dt * spec.apply(x) - rhs
         res = _wnorm(spec, r)
         if res <= NEWTON_TOL * scale:
             return x, it, res
+        if it == NEWTON_MAX_ITER:
+            raise StepFailure(res)
         x = x - spec.step_factor(x, dt).solve(r)
-    r = x + dt * spec.apply(x) - rhs
-    res = _wnorm(spec, r)
-    if res <= NEWTON_TOL * scale:
-        return x, NEWTON_MAX_ITER, res
-    raise StepFailure(res)
 
 
 def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,

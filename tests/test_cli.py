@@ -1,13 +1,16 @@
 """Config validation, command artifacts, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from mintime import config
 from mintime.cli import main, run
 from mintime.config import ConfigError, load_config, parse_config
+from mintime.nonlinearities import scalar_fn
 
 SCALAR_OPTIMIZE = {
     "command": "optimize",
@@ -244,3 +247,164 @@ def test_sweep_runs_all_configs(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="no such config"):
         load_config("/nonexistent/path.yaml")
+
+
+# ---------------------------------------------------------------------------
+# the config schema: strict keys and types, one default per key
+
+REPO = Path(__file__).resolve().parent.parent
+_DROP = object()
+
+POROUS_AUDIT = {
+    "command": "audit",
+    "grid": {"nodes": 10, "bc": "dirichlet"},
+    "operator": {"kind": "porous_media", "beta": {"family": "power", "params": [0.5, 0.5, 0.5]}},
+    "control": {"mode": "identity", "norm": "Hminus1", "rho": 1.0},
+    "numerics": {"audit_samples": 150},
+}
+SCALAR_ORACLE = {"command": "oracle",
+                 "oracle": {"a": 1.0, "target": 0.5, "rho": 1.0, "switch_budget": 0,
+                            "t_max": 1.5}}
+MATRIX_ORACLE = {"command": "oracle",
+                 "oracle": {"matrix": [[1.0]], "y0": [0.0], "target": [0.5], "rho": 1.0,
+                            "switch_budget": 0, "t_max": 1.5}}
+SIMULATE = {
+    "command": "simulate",
+    "grid": {"nodes": 12, "bc": "dirichlet"},
+    "operator": {"kind": "potential_drift"},
+    "control": {"mode": "identity", "norm": "L2", "rho": 5.0},
+    "numerics": {"dt": 1e-2},
+    "simulate": {"T": 0.05, "u": {"profile": "constant", "value": 0.2}},
+}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the dotted ``path`` set (``_DROP`` deletes it)."""
+    doc = yaml.safe_load(yaml.safe_dump(doc))
+    *parents, last = path.split(".")
+    block = doc
+    for key in parents:
+        block = block[key]
+    if value is _DROP:
+        del block[last]
+    else:
+        block[last] = value
+    return doc
+
+
+BAD_CONFIGS = [
+    # misspelled keys that used to run on the defaults
+    (HEAT_SLIDE, "operator.D1", 5, "operator.D1"),
+    (SCALAR_OPTIMIZE, "numerics.golden_tol_factor", 0.5, "numerics.golden_tol_factor"),
+    # malformed values that used to crash with a traceback
+    (HEAT_SLIDE, "seed", "abc", "seed"),
+    (HEAT_SLIDE, "grid.dimension", "two", "grid.dimension"),
+    (HEAT_SLIDE, "grid", "oops", "grid"),
+    (POROUS_AUDIT, "numerics.audit_samples", "many", "numerics.audit_samples"),
+    # malformed values that used to exit 1 after writing the manifest
+    (SCALAR_OPTIMIZE, "numerics.inner_cap", "abc", "numerics.inner_cap"),
+    (POROUS_AUDIT, "numerics.fractional_alpha", "half", "numerics.fractional_alpha"),
+    (SCALAR_ORACLE, "oracle.target", _DROP, "oracle.target"),
+    (MATRIX_ORACLE, "oracle.matrix", [[1, 2, 3]], "oracle.matrix"),
+    (SIMULATE, "simulate.u", {"profile": "nonsense"}, "simulate.u.profile"),
+    # an unknown key in every block
+    (HEAT_SLIDE, "numerix", {"dt": 1e-4}, "numerix"),
+    (HEAT_SLIDE, "grid.node", 8, "grid.node"),
+    (HEAT_SLIDE, "control.radius", 1.0, "control.radius"),
+    (NONLOCAL_AUDIT, "control.kernel.weights", [1.0], "control.kernel.weights"),
+    (HEAT_SLIDE, "initial.y0.amplitude", 2.0, "initial.y0.amplitude"),
+    (SIMULATE, "simulate.steps", 5, "simulate.steps"),
+    (SCALAR_ORACLE, "oracle.b", 1.0, "oracle.b"),
+    # keys of another command, another form or another profile; wrong types
+    (SCALAR_OPTIMIZE, "numerics.hit_tol", 1e-3, "numerics.hit_tol"),
+    (HEAT_SLIDE, "simulate", {"T": 0.1}, "simulate"),
+    (MATRIX_ORACLE, "oracle.a", 1.0, "oracle.a"),
+    (SCALAR_OPTIMIZE, "targets.y_tar", [{"profile": "zero", "value": 1.0},
+                                        {"profile": "zero"}], "targets.y_tar[0].value"),
+    (SCALAR_OPTIMIZE, "numerics.chain_u_ref", "false", "numerics.chain_u_ref"),
+    (HEAT_SLIDE, "operator.beta", {"family": "cubic", "params": [1.0, 2.0]},
+     "operator.beta.params"),
+]
+
+
+@pytest.mark.parametrize("doc, path, value, field", BAD_CONFIGS,
+                         ids=[case[3] for case in BAD_CONFIGS])
+def test_bad_config_exits_2_naming_the_key(tmp_path, doc, path, value, field):
+    bad = _with(doc, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.field_name == field
+    out = tmp_path / "o"
+    assert main([doc["command"], "--config", str(_write(tmp_path, bad)), "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+    assert not (out / "report.json").exists()
+
+
+def test_porous_media_without_beta_takes_the_class_default(tmp_path):
+    doc = _with(POROUS_AUDIT, "operator.beta", _DROP)
+    cfg = parse_config(doc)
+    assert cfg.spec.beta == scalar_fn("linear", 1.0)
+    assert run(_write(tmp_path, doc), tmp_path / "o") == 0
+
+
+# what the commands read from every repository config, as the parent commit's
+# CLI read it (its own defaults filled in)
+REPO_CONFIGS = {
+    "configs/audit_porous.yaml": {
+        "rho": 1.0, "numerics": {"audit_samples": 300, "fractional_alpha": 0.5}},
+    "configs/optimize_scalar.yaml": {
+        "rho": 1.0,
+        "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
+                     "T_bracket": [0.2, 1.4], "inner_tol": 1e-8, "inner_cap": 500,
+                     "theta0": 0.5, "golden_tol": 1e-4, "chain_u_ref": False}},
+    "configs/oracle_scalar.yaml": {
+        "rho": 1.0,
+        "oracle_block": {"a": 1.0, "y0": 0.0, "target": 0.5, "rho": 1.0, "dt": 1e-3,
+                         "switch_budget": 0, "t_max": 2.0, "target_first_only": False}},
+    "configs/slide_heat.yaml": {
+        "rho": 10.0,
+        "numerics": {"dt": 1e-4, "T_max": 0.2, "hit_tol": 2e-3, "audit_samples": 150}},
+    "configs/slide_reaction_diffusion.yaml": {
+        "rho": 10.0,
+        "numerics": {"dt": 1e-4, "T_max": 0.5, "hit_tol": 2e-3, "audit_samples": 150}},
+    "bench/gradient_2d.yaml": {
+        "rho": 10.0, "numerics": {"dt": 1e-2, "T_max": 1.0},
+        "simulate_block": {"T": 0.2, "write_values": False}},
+}
+
+
+def _same(a, b):
+    if isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in b)
+    if isinstance(b, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_repo_configs_parse_to_the_values_the_commands_read():
+    paths = sorted(str(p.relative_to(REPO)) for p in (REPO / "configs").glob("*.yaml"))
+    assert set(REPO_CONFIGS) == {*paths, "bench/gradient_2d.yaml"}
+    for path, want in REPO_CONFIGS.items():
+        cfg = load_config(REPO / path)
+        for name, value in want.items():
+            got = getattr(cfg, name)
+            if name == "simulate_block":
+                np.testing.assert_array_equal(got.pop("u").values,
+                                              np.zeros(cfg.map.control_size(cfg.spec)))
+            assert _same(got, value), (path, name, got)
+    red = load_config(REPO / "configs/oracle_scalar.yaml").reduction
+    assert (red.matrix.tolist(), red.y0.tolist(), red.target.tolist()) == ([[1.0]], [0.0], [0.5])
+
+
+def test_readme_documents_every_config_key():
+    text = (REPO / "README.md").read_text()
+    section = text[text.index("### config anatomy"):]
+    section = section[:section.index("\n## ")]
+    tables = [*config.COMMANDS.values(), *config._NUMERICS.values(), config._GRID,
+              config._CONTROL, config._KERNEL, config._INITIAL, config._TARGETS,
+              config._FAMILY, config._SIMULATE, config._ORACLE_SCALAR, config._ORACLE_MATRIX,
+              *(keys for _, _, keys in config.OPERATOR_KINDS.values()),
+              *(keys for keys, _ in config._PROFILES.values())]
+    keys = {"kind", "profile", *config.OPERATOR_KINDS, *config._PROFILES}
+    keys |= {key for table in tables for key in table}
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []

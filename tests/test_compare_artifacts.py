@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
 _spec = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
 compare_artifacts = importlib.util.module_from_spec(_spec)
@@ -48,3 +50,24 @@ def test_csv_verdicts(tmp_path):
     assert status == 1 and msg.startswith("1 floats moved")
     assert _pair(tmp_path, "b.csv", old, "t,v_norm\n0.0,1.0\n0.1,2.0\n")[0] == 2
     assert _pair(tmp_path, "c.csv", old, old + "0.2,3.0\n")[0] == 2
+
+
+@pytest.mark.parametrize("codes, status", [((2, 2), 2), ((0, 1), 2), ((1, 0), 2), ((0, 0), 0)])
+def test_nonzero_exit_fails_the_gate(tmp_path, monkeypatch, capsys, codes, status):
+    # a config that exits 2 in both trees writes no artifacts; that is no pass
+    config = tmp_path / "cfg.yaml"
+    monkeypatch.setattr(compare_artifacts, "_configs", lambda tree: [config])
+
+    def run(tree, config, outdir):
+        side = outdir.parent.name
+        code = codes[0] if side == "old" else codes[1]
+        if code == 0:
+            outdir.mkdir(parents=True)
+            (outdir / "report.json").write_text("{}")
+        return code
+
+    monkeypatch.setattr(compare_artifacts, "_run", run)
+    assert compare_artifacts.main([str(tmp_path), str(tmp_path),
+                                   "--out", str(tmp_path / "out")]) == status
+    printed = capsys.readouterr().out
+    assert (f"cfg: exit code {codes[0]} -> {codes[1]}" in printed) == (status == 2)

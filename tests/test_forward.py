@@ -223,3 +223,27 @@ def test_step_implicit_substeps_like_solve_forward(monkeypatch):
     assert traj.substeps[0] > 1
     out = step_implicit(spec, cm, y0, u, 0.05)
     np.testing.assert_array_equal(out.values, traj.states[1])
+
+
+def test_newton_cap_counts_the_last_update(monkeypatch):
+    # a nonlinear solve that needs n updates returns with n when the cap is
+    # exactly n, and fails with the same residual check when the cap is n - 1
+    import mintime.forward as forward
+
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    (x,) = g.coordinates()
+    y = 3.0 * np.cos(np.pi * x)
+    x_ref, n, res = forward._implicit_solve(spec, y, y, 0.05)
+    assert n >= 2 and res <= forward.NEWTON_TOL * (1.0 + forward._wnorm(spec, y))
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", n)
+    x_cap, n_cap, res_cap = forward._implicit_solve(spec, y, y, 0.05)
+    assert n_cap == n and res_cap == res
+    np.testing.assert_array_equal(x_cap, x_ref)
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", n - 1)
+    with pytest.raises(forward.StepFailure) as exc:
+        forward._implicit_solve(spec, y, y, 0.05)
+    assert exc.value.residual > forward.NEWTON_TOL * (1.0 + forward._wnorm(spec, y))
+    # one interval sub-steps instead of failing
+    _, iters, _, nsub = forward._step_with_refinement(spec, y, np.zeros_like(y), 0.05, 0)
+    assert nsub > 1 and iters > 0

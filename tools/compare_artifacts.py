@@ -12,10 +12,16 @@ is printed:
     <name>/<file>: <k> floats moved, largest relative move <r>
     <name>/<file>: non-float difference at <where>: <old> -> <new>
 
+A run that exits nonzero in either tree prints
+
+    <name>: exit code <old> -> <new>
+
 JSON is compared value by value (floats by value, everything else exactly),
-CSV cell by cell. The exit status is 0 when every file is identical, 1 when
-only floats moved, and 2 on any other difference (including a file present
-in one tree only or a differing exit code).
+CSV cell by cell. The exit status is 0 when every run exits 0 and every file
+is identical, 1 when only floats moved, and 2 on any other difference
+(including a file present in one tree only) or on a nonzero CLI exit in
+either tree: a config that fails in both trees writes no artifacts to
+compare, so it must not read as a pass.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ def main(argv=None) -> int:
             name = config.stem
             codes = [_run(tree.resolve(), config, out / side / name)
                      for side, tree in (("old", args.old), ("new", args.new))]
-            if codes[0] != codes[1]:
+            if codes != [0, 0]:
                 print(f"{name}: exit code {codes[0]} -> {codes[1]}")
                 worst = 2
             files = sorted({p.relative_to(out / side / name)
