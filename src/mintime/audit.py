@@ -1,11 +1,13 @@
 """Empirical audit of the structural hypotheses behind the optimality theory.
 
-Inequalities that are quadratic forms in the state (the projection and
-fractional-power bounds) are certified exactly through a generalized
-symmetric eigenproblem. Inequalities involving the nonlinear operator are
-sampled over random smooth fields and the best constants fitted over the
-inequality slacks; "pass" means a positive leading constant with
-nonnegative slack on at least 99% of the samples.
+The projection bounds ||t v||_X <= C ||B* v||_U* (C*, the fractional C_d1
+and the sliding feedback's gain) come from one routine,
+``projection_constant``. When the U* norm is quadratic both sides are
+quadratic forms, and C is certified exactly through a generalized symmetric
+eigenproblem; for Lp controls it is sampled. Inequalities involving the
+nonlinear operator are sampled over random smooth fields and the best
+constants fitted over the inequality slacks; "pass" means a positive leading
+constant with nonnegative slack on at least 99% of the samples.
 
 Samples are drawn one at a time, in a fixed rng order, and stacked; every
 operator, norm and pairing is then one call on the stack. The dense matrices
@@ -23,7 +25,8 @@ import scipy.linalg
 from .operators import ControlMap, OperatorSpec
 from .spaces import SpectralLaplacian
 
-__all__ = ["AuditEntry", "AuditReport", "audit_hypotheses", "audit_sign_condition"]
+__all__ = ["AuditEntry", "AuditReport", "audit_hypotheses", "audit_sign_condition",
+           "projection_constant"]
 
 _ALPHA2_GRID = np.concatenate([[0.0], np.logspace(-3, 4, 29)])
 
@@ -181,6 +184,8 @@ def _sup_ratio_quadratic(q1: np.ndarray, q2: np.ndarray) -> float:
     """sup_v sqrt(v^T q1 v / v^T q2 v), +inf when q1 has mass outside range(q2)."""
     q1 = 0.5 * (q1 + q1.T)
     q2 = 0.5 * (q2 + q2.T)
+    if np.array_equal(q1, q2):
+        return 1.0  # exact, where the eigenproblem would round to within an ulp of 1
     evals, vecs = scipy.linalg.eigh(q2)
     tol = max(1e-12 * max(evals.max(), 1.0), 1e-300)
     keep = evals > tol
@@ -196,6 +201,30 @@ def _sup_ratio_quadratic(q1: np.ndarray, q2: np.ndarray) -> float:
 
 def _projection_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
     return map.project_state(spec, np.eye(spec.n_dof)).T
+
+
+def projection_constant(spec: OperatorSpec, map: ControlMap, t: np.ndarray,
+                        metric: np.ndarray, norms, rng: np.random.Generator,
+                        samples: int) -> tuple[float, int]:
+    """C = sup_v ||t v||_X / ||B* v||_U* for the state matrix ``t`` into X,
+    and the number of samples drawn for it.
+
+    X is given by its dense metric (||x||_X^2 = x^T metric x) and its row
+    norm ``norms``. A quadratic U* norm (L2, H^-1) gives the exact supremum
+    of the generalized eigenproblem, +inf when t does not vanish on the
+    kernel of B*, and draws nothing. Otherwise C is the largest ratio over
+    ``samples`` smooth samples from ``rng``: an estimate from below, +inf
+    when B* annihilates every sample.
+    """
+    mus = _metric_ustar(spec, map)
+    if mus is not None:
+        r = _bstar_matrix(spec, map)
+        return _sup_ratio_quadratic(t.T @ metric @ t, r.T @ mus @ r), 0
+    V, den = _bstar_samples(spec, map, rng, samples)
+    live = den > 1e-14
+    if not live.any():
+        return np.inf, samples
+    return float(np.max(norms(V[live] @ t.T) / den[live])), samples
 
 
 # ---------------------------------------------------------------------------
@@ -245,45 +274,24 @@ def audit_hypotheses(
 
     # (g74-2): ||P v||_V* <= C* ||B* v||_U*
     p = _projection_matrix(spec, map)
-    mvs = _metric_vstar(spec)
-    q1 = p.T @ mvs @ p
-    mus = _metric_ustar(spec, map)
-    r = _bstar_matrix(spec, map)
-    if mus is not None:
-        q2 = r.T @ mus @ r
-        cstar = _sup_ratio_quadratic(q1, q2)
-        report.add(AuditEntry(
-            "projection_bound_g74_2", {"Cstar": cstar},
-            passed=bool(np.isfinite(cstar)), method="spectral", samples=0,
-        ))
-    else:
-        V, den = _bstar_samples(spec, map, rng, samples)
-        live = den > 1e-14
-        pv = map.project_state(spec, V[live])
-        cstar = float(np.max(spec.vstar_norms(pv) / den[live])) if live.any() else np.nan
-        report.add(AuditEntry(
-            "projection_bound_g74_2", {"Cstar": cstar},
-            passed=bool(np.isfinite(cstar)), method="sampling", samples=samples,
-            notes="U* norm is not quadratic; empirical supremum",
-        ))
+    cstar, drawn = projection_constant(spec, map, p, _metric_vstar(spec), spec.vstar_norms,
+                                       rng, samples)
+    report.add(AuditEntry(
+        "projection_bound_g74_2", {"Cstar": cstar},
+        passed=bool(np.isfinite(cstar)), method="sampling" if drawn else "spectral",
+        samples=drawn, notes="U* norm is not quadratic; empirical supremum" if drawn else "",
+    ))
 
     # (g74): ||P Gamma^(-alpha/2) v||_H <= C ||B* v||_U*
     if spec.gamma_op.min_eigenvalue > 0.0:
         half = _dense_fn_matrix(spec.gamma_op, lambda lam: np.power(lam, -alpha / 2.0))
         t = p @ _blockdiag_per_component(spec, half)
-        mh = _metric_state(spec)
-        q1f = t.T @ mh @ t
-        if mus is not None:
-            cd1 = _sup_ratio_quadratic(q1f, r.T @ mus @ r)
-            method, nsamp, notes = "spectral", 0, ""
-        else:
-            V, den = _bstar_samples(spec, map, rng, samples)
-            live = den > 1e-14
-            cd1 = float(np.max(spec.h_norm(V[live] @ t.T) / den[live])) if live.any() else np.nan
-            method, nsamp, notes = "sampling", samples, "U* norm is not quadratic"
+        cd1, drawn = projection_constant(spec, map, t, _metric_state(spec), spec.h_norm,
+                                         rng, samples)
         report.add(AuditEntry(
             "fractional_bound_g74", {"C": cd1, "alpha": alpha},
-            passed=bool(np.isfinite(cd1)), method=method, samples=nsamp, notes=notes,
+            passed=bool(np.isfinite(cd1)), method="sampling" if drawn else "spectral",
+            samples=drawn, notes="U* norm is not quadratic" if drawn else "",
         ))
 
     # kernel coercivity ||B* v|| >= gamma ||v|| for nonlocal maps

@@ -78,8 +78,14 @@ def _converted(convert: Callable, what: str):
     return parse
 
 
+def _integral(val) -> int:
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(val)
+    return int(val)
+
+
 _float = _converted(float, "a number")
-_int = _converted(int, "an integer")
+_int = _converted(_integral, "an integer")
 _array = _converted(lambda val: np.asarray(val, dtype=float), "numbers")
 _bool = _converted(lambda val: {0: False, 1: True}[val], "true or false")  # True == 1
 
@@ -107,6 +113,7 @@ def _checked(parse, ok: Callable[[Any], bool], message: str):
 
 
 _positive = _checked(_float, lambda x: x > 0.0, "must be positive")
+_samples = _checked(_int, lambda n: n >= 100, "need at least 100 samples")
 _str = _checked(lambda val, where: val, lambda val: isinstance(val, str), "expected a string")
 
 
@@ -277,18 +284,20 @@ _DT = {"dt": (_positive, 1e-3)}
 _NUMERICS = {
     "simulate": {**_DT, "T_max": (_float, 1.0)},
     "slide": {**_DT, "T_max": (_positive, 1.0), "hit_tol": (_positive, 1e-3),
-              "audit_samples": (_int, 150)},
+              "audit_samples": (_samples, 150)},
     "optimize": {
         **_DT,
         "eps_schedule": (_checked(_list(_positive), bool, "must be a nonempty list"),
                          [1e-1, 1e-2, 1e-3, 1e-4]),
         "T_bracket": (_checked(_list(_float), lambda b: len(b) == 2 and 0 < b[0] < b[1],
                                "need [T_lo, T_hi] with 0 < T_lo < T_hi"), _REQUIRED),
-        "inner_tol": (_float, 1e-8), "inner_cap": (_int, 500), "theta0": (_float, 0.5),
-        "golden_tol": (_float, 1e-4), "chain_u_ref": (_bool, False),
+        "inner_tol": (_positive, 1e-8),
+        "inner_cap": (_checked(_int, lambda n: n >= 0, "must be nonnegative"), 500),
+        "theta0": (_positive, 0.5), "golden_tol": (_positive, 1e-4),
+        "chain_u_ref": (_bool, False),
     },
     "audit": {
-        "audit_samples": (_checked(_int, lambda n: n >= 100, "need at least 100 samples"), 200),
+        "audit_samples": (_samples, 200),
         "fractional_alpha": (_float, 0.5),
     },
 }
@@ -321,14 +330,15 @@ _PDE_ROOT = {
     "grid": (_block(_GRID), _REQUIRED),
     "operator": (_operator, _REQUIRED),
     "control": (_block(_CONTROL), _REQUIRED),
-    "initial": (_block(_INITIAL), {}),
     "targets": (_block(_TARGETS), {}),
 }
+_RUN_ROOT = {**_PDE_ROOT, "initial": (_block(_INITIAL), {})}  # the commands that evolve y0
 COMMANDS = {
-    "simulate": {**_PDE_ROOT, "numerics": (_block(_NUMERICS["simulate"]), {}),
+    "simulate": {**_RUN_ROOT, "numerics": (_block(_NUMERICS["simulate"]), {}),
                  "simulate": (_block(_SIMULATE), {})},
-    **{command: {**_PDE_ROOT, "numerics": (_block(_NUMERICS[command]), {})}
-       for command in ("slide", "optimize", "audit")},
+    **{command: {**_RUN_ROOT, "numerics": (_block(_NUMERICS[command]), {})}
+       for command in ("slide", "optimize")},
+    "audit": {**_PDE_ROOT, "numerics": (_block(_NUMERICS["audit"]), {})},
     "oracle": {**_ROOT, "oracle": (_oracle, _REQUIRED)},
 }
 
@@ -377,7 +387,8 @@ def parse_config(doc: dict) -> RunConfig:
     cfg.spec = _build("operator", lambda: cls(cfg.grid, **kwargs))
     cfg.rho = top["control"]["rho"]
     cfg.map = _control(top["control"], cfg.spec)
-    cfg.y0 = top["initial"]["y0"](cfg.grid)
+    if "initial" in top:
+        cfg.y0 = top["initial"]["y0"](cfg.grid)
     y_tar = top["targets"].get("y_tar")
     if y_tar is None and command in ("slide", "optimize"):
         raise ConfigError("targets.y_tar", "missing")

@@ -12,8 +12,10 @@ d/dt dev <= C1 dev - (rho - a) gives
 
     T_* = (1/C1) ln[(rho - a) / (rho - (a + C1 dev0))],   a = ||A_H yhat||_H,
 
-with the C1 -> 0 limit dev0/(rho - a); it applies when rho > a + C1 dev0 and
-the constant C1 is only ever an audited surrogate, so the bound is reported
+with the C1 -> 0 limit dev0/(rho - a), where rho is read as rho / C for the
+gain constant C of ||P v||_H <= C ||B* v||_U*. It applies when
+rho > a + C1 dev0. C1 is only ever an audited surrogate, and C is exact for
+L2 and H^-1 controls but sampled for Lp ones, so the bound is reported
 together with a validity flag.
 """
 
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import audit_sign_condition, smooth_sample
+from .audit import (_metric_state, _projection_matrix, audit_sign_condition,
+                    projection_constant)
 from .forward import Trajectory, _integrate
 from .grids import Field
 from .operators import ControlMap, OperatorSpec
@@ -109,22 +112,6 @@ def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float |
     return float(np.log((rho - a_norm) / gap) / c1)
 
 
-def _feedback_gain_constant(spec: OperatorSpec, map: ControlMap, samples: int,
-                            seed: int) -> float:
-    """Audited constant C with ||P v||_H <= C ||B* v||_U* on smooth samples.
-
-    For Hilbert-identified controls (B = I or a component selection with
-    U = L2) this is exactly 1; for Lp controls it is the grid-level reverse
-    embedding constant that scales the feedback's worst-case decrement."""
-    rng = np.random.default_rng(seed)
-    pv = map.project_state(spec, np.array([smooth_sample(spec, rng)
-                                           for _ in range(max(50, samples // 2))]))
-    den = map.ustar_norms_batch(spec, map.apply_Bstar(spec, pv))
-    live = den > 1e-14
-    worst = np.max(spec.h_norm(pv[live]) / den[live], initial=0.0)
-    return max(float(worst), 1e-12)
-
-
 def run_sliding(
     spec: OperatorSpec,
     map: ControlMap,
@@ -142,14 +129,18 @@ def run_sliding(
 
     No hit before ``T_max`` is an outcome, not an error. The reported T_*
     bound uses the audited sign-condition constant and is flagged invalid
-    when the rho-largeness premise fails.
+    when the rho-largeness premise fails, which it does when no finite gain
+    constant exists (B* has a kernel that P does not annihilate).
     """
     if not (hit_tol > 0.0 and dt > 0.0 and T_max > 0.0):
         raise ValueError("T_max, dt and hit_tol must be positive")
 
     entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
     c1 = float(entry.constants["C1"])
-    gain_c = _feedback_gain_constant(spec, map, audit_samples, seed)
+    # C of ||P v||_H <= C ||B* v||_U*, which scales the feedback's decrement
+    gain_c, _ = projection_constant(spec, map, _projection_matrix(spec, map),
+                                    _metric_state(spec), spec.h_norm,
+                                    np.random.default_rng(seed), max(50, audit_samples // 2))
 
     def deviation(y: np.ndarray) -> np.ndarray:
         return spec.h_norm(map.project_state(spec, y - y_tar.values))

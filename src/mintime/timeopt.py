@@ -70,9 +70,6 @@ class PenalizedProblem:
     ``u_ref`` switches on the functional's history term (the integral of
     F of the accumulated control gap); by default it is absent, since the
     exact reference control is unknown outside of chained continuation runs.
-    ``p_warm`` is the terminal costate the Newton solve starts from (zero
-    when unset); ``outer_minimize`` and ``eps_continuation`` carry it from
-    probe to probe.
     """
 
     spec: OperatorSpec
@@ -87,7 +84,6 @@ class PenalizedProblem:
     inner_cap: int = 500
     theta0: float = 0.5
     golden_tol_factor: float = 1e-4
-    p_warm: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -381,9 +377,11 @@ def _cg(apply, b: np.ndarray, spec: OperatorSpec) -> np.ndarray:
     return x
 
 
-def _newton(prob: PenalizedProblem, maps, T: float, dte: float):
-    """Semismooth Newton on F(p) = p - P(y_K(u(p)) - y_tar)/eps, with
-    backtracking on ||F||_H. Returns (u, y_K, p_T, iterations, stop)."""
+def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
+            warm: InnerSolution | None):
+    """Semismooth Newton on F(p) = p - P(y_K(u(p)) - y_tar)/eps from the warm
+    costate (else zero), with backtracking on ||F||_H. Returns (u, y_K, p_T,
+    iterations, stop)."""
     spec, cmap = prob.spec, prob.map
     eps, rho = prob.eps, prob.rho
     tol = prob.inner_tol * rho * math.sqrt(T)
@@ -398,8 +396,8 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float):
         return lambda d: d + cmap.project_state(spec, maps.propagate(
             cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps
 
-    p = (np.zeros(spec.n_dof) if prob.p_warm is None
-         else cmap.project_state(spec, prob.p_warm))
+    p = (np.zeros(spec.n_dof) if warm is None or warm.costate is None
+         else cmap.project_state(spec, warm.costate))
     Z, u, y_term, F = state_at(p)
     F_norm = spec.h_norm(F)
     stop = "cap"
@@ -429,14 +427,15 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float):
 
 
 def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
-                 u0: Control | None):
-    """Damped fixed point of the optimality map with monotone-descent
-    backtracking. Returns (u, y_K, iterations, stop)."""
+                 warm: InnerSolution | None):
+    """Damped fixed point of the optimality map from the warm control (else
+    zero), with monotone-descent backtracking. Returns (u, y_K, iterations,
+    stop)."""
     spec, cmap = prob.spec, prob.map
-    if u0 is None:
+    if warm is None:
         uvals = np.zeros((K, cmap.control_size(spec)))
     else:
-        uvals = _resample_steps(u0.values, u0.dt, K, dte)
+        uvals = _resample_steps(warm.control.values, warm.control.dt, K, dte)
 
     def candidate_of(vals, y_term):
         # y_term is the latest forward solve, which sweeps linearize along
@@ -489,14 +488,15 @@ def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
 
 
 def inner_solve_control(prob: PenalizedProblem, T: float,
-                        u0: Control | None = None) -> InnerSolution:
+                        warm: InnerSolution | None = None) -> InnerSolution:
     """Solve the optimality system of J_eps at the fixed horizon T.
 
     Linear kinds with a Hilbert U-norm and no ``u_ref`` take semismooth
-    Newton on the terminal costate, started from ``prob.p_warm`` (else
+    Newton on the terminal costate, started from ``warm.costate`` (else
     zero). Nonlinear kinds, Lp control norms and ``u_ref`` take the damped
-    fixed point of the optimality map, started from ``u0`` (else zero). A
-    solve that stalls or hits ``inner_cap`` returns flagged, not raised.
+    fixed point of the optimality map, started from ``warm.control`` (else
+    zero). A solve that stalls or hits ``inner_cap`` returns flagged, not
+    raised.
     Small linear problems run on precomputed step propagators; the
     returned trajectory and adjoint always come from the sequential scheme.
     """
@@ -505,9 +505,9 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
     maps = _LinearKernel.try_build(prob, K, dte) or _Sweeps(prob, K, dte)
     costate = None
     if prob.takes_newton:
-        uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte)
+        uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte, warm)
     else:
-        uvals, y_term, iterations, stop = _fixed_point(prob, maps, T, K, dte, u0)
+        uvals, y_term, iterations, stop = _fixed_point(prob, maps, T, K, dte, warm)
     J, miss, energy, _ = _j_parts(prob, T, uvals, dte, y_term)
     return InnerSolution(
         prob=prob,
@@ -612,50 +612,37 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
 
 
 def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
-                   u_warm: Control | None = None) -> tuple[OptimalityReport, InnerSolution]:
+                   warm: InnerSolution | None = None) -> tuple[OptimalityReport, InnerSolution]:
     """Golden-section search of the horizon. Each inner solve starts from the
-    previous probe's control and terminal costate (the first from ``u_warm``
-    and ``prob.p_warm``); only the chosen probe's trajectory and adjoint are
-    solved, for its report."""
+    previous probe's solution (the first from ``warm``); only the chosen
+    probe's trajectory and adjoint are solved, for its report."""
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0.0 < T_lo < T_hi:
         raise ValueError("need 0 < T_lo < T_hi")
     tol = prob.golden_tol_factor * T_hi
-    cache: dict[float, InnerSolution] = {}
-    warm = {"u": u_warm, "p": prob.p_warm}
-    probes = 0
+    probes: list[tuple[float, InnerSolution]] = []
 
-    def phi(T: float) -> InnerSolution:
-        nonlocal probes
-        key = round(T, 12)
-        if key not in cache:
-            sol = inner_solve_control(replace(prob, p_warm=warm["p"]), T, warm["u"])
-            warm["u"], warm["p"] = sol.control, sol.costate
-            cache[key] = sol
-            probes += 1
-        return cache[key]
+    def phi(T: float) -> float:
+        probes.append((T, inner_solve_control(prob, T, probes[-1][1] if probes else warm)))
+        return probes[-1][1].J
 
     a, b = T_lo, T_hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = phi(c).J, phi(d).J
+    fc, fd = phi(c), phi(d)
     while b - a > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = phi(c).J
+            fc = phi(c)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = phi(d).J
-    T_star = c if fc <= fd else d
-    sol = phi(T_star)
-    # the endpoints as solved may still beat the interior probe
-    for key, s in cache.items():
-        if s.J < sol.J:
-            T_star, sol = key, s
+            fd = phi(d)
+    # the endpoints as solved may still beat the last interior pair
+    T_star, sol = min(probes, key=lambda probe: probe[1].J)
     boundary = (T_star - T_lo) <= 2 * tol or (T_hi - T_star) <= 2 * tol
-    report = _report_from(prob, T_star, sol, boundary, probes)
+    report = _report_from(prob, T_star, sol, boundary, len(probes))
     return report, sol
 
 
@@ -672,9 +659,8 @@ def eps_continuation(
     level's reference, activating the functional's history term. After a
     level whose horizon is interior, the bracket narrows to
     [0.55, 1.7] T_eps_star within ``T_bracket``. Each level starts from the
-    previous level's control and terminal costate. Returns the
-    per-level reports, plus the last level's inner solution when
-    ``return_final_solution`` is set.
+    previous level's solution. Returns the per-level reports, plus the last
+    level's inner solution when ``return_final_solution`` is set.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(not e > 0.0 for e in eps_schedule):
@@ -683,19 +669,15 @@ def eps_continuation(
         raise ValueError("eps schedule must be strictly decreasing")
 
     reports: list[OptimalityReport] = []
-    u_warm: Control | None = None
     sol: InnerSolution | None = None
     bracket = (float(T_bracket[0]), float(T_bracket[1]))
     current = prob
     for eps in eps_schedule:
         current = replace(current, eps=eps)
-        if sol is not None:
-            current = replace(current, p_warm=sol.costate)
-        if chain_u_ref and u_warm is not None:
-            current = replace(current, u_ref=u_warm)
-        report, sol = outer_minimize(current, bracket, u_warm)
+        if chain_u_ref and sol is not None:
+            current = replace(current, u_ref=sol.control)
+        report, sol = outer_minimize(current, bracket, sol)
         reports.append(report)
-        u_warm = sol.control
         if not report.boundary_hit:
             t = report.T_eps_star
             lo = max(T_bracket[0], 0.55 * t)

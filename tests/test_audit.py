@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mintime import (
     ControlMap,
@@ -25,8 +27,10 @@ from mintime.audit import (
     _metric_state,
     _metric_vstar,
     _projection_matrix,
+    _samples,
     audit_hypotheses,
     audit_sign_condition,
+    projection_constant,
 )
 
 
@@ -154,3 +158,56 @@ def test_dense_matrices_are_the_row_maps_on_the_identity(case):
     v = np.random.default_rng(13).standard_normal((4, n))
     np.testing.assert_allclose(np.einsum("ri,ij,rj->r", v, _metric_state(spec), v),
                                spec.h_norm(v) ** 2, rtol=1e-12)
+
+
+_BCS = {"dirichlet": dirichlet, "neumann": neumann, "robin": lambda: robin(0.8)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["identity", "first_component", "nonlocal"]),
+       norm=st.sampled_from(["L2", "Hminus1"]), nodes=st.integers(3, 24),
+       control_nodes=st.integers(3, 24), bc=st.sampled_from(sorted(_BCS)),
+       seed=st.integers(0, 2**16))
+def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, control_nodes,
+                                                           bc, seed):
+    # C of ||P v||_H <= C ||B* v||_U* is the exact supremum for quadratic U*
+    # norms: no smooth sample exceeds it, and a Hilbert-identified control
+    # (B* = P in L2) attains exactly 1
+    assume(norm == "L2" or bc == "dirichlet")  # H^-1 is the Dirichlet Laplacian's
+    tag = {"L2": L2, "Hminus1": HMINUS1}[norm]
+    if mode == "first_component":
+        g = Grid(extent=(1.0,), nodes=(nodes,), bcs=(_BCS[bc](),) * 2)
+        spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
+        cm = ControlMap(mode=mode, u_tag=tag, projection="first")
+    else:
+        spec = PotentialDrift(Grid(extent=(1.0,), nodes=(nodes,), bcs=(_BCS[bc](),)))
+        cm = ControlMap(mode="identity", u_tag=tag)
+    if mode == "nonlocal":
+        assume(norm == "L2")  # H^-1 control norms live on the state grid
+        gc = Grid(extent=(1.0,), nodes=(control_nodes,), bcs=(neumann(),))
+        kernel = np.random.default_rng(seed).random((nodes, control_nodes))
+        cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)
+    p = _projection_matrix(spec, cm)
+    c, drawn = projection_constant(spec, cm, p, _metric_state(spec), spec.h_norm,
+                                   np.random.default_rng(seed), 100)
+    assert drawn == 0
+    V = _samples(spec, np.random.default_rng(seed), 50)
+    ratios = spec.h_norm(V @ p.T) / cm.ustar_norms_batch(spec, cm.apply_Bstar(spec, V))
+    assert np.all(ratios <= c * (1.0 + 1e-12))
+    if norm == "L2" and mode != "nonlocal":
+        assert c == 1.0
+
+
+def test_l4_bounds_keep_their_samples_and_notes():
+    # the sampled path draws from the audit's own rng in the old order
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(), neumann()))
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    rep = audit_hypotheses(spec, cm, samples=200, seed=3)
+    cstar, cd1 = rep.entries["projection_bound_g74_2"], rep.entries["fractional_bound_g74"]
+    assert cstar.constants["Cstar"] == 0.9999537357392249
+    assert cd1.constants["C"] == 0.9999905121919009
+    assert (cstar.method, cstar.samples, cstar.notes) == (
+        "sampling", 200, "U* norm is not quadratic; empirical supremum")
+    assert (cd1.method, cd1.samples, cd1.notes) == ("sampling", 200, "U* norm is not quadratic")

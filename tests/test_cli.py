@@ -192,17 +192,6 @@ def test_numerical_failure_exits_1_with_payload(tmp_path):
     assert "trivial" in report["error"]["message"]
 
 
-def test_nonpositive_golden_tol_exits_1_with_payload(tmp_path):
-    # a zero tolerance would keep the golden-section search running forever
-    doc = yaml.safe_load(yaml.safe_dump(SCALAR_OPTIMIZE))
-    doc["numerics"]["golden_tol"] = 0.0
-    out = tmp_path / "out"
-    assert run(_write(tmp_path, doc), out) == 1
-    report = json.loads((out / "report.json").read_text())
-    assert report["error"]["type"] == "ValueError"
-    assert "golden_tol_factor" in report["error"]["message"]
-
-
 NONLOCAL_AUDIT = {
     "command": "audit",
     "seed": 3,
@@ -324,11 +313,33 @@ BAD_CONFIGS = [
     (SCALAR_OPTIMIZE, "numerics.chain_u_ref", "false", "numerics.chain_u_ref"),
     (HEAT_SLIDE, "operator.beta", {"family": "cubic", "params": [1.0, 2.0]},
      "operator.beta.params"),
+    # values out of the solvers' range, which used to run: a zero golden_tol
+    # exited 1 after the manifest (it would keep the golden-section search
+    # running forever), a zero inner_tol ended every level on a plateau and
+    # exited 0, and too few slide samples failed inside the audit
+    (SCALAR_OPTIMIZE, "numerics.golden_tol", 0.0, "numerics.golden_tol"),
+    (SCALAR_OPTIMIZE, "numerics.inner_tol", 0.0, "numerics.inner_tol"),
+    (SCALAR_OPTIMIZE, "numerics.inner_tol", -1.0, "numerics.inner_tol"),
+    (SCALAR_OPTIMIZE, "numerics.inner_cap", -1, "numerics.inner_cap"),
+    (SCALAR_OPTIMIZE, "numerics.theta0", 0.0, "numerics.theta0"),
+    (HEAT_SLIDE, "numerics.audit_samples", 0, "numerics.audit_samples"),
+    # non-integral values of integer keys, which used to truncate
+    (HEAT_SLIDE, "seed", 1.7, "seed"),
+    (HEAT_SLIDE, "grid.nodes", 10.9, "grid.nodes"),
+    # an initial state in an audit, which reads none
+    (POROUS_AUDIT, "initial", {"y0": {"profile": "zero"}}, "initial"),
 ]
 
 
-@pytest.mark.parametrize("doc, path, value, field", BAD_CONFIGS,
-                         ids=[case[3] for case in BAD_CONFIGS])
+def _case_ids(cases) -> list[str]:
+    """Each case's field, with its value appended when an earlier case has the field."""
+    ids: list[str] = []
+    for _, _, value, field in cases:
+        ids.append(f"{field}={value!r}" if field in ids else field)
+    return ids
+
+
+@pytest.mark.parametrize("doc, path, value, field", BAD_CONFIGS, ids=_case_ids(BAD_CONFIGS))
 def test_bad_config_exits_2_naming_the_key(tmp_path, doc, path, value, field):
     bad = _with(doc, path, value)
     with pytest.raises(ConfigError) as exc:

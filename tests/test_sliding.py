@@ -16,6 +16,7 @@ from mintime import (
     pair_fn,
     scalar_fn,
 )
+from mintime.audit import _metric_state, _projection_matrix, projection_constant
 from mintime.forward import NEWTON_TOL
 from mintime.sliding import (
     SaturationError,
@@ -306,3 +307,37 @@ def test_sliding_interval_substeps_when_newton_fails(monkeypatch):
     assert run.approach.substeps[0] > 1
     assert np.all(run.approach.substeps[1:] == 1)
     assert run.approach.newton_iters[0] > forward.NEWTON_MAX_ITER
+
+
+def test_lp_gain_constant_is_the_pinned_sample_maximum():
+    # L4 controls: the gain C is the largest ratio over max(50, 150 // 2)
+    # smooth samples from the run's seed; T_* is rho / C away from the
+    # C = 1 bound, so it is an estimate, not a certified bound
+    spec, cm = case1_spec(16)
+    n = spec.grid.size
+    y0 = Field(spec.grid, np.concatenate([np.zeros(n), np.full(n, 0.2)]), 2)
+    ytar = Field(spec.grid, np.concatenate([np.full(n, 0.3), np.zeros(n)]), 2)
+    run = run_sliding(spec, cm, y0, ytar, rho=10.0, T_max=0.05, dt=1e-4, hit_tol=2e-3,
+                      continue_after_hit=False)
+    assert run.hit and run.t_star_valid
+    assert run.t_star == hit_time_bound(10.0 / 1.1907644742815648, run.a_norm_surrogate,
+                                        run.c1, run.deviations[0])
+
+
+def test_rank_deficient_nonlocal_map_has_no_gain_constant():
+    # 4 Gaussian control nodes over 16 state nodes: B* has a 12-dimensional
+    # kernel, so no finite C gives ||P v||_H <= C ||B* v||_U*, and T_* is no
+    # bound (the largest ratio over smooth samples is only 5.79)
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
+    gc = Grid(extent=(1.0,), nodes=(4,), bcs=(dirichlet(),))
+    (x,), (z,) = g.coordinates(), gc.coordinates()
+    cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
+                    kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
+    spec = PotentialDrift(g, beta=scalar_fn("zero"))
+    c, _ = projection_constant(spec, cm, _projection_matrix(spec, cm), _metric_state(spec),
+                               spec.h_norm, np.random.default_rng(0), 100)
+    assert c == np.inf
+    run = run_sliding(spec, cm, Field(g, np.sin(np.pi * x)), Field(g, np.zeros(16)),
+                      rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3, continue_after_hit=False)
+    assert run.hit
+    assert run.t_star is None and not run.t_star_valid

@@ -316,9 +316,18 @@ def test_transversality_as_T_stationarity():
     prob.golden_tol_factor = 1e-5
     report, sol = outer_minimize(prob, (0.2, 1.4))
     h = 2 * prob.dt
-    J_hi = inner_solve_control(prob, report.T_eps_star + h, sol.control).J
-    J_lo = inner_solve_control(prob, report.T_eps_star - h, sol.control).J
+    J_hi = inner_solve_control(prob, report.T_eps_star + h, sol).J
+    J_lo = inner_solve_control(prob, report.T_eps_star - h, sol).J
     assert abs(J_hi - J_lo) / (2 * h) <= 1e-3
+
+
+def test_newton_solve_starts_from_the_warm_costate():
+    prob = scalar_setup(eps=1e-2, dt=1e-2)
+    cold = inner_solve_control(prob, 0.8)
+    warm = inner_solve_control(prob, 0.8, cold)
+    assert cold.stop == warm.stop == "converged"
+    assert warm.iterations < cold.iterations
+    assert warm.J == pytest.approx(cold.J, rel=1e-9)
 
 
 def test_outer_boundary_flag():
@@ -398,7 +407,7 @@ def test_uref_cross_term_is_the_tail_double_sum():
     first = inner_solve_control(prob, T)
     ref = Control(first.control.dt, 0.5 * first.control.values, prob.rho)
     chained = replace(prob, eps=0.05, u_ref=ref)
-    sol = inner_solve_control(chained, T, first.control)
+    sol = inner_solve_control(chained, T, first)
     K, dte = sol.control.steps, sol.control.dt
     assert K == 50
     spec, cm = chained.spec, chained.map
