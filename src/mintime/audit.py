@@ -1,13 +1,16 @@
 """Empirical audit of the structural hypotheses behind the optimality theory.
 
-The projection bounds ||t v||_X <= C ||B* v||_U* (C*, the fractional C_d1
-and the sliding feedback's gain) come from one routine,
-``projection_constant``. When the U* norm is quadratic both sides are
-quadratic forms, and C is certified exactly through a generalized symmetric
-eigenproblem; for Lp controls it is sampled. Inequalities involving the
-nonlinear operator are sampled over random smooth fields and the best
-constants fitted over the inequality slacks; "pass" means a positive leading
-constant with nonnegative slack on at least 99% of the samples.
+The projection bounds ||t v||_X <= C ||B* v||_U* (C*, the fractional C_d1,
+the sliding feedback's gain and, inverted, the nonlocal kernel's
+coercivity) come from one routine, ``projection_constant``, which draws
+nothing. For Hilbert U* norms both sides are quadratic forms, and C is the
+exact supremum of a generalized symmetric eigenproblem. For Lp controls the
+same eigenproblem on the weighted L2 U* metric, scaled by the
+norm-equivalence factor w_min^(1/p - 1/2), is a certified upper bound.
+Inequalities involving the nonlinear operator are sampled over random smooth
+fields and the best constants fitted over the inequality slacks; "pass"
+means a positive leading constant with nonnegative slack on at least 99% of
+the samples.
 
 Samples are drawn one at a time, in a fixed rng order, and stacked; every
 operator, norm and pairing is then one call on the stack. The dense matrices
@@ -159,25 +162,24 @@ def _bstar_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
     return map.apply_Bstar(spec, np.eye(spec.n_dof)).T
 
 
-def _bstar_samples(spec: OperatorSpec, map: ControlMap, rng: np.random.Generator,
-                   samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth state samples v, one per row, and their ||B* v||_U*."""
-    V = _samples(spec, rng, samples)
-    return V, map.ustar_norms_batch(spec, map.apply_Bstar(spec, V))
+def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, float]:
+    """Matrix M and factor k with ||zeta||_U* >= sqrt(zeta^T M zeta) / k, an
+    equality with k = 1 for the Hilbert norms (L2, H^-1).
 
-
-def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> np.ndarray | None:
-    """Matrix M with ||zeta||_U*^2 = zeta^T M zeta, or None if not quadratic."""
+    For Lp controls U* = Lq with q = p/(p-1) <= 2, M is the weighted L2
+    metric diag(w), and ||z||_Lq,w >= w_min^(1/2 - 1/p) ||z||_L2,w, with
+    equality for a spike on a lightest node.
+    """
     g = map.ugrid(spec)
     w = g.component_weights()
-    if map.u_tag.kind == "L2":
-        return np.diag(w)
     if map.u_tag.kind == "Hminus1":
         _, _, s = map._uspace(spec)
         gm = _dense_fn_matrix(s, lambda lam: lam)
         m1 = 0.5 * (g.weights(0)[:, None] * gm + (g.weights(0)[:, None] * gm).T)
-        return _blockdiag_per_component(spec, m1) if g.n_components > 1 else m1
-    return None
+        return (_blockdiag_per_component(spec, m1) if g.n_components > 1 else m1), 1.0
+    if map.u_tag.kind == "Lp":
+        return np.diag(w), float(np.min(w)) ** (1.0 / map.u_tag.p - 0.5)
+    return np.diag(w), 1.0
 
 
 def _sup_ratio_quadratic(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -204,27 +206,19 @@ def _projection_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
 
 
 def projection_constant(spec: OperatorSpec, map: ControlMap, t: np.ndarray,
-                        metric: np.ndarray, norms, rng: np.random.Generator,
-                        samples: int) -> tuple[float, int]:
+                        metric: np.ndarray) -> float:
     """C = sup_v ||t v||_X / ||B* v||_U* for the state matrix ``t`` into X,
-    and the number of samples drawn for it.
+    given by its dense metric (||x||_X^2 = x^T metric x); +inf when t does not
+    vanish on the kernel of B*.
 
-    X is given by its dense metric (||x||_X^2 = x^T metric x) and its row
-    norm ``norms``. A quadratic U* norm (L2, H^-1) gives the exact supremum
-    of the generalized eigenproblem, +inf when t does not vanish on the
-    kernel of B*, and draws nothing. Otherwise C is the largest ratio over
-    ``samples`` smooth samples from ``rng``: an estimate from below, +inf
-    when B* annihilates every sample.
+    Exact for Hilbert U* norms (the generalized eigenproblem). For Lp
+    controls it is the weighted L2 supremum times w_min^(1/p - 1/2): a
+    certified upper bound, attained when a spike on a lightest node attains
+    the L2 supremum (pointwise maps on an L2 state).
     """
-    mus = _metric_ustar(spec, map)
-    if mus is not None:
-        r = _bstar_matrix(spec, map)
-        return _sup_ratio_quadratic(t.T @ metric @ t, r.T @ mus @ r), 0
-    V, den = _bstar_samples(spec, map, rng, samples)
-    live = den > 1e-14
-    if not live.any():
-        return np.inf, samples
-    return float(np.max(norms(V[live] @ t.T) / den[live])), samples
+    mus, k = _metric_ustar(spec, map)
+    r = _bstar_matrix(spec, map)
+    return k * _sup_ratio_quadratic(t.T @ metric @ t, r.T @ mus @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +236,9 @@ def audit_hypotheses(
     """Estimate the constants of the structural inequalities for one setup.
 
     Reports the monotonicity pair (alpha1, alpha2), the domain estimate pair
-    (alpha3, alpha4), the exact projection constants C* and C_d1, and, when a
-    target is supplied, the sign-condition constant shared by the sliding
-    feedback analysis.
+    (alpha3, alpha4), the projection constants C* and C_d1 (and a nonlocal
+    map's coercivity), unsampled, and, when a target is supplied, the
+    sign-condition constant shared by the sliding feedback analysis.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful audit")
@@ -273,34 +267,30 @@ def audit_hypotheses(
     ))
 
     # (g74-2): ||P v||_V* <= C* ||B* v||_U*
+    notes = "" if map.u_tag.is_hilbert else "Lp: certified bound, not exact"
     p = _projection_matrix(spec, map)
-    cstar, drawn = projection_constant(spec, map, p, _metric_vstar(spec), spec.vstar_norms,
-                                       rng, samples)
+    cstar = projection_constant(spec, map, p, _metric_vstar(spec))
     report.add(AuditEntry(
         "projection_bound_g74_2", {"Cstar": cstar},
-        passed=bool(np.isfinite(cstar)), method="sampling" if drawn else "spectral",
-        samples=drawn, notes="U* norm is not quadratic; empirical supremum" if drawn else "",
+        passed=bool(np.isfinite(cstar)), method="spectral", samples=0, notes=notes,
     ))
 
     # (g74): ||P Gamma^(-alpha/2) v||_H <= C ||B* v||_U*
     if spec.gamma_op.min_eigenvalue > 0.0:
         half = _dense_fn_matrix(spec.gamma_op, lambda lam: np.power(lam, -alpha / 2.0))
         t = p @ _blockdiag_per_component(spec, half)
-        cd1, drawn = projection_constant(spec, map, t, _metric_state(spec), spec.h_norm,
-                                         rng, samples)
+        cd1 = projection_constant(spec, map, t, _metric_state(spec))
         report.add(AuditEntry(
             "fractional_bound_g74", {"C": cd1, "alpha": alpha},
-            passed=bool(np.isfinite(cd1)), method="sampling" if drawn else "spectral",
-            samples=drawn, notes="U* norm is not quadratic" if drawn else "",
+            passed=bool(np.isfinite(cd1)), method="spectral", samples=0, notes=notes,
         ))
 
-    # kernel coercivity ||B* v|| >= gamma ||v|| for nonlocal maps
+    # kernel coercivity ||B* v||_U* >= gamma ||v||_H for nonlocal maps
     if map.mode == "nonlocal":
-        V, den = _bstar_samples(spec, map, rng, samples)
-        gam = float(np.min(den / spec.h_norm(V)))
+        gam = 1.0 / projection_constant(spec, map, np.eye(spec.n_dof), _metric_state(spec))
         report.add(AuditEntry(
             "kernel_coercivity", {"gamma": gam},
-            passed=bool(gam > 1e-10), method="sampling", samples=samples,
+            passed=bool(gam > 1e-10), method="spectral", samples=0, notes=notes,
         ))
 
     if y_tar is not None:

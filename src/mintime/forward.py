@@ -70,9 +70,6 @@ class Control:
     def horizon(self) -> float:
         return self.steps * self.dt
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.steps + 1)
-
     def check_admissible(self, map: ControlMap, spec: OperatorSpec) -> None:
         tol = self.rho * (1.0 + 1e-12)
         norms = map.u_norms_batch(spec, self.values)
@@ -177,7 +174,7 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
     """Solve x + dt A_H(x) = rhs by Newton, returning (x, iters, residual)."""
     scale = 1.0 + _wnorm(spec, rhs)
     if spec.is_linear:
-        x = spec.step_factor(guess, dt).solve(rhs - dt * spec.offset)
+        x = spec.step_factor(guess, dt).solve(rhs)
         res = _wnorm(spec, x + dt * spec.apply(x) - rhs)
         return x, 1, res
     x = guess.copy()

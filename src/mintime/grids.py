@@ -175,25 +175,8 @@ class Field:
             raise IndexError(f"component {i} of {self.n_components}")
         return self.values[i * n : (i + 1) * n]
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.n_components)
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values + other.values, self.n_components)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values - other.values, self.n_components)
-
-    def __mul__(self, a: float) -> "Field":
-        return Field(self.grid, self.values * float(a), self.n_components)
-
-    __rmul__ = __mul__
-
     def _check_compatible(self, other: "Field") -> None:
         if other.grid is not self.grid and other.grid != self.grid:
             raise ValueError("fields live on different grids")
         if other.n_components != self.n_components:
             raise ValueError("fields have different component counts")
-

@@ -287,11 +287,6 @@ class OperatorSpec:
             cache[dt] = StepFactor(self, y, dt)
         return cache[dt]
 
-    @cached_property
-    def offset(self) -> np.ndarray:
-        """A_H(0), the constant term of a linear kind (zero for the catalog)."""
-        return self.apply(np.zeros(self.n_dof))
-
     # -- state (H) geometry: the row kernels under state_tag -----------------
 
     def state_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ d/dt dev <= C1 dev - (rho - a) gives
 
 with the C1 -> 0 limit dev0/(rho - a), where rho is read as rho / C for the
 gain constant C of ||P v||_H <= C ||B* v||_U*. It applies when
-rho > a + C1 dev0. C1 is only ever an audited surrogate, and C is exact for
-L2 and H^-1 controls but sampled for Lp ones, so the bound is reported
-together with a validity flag.
+rho > a + C1 dev0. C is certified: exact for L2 and H^-1 controls and for
+pointwise Lp maps on an L2 state, an upper bound otherwise. C1 is only ever
+a sampled surrogate, so the bound is reported together with a validity flag.
 """
 
 from __future__ import annotations
@@ -138,9 +138,7 @@ def run_sliding(
     entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
     c1 = float(entry.constants["C1"])
     # C of ||P v||_H <= C ||B* v||_U*, which scales the feedback's decrement
-    gain_c, _ = projection_constant(spec, map, _projection_matrix(spec, map),
-                                    _metric_state(spec), spec.h_norm,
-                                    np.random.default_rng(seed), max(50, audit_samples // 2))
+    gain_c = projection_constant(spec, map, _projection_matrix(spec, map), _metric_state(spec))
 
     def deviation(y: np.ndarray) -> np.ndarray:
         return spec.h_norm(map.project_state(spec, y - y_tar.values))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -88,12 +89,24 @@ def test_case2_sign_condition_constant_is_zero():
 
 
 def test_lp_control_bound_is_sampled_not_spectral():
+    # an L4 control norm does not take the bare L2 eigenvalue as C*: the
+    # certified bound is finite, above the L2 value, and bounds every sampled
+    # ratio of ||P v||_{V*} to ||B* v||_{U*}
     g = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
     spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
     rep = audit_hypotheses(spec, cm, samples=120, seed=5)
-    assert rep.entries["projection_bound_g74_2"].method == "sampling"
-    assert np.isfinite(rep.constant("projection_bound_g74_2", "Cstar"))
+    entry = rep.entries["projection_bound_g74_2"]
+    cstar = rep.constant("projection_bound_g74_2", "Cstar")
+    assert np.isfinite(cstar)
+    assert entry.notes == "Lp: certified bound, not exact"
+    l2 = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    assert cstar > audit_hypotheses(spec, l2, samples=120, seed=5).constant(
+        "projection_bound_g74_2", "Cstar")
+    V = _samples(spec, np.random.default_rng(5), 120)
+    ratios = (spec.vstar_norms(V @ _projection_matrix(spec, cm).T)
+              / cm.ustar_norms_batch(spec, cm.apply_Bstar(spec, V)))
+    assert np.all(ratios <= cstar * (1.0 + 1e-12))
 
 
 def test_nonlocal_kernel_coercivity_reported():
@@ -105,6 +118,21 @@ def test_nonlocal_kernel_coercivity_reported():
     cm = ControlMap(mode="nonlocal", u_tag=L2, kernel=kern, control_grid=g)
     rep = audit_hypotheses(spec, cm, samples=100, seed=6)
     assert rep.entries["kernel_coercivity"].passed
+
+
+def test_rank_deficient_nonlocal_map_fails_kernel_coercivity():
+    # 4 Gaussian control nodes over 16 state nodes: B* annihilates a
+    # 12-dimensional subspace, so inf ||B* v|| / ||v||_H is exactly 0 (smooth
+    # samples saw 0.12)
+    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
+    gc = Grid(extent=(1.0,), nodes=(4,), bcs=(dirichlet(),))
+    (x,), (z,) = g.coordinates(), gc.coordinates()
+    cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
+                    kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
+    rep = audit_hypotheses(PotentialDrift(g, beta=scalar_fn("zero")), cm, samples=200, seed=0)
+    entry = rep.entries["kernel_coercivity"]
+    assert entry.constants["gamma"] == 0.0
+    assert not entry.passed
 
 
 def test_min_samples_guard():
@@ -188,9 +216,7 @@ def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, co
         kernel = np.random.default_rng(seed).random((nodes, control_nodes))
         cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)
     p = _projection_matrix(spec, cm)
-    c, drawn = projection_constant(spec, cm, p, _metric_state(spec), spec.h_norm,
-                                   np.random.default_rng(seed), 100)
-    assert drawn == 0
+    c = projection_constant(spec, cm, p, _metric_state(spec))
     V = _samples(spec, np.random.default_rng(seed), 50)
     ratios = spec.h_norm(V @ p.T) / cm.ustar_norms_batch(spec, cm.apply_Bstar(spec, V))
     assert np.all(ratios <= c * (1.0 + 1e-12))
@@ -199,15 +225,73 @@ def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, co
 
 
 def test_l4_bounds_keep_their_samples_and_notes():
-    # the sampled path draws from the audit's own rng in the old order
+    # U* = L^(4/3): the L2 eigenproblem (1 here, up to its rounding) times
+    # w_min^(1/4 - 1/2), with w_min = h/2 = 1/30 on 16 Neumann nodes; no
+    # samples are drawn
     g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(), neumann()))
     spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                               g=pair_fn("tanh_pair", -0.2, 0.6))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
     rep = audit_hypotheses(spec, cm, samples=200, seed=3)
     cstar, cd1 = rep.entries["projection_bound_g74_2"], rep.entries["fractional_bound_g74"]
-    assert cstar.constants["Cstar"] == 0.9999537357392249
-    assert cd1.constants["C"] == 0.9999905121919009
-    assert (cstar.method, cstar.samples, cstar.notes) == (
-        "sampling", 200, "U* norm is not quadratic; empirical supremum")
-    assert (cd1.method, cd1.samples, cd1.notes) == ("sampling", 200, "U* norm is not quadratic")
+    assert cstar.constants["Cstar"] == 2.3403473193207165
+    assert cd1.constants["C"] == 2.3403473193207165
+    assert cstar.constants["Cstar"] == pytest.approx(30.0 ** 0.25, rel=1e-15)
+    for entry in (cstar, cd1):
+        assert (entry.method, entry.samples, entry.notes) == (
+            "spectral", 0, "Lp: certified bound, not exact")
+
+
+def _l4_case(kind, dim, bc, nodes, control_nodes, seed):
+    extent, shape = (1.0,) * dim, (nodes,) * dim
+    if kind == "porous":
+        g = Grid(extent=extent, nodes=shape, bcs=(dirichlet(),))
+        return (PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5)),
+                ControlMap(mode="identity", u_tag=L4))
+    if kind in ("first_component", "identity_first"):
+        g = Grid(extent=extent, nodes=shape, bcs=(_BCS[bc](),) * 2)
+        mode = "identity" if kind == "identity_first" else kind
+        return (ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2")),
+                ControlMap(mode=mode, u_tag=L4, projection="first"))
+    spec = PotentialDrift(Grid(extent=extent, nodes=shape, bcs=(_BCS[bc](),)))
+    if kind == "identity":
+        return spec, ControlMap(mode="identity", u_tag=L4)
+    gc = Grid(extent=(1.0,), nodes=(control_nodes,), bcs=(neumann(),))
+    kernel = np.random.default_rng(seed).random((spec.grid.size, control_nodes))
+    return spec, ControlMap(mode="nonlocal", u_tag=L4, kernel=kernel, control_grid=gc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["identity", "first_component", "identity_first", "nonlocal",
+                             "porous"]),
+       dim=st.sampled_from([1, 2]), bc=st.sampled_from(sorted(_BCS)),
+       nodes=st.integers(3, 16), control_nodes=st.integers(3, 24),
+       seed=st.integers(0, 2**16))
+def test_l4_projection_constants_bound_every_sample(kind, dim, bc, nodes, control_nodes, seed):
+    # the gain, C* and C_d1 bound every smooth, Gaussian and nodal-spike ratio;
+    # pointwise maps on an L2 state attain the gain with a lightest-node spike
+    if dim == 2:
+        nodes = min(nodes, 5)
+    spec, cm = _l4_case(kind, dim, bc, nodes, control_nodes, seed)
+    rng = np.random.default_rng(seed)
+    n = spec.n_dof
+    V = np.vstack([_samples(spec, rng, 100), rng.standard_normal((100, n)), np.eye(n)])
+    den = cm.ustar_norms_batch(spec, cm.apply_Bstar(spec, V))
+    p = _projection_matrix(spec, cm)
+    cases = {"gain": (p, _metric_state(spec), spec.h_norm),
+             "Cstar": (p, _metric_vstar(spec), spec.vstar_norms)}
+    if spec.gamma_op.min_eigenvalue > 0.0:
+        half = _dense_fn_matrix(spec.gamma_op, lambda lam: lam ** -0.25)
+        cases["C_d1"] = (p @ scipy.linalg.block_diag(*[half] * spec.n_components),
+                         _metric_state(spec), spec.h_norm)
+    for name, (t, metric, norms) in cases.items():
+        c = projection_constant(spec, cm, t, metric)
+        if c == np.inf:
+            continue
+        num = norms(V @ t.T)
+        live = den > 0.0
+        assert np.all(num[~live] == 0.0), name
+        assert np.all(num[live] / den[live] <= c * (1.0 + 1e-12)), name
+        if name == "gain" and kind in ("identity", "first_component", "identity_first"):
+            spikes = num[-n:][live[-n:]] / den[-n:][live[-n:]]
+            assert spikes.max() >= c * (1.0 - 1e-12)

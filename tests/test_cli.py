@@ -119,6 +119,17 @@ def test_slide_command_hits(tmp_path):
     assert res["hit"][-1] == 1.0
 
 
+def test_slide_reaction_diffusion_config_reports_the_certified_bound(tmp_path):
+    # L4 controls: T_* uses the gain w_min^(-1/4) = 30^(1/4), the exact
+    # supremum, and still bounds the hit time
+    out = tmp_path / "out"
+    assert run(REPO / "configs/slide_reaction_diffusion.yaml", out) == 0
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["T_star"] == 0.07425107281417975
+    assert summary["T_hit"] == 0.030260619853655298
+    assert summary["T_star_valid"] is True
+
+
 def test_audit_command(tmp_path):
     doc = {
         "command": "audit",

@@ -31,7 +31,8 @@ def test_json_verdicts(tmp_path):
     moved["levels"][0]["eps"] = 0.1 * (1 - 1e-15)
     status, msg = _pair(tmp_path, "b.json", same, json.dumps(moved))
     assert status == 1 and msg.startswith("2 floats moved, largest relative move")
-    assert 5e-16 < float(msg.split()[-1]) < 2e-15
+    assert msg.endswith(" at /levels[0]/eps")
+    assert 5e-16 < float(msg.split()[6]) < 2e-15
 
     flipped = json.loads(same)
     flipped["levels"][0]["converged"] = False
@@ -44,10 +45,23 @@ def test_json_verdicts(tmp_path):
     assert _pair(tmp_path, "d.json", same, json.dumps(retyped))[0] == 2
 
 
+def test_largest_move_names_its_place(tmp_path):
+    old = {"summary": {"T_hit": 0.0303, "T_star": 0.0367}, "rho": 10.0}
+    new = {"summary": {"T_hit": 0.0303 * (1 + 1e-15), "T_star": 0.0743}, "rho": 10.0}
+    status, msg = _pair(tmp_path, "r.json", json.dumps(old), json.dumps(new))
+    assert (status, msg) == (1, "2 floats moved, largest relative move 5.061e-01 "
+                                "at /summary/T_star")
+    csv_old = "t,dev\n0.0,1.0\n0.1,0.5\n0.2,0.25\n"
+    csv_new = "t,dev\n0.0,1.0000000000000002\n0.1,0.5\n0.2,0.3\n"
+    status, msg = _pair(tmp_path, "r.csv", csv_old, csv_new)
+    assert status == 1 and msg.endswith("largest relative move 1.667e-01 at row 3 column 1")
+
+
 def test_csv_verdicts(tmp_path):
     old = "t,u_norm\n0.0,1.0\n0.1,2.0\n"
     status, msg = _pair(tmp_path, "a.csv", old, "t,u_norm\n0.0,1.0\n0.1,2.0000000000000004\n")
     assert status == 1 and msg.startswith("1 floats moved")
+    assert msg.endswith(" at row 2 column 1")
     assert _pair(tmp_path, "b.csv", old, "t,v_norm\n0.0,1.0\n0.1,2.0\n")[0] == 2
     assert _pair(tmp_path, "c.csv", old, old + "0.2,3.0\n")[0] == 2
 

@@ -309,19 +309,22 @@ def test_sliding_interval_substeps_when_newton_fails(monkeypatch):
     assert run.approach.newton_iters[0] > forward.NEWTON_MAX_ITER
 
 
-def test_lp_gain_constant_is_the_pinned_sample_maximum():
-    # L4 controls: the gain C is the largest ratio over max(50, 150 // 2)
-    # smooth samples from the run's seed; T_* is rho / C away from the
-    # C = 1 bound, so it is an estimate, not a certified bound
+def test_lp_gain_constant_is_the_lightest_node_spike_bound():
+    # L4 controls on an L2 state: C = w_min^(1/4 - 1/2), attained by a spike
+    # on a half-weight wall node (w_min = 1/30 on 16 Neumann nodes), so T_*
+    # is a certified bound
     spec, cm = case1_spec(16)
+    c = projection_constant(spec, cm, _projection_matrix(spec, cm), _metric_state(spec))
+    assert c == pytest.approx(30.0 ** 0.25, rel=1e-15)
     n = spec.grid.size
     y0 = Field(spec.grid, np.concatenate([np.zeros(n), np.full(n, 0.2)]), 2)
     ytar = Field(spec.grid, np.concatenate([np.full(n, 0.3), np.zeros(n)]), 2)
     run = run_sliding(spec, cm, y0, ytar, rho=10.0, T_max=0.05, dt=1e-4, hit_tol=2e-3,
                       continue_after_hit=False)
     assert run.hit and run.t_star_valid
-    assert run.t_star == hit_time_bound(10.0 / 1.1907644742815648, run.a_norm_surrogate,
-                                        run.c1, run.deviations[0])
+    assert run.t_star == hit_time_bound(10.0 / c, run.a_norm_surrogate, run.c1,
+                                        run.deviations[0])
+    assert run.hit_time <= run.t_star
 
 
 def test_rank_deficient_nonlocal_map_has_no_gain_constant():
@@ -334,8 +337,7 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
     cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
                     kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
     spec = PotentialDrift(g, beta=scalar_fn("zero"))
-    c, _ = projection_constant(spec, cm, _projection_matrix(spec, cm), _metric_state(spec),
-                               spec.h_norm, np.random.default_rng(0), 100)
+    c = projection_constant(spec, cm, _projection_matrix(spec, cm), _metric_state(spec))
     assert c == np.inf
     run = run_sliding(spec, cm, Field(g, np.sin(np.pi * x)), Field(g, np.zeros(16)),
                       rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3, continue_after_hit=False)

@@ -9,7 +9,7 @@ into ``DIR/old/<name>`` and ``DIR/new/<name>``. For every artifact one line
 is printed:
 
     <name>/<file>: identical
-    <name>/<file>: <k> floats moved, largest relative move <r>
+    <name>/<file>: <k> floats moved, largest relative move <r> at <where>
     <name>/<file>: non-float difference at <where>: <old> -> <new>
 
 A run that exits nonzero in either tree prints
@@ -17,11 +17,12 @@ A run that exits nonzero in either tree prints
     <name>: exit code <old> -> <new>
 
 JSON is compared value by value (floats by value, everything else exactly),
-CSV cell by cell. The exit status is 0 when every run exits 0 and every file
-is identical, 1 when only floats moved, and 2 on any other difference
-(including a file present in one tree only) or on a nonzero CLI exit in
-either tree: a config that fails in both trees writes no artifacts to
-compare, so it must not read as a pass.
+CSV cell by cell; <where> is a JSON path such as ``/summary/T_star`` or a
+CSV cell ``row <r> column <c>``. The exit status is 0 when every run exits 0
+and every file is identical, 1 when only floats moved, and 2 on any other
+difference (including a file present in one tree only) or on a nonzero CLI
+exit in either tree: a config that fails in both trees writes no artifacts
+to compare, so it must not read as a pass.
 """
 
 from __future__ import annotations
@@ -53,20 +54,23 @@ def _run(tree: Path, config: Path, outdir: Path) -> int:
 
 
 class _Diff:
-    """Accumulates the float moves and the first non-float difference."""
+    """Accumulates the float moves, where the largest one is, and the first
+    non-float difference."""
 
     def __init__(self):
         self.moved = 0
         self.max_rel = 0.0
+        self.max_where = ""
         self.other: str | None = None
 
-    def floats(self, a: float, b: float) -> None:
+    def floats(self, where: str, a: float, b: float) -> None:
         if a == b or (a != a and b != b):  # equal, or both NaN
             return
         self.moved += 1
         scale = max(abs(a), abs(b))
         rel = abs(a - b) / scale if scale > 0 and scale != float("inf") else float("inf")
-        self.max_rel = max(self.max_rel, rel)
+        if self.moved == 1 or rel > self.max_rel:
+            self.max_rel, self.max_where = rel, where
 
     def mismatch(self, where: str, a, b) -> None:
         if self.other is None:
@@ -75,7 +79,7 @@ class _Diff:
 
 def _walk_json(a, b, where: str, diff: _Diff) -> None:
     if isinstance(a, float) and isinstance(b, float):
-        diff.floats(a, b)
+        diff.floats(where or "/", a, b)
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             diff.mismatch(f"{where or '/'} keys", sorted(a), sorted(b))
@@ -110,7 +114,7 @@ def _walk_csv(a: str, b: str, diff: _Diff) -> None:
         for c, (x, y) in enumerate(zip(ra, rb)):
             fx, fy = _as_float(x), _as_float(y)
             if fx is not None and fy is not None:
-                diff.floats(fx, fy)
+                diff.floats(f"row {r} column {c}", fx, fy)
             elif x != y:
                 diff.mismatch(f"row {r} column {c}", x, y)
 
@@ -131,7 +135,8 @@ def compare_file(old: Path, new: Path) -> tuple[int, str]:
         return 2, f"non-float difference at {diff.other}"
     if diff.moved == 0:  # same values, different text (e.g. -0.0 vs 0.0)
         return 1, "same values, different bytes"
-    return 1, f"{diff.moved} floats moved, largest relative move {diff.max_rel:.3e}"
+    return 1, (f"{diff.moved} floats moved, largest relative move {diff.max_rel:.3e} "
+               f"at {diff.max_where}")
 
 
 def main(argv=None) -> int:
