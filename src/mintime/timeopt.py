@@ -21,12 +21,21 @@ state only through G: u -> y_K and G*: p_T -> (B* p_{k-1})_k, taken from
 precomputed step propagators on small linear problems and from forward,
 variation and adjoint sweeps over the banded step factor otherwise.
 
-The outer problem golden-sections the horizon; each probe warm-starts from
-the previous one, and only the chosen probe's trajectory and adjoint are
-solved sequentially (on first read). Driving eps -> 0 through a schedule,
-with warm starts, reproduces minimal-time optima; the final report carries
-the limit-condition residuals (the feedback inclusion and the transversality
-identity) along the trajectory.
+The outer problem reads the horizon off the transversality condition, which
+for J_eps is dJ/dT = 0. At fixed K (dt = T/K) and a stationary inner solve
+the envelope theorem gives
+
+    dJ/dT = 1 + (sum_k <p_{k-1}, B u_k - A(y_k)>_H + (eps/2) sum_k ||P u_k||^2)/K
+            [+ (3/2) href_energy / T with u_ref],
+
+which each solve evaluates from the G/G* backend it already holds. The sign
+of dJ/dT is scanned over the whole bracket, each - to + change is refined by
+a safeguarded interpolation on the probes left of the root, and the root with
+the lowest J wins. Each probe warm-starts from the previous one, and only the
+winner's trajectory and adjoint are solved sequentially (on first read).
+Driving eps -> 0 through a schedule, with warm starts, reproduces minimal-time
+optima; the final report carries the limit-condition residuals (the feedback
+inclusion and the transversality identity) along the trajectory.
 """
 
 from __future__ import annotations
@@ -52,7 +61,13 @@ __all__ = [
     "eps_continuation",
 ]
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points of the sign scan of dJ/dT over the horizon bracket
+SCAN_POINTS = 5
+# J is piecewise in T (K = round(T/dt)): a sign change of dJ/dT narrower than
+# this many dt straddles a cell boundary and holds no root
+ROOT_WIDTH = 1e-6
+# root-finder probes per sign change, whatever the tolerance
+ROOT_CAP = 60
 # inner iterations without a 1% gap improvement before the fixed point
 # counts as stalled at its attainable accuracy
 PLATEAU_PATIENCE = 200
@@ -83,7 +98,7 @@ class PenalizedProblem:
     inner_tol: float = 1e-8
     inner_cap: int = 500
     theta0: float = 0.5
-    golden_tol_factor: float = 1e-4
+    golden_tol_factor: float = 1e-4  # tolerance on |dJ/dT| of the horizon search
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -115,11 +130,14 @@ class PenalizedProblem:
 class InnerSolution:
     """One fixed-horizon solve.
 
-    ``J`` and ``miss`` come from the solver's own terminal state; ``stop``
-    says why it ended ("converged", "plateau" or "cap") and ``costate`` is
-    the Newton solve's p_T (None from the fixed point). The trajectory and
-    adjoint are solved sequentially on first read, and the stationarity
-    residual is measured on them.
+    ``J``, ``miss`` and ``dJ_dT`` come from the solver's own terminal
+    state; ``stop`` says why it ended ("converged", "plateau" or "cap").
+    ``costate`` is the Newton iterate p, kept as the next solve's warm start
+    (None from the fixed point). The stop test measures the control gap, not
+    p - P(y_K - y_tar)/eps, and a saturated control has a zero gap whatever
+    the scale of p; so ``costate`` need not be the terminal costate of the
+    returned control. The trajectory and adjoint are solved sequentially on
+    first read, and the stationarity residual is measured on them.
     """
 
     prob: PenalizedProblem = field(repr=False)
@@ -129,6 +147,7 @@ class InnerSolution:
     iterations: int
     stop: str
     control_energy: float  # integral of ||P u||_U^2
+    dJ_dT: float           # envelope derivative of J in the horizon, at fixed K
     costate: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -164,6 +183,7 @@ class OptimalityReport:
     terminal_miss: float
     stationarity_residual: float
     transversality_residual: float
+    dJ_dT: float
     g73_residual_avg: float
     g72_residual_avg: float
     g72_skipped_steps: int
@@ -198,7 +218,11 @@ class _LinearKernel:
     """Precomputed step propagators of a linear operator at fixed (T, K).
 
     With S = (I + dt A')^-1 constant, y_K(u) = S^K y0 + dt sum_k S^(K-k+1) B u_k
-    and the rows B* p_{k-1} = B* (S*)^(K-k+1) p_K are each one einsum.
+    and the rows B* p_{k-1} = B* (S*)^(K-k+1) p_K are each one einsum. Since
+    A S = (I - S)/dt, the horizon pairing is one more:
+
+        sum_k <p_{k-1}, A y_k>_H = <p_K, K (I - S) S^K y0 / dt
+                                   + sum_j (K-j+1) (I - S) S^(K-j+1) B u_j>_H.
     """
 
     # assembled propagators get large quickly; gate on problem size
@@ -228,6 +252,11 @@ class _LinearKernel:
         # G in the state metric
         self.C = SB.transpose(0, 2, 1) @ metric / wu[:, None]
         self.y_const = pows[-1] @ prob.y0.values
+        # sum_k <p_{k-1}, B u_k - A y_k>_H = <p_K, h_const + sum_j HB_j u_j>_H
+        reps = np.arange(K, 0, -1)[:, None, None]       # K - j + 1 at slot j-1
+        self.HB = SB - reps * (SB - S @ SB)
+        self.h_const = -K * (self.y_const - S @ self.y_const) / dte
+        self.spec = spec
 
     @classmethod
     def try_build(cls, prob: PenalizedProblem, K: int, dte: float):
@@ -249,6 +278,11 @@ class _LinearKernel:
         """B* p_{k-1} for k = 1..K as rows."""
         return np.einsum("kmn,n->km", self.C, p_terminal)
 
+    def horizon_pairing(self, uvals: np.ndarray, p_terminal: np.ndarray) -> float:
+        """sum_k <p_{k-1}, B u_k - A y_k>_H along the control's trajectory."""
+        return float(self.spec.state_inner(
+            p_terminal, self.h_const + np.einsum("kim,km->i", self.HB, uvals)))
+
 
 class _Sweeps:
     """G and G* from sequential sweeps over the banded step factor: the
@@ -261,6 +295,7 @@ class _Sweeps:
         spec = prob.spec
         self.traj = Trajectory(spec, dte * np.arange(K + 1), np.zeros((K + 1, spec.n_dof)),
                                np.zeros(K, dtype=int), np.zeros(K))
+        self.traj_control = None
 
     def _control(self, vals: np.ndarray) -> Control:
         return Control(self.dte, vals, self.prob.rho, self.prob.map.u_tag)
@@ -272,12 +307,28 @@ class _Sweeps:
     def terminal_state(self, uvals: np.ndarray) -> np.ndarray:
         p = self.prob
         self.traj = solve_forward(p.spec, p.map, p.y0, self._control(uvals))
+        self.traj_control = uvals
         return self.traj.states[-1]
 
     def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
+        return self.prob.map.apply_Bstar(self.prob.spec, self._adjoint(p_terminal))
+
+    def _adjoint(self, p_terminal: np.ndarray) -> np.ndarray:
+        """p_{k-1} for k = 1..K along the latest forward solve."""
         spec = self.prob.spec
         adj = solve_adjoint(spec, self.traj, Field(spec.grid, p_terminal, spec.n_components))
-        return self.prob.map.apply_Bstar(spec, adj.values[:-1])
+        return adj.values[:-1]
+
+    def horizon_pairing(self, uvals: np.ndarray, p_terminal: np.ndarray) -> float:
+        """sum_k <p_{k-1}, B u_k - A(y_k)>_H: one adjoint sweep and one
+        stacked apply along the control's trajectory."""
+        p, spec = self.prob, self.prob.spec
+        if self.traj_control is not uvals:   # a rejected Newton trial came last
+            self.terminal_state(uvals)
+        adj = self._adjoint(p_terminal)
+        bu = p.map.u_pairing(spec, p.map.apply_Bstar(spec, adj), uvals)
+        ay = spec.state_inner(spec.apply(self.traj.states[1:]), adj)
+        return float(np.sum(bu) - np.sum(ay))
 
 
 def _resample_steps(values: np.ndarray, dt_old: float, steps_new: int,
@@ -508,7 +559,12 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
         uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte, warm)
     else:
         uvals, y_term, iterations, stop = _fixed_point(prob, maps, T, K, dte, warm)
-    J, miss, energy, _ = _j_parts(prob, T, uvals, dte, y_term)
+    J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, y_term)
+    # the envelope derivative (module docstring), with p_K from the terminal
+    # state: exact at a stationary control
+    p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
+    dJ_dT = (1.0 + maps.horizon_pairing(uvals, p_term) / K
+             + prob.eps * energy / (2.0 * T) + 1.5 * href_energy / T)
     return InnerSolution(
         prob=prob,
         control=Control(dte, uvals, prob.rho, cmap.u_tag),
@@ -517,6 +573,7 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
         iterations=iterations,
         stop=stop,
         control_energy=energy,
+        dJ_dT=dJ_dT,
         costate=costate,
     )
 
@@ -589,6 +646,7 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
         terminal_miss=miss,
         stationarity_residual=sol.stationarity_residual,
         transversality_residual=res["transversality_residual"],
+        dJ_dT=sol.dJ_dT,
         g73_residual_avg=res["g73_residual_avg"],
         g72_residual_avg=res["g72_residual_avg"],
         g72_skipped_steps=res["g72_skipped_steps"],
@@ -613,37 +671,74 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
 
 def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
                    warm: InnerSolution | None = None) -> tuple[OptimalityReport, InnerSolution]:
-    """Golden-section search of the horizon. Each inner solve starts from the
-    previous probe's solution (the first from ``warm``); only the chosen
-    probe's trajectory and adjoint are solved, for its report."""
+    """The horizon as a root of dJ/dT over the whole bracket.
+
+    dJ/dT is sampled at ``SCAN_POINTS`` equispaced horizons, and each - to +
+    sign change is refined (``_root``) to |dJ/dT| <= ``golden_tol_factor``,
+    to a bracket of ``ROOT_WIDTH`` dt or for ``ROOT_CAP`` probes. A bracket
+    end is a candidate too when dJ/dT points out of the bracket there (>= 0
+    at T_lo, <= 0 at T_hi). The candidate with the lowest J wins, and
+    ``boundary_hit`` says that it is a bracket end. Each inner solve starts
+    from the previous probe's solution (the first from ``warm``); only the
+    winner's trajectory and adjoint are solved, for its report.
+    """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0.0 < T_lo < T_hi:
         raise ValueError("need 0 < T_lo < T_hi")
-    tol = prob.golden_tol_factor * T_hi
     probes: list[tuple[float, InnerSolution]] = []
 
-    def phi(T: float) -> float:
+    def solve(T: float) -> tuple[float, InnerSolution]:
         probes.append((T, inner_solve_control(prob, T, probes[-1][1] if probes else warm)))
-        return probes[-1][1].J
+        return probes[-1]
 
-    a, b = T_lo, T_hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = phi(d)
-    # the endpoints as solved may still beat the last interior pair
-    T_star, sol = min(probes, key=lambda probe: probe[1].J)
-    boundary = (T_star - T_lo) <= 2 * tol or (T_hi - T_star) <= 2 * tol
-    report = _report_from(prob, T_star, sol, boundary, len(probes))
+    scan = [solve(float(T)) for T in np.linspace(T_lo, T_hi, SCAN_POINTS)]
+    candidates = [scan[0]] if scan[0][1].dJ_dT >= 0.0 else []
+    if scan[-1][1].dJ_dT <= 0.0:
+        candidates.append(scan[-1])
+    candidates += [_root(prob, solve, left, right) for left, right in zip(scan, scan[1:])
+                   if left[1].dJ_dT < 0.0 <= right[1].dJ_dT]
+    T_star, sol = min(candidates, key=lambda probe: probe[1].J)
+    report = _report_from(prob, T_star, sol, T_star in (T_lo, T_hi), len(probes))
     return report, sol
+
+
+def _root(prob: PenalizedProblem, solve, left, right):
+    """The zero of dJ/dT between probes with dJ/dT < 0 at ``left`` and >= 0
+    at ``right``; returns the last probe.
+
+    Left of the root the miss term makes dJ/dT steep and smooth. Right of it
+    J grows like T, so dJ/dT flattens toward 1 and says little about where
+    the root is. Each step therefore evaluates at dJ/dT = 0 the polynomial
+    T(dJ/dT) through the latest (up to three) probes left of the root: a
+    secant, then inverse quadratic interpolation. It bisects the bracket
+    instead when that is undefined or leaves the bracket.
+    """
+    (a, sol_a), (b, _) = left, right
+    lefts = [(a, sol_a.dJ_dT)]
+    last = right
+    for _ in range(ROOT_CAP):
+        if abs(last[1].dJ_dT) <= prob.golden_tol_factor or b - a <= ROOT_WIDTH * prob.dt:
+            break
+        T = _inverse_interpolation(lefts[-3:])
+        if not a < T < b:
+            T = 0.5 * (a + b)
+        last = solve(T)
+        if last[1].dJ_dT < 0.0:
+            a = T
+            lefts.append((T, last[1].dJ_dT))
+        else:
+            b = T
+    return last
+
+
+def _inverse_interpolation(points: list[tuple[float, float]]) -> float:
+    """T at f = 0 on the polynomial T(f) through the (T, f) points; nan
+    unless there are two or more and f increases along them."""
+    fs = [f for _, f in points]
+    if len(fs) < 2 or any(f0 >= f1 for f0, f1 in zip(fs, fs[1:])):
+        return math.nan
+    return sum(T * math.prod(fj / (fj - fi) for j, fj in enumerate(fs) if j != i)
+               for i, (T, fi) in enumerate(points))
 
 
 def eps_continuation(
@@ -655,12 +750,11 @@ def eps_continuation(
 ):
     """Warm-started sweep of the penalization parameter toward zero.
 
-    ``chain_u_ref`` feeds each level's converged control in as the next
-    level's reference, activating the functional's history term. After a
-    level whose horizon is interior, the bracket narrows to
-    [0.55, 1.7] T_eps_star within ``T_bracket``. Each level starts from the
-    previous level's solution. Returns the per-level reports, plus the last
-    level's inner solution when ``return_final_solution`` is set.
+    Every level searches the whole ``T_bracket`` and starts from the previous
+    level's solution. ``chain_u_ref`` feeds each level's control in as the
+    next level's reference, activating the functional's history term.
+    Returns the per-level reports, plus the last level's inner solution when
+    ``return_final_solution`` is set.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(not e > 0.0 for e in eps_schedule):
@@ -670,20 +764,13 @@ def eps_continuation(
 
     reports: list[OptimalityReport] = []
     sol: InnerSolution | None = None
-    bracket = (float(T_bracket[0]), float(T_bracket[1]))
     current = prob
     for eps in eps_schedule:
         current = replace(current, eps=eps)
         if chain_u_ref and sol is not None:
             current = replace(current, u_ref=sol.control)
-        report, sol = outer_minimize(current, bracket, sol)
+        report, sol = outer_minimize(current, T_bracket, sol)
         reports.append(report)
-        if not report.boundary_hit:
-            t = report.T_eps_star
-            lo = max(T_bracket[0], 0.55 * t)
-            hi = min(T_bracket[1], 1.7 * t)
-            if hi - lo > 20 * prob.dt:
-                bracket = (lo, hi)
     if return_final_solution:
         return reports, sol
     return reports

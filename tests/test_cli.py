@@ -130,6 +130,20 @@ def test_slide_reaction_diffusion_config_reports_the_certified_bound(tmp_path):
     assert summary["T_star_valid"] is True
 
 
+def test_switching_pair_config_meets_its_oracle(tmp_path):
+    # the rotating pair needs one switch, and at eps 1e-2 J_eps(T) has a
+    # second local minimum near T = 0.50: every level searches the whole
+    # bracket and ends on an interior root of dJ/dT
+    assert run(REPO / "configs/oracle_pair.yaml", tmp_path / "oracle") == 0
+    assert run(REPO / "configs/optimize_pair.yaml", tmp_path / "opt") == 0
+    oracle = json.loads((tmp_path / "oracle" / "report.json").read_text())["oracle"]
+    report = json.loads((tmp_path / "opt" / "report.json").read_text())
+    for level in report["levels"]:
+        assert not level["boundary_hit"]
+        assert abs(level["dJ_dT"]) <= 1e-4
+    assert abs(report["final"]["T_eps_star"] - oracle["brute_force_T"]) <= 2 * oracle["dt"]
+
+
 def test_audit_command(tmp_path):
     doc = {
         "command": "audit",
@@ -379,6 +393,12 @@ REPO_CONFIGS = {
         "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
                      "T_bracket": [0.2, 1.4], "inner_tol": 1e-8, "inner_cap": 500,
                      "theta0": 0.5, "golden_tol": 1e-4, "chain_u_ref": False}},
+    "configs/optimize_pair.yaml": {
+        "rho": 1.0,
+        "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
+                     "T_bracket": [0.3, 2.0], "inner_tol": 1e-8, "inner_cap": 500,
+                     "theta0": 0.5, "golden_tol": 1e-4, "chain_u_ref": False}},
+    "configs/oracle_pair.yaml": {"rho": 1.0},  # its matrix block is checked below
     "configs/oracle_scalar.yaml": {
         "rho": 1.0,
         "oracle_block": {"a": 1.0, "y0": 0.0, "target": 0.5, "rho": 1.0, "dt": 1e-3,
@@ -416,6 +436,13 @@ def test_repo_configs_parse_to_the_values_the_commands_read():
             assert _same(got, value), (path, name, got)
     red = load_config(REPO / "configs/oracle_scalar.yaml").reduction
     assert (red.matrix.tolist(), red.y0.tolist(), red.target.tolist()) == ([[1.0]], [0.0], [0.5])
+    pair = load_config(REPO / "configs/oracle_pair.yaml")
+    red = pair.reduction
+    assert (red.matrix.tolist(), red.y0.tolist(), red.target.tolist()) == (
+        [[0.0, 3.0], [-3.0, 0.0]], [0.0, 0.0], [0.5])
+    assert {k: pair.oracle_block[k] for k in ("dt", "switch_budget", "t_max",
+                                              "target_first_only")} == {
+        "dt": 1e-3, "switch_budget": 1, "t_max": 2.0, "target_first_only": True}
 
 
 def test_readme_documents_every_config_key():

@@ -110,7 +110,8 @@ def test_problem_invariants():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
 def test_nonpositive_golden_tolerance_rejected(tol):
-    # the golden-section loop runs while b - a > tol: it would never end
+    # the tolerance on |dJ/dT| of the horizon search: zero is met only at an
+    # exact root, a negative or nan one never
     from dataclasses import replace
 
     with pytest.raises(ValueError, match="golden_tol_factor"):
@@ -298,6 +299,83 @@ def test_fixed_point_stop_reasons():
 
 
 # ---------------------------------------------------------------------------
+# dJ/dT: the envelope derivative each inner solve reports
+
+
+def _central_dJ_dT(prob, T, warm=None, h=1e-6):
+    """The solve at T and the central difference of J over T +- h, both
+    inside T's K cell."""
+    sol = inner_solve_control(prob, T, warm)
+    K = sol.control.steps
+    assert round((T - h) / prob.dt) == round((T + h) / prob.dt) == K
+    J_hi = inner_solve_control(prob, T + h, sol).J
+    J_lo = inner_solve_control(prob, T - h, sol).J
+    return sol, (J_hi - J_lo) / (2 * h)
+
+
+@pytest.mark.parametrize("eps, T", [(1e-1, 0.5), (1e-2, 0.5), (1e-3, 0.7), (1e-4, 0.69)])
+def test_dJ_dT_matches_central_differences_on_the_kernel_newton(eps, T):
+    prob = scalar_setup(eps=eps)
+    prob.inner_tol = 1e-12
+    assert prob.takes_newton and _LinearKernel.try_build(prob, 700, 1e-3) is not None
+    sol, fd = _central_dJ_dT(prob, T)
+    assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
+
+
+def test_dJ_dT_matches_central_differences_on_the_kernel_fixed_point():
+    from dataclasses import replace
+
+    from mintime import L4
+
+    prob = replace(scalar_setup(eps=1e-2, dt=1e-2), inner_tol=1e-12,
+                   map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
+    assert not prob.takes_newton
+    sol, fd = _central_dJ_dT(prob, 0.4)
+    assert sol.converged
+    assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+def test_dJ_dT_matches_central_differences_on_nonlinear_sweeps(eps):
+    # the tanh pair reduces to y' + tanh(y) = u on its uniform solution
+    from dataclasses import replace
+
+    base = scalar_setup(eps=eps, dt=1e-2)
+    spec = ReactionDiffusion2(base.spec.grid, d1=1.0, d2=1.0,
+                              f=pair_fn("tanh_pair", 1.0, 1.0), g=pair_fn("zero2"))
+    prob = replace(base, spec=spec, inner_tol=1e-12)
+    assert _LinearKernel.try_build(prob, 50, 1e-2) is None
+    sol, fd = _central_dJ_dT(prob, 0.5)
+    assert sol.converged
+    assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
+
+
+def test_dJ_dT_carries_the_history_term():
+    # a chained reference: dJ/dT holds (3/2) href_energy / T
+    from dataclasses import replace
+
+    prob = replace(scalar_setup(dt=1e-2, eps=0.1), inner_tol=1e-12)
+    first = inner_solve_control(prob, 0.5)
+    ref = Control(first.control.dt, 0.5 * first.control.values, prob.rho)
+    chained = replace(prob, eps=0.05, u_ref=ref)
+    sol, fd = _central_dJ_dT(chained, 0.5, first)
+    assert sol.converged
+    u = sol.control
+    href_energy = timeopt._j_parts(chained, 0.5, u.values, u.dt,
+                                   sol.trajectory.states[-1])[3]
+    assert 1.5 * href_energy / 0.5 > 1e-3 * abs(fd)
+    assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
+
+
+def test_dJ_dT_agrees_across_backends(monkeypatch):
+    prob = scalar_setup(eps=1e-3, dt=1e-2)
+    kernel = [inner_solve_control(prob, T).dJ_dT for T in (0.5, 0.8)]
+    monkeypatch.setattr(_LinearKernel, "try_build", classmethod(lambda cls, *args: None))
+    sweeps = [inner_solve_control(prob, T).dJ_dT for T in (0.5, 0.8)]
+    np.testing.assert_allclose(sweeps, kernel, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # outer problem and continuation
 
 
@@ -328,6 +406,29 @@ def test_newton_solve_starts_from_the_warm_costate():
     assert cold.stop == warm.stop == "converged"
     assert warm.iterations < cold.iterations
     assert warm.J == pytest.approx(cold.J, rel=1e-9)
+
+
+def test_horizon_does_not_depend_on_the_search_history():
+    # a cold search and the last continuation level find the same root
+    prob = scalar_setup(eps=1e-4, dt=1e-3)
+    cold, _ = outer_minimize(prob, (0.2, 1.4))
+    reports = eps_continuation(prob, [1e-1, 1e-2, 1e-3, 1e-4], (0.2, 1.4))
+    assert abs(cold.T_eps_star - reports[-1].T_eps_star) <= 1e-6
+    for r in (cold, *reports):
+        assert abs(r.dJ_dT) <= prob.golden_tol_factor
+        assert not r.boundary_hit
+
+
+def test_horizon_search_ends_when_the_tolerance_is_out_of_reach():
+    # no |dJ/dT| is at most 1e-300 short of an exact zero: the search stops
+    # on the width of its bracket, at the root all the same
+    from dataclasses import replace
+
+    prob = replace(scalar_setup(eps=1e-3, dt=1e-2), golden_tol_factor=1e-300)
+    report, _ = outer_minimize(prob, (0.2, 1.4))
+    assert report.probes <= timeopt.SCAN_POINTS + timeopt.ROOT_CAP
+    assert abs(report.dJ_dT) <= 1e-8
+    assert not report.boundary_hit
 
 
 def test_outer_boundary_flag():
@@ -439,7 +540,7 @@ def test_argmin_invariance_under_matched_rescaling():
     scaled = scalar_setup(c=1.5, rho=3.0, eps=eps, dt=1e-3)  # s = 3
     r1, _ = outer_minimize(base, (0.2, 1.4))
     r2, _ = outer_minimize(scaled, (0.2, 1.4))
-    assert abs(r1.T_eps_star - r2.T_eps_star) <= 100 * eps + 4 * base.golden_tol_factor * 1.4
+    assert abs(r1.T_eps_star - r2.T_eps_star) <= 100 * eps
 
 
 def test_report_dict_holds_exactly_the_report_fields():
