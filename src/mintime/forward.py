@@ -9,10 +9,19 @@ factorization per step size, nonlinear kinds refactor at each Newton
 iterate. On Newton failure the control interval is retried on up to 6
 binary subdivisions before giving up; the trajectory records the Newton
 iterations, last residual and sub-steps of each interval.
+
+Each interval applies the operator only where its numbers need it. A
+nonlinear solve carries A_H(y) across intervals: the converged residual of
+interval k evaluates A_H(y_{k+1}), which is the first residual's A_H(guess)
+of interval k + 1, so a solve applies the operator 1 + (total Newton
+iterations) times. A linear interval is one factored solve and applies
+nothing; its residual is computed on first read of ``Trajectory.residuals``
+from the stored states and B u rows, with the same operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -93,19 +102,36 @@ class Trajectory:
 
     ``substeps[k]`` is the number of backward-Euler sub-steps that carried
     interval k (1 unless Newton failed and the interval was subdivided).
-    The state norms are evaluated on first read and kept.
+    The state norms are evaluated on first read and kept. So are the
+    residuals of a linear solve: its trajectory is built with ``_residuals``
+    None and the B u row of each interval in ``forcing``, and ``residuals``
+    evaluates x + dt A_H(x) - rhs at every step from them.
     """
 
     spec: OperatorSpec
     times: np.ndarray
     states: np.ndarray              # (steps+1, n_dof)
     newton_iters: np.ndarray        # (steps,)
-    residuals: np.ndarray           # (steps,)
+    _residuals: np.ndarray | None   # (steps,), or None to compute from ``forcing``
     substeps: np.ndarray | None = None  # (steps,), ones by default
+    forcing: np.ndarray | None = None   # (steps, n_dof) B u rows of a linear solve
 
     def __post_init__(self):
         if self.substeps is None:
             self.substeps = np.ones(len(self.times) - 1, dtype=int)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The last Newton residual of each interval, (steps,)."""
+        if self._residuals is not None:
+            return self._residuals
+        # a linear interval is one step of dt = times[1] (times are dt * k),
+        # solved against rhs = y_k + dt B u_k; the stacked apply is bit for
+        # bit the per-state one, and each row is measured as the solve did
+        dt = self.times[1] if self.steps else 0.0
+        x = self.states[1:]
+        r = x + dt * self.spec.apply(x) - (self.states[:-1] + dt * self.forcing)
+        return np.array([_wnorm(self.spec, row) for row in r])
 
     @property
     def grid(self) -> Grid:
@@ -166,26 +192,31 @@ class Trajectory:
 
 
 def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(spec.weights, r * r)))
+    return math.sqrt(np.dot(spec.weights, r * r))
 
 
-def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray,
-                    dt: float) -> tuple[np.ndarray, int, float]:
-    """Solve x + dt A_H(x) = rhs by Newton, returning (x, iters, residual)."""
-    scale = 1.0 + _wnorm(spec, rhs)
+def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: float,
+                    a_guess: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray | None, int, float | None]:
+    """Solve x + dt A_H(x) = rhs by Newton from ``guess``, whose A_H is
+    ``a_guess`` when the caller has it; returns (x, A_H(x), iters, residual).
+
+    A linear kind takes one factored solve and returns None for A_H(x) and
+    the residual, which ``Trajectory.residuals`` computes when it is read."""
     if spec.is_linear:
-        x = spec.step_factor(guess, dt).solve(rhs)
-        res = _wnorm(spec, x + dt * spec.apply(x) - rhs)
-        return x, 1, res
-    x = guess.copy()
+        return spec.step_factor(guess, dt).solve(rhs), None, 1, None
+    scale = 1.0 + _wnorm(spec, rhs)
+    x = guess
+    ax = spec.apply(x) if a_guess is None else a_guess
     for it in range(NEWTON_MAX_ITER + 1):
-        r = x + dt * spec.apply(x) - rhs
+        r = x + dt * ax - rhs
         res = _wnorm(spec, r)
         if res <= NEWTON_TOL * scale:
-            return x, it, res
+            return x, ax, it, res
         if it == NEWTON_MAX_ITER:
             raise StepFailure(res)
         x = x - spec.step_factor(x, dt).solve(r)
+        ax = spec.apply(x)
 
 
 def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
@@ -195,26 +226,29 @@ def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     bu = map.apply_B(spec, u_step.values)
-    x, _, _, _ = _step_with_refinement(spec, y.values, bu, dt, 0)
+    x, _, _, _, _ = _step_with_refinement(spec, y.values, bu, dt, 0)
     return Field(spec.grid, x, spec.n_components)
 
 
-def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray,
-                          dt: float, step_index: int) -> tuple[np.ndarray, int, float, int]:
+def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt: float,
+                          step_index: int, a_y: np.ndarray | None = None,
+                          ) -> tuple[np.ndarray, np.ndarray | None, int, float | None, int]:
     """Advance one control interval, halving the internal step on failure.
 
-    Returns (state, Newton iterations, last residual, sub-steps taken)."""
+    ``a_y`` is A_H(y) when the caller has it (else the first Newton residual
+    evaluates it); every retry starts from y, so it serves each of them.
+    Returns (state, its A_H, Newton iterations, last residual, sub-steps
+    taken), with A_H and residual None for a linear kind."""
     for level in range(MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
-        x = y.copy()
+        x, ax = y.copy(), a_y
         iters = 0
-        res = 0.0
         try:
             for _ in range(nsub):
-                x, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt)
+                x, ax, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt, ax)
                 iters += it
-            return x, iters, res, nsub
+            return x, ax, iters, res, nsub
         except StepFailure as exc:
             last = exc
     raise StepFailure(last.residual, step_index)
@@ -234,22 +268,32 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     states[0] = y0
     rows = np.empty((steps, map.control_size(spec)))
     newton_iters = np.zeros(steps, dtype=int)
-    residuals = np.zeros(steps)
     substeps = np.ones(steps, dtype=int)
+    # a linear solve keeps its B u rows and leaves its residuals to the
+    # trajectory's first read
+    linear = spec.is_linear
+    residuals = None if linear else np.zeros(steps)
+    forcing = np.empty((steps, spec.n_dof)) if linear else None
 
-    y = states[0].copy()
+    y, a_y = states[0].copy(), None
     K = steps
     for k in range(steps):
         rows[k] = control_at(k, y)
-        y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
-            spec, y, map.apply_B(spec, rows[k]), dt, k)
+        bu = map.apply_B(spec, rows[k])
+        y, a_y, newton_iters[k], res, substeps[k] = _step_with_refinement(
+            spec, y, bu, dt, k, a_y)
+        if linear:
+            forcing[k] = bu
+        else:
+            residuals[k] = res
         states[k + 1] = y
         if stop is not None and stop(y):
             K = k + 1
             break
 
     traj = Trajectory(spec, dt * np.arange(K + 1), states[:K + 1], newton_iters[:K],
-                      residuals[:K], substeps[:K])
+                      None if linear else residuals[:K], substeps[:K],
+                      forcing[:K] if linear else None)
     return traj, rows[:K]
 
 

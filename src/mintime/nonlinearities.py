@@ -103,7 +103,9 @@ class PairFn:
         return self.name in ("zero2", "linear2")
 
 
-# name -> (value, d/dy, d/dz); all vanish at the origin
+# name -> (value, d/dy, d/dz); all vanish at the origin. Every family with
+# parameters broadcasts them against y and z, so parameter arrays of shape
+# (2, 1, ...) evaluate two members of one family in a single call.
 PAIR_FAMILIES = {
     "zero2": (
         lambda y, z: np.zeros_like(y),
@@ -113,8 +115,8 @@ PAIR_FAMILIES = {
     # a y + b z
     "linear2": (
         lambda y, z, a, b: a * y + b * z,
-        lambda y, z, a, b: np.full_like(y, a),
-        lambda y, z, a, b: np.full_like(y, b),
+        lambda y, z, a, b: a * np.ones_like(y),
+        lambda y, z, a, b: b * np.ones_like(y),
     ),
     # c y z^2/(1+z^2): the saturating interaction of the sliding example
     "sat_rational": (

@@ -37,7 +37,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grids import Field, Grid
-from .nonlinearities import PairFn, ScalarFn, scalar_fn
+from .nonlinearities import PAIR_FAMILIES, PairFn, ScalarFn, scalar_fn
 from .spaces import (
     H1,
     HMINUS1,
@@ -146,11 +146,11 @@ class OperatorSpec:
     state_tag: NormTag = L2
     is_linear: bool = False
 
-    @property
+    @cached_property
     def n_components(self) -> int:
         return self.grid.n_components
 
-    @property
+    @cached_property
     def n_dof(self) -> int:
         return self.grid.size * self.n_components
 
@@ -216,18 +216,15 @@ class OperatorSpec:
         """The component-major dof index at each node-major position."""
         return np.arange(self.n_dof).reshape(self.n_components, -1).T.ravel()
 
-    def _place(self, ab: np.ndarray, a: int, b: int, diags: dict[int, np.ndarray]) -> None:
-        """Add the (a, b) component block, given by node diagonals, to ``ab``."""
-        nc, bw = self.n_components, self.bandwidth
-        for s, d in diags.items():
-            ab[bw - (s * nc + b - a), b::nc] += d
-
     @cached_property
     def _band_base(self) -> np.ndarray:
-        # Fortran order, as dgbmv takes it without a copy
-        ab = np.zeros((2 * self.bandwidth + 1, self.n_dof), order="F")
+        # Fortran order, as dgbmv takes it without a copy; the (a, b) block's
+        # node diagonal s lies on band row bw - (s nc + b - a), columns b::nc
+        nc, bw = self.n_components, self.bandwidth
+        ab = np.zeros((2 * bw + 1, self.n_dof), order="F")
         for a, b, diags in self._base_blocks():
-            self._place(ab, a, b, diags)
+            for s, d in diags.items():
+                ab[bw - (s * nc + b - a), b::nc] += d
         return ab
 
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -240,9 +237,9 @@ class OperatorSpec:
         order, bw = self.node_order, self.bandwidth
         n = order.size
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
-        xs = np.zeros(m)
-        xs[:n] = x[order]
+        xs = x[order]
         if m > n:
+            xs = np.concatenate([xs, np.zeros(m - n)])
             wide = np.zeros((ab.shape[0], m), order="F")
             wide[:, :n] = ab
             ab = wide
@@ -254,9 +251,10 @@ class OperatorSpec:
         """A'(y) in band storage, ab[bw + i - j, j] = A'[i, j], for node-major
         indices i, j (``node_order`` maps them to component-major ones)."""
         y = self._check_dof(y)
+        nc, bw = self.n_components, self.bandwidth
         ab = self._band_base.copy(order="F")
-        for a, b, vals in self._nodal_blocks(y):
-            self._place(ab, a, b, {0: vals})
+        for a, b, vals in self._nodal_blocks(y):  # node diagonal s = 0
+            ab[bw - (b - a), b::nc] += vals
         return ab
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
@@ -470,14 +468,36 @@ class ReactionDiffusion2(_TwoComponent):
         return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
                 (1, 1, _scaled(self.d2, self._lap_diagonals))]
 
+    @cached_property
+    def _family_columns(self) -> tuple[tuple, list[np.ndarray]] | None:
+        """When f and g share a family with parameters: the family's
+        functions and each parameter as the (2, 1) column [f's, g's], so that
+        one call evaluates both (tanh and cosh then taken once per point)."""
+        f, g = self.f, self.g
+        if f.name != g.name or not f.params:
+            return None
+        return PAIR_FAMILIES[f.name], [np.array([[a], [b]]) for a, b in zip(f.params, g.params)]
+
+    def _fg(self, which: int, y: np.ndarray, z: np.ndarray):
+        """(f, g), (f_y, g_y) or (f_z, g_z) at (y, z) for ``which`` 0, 1, 2:
+        f's at index 0 and g's at index 1 of a pair or of a (2, ...) array."""
+        if self._family_columns is None:
+            part = (PairFn.__call__, PairFn.dy, PairFn.dz)[which]
+            return part(self.f, y, z), part(self.g, y, z)
+        fns, cols = self._family_columns
+        if y.ndim > 1:  # (2, 1, ..., 1) columns against a stack of rows
+            cols = [c.reshape((2,) + (1,) * y.ndim) for c in cols]
+        return fns[which](y, z, *cols)
+
     def _reaction(self, w):
         y, z = self._split(w)
-        return np.concatenate([self.f(y, z), self.g(y, z)], axis=-1)
+        f, g = self._fg(0, y, z)
+        return np.concatenate([f, g], axis=-1)
 
     def _nodal_blocks(self, w):
         y, z = self._split(w)
-        return [(0, 0, self.f.dy(y, z)), (0, 1, self.f.dz(y, z)),
-                (1, 0, self.g.dy(y, z)), (1, 1, self.g.dz(y, z))]
+        d_y, d_z = self._fg(1, y, z), self._fg(2, y, z)
+        return [(0, 0, d_y[0]), (0, 1, d_z[0]), (1, 0, d_y[1]), (1, 1, d_z[1])]
 
 
 @dataclass
@@ -663,7 +683,7 @@ class ControlMap:
         if self.projection == "full":
             return np.asarray(v, dtype=float).copy()
         v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape)
         out[..., : spec.grid.size] = v[..., : spec.grid.size]
         return out
 

@@ -221,10 +221,11 @@ def sliding_continuation(
 
     Each step evaluates u from the manifold-restricted dynamics (for the
     two-component systems: the first equation frozen at the target with the
-    current uncontrolled state) and advances the true system with it. The
-    control must stay inside the rho-ball when ``rho`` is given; leaving it
-    raises SaturationError, the sign that the largeness conditions on rho do
-    not hold along this trajectory.
+    current uncontrolled state) and advances the true system with it; under
+    the full projection that state is the target itself, so u is evaluated
+    once. The control must stay inside the rho-ball when ``rho`` is given;
+    leaving it raises SaturationError, the sign that the largeness
+    conditions on rho do not hold along this trajectory.
     """
     if hit_tol is not None:
         dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values))
@@ -249,5 +250,14 @@ def sliding_continuation(
             )
         return u
 
-    traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, law)
+    control_at = law
+    if map.projection == "full":
+        # yhat is y_tar at every step, so the control is one row: evaluated
+        # and checked once, at step 0, before any interval is stepped
+        u_eq = law(0, state_at_hit.values)
+
+        def control_at(k: int, y: np.ndarray) -> np.ndarray:
+            return u_eq
+
+    traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, control_at)
     return traj, map.u_norms_batch(spec, rows)

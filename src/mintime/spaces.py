@@ -316,8 +316,8 @@ def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
     if tag.kind == "Lp":
         blocks, w = _blocks(v, grid)
         p = tag.p / (tag.p - 1.0) if dual else tag.p
-        comp = np.sum(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
-        return np.sqrt(np.sum(np.square(comp), axis=-1))
+        comp = np.add.reduce(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
+        return np.sqrt(np.add.reduce(np.square(comp), axis=-1))
     gv = _gamma_rows(v, tag, s, -1 if dual else 1)
     return np.sqrt(np.maximum((gv * v) @ grid.component_weights(), 0.0))
 

@@ -23,6 +23,7 @@ from mintime import (
     scalar_fn,
 )
 from mintime.audit import (
+    _best_lower_constant,
     _bstar_matrix,
     _dense_fn_matrix,
     _metric_state,
@@ -63,6 +64,22 @@ def test_identity_map_full_projection_cstar_is_one(kind):
     v = np.random.default_rng(9).standard_normal((4, spec.n_dof))
     np.testing.assert_allclose(np.einsum("ri,ij,rj->r", v, _metric_vstar(spec), v),
                                spec.vstar_norms(v) ** 2, rtol=1e-12)
+
+
+def test_reaction_diffusion_monotonicity_is_the_per_row_formula():
+    # the audit applies A to a (samples, 2, n_dof) stack of pairs; its
+    # constants equal those of one apply per sampled state
+    g = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    rep = audit_hypotheses(spec, cm, samples=100, seed=4)
+    pairs = _samples(spec, np.random.default_rng(4), 200).reshape(100, 2, spec.n_dof)
+    ay = np.array([[spec.apply(y) for y in pair] for pair in pairs])
+    d = pairs[:, 0] - pairs[:, 1]
+    a1, a2 = _best_lower_constant(spec.state_inner(ay[:, 0] - ay[:, 1], d),
+                                  spec.v_norms(d) ** 2, spec.h_norm(d) ** 2)
+    assert rep.entries["monotonicity_g5"].constants == {"alpha1": a1, "alpha2": a2}
 
 
 def test_potential_drift_audit_passes():

@@ -234,10 +234,10 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
     (x,) = g.coordinates()
     y = 3.0 * np.cos(np.pi * x)
-    x_ref, n, res = forward._implicit_solve(spec, y, y, 0.05)
+    x_ref, _, n, res = forward._implicit_solve(spec, y, y, 0.05)
     assert n >= 2 and res <= forward.NEWTON_TOL * (1.0 + forward._wnorm(spec, y))
     monkeypatch.setattr(forward, "NEWTON_MAX_ITER", n)
-    x_cap, n_cap, res_cap = forward._implicit_solve(spec, y, y, 0.05)
+    x_cap, _, n_cap, res_cap = forward._implicit_solve(spec, y, y, 0.05)
     assert n_cap == n and res_cap == res
     np.testing.assert_array_equal(x_cap, x_ref)
     monkeypatch.setattr(forward, "NEWTON_MAX_ITER", n - 1)
@@ -245,5 +245,100 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
         forward._implicit_solve(spec, y, y, 0.05)
     assert exc.value.residual > forward.NEWTON_TOL * (1.0 + forward._wnorm(spec, y))
     # one interval sub-steps instead of failing
-    _, iters, _, nsub = forward._step_with_refinement(spec, y, np.zeros_like(y), 0.05, 0)
+    _, _, iters, _, nsub = forward._step_with_refinement(spec, y, np.zeros_like(y), 0.05, 0)
     assert nsub > 1 and iters > 0
+
+
+# ---------------------------------------------------------------------------
+# work per interval: A_H(y) carried across intervals, linear residuals on read
+
+
+def tanh_pair_spec(n=16):
+    g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+    return ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+
+
+def _pair_run(spec, steps=12, dt=0.02, seed=3):
+    rng = np.random.default_rng(seed)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    y0 = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
+    u = Control(dt, 3.0 * rng.standard_normal((steps, spec.n_dof)), rho=1e9)
+    return cm, y0, u
+
+
+def _count_apply(monkeypatch, spec) -> list:
+    calls = []
+    apply = spec.apply
+
+    def counted(y):
+        calls.append(np.shape(y))
+        return apply(y)
+
+    monkeypatch.setattr(spec, "apply", counted, raising=False)
+    return calls
+
+
+def test_nonlinear_solve_is_the_chain_of_single_steps():
+    # the carried A_H(y_k) is the one each step_implicit evaluates afresh
+    spec = tanh_pair_spec(16)
+    cm, y0, u = _pair_run(spec)
+    traj = solve_forward(spec, cm, y0, u)
+    assert np.all(traj.newton_iters >= 1)
+    y = y0
+    for k in range(u.steps):
+        y = step_implicit(spec, cm, y, Field(spec.grid, u.values[k], 2), u.dt)
+        assert np.array_equal(y.values, traj.states[k + 1])
+
+
+def test_nonlinear_solve_applies_once_per_newton_iterate(monkeypatch):
+    spec = tanh_pair_spec(16)
+    cm, y0, u = _pair_run(spec)
+    calls = _count_apply(monkeypatch, spec)
+    traj = solve_forward(spec, cm, y0, u)
+    assert len(calls) == 1 + int(traj.newton_iters.sum())
+    traj.residuals  # kept from the solve: no further apply
+    assert len(calls) == 1 + int(traj.newton_iters.sum())
+
+
+def _linear_specs():
+    g1 = Grid(extent=(1.0,), nodes=(12,), bcs=(dirichlet(),))
+    g2 = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
+    return {
+        "heat": PotentialDrift(g1, beta=scalar_fn("linear", 0.3), a1=0.2, b=0.4),
+        "porous": PorousMedia(g1, beta=scalar_fn("linear", 1.5)),
+        "rd2": ReactionDiffusion2(g2, f=pair_fn("linear2", 1.0, 0.4),
+                                  g=pair_fn("linear2", -0.3, 0.7)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_linear_specs()))
+def test_linear_residuals_are_computed_on_read(monkeypatch, name):
+    spec = _linear_specs()[name]
+    cm, y0, u = _pair_run(spec, steps=9, dt=0.01, seed=4)
+    calls = _count_apply(monkeypatch, spec)
+    traj = solve_forward(spec, cm, y0, u)
+    assert calls == []
+    # the eager formula: x + dt A_H(x) - (y + dt B u) at each step, one
+    # state at a time, measured with the solver's weighted norm
+    expected = []
+    for k in range(u.steps):
+        x, y = traj.states[k + 1], traj.states[k]
+        r = x + u.dt * spec.apply(x) - (y + u.dt * cm.apply_B(spec, u.values[k]))
+        expected.append(float(np.sqrt(np.dot(spec.weights, r * r))))
+    del calls[:]
+    assert np.array_equal(traj.residuals, np.array(expected))
+    assert calls == [(u.steps, spec.n_dof)]       # one stacked apply, kept
+    traj.residuals  # a second read is the kept array
+    assert len(calls) == 1
+    assert 0.0 < np.max(traj.residuals) < 1e-10
+
+
+def test_linear_trajectory_without_steps_has_no_residuals():
+    import mintime.forward as forward
+
+    spec = heat_spec(8)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    traj, rows = forward._integrate(spec, cm, np.ones(8), 0.01, 0, lambda k, y: y)
+    assert traj.steps == 0 and rows.shape == (0, 8)
+    assert traj.residuals.shape == (0,)

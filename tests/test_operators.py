@@ -25,6 +25,7 @@ from mintime import (
 )
 from mintime.adjoint import solve_adjoint
 from mintime.forward import Control, Trajectory, solve_forward
+from mintime.nonlinearities import PAIR_FAMILIES
 from mintime.spaces import IndeterminateSelectionError, SpectralLaplacian
 
 
@@ -296,6 +297,7 @@ def test_state_geometry_on_stacks_matches_rows(kind, dim, wall, nodes):
     assert AY.shape == Y.shape
     assert np.array_equal(AY, [spec.apply(y) for y in Y])
     assert np.array_equal(spec.apply(Y.reshape(5, 1, -1))[:, 0], AY)
+    assert np.array_equal(spec.apply(Y[:4].reshape(2, 2, -1)).reshape(4, -1), AY[:4])
     with pytest.raises(ValueError):
         spec.apply(Y[:, :-1])
 
@@ -323,6 +325,39 @@ def test_porous_state_inner_is_the_inverse_laplacian_pairing(dim):
     np.testing.assert_allclose(spec.state_inner(A, B), want, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(spec.h_norm(A) ** 2, spec.state_inner(A, A), rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FAMILIES))
+def test_same_family_pair_is_the_separate_calls(name):
+    # f and g of one family are evaluated in one call with (2, 1) parameter
+    # columns; every value and partial derivative keeps its bits
+    rng = np.random.default_rng(len(name))
+    arity = PAIR_FAMILIES[name][0].__code__.co_argcount - 2
+    f = pair_fn(name, *rng.uniform(-1.0, 1.0, arity))
+    g = pair_fn(name, *rng.uniform(-1.0, 1.0, arity))
+    spec = ReactionDiffusion2(grid2(9), d1=1.0, d2=0.6, f=f, g=g)
+    assert (spec._family_columns is None) == (arity == 0)
+    for w in (rng.standard_normal(spec.n_dof), rng.standard_normal((4, spec.n_dof)),
+              rng.standard_normal((3, 2, spec.n_dof))):
+        y, z = w[..., :9], w[..., 9:]
+        reaction = spec._reaction(w)
+        assert reaction.shape == w.shape
+        assert np.array_equal(reaction, np.concatenate([f(y, z), g(y, z)], axis=-1))
+        blocks = spec._nodal_blocks(w)
+        expected = [(0, 0, f.dy(y, z)), (0, 1, f.dz(y, z)),
+                    (1, 0, g.dy(y, z)), (1, 1, g.dz(y, z))]
+        assert [blk[:2] for blk in blocks] == [blk[:2] for blk in expected]
+        for (_, _, got), (_, _, want) in zip(blocks, expected):
+            assert got.shape == want.shape == y.shape
+            assert np.array_equal(got, want)
+
+
+def test_linear2_derivatives_are_the_constant_coefficients():
+    y, z = np.array([-0.0, 1.5, -2.0]), np.array([3.0, -0.0, 0.25])
+    lin = pair_fn("linear2", -0.0, 0.7)
+    assert np.array_equal(lin.dy(y, z), np.full_like(y, -0.0))
+    assert np.signbit(lin.dy(y, z)).all()
+    assert np.array_equal(lin.dz(y, z), np.full_like(y, 0.7))
 
 
 def _cached_arrays(obj, seen=None):

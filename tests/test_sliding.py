@@ -1,8 +1,12 @@
 """Sign feedback, hit times and their bound, manifold invariance."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mintime.forward as forward
+import mintime.operators as operators
 from mintime import (
     ControlMap,
     Field,
@@ -17,7 +21,8 @@ from mintime import (
     scalar_fn,
 )
 from mintime.audit import _metric_state, _projection_matrix, projection_constant
-from mintime.forward import NEWTON_TOL
+from mintime.config import load_config
+from mintime.forward import NEWTON_TOL, step_implicit
 from mintime.sliding import (
     SaturationError,
     hit_time_bound,
@@ -245,6 +250,66 @@ def test_saturation_error_when_rho_too_small():
         sliding_continuation(spec, cm, start, ytar, T_extra=0.1, dt=1e-2, rho=0.05)
 
 
+def _record_intervals(monkeypatch) -> list:
+    """The B u row of every interval the stepping loop advances."""
+    stepped = []
+    step = forward._step_with_refinement
+
+    def recorded(spec, y, bu, *args):
+        stepped.append(bu.copy())
+        return step(spec, y, bu, *args)
+
+    monkeypatch.setattr(forward, "_step_with_refinement", recorded)
+    return stepped
+
+
+def _first_saturation(spec, cm, start, ytar, dt, steps, rho):
+    """Step and norm of the first out-of-ball equivalent control, stepping
+    one interval at a time with the control taken at its head."""
+    y = start
+    for k in range(steps):
+        u = cm.project_state(spec, spec.apply(cm.auxiliary_state(spec, y.values, ytar.values)))
+        nu = float(cm.u_norms_batch(spec, u))
+        if nu > rho * (1 + 1e-9):
+            return k, nu
+        y = step_implicit(spec, cm, y, Field(spec.grid, u, spec.n_components), dt)
+    return None, None
+
+
+@pytest.mark.parametrize("projection", ["full", "first"])
+def test_saturation_raises_before_an_out_of_ball_interval(monkeypatch, projection):
+    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    n = g.size
+    (x,) = g.coordinates()
+    if projection == "full":
+        # A(y_tar) is large and the same at every step: step 0 saturates
+        spec = ReactionDiffusion2(g, f=pair_fn("tanh_pair", 0.5, 0.4),
+                                  g=pair_fn("tanh_pair", -0.2, 0.6))
+        cm = ControlMap(mode="identity", u_tag=L2, projection="full")
+        ytar = Field(g, np.concatenate([2.0 * np.cos(np.pi * x), np.cos(2 * np.pi * x)]), 2)
+        start, rho = ytar, 1.0
+    else:
+        # the running second component grows (g = -5 tanh z) and feeds the
+        # first equation (f = tanh z): the control leaves the ball later on
+        spec = ReactionDiffusion2(g, f=pair_fn("tanh_pair", 0.0, 1.0),
+                                  g=pair_fn("tanh_pair", 0.0, -5.0))
+        cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+        ytar = Field(g, np.zeros(2 * n), 2)
+        start, rho = Field(g, np.concatenate([np.zeros(n), 0.05 * np.ones(n)]), 2), 0.2
+    dt, steps = 1e-2, 60
+    k, nu = _first_saturation(spec, cm, start, ytar, dt, steps, rho)
+    assert (k == 0) == (projection == "full") and k is not None
+    stepped = _record_intervals(monkeypatch)
+    with pytest.raises(SaturationError) as exc:
+        sliding_continuation(spec, cm, start, ytar, T_extra=steps * dt, dt=dt, rho=rho)
+    assert str(exc.value) == (
+        f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}")
+    # every interval stepped held an admissible control; the saturated one
+    # was never stepped
+    assert len(stepped) == k
+    assert all(cm.u_norms_batch(spec, bu) <= rho * (1 + 1e-9) for bu in stepped)
+
+
 def test_off_manifold_start_rejected():
     spec, cm = case1_spec(10)
     n = spec.grid.size
@@ -343,3 +408,37 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
                       rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3, continue_after_hit=False)
     assert run.hit
     assert run.t_star is None and not run.t_star_valid
+
+
+@pytest.mark.parametrize("name, apply_cap", [("slide_heat", 9),
+                                             ("slide_reaction_diffusion", 9703)])
+def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_cap):
+    # linear intervals apply nothing, nonlinear ones once per Newton iterate
+    # (A_H(y) carried across intervals), and the full projection's equivalent
+    # control is evaluated once; one factor per Newton iterate (one shared
+    # factor for a linear kind)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
+    spec = cfg.spec
+    calls, factors = [], []
+    apply = spec.apply
+
+    def counted(y):
+        calls.append(1)
+        return apply(y)
+
+    monkeypatch.setattr(spec, "apply", counted, raising=False)
+
+    class Counted(operators.StepFactor):
+        def __init__(self, *args):
+            factors.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(operators, "StepFactor", Counted)
+    num = cfg.numerics
+    run = run_sliding(spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
+                      num["hit_tol"])
+    assert run.hit and run.continuation is not None
+    assert len(calls) <= apply_cap
+    trajs = (run.approach, run.continuation)
+    newton = sum(int(t.newton_iters.sum()) for t in trajs)
+    assert len(factors) == (1 if spec.is_linear else newton)
