@@ -174,9 +174,3 @@ class Field:
         if not 0 <= i < self.n_components:
             raise IndexError(f"component {i} of {self.n_components}")
         return self.values[i * n : (i + 1) * n]
-
-    def _check_compatible(self, other: "Field") -> None:
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        if other.n_components != self.n_components:
-            raise ValueError("fields have different component counts")

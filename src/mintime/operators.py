@@ -12,12 +12,11 @@ adjacent) its linearization A'(y) is banded. Each kind writes its stencils
 once, in LAPACK band storage: a cached y-independent band built from the
 per-axis 1D stencils, plus the y-dependent nodal diagonals, the derivative
 of the nodal reaction written beside it. ``apply`` is that cached band times
-y (``dgbmv``) plus the reaction; ``apply_Aprime`` is the full band A'(y)
-times the direction. ``step_factor`` factors I + dt A'(y) from the same band
-with ``dgbtrf``; the forward Newton step, the variation and the adjoint all
-solve with it, the adjoint through the exact transpose (``dgbtrs`` with
-``trans=1``), never a separate discretization. No operator holds a dense
-n_dof x n_dof matrix.
+y (``dgbmv``) plus the reaction. ``step_factor`` factors I + dt A'(y) from
+the same band with ``dgbtrf``; the forward Newton step, the variation and
+the adjoint all solve with it, the adjoint through the exact transpose
+(``dgbtrs`` with ``trans=1``), never a separate discretization. No
+operator holds a dense n_dof x n_dof matrix.
 
 States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
 ``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .grids import Field, Grid
+from .grids import Grid
 from .nonlinearities import PAIR_FAMILIES, PairFn, ScalarFn, scalar_fn
 from .spaces import (
     H1,
@@ -61,8 +60,6 @@ __all__ = [
     "PhaseField",
     "ControlMap",
     "StepFactor",
-    "apply_A",
-    "apply_Aprime",
 ]
 
 # linear kinds keep the factors of this many step sizes
@@ -573,19 +570,6 @@ class PhaseField(_TwoComponent):
     def _nodal_blocks(self, w):
         _, phi = self._split(w)
         return [(1, 1, self.beta.d(phi) + self.pi.d(phi) + self.gamma * self.l)]
-
-
-# ---------------------------------------------------------------------------
-# Field-level operator surface
-
-
-def apply_A(spec: OperatorSpec, y: Field) -> Field:
-    return Field(y.grid, spec.apply(y.values), y.n_components)
-
-
-def apply_Aprime(spec: OperatorSpec, y: Field, z: Field) -> Field:
-    y._check_compatible(z)
-    return Field(y.grid, spec._band_dot(spec.band(y.values), z.values), y.n_components)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ selection at the origin, evaluated explicitly at each step head and held over
 the step; past the hit, the equivalent control holds the manifold. Both
 phases run on the forward solver's stepping loop, so their intervals are
 sub-stepped on Newton failure like every other solve, and their trajectories
-carry the true Newton and sub-step counts.
+carry the true Newton and sub-step counts. The feedback law maps a state
+row to a control row; ``Field`` appears only where a run takes its initial
+and target states.
 
 The hit-time bound follows the feedback analysis: integrating
 d/dt dev <= C1 dev - (rho - a) gives
@@ -84,20 +86,17 @@ class SlidingRun:
         }
 
 
-def sign_feedback(map: ControlMap, spec: OperatorSpec, y: Field, y_tar: Field,
-                  rho: float) -> Field:
-    """u = -rho Sign(B* P(y - y_tar)); the zero selection when the argument
-    vanishes. The returned control has ||u||_U = rho or 0."""
+def sign_feedback(map: ControlMap, spec: OperatorSpec, y: np.ndarray, y_tar: np.ndarray,
+                  rho: float) -> np.ndarray:
+    """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y; the
+    zero selection when the argument vanishes. ||u||_U is rho or 0."""
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    diff = map.project_state(spec, y.values - y_tar.values)
-    v = map.apply_Bstar(spec, diff)
+    v = map.apply_Bstar(spec, map.project_state(spec, y - y_tar))
     nv = float(map.ustar_norms_batch(spec, v))
-    g = map.ugrid(spec)
     if nv == 0.0:
-        return Field(g, np.zeros(map.control_size(spec)), g.n_components)
-    u = -rho * map.F_inverse_batch(spec, v) / nv
-    return Field(g, u, g.n_components)
+        return np.zeros(map.control_size(spec))
+    return -rho * map.F_inverse_batch(spec, v) / nv
 
 
 def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float | None:
@@ -147,7 +146,7 @@ def run_sliding(
     a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
     def law(k: int, y: np.ndarray) -> np.ndarray:
-        return sign_feedback(map, spec, Field(spec.grid, y, spec.n_components), y_tar, rho).values
+        return sign_feedback(map, spec, y, y_tar.values, rho)
 
     # a start on the manifold takes no approach step and hits at t = 0
     steps = 0 if dev0 <= hit_tol else int(np.ceil(T_max / dt - 1e-12))

@@ -6,6 +6,12 @@ the reaction-diffusion examples where it is I - Laplacian). All fractional
 powers, inverses and Yosida approximants go through one dense symmetric
 eigendecomposition taken with respect to the trapezoid inner product, so the
 spectral identities hold to essentially machine precision.
+
+Each operation has one entry point. The ``SpectralLaplacian`` methods act on
+one component's nodal values; the row kernels (``inner_rows``,
+``norm_rows``, ``duality_rows``, ``resolvent_rows`` and
+``resolvent_derivative_rows``) give the norms, duality maps and ball
+resolvent of a norm tag, on one row of values or a stack of rows.
 """
 
 from __future__ import annotations
@@ -17,23 +23,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .grids import BoundaryCondition, Field, Grid
+from .grids import BoundaryCondition, Grid
 
 __all__ = [
     "NormTag",
     "SpectralLaplacian",
     "SpectralSingularityError",
     "IndeterminateSelectionError",
-    "inner_product",
-    "norm",
-    "dual_norm",
-    "pairing",
-    "gamma_apply",
-    "yosida_apply",
-    "gamma_power",
-    "duality_map_F",
-    "duality_map_F_inverse",
-    "resolvent_eF_NK",
     "inner_rows",
     "norm_rows",
     "duality_rows",
@@ -52,7 +48,7 @@ class IndeterminateSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class NormTag:
-    """Role of a space: L2, H1, H1dual, Lp(p) or Hminus1.
+    """Role of a space: L2, H1, Lp(p) or Hminus1.
 
     Lp supports p in {2, 4}; Lp(2) is canonicalized to L2. Hminus1 is the
     H^-1 norm through a Dirichlet Laplacian.
@@ -61,7 +57,7 @@ class NormTag:
     kind: str
     p: float | None = None
 
-    _KINDS = ("L2", "H1", "H1dual", "Lp", "Hminus1")
+    _KINDS = ("L2", "H1", "Lp", "Hminus1")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -81,12 +77,11 @@ class NormTag:
 
     @property
     def needs_spectral(self) -> bool:
-        return self.kind in ("H1", "H1dual", "Hminus1")
+        return self.kind in ("H1", "Hminus1")
 
 
 L2 = NormTag("L2")
 H1 = NormTag("H1")
-H1DUAL = NormTag("H1dual")
 HMINUS1 = NormTag("Hminus1")
 L4 = NormTag("Lp", 4)
 
@@ -243,7 +238,7 @@ class SpectralLaplacian:
 # nodes; every kernel works along the last axis, so one element is one row.
 
 # The spectral power a of each Hilbert tag: ||u||^2 = <Gamma^a u, u>, F = Gamma^a.
-_GAMMA_POWER = {"L2": 0, "H1": 1, "H1dual": -1, "Hminus1": -1}
+_GAMMA_POWER = {"L2": 0, "H1": 1, "Hminus1": -1}
 
 
 def _require_spectral(tag: NormTag, s: SpectralLaplacian | None) -> SpectralLaplacian:
@@ -388,62 +383,3 @@ def resolvent_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: 
     n = np.where(inside, 1.0, nz)
     radial = (rho / n)[..., None] * (fdz - fz * (((fz * dz) @ w) / n**2)[..., None])
     return np.where(inside[..., None], fdz / eps, radial)
-
-
-# ---------------------------------------------------------------------------
-# Field-level operations: the one-row case of the kernels above
-
-
-def _like(field: Field, values: np.ndarray) -> Field:
-    return Field(field.grid, values, field.n_components)
-
-
-def pairing(zeta: Field, u: Field) -> float:
-    """Duality pairing <zeta, u>, the weighted nodal product."""
-    return float(inner_rows(zeta.values, u.values, u.grid))
-
-
-def inner_product(a: Field, b: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
-    """Inner product of two fields under a Hilbert norm tag."""
-    a._check_compatible(b)
-    return float(inner_rows(a.values, b.values, a.grid, tag, s))
-
-
-def norm(a: Field, tag: NormTag = L2, s: SpectralLaplacian | None = None) -> float:
-    return float(norm_rows(a.values, a.grid, tag, s))
-
-
-def dual_norm(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> float:
-    """Norm of a U*-element for the U described by ``tag``."""
-    return float(norm_rows(zeta.values, zeta.grid, tag, s, dual=True))
-
-
-def gamma_apply(y: Field, s: SpectralLaplacian) -> Field:
-    """Canonical isomorphism: (shift*I - Laplacian) y, applied per component."""
-    return _like(y, _gamma_rows(_rows(y.values, y.grid), H1, s))
-
-
-def yosida_apply(y: Field, s: SpectralLaplacian, nu: float) -> Field:
-    """Yosida approximation Gamma (I + nu Gamma)^-1 y."""
-    return _like(y, _blockwise(_rows(y.values, y.grid), s, lambda v: s.apply_yosida(v, nu)))
-
-
-def gamma_power(y: Field, s: SpectralLaplacian, alpha: float) -> Field:
-    """Spectral fractional power Gamma^alpha y, alpha in [-1, 1]."""
-    return _like(y, _blockwise(_rows(y.values, y.grid), s, lambda v: s.apply_power(v, alpha)))
-
-
-def duality_map_F(u: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
-    """Duality mapping F of U (see ``duality_rows``)."""
-    return _like(u, duality_rows(u.values, u.grid, tag, s))
-
-
-def duality_map_F_inverse(zeta: Field, tag: NormTag, s: SpectralLaplacian | None = None) -> Field:
-    """F^-1, which is the duality mapping of U*."""
-    return _like(zeta, duality_rows(zeta.values, zeta.grid, tag, s, inverse=True))
-
-
-def resolvent_eF_NK(zeta: Field, tag: NormTag, eps: float, rho: float,
-                    s: SpectralLaplacian | None = None) -> Field:
-    """Exact resolvent (eps*F + N_K)^-1 zeta on the ball (see ``resolvent_rows``)."""
-    return _like(zeta, resolvent_rows(zeta.values, zeta.grid, tag, eps, rho, s))

@@ -105,8 +105,9 @@ class PenalizedProblem:
             raise ValueError("eps must be positive")
         if not (self.rho > 0.0 and self.dt > 0.0):
             raise ValueError("rho and dt must be positive")
-        if not self.golden_tol_factor > 0.0:
-            raise ValueError("golden_tol_factor must be positive")
+        for name in ("inner_tol", "theta0", "golden_tol_factor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.inner_cap < 0:
             raise ValueError("inner_cap must be nonnegative")
         dev = self.spec.h_norm(

@@ -457,3 +457,44 @@ def test_readme_documents_every_config_key():
     keys = {"kind", "profile", *config.OPERATOR_KINDS, *config._PROFILES}
     keys |= {key for table in tables for key in table}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
+
+
+def _json_keys(node) -> set:
+    if isinstance(node, dict):
+        return set(node).union(*(_json_keys(v) for v in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_json_keys(v) for v in node))
+    return set()
+
+
+def test_readme_documents_every_report_key(tmp_path):
+    text = (REPO / "README.md").read_text()
+    section = text[text.index("## command line"):text.index("### config anatomy")]
+    keys = set()
+    for path in REPO_CONFIGS:
+        out = tmp_path / Path(path).stem
+        assert run(REPO / path, out) == 0, path
+        keys |= _json_keys(json.loads((out / "report.json").read_text()))
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    text = (REPO / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in text.split("```python\n")[1:]]
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks only star imports, so nothing else sees it
+    import importlib
+    import pkgutil
+
+    import mintime
+
+    for info in pkgutil.iter_modules(mintime.__path__):
+        module = importlib.import_module(f"mintime.{info.name}")
+        names = getattr(module, "__all__", ())
+        assert [n for n in names if not hasattr(module, n)] == [], info.name

@@ -15,8 +15,6 @@ from mintime import (
     PorousMedia,
     PotentialDrift,
     ReactionDiffusion2,
-    apply_A,
-    apply_Aprime,
     dirichlet,
     neumann,
     pair_fn,
@@ -56,7 +54,12 @@ def all_specs(n=16):
 
 
 def rand_field(spec, rng, scale=1.0):
-    return Field(spec.grid, scale * rng.standard_normal(spec.n_dof), spec.n_components)
+    return scale * rng.standard_normal(spec.n_dof)
+
+
+def aprime(spec, y, z):
+    """A'(y) z: the full band at y times z."""
+    return spec._band_dot(spec.band(y), z)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +69,16 @@ def rand_field(spec, rng, scale=1.0):
 @pytest.mark.parametrize("name", list(all_specs(8)))
 def test_A_of_zero_is_zero(name):
     spec = all_specs(12)[name]
-    zero = Field(spec.grid, np.zeros(spec.n_dof), spec.n_components)
-    np.testing.assert_allclose(apply_A(spec, zero).values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(spec.apply(np.zeros(spec.n_dof)), 0.0, atol=1e-12)
 
 
 def test_porous_media_linear_beta_is_heat_operator():
     g = grid1(256)
     spec = PorousMedia(g, beta=scalar_fn("linear", 1.0))
     (x,) = g.coordinates()
-    y = Field(g, np.sin(np.pi * x))
-    out = apply_A(spec, y)
-    np.testing.assert_allclose(out.values, np.pi**2 * y.values, rtol=2e-4)
+    y = np.sin(np.pi * x)
+    out = spec.apply(y)
+    np.testing.assert_allclose(out, np.pi**2 * y, rtol=2e-4)
 
 
 def test_case3_linear_constants_on_neumann():
@@ -85,10 +87,9 @@ def test_case3_linear_constants_on_neumann():
         g, d1=1.0, d2=1.0,
         f=pair_fn("linear2", 1.5, 0.5), g=pair_fn("linear2", -0.25, 2.0),
     )
-    w = Field(g, np.concatenate([np.ones(10), np.ones(10)]), 2)
-    out = apply_A(spec, w)
-    np.testing.assert_allclose(out.component(0), 1.5 + 0.5, atol=1e-10)
-    np.testing.assert_allclose(out.component(1), -0.25 + 2.0, atol=1e-10)
+    out = spec.apply(np.ones(20))
+    np.testing.assert_allclose(out[:10], 1.5 + 0.5, atol=1e-10)
+    np.testing.assert_allclose(out[10:], -0.25 + 2.0, atol=1e-10)
 
 
 def _drift_reference(g, b):
@@ -280,8 +281,7 @@ def test_apply_matches_dense_formulas(kind, dim, wall, nodes):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         z = rng.standard_normal(spec.n_dof)
         jz = _jacobian_reference(spec, w) @ z
-        got = apply_Aprime(spec, Field(spec.grid, w, spec.n_components),
-                           Field(spec.grid, z, spec.n_components)).values
+        got = aprime(spec, w, z)
         assert np.max(np.abs(got - jz)) <= 1e-14 * np.max(np.abs(jz))
 
 
@@ -419,9 +419,8 @@ def test_linear_spec_derivative_is_affine_difference():
     spec = ReactionDiffusion2(g, f=pair_fn("linear2", 1.0, 2.0), g=pair_fn("linear2", 0.5, -1.0))
     rng = np.random.default_rng(2)
     y, z = rand_field(spec, rng), rand_field(spec, rng)
-    zero = Field(g, np.zeros(spec.n_dof), 2)
-    lhs = apply_Aprime(spec, y, z).values
-    rhs = apply_A(spec, z).values - apply_A(spec, zero).values
+    lhs = aprime(spec, y, z)
+    rhs = spec.apply(z) - spec.apply(np.zeros(spec.n_dof))
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
@@ -430,8 +429,7 @@ def test_derivative_direction_zero(name):
     spec = all_specs(10)[name]
     rng = np.random.default_rng(3)
     y = rand_field(spec, rng)
-    z = Field(spec.grid, np.zeros(spec.n_dof), spec.n_components)
-    np.testing.assert_allclose(apply_Aprime(spec, y, z).values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(aprime(spec, y, np.zeros(spec.n_dof)), 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", list(all_specs(8)))
@@ -441,10 +439,8 @@ def test_derivative_matches_central_differences(name):
     y = rand_field(spec, rng, 0.7)
     z = rand_field(spec, rng, 0.7)
     h = 1e-6
-    yp = Field(spec.grid, y.values + h * z.values, spec.n_components)
-    ym = Field(spec.grid, y.values - h * z.values, spec.n_components)
-    fd = (apply_A(spec, yp).values - apply_A(spec, ym).values) / (2 * h)
-    an = apply_Aprime(spec, y, z).values
+    fd = (spec.apply(y + h * z) - spec.apply(y - h * z)) / (2 * h)
+    an = aprime(spec, y, z)
     assert np.linalg.norm(fd - an) <= 1e-5 * max(1.0, np.linalg.norm(an))
 
 
@@ -453,9 +449,8 @@ def test_example1_cubic_forward_difference_quotient():
     rng = np.random.default_rng(5)
     y, z = rand_field(spec, rng), rand_field(spec, rng)
     h = 1e-6
-    yp = Field(spec.grid, y.values + h * z.values)
-    fd = (apply_A(spec, yp).values - apply_A(spec, y).values) / h
-    an = apply_Aprime(spec, y, z).values
+    fd = (spec.apply(y + h * z) - spec.apply(y)) / h
+    an = aprime(spec, y, z)
     assert np.linalg.norm(fd - an) <= 1e-5 * max(1.0, np.linalg.norm(an))
 
 
@@ -630,6 +625,8 @@ ROW_CASES.append(("L2", "nonlocal"))
 
 @pytest.mark.parametrize("case", ROW_CASES, ids=["-".join(c) for c in ROW_CASES])
 def test_control_map_rows_match_single_rows_and_fields(case):
+    """Each batch method on a stack is itself row by row, and the direct
+    call of the row kernel it wraps on one row."""
     import warnings
 
     from mintime import spaces
@@ -649,20 +646,17 @@ def test_control_map_rows_match_single_rows_and_fields(case):
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(want), initial=0.0))
 
-    def field(row):
-        return Field(ug, row, ug.n_components)
-
     row_maps = {
         "u_norms": (lambda X: cm.u_norms_batch(spec, X),
-                    lambda r: spaces.norm(field(r), cm.u_tag, s)),
+                    lambda r: spaces.norm_rows(r, ug, cm.u_tag, s)),
         "ustar_norms": (lambda X: cm.ustar_norms_batch(spec, X),
-                        lambda r: spaces.dual_norm(field(r), cm.u_tag, s)),
+                        lambda r: spaces.norm_rows(r, ug, cm.u_tag, s, dual=True)),
         "F": (lambda X: cm.F_batch(spec, X),
-              lambda r: spaces.duality_map_F(field(r), cm.u_tag, s).values),
+              lambda r: spaces.duality_rows(r, ug, cm.u_tag, s)),
         "F_inverse": (lambda X: cm.F_inverse_batch(spec, X),
-                      lambda r: spaces.duality_map_F_inverse(field(r), cm.u_tag, s).values),
+                      lambda r: spaces.duality_rows(r, ug, cm.u_tag, s, inverse=True)),
         "resolvent": (lambda X: cm.resolvent_batch(spec, X, eps, rho),
-                      lambda r: spaces.resolvent_eF_NK(field(r), cm.u_tag, eps, rho, s).values),
+                      lambda r: spaces.resolvent_rows(r, ug, cm.u_tag, eps, rho, s)),
         "project": (lambda X: cm.project_control_batch(spec, X), None),
         "B": (lambda X: cm.apply_B(spec, X), None),
     }
@@ -677,7 +671,7 @@ def test_control_map_rows_match_single_rows_and_fields(case):
         for X in (U, Z):
             close(cm.u_pairing(spec, Z, X), [cm.u_pairing(spec, z, x) for z, x in zip(Z, X)])
             close(cm.u_pairing(spec, Z, X),
-                  [spaces.pairing(field(z), field(x)) for z, x in zip(Z, X)])
+                  [spaces.inner_rows(z, x, ug) for z, x in zip(Z, X)])
         V = rng.standard_normal((6, spec.n_dof))
         close(cm.apply_Bstar(spec, V), [cm.apply_Bstar(spec, v) for v in V])
 

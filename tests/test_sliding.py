@@ -52,9 +52,9 @@ def case1_spec(n=16):
 
 def test_feedback_zero_selection_at_target():
     spec, cm = heat(12)
-    y = Field(spec.grid, 0.3 * np.ones(12))
+    y = 0.3 * np.ones(12)
     u = sign_feedback(cm, spec, y, y, rho=2.0)
-    np.testing.assert_allclose(u.values, 0.0)
+    np.testing.assert_allclose(u, 0.0)
 
 
 def test_feedback_scalar_sign():
@@ -62,26 +62,23 @@ def test_feedback_scalar_sign():
     g = Grid(extent=(1.0,), nodes=(3,), bcs=(neumann(),))
     spec = PotentialDrift(g)
     cm = ControlMap(mode="identity", u_tag=L2)
-    y = Field(g, np.full(3, 0.8))
-    ytar = Field(g, np.full(3, 0.5))
-    u = sign_feedback(cm, spec, y, ytar, rho=2.0)
-    np.testing.assert_allclose(u.values, -2.0, rtol=1e-12)
-    assert cm.u_norms_batch(spec, u.values) == pytest.approx(2.0, rel=1e-12)
+    u = sign_feedback(cm, spec, np.full(3, 0.8), np.full(3, 0.5), rho=2.0)
+    np.testing.assert_allclose(u, -2.0, rtol=1e-12)
+    assert cm.u_norms_batch(spec, u) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_feedback_l4_norm_and_direction():
     spec, cm = case1_spec(12)
     rng = np.random.default_rng(0)
-    y = Field(spec.grid, rng.standard_normal(spec.n_dof), 2)
-    ytar = Field(spec.grid, np.zeros(spec.n_dof), 2)
+    y = rng.standard_normal(spec.n_dof)
     rho = 1.7
-    u = sign_feedback(cm, spec, y, ytar, rho)
-    assert cm.u_norms_batch(spec, u.values) == pytest.approx(rho, rel=1e-10)
-    v = cm.apply_Bstar(spec, cm.project_state(spec, y.values))
+    u = sign_feedback(cm, spec, y, np.zeros(spec.n_dof), rho)
+    assert cm.u_norms_batch(spec, u) == pytest.approx(rho, rel=1e-10)
+    v = cm.apply_Bstar(spec, cm.project_state(spec, y))
     direction = -cm.F_inverse_batch(spec, v) / cm.ustar_norms_batch(spec, v)
-    np.testing.assert_allclose(u.values, rho * direction, rtol=1e-10)
+    np.testing.assert_allclose(u, rho * direction, rtol=1e-10)
     # second control component is untouched
-    np.testing.assert_allclose(u.values[spec.grid.size:], 0.0)
+    np.testing.assert_allclose(u[spec.grid.size:], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,32 +6,13 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mintime import (
-    Field,
-    Grid,
-    L2,
-    L4,
-    H1,
-    HMINUS1,
-    NormTag,
-    SpectralLaplacian,
-    dirichlet,
-    dual_norm,
-    duality_map_F,
-    duality_map_F_inverse,
-    gamma_apply,
-    gamma_power,
-    inner_product,
-    neumann,
-    norm,
-    resolvent_eF_NK,
-    robin,
-    yosida_apply,
-)
+from mintime import (Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet, neumann,
+                     robin)
 from mintime.spaces import (
     IndeterminateSelectionError,
+    duality_rows,
+    inner_rows,
     norm_rows,
-    pairing,
     resolvent_derivative_rows,
     resolvent_rows,
 )
@@ -43,12 +24,11 @@ def unit_interval(n=64, bc=None):
 
 def sin_field(grid):
     (x,) = grid.coordinates()
-    return Field(grid, np.sin(np.pi * x))
+    return np.sin(np.pi * x)
 
 
 def random_field(grid, rng, scale=1.0):
-    return Field(grid, scale * rng.standard_normal(grid.size * grid.n_components),
-                 n_components=grid.n_components)
+    return scale * rng.standard_normal(grid.size * grid.n_components)
 
 
 # ---------------------------------------------------------------------------
@@ -57,31 +37,30 @@ def random_field(grid, rng, scale=1.0):
 
 def test_constant_one_has_unit_l2_norm():
     g = unit_interval(32, neumann())
-    one = Field(g, np.ones(32))
-    assert inner_product(one, one, L2) == pytest.approx(1.0, abs=1e-14)
+    one = np.ones(32)
+    assert inner_rows(one, one, g, L2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sin_l2_norm_is_inverse_sqrt2():
     # trapezoid sums of sin^2(pi k h) telescope exactly on the uniform grid
     g = unit_interval(64)
     a = sin_field(g)
-    assert norm(a, L2) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+    assert norm_rows(a, g, L2) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_zero_field_inner_product_any_tag():
     g = unit_interval(16)
     s = SpectralLaplacian(g, g.bcs[0])
-    z = Field(g, np.zeros(16))
+    z = np.zeros(16)
     a = sin_field(g)
     for tag in (L2, H1, HMINUS1):
-        assert inner_product(a, z, tag, s) == 0.0
+        assert inner_rows(a, z, g, tag, s) == 0.0
 
 
 def test_grid_mismatch_raises():
-    a = Field(unit_interval(16), np.ones(16))
-    b = Field(unit_interval(17), np.ones(17))
+    # a row of 17 values does not live on a 16-node grid
     with pytest.raises(ValueError):
-        inner_product(a, b, L2)
+        inner_rows(np.ones(16), np.ones(17), unit_interval(16), L2)
 
 
 def test_inner_product_symmetric_bilinear():
@@ -90,9 +69,9 @@ def test_inner_product_symmetric_bilinear():
     s = SpectralLaplacian(g, g.bcs[0], shift=1.0)
     a, b, c = (random_field(g, rng) for _ in range(3))
     for tag in (L2, H1):
-        assert inner_product(a, b, tag, s) == pytest.approx(inner_product(b, a, tag, s), rel=1e-12)
-        lhs = inner_product(Field(g, a.values + 2.5 * c.values), b, tag, s)
-        rhs = inner_product(a, b, tag, s) + 2.5 * inner_product(c, b, tag, s)
+        assert inner_rows(a, b, g, tag, s) == pytest.approx(inner_rows(b, a, g, tag, s), rel=1e-12)
+        lhs = inner_rows(a + 2.5 * c, b, g, tag, s)
+        rhs = inner_rows(a, b, g, tag, s) + 2.5 * inner_rows(c, b, g, tag, s)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -103,25 +82,25 @@ def test_inner_product_symmetric_bilinear():
 def test_gamma_of_constant_is_zero_neumann():
     g = unit_interval(20, neumann())
     s = SpectralLaplacian(g, g.bcs[0])
-    out = gamma_apply(Field(g, np.ones(20)), s)
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-11)
+    out = s.apply(np.ones(20))
+    np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
 
 def test_gamma_sin_dirichlet_eigenpair():
     g = unit_interval(256)
     s = SpectralLaplacian(g, g.bcs[0])
     y = sin_field(g)
-    out = gamma_apply(y, s)
-    np.testing.assert_allclose(out.values, np.pi**2 * y.values, rtol=2e-4)
+    out = s.apply(y)
+    np.testing.assert_allclose(out, np.pi**2 * y, rtol=2e-4)
 
 
 def test_gamma_on_exact_eigenvectors():
     g = unit_interval(32)
     s = SpectralLaplacian(g, g.bcs[0])
     for k in (0, 3, 17):
-        e = Field(g, s.eigenvector(k))
-        out = gamma_apply(e, s)
-        np.testing.assert_allclose(out.values, s.eigenvalues[k] * e.values,
+        e = s.eigenvector(k)
+        out = s.apply(e)
+        np.testing.assert_allclose(out, s.eigenvalues[k] * e,
                                    atol=1e-10 * (1 + s.eigenvalues[k]))
 
 
@@ -141,10 +120,10 @@ def test_gamma_symmetric_nonnegative_random_pairs():
         s = SpectralLaplacian(g, bc)
         for _ in range(25):
             a, b = random_field(g, rng), random_field(g, rng)
-            gab = inner_product(gamma_apply(a, s), b, L2)
-            gba = inner_product(a, gamma_apply(b, s), L2)
-            assert abs(gab - gba) <= 1e-10 * max(1.0, norm(a, L2) * norm(b, L2))
-            assert inner_product(gamma_apply(a, s), a, L2) >= -1e-12
+            gab = inner_rows(s.apply(a), b, g, L2)
+            gba = inner_rows(a, s.apply(b), g, L2)
+            assert abs(gab - gba) <= 1e-10 * max(1.0, norm_rows(a, g) * norm_rows(b, g))
+            assert inner_rows(s.apply(a), a, g, L2) >= -1e-12
 
 
 def test_gamma_is_v_norm_square():
@@ -153,8 +132,8 @@ def test_gamma_is_v_norm_square():
     g = unit_interval(30, robin(0.5))
     s = SpectralLaplacian(g, g.bcs[0])
     v = random_field(g, rng)
-    assert inner_product(gamma_apply(v, s), v, L2) == pytest.approx(
-        norm(v, H1, s) ** 2, rel=1e-11
+    assert inner_rows(s.apply(v), v, g, L2) == pytest.approx(
+        norm_rows(v, g, H1, s) ** 2, rel=1e-11
     )
 
 
@@ -174,12 +153,12 @@ def test_yosida_spectral_values():
     s = SpectralLaplacian(g, g.bcs[0])
     k = 4
     lam = s.eigenvalues[k]
-    e = Field(g, s.eigenvector(k))
-    out = yosida_apply(e, s, nu=1.0)
-    np.testing.assert_allclose(out.values, lam / (1 + lam) * e.values, atol=1e-10)
+    e = s.eigenvector(k)
+    out = s.apply_yosida(e, nu=1.0)
+    np.testing.assert_allclose(out, lam / (1 + lam) * e, atol=1e-10)
     # nu -> 0 recovers Gamma on the domain
-    out_small = yosida_apply(e, s, nu=1e-12)
-    np.testing.assert_allclose(out_small.values, lam * e.values, rtol=1e-9)
+    out_small = s.apply_yosida(e, nu=1e-12)
+    np.testing.assert_allclose(out_small, lam * e, rtol=1e-9)
 
 
 def test_yosida_dominated_by_gamma_and_monotone_in_nu():
@@ -187,10 +166,10 @@ def test_yosida_dominated_by_gamma_and_monotone_in_nu():
     g = unit_interval(24, neumann())
     s = SpectralLaplacian(g, g.bcs[0], shift=1.0)
     y = random_field(g, rng)
-    gy = norm(gamma_apply(y, s), L2)
+    gy = norm_rows(s.apply(y), g, L2)
     prev = np.inf
     for nu in (1e-4, 1e-2, 0.5, 2.0, 10.0):
-        ny = norm(yosida_apply(y, s, nu), L2)
+        ny = norm_rows(s.apply_yosida(y, nu), g, L2)
         assert ny <= gy * (1 + 1e-12)
         assert ny <= prev * (1 + 1e-12)
         prev = ny
@@ -201,27 +180,25 @@ def test_gamma_power_identity_consistency_and_group_law():
     s = SpectralLaplacian(g, g.bcs[0])
     rng = np.random.default_rng(17)
     y = random_field(g, rng)
-    np.testing.assert_allclose(gamma_power(y, s, 0.0).values, y.values, atol=1e-12)
-    np.testing.assert_allclose(
-        gamma_power(y, s, 1.0).values, gamma_apply(y, s).values, atol=1e-9
-    )
+    np.testing.assert_allclose(s.apply_power(y, 0.0), y, atol=1e-12)
+    np.testing.assert_allclose(s.apply_power(y, 1.0), s.apply(y), atol=1e-9)
     # round trip alpha then -alpha
     for alpha in (0.25, 0.5, 1.0):
-        back = gamma_power(gamma_power(y, s, alpha), s, -alpha)
-        np.testing.assert_allclose(back.values, y.values, atol=1e-8)
+        back = s.apply_power(s.apply_power(y, alpha), -alpha)
+        np.testing.assert_allclose(back, y, atol=1e-8)
     # group law on eigenvectors
-    e = Field(g, s.eigenvector(2))
+    e = s.eigenvector(2)
     lam = s.eigenvalues[2]
-    ab = gamma_power(gamma_power(e, s, 0.5), s, 0.25)
-    np.testing.assert_allclose(ab.values, lam**0.75 * e.values, atol=1e-8)
+    ab = s.apply_power(s.apply_power(e, 0.5), 0.25)
+    np.testing.assert_allclose(ab, lam**0.75 * e, atol=1e-8)
 
 
 def test_gamma_power_sqrt_eigenvalue():
     g = unit_interval(16)
     s = SpectralLaplacian(g, g.bcs[0])
-    e = Field(g, s.eigenvector(3))
-    out = gamma_power(e, s, 0.5)
-    np.testing.assert_allclose(out.values, np.sqrt(s.eigenvalues[3]) * e.values, atol=1e-9)
+    e = s.eigenvector(3)
+    out = s.apply_power(e, 0.5)
+    np.testing.assert_allclose(out, np.sqrt(s.eigenvalues[3]) * e, atol=1e-9)
 
 
 def test_negative_power_rejected_on_singular_operator():
@@ -229,9 +206,8 @@ def test_negative_power_rejected_on_singular_operator():
 
     g = unit_interval(12, neumann())
     s = SpectralLaplacian(g, g.bcs[0])  # zero eigenvalue, no shift
-    y = Field(g, np.ones(12))
     with pytest.raises(SpectralSingularityError):
-        gamma_power(y, s, -0.5)
+        s.apply_power(np.ones(12), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +218,14 @@ def test_duality_map_l2_is_identity():
     rng = np.random.default_rng(19)
     g = unit_interval(10, neumann())
     u = random_field(g, rng)
-    np.testing.assert_allclose(duality_map_F(u, L2).values, u.values)
+    np.testing.assert_allclose(duality_rows(u, g, L2), u)
 
 
 def test_duality_map_l4_constant_field():
     g = unit_interval(12, neumann())
-    one = Field(g, np.ones(12))
-    out = duality_map_F(one, L4)
-    np.testing.assert_allclose(out.values, one.values, rtol=1e-12)
+    one = np.ones(12)
+    out = duality_rows(one, g, L4)
+    np.testing.assert_allclose(out, one, rtol=1e-12)
 
 
 def test_duality_map_l4_two_node_example():
@@ -276,21 +252,21 @@ def test_duality_map_contract_random_fields(tag_name):
     tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
     for _ in range(200):
         u = random_field(g, rng, scale=rng.uniform(0.1, 10))
-        f = duality_map_F(u, tag, s)
-        nu = norm(u, tag, s)
-        assert pairing(f, u) == pytest.approx(nu**2, rel=1e-9)
-        assert dual_norm(f, tag, s) == pytest.approx(nu, rel=1e-9)
+        f = duality_rows(u, g, tag, s)
+        nu = norm_rows(u, g, tag, s)
+        assert inner_rows(f, u, g) == pytest.approx(nu**2, rel=1e-9)
+        assert norm_rows(f, g, tag, s, dual=True) == pytest.approx(nu, rel=1e-9)
         # F^-1 inverts F
-        back = duality_map_F_inverse(f, tag, s)
-        np.testing.assert_allclose(back.values, u.values, rtol=1e-8, atol=1e-10 * nu)
+        back = duality_rows(f, g, tag, s, inverse=True)
+        np.testing.assert_allclose(back, u, rtol=1e-8, atol=1e-10 * nu)
 
 
 def test_duality_map_zero_field():
     g = unit_interval(8)
     s = SpectralLaplacian(g, g.bcs[0])
-    z = Field(g, np.zeros(8))
+    z = np.zeros(8)
     for tag in (L2, L4, HMINUS1):
-        np.testing.assert_allclose(duality_map_F(z, tag, s).values, 0.0)
+        np.testing.assert_allclose(duality_rows(z, g, tag, s), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +278,10 @@ def test_resolvent_interior_branch():
     rng = np.random.default_rng(29)
     eps, rho = 0.4, 1.0
     zeta = random_field(g, rng, scale=0.01)
-    nz = dual_norm(zeta, L2)
+    nz = norm_rows(zeta, g, L2, dual=True)
     assert nz < eps * rho
-    u = resolvent_eF_NK(zeta, L2, eps, rho)
-    np.testing.assert_allclose(u.values, zeta.values / eps, rtol=1e-12)
+    u = resolvent_rows(zeta, g, L2, eps, rho)
+    np.testing.assert_allclose(u, zeta / eps, rtol=1e-12)
 
 
 def test_resolvent_saturated_branch():
@@ -313,9 +289,9 @@ def test_resolvent_saturated_branch():
     rng = np.random.default_rng(31)
     eps, rho = 0.01, 2.0
     zeta = random_field(g, rng, scale=50.0)
-    u = resolvent_eF_NK(zeta, L2, eps, rho)
-    assert norm(u, L2) == pytest.approx(rho, rel=1e-12)
-    np.testing.assert_allclose(u.values, rho * zeta.values / dual_norm(zeta, L2), rtol=1e-12)
+    u = resolvent_rows(zeta, g, L2, eps, rho)
+    assert norm_rows(u, g, L2) == pytest.approx(rho, rel=1e-12)
+    np.testing.assert_allclose(u, rho * zeta / norm_rows(zeta, g, L2, dual=True), rtol=1e-12)
 
 
 def test_resolvent_hand_example_two_unit_nodes():
@@ -341,11 +317,11 @@ def test_resolvent_hand_example_two_unit_nodes():
 
 def test_resolvent_eps_zero_and_indeterminacy():
     g = unit_interval(6, neumann())
-    zeta = Field(g, np.linspace(0.5, 1.0, 6))
-    u = resolvent_eF_NK(zeta, L2, 0.0, rho=3.0)
-    assert norm(u, L2) == pytest.approx(3.0, rel=1e-12)
+    zeta = np.linspace(0.5, 1.0, 6)
+    u = resolvent_rows(zeta, g, L2, 0.0, rho=3.0)
+    assert norm_rows(u, g, L2) == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(IndeterminateSelectionError):
-        resolvent_eF_NK(Field(g, np.zeros(6)), L2, 0.0, rho=1.0)
+        resolvent_rows(np.zeros(6), g, L2, 0.0, rho=1.0)
 
 
 @pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
@@ -388,16 +364,16 @@ def test_resolvent_is_ball_constrained_argmin(tag_name):
         return (w @ np.abs(v) ** 4) ** 0.25
 
     for eps, rho, scale in [(0.5, 1.0, 0.1), (0.1, 1.0, 2.0), (0.05, 2.5, 30.0)]:
-        zeta = Field(g, scale * rng.standard_normal(7))
-        u = resolvent_eF_NK(zeta, tag, eps, rho)
-        assert unorm(u.values) <= rho * (1 + 1e-12)
+        zeta = scale * rng.standard_normal(7)
+        u = resolvent_rows(zeta, g, tag, eps, rho)
+        assert unorm(u) <= rho * (1 + 1e-12)
 
         def objective(v):
-            return 0.5 * eps * unorm(v) ** 2 - w @ (zeta.values * v)
+            return 0.5 * eps * unorm(v) ** 2 - w @ (zeta * v)
 
         best = None
         for trial in range(4):
-            x0 = rng.standard_normal(7) * rho / 4 if trial else u.values * 0.9
+            x0 = rng.standard_normal(7) * rho / 4 if trial else u * 0.9
             res = scipy.optimize.minimize(
                 objective,
                 x0=x0,
@@ -407,8 +383,8 @@ def test_resolvent_is_ball_constrained_argmin(tag_name):
             )
             if best is None or res.fun < best.fun:
                 best = res
-        assert objective(u.values) <= best.fun + 1e-6
-        np.testing.assert_allclose(u.values, best.x, atol=2e-4)
+        assert objective(u) <= best.fun + 1e-6
+        np.testing.assert_allclose(u, best.x, atol=2e-4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -418,19 +394,18 @@ def test_duality_contract_property(seed, tag_name):
     g = unit_interval(12)
     s = SpectralLaplacian(g, g.bcs[0])
     tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
-    u = Field(g, rng.uniform(0.05, 5.0) * rng.standard_normal(12))
-    f = duality_map_F(u, tag, s)
-    nu = norm(u, tag, s)
-    assert pairing(f, u) == pytest.approx(nu**2, rel=1e-9)
-    assert dual_norm(f, tag, s) == pytest.approx(nu, rel=1e-9)
+    u = rng.uniform(0.05, 5.0) * rng.standard_normal(12)
+    f = duality_rows(u, g, tag, s)
+    nu = norm_rows(u, g, tag, s)
+    assert inner_rows(f, u, g) == pytest.approx(nu**2, rel=1e-9)
+    assert norm_rows(f, g, tag, s, dual=True) == pytest.approx(nu, rel=1e-9)
 
 
 def test_hminus1_requires_dirichlet():
     g = unit_interval(8, neumann())
     s = SpectralLaplacian(g, g.bcs[0])
-    u = Field(g, np.ones(8))
     with pytest.raises(ValueError):
-        norm(u, HMINUS1, s)
+        norm_rows(np.ones(8), g, HMINUS1, s)
 
 
 def test_lp_tag_validation():

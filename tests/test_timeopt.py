@@ -118,6 +118,18 @@ def test_nonpositive_golden_tolerance_rejected(tol):
         replace(scalar_setup(), golden_tol_factor=tol)
 
 
+@pytest.mark.parametrize("field", ["inner_tol", "theta0"])
+@pytest.mark.parametrize("value", [0.0, -0.5, float("nan")])
+def test_nonpositive_inner_tolerance_and_damping_rejected(field, value):
+    # as the config parser does: a zero or negative damping leaves the fixed
+    # point at the zero control or sends it off, and a nonpositive tolerance
+    # is never met, so every solve runs to its cap
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match=field):
+        replace(scalar_setup(), **{field: value})
+
+
 def test_negative_inner_cap_rejected():
     # the inner solvers would return before binding their iteration count
     from dataclasses import replace
