@@ -142,12 +142,10 @@ def _metric_vstar(spec: OperatorSpec) -> np.ndarray:
     Gamma^-1 on the components that V measures with Gamma, L2 on the rest,
     after the H-Riesz map (Gamma^-1 in the H^-1 frame)."""
     ginv = _dense_fn_matrix(spec.gamma_op, lambda lam: 1.0 / lam)
-    blocks = []
-    for c, with_gamma in enumerate(spec.v_gamma):
-        w = spec.grid.weights(c)
-        blocks.append(0.5 * (w[:, None] * ginv + (w[:, None] * ginv).T) if with_gamma
-                      else np.diag(w))
-    m = scipy.linalg.block_diag(*blocks)
+    w = spec.grid.weights
+    gamma_block = 0.5 * (w[:, None] * ginv + (w[:, None] * ginv).T)
+    m = scipy.linalg.block_diag(*(gamma_block if with_gamma else np.diag(w)
+                                  for with_gamma in spec.v_gamma))
     if spec.state_tag.kind == "Hminus1":
         riesz = _blockdiag_per_component(spec, ginv)
         m = riesz.T @ (m @ riesz)
@@ -171,11 +169,11 @@ def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, floa
     equality for a spike on a lightest node.
     """
     g = map.ugrid(spec)
-    w = g.component_weights()
+    w = g.component_weights
     if map.u_tag.kind == "Hminus1":
         _, _, s = map._uspace(spec)
         gm = _dense_fn_matrix(s, lambda lam: lam)
-        m1 = 0.5 * (g.weights(0)[:, None] * gm + (g.weights(0)[:, None] * gm).T)
+        m1 = 0.5 * (g.weights[:, None] * gm + (g.weights[:, None] * gm).T)
         return (_blockdiag_per_component(spec, m1) if g.n_components > 1 else m1), 1.0
     if map.u_tag.kind == "Lp":
         return np.diag(w), float(np.min(w)) ** (1.0 / map.u_tag.p - 0.5)

@@ -206,22 +206,22 @@ _PROFILES = {
 }
 
 
-def _profile(val, where: str) -> Callable[[Grid, int], np.ndarray]:
+def _profile(val, where: str) -> Callable[[Grid], np.ndarray]:
     """One component's profile (a number, a node list or a named profile
-    mapping), parsed to its nodal values as a function of (grid, component)."""
+    mapping), parsed to its nodal values as a function of the grid."""
     if isinstance(val, (int, float)):
         val = {"profile": "constant", "value": val}
     if isinstance(val, list):
         nodes = _array(val, where)
 
-        def node_list(grid: Grid, c: int) -> np.ndarray:
+        def node_list(grid: Grid) -> np.ndarray:
             if nodes.size != grid.size:
                 raise ConfigError(where, f"node list has {nodes.size} values, grid has {grid.size}")
             return nodes
         return node_list
     keys, values = _PROFILES[_kind(val, "profile", _PROFILES, where)]
     p = _block({"profile": (_str, _REQUIRED), **keys})(val, where)
-    return lambda grid, c: values(grid, grid.coordinates(c), p)
+    return lambda grid: values(grid, grid.coordinates(), p)
 
 
 def _field(val, where: str) -> Callable[[Grid], Field]:
@@ -237,7 +237,7 @@ def _field(val, where: str) -> Callable[[Grid], Field]:
         profiles = parts if isinstance(parts, list) else [parts] * ncomp
         if len(profiles) != ncomp:
             raise ConfigError(where, f"need {ncomp} component profiles, got {len(profiles)}")
-        return Field(grid, np.concatenate([p(grid, c) for c, p in enumerate(profiles)]), ncomp)
+        return Field(grid, np.concatenate([p(grid) for p in profiles]))
     return on
 
 
@@ -282,7 +282,7 @@ _TARGETS = {"y_tar": (_field, None)}
 
 _DT = {"dt": (_positive, 1e-3)}
 _NUMERICS = {
-    "simulate": {**_DT, "T_max": (_float, 1.0)},
+    "simulate": _DT,
     "slide": {**_DT, "T_max": (_positive, 1.0), "hit_tol": (_positive, 1e-3),
               "audit_samples": (_samples, 150)},
     "optimize": {
@@ -301,7 +301,7 @@ _NUMERICS = {
         "fractional_alpha": (_float, 0.5),
     },
 }
-_SIMULATE = {"T": (_positive, None), "u": (_field, {"profile": "zero"}),
+_SIMULATE = {"T": (_positive, 1.0), "u": (_field, {"profile": "zero"}),
              "write_values": (_bool, False)}
 
 _ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_float, 1e-3), "switch_budget": (_int, 1),
@@ -350,7 +350,8 @@ def _grid(g: dict, n_components: int) -> Grid:
         raise ConfigError("grid.nodes", "extent/nodes must match the dimension")
     gamma = g["robin_gamma"] if g["bc"] == "robin" else 0.0
     return _build("grid", lambda: Grid(extent=tuple(extent), nodes=tuple(nodes),
-                                       bcs=(BoundaryCondition(g["bc"], gamma),) * n_components))
+                                       bc=BoundaryCondition(g["bc"], gamma),
+                                       n_components=n_components))
 
 
 def _control(c: dict, spec: OperatorSpec) -> ControlMap:
@@ -362,8 +363,8 @@ def _control(c: dict, spec: OperatorSpec) -> ControlMap:
         k = c["kernel"]
         control_grid = _build("control.kernel.nodes", lambda: Grid(
             extent=spec.grid.extent, nodes=tuple(k["nodes"]),
-            bcs=(BoundaryCondition("neumann"),)))
-        kernel = np.outer(k["row_profile"](spec.grid, 0), k["col_profile"](control_grid, 0))
+            bc=BoundaryCondition("neumann")))
+        kernel = np.outer(k["row_profile"](spec.grid), k["col_profile"](control_grid))
     return _build("control", lambda: ControlMap(
         mode=c["mode"], u_tag=NORM_TAGS[c["norm"]], projection=projection,
         kernel=kernel, control_grid=control_grid))
@@ -397,7 +398,6 @@ def parse_config(doc: dict) -> RunConfig:
     cfg.numerics = top["numerics"]
     if command == "simulate":
         sim = cfg.simulate_block = top["simulate"]
-        sim["T"] = sim.get("T") or _positive(cfg.numerics["T_max"], "simulate.T")
         sim["u"] = sim["u"](cfg.map.ugrid(cfg.spec))
     return cfg
 

@@ -137,10 +137,6 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.spec.grid
 
-    @property
-    def n_components(self) -> int:
-        return self.spec.n_components
-
     @cached_property
     def h_norms(self) -> np.ndarray:
         return self.spec.h_norm(self.states)
@@ -159,7 +155,7 @@ class Trajectory:
         return len(self.times) - 1
 
     def state(self, k: int) -> Field:
-        return Field(self.grid, self.states[k].copy(), self.n_components)
+        return Field(self.grid, self.states[k].copy())
 
     @property
     def terminal(self) -> Field:
@@ -227,7 +223,7 @@ def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
         raise ValueError("dt must be positive")
     bu = map.apply_B(spec, u_step.values)
     x, _, _, _, _ = _step_with_refinement(spec, y.values, bu, dt, 0)
-    return Field(spec.grid, x, spec.n_components)
+    return Field(spec.grid, x)
 
 
 def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt: float,

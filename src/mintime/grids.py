@@ -9,7 +9,7 @@ weight and inner products are second-order accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ __all__ = ["BoundaryCondition", "Grid", "Field", "dirichlet", "neumann", "robin"
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Boundary condition of one state component: dirichlet, neumann or robin.
+    """Wall condition of a grid: dirichlet, neumann or robin.
 
     ``gamma`` is the Robin coefficient (d/dnu y + gamma*y = 0) and must be
     strictly positive when kind == "robin".
@@ -55,13 +55,15 @@ class Grid:
 
     ``nodes`` counts the stored nodes per axis (>= 3). For Dirichlet the
     stored nodes are the interior ones, mesh width h = extent/(nodes+1);
-    otherwise boundary nodes are stored and h = extent/(nodes-1).
-    ``bcs`` holds one boundary condition per state component.
+    otherwise boundary nodes are stored and h = extent/(nodes-1). The
+    ``n_components`` state components live on the same nodes under the one
+    wall condition ``bc``, as every nodally coupled system needs.
     """
 
     extent: tuple[float, ...]
     nodes: tuple[int, ...]
-    bcs: tuple[BoundaryCondition, ...] = field(default=(BoundaryCondition("neumann"),))
+    bc: BoundaryCondition = BoundaryCondition("neumann")
+    n_components: int = 1
 
     def __post_init__(self):
         if len(self.extent) != len(self.nodes):
@@ -72,95 +74,75 @@ class Grid:
             raise ValueError("need at least 3 nodes per axis")
         if any(not e > 0.0 for e in self.extent):
             raise ValueError("extents must be positive")
-        if len(self.bcs) < 1:
-            raise ValueError("need at least one component boundary condition")
+        if self.n_components < 1:
+            raise ValueError("need n_components >= 1")
 
     @property
     def dimension(self) -> int:
         return len(self.nodes)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.bcs)
 
     @cached_property
     def size(self) -> int:
         """Stored nodes of one component."""
         return int(np.prod(self.nodes))
 
-    def spacing(self, bc: BoundaryCondition) -> tuple[float, ...]:
-        if bc.kind == "dirichlet":
+    def spacing(self) -> tuple[float, ...]:
+        if self.bc.kind == "dirichlet":
             return tuple(e / (n + 1) for e, n in zip(self.extent, self.nodes))
         return tuple(e / (n - 1) for e, n in zip(self.extent, self.nodes))
 
-    def axis_coordinates(self, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinates of the stored nodes."""
-        out = []
-        for e, n, h in zip(self.extent, self.nodes, self.spacing(bc)):
-            if bc.kind == "dirichlet":
-                out.append(h * np.arange(1, n + 1))
-            else:
-                out.append(h * np.arange(n))
-        return tuple(out)
-
     def coordinates(self, component: int = 0) -> tuple[np.ndarray, ...]:
-        """Meshgrid coordinates (flattened, C order) of one component's nodes."""
-        axes = self.axis_coordinates(self.bcs[component])
-        if self.dimension == 1:
-            return (axes[0].copy(),)
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return X.ravel(), Y.ravel()
+        """Meshgrid coordinates (flattened, C order) of the stored nodes,
+        the same for every component."""
+        if not 0 <= component < self.n_components:
+            raise IndexError(f"component {component} of {self.n_components}")
+        first = 1 if self.bc.kind == "dirichlet" else 0
+        axes = [h * np.arange(first, first + n) for n, h in zip(self.nodes, self.spacing())]
+        return tuple(x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
 
-    def axis_weights(self, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
+    def axis_weights(self) -> tuple[np.ndarray, ...]:
         """Trapezoid quadrature weights per axis."""
         out = []
-        for n, h in zip(self.nodes, self.spacing(bc)):
+        for n, h in zip(self.nodes, self.spacing()):
             w = np.full(n, h)
-            if bc.kind != "dirichlet":
+            if self.bc.kind != "dirichlet":
                 w[0] = w[-1] = h / 2.0
             out.append(w)
         return tuple(out)
 
     @cached_property
-    def _weights_cache(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for c in range(self.n_components):
-            axes = self.axis_weights(self.bcs[c])
-            if self.dimension == 1:
-                out.append(axes[0])
-            else:
-                out.append(np.outer(axes[0], axes[1]).ravel())
-        return tuple(out)
-
-    def weights(self, component: int = 0) -> np.ndarray:
+    def weights(self) -> np.ndarray:
         """Flattened trapezoid weights of one component's nodes."""
-        return self._weights_cache[component]
+        axes = self.axis_weights()
+        return axes[0] if self.dimension == 1 else np.outer(axes[0], axes[1]).ravel()
 
     @cached_property
-    def _component_weights_cache(self) -> np.ndarray:
-        return np.concatenate(self._weights_cache)
-
     def component_weights(self) -> np.ndarray:
-        """Weights of the full multi-component dof vector (concatenated)."""
-        return self._component_weights_cache
+        """Weights of the full multi-component dof vector: ``weights`` once
+        per component."""
+        return np.tile(self.weights, self.n_components)
 
 
 @dataclass
 class Field:
-    """Nodal values of ``n_components`` state components on a grid.
+    """Nodal values of the grid's state components.
 
     ``values`` is the flat concatenation of the per-component nodal vectors
-    (C order for 2D grids). All values must be finite.
+    (C order for 2D grids). All values must be finite. ``n_components`` is
+    the grid's; a given count must equal it.
     """
 
     grid: Grid
     values: np.ndarray
-    n_components: int = 1
+    n_components: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.n_components < 1:
-            raise ValueError("need n_components >= 1")
+        if self.n_components is None:
+            self.n_components = self.grid.n_components
+        elif self.n_components != self.grid.n_components:
+            raise ValueError(
+                f"field has {self.n_components} components, its grid {self.grid.n_components}")
         if self.values.size != self.n_components * self.grid.size:
             raise ValueError(
                 f"field has {self.values.size} values, expected "

@@ -153,24 +153,22 @@ class OperatorSpec:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return self.grid.component_weights()
+        return self.grid.component_weights
 
     @cached_property
     def gamma_op(self) -> SpectralLaplacian:
         """The canonical isomorphism Gamma_H used for V-norms and powers:
-        -Lap on the first component's walls, shifted by the identity under
-        Neumann walls so that it is invertible."""
-        bc = self.grid.bcs[0]
-        return SpectralLaplacian(self.grid, bc, shift=1.0 if bc.kind == "neumann" else 0.0)
+        -Lap on the grid's walls, shifted by the identity under Neumann walls
+        so that it is invertible."""
+        return SpectralLaplacian(self.grid, shift=1.0 if self.grid.bc.kind == "neumann" else 0.0)
 
     @cached_property
     def _lap_diagonals(self) -> dict[int, np.ndarray]:
-        """Node diagonals of the unshifted -Lap on the first component's walls."""
+        """Node diagonals of the unshifted -Lap on the grid's walls."""
         g = self.grid
-        bc = g.bcs[0]
         return _add_diagonals(*(
-            _lift(g, _laplacian_matrix_1d(n, h, bc), axis)
-            for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc)))))
+            _lift(g, _laplacian_matrix_1d(n, h, g.bc), axis)
+            for axis, (n, h) in enumerate(zip(g.nodes, g.spacing()))))
 
     @property
     def v_gamma(self) -> tuple[bool, ...]:
@@ -360,13 +358,12 @@ class PotentialDrift(OperatorSpec):
         acts along each axis of the C-ordered node array.
         """
         g = self.grid
-        bc = g.bcs[0]
         b = self.b
         baxes = b if isinstance(b, (tuple, list)) else (b,) * g.dimension
         parts = []
-        for axis, (n, h) in enumerate(zip(g.nodes, g.spacing(bc))):
+        for axis, (n, h) in enumerate(zip(g.nodes, g.spacing())):
             stencil = np.eye(n, k=-1) - np.eye(n, k=1)
-            if bc.kind != "dirichlet":
+            if g.bc.kind != "dirichlet":
                 stencil[[0, -1]] = 0.0
             braw = np.asarray(baxes[axis], dtype=float)
             barr = np.full(g.size, float(braw)) if braw.ndim == 0 else braw.ravel()
@@ -404,7 +401,7 @@ class PorousMedia(OperatorSpec):
     def __post_init__(self):
         if self.grid.n_components != 1:
             raise ValueError("PorousMedia is a one-component operator")
-        if self.grid.bcs[0].kind != "dirichlet":
+        if self.grid.bc.kind != "dirichlet":
             raise ValueError("PorousMedia uses Dirichlet boundary conditions")
         if not self.beta.monotone_floor > 0.0:
             raise ValueError("porous medium needs beta' >= a0 > 0")
@@ -454,8 +451,6 @@ class ReactionDiffusion2(_TwoComponent):
     def __post_init__(self):
         if self.grid.n_components != 2:
             raise ValueError("ReactionDiffusion2 has two components")
-        if len({bc.kind for bc in self.grid.bcs}) != 1:
-            raise ValueError("both components must share the boundary condition")
         if not (self.d1 > 0.0 and self.d2 > 0.0):
             raise ValueError("diffusivities must be positive (use FitzHughNagumo for D2 = 0)")
         self.state_tag = L2
@@ -639,7 +634,7 @@ class ControlMap:
             out = np.zeros((*u.shape[:-1], spec.n_dof))
             out[..., : spec.grid.size] = u[..., : spec.grid.size]
             return out
-        wq = self.control_grid.weights(0)
+        wq = self.control_grid.weights
         if self.kernel.shape != (spec.grid.size, self.control_grid.size):
             raise ValueError(
                 f"kernel shape {self.kernel.shape} does not match state x control "
@@ -654,7 +649,7 @@ class ControlMap:
         if v.shape[-1] != spec.n_dof:
             raise ValueError(f"expected {spec.n_dof} state dof, got {v.shape[-1]}")
         if self.mode == "nonlocal":
-            return (v * spec.grid.weights(0)) @ self.kernel
+            return (v * spec.grid.weights) @ self.kernel
         # the H-Riesz image of v: v itself in L2, Gamma^-1 v in H^-1
         out = duality_rows(v, spec.grid, spec.state_tag, spec.gamma_op)
         if self.mode == "first_component":

@@ -16,6 +16,10 @@ import numpy as np
 __all__ = ["OdeReduction", "analytic_min_time_scalar", "brute_force_min_time"]
 
 INFEASIBLE = float("inf")
+# the bang search puts switch instants on at most N_SLOTS slots of the horizon,
+# and counts a full-state target hit within HIT_TOL_DT * dt * max(rho, max|M|, 1)
+N_SLOTS = 40
+HIT_TOL_DT = 2.0
 
 
 @dataclass
@@ -96,12 +100,10 @@ def brute_force_min_time(
     dt: float,
     switch_budget: int = 1,
     t_max: float = 5.0,
-    hit_tol: float | None = None,
-    n_slots: int = 40,
 ) -> float:
     """Smallest hitting time over bang sequences, or inf when none hits.
 
-    Switch instants live on a coarse slot grid (at most ``n_slots`` slots over
+    Switch instants live on a coarse slot grid (at most ``N_SLOTS`` slots over
     the horizon) while the integration runs on the fine RK4 grid; all
     sequences advance together as one batched state array.
     """
@@ -110,15 +112,13 @@ def brute_force_min_time(
     if not (dt > 0.0 and t_max > dt):
         raise ValueError("need 0 < dt < t_max")
     steps = int(np.ceil(t_max / dt))
-    n_slots = max(2, min(n_slots, steps))
+    n_slots = max(2, min(N_SLOTS, steps))
     slot_dt = t_max / n_slots
     pats, nseq = _sequences(n_slots, switch_budget)
     m = red.matrix
     rho = red.rho
     d = red.dimension
-
-    if hit_tol is None:
-        hit_tol = 2.0 * dt * max(rho, float(np.abs(m).max()), 1.0)
+    hit_tol = HIT_TOL_DT * dt * max(rho, float(np.abs(m).max()), 1.0)
 
     y = np.tile(red.y0, (nseq, 1))
     e1 = np.zeros(d)

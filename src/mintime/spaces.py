@@ -114,22 +114,20 @@ class _Axis:
 
 
 class SpectralLaplacian:
-    """Eigendecomposition of (shift*I - Laplacian) on one component's nodes.
+    """Eigendecomposition of (shift*I - Laplacian) on one component's nodes,
+    under the grid's walls.
 
     2D grids use the tensor-product structure: per-axis decompositions,
     eigenvalues lambda_ij = lambda_i + lambda_j + shift. Eigenvectors are
     orthonormal in the discrete (trapezoid) L2 inner product.
     """
 
-    def __init__(self, grid: Grid, bc: BoundaryCondition, shift: float = 0.0):
+    def __init__(self, grid: Grid, shift: float = 0.0):
         self.grid = grid
-        self.bc = bc
         self.shift = float(shift)
         axes = []
-        hs = grid.spacing(bc)
-        ws = grid.axis_weights(bc)
-        for n, h, w in zip(grid.nodes, hs, ws):
-            m = _laplacian_matrix_1d(n, h, bc)
+        for n, h, w in zip(grid.nodes, grid.spacing(), grid.axis_weights()):
+            m = _laplacian_matrix_1d(n, h, grid.bc)
             sqw = np.sqrt(w)
             sym = (sqw[:, None] * m) / sqw[None, :]
             sym = 0.5 * (sym + sym.T)
@@ -145,9 +143,7 @@ class SpectralLaplacian:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.grid.dimension == 1:
-            return self._axes[0].weights
-        return np.outer(self._axes[0].weights, self._axes[1].weights).ravel()
+        return self.grid.weights
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -245,7 +241,7 @@ def _require_spectral(tag: NormTag, s: SpectralLaplacian | None) -> SpectralLapl
     if s is None:
         raise ValueError(f"norm tag {tag.kind} needs a SpectralLaplacian")
     if tag.kind == "Hminus1":
-        if s.bc.kind != "dirichlet":
+        if s.grid.bc.kind != "dirichlet":
             raise ValueError("Hminus1 requires a Dirichlet Laplacian")
         if s.shift != 0.0:
             raise ValueError("Hminus1 uses the unshifted Dirichlet Laplacian")
@@ -262,7 +258,7 @@ def _rows(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _blocks(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(..., components, nodes) view of the values and the (components, nodes) weights."""
-    w = grid.component_weights().reshape(grid.n_components, grid.size)
+    w = grid.component_weights.reshape(grid.n_components, grid.size)
     return v.reshape(*v.shape[:-1], *w.shape), w
 
 
@@ -299,7 +295,7 @@ def inner_rows(a: np.ndarray, b: np.ndarray, grid: Grid, tag: NormTag = L2,
     if not tag.is_hilbert:
         raise ValueError(f"{tag.kind} is not an inner-product norm")
     a, b = _rows(a, grid), _rows(b, grid)
-    return (_gamma_rows(a, tag, s) * b) @ grid.component_weights()
+    return (_gamma_rows(a, tag, s) * b) @ grid.component_weights
 
 
 def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
@@ -314,7 +310,7 @@ def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
         comp = np.add.reduce(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
         return np.sqrt(np.add.reduce(np.square(comp), axis=-1))
     gv = _gamma_rows(v, tag, s, -1 if dual else 1)
-    return np.sqrt(np.maximum((gv * v) @ grid.component_weights(), 0.0))
+    return np.sqrt(np.maximum((gv * v) @ grid.component_weights, 0.0))
 
 
 def duality_rows(values: np.ndarray, grid: Grid, tag: NormTag,
@@ -375,7 +371,7 @@ def resolvent_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: 
     if not (rho > 0.0 and eps > 0.0):
         raise ValueError("rho and eps must be positive")
     z, dz = _rows(values, grid), _rows(directions, grid)
-    w = grid.component_weights()
+    w = grid.component_weights
     fz = _gamma_rows(z, tag, s, -1)
     fdz = _gamma_rows(dz, tag, s, -1)
     nz = np.sqrt(np.maximum((fz * z) @ w, 0.0))  # as norm_rows(dual=True) forms it

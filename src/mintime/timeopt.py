@@ -165,7 +165,7 @@ class InnerSolution:
         p = self.prob
         traj = self.trajectory
         p_term = p.map.project_state(p.spec, traj.states[-1] - p.y_tar.values) / p.eps
-        return solve_adjoint(p.spec, traj, Field(p.spec.grid, p_term, p.spec.n_components))
+        return solve_adjoint(p.spec, traj, Field(p.spec.grid, p_term))
 
     @cached_property
     def stationarity_residual(self) -> float:
@@ -237,7 +237,7 @@ class _LinearKernel:
         S = spec.step_factor(np.zeros(n), dte).solve(eye)
         bmat = cmap.apply_B(spec, np.eye(m)).T
         metric = spec.metric_apply(eye).T       # M with (a, b)_H = a^T M b
-        wu = cmap.ugrid(spec).component_weights()
+        wu = cmap.ugrid(spec).component_weights
 
         # S^p for p = 1..K by doubling: pows[j] = S^(j+1)
         pows = np.empty((K, n, n))
@@ -317,7 +317,7 @@ class _Sweeps:
     def _adjoint(self, p_terminal: np.ndarray) -> np.ndarray:
         """p_{k-1} for k = 1..K along the latest forward solve."""
         spec = self.prob.spec
-        adj = solve_adjoint(spec, self.traj, Field(spec.grid, p_terminal, spec.n_components))
+        adj = solve_adjoint(spec, self.traj, Field(spec.grid, p_terminal))
         return adj.values[:-1]
 
     def horizon_pairing(self, uvals: np.ndarray, p_terminal: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from mintime.forward import Control, solve_forward
 
 
 def test_2d_potential_drift_solves_and_transposes():
-    g = Grid(extent=(1.0, 1.0), nodes=(8, 8), bcs=(robin(0.6),))
+    g = Grid(extent=(1.0, 1.0), nodes=(8, 8), bc=robin(0.6))
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.4), a1=0.2, b=(0.1, -0.05))
     cm = ControlMap(mode="identity", u_tag=L2)
     rng = np.random.default_rng(0)
@@ -38,7 +38,7 @@ def test_2d_potential_drift_solves_and_transposes():
 
 
 def test_2d_reaction_diffusion_duality_identity():
-    g = Grid(extent=(1.0, 2.0), nodes=(6, 7), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0, 2.0), nodes=(6, 7), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, f=pair_fn("sat_rational", 0.8),
                               g=pair_fn("tanh_pair", 0.3, 0.2))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
@@ -55,8 +55,8 @@ def test_2d_reaction_diffusion_duality_identity():
 def test_2d_spectral_eigenpairs():
     from mintime.spaces import SpectralLaplacian
 
-    g = Grid(extent=(1.0, 1.0), nodes=(9, 9), bcs=(neumann(),))
-    s = SpectralLaplacian(g, g.bcs[0], shift=1.0)
+    g = Grid(extent=(1.0, 1.0), nodes=(9, 9), bc=neumann())
+    s = SpectralLaplacian(g, shift=1.0)
     # smallest eigenvalue of I - Lap under Neumann walls is exactly 1
     assert abs(s.eigenvalues[0] - 1.0) <= 1e-10
     for k in (0, 5, 20):

@@ -47,17 +47,17 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _instance(kind: str, n: int, rng) -> tuple:
     if kind == "potential_drift":
-        g = Grid(extent=(1.0,), nodes=(n,), bcs=(robin(0.5 + rng.uniform(0, 1)),))
+        g = Grid(extent=(1.0,), nodes=(n,), bc=robin(0.5 + rng.uniform(0, 1)))
         spec = PotentialDrift(g, beta=scalar_fn("cubic", rng.uniform(0.1, 1.0)),
                               a1=rng.uniform(-0.3, 0.7), b=rng.uniform(-0.3, 0.3))
         cm = ControlMap(mode="identity", u_tag=L2)
     elif kind == "porous_media":
-        g = Grid(extent=(1.0,), nodes=(n,), bcs=(dirichlet(),))
+        g = Grid(extent=(1.0,), nodes=(n,), bc=dirichlet())
         spec = PorousMedia(g, beta=scalar_fn("power", rng.uniform(0.3, 1.0),
                                              rng.uniform(0.1, 0.6), rng.uniform(0.2, 0.8)))
         cm = ControlMap(mode="identity", u_tag=HMINUS1)
     elif kind == "reaction_diffusion2":
-        g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+        g = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
         spec = ReactionDiffusion2(
             g, d1=rng.uniform(0.5, 1.5), d2=rng.uniform(0.3, 1.0),
             f=pair_fn("sat_rational", rng.uniform(0.3, 1.2)),
@@ -65,12 +65,12 @@ def _instance(kind: str, n: int, rng) -> tuple:
         )
         cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
     elif kind == "fitzhugh_nagumo":
-        g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+        g = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
         spec = FitzHughNagumo(g, alpha0=rng.uniform(0.2, 1.5), sigma=rng.uniform(0.2, 1.5),
                               gamma=rng.uniform(0.1, 1.0), d1=rng.uniform(0.5, 1.5))
         cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
     else:
-        g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+        g = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
         spec = PhaseField(g, k=rng.uniform(0.5, 1.5), l=rng.uniform(0.2, 0.8),
                           nu=rng.uniform(0.5, 1.5), gamma=rng.uniform(0.3, 1.0))
         cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
@@ -126,8 +126,8 @@ def test_criterion_2_derivative_fidelity():
 
 def test_criterion_3_duality_contract_and_resolvent():
     rng = np.random.default_rng(303)
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
-    s = SpectralLaplacian(g, g.bcs[0])
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    s = SpectralLaplacian(g)
     worst = 0.0
     for tag in (L2, L4, HMINUS1):
         for _ in range(1000):
@@ -137,8 +137,8 @@ def test_criterion_3_duality_contract_and_resolvent():
             worst = max(worst, abs(inner_rows(f, u, g) - nu**2) / nu**2)
             worst = max(worst, abs(norm_rows(f, g, tag, s, dual=True) - nu) / nu)
 
-    g8 = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(),))
-    w = g8.weights(0)
+    g8 = Grid(extent=(1.0,), nodes=(7,), bc=neumann())
+    w = g8.weights
     worst_res = 0.0
     for tag in (L2, L4):
         def unorm(v):
@@ -179,7 +179,7 @@ def test_criterion_3_duality_contract_and_resolvent():
 
 @pytest.fixture(scope="module")
 def scalar_continuation():
-    g = Grid(extent=(1.0,), nodes=(3,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(3,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=1.0,
                               f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
@@ -222,7 +222,7 @@ def test_criterion_6_maximum_principle_residuals(scalar_continuation):
     scalar_final = reports[-1]
 
     # the 2-component linear instance with genuine coupling
-    g = Grid(extent=(1.0,), nodes=(3,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(3,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=1.0,
                               f=pair_fn("linear2", 1.0, 0.3),
                               g=pair_fn("linear2", -0.2, 0.5))
@@ -253,7 +253,7 @@ def test_criterion_6_maximum_principle_residuals(scalar_continuation):
 
 def test_criterion_7_sliding_controllability():
     t0 = time.time()
-    g = Grid(extent=(1.0,), nodes=(32,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(32,), bc=dirichlet())
     spec = PotentialDrift(g, beta=scalar_fn("zero"))
     cm = ControlMap(mode="identity", u_tag=L2)
     (x,) = g.coordinates()
@@ -282,7 +282,7 @@ def test_criterion_7_sliding_controllability():
 
 
 def test_criterion_8_manifold_invariance():
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(
         g, d1=1.0, d2=0.8,
         f=pair_fn("tanh_pair", 0.5, 0.4), g=pair_fn("tanh_pair", -0.2, 0.6),
@@ -312,13 +312,13 @@ def test_criterion_8_manifold_invariance():
 
 
 def test_criterion_9_hypothesis_audit_recovery():
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
     spec = PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5))
     cm = ControlMap(mode="identity", u_tag=HMINUS1)
     rep = audit_hypotheses(spec, cm, samples=300, seed=99)
     a1 = rep.constant("monotonicity_g5", "alpha1")
 
-    g2 = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    g2 = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     spec2 = ReactionDiffusion2(g2, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
     cm2 = ControlMap(mode="identity", u_tag=L2)
     rep2 = audit_hypotheses(spec2, cm2, samples=150, seed=99)

@@ -26,9 +26,9 @@ from mintime.forward import Control, solve_forward
 
 
 def _instances(n=16):
-    g1d = Grid(extent=(1.0,), nodes=(n,), bcs=(dirichlet(),))
-    g1r = Grid(extent=(1.0,), nodes=(n,), bcs=(robin(0.8),))
-    g2 = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+    g1d = Grid(extent=(1.0,), nodes=(n,), bc=dirichlet())
+    g1r = Grid(extent=(1.0,), nodes=(n,), bc=robin(0.8))
+    g2 = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
     return [
         (
             PotentialDrift(g1r, beta=scalar_fn("cubic", 0.5), a1=0.3, b=0.2),
@@ -112,7 +112,7 @@ def test_variation_is_first_order_limit():
 
 
 def test_selfadjoint_heat_adjoint_decays_like_forward():
-    g = Grid(extent=(1.0,), nodes=(24,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(24,), bc=dirichlet())
     spec = PotentialDrift(g, beta=scalar_fn("zero"))
     cm = ControlMap(mode="identity", u_tag=L2)
     s = spec.gamma_op
@@ -181,7 +181,7 @@ def test_terminal_gradient_matches_central_differences(idx):
 def _refinement_setup():
     """Cubic drift-free diffusion from a steep start: with a 4-iteration Newton
     cap the first interval of dt = 0.05 needs 64 sub-steps."""
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
     cm = ControlMap(mode="identity", u_tag=L2)
     (x,) = g.coordinates()
@@ -232,7 +232,7 @@ _LADDER = [(3,), (32,), (128,), (16, 16), (24, 24), (48, 48)]
 @pytest.mark.parametrize("nodes", _LADDER, ids=lambda n: "x".join(map(str, n)))
 @pytest.mark.parametrize("kind", ["reaction_diffusion2", "phase_field"])
 def test_duality_identity_size_ladder(kind, nodes):
-    g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bc=neumann(), n_components=2)
     if kind == "reaction_diffusion2":
         spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                                   g=pair_fn("tanh_pair", -0.2, 0.6))

@@ -37,7 +37,7 @@ from mintime.audit import (
 
 
 def test_porous_media_recovers_monotonicity_floor():
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
     spec = PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5))
     cm = ControlMap(mode="identity", u_tag=HMINUS1)
     rep = audit_hypotheses(spec, cm, samples=300, seed=1)
@@ -51,11 +51,11 @@ def test_porous_media_recovers_monotonicity_floor():
 def test_identity_map_full_projection_cstar_is_one(kind):
     if kind == "reaction_diffusion2":
         # Gamma = I - Lap has lambda_min = 1, so sup ||v||_V*/||v||_L2 = 1 exactly
-        g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+        g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
         spec = ReactionDiffusion2(g, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
     else:
         # V* = H^-1 x L2: the diffusionless second component attains 1
-        g = Grid(extent=(1.0,), nodes=(12,), bcs=(dirichlet(), dirichlet()))
+        g = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet(), n_components=2)
         spec = FitzHughNagumo(g)
     cm = ControlMap(mode="identity", u_tag=L2)
     rep = audit_hypotheses(spec, cm, samples=100, seed=2)
@@ -69,7 +69,7 @@ def test_identity_map_full_projection_cstar_is_one(kind):
 def test_reaction_diffusion_monotonicity_is_the_per_row_formula():
     # the audit applies A to a (samples, 2, n_dof) stack of pairs; its
     # constants equal those of one apply per sampled state
-    g = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(10,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                               g=pair_fn("tanh_pair", -0.2, 0.6))
     cm = ControlMap(mode="identity", u_tag=L2)
@@ -83,7 +83,7 @@ def test_reaction_diffusion_monotonicity_is_the_per_row_formula():
 
 
 def test_potential_drift_audit_passes():
-    g = Grid(extent=(1.0,), nodes=(14,), bcs=(robin(0.8),))
+    g = Grid(extent=(1.0,), nodes=(14,), bc=robin(0.8))
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.5), a1=0.3, b=0.1)
     cm = ControlMap(mode="identity", u_tag=L2)
     rep = audit_hypotheses(spec, cm, samples=200, seed=3)
@@ -97,7 +97,7 @@ def test_potential_drift_audit_passes():
 def test_case2_sign_condition_constant_is_zero():
     # f = y z^2/(1+z^2) with first-component target zero: the sign condition
     # holds with C1 = 0 on every sample
-    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=1.0,
                               f=pair_fn("sat_rational", 1.0), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
@@ -109,7 +109,7 @@ def test_lp_control_bound_is_sampled_not_spectral():
     # an L4 control norm does not take the bare L2 eigenvalue as C*: the
     # certified bound is finite, above the L2 value, and bounds every sampled
     # ratio of ||P v||_{V*} to ||B* v||_{U*}
-    g = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(10,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
     rep = audit_hypotheses(spec, cm, samples=120, seed=5)
@@ -127,11 +127,11 @@ def test_lp_control_bound_is_sampled_not_spectral():
 
 
 def test_nonlocal_kernel_coercivity_reported():
-    g = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(10,), bc=neumann())
     spec = PotentialDrift(g, beta=scalar_fn("linear", 1.0))
     rng = np.random.default_rng(6)
     # identity-dominant kernel: koef(x,z) ~ delta-ish, coercive
-    kern = np.eye(10) / g.weights(0) + 0.05 * rng.random((10, 10))
+    kern = np.eye(10) / g.weights + 0.05 * rng.random((10, 10))
     cm = ControlMap(mode="nonlocal", u_tag=L2, kernel=kern, control_grid=g)
     rep = audit_hypotheses(spec, cm, samples=100, seed=6)
     assert rep.entries["kernel_coercivity"].passed
@@ -141,8 +141,8 @@ def test_rank_deficient_nonlocal_map_fails_kernel_coercivity():
     # 4 Gaussian control nodes over 16 state nodes: B* annihilates a
     # 12-dimensional subspace, so inf ||B* v|| / ||v||_H is exactly 0 (smooth
     # samples saw 0.12)
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
-    gc = Grid(extent=(1.0,), nodes=(4,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    gc = Grid(extent=(1.0,), nodes=(4,), bc=dirichlet())
     (x,), (z,) = g.coordinates(), gc.coordinates()
     cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
                     kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
@@ -153,7 +153,7 @@ def test_rank_deficient_nonlocal_map_fails_kernel_coercivity():
 
 
 def test_min_samples_guard():
-    g = Grid(extent=(1.0,), nodes=(8,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(8,), bc=dirichlet())
     spec = PotentialDrift(g)
     cm = ControlMap(mode="identity", u_tag=L2)
     with pytest.raises(ValueError):
@@ -161,12 +161,12 @@ def test_min_samples_guard():
 
 
 def _dense_map_cases():
-    porous = PorousMedia(Grid(extent=(1.0,), nodes=(9,), bcs=(dirichlet(),)),
+    porous = PorousMedia(Grid(extent=(1.0,), nodes=(9,), bc=dirichlet()),
                          beta=scalar_fn("power", 0.5, 0.5, 0.5))
-    g2 = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(), neumann()))
+    g2 = Grid(extent=(1.0,), nodes=(7,), bc=neumann(), n_components=2)
     rd = ReactionDiffusion2(g2, f=pair_fn("linear2", 1.0, 0.0), g=pair_fn("zero2"))
-    gd = Grid(extent=(1.0,), nodes=(8,), bcs=(robin(0.8),))
-    gc = Grid(extent=(1.0,), nodes=(5,), bcs=(neumann(),))
+    gd = Grid(extent=(1.0,), nodes=(8,), bc=robin(0.8))
+    gc = Grid(extent=(1.0,), nodes=(5,), bc=neumann())
     kernel = np.random.default_rng(12).standard_normal((8, 5))
     return {
         "porous-identity-Hminus1": (porous, ControlMap(mode="identity", u_tag=HMINUS1)),
@@ -221,15 +221,15 @@ def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, co
     assume(norm == "L2" or bc == "dirichlet")  # H^-1 is the Dirichlet Laplacian's
     tag = {"L2": L2, "Hminus1": HMINUS1}[norm]
     if mode == "first_component":
-        g = Grid(extent=(1.0,), nodes=(nodes,), bcs=(_BCS[bc](),) * 2)
+        g = Grid(extent=(1.0,), nodes=(nodes,), bc=_BCS[bc](), n_components=2)
         spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
         cm = ControlMap(mode=mode, u_tag=tag, projection="first")
     else:
-        spec = PotentialDrift(Grid(extent=(1.0,), nodes=(nodes,), bcs=(_BCS[bc](),)))
+        spec = PotentialDrift(Grid(extent=(1.0,), nodes=(nodes,), bc=_BCS[bc]()))
         cm = ControlMap(mode="identity", u_tag=tag)
     if mode == "nonlocal":
         assume(norm == "L2")  # H^-1 control norms live on the state grid
-        gc = Grid(extent=(1.0,), nodes=(control_nodes,), bcs=(neumann(),))
+        gc = Grid(extent=(1.0,), nodes=(control_nodes,), bc=neumann())
         kernel = np.random.default_rng(seed).random((nodes, control_nodes))
         cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)
     p = _projection_matrix(spec, cm)
@@ -245,7 +245,7 @@ def test_l4_bounds_keep_their_samples_and_notes():
     # U* = L^(4/3): the L2 eigenproblem (1 here, up to its rounding) times
     # w_min^(1/4 - 1/2), with w_min = h/2 = 1/30 on 16 Neumann nodes; no
     # samples are drawn
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                               g=pair_fn("tanh_pair", -0.2, 0.6))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
@@ -262,18 +262,18 @@ def test_l4_bounds_keep_their_samples_and_notes():
 def _l4_case(kind, dim, bc, nodes, control_nodes, seed):
     extent, shape = (1.0,) * dim, (nodes,) * dim
     if kind == "porous":
-        g = Grid(extent=extent, nodes=shape, bcs=(dirichlet(),))
+        g = Grid(extent=extent, nodes=shape, bc=dirichlet())
         return (PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5)),
                 ControlMap(mode="identity", u_tag=L4))
     if kind in ("first_component", "identity_first"):
-        g = Grid(extent=extent, nodes=shape, bcs=(_BCS[bc](),) * 2)
+        g = Grid(extent=extent, nodes=shape, bc=_BCS[bc](), n_components=2)
         mode = "identity" if kind == "identity_first" else kind
         return (ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2")),
                 ControlMap(mode=mode, u_tag=L4, projection="first"))
-    spec = PotentialDrift(Grid(extent=extent, nodes=shape, bcs=(_BCS[bc](),)))
+    spec = PotentialDrift(Grid(extent=extent, nodes=shape, bc=_BCS[bc]()))
     if kind == "identity":
         return spec, ControlMap(mode="identity", u_tag=L4)
-    gc = Grid(extent=(1.0,), nodes=(control_nodes,), bcs=(neumann(),))
+    gc = Grid(extent=(1.0,), nodes=(control_nodes,), bc=neumann())
     kernel = np.random.default_rng(seed).random((spec.grid.size, control_nodes))
     return spec, ControlMap(mode="nonlocal", u_tag=L4, kernel=kernel, control_grid=gc)
 

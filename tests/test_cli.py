@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from mintime import config
-from mintime.cli import main, run
+from mintime.cli import _write_json, main, run
 from mintime.config import ConfigError, load_config, parse_config
 from mintime.nonlinearities import scalar_fn
 
@@ -258,6 +258,47 @@ def test_sweep_runs_all_configs(tmp_path):
     assert (out / "two" / "report.json").exists()
 
 
+def test_sweep_exits_with_the_worst_run_and_matches_single_runs(tmp_path, capsys):
+    cfgdir = tmp_path / "configs"
+    cfgdir.mkdir()
+    for name in ("oracle_scalar.yaml", "audit_porous.yaml"):
+        (cfgdir / name).write_bytes((REPO / "configs" / name).read_bytes())
+    _write(cfgdir, {**SCALAR_ORACLE, "unknown": 1}, name="unknown_key.yaml")
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--sweep", str(cfgdir), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "audit_porous.yaml: exit 0", "oracle_scalar.yaml: exit 0", "unknown_key.yaml: exit 2"]
+    assert not (out / "unknown_key" / "report.json").exists()
+    for stem in ("audit_porous", "oracle_scalar"):
+        alone = tmp_path / "alone" / stem
+        assert run(cfgdir / f"{stem}.yaml", alone) == 0
+        assert (out / stem / "report.json").read_bytes() == (alone / "report.json").read_bytes()
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_unreachable_oracle_report_is_strict_json(tmp_path):
+    # rho / a = 0.1 < 0.5: y' + y = u with |u| <= 0.1 never reaches 0.5
+    doc = {"command": "oracle", "oracle": {"a": 1.0, "target": 0.5, "rho": 0.1, "t_max": 1.0}}
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, doc), out) == 0
+    report = _strict_json((out / "report.json").read_text())
+    assert report["oracle"]["analytic_T"] is None
+    assert report["oracle"]["brute_force_T"] is None
+    _strict_json((out / "manifest.json").read_text())
+
+
+def test_json_writer_turns_non_finite_floats_into_null(tmp_path):
+    path = tmp_path / "out.json"
+    _write_json(path, {"a": [float("inf"), {"b": float("nan")}], "c": (-np.inf, 1.5), "d": "inf"})
+    assert _strict_json(path.read_text()) == {"a": [None, {"b": None}], "c": [None, 1.5],
+                                              "d": "inf"}
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="no such config"):
         load_config("/nonexistent/path.yaml")
@@ -410,7 +451,7 @@ REPO_CONFIGS = {
         "rho": 10.0,
         "numerics": {"dt": 1e-4, "T_max": 0.5, "hit_tol": 2e-3, "audit_samples": 150}},
     "bench/gradient_2d.yaml": {
-        "rho": 10.0, "numerics": {"dt": 1e-2, "T_max": 1.0},
+        "rho": 10.0, "numerics": {"dt": 1e-2},
         "simulate_block": {"T": 0.2, "write_values": False}},
 }
 

@@ -21,7 +21,7 @@ from mintime.forward import Control, solve_forward, step_implicit
 
 
 def heat_spec(n=32):
-    g = Grid(extent=(1.0,), nodes=(n,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(n,), bc=dirichlet())
     return PotentialDrift(g, beta=scalar_fn("zero"))
 
 
@@ -35,7 +35,7 @@ def test_zero_control_zero_state_fixed_point():
 
 
 def test_linear_heat_one_step_is_scalar_resolvent():
-    g = Grid(extent=(1.0,), nodes=(24,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(24,), bc=dirichlet())
     spec = PorousMedia(g, beta=scalar_fn("linear", 1.0))
     cm = ControlMap(mode="identity", u_tag=L2)
     s = spec.gamma_op
@@ -62,7 +62,7 @@ def test_pure_heat_eigenmode_decay():
 
 
 def test_case3_constants_match_matrix_exponential():
-    g = Grid(extent=(1.0,), nodes=(8,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(8,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(
         g, f=pair_fn("linear2", 1.0, 0.4), g=pair_fn("linear2", -0.3, 0.7)
     )
@@ -82,7 +82,7 @@ def test_case3_constants_match_matrix_exponential():
 
 def test_step_doubling_first_order():
     spec = PotentialDrift(
-        Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),)),
+        Grid(extent=(1.0,), nodes=(16,), bc=dirichlet()),
         beta=scalar_fn("cubic", 0.3),
     )
     cm = ControlMap(mode="identity", u_tag=L2)
@@ -181,7 +181,7 @@ def test_horizon_mismatch_rejected():
 
 
 def test_porous_media_nonlinear_solve_and_diagnostics():
-    g = Grid(extent=(1.0,), nodes=(20,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(20,), bc=dirichlet())
     spec = PorousMedia(g, beta=scalar_fn("power", 0.5, 0.5, 0.5))
     cm = ControlMap(mode="identity", u_tag=L2)
     (x,) = g.coordinates()
@@ -212,7 +212,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 def test_step_implicit_substeps_like_solve_forward(monkeypatch):
     import mintime.forward as forward
 
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
     cm = ControlMap(mode="identity", u_tag=L2)
     (x,) = g.coordinates()
@@ -230,7 +230,7 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
     # exactly n, and fails with the same residual check when the cap is n - 1
     import mintime.forward as forward
 
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
     (x,) = g.coordinates()
     y = 3.0 * np.cos(np.pi * x)
@@ -254,7 +254,7 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
 
 
 def tanh_pair_spec(n=16):
-    g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
     return ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                               g=pair_fn("tanh_pair", -0.2, 0.6))
 
@@ -302,8 +302,8 @@ def test_nonlinear_solve_applies_once_per_newton_iterate(monkeypatch):
 
 
 def _linear_specs():
-    g1 = Grid(extent=(1.0,), nodes=(12,), bcs=(dirichlet(),))
-    g2 = Grid(extent=(1.0,), nodes=(10,), bcs=(neumann(), neumann()))
+    g1 = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet())
+    g2 = Grid(extent=(1.0,), nodes=(10,), bc=neumann(), n_components=2)
     return {
         "heat": PotentialDrift(g1, beta=scalar_fn("linear", 0.3), a1=0.2, b=0.4),
         "porous": PorousMedia(g1, beta=scalar_fn("linear", 1.5)),

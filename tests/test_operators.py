@@ -28,12 +28,12 @@ from mintime.spaces import IndeterminateSelectionError, SpectralLaplacian
 
 
 def grid1(n=16, bc=None):
-    return Grid(extent=(1.0,), nodes=(n,), bcs=(bc or dirichlet(),))
+    return Grid(extent=(1.0,), nodes=(n,), bc=bc or dirichlet())
 
 
 def grid2(n=16, bc=None):
     b = bc or neumann()
-    return Grid(extent=(1.0,), nodes=(n,), bcs=(b, b))
+    return Grid(extent=(1.0,), nodes=(n,), bc=b, n_components=2)
 
 
 def all_specs(n=16):
@@ -96,8 +96,8 @@ def _drift_reference(g, b):
     """Index-loop assembly of -div(b .), the reference for the stencil form."""
     n = g.size
     d = np.zeros((n, n))
-    bc = g.bcs[0]
-    hs = g.spacing(bc)
+    bc = g.bc
+    hs = g.spacing()
     if g.dimension == 1:
         baxes = (b if isinstance(b, (tuple, list)) else (b,))
     else:
@@ -143,7 +143,7 @@ def _drift_reference(g, b):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_drift_stencil_matches_index_loop(dim, bc, bform):
     nodes = (7,) if dim == 1 else (5, 4)
-    g = Grid(extent=(1.0,) * dim, nodes=nodes, bcs=(bc,))
+    g = Grid(extent=(1.0,) * dim, nodes=nodes, bc=bc)
     rng = np.random.default_rng(11)
     b = {
         "scalar": -0.7,
@@ -166,7 +166,7 @@ def _apply_reference(spec, w):
     """The dense per-kind formulas of A_H w, component-major, built from the
     dense Laplacian matrix and the index-loop drift."""
     n = spec.grid.size
-    lap = SpectralLaplacian(spec.grid, spec.grid.bcs[0], shift=0.0).matrix
+    lap = SpectralLaplacian(spec.grid, shift=0.0).matrix
     y, z = w[:n], w[n:]
     if isinstance(spec, PotentialDrift):
         return lap @ y + spec.beta(y) + spec._a1_arr * y + _drift_reference(spec.grid, spec.b) @ y
@@ -188,7 +188,7 @@ def _jacobian_reference(spec, w):
     """The dense per-kind formulas of A'(w), component-major, built from the
     dense Laplacian matrix and the index-loop drift."""
     n = spec.grid.size
-    lap = SpectralLaplacian(spec.grid, spec.grid.bcs[0], shift=0.0).matrix
+    lap = SpectralLaplacian(spec.grid, shift=0.0).matrix
     eye = np.eye(n)
     y, z = w[:n], w[n:]
     if isinstance(spec, PotentialDrift):
@@ -227,7 +227,7 @@ _BAND_CASES = [
 def _band_spec(kind, dim, wall, rng, nodes=None):
     nodes = nodes or ((7,) if dim == 1 else (5, 4))  # unequal axes catch a swapped stride
     n_c = 1 if kind in ("potential_drift", "porous_media") else 2
-    g = Grid(extent=(1.0,) * dim, nodes=nodes, bcs=(_WALLS[wall],) * n_c)
+    g = Grid(extent=(1.0,) * dim, nodes=nodes, bc=_WALLS[wall], n_components=n_c)
     if kind == "potential_drift":
         return PotentialDrift(g, beta=scalar_fn("cubic", 0.5), a1=rng.standard_normal(g.size),
                               b=(0.3,) + (rng.standard_normal(g.size),) * (dim - 1))
@@ -318,10 +318,10 @@ def test_porous_state_inner_is_the_inverse_laplacian_pairing(dim):
     # (a, b)_H = <Gamma^-1 a, b>_L2 with Gamma the Dirichlet -Lap, row by row
     rng = np.random.default_rng(53)
     spec = _band_spec("porous_media", dim, "dirichlet", rng)
-    lap = SpectralLaplacian(spec.grid, dirichlet())
+    lap = SpectralLaplacian(spec.grid)
     A = rng.standard_normal((4, spec.n_dof))
     B = rng.standard_normal((4, spec.n_dof))
-    want = [np.dot(spec.grid.weights(0) * lap.apply_inverse(a), b) for a, b in zip(A, B)]
+    want = [np.dot(spec.grid.weights * lap.apply_inverse(a), b) for a, b in zip(A, B)]
     np.testing.assert_allclose(spec.state_inner(A, B), want, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(spec.h_norm(A) ** 2, spec.state_inner(A, A), rtol=1e-13)
@@ -380,7 +380,7 @@ def _cached_arrays(obj, seen=None):
 
 
 def test_no_dense_matrix_cached_at_48x48():
-    g = Grid(extent=(1.0, 1.0), nodes=(48, 48), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0, 1.0), nodes=(48, 48), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=0.5, f=pair_fn("tanh_pair", 0.4, 0.3),
                               g=pair_fn("tanh_pair", -0.2, 0.6))
     w = 0.1 * np.random.default_rng(43).standard_normal(spec.n_dof)
@@ -569,7 +569,7 @@ def test_bstar_pairing_exact(name):
 def test_nonlocal_rank_one_kernel():
     spec = all_specs(12)["potential_drift"]
     gs = spec.grid
-    gc = Grid(extent=(1.0,), nodes=(9,), bcs=(neumann(),))
+    gc = Grid(extent=(1.0,), nodes=(9,), bc=neumann())
     (xs,) = gs.coordinates()
     (xc,) = gc.coordinates()
     k1 = 1.0 + xs
@@ -578,7 +578,7 @@ def test_nonlocal_rank_one_kernel():
     rng = np.random.default_rng(12)
     u = rng.standard_normal(9)
     bu = cm.apply_B(spec, u)
-    wq = gc.weights(0)
+    wq = gc.weights
     np.testing.assert_allclose(bu, k1 * np.dot(wq, k2 * u), atol=1e-13)
     v = rng.standard_normal(gs.size)
     lhs = spec.state_inner(bu, v)
@@ -610,7 +610,7 @@ def _row_case(case):
         cm = ControlMap(mode=mode, u_tag=tag, projection="first")
     elif mode == "nonlocal":
         spec = PotentialDrift(grid1(9))
-        gc = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(),))
+        gc = Grid(extent=(1.0,), nodes=(7,), bc=neumann())
         kernel = np.random.default_rng(3).standard_normal((9, 7))
         cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)
     else:

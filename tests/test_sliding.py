@@ -33,12 +33,12 @@ from mintime.sliding import (
 
 
 def heat(n=32):
-    g = Grid(extent=(1.0,), nodes=(n,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(n,), bc=dirichlet())
     return PotentialDrift(g, beta=scalar_fn("zero")), ControlMap(mode="identity", u_tag=L2)
 
 
 def case1_spec(n=16):
-    g = Grid(extent=(1.0,), nodes=(n,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(n,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(
         g, d1=1.0, d2=0.8,
         f=pair_fn("tanh_pair", 0.5, 0.4), g=pair_fn("tanh_pair", -0.2, 0.6),
@@ -59,7 +59,7 @@ def test_feedback_zero_selection_at_target():
 
 def test_feedback_scalar_sign():
     # one effective node: y - ytar = 0.3, rho = 2 gives u = -2
-    g = Grid(extent=(1.0,), nodes=(3,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(3,), bc=neumann())
     spec = PotentialDrift(g)
     cm = ControlMap(mode="identity", u_tag=L2)
     u = sign_feedback(cm, spec, np.full(3, 0.8), np.full(3, 0.5), rho=2.0)
@@ -174,7 +174,7 @@ def test_feedback_admissibility_along_run():
 
 
 def test_trivial_continuation_constant_target_no_reaction():
-    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
     n = g.size
@@ -203,7 +203,7 @@ def test_case1_continuation_deviation_bound():
 
 
 def test_case3_equivalent_control_matches_linear_formula():
-    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     a1, b1 = 0.8, 0.5
     spec = ReactionDiffusion2(g, d1=1.3, d2=0.7,
                               f=pair_fn("linear2", a1, b1), g=pair_fn("linear2", 0.2, 0.4))
@@ -217,7 +217,7 @@ def test_case3_equivalent_control_matches_linear_formula():
     lap = spec.gamma_op  # shifted; use the raw Laplacian instead
     from mintime.spaces import SpectralLaplacian
 
-    raw = SpectralLaplacian(g, g.bcs[0], shift=0.0)
+    raw = SpectralLaplacian(g, shift=0.0)
     # hand-coded linear-case equivalent control at the first step:
     # u = -D1 Lap y1tar + a1 y1tar + b1 z
     expected = spec.d1 * raw.apply(y1tar) + a1 * y1tar + b1 * z0
@@ -275,7 +275,7 @@ def _first_saturation(spec, cm, start, ytar, dt, steps, rho):
 
 @pytest.mark.parametrize("projection", ["full", "first"])
 def test_saturation_raises_before_an_out_of_ball_interval(monkeypatch, projection):
-    g = Grid(extent=(1.0,), nodes=(12,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     n = g.size
     (x,) = g.coordinates()
     if projection == "full":
@@ -356,7 +356,7 @@ def test_sliding_interval_substeps_when_newton_fails(monkeypatch):
 
     # cubic drift from a steep start: with a 4-iteration Newton cap the
     # first interval of dt = 0.05 needs sub-steps, the later ones do not
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(neumann(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
     spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
     cm = ControlMap(mode="identity", u_tag=L2)
     (x,) = g.coordinates()
@@ -393,8 +393,8 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
     # 4 Gaussian control nodes over 16 state nodes: B* has a 12-dimensional
     # kernel, so no finite C gives ||P v||_H <= C ||B* v||_U*, and T_* is no
     # bound (the largest ratio over smooth samples is only 5.79)
-    g = Grid(extent=(1.0,), nodes=(16,), bcs=(dirichlet(),))
-    gc = Grid(extent=(1.0,), nodes=(4,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    gc = Grid(extent=(1.0,), nodes=(4,), bc=dirichlet())
     (x,), (z,) = g.coordinates(), gc.coordinates()
     cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
                     kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))

@@ -6,8 +6,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mintime import (Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet, neumann,
-                     robin)
+from mintime import (Field, Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet,
+                     neumann, robin)
 from mintime.spaces import (
     IndeterminateSelectionError,
     duality_rows,
@@ -19,7 +19,7 @@ from mintime.spaces import (
 
 
 def unit_interval(n=64, bc=None):
-    return Grid(extent=(1.0,), nodes=(n,), bcs=(bc or dirichlet(),))
+    return Grid(extent=(1.0,), nodes=(n,), bc=bc or dirichlet())
 
 
 def sin_field(grid):
@@ -50,7 +50,7 @@ def test_sin_l2_norm_is_inverse_sqrt2():
 
 def test_zero_field_inner_product_any_tag():
     g = unit_interval(16)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     z = np.zeros(16)
     a = sin_field(g)
     for tag in (L2, H1, HMINUS1):
@@ -63,10 +63,33 @@ def test_grid_mismatch_raises():
         inner_rows(np.ones(16), np.ones(17), unit_interval(16), L2)
 
 
+@pytest.mark.parametrize("bc", [dirichlet(), neumann(), robin(0.7)], ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("nodes", [(9,), (5, 4)])
+def test_coordinates_are_shared_by_every_component(nodes, bc):
+    g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bc=bc, n_components=2)
+    first, second = g.coordinates(0), g.coordinates(1)
+    assert len(first) == len(second) == len(nodes)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g.component_weights, np.concatenate([g.weights] * 2))
+    for c in (2, -1):
+        with pytest.raises(IndexError):
+            g.coordinates(c)
+
+
+def test_field_takes_its_component_count_from_the_grid():
+    g = Grid(extent=(1.0,), nodes=(6,), bc=neumann(), n_components=2)
+    assert Field(g, np.zeros(12)).n_components == 2
+    assert Field(g, np.zeros(12), 2).n_components == 2
+    for count in (0, 1, 3):
+        with pytest.raises(ValueError, match="components"):
+            Field(g, np.zeros(6 * count), count)
+
+
 def test_inner_product_symmetric_bilinear():
     rng = np.random.default_rng(7)
     g = unit_interval(24, neumann())
-    s = SpectralLaplacian(g, g.bcs[0], shift=1.0)
+    s = SpectralLaplacian(g, shift=1.0)
     a, b, c = (random_field(g, rng) for _ in range(3))
     for tag in (L2, H1):
         assert inner_rows(a, b, g, tag, s) == pytest.approx(inner_rows(b, a, g, tag, s), rel=1e-12)
@@ -81,14 +104,14 @@ def test_inner_product_symmetric_bilinear():
 
 def test_gamma_of_constant_is_zero_neumann():
     g = unit_interval(20, neumann())
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     out = s.apply(np.ones(20))
     np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
 
 def test_gamma_sin_dirichlet_eigenpair():
     g = unit_interval(256)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     y = sin_field(g)
     out = s.apply(y)
     np.testing.assert_allclose(out, np.pi**2 * y, rtol=2e-4)
@@ -96,7 +119,7 @@ def test_gamma_sin_dirichlet_eigenpair():
 
 def test_gamma_on_exact_eigenvectors():
     g = unit_interval(32)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     for k in (0, 3, 17):
         e = s.eigenvector(k)
         out = s.apply(e)
@@ -107,7 +130,7 @@ def test_gamma_on_exact_eigenvectors():
 def test_eigenvectors_orthonormal_in_weighted_l2():
     for bc in (dirichlet(), neumann(), robin(0.7)):
         g = unit_interval(24, bc)
-        s = SpectralLaplacian(g, bc)
+        s = SpectralLaplacian(g)
         E = np.column_stack([s.eigenvector(k) for k in range(g.size)])
         gram = E.T @ (s.weights[:, None] * E)
         np.testing.assert_allclose(gram, np.eye(g.size), atol=1e-10)
@@ -117,7 +140,7 @@ def test_gamma_symmetric_nonnegative_random_pairs():
     rng = np.random.default_rng(11)
     for bc in (dirichlet(), neumann(), robin(1.3)):
         g = unit_interval(20, bc)
-        s = SpectralLaplacian(g, bc)
+        s = SpectralLaplacian(g)
         for _ in range(25):
             a, b = random_field(g, rng), random_field(g, rng)
             gab = inner_rows(s.apply(a), b, g, L2)
@@ -130,7 +153,7 @@ def test_gamma_is_v_norm_square():
     # <Gamma v, v> = ||v||_V^2 identity, Robin case
     rng = np.random.default_rng(3)
     g = unit_interval(30, robin(0.5))
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     v = random_field(g, rng)
     assert inner_rows(s.apply(v), v, g, L2) == pytest.approx(
         norm_rows(v, g, H1, s) ** 2, rel=1e-11
@@ -138,8 +161,8 @@ def test_gamma_is_v_norm_square():
 
 
 def test_2d_gamma_and_weights():
-    g = Grid(extent=(1.0, 2.0), nodes=(9, 7), bcs=(neumann(),))
-    s = SpectralLaplacian(g, g.bcs[0])
+    g = Grid(extent=(1.0, 2.0), nodes=(9, 7), bc=neumann())
+    s = SpectralLaplacian(g)
     assert s.weights.sum() == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(s.apply(np.ones(g.size)), 0.0, atol=1e-10)
     # spectral application agrees with the dense matrix
@@ -150,7 +173,7 @@ def test_2d_gamma_and_weights():
 
 def test_yosida_spectral_values():
     g = unit_interval(32)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     k = 4
     lam = s.eigenvalues[k]
     e = s.eigenvector(k)
@@ -164,7 +187,7 @@ def test_yosida_spectral_values():
 def test_yosida_dominated_by_gamma_and_monotone_in_nu():
     rng = np.random.default_rng(13)
     g = unit_interval(24, neumann())
-    s = SpectralLaplacian(g, g.bcs[0], shift=1.0)
+    s = SpectralLaplacian(g, shift=1.0)
     y = random_field(g, rng)
     gy = norm_rows(s.apply(y), g, L2)
     prev = np.inf
@@ -177,7 +200,7 @@ def test_yosida_dominated_by_gamma_and_monotone_in_nu():
 
 def test_gamma_power_identity_consistency_and_group_law():
     g = unit_interval(24)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     rng = np.random.default_rng(17)
     y = random_field(g, rng)
     np.testing.assert_allclose(s.apply_power(y, 0.0), y, atol=1e-12)
@@ -195,7 +218,7 @@ def test_gamma_power_identity_consistency_and_group_law():
 
 def test_gamma_power_sqrt_eigenvalue():
     g = unit_interval(16)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     e = s.eigenvector(3)
     out = s.apply_power(e, 0.5)
     np.testing.assert_allclose(out, np.sqrt(s.eigenvalues[3]) * e, atol=1e-9)
@@ -205,7 +228,7 @@ def test_negative_power_rejected_on_singular_operator():
     from mintime.spaces import SpectralSingularityError
 
     g = unit_interval(12, neumann())
-    s = SpectralLaplacian(g, g.bcs[0])  # zero eigenvalue, no shift
+    s = SpectralLaplacian(g)  # zero eigenvalue, no shift
     with pytest.raises(SpectralSingularityError):
         s.apply_power(np.ones(12), -0.5)
 
@@ -248,7 +271,7 @@ def test_duality_map_l4_two_node_example():
 def test_duality_map_contract_random_fields(tag_name):
     rng = np.random.default_rng(23)
     g = unit_interval(16)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
     for _ in range(200):
         u = random_field(g, rng, scale=rng.uniform(0.1, 10))
@@ -263,7 +286,7 @@ def test_duality_map_contract_random_fields(tag_name):
 
 def test_duality_map_zero_field():
     g = unit_interval(8)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     z = np.zeros(8)
     for tag in (L2, L4, HMINUS1):
         np.testing.assert_allclose(duality_rows(z, g, tag, s), 0.0)
@@ -330,7 +353,7 @@ def test_resolvent_derivative_matches_central_differences(tag_name):
     on an interior and a saturated row away from the kink ||zeta||_* = rho eps."""
     tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[tag_name]
     g = unit_interval(7)
-    s = SpectralLaplacian(g, dirichlet()) if tag.needs_spectral else None
+    s = SpectralLaplacian(g) if tag.needs_spectral else None
     rng = np.random.default_rng(43)
     eps, rho = 0.1, 2.0
     base = rng.standard_normal((2, 7))
@@ -354,8 +377,8 @@ def test_resolvent_derivative_matches_central_differences(tag_name):
 def test_resolvent_is_ball_constrained_argmin(tag_name):
     """(eps F + N_K)^-1 zeta minimizes eps/2 ||u||_U^2 - <zeta, u> over the ball."""
     tag = {"L2": L2, "L4": L4}[tag_name]
-    g = Grid(extent=(1.0,), nodes=(7,), bcs=(neumann(),))
-    w = g.weights(0)
+    g = Grid(extent=(1.0,), nodes=(7,), bc=neumann())
+    w = g.weights
     rng = np.random.default_rng(37)
 
     def unorm(v):
@@ -392,7 +415,7 @@ def test_resolvent_is_ball_constrained_argmin(tag_name):
 def test_duality_contract_property(seed, tag_name):
     rng = np.random.default_rng(seed)
     g = unit_interval(12)
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
     u = rng.uniform(0.05, 5.0) * rng.standard_normal(12)
     f = duality_rows(u, g, tag, s)
@@ -403,7 +426,7 @@ def test_duality_contract_property(seed, tag_name):
 
 def test_hminus1_requires_dirichlet():
     g = unit_interval(8, neumann())
-    s = SpectralLaplacian(g, g.bcs[0])
+    s = SpectralLaplacian(g)
     with pytest.raises(ValueError):
         norm_rows(np.ones(8), g, HMINUS1, s)
 

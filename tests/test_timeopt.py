@@ -30,7 +30,7 @@ from mintime.timeopt import (
 
 def scalar_setup(a=1.0, c=0.5, rho=1.0, dt=1e-3, eps=1e-2, nodes=3, coupling=0.0):
     """Case III instance whose constant solutions solve y' + a y = u."""
-    g = Grid(extent=(1.0,), nodes=(nodes,), bcs=(neumann(), neumann()))
+    g = Grid(extent=(1.0,), nodes=(nodes,), bc=neumann(), n_components=2)
     spec = ReactionDiffusion2(g, d1=1.0, d2=1.0,
                               f=pair_fn("linear2", a, coupling), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
@@ -171,7 +171,7 @@ def test_inner_matches_dense_lq_solution_unconstrained():
     # projected state metric and the control-grid weights
     Wp = np.zeros(nd)
     Wp[: spec.grid.size] = spec.weights[: spec.grid.size]
-    wu = np.tile(cm.ugrid(spec).component_weights(), K)
+    wu = np.tile(cm.ugrid(spec).component_weights, K)
     lhs = G.T @ (Wp[:, None] * G) / prob.eps + prob.eps * dte * np.diag(wu)
     rhs = -G.T @ (Wp * (base - prob.y_tar.values)) / prob.eps
     u_kkt = np.linalg.solve(lhs, rhs).reshape(K, m)
@@ -199,7 +199,7 @@ def test_inner_saturates_below_minimal_time():
 
 
 def test_inner_descent_and_feasibility_nonlinear():
-    g = Grid(extent=(1.0,), nodes=(10,), bcs=(dirichlet(),))
+    g = Grid(extent=(1.0,), nodes=(10,), bc=dirichlet())
     spec = PorousMedia(g, beta=scalar_fn("power", 0.6, 0.4, 0.5))
     from mintime import HMINUS1
 
