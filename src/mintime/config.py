@@ -13,6 +13,7 @@ configuration is read from the environment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -84,9 +85,20 @@ def _integral(val) -> int:
     return int(val)
 
 
-_float = _converted(float, "a number")
+def _checked(parse, ok: Callable[[Any], bool], message: str):
+    """``parse``, then the condition ``ok`` on its result."""
+    def checked(val, where: str):
+        x = parse(val, where)
+        if not ok(x):
+            raise ConfigError(where, f"{message}, got {val!r}")
+        return x
+    return checked
+
+
+_float = _checked(_converted(float, "a number"), math.isfinite, "expected a finite number")
 _int = _converted(_integral, "an integer")
-_array = _converted(lambda val: np.asarray(val, dtype=float), "numbers")
+_array = _checked(_converted(lambda val: np.asarray(val, dtype=float), "numbers"),
+                  lambda x: np.isfinite(x).all(), "expected finite numbers")
 _bool = _converted(lambda val: {0: False, 1: True}[val], "true or false")  # True == 1
 
 
@@ -100,16 +112,6 @@ def _list(parse):
 
 def _one_or_list(parse):
     return lambda val, where: (_list(parse) if isinstance(val, list) else parse)(val, where)
-
-
-def _checked(parse, ok: Callable[[Any], bool], message: str):
-    """``parse``, then the condition ``ok`` on its result."""
-    def checked(val, where: str):
-        x = parse(val, where)
-        if not ok(x):
-            raise ConfigError(where, f"{message}, got {val!r}")
-        return x
-    return checked
 
 
 _positive = _checked(_float, lambda x: x > 0.0, "must be positive")
@@ -304,8 +306,8 @@ _NUMERICS = {
 _SIMULATE = {"T": (_positive, 1.0), "u": (_field, {"profile": "zero"}),
              "write_values": (_bool, False)}
 
-_ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_float, 1e-3), "switch_budget": (_int, 1),
-           "t_max": (_float, 5.0), "target_first_only": (_bool, False)}
+_ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_positive, 1e-3), "switch_budget": (_int, 1),
+           "t_max": (_positive, 5.0), "target_first_only": (_bool, False)}
 # the scalar reduction y' + a y = u, or a 1- or 2-state one given by its matrix
 _ORACLE_SCALAR = {**_ORACLE, "a": (_float, 0.0), "y0": (_float, 0.0),
                   "target": (_float, _REQUIRED)}
@@ -320,7 +322,11 @@ _ORACLE_MATRIX = {
 
 def _oracle(block, where: str) -> dict:
     matrix = "matrix" in _mapping(block, where)
-    return _block(_ORACLE_MATRIX if matrix else _ORACLE_SCALAR)(block, where)
+    ob = _block(_ORACLE_MATRIX if matrix else _ORACLE_SCALAR)(block, where)
+    if not ob["t_max"] > ob["dt"]:
+        raise ConfigError(_join(where, "t_max"),
+                          f"must exceed oracle.dt = {ob['dt']!r}, got {ob['t_max']!r}")
+    return ob
 
 
 # command -> the keys of the document's root

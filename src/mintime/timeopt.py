@@ -29,9 +29,13 @@ the envelope theorem gives
             [+ (3/2) href_energy / T with u_ref],
 
 which each solve evaluates from the G/G* backend it already holds. The sign
-of dJ/dT is scanned over the whole bracket, each - to + change is refined by
-a safeguarded interpolation on the probes left of the root, and the root with
-the lowest J wins. Each probe warm-starts from the previous one, and only the
+of dJ/dT is scanned across the bracket from left to right, each - to + change
+is refined at once by a safeguarded interpolation on the probes left of the
+root, and the root with the lowest J wins. Since every term of J_eps but T
+is nonnegative, J_eps(T) >= T for every control: a horizon above the lowest
+J found so far cannot win. The scan stops at the first such point whose
+left neighbour has dJ/dT >= 0, so no sign change it skips can hold a
+better root. Each probe warm-starts from the previous one, and only the
 winner's trajectory and adjoint are solved sequentially (on first read).
 Driving eps -> 0 through a schedule, with warm starts, reproduces minimal-time
 optima; the final report carries the limit-condition residuals (the feedback
@@ -674,14 +678,25 @@ def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
                    warm: InnerSolution | None = None) -> tuple[OptimalityReport, InnerSolution]:
     """The horizon as a root of dJ/dT over the whole bracket.
 
-    dJ/dT is sampled at ``SCAN_POINTS`` equispaced horizons, and each - to +
-    sign change is refined (``_root``) to |dJ/dT| <= ``golden_tol_factor``,
-    to a bracket of ``ROOT_WIDTH`` dt or for ``ROOT_CAP`` probes. A bracket
-    end is a candidate too when dJ/dT points out of the bracket there (>= 0
-    at T_lo, <= 0 at T_hi). The candidate with the lowest J wins, and
-    ``boundary_hit`` says that it is a bracket end. Each inner solve starts
-    from the previous probe's solution (the first from ``warm``); only the
-    winner's trajectory and adjoint are solved, for its report.
+    dJ/dT is sampled at ``SCAN_POINTS`` equispaced horizons from left to
+    right, and each - to + sign change is refined (``_root``) as soon as the
+    scan finds it, to |dJ/dT| <= ``golden_tol_factor``, to a bracket of
+    ``ROOT_WIDTH`` dt or for ``ROOT_CAP`` probes. A bracket end is a
+    candidate too when dJ/dT points out of the bracket there (>= 0 at T_lo,
+    <= 0 at T_hi). The candidate with the lowest J wins, and
+    ``boundary_hit`` says that it is a bracket end.
+
+    J_eps(T) >= T for every control, and a candidate's J is attained by its
+    own control. So once a candidate attains J*, a root or bracket end above
+    J* cannot win. The scan stops at the first point T > J* whose left
+    neighbour has dJ/dT >= 0: no sign change lies between them, and all that
+    follows lies above J*. (After a neighbour with dJ/dT < 0 it probes T on,
+    since a root left of J* may lie in that interval.) T_hi is a candidate
+    only when the scan reaches it. The candidates that can win are those of a
+    full scan; only the warm starts of the root probes differ. Each inner
+    solve starts from the previous probe's solution (the first from
+    ``warm``); only the winner's trajectory and adjoint are solved, for its
+    report.
     """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0.0 < T_lo < T_hi:
@@ -692,12 +707,22 @@ def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
         probes.append((T, inner_solve_control(prob, T, probes[-1][1] if probes else warm)))
         return probes[-1]
 
-    scan = [solve(float(T)) for T in np.linspace(T_lo, T_hi, SCAN_POINTS)]
-    candidates = [scan[0]] if scan[0][1].dJ_dT >= 0.0 else []
-    if scan[-1][1].dJ_dT <= 0.0:
-        candidates.append(scan[-1])
-    candidates += [_root(prob, solve, left, right) for left, right in zip(scan, scan[1:])
-                   if left[1].dJ_dT < 0.0 <= right[1].dJ_dT]
+    candidates: list[tuple[float, InnerSolution]] = []
+    left = None
+    for T in np.linspace(T_lo, T_hi, SCAN_POINTS):
+        if candidates and left[1].dJ_dT >= 0.0 and T > min(sol.J for _, sol in candidates):
+            # no root in (left, T), and J >= T > J* from T on: nothing can win
+            break
+        right = solve(float(T))
+        if left is None:
+            if right[1].dJ_dT >= 0.0:
+                candidates.append(right)
+        elif left[1].dJ_dT < 0.0 <= right[1].dJ_dT:
+            candidates.append(_root(prob, solve, left, right))
+        left = right
+    else:
+        if left[1].dJ_dT <= 0.0:
+            candidates.append(left)
     T_star, sol = min(candidates, key=lambda probe: probe[1].J)
     report = _report_from(prob, T_star, sol, T_star in (T_lo, T_hi), len(probes))
     return report, sol

@@ -144,6 +144,26 @@ def test_switching_pair_config_meets_its_oracle(tmp_path):
     assert abs(report["final"]["T_eps_star"] - oracle["brute_force_T"]) <= 2 * oracle["dt"]
 
 
+def test_optimize_scalar_l4_copy_matches_the_l2_run(tmp_path):
+    # on a first-component control over 3 nodes the L4 norm is the L2 one,
+    # but the solve takes the fixed point: its horizons must agree with
+    # Newton's, and the scan must not stall on probes far right of the root
+    doc = yaml.safe_load((REPO / "configs/optimize_scalar.yaml").read_text())
+    doc["control"]["norm"] = "L4"
+    assert run(REPO / "configs/optimize_scalar.yaml", tmp_path / "l2") == 0
+    assert run(_write(tmp_path, doc), tmp_path / "l4") == 0
+    l2, l4 = (json.loads((tmp_path / name / "report.json").read_text())["levels"]
+              for name in ("l2", "l4"))
+    assert len(l4) == len(l2) == 4
+    for a, b in zip(l2, l4):
+        assert b["inner_stop"] == "converged"
+        assert abs(a["T_eps_star"] - b["T_eps_star"]) <= 1e-9
+        assert not a["boundary_hit"]
+    # the four levels solved 36 probes when the scan covered the whole
+    # bracket before refining any root
+    assert sum(level["probes"] for level in l2) < 36
+
+
 def test_audit_command(tmp_path):
     doc = {
         "command": "audit",
@@ -394,6 +414,19 @@ BAD_CONFIGS = [
     (HEAT_SLIDE, "grid.nodes", 10.9, "grid.nodes"),
     # an initial state in an audit, which reads none
     (POROUS_AUDIT, "initial", {"y0": {"profile": "zero"}}, "initial"),
+    # non-finite numbers, and an oracle grid without a step, which used to
+    # exit 1 after the manifest (an OverflowError or a ValueError of the
+    # bang search)
+    (SCALAR_ORACLE, "oracle.t_max", float("inf"), "oracle.t_max"),
+    (SCALAR_ORACLE, "oracle.t_max", float("nan"), "oracle.t_max"),
+    (SCALAR_ORACLE, "oracle.t_max", 0.0, "oracle.t_max"),
+    (SCALAR_ORACLE, "oracle.t_max", 1e-4, "oracle.t_max"),
+    (SCALAR_ORACLE, "oracle.dt", float("inf"), "oracle.dt"),
+    (SCALAR_ORACLE, "oracle.dt", float("nan"), "oracle.dt"),
+    (SCALAR_ORACLE, "oracle.dt", 0.0, "oracle.dt"),
+    (MATRIX_ORACLE, "oracle.target", [float("nan")], "oracle.target"),
+    (HEAT_SLIDE, "operator.a1", float("inf"), "operator.a1"),
+    (SCALAR_OPTIMIZE, "numerics.golden_tol", float("inf"), "numerics.golden_tol"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Penalized minimal-time solver: functional, inner Newton and fixed point, T-search."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,144 @@ def test_outer_boundary_flag():
     prob = scalar_setup(eps=1e-3)
     report, _ = outer_minimize(prob, (1.2, 1.5))  # minimum sits left of the bracket
     assert report.boundary_hit
+
+
+def _recorded_searches(monkeypatch):
+    """Per horizon search, its bracket and its events in order: ("probe", T,
+    J, dJ/dT) for each inner solve and ("candidate", T, J, None) when a probe
+    becomes a candidate."""
+    searches = []
+    solve, root, outer = timeopt.inner_solve_control, timeopt._root, timeopt.outer_minimize
+
+    def recorded_solve(prob, T, warm=None):
+        sol = solve(prob, T, warm)
+        events = searches[-1][1]
+        events.append(("probe", T, sol.J, sol.dJ_dT))
+        if len(events) == 1 and sol.dJ_dT >= 0.0:   # T_lo, pointing out
+            events.append(("candidate", T, sol.J, None))
+        return sol
+
+    def recorded_root(*args):
+        T, sol = root(*args)
+        searches[-1][1].append(("candidate", T, sol.J, None))
+        return T, sol
+
+    def recorded_outer(prob, T_bracket, warm=None):
+        searches.append((T_bracket, []))
+        report, sol = outer(prob, T_bracket, warm)
+        if report.boundary_hit and report.T_eps_star == T_bracket[1]:
+            searches[-1][1].append(("candidate", report.T_eps_star, sol.J, None))
+        return report, sol
+
+    monkeypatch.setattr(timeopt, "inner_solve_control", recorded_solve)
+    monkeypatch.setattr(timeopt, "_root", recorded_root)
+    monkeypatch.setattr(timeopt, "outer_minimize", recorded_outer)
+    return searches
+
+
+def test_horizon_scan_stops_right_of_the_best_J(monkeypatch):
+    # J_eps(T) >= T for every control: once a candidate attains J*, a scan
+    # point T > J* is solved only to close a sign change its left neighbour
+    # opened, and the scan ends at the first one that closes none
+    searches = _recorded_searches(monkeypatch)
+    prob = scalar_setup(eps=1e-3, dt=1e-3)
+    reports = [timeopt.outer_minimize(prob, (0.2, 1.4))[0]]
+    reports += eps_continuation(prob, [1e-1, 1e-2, 1e-3, 1e-4], (0.2, 1.4))
+    assert len(searches) == len(reports) == 5
+    for (bracket, events), report in zip(searches, reports):
+        scan_points = set(np.linspace(*bracket, timeopt.SCAN_POINTS))
+        best, left_slope = np.inf, None
+        for kind, T, J, dJ_dT in events:
+            if kind == "candidate":
+                best = min(best, J)
+            elif T in scan_points:
+                assert T <= best or left_slope < 0.0
+                left_slope = dJ_dT
+        assert report.J == pytest.approx(best, rel=1e-9)
+        # the scan never reached T_hi = 1.4, far right of every root
+        assert max(T for _, T, _, _ in events) < 1.0
+        assert report.probes == sum(kind == "probe" for kind, *_ in events)
+
+
+def test_left_bracket_end_candidate_ends_the_scan():
+    # dJ/dT >= 0 at T_lo = 1.2 makes it a candidate with J < 1.275, the next
+    # scan point: the search takes one probe
+    prob = scalar_setup(eps=1e-3)
+    report, _ = outer_minimize(prob, (1.2, 1.5))
+    assert report.probes == 1
+    assert report.boundary_hit
+    assert report.T_eps_star == 1.2
+
+
+def _synthetic_search(monkeypatch, J, dJ_dT):
+    """outer_minimize on the profile J(T), dJ/dT(T) in place of inner solves;
+    returns a search of it as (T_eps_star, probes)."""
+    def solve(prob, T, warm=None):
+        return SimpleNamespace(J=J(T), dJ_dT=dJ_dT(T))
+
+    def report(prob, T, sol, boundary, probes):
+        return SimpleNamespace(T_eps_star=T, probes=probes)
+
+    monkeypatch.setattr(timeopt, "inner_solve_control", solve)
+    monkeypatch.setattr(timeopt, "_report_from", report)
+    prob = SimpleNamespace(golden_tol_factor=1e-8, dt=1e-3)
+
+    def search(T_bracket):
+        r, _ = timeopt.outer_minimize(prob, T_bracket)
+        return r.T_eps_star, r.probes
+    return search
+
+
+def _full_scan(J, dJ_dT, T_bracket):
+    """The horizon a scan of the whole bracket before any refinement picks,
+    with the same candidates and root finder as outer_minimize."""
+    prob = SimpleNamespace(golden_tol_factor=1e-8, dt=1e-3)
+
+    def solve(T):
+        return T, SimpleNamespace(J=J(T), dJ_dT=dJ_dT(T))
+    scan = [solve(float(T)) for T in np.linspace(*T_bracket, timeopt.SCAN_POINTS)]
+    candidates = [scan[0]] if scan[0][1].dJ_dT >= 0.0 else []
+    if scan[-1][1].dJ_dT <= 0.0:
+        candidates.append(scan[-1])
+    candidates += [timeopt._root(prob, solve, left, right) for left, right in zip(scan, scan[1:])
+                   if left[1].dJ_dT < 0.0 <= right[1].dJ_dT]
+    return min(candidates, key=lambda probe: probe[1].J)[0]
+
+
+def test_horizon_scan_keeps_a_root_whose_bracket_straddles_the_best_J(monkeypatch):
+    # scan points 0.2/0.5/0.8/1.1/1.4; roots of dJ/dT at 0.35 (J = 0.9) and
+    # 0.85 (J = 0.86). The scan point 1.1 lies above J* = 0.9, but dJ/dT < 0
+    # at 0.8 opens a sign change that holds the better root
+    def J(T):
+        return T + (0.55 if T < 0.6 else 0.01)
+
+    def dJ_dT(T):
+        return (T - 0.35) * (T - 0.6) * (T - 0.85)
+
+    T_star, probes = _synthetic_search(monkeypatch, J, dJ_dT)((0.2, 1.4))
+    assert T_star == _full_scan(J, dJ_dT, (0.2, 1.4))
+    assert T_star == pytest.approx(0.85, abs=1e-6)
+    assert probes < timeopt.SCAN_POINTS + 2 * timeopt.ROOT_CAP
+
+
+def test_horizon_scan_picks_the_full_scan_winner(monkeypatch):
+    # random piecewise-linear dJ/dT profiles and J = T + a nonnegative lift:
+    # the scan that stops right of the best J picks the horizon a scan of the
+    # whole bracket picks
+    rng = np.random.default_rng(0)
+    knots = np.linspace(0.2, 1.4, 13)
+    for _ in range(1000):
+        slopes = rng.normal(size=knots.size)
+        lifts = rng.uniform(0.0, 1.0, knots.size) * np.linspace(1.0, 0.0, knots.size)
+
+        def J(T, lifts=lifts):
+            return T + float(np.interp(T, knots, lifts))
+
+        def dJ_dT(T, slopes=slopes):
+            return float(np.interp(T, knots, slopes))
+
+        T_star, _ = _synthetic_search(monkeypatch, J, dJ_dT)((0.2, 1.4))
+        assert T_star == _full_scan(J, dJ_dT, (0.2, 1.4))
 
 
 def test_eps_continuation_matches_oracle_and_decays_miss():
