@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -179,23 +178,19 @@ def run(config_path, outdir, seed: int | None = None, command: str | None = None
     return 0
 
 
-def _sweep(config_dir, outdir, workers: int) -> int:
+def _sweep(config_dir, outdir) -> int:
+    """Run every config of a directory, one after another, each into its own
+    output directory."""
     config_dir = Path(config_dir)
     outdir = Path(outdir)
     paths = sorted(p for p in config_dir.iterdir() if p.suffix in (".yaml", ".yml"))
     if not paths:
         print(f"error: no .yaml configs under {config_dir}", file=sys.stderr)
         return 2
-    codes = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(run, p, outdir / p.stem): p for p in paths
-        }
-        for fut, p in futures.items():
-            codes[p.name] = fut.result()
-    for name, code in sorted(codes.items()):
-        print(f"{name}: exit {code}")
-    return max(codes.values())
+    codes = [run(p, outdir / p.stem) for p in paths]
+    for p, code in zip(paths, codes):
+        print(f"{p.name}: exit {code}")
+    return max(codes)
 
 
 def main(argv=None) -> int:
@@ -212,10 +207,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="run every config in a directory")
     p.add_argument("--sweep", required=True, metavar="DIR", help="directory of configs")
     p.add_argument("--out", default="out", help="root output directory")
-    p.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
     if args.cmd == "sweep":
-        return _sweep(args.sweep, args.out, args.workers)
+        return _sweep(args.sweep, args.out)
     return run(args.config, args.out, seed=args.seed, command=args.cmd)
 
 

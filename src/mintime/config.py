@@ -248,7 +248,7 @@ _GRID = {
     "extent": (_one_or_list(_float), 1.0),
     "nodes": (_one_or_list(_int), _REQUIRED),
     "bc": (_choice("dirichlet", "neumann", "robin"), "neumann"),
-    "robin_gamma": (_float, 0.0),
+    "robin_gamma": (_positive, None),
 }
 
 # kind -> (class, state components, {key: parser}); an absent key takes the class default
@@ -273,10 +273,10 @@ def _operator(block, where: str) -> tuple[type, int, dict]:
 _KERNEL = {"nodes": (_list(_int), _REQUIRED), "row_profile": (_profile, _REQUIRED),
            "col_profile": (_profile, _REQUIRED)}
 _CONTROL = {
-    "mode": (_str, "identity"),
+    "mode": (_choice("identity", "first_component", "nonlocal"), "identity"),
     "norm": (_choice(*NORM_TAGS), "L2"),
     "rho": (_positive, _REQUIRED),
-    "projection": (_str, None),
+    "projection": (_choice("full", "first"), None),
     "kernel": (_block(_KERNEL), None),
 }
 _INITIAL = {"y0": (_field, {"profile": "zero"})}
@@ -289,7 +289,9 @@ _NUMERICS = {
               "audit_samples": (_samples, 150)},
     "optimize": {
         **_DT,
-        "eps_schedule": (_checked(_list(_positive), bool, "must be a nonempty list"),
+        "eps_schedule": (_checked(_list(_positive),
+                                  lambda s: s and all(b < a for a, b in zip(s, s[1:])),
+                                  "must be a nonempty, strictly decreasing list"),
                          [1e-1, 1e-2, 1e-3, 1e-4]),
         "T_bracket": (_checked(_list(_float), lambda b: len(b) == 2 and 0 < b[0] < b[1],
                                "need [T_lo, T_hi] with 0 < T_lo < T_hi"), _REQUIRED),
@@ -306,7 +308,8 @@ _NUMERICS = {
 _SIMULATE = {"T": (_positive, 1.0), "u": (_field, {"profile": "zero"}),
              "write_values": (_bool, False)}
 
-_ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_positive, 1e-3), "switch_budget": (_int, 1),
+_ORACLE = {"rho": (_positive, _REQUIRED), "dt": (_positive, 1e-3),
+           "switch_budget": (_checked(_int, lambda n: 0 <= n <= 3, "must be 0 to 3"), 1),
            "t_max": (_positive, 5.0), "target_first_only": (_bool, False)}
 # the scalar reduction y' + a y = u, or a 1- or 2-state one given by its matrix
 _ORACLE_SCALAR = {**_ORACLE, "a": (_float, 0.0), "y0": (_float, 0.0),
@@ -349,23 +352,30 @@ COMMANDS = {
 }
 
 
+def _only_with(block: dict, key: str, needed: bool, where: str, selector: str) -> None:
+    """``key`` of ``block`` is required when ``needed`` and an error otherwise;
+    ``selector`` is the value that decides which."""
+    if (key in block) != needed:
+        raise ConfigError(_join(where, key),
+                          f"{'missing' if needed else 'only read'} with {selector}")
+
+
 def _grid(g: dict, n_components: int) -> Grid:
     dim = g["dimension"]
     extent, nodes = (v if isinstance(v, list) else [v] * dim for v in (g["extent"], g["nodes"]))
     if len(extent) != dim or len(nodes) != dim:
         raise ConfigError("grid.nodes", "extent/nodes must match the dimension")
-    gamma = g["robin_gamma"] if g["bc"] == "robin" else 0.0
+    _only_with(g, "robin_gamma", g["bc"] == "robin", "grid", "bc: robin")
     return _build("grid", lambda: Grid(extent=tuple(extent), nodes=tuple(nodes),
-                                       bc=BoundaryCondition(g["bc"], gamma),
+                                       bc=BoundaryCondition(g["bc"], g.get("robin_gamma", 0.0)),
                                        n_components=n_components))
 
 
 def _control(c: dict, spec: OperatorSpec) -> ControlMap:
     projection = c.get("projection", "first" if c["mode"] == "first_component" else "full")
     kernel = control_grid = None
-    if c["mode"] == "nonlocal":
-        if "kernel" not in c:
-            raise ConfigError("control.kernel", "missing")
+    _only_with(c, "kernel", c["mode"] == "nonlocal", "control", "mode: nonlocal")
+    if "kernel" in c:
         k = c["kernel"]
         control_grid = _build("control.kernel.nodes", lambda: Grid(
             extent=spec.grid.extent, nodes=tuple(k["nodes"]),

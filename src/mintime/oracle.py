@@ -107,8 +107,8 @@ def brute_force_min_time(
     the horizon) while the integration runs on the fine RK4 grid; all
     sequences advance together as one batched state array.
     """
-    if switch_budget > 3:
-        raise ValueError("switch budget is limited to 3")
+    if not 0 <= switch_budget <= 3:
+        raise ValueError(f"switch budget must be 0 to 3, got {switch_budget}")
     if not (dt > 0.0 and t_max > dt):
         raise ValueError("need 0 < dt < t_max")
     steps = int(np.ceil(t_max / dt))

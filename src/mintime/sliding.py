@@ -164,7 +164,9 @@ def run_sliding(
     times = approach.times
     hit_time = None
     hit_index = None
-    if devs[-1] <= hit_tol:
+    # the verdict the stop test reached, on the same single-row deviation: a
+    # stacked norm of the same state may differ from it in the last bit
+    if deviation(approach.states[-1]) <= hit_tol:
         hit_index = approach.steps
         hit_time = times[-1]
         if hit_index:

@@ -36,7 +36,7 @@ is nonnegative, J_eps(T) >= T for every control: a horizon above the lowest
 J found so far cannot win. The scan stops at the first such point whose
 left neighbour has dJ/dT >= 0, so no sign change it skips can hold a
 better root. Each probe warm-starts from the previous one, and only the
-winner's trajectory and adjoint are solved sequentially (on first read).
+winner's trajectory and adjoint are solved sequentially, for its report.
 Driving eps -> 0 through a schedule, with warm starts, reproduces minimal-time
 optima; the final report carries the limit-condition residuals (the feedback
 inclusion and the transversality identity) along the trajectory.
@@ -142,7 +142,7 @@ class InnerSolution:
     p - P(y_K - y_tar)/eps, and a saturated control has a zero gap whatever
     the scale of p; so ``costate`` need not be the terminal costate of the
     returned control. The trajectory and adjoint are solved sequentially on
-    first read, and the stationarity residual is measured on them.
+    first read.
     """
 
     prob: PenalizedProblem = field(repr=False)
@@ -168,16 +168,8 @@ class InnerSolution:
     def adjoint(self) -> AdjointState:
         p = self.prob
         traj = self.trajectory
-        p_term = p.map.project_state(p.spec, traj.states[-1] - p.y_tar.values) / p.eps
-        return solve_adjoint(p.spec, traj, Field(p.spec.grid, p_term))
-
-    @cached_property
-    def stationarity_residual(self) -> float:
-        """U-norm of the optimality map's gap at the control, on the
-        sequential adjoint."""
-        p, u = self.prob, self.control
-        rows = p.map.apply_Bstar(p.spec, self.adjoint.values[:-1])
-        return _u_l2(p, _candidate(p, rows, u.values, u.dt) - u.values, u.dt)
+        return solve_adjoint(p.spec, traj,
+                             Field(p.spec.grid, _terminal_costate(p, traj.states[-1])))
 
 
 @dataclass
@@ -384,6 +376,11 @@ def _j_parts(prob: PenalizedProblem, T: float, uvals: np.ndarray, dte: float,
     return J, miss, energy, href_energy
 
 
+def _terminal_costate(prob: PenalizedProblem, y_K: np.ndarray) -> np.ndarray:
+    """p_K = P(y_K - y_tar)/eps, the terminal costate of the end state y_K."""
+    return prob.map.project_state(prob.spec, y_K - prob.y_tar.values) / prob.eps
+
+
 def eval_J_eps(prob: PenalizedProblem, T: float, u: Control) -> float:
     """The penalized functional at (T, u); u must live on the matching grid."""
     K, dte = _grid_for(prob, T)
@@ -446,7 +443,7 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
         Z = -maps.bstar_rows(p)
         u = cmap.resolvent_batch(spec, Z, eps, rho)
         y_term = maps.terminal_state(u)
-        return Z, u, y_term, p - cmap.project_state(spec, y_term - prob.y_tar.values) / eps
+        return Z, u, y_term, p - _terminal_costate(prob, y_term)
 
     def jacobian(Z):
         return lambda d: d + cmap.project_state(spec, maps.propagate(
@@ -495,8 +492,7 @@ def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
 
     def candidate_of(vals, y_term):
         # y_term is the latest forward solve, which sweeps linearize along
-        p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
-        return _candidate(prob, maps.bstar_rows(p_term), vals, dte)
+        return _candidate(prob, maps.bstar_rows(_terminal_costate(prob, y_term)), vals, dte)
 
     y_term = maps.terminal_state(uvals)
     J, *_ = _j_parts(prob, T, uvals, dte, y_term)
@@ -556,7 +552,6 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
     Small linear problems run on precomputed step propagators; the
     returned trajectory and adjoint always come from the sequential scheme.
     """
-    spec, cmap = prob.spec, prob.map
     K, dte = _grid_for(prob, T)
     maps = _LinearKernel.try_build(prob, K, dte) or _Sweeps(prob, K, dte)
     costate = None
@@ -567,12 +562,11 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
     J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, y_term)
     # the envelope derivative (module docstring), with p_K from the terminal
     # state: exact at a stationary control
-    p_term = cmap.project_state(spec, y_term - prob.y_tar.values) / prob.eps
-    dJ_dT = (1.0 + maps.horizon_pairing(uvals, p_term) / K
+    dJ_dT = (1.0 + maps.horizon_pairing(uvals, _terminal_costate(prob, y_term)) / K
              + prob.eps * energy / (2.0 * T) + 1.5 * href_energy / T)
     return InnerSolution(
         prob=prob,
-        control=Control(dte, uvals, prob.rho, cmap.u_tag),
+        control=Control(dte, uvals, prob.rho, prob.map.u_tag),
         J=J,
         miss=miss,
         iterations=iterations,
@@ -587,75 +581,52 @@ def inner_solve_control(prob: PenalizedProblem, T: float,
 # residuals of the optimality conditions
 
 
-def _condition_residuals(prob: PenalizedProblem, sol: InnerSolution) -> dict:
-    spec, cmap = prob.spec, prob.map
-    uvals = sol.control.values
-    dte = sol.control.dt
-    K = uvals.shape[0]
-    p = sol.adjoint.values
+def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
+                 boundary: bool, probes: int) -> OptimalityReport:
+    """The level report of the winner ``sol`` at T: its functional and the
+    residuals of the optimality conditions, all on the sequential trajectory
+    and adjoint and on one stack of rows B* p_{k-1}."""
+    spec, cmap, eps, rho = prob.spec, prob.map, prob.eps, prob.rho
+    uvals, dte = sol.control.values, sol.control.dt
     states = sol.trajectory.states
+    p = sol.adjoint.values[:-1]                       # p_{k-1}, k = 1..K
+    J, miss, _, href_energy = _j_parts(prob, T, uvals, dte, states[-1])
 
-    bstar = cmap.apply_Bstar(spec, p[:-1])            # B* p_{k-1}
+    bstar = cmap.apply_Bstar(spec, p)
     bstar_norms = cmap.ustar_norms_batch(spec, bstar)
     pu = cmap.project_control_batch(spec, uvals)
     pu_norms = cmap.u_norms_batch(spec, pu)
-    ay_p = spec.state_inner(spec.apply(states[:-1]), p[:-1])
+    ay_p = spec.state_inner(spec.apply(states[:-1]), p)
 
     h, F_h, tail = _href_terms(prob, uvals, dte)
-    if F_h is not None:
+    if F_h is None:
+        tail = cross = 0.0
+        rhs = 1.0
+    else:
         # dt sum_{j>=k} <F(h_j), P u_j> as a reversed cumulative sum
         cross = dte * np.cumsum(cmap.u_pairing(spec, F_h, pu)[::-1])[::-1]
-        h_T_norm = float(cmap.u_norms_batch(spec, h[-1]))
-        rhs = 1.0 + 0.5 * h_T_norm**2
-    else:
-        tail = np.zeros_like(bstar)
-        cross = np.zeros(K)
-        rhs = 1.0
-
-    Fpu = cmap.F_batch(spec, pu)
-    arg = bstar + tail + prob.eps * Fpu
-    arg_norms = cmap.ustar_norms_batch(spec, arg)
-    g42 = np.abs(prob.rho * arg_norms + ay_p + cross + 0.5 * prob.eps * pu_norms**2 - rhs)
-    g73 = np.abs(prob.rho * bstar_norms + ay_p - 1.0)
+        rhs = 1.0 + 0.5 * float(cmap.u_norms_batch(spec, h[-1])) ** 2
+    arg_norms = cmap.ustar_norms_batch(spec, bstar + tail + eps * cmap.F_batch(spec, pu))
+    g42 = np.abs(rho * arg_norms + ay_p + cross + 0.5 * eps * pu_norms**2 - rhs)
+    g73 = np.abs(rho * bstar_norms + ay_p - 1.0)
 
     # (g72): u = rho F^-1(-B*p)/||B*p|| on steps with a usable dual direction
     live = bstar_norms > 1e-9 * max(1.0, float(bstar_norms.max(initial=0.0)))
-    ideal = prob.rho * cmap.F_inverse_batch(spec, -bstar[live]) / bstar_norms[live, None]
-    g72_vals = cmap.u_norms_batch(spec, pu[live] - ideal)
-    g72_avg = float(np.mean(g72_vals)) if live.any() else float("nan")
+    ideal = rho * cmap.F_inverse_batch(spec, -bstar[live]) / bstar_norms[live, None]
+    g72 = cmap.u_norms_batch(spec, pu[live] - ideal)
 
-    saturation = float(np.mean(pu_norms >= 0.99 * prob.rho))
-    return {
-        "transversality_residual": float(np.mean(g42)),
-        "g73_residual_avg": float(np.mean(g73)),
-        "g73_residuals": g73,
-        "g72_residual_avg": g72_avg,
-        "g72_skipped_steps": int(K - live.sum()),
-        "saturation_fraction": saturation,
-        "u_norms": pu_norms,
-        "bstar_p_norms": bstar_norms,
-        "cross_terms": cross,
-    }
-
-
-def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
-                 boundary: bool, probes: int) -> OptimalityReport:
-    res = _condition_residuals(prob, sol)
-    J, miss, _, href_energy = _j_parts(prob, T, sol.control.values, sol.control.dt,
-                                       sol.trajectory.states[-1])
-    times = sol.trajectory.times[:-1]
     return OptimalityReport(
-        eps=prob.eps,
+        eps=eps,
         T_eps_star=T,
         J=J,
         terminal_miss=miss,
-        stationarity_residual=sol.stationarity_residual,
-        transversality_residual=res["transversality_residual"],
+        stationarity_residual=_u_l2(prob, _candidate(prob, bstar, uvals, dte) - uvals, dte),
+        transversality_residual=float(np.mean(g42)),
         dJ_dT=sol.dJ_dT,
-        g73_residual_avg=res["g73_residual_avg"],
-        g72_residual_avg=res["g72_residual_avg"],
-        g72_skipped_steps=res["g72_skipped_steps"],
-        saturation_fraction=res["saturation_fraction"],
+        g73_residual_avg=float(np.mean(g73)),
+        g72_residual_avg=float(np.mean(g72)) if live.any() else float("nan"),
+        g72_skipped_steps=int(live.size - live.sum()),
+        saturation_fraction=float(np.mean(pu_norms >= 0.99 * rho)),
         control_energy=sol.control_energy,
         href_energy=href_energy,
         inner_iterations=sol.iterations,
@@ -663,10 +634,10 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
         inner_stop=sol.stop,
         boundary_hit=boundary,
         probes=probes,
-        times=times,
-        u_norms=res["u_norms"],
-        bstar_p_norms=res["bstar_p_norms"],
-        g73_residuals=res["g73_residuals"],
+        times=sol.trajectory.times[:-1],
+        u_norms=pu_norms,
+        bstar_p_norms=bstar_norms,
+        g73_residuals=g73,
     )
 
 

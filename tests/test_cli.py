@@ -427,6 +427,17 @@ BAD_CONFIGS = [
     (MATRIX_ORACLE, "oracle.target", [float("nan")], "oracle.target"),
     (HEAT_SLIDE, "operator.a1", float("inf"), "operator.a1"),
     (SCALAR_OPTIMIZE, "numerics.golden_tol", float("inf"), "numerics.golden_tol"),
+    # values that parsed and then failed at run time (exit 1 after the
+    # manifest), keys that were silently dropped, and unknown choices that
+    # named their block instead of the key
+    (SCALAR_OPTIMIZE, "numerics.eps_schedule", [1e-2, 1e-1], "numerics.eps_schedule"),
+    (SCALAR_ORACLE, "oracle.switch_budget", 4, "oracle.switch_budget"),
+    (SCALAR_ORACLE, "oracle.switch_budget", -1, "oracle.switch_budget"),
+    (NONLOCAL_AUDIT, "grid.robin_gamma", 0.5, "grid.robin_gamma"),
+    (HEAT_SLIDE, "grid.bc", "robin", "grid.robin_gamma"),
+    (HEAT_SLIDE, "control.kernel", NONLOCAL_AUDIT["control"]["kernel"], "control.kernel"),
+    (HEAT_SLIDE, "control.mode", "pointwise", "control.mode"),
+    (HEAT_SLIDE, "control.projection", "second", "control.projection"),
 ]
 
 

@@ -68,3 +68,10 @@ def test_budget_guard():
     red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
     with pytest.raises(ValueError):
         brute_force_min_time(red, 1e-3, switch_budget=4)
+
+
+def test_negative_budget_rejected():
+    # a negative budget used to fail with an IndexError inside the search
+    red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
+    with pytest.raises(ValueError, match="0 to 3"):
+        brute_force_min_time(red, 1e-3, switch_budget=-1)

@@ -439,3 +439,30 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
     trajs = (run.approach, run.continuation)
     newton = sum(int(t.newton_iters.sum()) for t in trajs)
     assert len(factors) == (1 if spec.is_linear else newton)
+
+
+def test_hit_verdict_is_the_stop_tests_own(monkeypatch):
+    # the approach stops on a single-row deviation <= hit_tol; a stacked norm
+    # of the same state may read a last bit higher, and must not turn the stop
+    # into a miss. Stacked norms are made to read one ulp high here, so the
+    # case does not hang on how the linear algebra library rounds.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "slide_heat.yaml")
+    spec, cm, num = cfg.spec, cfg.map, cfg.numerics
+    args = (spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"])
+    first = run_sliding(*args, num["hit_tol"], continue_after_hit=False)
+    assert first.approach.steps > 300
+    tol = float(spec.h_norm(cm.project_state(spec, first.approach.states[300]
+                                             - cfg.y_tar.values)))
+    h_norm = operators.OperatorSpec.h_norm
+
+    def stacked_high(self, y):
+        out = h_norm(self, y)
+        return np.nextafter(out, np.inf) if np.ndim(y) == 2 else out
+
+    monkeypatch.setattr(operators.OperatorSpec, "h_norm", stacked_high)
+    run = run_sliding(*args, tol)
+    assert run.approach.steps == 300
+    assert run.deviations[300] > tol  # the stacked deviation, as reported
+    assert run.hit and run.hit_index == 300
+    assert run.continuation is not None
+    assert run.summary()["T_hit"] <= 300 * num["dt"] + 1e-15

@@ -373,6 +373,29 @@ def test_resolvent_derivative_matches_central_differences(tag_name):
         resolvent_derivative_rows(Z, dZ, g, L4, eps, rho)
 
 
+@pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
+def test_resolvent_derivative_is_symmetric_and_nonnegative(tag_name):
+    """<dZ1, D dZ2> = <dZ2, D dZ1> and <dZ, D dZ> >= 0 in the duality pairing,
+    on a row inside and a row outside the ball: conjugate gradients on the
+    Newton step of the inner solve need both. The first direction is the row
+    itself, along which the clamp is flat outside the ball."""
+    tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    g = unit_interval(7)
+    s = SpectralLaplacian(g) if tag.needs_spectral else None
+    w = g.component_weights
+    rng = np.random.default_rng(47)
+    eps, rho = 0.1, 2.0
+    for radius in (0.3, 3.0):  # ||zeta||_* in units of rho eps
+        base = rng.standard_normal(7)
+        z = base * (radius * rho * eps / norm_rows(base, g, tag, s, dual=True))
+        dZ = np.vstack([z, rng.standard_normal((6, 7))])
+        D = resolvent_derivative_rows(np.tile(z, (7, 1)), dZ, g, tag, eps, rho, s)
+        pairing = (dZ * w) @ D.T  # [i, j] = <dZ_i, D dZ_j>
+        scale = np.abs(pairing).max()
+        np.testing.assert_allclose(pairing, pairing.T, rtol=0.0, atol=1e-12 * scale)
+        assert np.linalg.eigvalsh(pairing).min() >= -1e-12 * scale
+
+
 @pytest.mark.parametrize("tag_name", ["L2", "L4"])
 def test_resolvent_is_ball_constrained_argmin(tag_name):
     """(eps F + N_K)^-1 zeta minimizes eps/2 ||u||_U^2 - <zeta, u> over the ball."""

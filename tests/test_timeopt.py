@@ -234,27 +234,35 @@ def test_cold_start_grid_is_stationary_on_the_sequential_scheme(eps, T):
     K = sol.control.steps
     y_tar = prob.spec.h_norm(prob.map.project_state(prob.spec, prob.y_tar.values))
     floor = np.sqrt(K) * np.finfo(float).eps * y_tar / eps**2
-    assert sol.stationarity_residual <= max(prob.inner_tol * prob.rho * np.sqrt(T), floor)
+    report = timeopt._report_from(prob, T, sol, False, 1)
+    assert report.stationarity_residual <= max(prob.inner_tol * prob.rho * np.sqrt(T), floor)
 
 
 def test_condition_residuals_apply_the_operator_once(monkeypatch):
-    # (A_H y_k, p_k) over the whole trajectory is one stacked apply
-    from mintime.operators import OperatorSpec
+    # (A_H y_k, p_k) over the whole trajectory is one stacked apply, and the
+    # rows B* p_{k-1} are one stack
+    from mintime.operators import ControlMap, OperatorSpec
 
     prob = scalar_setup(eps=1e-2, dt=1e-2)
     sol = inner_solve_control(prob, 0.8)
     sol.trajectory, sol.adjoint  # solved before counting
-    calls = []
-    apply = OperatorSpec.apply
+    calls = {"apply": [], "apply_Bstar": []}
+    apply, apply_bstar = OperatorSpec.apply, ControlMap.apply_Bstar
 
-    def counted(self, y):
-        calls.append(np.shape(y))
+    def counted_apply(self, y):
+        calls["apply"].append(np.shape(y))
         return apply(self, y)
 
-    monkeypatch.setattr(OperatorSpec, "apply", counted)
-    res = timeopt._condition_residuals(prob, sol)
-    assert calls == [(sol.control.steps, prob.spec.n_dof)]
-    assert res["g73_residuals"].shape == (sol.control.steps,)
+    def counted_bstar(self, spec, v):
+        calls["apply_Bstar"].append(np.shape(v))
+        return apply_bstar(self, spec, v)
+
+    monkeypatch.setattr(OperatorSpec, "apply", counted_apply)
+    monkeypatch.setattr(ControlMap, "apply_Bstar", counted_bstar)
+    report = timeopt._report_from(prob, 0.8, sol, False, 1)
+    K = sol.control.steps
+    assert calls == {"apply": [(K, prob.spec.n_dof)], "apply_Bstar": [(K, prob.spec.n_dof)]}
+    assert report.g73_residuals.shape == (K,)
 
 
 def test_kernel_and_sweep_backends_agree(monkeypatch):
@@ -650,10 +658,11 @@ def test_chained_uref_energy_decreases():
 
 
 def test_uref_cross_term_is_the_tail_double_sum():
-    # chained reference: dt sum_{j>=k} <F(h_j), P u_j> for every k
+    # chained reference: dt sum_{j>=k} <F(h_j), P u_j> for every k enters the
+    # transversality residual (g42)
     from dataclasses import replace
 
-    from mintime.timeopt import _condition_residuals, _href_terms
+    from mintime.timeopt import _href_terms, _report_from
 
     prob = replace(scalar_setup(dt=1e-2, eps=0.1), inner_cap=20)
     T = 0.5
@@ -664,14 +673,27 @@ def test_uref_cross_term_is_the_tail_double_sum():
     K, dte = sol.control.steps, sol.control.dt
     assert K == 50
     spec, cm = chained.spec, chained.map
-    _, F_h, _ = _href_terms(chained, sol.control.values, dte)
+    h, F_h, tail = _href_terms(chained, sol.control.values, dte)
     pu = cm.project_control_batch(spec, sol.control.values)
     expected = dte * np.array([
         sum(cm.u_pairing(spec, F_h[j], pu[j]) for j in range(k, K)) for k in range(K)
     ])
     assert np.all(expected > 0.0)
-    got = _condition_residuals(chained, sol)["cross_terms"]
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    # g42_k = |rho ||B* p_{k-1} + tail_k + eps F(P u_k)||_U* + <A y_{k-1}, p_{k-1}>_H
+    #          + cross_k + (eps/2) ||P u_k||_U^2 - 1 - ||h_K||_U^2 / 2|
+    p = sol.adjoint.values[:-1]
+    arg = cm.apply_Bstar(spec, p) + tail + chained.eps * cm.F_batch(spec, pu)
+    ay_p = spec.state_inner(spec.apply(sol.trajectory.states[:-1]), p)
+    rest = (chained.rho * cm.ustar_norms_batch(spec, arg) + ay_p
+            + 0.5 * chained.eps * cm.u_norms_batch(spec, pu) ** 2
+            - 1.0 - 0.5 * float(cm.u_norms_batch(spec, h[-1])) ** 2)
+
+    def transversality(cross):
+        return float(np.mean(np.abs(rest + cross)))
+
+    got = _report_from(chained, T, sol, False, 1).transversality_residual
+    np.testing.assert_allclose(got, transversality(expected), rtol=1e-12)
+    assert abs(transversality(0.0) - got) > 1e-12 * abs(got)
 
 
 def test_degenerate_unreachable_target_reports_large_miss():
