@@ -162,22 +162,19 @@ def _bstar_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
 
 def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, float]:
     """Matrix M and factor k with ||zeta||_U* >= sqrt(zeta^T M zeta) / k, an
-    equality with k = 1 for the Hilbert norms (L2, H^-1).
+    equality with k = 1 for the Hilbert norms (L2, H^1, H^-1).
 
-    For Lp controls U* = Lq with q = p/(p-1) <= 2, M is the weighted L2
-    metric diag(w), and ||z||_Lq,w >= w_min^(1/2 - 1/p) ||z||_L2,w, with
-    equality for a spike on a lightest node.
+    For a Hilbert norm ||zeta||_U*^2 = <F^-1 zeta, zeta>, so M is the weighted
+    F^-1 on the identity, symmetrized. For Lp controls U* = Lq with
+    q = p/(p-1) <= 2, M is the weighted L2 metric diag(w), and
+    ||z||_Lq,w >= w_min^(1/2 - 1/p) ||z||_L2,w, with equality for a spike on
+    a lightest node.
     """
-    g = map.ugrid(spec)
-    w = g.component_weights
-    if map.u_tag.kind == "Hminus1":
-        _, _, s = map._uspace(spec)
-        gm = _dense_fn_matrix(s, lambda lam: lam)
-        m1 = 0.5 * (g.weights[:, None] * gm + (g.weights[:, None] * gm).T)
-        return (_blockdiag_per_component(spec, m1) if g.n_components > 1 else m1), 1.0
+    w = map.ugrid(spec).component_weights
     if map.u_tag.kind == "Lp":
         return np.diag(w), float(np.min(w)) ** (1.0 / map.u_tag.p - 0.5)
-    return np.diag(w), 1.0
+    wf = w[:, None] * map.F_inverse_batch(spec, np.eye(w.size)).T
+    return 0.5 * (wf + wf.T), 1.0
 
 
 def _sup_ratio_quadratic(q1: np.ndarray, q2: np.ndarray) -> float:

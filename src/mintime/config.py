@@ -70,6 +70,12 @@ def _join(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
+def _require(ok: bool, where: str, message: str) -> None:
+    """A condition of the document, as a ConfigError on ``where``."""
+    if not ok:
+        raise ConfigError(where, message)
+
+
 def _converted(convert: Callable, what: str):
     def parse(val, where: str):
         try:
@@ -133,13 +139,11 @@ def _block(table: dict):
     """The parser of a mapping whose keys are declared in ``table``."""
     def parse(block, where: str) -> dict:
         for key in _mapping(block, where):
-            if key not in table:
-                raise ConfigError(_join(where, key), f"unknown key; have {list(table)}")
+            _require(key in table, _join(where, key), f"unknown key; have {list(table)}")
         out = {}
         for key, (parse_value, default) in table.items():
             value = default if block.get(key) is None else block[key]
-            if value is _REQUIRED:
-                raise ConfigError(_join(where, key), "missing")
+            _require(value is not _REQUIRED, _join(where, key), "missing")
             if value is not None:
                 out[key] = parse_value(value, _join(where, key))
         return out
@@ -148,8 +152,7 @@ def _block(table: dict):
 
 def _kind(block, key: str, kinds: dict, where: str) -> str:
     """The value of ``key``, which selects the other keys of the mapping ``block``."""
-    if _mapping(block, where).get(key) is None:
-        raise ConfigError(_join(where, key), "missing")
+    _require(_mapping(block, where).get(key) is not None, _join(where, key), "missing")
     return _choice(*kinds)(block[key], _join(where, key))
 
 
@@ -174,9 +177,8 @@ def _family(families: dict, make: Callable, leading: int):
         b = _block(_FAMILY)(block, where)
         name, params = _choice(*families)(b["family"], f"{where}.family"), b["params"]
         want = families[name][0].__code__.co_argcount - leading
-        if len(params) != want:
-            raise ConfigError(f"{where}.params",
-                              f"{name} takes {want} parameters, got {len(params)}")
+        _require(len(params) == want, f"{where}.params",
+                 f"{name} takes {want} parameters, got {len(params)}")
         return make(name, *params)
     return parse
 
@@ -326,9 +328,8 @@ _ORACLE_MATRIX = {
 def _oracle(block, where: str) -> dict:
     matrix = "matrix" in _mapping(block, where)
     ob = _block(_ORACLE_MATRIX if matrix else _ORACLE_SCALAR)(block, where)
-    if not ob["t_max"] > ob["dt"]:
-        raise ConfigError(_join(where, "t_max"),
-                          f"must exceed oracle.dt = {ob['dt']!r}, got {ob['t_max']!r}")
+    _require(ob["t_max"] > ob["dt"], _join(where, "t_max"),
+             f"must exceed oracle.dt = {ob['dt']!r}, got {ob['t_max']!r}")
     return ob
 
 
@@ -355,16 +356,15 @@ COMMANDS = {
 def _only_with(block: dict, key: str, needed: bool, where: str, selector: str) -> None:
     """``key`` of ``block`` is required when ``needed`` and an error otherwise;
     ``selector`` is the value that decides which."""
-    if (key in block) != needed:
-        raise ConfigError(_join(where, key),
-                          f"{'missing' if needed else 'only read'} with {selector}")
+    _require((key in block) == needed, _join(where, key),
+             f"{'missing' if needed else 'only read'} with {selector}")
 
 
 def _grid(g: dict, n_components: int) -> Grid:
     dim = g["dimension"]
     extent, nodes = (v if isinstance(v, list) else [v] * dim for v in (g["extent"], g["nodes"]))
-    if len(extent) != dim or len(nodes) != dim:
-        raise ConfigError("grid.nodes", "extent/nodes must match the dimension")
+    _require(len(extent) == dim and len(nodes) == dim, "grid.nodes",
+             "extent/nodes must match the dimension")
     _only_with(g, "robin_gamma", g["bc"] == "robin", "grid", "bc: robin")
     return _build("grid", lambda: Grid(extent=tuple(extent), nodes=tuple(nodes),
                                        bc=BoundaryCondition(g["bc"], g.get("robin_gamma", 0.0)),
@@ -372,9 +372,14 @@ def _grid(g: dict, n_components: int) -> Grid:
 
 
 def _control(c: dict, spec: OperatorSpec) -> ControlMap:
-    projection = c.get("projection", "first" if c["mode"] == "first_component" else "full")
+    mode, norm = c["mode"], c["norm"]
+    projection = c.get("projection", "first" if mode == "first_component" else "full")
     kernel = control_grid = None
-    _only_with(c, "kernel", c["mode"] == "nonlocal", "control", "mode: nonlocal")
+    _only_with(c, "kernel", mode == "nonlocal", "control", "mode: nonlocal")
+    _require(mode != "first_component" or projection == "first", "control.projection",
+             f"mode: first_component pairs with projection: first, got {projection!r}")
+    _require(norm != "Hminus1" or (mode != "nonlocal" and spec.grid.bc.kind == "dirichlet"),
+             "control.norm", "Hminus1 needs a control on the state grid under bc: dirichlet")
     if "kernel" in c:
         k = c["kernel"]
         control_grid = _build("control.kernel.nodes", lambda: Grid(
@@ -382,7 +387,7 @@ def _control(c: dict, spec: OperatorSpec) -> ControlMap:
             bc=BoundaryCondition("neumann")))
         kernel = np.outer(k["row_profile"](spec.grid), k["col_profile"](control_grid))
     return _build("control", lambda: ControlMap(
-        mode=c["mode"], u_tag=NORM_TAGS[c["norm"]], projection=projection,
+        mode=mode, u_tag=NORM_TAGS[norm], projection=projection,
         kernel=kernel, control_grid=control_grid))
 
 
@@ -401,6 +406,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     cls, ncomp, kwargs = top["operator"]
     cfg.grid = _grid(top["grid"], ncomp)
+    _require(cls is not PorousMedia or cfg.grid.bc.kind == "dirichlet", "grid.bc",
+             f"operator.kind porous_media needs bc: dirichlet, got {cfg.grid.bc.kind!r}")
     cfg.spec = _build("operator", lambda: cls(cfg.grid, **kwargs))
     cfg.rho = top["control"]["rho"]
     cfg.map = _control(top["control"], cfg.spec)

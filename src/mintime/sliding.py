@@ -1,13 +1,14 @@
 """Sign feedback, finite-time manifold hitting, and sliding continuation.
 
-The closed loop applies u = -rho Sign(B* P(y - y_tar)) with the zero
-selection at the origin, evaluated explicitly at each step head and held over
-the step; past the hit, the equivalent control holds the manifold. Both
-phases run on the forward solver's stepping loop, so their intervals are
-sub-stepped on Newton failure like every other solve, and their trajectories
-carry the true Newton and sub-step counts. The feedback law maps a state
-row to a control row; ``Field`` appears only where a run takes its initial
-and target states.
+The closed loop applies u = -rho Sign(B* P(y - y_tar)), the eps = 0 ball
+resolvent of -B* P(y - y_tar) with its zero selection at the origin,
+evaluated explicitly at each step head and held over the step; past the
+hit, the equivalent control holds the manifold. Both phases run on the
+forward solver's stepping loop, so their intervals are sub-stepped on
+Newton failure like every other solve, and their trajectories carry the
+true Newton and sub-step counts. The feedback law maps a state row to a
+control row; ``Field`` appears only where a run takes its initial and
+target states.
 
 The hit-time bound follows the feedback analysis: integrating
 d/dt dev <= C1 dev - (rho - a) gives
@@ -16,9 +17,10 @@ d/dt dev <= C1 dev - (rho - a) gives
 
 with the C1 -> 0 limit dev0/(rho - a), where rho is read as rho / C for the
 gain constant C of ||P v||_H <= C ||B* v||_U*. It applies when
-rho > a + C1 dev0. C is certified: exact for L2 and H^-1 controls and for
-pointwise Lp maps on an L2 state, an upper bound otherwise. C1 is only ever
-a sampled surrogate, so the bound is reported together with a validity flag.
+rho > a + C1 dev0. C is certified: exact for L2, H^1 and H^-1 controls and
+for pointwise Lp maps on an L2 state, an upper bound otherwise. C1 is only
+ever a sampled surrogate, so the bound is reported together with a validity
+flag.
 """
 
 from __future__ import annotations
@@ -88,15 +90,11 @@ class SlidingRun:
 
 def sign_feedback(map: ControlMap, spec: OperatorSpec, y: np.ndarray, y_tar: np.ndarray,
                   rho: float) -> np.ndarray:
-    """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y; the
-    zero selection when the argument vanishes. ||u||_U is rho or 0."""
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    v = map.apply_Bstar(spec, map.project_state(spec, y - y_tar))
-    nv = float(map.ustar_norms_batch(spec, v))
-    if nv == 0.0:
-        return np.zeros(map.control_size(spec))
-    return -rho * map.F_inverse_batch(spec, v) / nv
+    """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y: the
+    eps = 0 resolvent of -B* P(y - y_tar), zero where the argument vanishes.
+    ||u||_U is rho or 0."""
+    return map.resolvent_batch(
+        spec, -map.apply_Bstar(spec, map.project_state(spec, y - y_tar)), 0.0, rho)
 
 
 def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float | None:

@@ -11,7 +11,8 @@ Each operation has one entry point. The ``SpectralLaplacian`` methods act on
 one component's nodal values; the row kernels (``inner_rows``,
 ``norm_rows``, ``duality_rows``, ``resolvent_rows`` and
 ``resolvent_derivative_rows``) give the norms, duality maps and ball
-resolvent of a norm tag, on one row of values or a stack of rows.
+resolvent of a norm tag, on one row of values or a stack of rows. At
+eps = 0 the resolvent is the bang-bang law, with the zero selection at 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "NormTag",
     "SpectralLaplacian",
     "SpectralSingularityError",
-    "IndeterminateSelectionError",
     "inner_rows",
     "norm_rows",
     "duality_rows",
@@ -40,10 +40,6 @@ __all__ = [
 
 class SpectralSingularityError(ValueError):
     """Negative power requested of an operator with a zero eigenvalue."""
-
-
-class IndeterminateSelectionError(ValueError):
-    """Pure normal-cone inverse evaluated at zero: every ball point solves it."""
 
 
 @dataclass(frozen=True)
@@ -335,24 +331,19 @@ def resolvent_rows(values: np.ndarray, grid: Grid, tag: NormTag, eps: float, rho
     """Row-wise exact resolvent (eps*F + N_K)^-1 zeta on the ball K = {||u||_U <= rho}.
 
     Positive homogeneity of F collapses the inclusion to a radial clamp:
-    u = F^-1(zeta) * min(1/eps, rho/||zeta||_U*), and 0 at zeta = 0. For
-    eps = 0 this is the normal-cone inverse rho F^-1(zeta)/||zeta||,
-    undefined at zeta = 0.
+    u = F^-1(zeta) * min(1/eps, rho/||zeta||_U*), and 0 at zeta = 0. At
+    eps = 0 it is the bang-bang law rho F^-1(zeta)/||zeta||_U*, with the
+    zero selection at zeta = 0 (where N_K^-1(0) is the whole ball).
     """
     if not rho > 0.0:
         raise ValueError("ball radius must be positive")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     nz = norm_rows(values, grid, tag, s, dual=True)
+    finv = duality_rows(values, grid, tag, s, inverse=True)   # F^-1(0) = 0
     if eps == 0.0:
-        if np.any(nz == 0.0):
-            raise IndeterminateSelectionError(
-                "N_K^-1(0) is the whole ball; the caller must pick a selection"
-            )
-        scale = rho / nz
-    else:
-        scale = np.where(nz > 0.0, np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300)), 0.0)
-    return duality_rows(values, grid, tag, s, inverse=True) * np.asarray(scale)[..., None]
+        return rho * finv / np.maximum(nz, 1e-300)[..., None]
+    return finv * np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300))[..., None]
 
 
 def resolvent_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: Grid,

@@ -16,10 +16,12 @@ solved by semismooth Newton: the generalized derivative of the radial clamp
 gives the Jacobian, and conjugate gradients in the state metric solve the
 Newton step. Nonlinear kinds, Lp control norms and ``u_ref`` (whose history
 term makes u depend on itself) iterate the optimality map as a damped fixed
-point with monotone-descent backtracking instead. Both solvers reach the
-state only through G: u -> y_K and G*: p_T -> (B* p_{k-1})_k, taken from
-precomputed step propagators on small linear problems and from forward,
-variation and adjoint sweeps over the banded step factor otherwise.
+point with monotone-descent backtracking instead. Both solvers stop on one
+gap, the optimality map at the control's own terminal costate minus the
+control, and reach the state only through G: u -> y_K and
+G*: p_T -> (B* p_{k-1})_k, taken from precomputed step propagators on small
+linear problems and from forward, variation and adjoint sweeps over the
+banded step factor otherwise.
 
 The outer problem reads the horizon off the transversality condition, which
 for J_eps is dJ/dT = 0. At fixed K (dt = T/K) and a stationary inner solve
@@ -405,6 +407,14 @@ def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray, uvals: np.ndarray
     return prob.map.resolvent_batch(prob.spec, Z, prob.eps, prob.rho)
 
 
+def _gap(prob: PenalizedProblem, maps, uvals: np.ndarray, y_K: np.ndarray,
+         dte: float) -> np.ndarray:
+    """The optimality map at the costate of uvals' end state y_K (the latest
+    forward solve of ``maps``) minus uvals: the stop test, and the fixed point's step."""
+    bstar = maps.bstar_rows(_terminal_costate(prob, y_K))
+    return _candidate(prob, bstar, uvals, dte) - uvals
+
+
 def _u_l2(prob: PenalizedProblem, rows: np.ndarray, dte: float) -> float:
     """The L2-in-time U-norm sqrt(dt sum_k ||row_k||_U^2)."""
     return math.sqrt(dte * float(np.sum(prob.map.u_norms_batch(prob.spec, rows) ** 2)))
@@ -455,9 +465,7 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
     F_norm = spec.h_norm(F)
     stop = "cap"
     for it in range(prob.inner_cap + 1):
-        # the optimality map at u's own costate p - F
-        gap = cmap.resolvent_batch(spec, Z + maps.bstar_rows(F), eps, rho) - u
-        if _u_l2(prob, gap, dte) <= tol:
+        if _u_l2(prob, _gap(prob, maps, u, y_term, dte), dte) <= tol:
             stop = "converged"
             break
         if it == prob.inner_cap:
@@ -490,10 +498,6 @@ def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
     else:
         uvals = _resample_steps(warm.control.values, warm.control.dt, K, dte)
 
-    def candidate_of(vals, y_term):
-        # y_term is the latest forward solve, which sweeps linearize along
-        return _candidate(prob, maps.bstar_rows(_terminal_costate(prob, y_term)), vals, dte)
-
     y_term = maps.terminal_state(uvals)
     J, *_ = _j_parts(prob, T, uvals, dte, y_term)
     theta = prob.theta0
@@ -503,7 +507,7 @@ def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
     stop = "cap"
 
     for it in range(prob.inner_cap + 1):
-        gap = candidate_of(uvals, y_term) - uvals
+        gap = _gap(prob, maps, uvals, y_term, dte)
         rel_gap = _u_l2(prob, gap, dte)
         if rel_gap <= tol:
             stop = "converged"
@@ -610,9 +614,10 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
     g42 = np.abs(rho * arg_norms + ay_p + cross + 0.5 * eps * pu_norms**2 - rhs)
     g73 = np.abs(rho * bstar_norms + ay_p - 1.0)
 
-    # (g72): u = rho F^-1(-B*p)/||B*p|| on steps with a usable dual direction
+    # (g72): u is the bang-bang law, the eps = 0 resolvent of -B*p, on steps
+    # with a usable dual direction
     live = bstar_norms > 1e-9 * max(1.0, float(bstar_norms.max(initial=0.0)))
-    ideal = rho * cmap.F_inverse_batch(spec, -bstar[live]) / bstar_norms[live, None]
+    ideal = cmap.resolvent_batch(spec, -bstar[live], 0.0, rho)
     g72 = cmap.u_norms_batch(spec, pu[live] - ideal)
 
     return OptimalityReport(

@@ -10,6 +10,7 @@ from mintime import (
     ControlMap,
     FitzHughNagumo,
     Grid,
+    H1,
     L2,
     L4,
     HMINUS1,
@@ -27,6 +28,7 @@ from mintime.audit import (
     _bstar_matrix,
     _dense_fn_matrix,
     _metric_state,
+    _metric_ustar,
     _metric_vstar,
     _projection_matrix,
     _samples,
@@ -171,6 +173,7 @@ def _dense_map_cases():
     return {
         "porous-identity-Hminus1": (porous, ControlMap(mode="identity", u_tag=HMINUS1)),
         "rd2-first-L2": (rd, ControlMap(mode="first_component", u_tag=L2, projection="first")),
+        "rd2-identity-H1": (rd, ControlMap(mode="identity", u_tag=H1)),
         "drift-nonlocal-L2": (PotentialDrift(gd), ControlMap(mode="nonlocal", u_tag=L2,
                                                              kernel=kernel, control_grid=gc)),
     }
@@ -203,6 +206,12 @@ def test_dense_matrices_are_the_row_maps_on_the_identity(case):
     v = np.random.default_rng(13).standard_normal((4, n))
     np.testing.assert_allclose(np.einsum("ri,ij,rj->r", v, _metric_state(spec), v),
                                spec.h_norm(v) ** 2, rtol=1e-12)
+    # and the dense U* metric the row U* norm's
+    z = np.random.default_rng(14).standard_normal((4, cm.control_size(spec)))
+    mus, k = _metric_ustar(spec, cm)
+    assert k == 1.0
+    np.testing.assert_allclose(np.sqrt(np.einsum("ri,ij,rj->r", z, mus, z)),
+                               cm.ustar_norms_batch(spec, z), rtol=1e-12)
 
 
 _BCS = {"dirichlet": dirichlet, "neumann": neumann, "robin": lambda: robin(0.8)}
@@ -210,7 +219,7 @@ _BCS = {"dirichlet": dirichlet, "neumann": neumann, "robin": lambda: robin(0.8)}
 
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(["identity", "first_component", "nonlocal"]),
-       norm=st.sampled_from(["L2", "Hminus1"]), nodes=st.integers(3, 24),
+       norm=st.sampled_from(["L2", "H1", "Hminus1"]), nodes=st.integers(3, 24),
        control_nodes=st.integers(3, 24), bc=st.sampled_from(sorted(_BCS)),
        seed=st.integers(0, 2**16))
 def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, control_nodes,
@@ -218,8 +227,8 @@ def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, co
     # C of ||P v||_H <= C ||B* v||_U* is the exact supremum for quadratic U*
     # norms: no smooth sample exceeds it, and a Hilbert-identified control
     # (B* = P in L2) attains exactly 1
-    assume(norm == "L2" or bc == "dirichlet")  # H^-1 is the Dirichlet Laplacian's
-    tag = {"L2": L2, "Hminus1": HMINUS1}[norm]
+    assume(norm != "Hminus1" or bc == "dirichlet")  # H^-1 is the Dirichlet Laplacian's
+    tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[norm]
     if mode == "first_component":
         g = Grid(extent=(1.0,), nodes=(nodes,), bc=_BCS[bc](), n_components=2)
         spec = ReactionDiffusion2(g, f=pair_fn("zero2"), g=pair_fn("zero2"))
@@ -228,7 +237,7 @@ def test_quadratic_projection_constant_bounds_every_sample(mode, norm, nodes, co
         spec = PotentialDrift(Grid(extent=(1.0,), nodes=(nodes,), bc=_BCS[bc]()))
         cm = ControlMap(mode="identity", u_tag=tag)
     if mode == "nonlocal":
-        assume(norm == "L2")  # H^-1 control norms live on the state grid
+        assume(norm == "L2")  # spectral control norms live on the state grid
         gc = Grid(extent=(1.0,), nodes=(control_nodes,), bc=neumann())
         kernel = np.random.default_rng(seed).random((nodes, control_nodes))
         cm = ControlMap(mode=mode, u_tag=tag, kernel=kernel, control_grid=gc)

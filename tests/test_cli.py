@@ -438,6 +438,12 @@ BAD_CONFIGS = [
     (HEAT_SLIDE, "control.kernel", NONLOCAL_AUDIT["control"]["kernel"], "control.kernel"),
     (HEAT_SLIDE, "control.mode", "pointwise", "control.mode"),
     (HEAT_SLIDE, "control.projection", "second", "control.projection"),
+    # cross-key errors, which used to exit 1 after the manifest (H^-1 on
+    # Neumann walls) or name the block instead of the key
+    (SCALAR_OPTIMIZE, "control.norm", "Hminus1", "control.norm"),
+    (SCALAR_OPTIMIZE, "control.projection", "full", "control.projection"),
+    (NONLOCAL_AUDIT, "control.norm", "Hminus1", "control.norm"),
+    (POROUS_AUDIT, "grid.bc", "neumann", "grid.bc"),
 ]
 
 

@@ -24,7 +24,7 @@ from mintime import (
 from mintime.adjoint import solve_adjoint
 from mintime.forward import Control, Trajectory, solve_forward
 from mintime.nonlinearities import PAIR_FAMILIES
-from mintime.spaces import IndeterminateSelectionError, SpectralLaplacian
+from mintime.spaces import SpectralLaplacian
 
 
 def grid1(n=16, bc=None):
@@ -684,11 +684,10 @@ def test_control_map_rows_match_single_rows_and_fields(case):
         rhs = cm.u_pairing(spec, cm.apply_Bstar(spec, V), U)
         np.testing.assert_allclose(rhs, lhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(lhs)))
 
-        # eps = 0: the normal-cone inverse, indeterminate only on a zero row
+        # eps = 0: the bang-bang law, with the zero selection on a zero row
         live = np.delete(Z, 4, axis=0)
         close(cm.u_norms_batch(spec, cm.resolvent_batch(spec, live, 0.0, rho)), np.full(5, rho))
-    with pytest.raises(IndeterminateSelectionError):
-        cm.resolvent_batch(spec, Z, 0.0, rho)
+        assert np.all(cm.resolvent_batch(spec, Z, 0.0, rho)[4] == 0.0)
 
 
 # ---------------------------------------------------------------------------

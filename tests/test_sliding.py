@@ -11,6 +11,8 @@ from mintime import (
     ControlMap,
     Field,
     Grid,
+    H1,
+    HMINUS1,
     L2,
     L4,
     PotentialDrift,
@@ -81,6 +83,22 @@ def test_feedback_l4_norm_and_direction():
     np.testing.assert_allclose(u[spec.grid.size:], 0.0)
 
 
+@pytest.mark.parametrize("mode", ["identity", "first_component"])
+@pytest.mark.parametrize("tag_name", ["L2", "L4", "Hminus1"])
+def test_feedback_is_the_bang_bang_formula_exactly(tag_name, mode):
+    # the eps = 0 resolvent keeps this operation order, so the slide
+    # artifacts keep their bytes
+    tag = {"L2": L2, "L4": L4, "Hminus1": HMINUS1}[tag_name]
+    g = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet(), n_components=2)
+    spec = ReactionDiffusion2(g, f=pair_fn("tanh_pair", 0.5, 0.4), g=pair_fn("zero2"))
+    cm = ControlMap(mode=mode, u_tag=tag, projection="first")
+    y, y_tar = np.random.default_rng(5).standard_normal((2, spec.n_dof))
+    rho = 1.7
+    v = cm.apply_Bstar(spec, cm.project_state(spec, y - y_tar))
+    want = -rho * cm.F_inverse_batch(spec, v) / cm.ustar_norms_batch(spec, v)
+    np.testing.assert_array_equal(sign_feedback(cm, spec, y, y_tar, rho), want)
+
+
 # ---------------------------------------------------------------------------
 # the hit-time bound
 
@@ -125,6 +143,21 @@ def test_heat_hits_within_linear_bound():
     # strict decrease of the deviation up to the hit
     pre = run.deviations[: run.hit_index + 1]
     assert np.all(np.diff(pre) < 0)
+
+
+def test_h1_controls_hit_within_their_bound():
+    # the README sketch with H^1 controls: the gain C of ||P v||_H <= C ||B* v||_U*
+    # is the H^1 dual form's (about 65.9), not the L2 form's 1, so the bound
+    # (about 4.66) holds the hit at about 0.117
+    spec, _ = heat(32)
+    cm = ControlMap(mode="identity", u_tag=H1)
+    (x,) = spec.grid.coordinates()
+    run = run_sliding(spec, cm, Field(spec.grid, np.sin(np.pi * x)),
+                      Field(spec.grid, np.zeros(32)), rho=10.0, T_max=0.2, dt=1e-4,
+                      hit_tol=2e-3)
+    assert run.hit
+    assert run.t_star_valid
+    assert run.hit_time <= run.t_star
 
 
 def test_hit_time_monotone_in_rho():

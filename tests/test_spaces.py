@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mintime import (Field, Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet,
                      neumann, robin)
 from mintime.spaces import (
-    IndeterminateSelectionError,
     duality_rows,
     inner_rows,
     norm_rows,
@@ -343,8 +342,26 @@ def test_resolvent_eps_zero_and_indeterminacy():
     zeta = np.linspace(0.5, 1.0, 6)
     u = resolvent_rows(zeta, g, L2, 0.0, rho=3.0)
     assert norm_rows(u, g, L2) == pytest.approx(3.0, rel=1e-12)
-    with pytest.raises(IndeterminateSelectionError):
-        resolvent_rows(np.zeros(6), g, L2, 0.0, rho=1.0)
+    assert np.all(resolvent_rows(np.zeros(6), g, L2, 0.0, rho=1.0) == 0.0)
+
+
+@pytest.mark.parametrize("tag_name", ["L2", "L4", "H1", "Hminus1"])
+def test_resolvent_eps_zero_is_the_bang_bang_law_with_the_zero_selection(tag_name):
+    # rho F^-1(zeta)/||zeta||_* on every nonzero row, whatever its scale, and
+    # exactly 0 on a zero row, without a 0/0 (RuntimeWarnings are errors)
+    tag = {"L2": L2, "L4": L4, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    g = unit_interval(7)
+    s = SpectralLaplacian(g) if tag.needs_spectral else None
+    Z = np.random.default_rng(44).standard_normal((4, 7)) * np.array([[1e-8], [1.0], [1e8], [1.0]])
+    Z[3] = 0.0
+    U = resolvent_rows(Z, g, tag, 0.0, rho=2.5, s=s)
+    assert np.all(U[3] == 0.0)
+    np.testing.assert_allclose(norm_rows(U[:3], g, tag, s), 2.5, rtol=1e-12)
+    direction = duality_rows(Z[:3], g, tag, s, inverse=True)
+    np.testing.assert_allclose(U[:3] / np.abs(U[:3]).max(axis=1, keepdims=True),
+                               direction / np.abs(direction).max(axis=1, keepdims=True),
+                               rtol=1e-12, atol=1e-14)
+    assert np.all(resolvent_rows(Z[3], g, tag, 0.0, rho=2.5, s=s) == 0.0)
 
 
 @pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
