@@ -92,7 +92,7 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
     schedule = num["eps_schedule"]
     prob = PenalizedProblem(
         cfg.spec, cfg.map, cfg.y0, cfg.y_tar, rho=cfg.rho, eps=schedule[0], dt=num["dt"],
-        inner_tol=num["inner_tol"], inner_cap=num["inner_cap"], theta0=num["theta0"],
+        inner_tol=num["inner_tol"], inner_cap=num["inner_cap"],
         golden_tol_factor=num["golden_tol"],
     )
     bracket = tuple(num["T_bracket"])

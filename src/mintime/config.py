@@ -299,7 +299,7 @@ _NUMERICS = {
                                "need [T_lo, T_hi] with 0 < T_lo < T_hi"), _REQUIRED),
         "inner_tol": (_positive, 1e-8),
         "inner_cap": (_checked(_int, lambda n: n >= 0, "must be nonnegative"), 500),
-        "theta0": (_positive, 0.5), "golden_tol": (_positive, 1e-4),
+        "golden_tol": (_positive, 1e-4),
         "chain_u_ref": (_bool, False),
     },
     "audit": {

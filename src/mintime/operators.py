@@ -44,6 +44,7 @@ from .spaces import (
     NormTag,
     SpectralLaplacian,
     _laplacian_matrix_1d,
+    duality_derivative_rows,
     duality_rows,
     inner_rows,
     norm_rows,
@@ -691,6 +692,11 @@ class ControlMap:
     def F_inverse_batch(self, spec: OperatorSpec, Z: np.ndarray) -> np.ndarray:
         return duality_rows(Z, *self._uspace(spec), inverse=True)
 
+    def F_derivative_batch(self, spec: OperatorSpec, U: np.ndarray,
+                           dU: np.ndarray) -> np.ndarray:
+        """DF at the rows U, applied to the rows dU."""
+        return duality_derivative_rows(U, dU, *self._uspace(spec))
+
     def resolvent_batch(self, spec: OperatorSpec, Z: np.ndarray, eps: float,
                         rho: float) -> np.ndarray:
         g, tag, s = self._uspace(spec)
@@ -699,7 +705,7 @@ class ControlMap:
     def resolvent_derivative_batch(self, spec: OperatorSpec, Z: np.ndarray, dZ: np.ndarray,
                                    eps: float, rho: float) -> np.ndarray:
         """The clamp derivative of ``resolvent_batch`` at the rows Z, applied
-        to the rows dZ (Hilbert U-norms)."""
+        to the rows dZ."""
         g, tag, s = self._uspace(spec)
         return resolvent_derivative_rows(Z, dZ, g, tag, eps, rho, s)
 

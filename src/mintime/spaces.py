@@ -9,9 +9,10 @@ spectral identities hold to essentially machine precision.
 
 Each operation has one entry point. The ``SpectralLaplacian`` methods act on
 one component's nodal values; the row kernels (``inner_rows``,
-``norm_rows``, ``duality_rows``, ``resolvent_rows`` and
-``resolvent_derivative_rows``) give the norms, duality maps and ball
-resolvent of a norm tag, on one row of values or a stack of rows. At
+``norm_rows``, ``duality_rows``, ``duality_derivative_rows``,
+``resolvent_rows`` and ``resolvent_derivative_rows``) give the norms,
+duality maps and ball resolvent of a norm tag and their derivatives, on one
+row of values or a stack of rows. At
 eps = 0 the resolvent is the bang-bang law, with the zero selection at 0.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
     "inner_rows",
     "norm_rows",
     "duality_rows",
+    "duality_derivative_rows",
     "resolvent_rows",
     "resolvent_derivative_rows",
 ]
@@ -326,6 +328,37 @@ def duality_rows(values: np.ndarray, grid: Grid, tag: NormTag,
     return np.array(_gamma_rows(v, tag, s, -1 if inverse else 1))
 
 
+def duality_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: Grid,
+                            tag: NormTag, s: SpectralLaplacian | None = None,
+                            inverse: bool = False) -> np.ndarray:
+    """Row-wise derivative of ``duality_rows`` at ``values``, applied to
+    ``directions``: DF, or with ``inverse`` DF^-1.
+
+    A Hilbert tag's F is linear, so this is F (or F^-1) of the directions.
+    On Lp the map of a component block v is ||v||^(2-q) s with
+    s = sign(v) |v|^(q-1) (q = p, or p/(p-1) for F^-1), and its derivative is
+    ||v||^(2-q) ((q-1) |v|^(q-2) dv + (2-q) s <s, dv>/||v||^q). A zero block
+    takes the map at dv, the directional derivative of an odd, positively
+    1-homogeneous map; a zero entry of a nonzero block, where |v|^(q-2) is
+    unbounded for q < 2, takes 0 for that term.
+    """
+    v, dv = _rows(values, grid), _rows(directions, grid)
+    if tag.kind != "Lp":
+        return np.array(_gamma_rows(dv, tag, s, -1 if inverse else 1))
+    (blocks, w), dblocks = _blocks(v, grid), _blocks(dv, grid)[0]
+    q = tag.p / (tag.p - 1.0) if inverse else tag.p
+    a = np.abs(blocks)
+    nrm = np.sum(w * a**q, axis=-1, keepdims=True) ** (1.0 / q)
+    zero = nrm == 0.0
+    nrm = np.where(zero, 1.0, nrm)
+    sv = np.sign(blocks) * a ** (q - 1.0)
+    diag = np.where(a > 0.0, a, 1.0) ** (q - 2.0) * (a > 0.0)
+    sdv = np.sum(w * sv * dblocks, axis=-1, keepdims=True)
+    out = nrm ** (2.0 - q) * ((q - 1.0) * diag * dblocks + (2.0 - q) * sv * sdv / nrm**q)
+    out = np.where(zero, _lp_map(dblocks, w, q), out)
+    return out.reshape(*out.shape[:-2], -1)
+
+
 def resolvent_rows(values: np.ndarray, grid: Grid, tag: NormTag, eps: float, rho: float,
                    s: SpectralLaplacian | None = None) -> np.ndarray:
     """Row-wise exact resolvent (eps*F + N_K)^-1 zeta on the ball K = {||u||_U <= rho}.
@@ -350,22 +383,22 @@ def resolvent_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: 
                               tag: NormTag, eps: float, rho: float,
                               s: SpectralLaplacian | None = None) -> np.ndarray:
     """Row-wise generalized derivative D of the radial clamp ``resolvent_rows``
-    at zeta, applied to dzeta, for a Hilbert tag (F linear).
+    at zeta, applied to dzeta.
 
-    On rows with ||zeta||_* <= rho eps the clamp is F^-1/eps; on the others
-    it is rho F^-1(zeta)/n with n = ||zeta||_*, whose derivative is
-    (rho/n)(F^-1 dzeta - F^-1 zeta <F^-1 zeta, dzeta>/n^2). D is symmetric
-    and nonnegative in the duality pairing.
+    On rows with ||zeta||_* <= rho eps the clamp is F^-1/eps, with derivative
+    DF^-1(zeta)/eps; on the others it is rho F^-1(zeta)/n with
+    n = ||zeta||_*, and since dn = <F^-1 zeta, dzeta>/n its derivative is
+    (rho/n)(DF^-1(zeta) dzeta - F^-1 zeta <F^-1 zeta, dzeta>/n^2). D is
+    symmetric and nonnegative in the duality pairing: it is the derivative
+    of the gradient of a convex function.
     """
-    if not tag.is_hilbert:
-        raise ValueError(f"{tag.kind} has a nonlinear duality map")
     if not (rho > 0.0 and eps > 0.0):
         raise ValueError("rho and eps must be positive")
     z, dz = _rows(values, grid), _rows(directions, grid)
     w = grid.component_weights
-    fz = _gamma_rows(z, tag, s, -1)
-    fdz = _gamma_rows(dz, tag, s, -1)
-    nz = np.sqrt(np.maximum((fz * z) @ w, 0.0))  # as norm_rows(dual=True) forms it
+    fz = duality_rows(z, grid, tag, s, inverse=True)
+    fdz = duality_derivative_rows(z, dz, grid, tag, s, inverse=True)
+    nz = np.sqrt(np.maximum((fz * z) @ w, 0.0))  # ||zeta||_*^2 = <F^-1 zeta, zeta>
     inside = np.asarray(nz <= rho * eps)
     n = np.where(inside, 1.0, nz)
     radial = (rho / n)[..., None] * (fdz - fz * (((fz * dz) @ w) / n**2)[..., None])

@@ -6,22 +6,22 @@ backward, and evaluate the control through the exact ball resolvent
 
     u_k = (eps F + N_K)^-1 ( -B* p_{k-1} - sum_{j>=k} dt F(h_j) ).
 
-For a linear operator with a Hilbert U-norm and no reference control ``u_ref``
-the control depends on the terminal costate p_T alone, and the inner problem
-is the n_dof equation
+Semismooth Newton solves it, with the generalized derivative of the radial
+clamp as the Jacobian. Without a reference control ``u_ref`` the control
+depends on the terminal costate p_T alone, and the unknown is p_T in the
+n_dof equation
 
     p_T = P (y_K(u(p_T)) - y_tar) / eps    on range(P),
 
-solved by semismooth Newton: the generalized derivative of the radial clamp
-gives the Jacobian, and conjugate gradients in the state metric solve the
-Newton step. Nonlinear kinds, Lp control norms and ``u_ref`` (whose history
-term makes u depend on itself) iterate the optimality map as a damped fixed
-point with monotone-descent backtracking instead. Both solvers stop on one
-gap, the optimality map at the control's own terminal costate minus the
-control, and reach the state only through G: u -> y_K and
-G*: p_T -> (B* p_{k-1})_k, taken from precomputed step propagators on small
-linear problems and from forward, variation and adjoint sweeps over the
-banded step factor otherwise.
+each step solved by conjugate gradients in the state metric; a nonlinear
+kind linearizes G and G* along the latest forward sweep. With ``u_ref`` the
+history tail makes u depend on itself, and the unknown is the resolvent
+argument Z, with the residual Z - Z(u(Z)) and each step one restarted GMRES
+cycle. Both forms stop on one gap, the optimality map at the control's own
+terminal costate minus the control, and reach the state only through
+G: u -> y_K and G*: p_T -> (B* p_{k-1})_k, taken from precomputed step
+propagators on small linear problems and from forward, variation and
+adjoint sweeps over the banded step factor otherwise.
 
 The outer problem reads the horizon off the transversality condition, which
 for J_eps is dJ/dT = 0. At fixed K (dt = T/K) and a stationary inner solve
@@ -74,12 +74,11 @@ SCAN_POINTS = 5
 ROOT_WIDTH = 1e-6
 # root-finder probes per sign change, whatever the tolerance
 ROOT_CAP = 60
-# inner iterations without a 1% gap improvement before the fixed point
-# counts as stalled at its attainable accuracy
-PLATEAU_PATIENCE = 200
-# relative state-metric residual at which CG ends a Newton step
+# relative residual at which CG (state metric) or GMRES ends a Newton step
 CG_RTOL = 1e-10
-# Newton line search: sufficient decrease of ||F||_H and the smallest step
+# Krylov vectors of the one GMRES cycle of a Newton step on Z
+GMRES_RESTART = 30
+# Newton line search: sufficient decrease of the residual norm and the smallest step
 ARMIJO = 1e-4
 MIN_STEP = 1e-8
 
@@ -91,6 +90,7 @@ class PenalizedProblem:
     ``u_ref`` switches on the functional's history term (the integral of
     F of the accumulated control gap); by default it is absent, since the
     exact reference control is unknown outside of chained continuation runs.
+    ``theta0`` is read by no solver; it is kept for callers that pass it.
     """
 
     spec: OperatorSpec
@@ -127,11 +127,6 @@ class PenalizedProblem:
         yhat = self.map.auxiliary_state(self.spec, self.y0.values, self.y_tar.values)
         return self.rho - self.spec.h_norm(self.spec.apply(yhat))
 
-    @property
-    def takes_newton(self) -> bool:
-        """Whether u depends on p_T alone, so that the inner solve is Newton."""
-        return self.spec.is_linear and self.map.u_tag.is_hilbert and self.u_ref is None
-
 
 @dataclass
 class InnerSolution:
@@ -139,12 +134,12 @@ class InnerSolution:
 
     ``J``, ``miss`` and ``dJ_dT`` come from the solver's own terminal
     state; ``stop`` says why it ended ("converged", "plateau" or "cap").
-    ``costate`` is the Newton iterate p, kept as the next solve's warm start
-    (None from the fixed point). The stop test measures the control gap, not
+    ``costate`` is the next solve's warm start. Without ``u_ref`` it is the
+    Newton iterate p; the stop test measures the control gap, not
     p - P(y_K - y_tar)/eps, and a saturated control has a zero gap whatever
-    the scale of p; so ``costate`` need not be the terminal costate of the
-    returned control. The trajectory and adjoint are solved sequentially on
-    first read.
+    the scale of p, so it need not be the terminal costate of the returned
+    control. With ``u_ref`` it is that terminal costate. The trajectory and
+    adjoint are solved sequentially on first read.
     """
 
     prob: PenalizedProblem = field(repr=False)
@@ -155,7 +150,7 @@ class InnerSolution:
     stop: str
     control_energy: float  # integral of ||P u||_U^2
     dJ_dT: float           # envelope derivative of J in the horizon, at fixed K
-    costate: np.ndarray | None = field(default=None, repr=False)
+    costate: np.ndarray = field(repr=False)
 
     @property
     def converged(self) -> bool:
@@ -210,7 +205,7 @@ _PLAIN = {"float": float, "int": int, "bool": bool, "str": str}
 
 
 # ---------------------------------------------------------------------------
-# G and G*: the two maps the inner solvers use
+# G and G*: the two maps the inner solver uses
 
 
 class _LinearKernel:
@@ -410,7 +405,7 @@ def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray, uvals: np.ndarray
 def _gap(prob: PenalizedProblem, maps, uvals: np.ndarray, y_K: np.ndarray,
          dte: float) -> np.ndarray:
     """The optimality map at the costate of uvals' end state y_K (the latest
-    forward solve of ``maps``) minus uvals: the stop test, and the fixed point's step."""
+    forward solve of ``maps``) minus uvals: the inner solver's stop test."""
     bstar = maps.bstar_rows(_terminal_costate(prob, y_K))
     return _candidate(prob, bstar, uvals, dte) - uvals
 
@@ -442,27 +437,52 @@ def _cg(apply, b: np.ndarray, spec: OperatorSpec) -> np.ndarray:
 
 def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
             warm: InnerSolution | None):
-    """Semismooth Newton on F(p) = p - P(y_K(u(p)) - y_tar)/eps from the warm
-    costate (else zero), with backtracking on ||F||_H. Returns (u, y_K, p_T,
-    iterations, stop)."""
+    """Semismooth Newton from the warm costate (else zero), with
+    backtracking on the residual norm. Without ``u_ref`` the unknown is the
+    terminal costate and the residual F(p) = p - P(y_K(u(p)) - y_tar)/eps;
+    with it, the resolvent argument and F(Z) = Z + B* p_{k-1}(u(Z)) + tail(u(Z)).
+    Returns (u, y_K, p_T, iterations, stop)."""
     spec, cmap = prob.spec, prob.map
     eps, rho = prob.eps, prob.rho
     tol = prob.inner_tol * rho * math.sqrt(T)
+    p = np.zeros(spec.n_dof) if warm is None else cmap.project_state(spec, warm.costate)
+    on_costate = prob.u_ref is None
 
-    def state_at(p):
-        Z = -maps.bstar_rows(p)
+    def state_at(x):
+        Z = -maps.bstar_rows(x) if on_costate else x
         u = cmap.resolvent_batch(spec, Z, eps, rho)
         y_term = maps.terminal_state(u)
-        return Z, u, y_term, p - _terminal_costate(prob, y_term)
+        p_term = _terminal_costate(prob, y_term)
+        if on_costate:
+            return Z, u, y_term, x - p_term
+        return Z, u, y_term, x + maps.bstar_rows(p_term) + _href_terms(prob, u, dte)[2]
 
-    def jacobian(Z):
-        return lambda d: d + cmap.project_state(spec, maps.propagate(
-            cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps
+    def step(Z, u, F):
+        if on_costate:
+            return _cg(lambda d: d + cmap.project_state(spec, maps.propagate(
+                cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps,
+                -F, spec)
+        from scipy.sparse.linalg import LinearOperator, gmres  # only u_ref solves need it
+        h = _href_terms(prob, u, dte)[0]
 
-    p = (np.zeros(spec.n_dof) if warm is None or warm.costate is None
-         else cmap.project_state(spec, warm.costate))
-    Z, u, y_term, F = state_at(p)
-    F_norm = spec.h_norm(F)
+        def jacobian(flat):
+            dZ = flat.reshape(Z.shape)
+            du = cmap.resolvent_derivative_batch(spec, Z, dZ, eps, rho)
+            dp = cmap.project_state(spec, maps.propagate(du)) / eps
+            dh = dte * np.cumsum(cmap.project_control_batch(spec, du), axis=0)
+            dtail = dte * np.cumsum(cmap.F_derivative_batch(spec, h, dh)[::-1], axis=0)[::-1]
+            return (dZ + maps.bstar_rows(dp) + dtail).ravel()
+
+        op = LinearOperator((Z.size, Z.size), matvec=jacobian, dtype=float)
+        delta, _ = gmres(op, -F.ravel(), rtol=CG_RTOL, restart=GMRES_RESTART, maxiter=1)
+        return delta.reshape(Z.shape)
+
+    norm = spec.h_norm if on_costate else (lambda F: _u_l2(prob, F, dte))
+    x = p if on_costate else -maps.bstar_rows(p)
+    if not on_costate:  # Z(u) at the control of the warm costate
+        x = x - _href_terms(prob, cmap.resolvent_batch(spec, x, eps, rho), dte)[2]
+    Z, u, y_term, F = state_at(x)
+    F_norm = norm(F)
     stop = "cap"
     for it in range(prob.inner_cap + 1):
         if _u_l2(prob, _gap(prob, maps, u, y_term, dte), dte) <= tol:
@@ -470,99 +490,38 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
             break
         if it == prob.inner_cap:
             break
-        delta = _cg(jacobian(Z), -F, spec)
+        delta = step(Z, u, F)
         t = 1.0
         while t >= MIN_STEP:
-            trial = state_at(p + t * delta)
-            trial_norm = spec.h_norm(trial[3])
+            trial = state_at(x + t * delta)
+            trial_norm = norm(trial[3])
             if trial_norm <= (1.0 - ARMIJO * t) * F_norm:
                 break
             t *= 0.5
         else:
-            stop = "plateau"  # no step decreases ||F||_H
+            stop = "plateau"  # no step decreases the residual norm
             break
-        p = p + t * delta
+        x = x + t * delta
         Z, u, y_term, F = trial
         F_norm = trial_norm
-    return u, y_term, p, min(it + 1, prob.inner_cap), stop
-
-
-def _fixed_point(prob: PenalizedProblem, maps, T: float, K: int, dte: float,
-                 warm: InnerSolution | None):
-    """Damped fixed point of the optimality map from the warm control (else
-    zero), with monotone-descent backtracking. Returns (u, y_K, iterations,
-    stop)."""
-    spec, cmap = prob.spec, prob.map
-    if warm is None:
-        uvals = np.zeros((K, cmap.control_size(spec)))
-    else:
-        uvals = _resample_steps(warm.control.values, warm.control.dt, K, dte)
-
-    y_term = maps.terminal_state(uvals)
-    J, *_ = _j_parts(prob, T, uvals, dte, y_term)
-    theta = prob.theta0
-    tol = prob.inner_tol * prob.rho * math.sqrt(T)
-    best_gap = np.inf
-    since_best = 0
-    stop = "cap"
-
-    for it in range(prob.inner_cap + 1):
-        gap = _gap(prob, maps, uvals, y_term, dte)
-        rel_gap = _u_l2(prob, gap, dte)
-        if rel_gap <= tol:
-            stop = "converged"
-            break
-        if it == prob.inner_cap:
-            break
-        if rel_gap < 0.99 * best_gap:
-            best_gap = rel_gap
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= PLATEAU_PATIENCE:
-                stop = "plateau"
-                break
-        accepted = False
-        while theta >= 1e-4:
-            u_try = uvals + theta * gap
-            y_try = maps.terminal_state(u_try)
-            J_try, *_ = _j_parts(prob, T, u_try, dte, y_try)
-            if J_try <= J + 1e-12 * (1.0 + abs(J)):
-                uvals, y_term, J = u_try, y_try, J_try
-                theta = min(1.0, 1.6 * theta)
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            # descent stalled at the damping floor: accept the tiny step and
-            # let the gap criterion decide
-            uvals = uvals + theta * gap
-            y_term = maps.terminal_state(uvals)
-            J, *_ = _j_parts(prob, T, uvals, dte, y_term)
-            theta = prob.theta0
-    return uvals, y_term, min(it + 1, prob.inner_cap), stop
+    costate = x if on_costate else _terminal_costate(prob, y_term)
+    return u, y_term, costate, min(it + 1, prob.inner_cap), stop
 
 
 def inner_solve_control(prob: PenalizedProblem, T: float,
                         warm: InnerSolution | None = None) -> InnerSolution:
     """Solve the optimality system of J_eps at the fixed horizon T.
 
-    Linear kinds with a Hilbert U-norm and no ``u_ref`` take semismooth
-    Newton on the terminal costate, started from ``warm.costate`` (else
-    zero). Nonlinear kinds, Lp control norms and ``u_ref`` take the damped
-    fixed point of the optimality map, started from ``warm.control`` (else
-    zero). A solve that stalls or hits ``inner_cap`` returns flagged, not
-    raised.
+    Semismooth Newton (``_newton``) starts from ``warm.costate`` (else
+    zero): on the terminal costate without ``u_ref``, on the resolvent
+    argument -B* p_{k-1} - tail_k with it. A solve that stalls or hits
+    ``inner_cap`` returns flagged, not raised.
     Small linear problems run on precomputed step propagators; the
     returned trajectory and adjoint always come from the sequential scheme.
     """
     K, dte = _grid_for(prob, T)
     maps = _LinearKernel.try_build(prob, K, dte) or _Sweeps(prob, K, dte)
-    costate = None
-    if prob.takes_newton:
-        uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte, warm)
-    else:
-        uvals, y_term, iterations, stop = _fixed_point(prob, maps, T, K, dte, warm)
+    uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte, warm)
     J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, y_term)
     # the envelope derivative (module docstring), with p_K from the terminal
     # state: exact at a stationary control

@@ -146,8 +146,8 @@ def test_switching_pair_config_meets_its_oracle(tmp_path):
 
 def test_optimize_scalar_l4_copy_matches_the_l2_run(tmp_path):
     # on a first-component control over 3 nodes the L4 norm is the L2 one,
-    # but the solve takes the fixed point: its horizons must agree with
-    # Newton's, and the scan must not stall on probes far right of the root
+    # but the solve runs on the Lp duality maps: its horizons must agree with
+    # the L2 run's, and the scan must not stall on probes far right of the root
     doc = yaml.safe_load((REPO / "configs/optimize_scalar.yaml").read_text())
     doc["control"]["norm"] = "L4"
     assert run(REPO / "configs/optimize_scalar.yaml", tmp_path / "l2") == 0
@@ -483,12 +483,12 @@ REPO_CONFIGS = {
         "rho": 1.0,
         "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
                      "T_bracket": [0.2, 1.4], "inner_tol": 1e-8, "inner_cap": 500,
-                     "theta0": 0.5, "golden_tol": 1e-4, "chain_u_ref": False}},
+                     "golden_tol": 1e-4, "chain_u_ref": False}},
     "configs/optimize_pair.yaml": {
         "rho": 1.0,
         "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
                      "T_bracket": [0.3, 2.0], "inner_tol": 1e-8, "inner_cap": 500,
-                     "theta0": 0.5, "golden_tol": 1e-4, "chain_u_ref": False}},
+                     "golden_tol": 1e-4, "chain_u_ref": False}},
     "configs/oracle_pair.yaml": {"rho": 1.0},  # its matrix block is checked below
     "configs/oracle_scalar.yaml": {
         "rho": 1.0,

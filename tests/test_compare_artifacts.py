@@ -85,3 +85,25 @@ def test_nonzero_exit_fails_the_gate(tmp_path, monkeypatch, capsys, codes, statu
                                    "--out", str(tmp_path / "out")]) == status
     printed = capsys.readouterr().out
     assert (f"cfg: exit code {codes[0]} -> {codes[1]}" in printed) == (status == 2)
+
+
+def test_extra_configs_join_the_comparison(tmp_path, monkeypatch, capsys):
+    # --config adds a config from outside configs/, repeatably; a name that
+    # another config already has would share its artifact directory
+    repo_config, extra = tmp_path / "cfg.yaml", tmp_path / "copies" / "cfg_l4.yaml"
+    monkeypatch.setattr(compare_artifacts, "_configs", lambda tree: [repo_config])
+    runs = []
+
+    def run(tree, config, outdir):
+        runs.append((config, outdir.parent.name))
+        outdir.mkdir(parents=True)
+        (outdir / "report.json").write_text("{}")
+        return 0
+
+    monkeypatch.setattr(compare_artifacts, "_run", run)
+    argv = [str(tmp_path), str(tmp_path), "--out", str(tmp_path / "out")]
+    assert compare_artifacts.main(argv + ["--config", str(extra)]) == 0
+    assert runs == [(repo_config, "old"), (repo_config, "new"), (extra, "old"), (extra, "new")]
+    assert "cfg_l4/report.json: identical" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        compare_artifacts.main(argv + ["--config", str(tmp_path / "copies" / "cfg.yaml")])

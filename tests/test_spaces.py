@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mintime import (Field, Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet,
                      neumann, robin)
 from mintime.spaces import (
+    duality_derivative_rows,
     duality_rows,
     inner_rows,
     norm_rows,
@@ -364,11 +365,11 @@ def test_resolvent_eps_zero_is_the_bang_bang_law_with_the_zero_selection(tag_nam
     assert np.all(resolvent_rows(Z[3], g, tag, 0.0, rho=2.5, s=s) == 0.0)
 
 
-@pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
+@pytest.mark.parametrize("tag_name", ["L2", "L4", "H1", "Hminus1"])
 def test_resolvent_derivative_matches_central_differences(tag_name):
     """The clamp derivative D against central differences of the resolvent,
     on an interior and a saturated row away from the kink ||zeta||_* = rho eps."""
-    tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    tag = {"L2": L2, "L4": L4, "H1": H1, "Hminus1": HMINUS1}[tag_name]
     g = unit_interval(7)
     s = SpectralLaplacian(g) if tag.needs_spectral else None
     rng = np.random.default_rng(43)
@@ -377,26 +378,52 @@ def test_resolvent_derivative_matches_central_differences(tag_name):
     Z = base * (np.array([0.3, 3.0]) * rho * eps / norm_rows(base, g, tag, s, dual=True))[:, None]
     dZ = rng.standard_normal((2, 7))
     got = resolvent_derivative_rows(Z, dZ, g, tag, eps, rho, s)
-    h = 1e-5 * np.linalg.norm(Z, axis=1, keepdims=True) / np.linalg.norm(dZ, axis=1, keepdims=True)
+    # L4's F^-1 (|v|^(1/3)) curves sharply at the interior row's smallest
+    # entry, so the step is small
+    h = 1e-6 * np.linalg.norm(Z, axis=1, keepdims=True) / np.linalg.norm(dZ, axis=1, keepdims=True)
     fd = (resolvent_rows(Z + h * dZ, g, tag, eps, rho, s)
           - resolvent_rows(Z - h * dZ, g, tag, eps, rho, s)) / (2 * h)
     for row in range(2):
         assert np.linalg.norm(got[row] - fd[row]) <= 1e-7 * np.linalg.norm(got[row])
     # a zero row lies inside the ball: D = F^-1/eps, with no division warning
+    # (on L4, F^-1 at dzeta: the directional derivative of the 1-homogeneous
+    # F^-1 at zero)
     zero = resolvent_derivative_rows(np.zeros(7), dZ[0], g, tag, eps, rho, s)
-    np.testing.assert_allclose(zero, resolvent_derivative_rows(1e-3 * Z[0], dZ[0], g, tag,
-                                                               eps, rho, s), rtol=1e-14)
-    with pytest.raises(ValueError, match="nonlinear"):
-        resolvent_derivative_rows(Z, dZ, g, L4, eps, rho)
+    inside = (resolvent_derivative_rows(1e-3 * Z[0], dZ[0], g, tag, eps, rho, s)
+              if tag.is_hilbert else duality_rows(dZ[0], g, tag, inverse=True) / eps)
+    np.testing.assert_allclose(zero, inside, rtol=1e-14)
 
 
-@pytest.mark.parametrize("tag_name", ["L2", "H1", "Hminus1"])
+@pytest.mark.parametrize("tag_name", ["L2", "L4"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_duality_derivative_matches_central_differences(tag_name, inverse):
+    """DF and DF^-1 against central differences of the duality maps, per
+    component block, on two-component rows whose second block is zero, as a
+    first-component control's rows are (RuntimeWarnings are errors)."""
+    tag = {"L2": L2, "L4": L4}[tag_name]
+    g = Grid(extent=(1.0,), nodes=(7,), bc=neumann(), n_components=2)
+    rng = np.random.default_rng(53)
+    V = rng.standard_normal((3, 14)) * np.array([[1e-3], [1.0], [1e3]])
+    dV = rng.standard_normal((3, 14))
+    V[:, 7:] = 0.0
+    got = duality_derivative_rows(V, dV, g, tag, inverse=inverse)
+    h = 1e-6 * np.linalg.norm(V, axis=1, keepdims=True) / np.linalg.norm(dV, axis=1, keepdims=True)
+    fd = (duality_rows(V + h * dV, g, tag, inverse=inverse)
+          - duality_rows(V - h * dV, g, tag, inverse=inverse)) / (2 * h)
+    for row in range(3):
+        assert np.linalg.norm(got[row] - fd[row]) <= 1e-7 * np.linalg.norm(got[row])
+    # on the zero block the map is odd and 1-homogeneous: its value at dV
+    np.testing.assert_allclose(got[:, 7:], duality_rows(dV, g, tag, inverse=inverse)[:, 7:],
+                               rtol=1e-14)
+
+
+@pytest.mark.parametrize("tag_name", ["L2", "L4", "H1", "Hminus1"])
 def test_resolvent_derivative_is_symmetric_and_nonnegative(tag_name):
     """<dZ1, D dZ2> = <dZ2, D dZ1> and <dZ, D dZ> >= 0 in the duality pairing,
     on a row inside and a row outside the ball: conjugate gradients on the
     Newton step of the inner solve need both. The first direction is the row
     itself, along which the clamp is flat outside the ball."""
-    tag = {"L2": L2, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    tag = {"L2": L2, "L4": L4, "H1": H1, "Hminus1": HMINUS1}[tag_name]
     g = unit_interval(7)
     s = SpectralLaplacian(g) if tag.needs_spectral else None
     w = g.component_weights

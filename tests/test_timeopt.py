@@ -1,4 +1,4 @@
-"""Penalized minimal-time solver: functional, inner Newton and fixed point, T-search."""
+"""Penalized minimal-time solver: functional, inner Newton, T-search."""
 
 from types import SimpleNamespace
 
@@ -123,9 +123,9 @@ def test_nonpositive_golden_tolerance_rejected(tol):
 @pytest.mark.parametrize("field", ["inner_tol", "theta0"])
 @pytest.mark.parametrize("value", [0.0, -0.5, float("nan")])
 def test_nonpositive_inner_tolerance_and_damping_rejected(field, value):
-    # as the config parser does: a zero or negative damping leaves the fixed
-    # point at the zero control or sends it off, and a nonpositive tolerance
-    # is never met, so every solve runs to its cap
+    # a nonpositive tolerance is never met, so every solve would run to its
+    # cap; theta0 is read by no solver, but callers that pass it get the
+    # same check
     from dataclasses import replace
 
     with pytest.raises(ValueError, match=field):
@@ -226,7 +226,7 @@ def test_cold_start_grid_is_stationary_on_the_sequential_scheme(eps, T):
     prob = scalar_setup(eps=eps)
     sol = inner_solve_control(prob, T)
     assert sol.stop == "converged"
-    assert prob.takes_newton and sol.costate is not None
+    assert prob.u_ref is None and sol.costate is not None
     # On interior rows u = -B*p/eps with p_T = P(y_K - y_tar)/eps, so the
     # roundoff of y_K (about sqrt(K) machine epsilons of ||P y_tar||) reaches
     # the optimality map's gap amplified by 1/eps^2; that floor lies above
@@ -305,19 +305,60 @@ def test_sweep_backend_reproduces_the_uniform_reduction():
     np.testing.assert_array_equal(big.control.values[:, 49:], 0.0)
 
 
-def test_fixed_point_stop_reasons():
-    # an L4 control norm keeps the fixed point; its reasons reach the report
+def test_l4_newton_stop_reasons():
+    # an L4 control norm takes Newton on the terminal costate too; its
+    # reasons reach the report, and the costate is kept as a warm start
     from dataclasses import replace
 
     from mintime import L4
 
     prob = scalar_setup(eps=1e-2, dt=1e-2)
     prob = replace(prob, map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
-    assert not prob.takes_newton
     capped = inner_solve_control(replace(prob, inner_cap=3), 0.8)
     assert (capped.stop, capped.iterations, capped.converged) == ("cap", 3, False)
-    assert capped.costate is None
+    assert capped.costate is not None
     assert inner_solve_control(prob, 0.4).stop == "converged"
+
+
+@pytest.mark.parametrize("change", ["L4", "chain_u_ref"])
+def test_every_probe_of_the_scalar_continuation_converges(monkeypatch, change):
+    # L4 controls and a chained reference take Newton as well: no probe of
+    # any level stalls, and on a first-component control over 3 uniform
+    # nodes each level lands on the L2 run's horizon
+    from dataclasses import replace
+
+    from mintime import L4
+
+    schedule, bracket = [1e-1, 1e-2, 1e-3, 1e-4], (0.2, 1.4)
+    prob = scalar_setup(eps=1e-1, dt=1e-3)
+    l2 = eps_continuation(prob, schedule, bracket)
+    if change == "L4":
+        prob = replace(prob, map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
+    stops = []
+    solve = timeopt.inner_solve_control
+
+    def recorded(prob, T, warm=None):
+        sol = solve(prob, T, warm)
+        stops.append(sol.stop)
+        return sol
+
+    monkeypatch.setattr(timeopt, "inner_solve_control", recorded)
+    reports = eps_continuation(prob, schedule, bracket, chain_u_ref=change == "chain_u_ref")
+    assert len(stops) >= len(schedule) * timeopt.SCAN_POINTS // 2
+    assert stops == ["converged"] * len(stops)
+    for a, b in zip(l2, reports, strict=True):
+        assert abs(a.T_eps_star - b.T_eps_star) <= 1e-9
+
+
+def test_importing_mintime_leaves_the_sparse_solvers_unloaded():
+    # GMRES serves only solves with a reference control, so its module is
+    # imported inside that branch: loading it costs every run about 2 MB of RSS
+    import subprocess
+    import sys
+
+    code = "import sys, mintime; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +380,18 @@ def _central_dJ_dT(prob, T, warm=None, h=1e-6):
 def test_dJ_dT_matches_central_differences_on_the_kernel_newton(eps, T):
     prob = scalar_setup(eps=eps)
     prob.inner_tol = 1e-12
-    assert prob.takes_newton and _LinearKernel.try_build(prob, 700, 1e-3) is not None
+    assert prob.u_ref is None and _LinearKernel.try_build(prob, 700, 1e-3) is not None
     sol, fd = _central_dJ_dT(prob, T)
     assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
 
 
-def test_dJ_dT_matches_central_differences_on_the_kernel_fixed_point():
+def test_dJ_dT_matches_central_differences_on_the_kernel_l4_newton():
     from dataclasses import replace
 
     from mintime import L4
 
     prob = replace(scalar_setup(eps=1e-2, dt=1e-2), inner_tol=1e-12,
                    map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
-    assert not prob.takes_newton
     sol, fd = _central_dJ_dT(prob, 0.4)
     assert sol.converged
     assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)

@@ -1,10 +1,11 @@
 """Compare the CLI artifacts of two source trees, file by file.
 
-    python tools/compare_artifacts.py OLD_TREE NEW_TREE [--out DIR]
+    python tools/compare_artifacts.py OLD_TREE NEW_TREE [--out DIR] [--config PATH ...]
 
 Both trees are repository roots (each with ``src/mintime``). The configs are
-taken from NEW_TREE: every ``configs/*.yaml`` plus ``bench/gradient_2d.yaml``.
-Each config runs once under each tree's code (``python -m mintime.cli``),
+taken from NEW_TREE: every ``configs/*.yaml`` plus ``bench/gradient_2d.yaml``,
+and each ``--config`` file (repeatable), such as a variant kept outside the
+repository. Each config runs once under each tree's code (``python -m mintime.cli``),
 into ``DIR/old/<name>`` and ``DIR/new/<name>``. For every artifact one line
 is printed:
 
@@ -145,11 +146,17 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="repository root of the changed tree")
     parser.add_argument("--out", type=Path, default=None,
                         help="where to keep the artifacts (default: a temporary directory)")
+    parser.add_argument("--config", type=Path, action="append", default=[],
+                        help="one more config to compare (repeatable)")
     args = parser.parse_args(argv)
+    configs = _configs(args.new.resolve()) + [c.resolve() for c in args.config]
+    stems = [c.stem for c in configs]
+    if len(set(stems)) < len(stems):
+        parser.error(f"config names must differ, since each names its artifact directory: {stems}")
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or Path(tmp)
         worst = 0
-        for config in _configs(args.new.resolve()):
+        for config in configs:
             name = config.stem
             codes = [_run(tree.resolve(), config, out / side / name)
                      for side, tree in (("old", args.old), ("new", args.new))]
