@@ -9,14 +9,16 @@ makes the discrete duality identity
     (Y_K, p_K)_H = sum_k dt <B v_k, p_{k-1}>_H = sum_k dt <v_k, B* p_{k-1}>
 
 hold to machine precision, which is this module's definition of correctness.
-Both sweeps solve with the operator's banded step factors (``step_factor``),
-the adjoint through their transpose. A trajectory whose intervals were
-sub-stepped is refused: its map is not one step of size dt per interval.
+Both sweeps solve with banded step factors (``StepFactor``, the adjoint with
+the transpose), each made as the sweep reaches its step, once for a linear
+kind. A sub-stepped trajectory is refused before any is made: its map is
+not one step of size dt per interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,16 +45,20 @@ class AdjointState:
         return self.values[-1]
 
 
-def _frozen_factors(spec: OperatorSpec, traj: Trajectory, dt: float) -> list[StepFactor]:
-    """Factors of I + dt A'(y_k) for k = 1..K, at slot k - 1 (one shared
-    factor when linear)."""
+def _sweep_factors(spec: OperatorSpec, traj: Trajectory) -> Callable[[int], StepFactor]:
+    """The factor of I + dt A'(y_k) at step k, made when a sweep asks for it
+    (a linear kind's one factor, made here, at every k)."""
     refined = np.flatnonzero(traj.substeps > 1)
     if refined.size:
         k = int(refined[0])
         raise ValueError(
             f"interval {k} was integrated in {int(traj.substeps[k])} sub-steps; "
             "the one-step linearization is not the derivative of that map")
-    return [spec.step_factor(traj.states[k], dt) for k in range(1, traj.steps + 1)]
+    dt = float(traj.times[1] - traj.times[0])
+    if spec.is_linear:
+        factor = StepFactor(spec, traj.states[0], dt)
+        return lambda k: factor
+    return lambda k: StepFactor(spec, traj.states[k], dt)
 
 
 def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
@@ -61,12 +67,12 @@ def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     if v.steps != traj.steps:
         raise ValueError("variation control must share the trajectory's time grid")
     dt = float(traj.times[1] - traj.times[0])
-    factors = _frozen_factors(spec, traj, dt)
+    factor_at = _sweep_factors(spec, traj)
     K = traj.steps
     states = np.zeros((K + 1, spec.n_dof))
     for k in range(1, K + 1):
         rhs = states[k - 1] + dt * map.apply_B(spec, v.values[k - 1])
-        states[k] = factors[k - 1].solve(rhs)
+        states[k] = factor_at(k).solve(rhs)
     return Trajectory(spec, traj.times.copy(), states, np.ones(K, dtype=int), np.zeros(K))
 
 
@@ -78,13 +84,12 @@ def solve_adjoint(spec: OperatorSpec, traj: Trajectory, terminal: Field) -> Adjo
     """
     if terminal.values.size != spec.n_dof:
         raise ValueError("terminal payload does not match the operator")
-    dt = float(traj.times[1] - traj.times[0])
-    factors = _frozen_factors(spec, traj, dt)
+    factor_at = _sweep_factors(spec, traj)
     K = traj.steps
     values = np.zeros((K + 1, spec.n_dof))
     values[K] = terminal.values
     for k in range(K, 0, -1):
-        q = factors[k - 1].solve(spec.metric_apply(values[k]), trans=1)
+        q = factor_at(k).solve(spec.metric_apply(values[k]), trans=1)
         values[k - 1] = spec.metric_solve(q)
     return AdjointState(traj.times.copy(), values)
 

@@ -411,6 +411,8 @@ def parse_config(doc: dict) -> RunConfig:
     cfg.spec = _build("operator", lambda: cls(cfg.grid, **kwargs))
     cfg.rho = top["control"]["rho"]
     cfg.map = _control(top["control"], cfg.spec)
+    _require(command != "slide" or cfg.map.mode != "nonlocal", "control.mode",
+             "slide continues past the hit, which needs a pointwise control map")
     if "initial" in top:
         cfg.y0 = top["initial"]["y0"](cfg.grid)
     y_tar = top["targets"].get("y_tar")

@@ -4,10 +4,10 @@ One stepping loop, ``_integrate``, carries every solve: open-loop controls
 (``solve_forward``) and feedback laws (the sliding approach and its post-hit
 continuation) alike take a control row at the head of each interval and hold
 it over the interval. Every step solves with the banded LU factors of
-I + dt A'(y) from ``OperatorSpec.step_factor``: linear kinds reuse one
-factorization per step size, nonlinear kinds refactor at each Newton
-iterate. On Newton failure the control interval is retried on up to 6
-binary subdivisions before giving up; the trajectory records the Newton
+I + dt A'(y), a ``StepFactor`` made here: a linear kind is factored once
+per loop that takes a step, and a nonlinear kind at each Newton iterate.
+On Newton failure the control interval is retried on up to 6 binary
+subdivisions before giving up; the trajectory records the Newton
 iterations, last residual and sub-steps of each interval.
 
 Each interval applies the operator only where its numbers need it. A
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import Field, Grid
-from .operators import ControlMap, OperatorSpec
+from .operators import ControlMap, OperatorSpec, StepFactor
 from .spaces import NormTag, L2
 
 __all__ = ["Control", "Trajectory", "StepFailure", "step_implicit", "solve_forward"]
@@ -193,14 +193,10 @@ def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
 
 def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: float,
                     a_guess: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray | None, int, float | None]:
-    """Solve x + dt A_H(x) = rhs by Newton from ``guess``, whose A_H is
-    ``a_guess`` when the caller has it; returns (x, A_H(x), iters, residual).
-
-    A linear kind takes one factored solve and returns None for A_H(x) and
-    the residual, which ``Trajectory.residuals`` computes when it is read."""
-    if spec.is_linear:
-        return spec.step_factor(guess, dt).solve(rhs), None, 1, None
+                    ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Solve x + dt A_H(x) = rhs for a nonlinear kind by Newton from
+    ``guess``, whose A_H is ``a_guess`` when the caller has it; returns
+    (x, A_H(x), iters, residual)."""
     scale = 1.0 + _wnorm(spec, rhs)
     x = guess
     ax = spec.apply(x) if a_guess is None else a_guess
@@ -211,7 +207,7 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
             return x, ax, it, res
         if it == NEWTON_MAX_ITER:
             raise StepFailure(res)
-        x = x - spec.step_factor(x, dt).solve(r)
+        x = x - StepFactor(spec, x, dt).solve(r)
         ax = spec.apply(x)
 
 
@@ -221,20 +217,19 @@ def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
     on Newton failure like every interval of ``solve_forward``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    bu = map.apply_B(spec, u_step.values)
-    x, _, _, _, _ = _step_with_refinement(spec, y.values, bu, dt, 0)
-    return Field(spec.grid, x)
+    traj, _ = _integrate(spec, map, y.values, dt, 1, lambda k, x: u_step.values)
+    return Field(spec.grid, traj.states[1])
 
 
 def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt: float,
                           step_index: int, a_y: np.ndarray | None = None,
-                          ) -> tuple[np.ndarray, np.ndarray | None, int, float | None, int]:
-    """Advance one control interval, halving the internal step on failure.
+                          ) -> tuple[np.ndarray, np.ndarray, int, float, int]:
+    """Advance one nonlinear interval, halving the internal step on failure.
 
     ``a_y`` is A_H(y) when the caller has it (else the first Newton residual
     evaluates it); every retry starts from y, so it serves each of them.
     Returns (state, its A_H, Newton iterations, last residual, sub-steps
-    taken), with A_H and residual None for a linear kind."""
+    taken)."""
     for level in range(MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
@@ -263,11 +258,12 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     states = np.empty((steps + 1, spec.n_dof))
     states[0] = y0
     rows = np.empty((steps, map.control_size(spec)))
-    newton_iters = np.zeros(steps, dtype=int)
+    newton_iters = np.ones(steps, dtype=int)
     substeps = np.ones(steps, dtype=int)
-    # a linear solve keeps its B u rows and leaves its residuals to the
-    # trajectory's first read
+    # a linear interval is one solve with the loop's one factor; it keeps its
+    # B u row and leaves its residual to the trajectory's first read
     linear = spec.is_linear
+    factor = StepFactor(spec, y0, dt) if linear and steps else None
     residuals = None if linear else np.zeros(steps)
     forcing = np.empty((steps, spec.n_dof)) if linear else None
 
@@ -276,12 +272,12 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     for k in range(steps):
         rows[k] = control_at(k, y)
         bu = map.apply_B(spec, rows[k])
-        y, a_y, newton_iters[k], res, substeps[k] = _step_with_refinement(
-            spec, y, bu, dt, k, a_y)
         if linear:
+            y = factor.solve(y + dt * bu)
             forcing[k] = bu
         else:
-            residuals[k] = res
+            y, a_y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
+                spec, y, bu, dt, k, a_y)
         states[k + 1] = y
         if stop is not None and stop(y):
             K = k + 1

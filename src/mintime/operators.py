@@ -12,11 +12,11 @@ adjacent) its linearization A'(y) is banded. Each kind writes its stencils
 once, in LAPACK band storage: a cached y-independent band built from the
 per-axis 1D stencils, plus the y-dependent nodal diagonals, the derivative
 of the nodal reaction written beside it. ``apply`` is that cached band times
-y (``dgbmv``) plus the reaction. ``step_factor`` factors I + dt A'(y) from
+y (``dgbmv``) plus the reaction. ``StepFactor`` factors I + dt A'(y) from
 the same band with ``dgbtrf``; the forward Newton step, the variation and
-the adjoint all solve with it, the adjoint through the exact transpose
-(``dgbtrs`` with ``trans=1``), never a separate discretization. No
-operator holds a dense n_dof x n_dof matrix.
+the adjoint each make theirs where they step, the adjoint solving with the
+exact transpose (``dgbtrs`` with ``trans=1``), never a separate
+discretization. No operator holds a factor or a dense n_dof x n_dof matrix.
 
 States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
 ``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
@@ -62,10 +62,6 @@ __all__ = [
     "ControlMap",
     "StepFactor",
 ]
-
-# linear kinds keep the factors of this many step sizes
-LINEAR_FACTOR_CACHE = 16
-
 
 # Node diagonals: a one-component nodal matrix M as {s: d}, d[j] = M[j - s, j]
 # over the flat C-ordered node index j (s > 0 above the diagonal).
@@ -264,22 +260,6 @@ class OperatorSpec:
         order = self.node_order
         out[order[i[keep]], order[j[keep]]] = ab[keep]
         return out
-
-    @cached_property
-    def _linear_factors(self) -> dict[float, StepFactor]:
-        return {}
-
-    def step_factor(self, y: np.ndarray, dt: float) -> StepFactor:
-        """Factors of I + dt A'(y); linear kinds keep one per dt, shared by the
-        forward steps, the variation and the adjoint sweep."""
-        if not self.is_linear:
-            return StepFactor(self, y, dt)
-        cache = self._linear_factors
-        if dt not in cache:
-            if len(cache) >= LINEAR_FACTOR_CACHE:
-                del cache[next(iter(cache))]
-            cache[dt] = StepFactor(self, y, dt)
-        return cache[dt]
 
     # -- state (H) geometry: the row kernels under state_tag -----------------
 

@@ -55,7 +55,7 @@ import numpy as np
 from .adjoint import AdjointState, solve_adjoint, solve_variation
 from .forward import Control, Trajectory, solve_forward
 from .grids import Field
-from .operators import ControlMap, OperatorSpec
+from .operators import ControlMap, OperatorSpec, StepFactor
 
 __all__ = [
     "PenalizedProblem",
@@ -227,7 +227,7 @@ class _LinearKernel:
         n = spec.n_dof
         m = cmap.control_size(spec)
         eye = np.eye(n)
-        S = spec.step_factor(np.zeros(n), dte).solve(eye)
+        S = StepFactor(spec, np.zeros(n), dte).solve(eye)
         bmat = cmap.apply_B(spec, np.eye(m)).T
         metric = spec.metric_apply(eye).T       # M with (a, b)_H = a^T M b
         wu = cmap.ugrid(spec).component_weights

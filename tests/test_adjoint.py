@@ -1,5 +1,7 @@
 """Variation system and discrete adjoint: superposition, duality, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mintime import (
 )
 from mintime.adjoint import duality_gap, solve_adjoint, solve_variation
 from mintime.forward import Control, solve_forward
+from mintime.operators import StepFactor
 
 
 def _instances(n=16):
@@ -247,3 +250,25 @@ def test_duality_identity_size_ladder(kind, nodes):
     terminal = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
     _, _, gap = duality_gap(spec, cm, traj, v, terminal)
     assert gap <= 1e-10
+
+
+def test_sweeps_hold_one_step_factor_at_a_time():
+    # each sweep factors a step when it reaches it, so its memory stays at a
+    # few factors however many steps it takes (20 here)
+    g = Grid(extent=(1.0, 1.0), nodes=(16, 16), bc=neumann(), n_components=2)
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    rng = np.random.default_rng(16)
+    _, u, traj = _random_traj(spec, cm, rng, steps=20, dt=1e-2)
+    terminal = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
+    factor_bytes = StepFactor(spec, traj.states[1], 1e-2).lu.nbytes
+    for sweep in (lambda: solve_adjoint(spec, traj, terminal),
+                  lambda: solve_variation(spec, cm, traj, u)):
+        tracemalloc.start()
+        try:
+            sweep()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * factor_bytes

@@ -438,6 +438,9 @@ BAD_CONFIGS = [
     (HEAT_SLIDE, "control.kernel", NONLOCAL_AUDIT["control"]["kernel"], "control.kernel"),
     (HEAT_SLIDE, "control.mode", "pointwise", "control.mode"),
     (HEAT_SLIDE, "control.projection", "second", "control.projection"),
+    # a slide always continues past the hit, which a nonlocal map cannot: the
+    # run stepped the whole approach, then exited 1 at the hit
+    (HEAT_SLIDE, "control", {**NONLOCAL_AUDIT["control"], "rho": 10.0}, "control.mode"),
     # cross-key errors, which used to exit 1 after the manifest (H^-1 on
     # Neumann walls) or name the block instead of the key
     (SCALAR_OPTIMIZE, "control.norm", "Hminus1", "control.norm"),

@@ -24,6 +24,7 @@ from mintime import (
 from mintime.adjoint import solve_adjoint
 from mintime.forward import Control, Trajectory, solve_forward
 from mintime.nonlinearities import PAIR_FAMILIES
+from mintime.operators import StepFactor
 from mintime.spaces import SpectralLaplacian
 
 
@@ -254,7 +255,7 @@ def test_band_is_the_jacobian(kind, dim, wall):
 
     dt = 0.05
     step = np.eye(spec.n_dof) + dt * ref
-    factor = spec.step_factor(w, dt)
+    factor = StepFactor(spec, w, dt)
     r = rng.standard_normal(spec.n_dof)
     for trans, mat in ((0, step), (1, step.T)):
         exact = np.linalg.solve(mat, r)
@@ -386,17 +387,42 @@ def test_no_dense_matrix_cached_at_48x48():
     w = 0.1 * np.random.default_rng(43).standard_normal(spec.n_dof)
     spec.apply(w)
     spec.band(w)
-    spec.step_factor(w, 1e-2).solve(w)
+    StepFactor(spec, w, 1e-2).solve(w)
     spec.v_norms(np.vstack([w, -w]))
     sizes = [a.size for a in _cached_arrays(spec)]
     assert sizes and max(sizes) < g.size**2
 
 
-def test_linear_kind_shares_one_factor_per_dt():
+def test_linear_factor_is_state_free_and_made_once_per_solve(monkeypatch):
+    # a linear kind's factor is the same at every state, so a forward solve,
+    # an adjoint sweep and a variation sweep each make exactly one
+    import mintime.adjoint as adjoint
+    import mintime.forward as forward
+
     spec = all_specs(8)["fitzhugh_nagumo"]
+    assert spec.is_linear
     zero, y = np.zeros(spec.n_dof), np.ones(spec.n_dof)
-    assert spec.step_factor(zero, 0.1) is spec.step_factor(y, 0.1)
-    assert spec.step_factor(zero, 0.2) is not spec.step_factor(zero, 0.1)
+    at_zero, at_y = StepFactor(spec, zero, 0.1), StepFactor(spec, y, 0.1)
+    assert np.array_equal(at_zero.lu, at_y.lu) and np.array_equal(at_zero.piv, at_y.piv)
+
+    made = []
+
+    class Counted(StepFactor):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(forward, "StepFactor", Counted)
+    monkeypatch.setattr(adjoint, "StepFactor", Counted)
+    rng = np.random.default_rng(8)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    u = Control(0.1, rng.standard_normal((6, spec.n_dof)), rho=1e9)
+    traj = solve_forward(spec, cm, Field(spec.grid, y, spec.n_components), u)
+    assert len(made) == 1
+    adjoint.solve_adjoint(spec, traj, Field(spec.grid, y, spec.n_components))
+    assert len(made) == 2
+    adjoint.solve_variation(spec, cm, traj, u)
+    assert len(made) == 3
 
 
 def test_singular_step_matrix_raises():
@@ -404,10 +430,21 @@ def test_singular_step_matrix_raises():
     g = grid1(3, neumann())
     spec = PotentialDrift(g, a1=-4.0)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        spec.step_factor(np.zeros(3), 0.25)
+        StepFactor(spec, np.zeros(3), 0.25)
     cm = ControlMap(mode="identity", u_tag=L2)
     with pytest.raises(np.linalg.LinAlgError):
         solve_forward(spec, cm, Field(g, np.ones(3)), Control.zeros(cm, spec, 0.25, 2, rho=1.0))
+
+
+def test_linear_solve_without_steps_factors_nothing():
+    # the singular step of test_singular_step_matrix_raises: a control of 0
+    # steps takes none, so no factor is made and y0 comes back
+    g = grid1(3, neumann())
+    spec = PotentialDrift(g, a1=-4.0)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    traj = solve_forward(spec, cm, Field(g, np.ones(3)), Control.zeros(cm, spec, 0.25, 0, rho=1.0))
+    assert traj.steps == 0
+    assert np.array_equal(traj.states, np.ones((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +511,7 @@ def test_adjoint_pairing_identity_machine_exact(name):
     dt = 0.05
     for _ in range(5):
         y, z, p = (rng.standard_normal(spec.n_dof) for _ in range(3))
-        lhs = spec.state_inner(spec.step_factor(y, dt).solve(z), p)
+        lhs = spec.state_inner(StepFactor(spec, y, dt).solve(z), p)
         rhs = spec.state_inner(z, _adjoint_step(spec, y, dt, p))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -485,7 +522,7 @@ def test_self_adjoint_when_drift_vanishes():
     y, p = rng.standard_normal(spec.n_dof), rng.standard_normal(spec.n_dof)
     dt = 0.05
     np.testing.assert_allclose(_adjoint_step(spec, y, dt, p),
-                               spec.step_factor(y, dt).solve(p), atol=1e-9)
+                               StepFactor(spec, y, dt).solve(p), atol=1e-9)
 
 
 def test_fitzhugh_nagumo_adjoint_is_dense_transpose():

@@ -445,8 +445,8 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
 def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_cap):
     # linear intervals apply nothing, nonlinear ones once per Newton iterate
     # (A_H(y) carried across intervals), and the full projection's equivalent
-    # control is evaluated once; one factor per Newton iterate (one shared
-    # factor for a linear kind)
+    # control is evaluated once; one factor per Newton iterate (for a linear
+    # kind one per stepping loop: the approach and the continuation)
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
     spec = cfg.spec
     calls, factors = [], []
@@ -463,7 +463,7 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
             factors.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(operators, "StepFactor", Counted)
+    monkeypatch.setattr(forward, "StepFactor", Counted)
     num = cfg.numerics
     run = run_sliding(spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
                       num["hit_tol"])
@@ -471,7 +471,7 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
     assert len(calls) <= apply_cap
     trajs = (run.approach, run.continuation)
     newton = sum(int(t.newton_iters.sum()) for t in trajs)
-    assert len(factors) == (1 if spec.is_linear else newton)
+    assert len(factors) == (2 if spec.is_linear else newton)
 
 
 def test_hit_verdict_is_the_stop_tests_own(monkeypatch):
