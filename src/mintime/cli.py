@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .audit import audit_hypotheses
 from .config import ConfigError, RunConfig, load_config
-from .forward import Control, solve_forward
+from .forward import Control, Trajectory, solve_forward
 from .oracle import analytic_min_time_scalar, brute_force_min_time
 from .sliding import run_sliding
 from .timeopt import PenalizedProblem, eps_continuation
@@ -36,6 +36,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_trajectory(path: Path, traj: Trajectory, values: bool = False) -> None:
+    """Time and the H, V and A_H norms of each state, then with ``values``
+    the state's nodal values."""
+    nodal = [f"y{j}" for j in range(traj.states.shape[1])] if values else []
+    _write_csv(path, ["t", "h_norm", "v_norm", "a_norm"] + nodal,
+               zip(traj.times, traj.h_norms, traj.v_norms, traj.a_norms,
+                   *(traj.states.T if values else ())))
 
 
 def _finite_or_null(x):
@@ -64,7 +73,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path) -> dict:
     steps = max(1, round(T / cfg.numerics["dt"]))
     u = Control(T / steps, np.tile(sim["u"].values, (steps, 1)), cfg.rho, cfg.map.u_tag)
     traj = solve_forward(cfg.spec, cfg.map, cfg.y0, u, T)
-    traj.to_csv(outdir / "trajectory.csv", include_values=sim["write_values"])
+    _write_trajectory(outdir / "trajectory.csv", traj, sim["write_values"])
     return {"summary": traj.summary()}
 
 
@@ -83,7 +92,7 @@ def _cmd_slide(cfg: RunConfig, outdir: Path) -> dict:
     _write_csv(outdir / "residuals.csv", ["t", "deviation", "u_norm", "hit"], rows)
     _write_csv(outdir / "control.csv", ["t", "u_norm"],
                [(run_out.times[k + 1], nu) for k, nu in enumerate(run_out.control_norms)])
-    run_out.approach.to_csv(outdir / "trajectory.csv")
+    _write_trajectory(outdir / "trajectory.csv", run_out.approach)
     return {"summary": run_out.summary()}
 
 
@@ -105,7 +114,7 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
     _write_csv(outdir / "residuals.csv",
                ["t", "u_norm", "bstar_p_norm", "g73_residual"],
                zip(final.times, final.u_norms, final.bstar_p_norms, final.g73_residuals))
-    final_sol.trajectory.to_csv(outdir / "trajectory.csv")
+    _write_trajectory(outdir / "trajectory.csv", final_sol.trajectory)
     return {
         "rho": cfg.rho,
         "rho_margin": prob.rho_margin(),

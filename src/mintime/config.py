@@ -76,9 +76,17 @@ def _require(ok: bool, where: str, message: str) -> None:
         raise ConfigError(where, message)
 
 
+def _holds_bool(val) -> bool:
+    return isinstance(val, bool) or isinstance(val, list) and any(map(_holds_bool, val))
+
+
 def _converted(convert: Callable, what: str):
+    """``convert`` on a value that holds no boolean: YAML reads yes/no/on/off
+    as booleans, and float(True) is 1.0."""
     def parse(val, where: str):
         try:
+            if _holds_bool(val):
+                raise TypeError(val)
             return convert(val)
         except (TypeError, ValueError, KeyError, OverflowError):
             raise ConfigError(where, f"expected {what}, got {val!r}") from None
@@ -105,7 +113,6 @@ _float = _checked(_converted(float, "a number"), math.isfinite, "expected a fini
 _int = _converted(_integral, "an integer")
 _array = _checked(_converted(lambda val: np.asarray(val, dtype=float), "numbers"),
                   lambda x: np.isfinite(x).all(), "expected finite numbers")
-_bool = _converted(lambda val: {0: False, 1: True}[val], "true or false")  # True == 1
 
 
 def _list(parse):
@@ -123,6 +130,8 @@ def _one_or_list(parse):
 _positive = _checked(_float, lambda x: x > 0.0, "must be positive")
 _samples = _checked(_int, lambda n: n >= 100, "need at least 100 samples")
 _str = _checked(lambda val, where: val, lambda val: isinstance(val, str), "expected a string")
+_bool = _checked(lambda val, where: val, lambda val: isinstance(val, bool),
+                 "expected true or false")
 
 
 def _choice(*options):
@@ -213,7 +222,7 @@ _PROFILES = {
 def _profile(val, where: str) -> Callable[[Grid], np.ndarray]:
     """One component's profile (a number, a node list or a named profile
     mapping), parsed to its nodal values as a function of the grid."""
-    if isinstance(val, (int, float)):
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
         val = {"profile": "constant", "value": val}
     if isinstance(val, list):
         nodes = _array(val, where)
@@ -257,8 +266,9 @@ _GRID = {
 OPERATOR_KINDS = {
     "potential_drift": (PotentialDrift, 1, {"beta": _scalar, "a1": _float, "b": _float}),
     "porous_media": (PorousMedia, 1, {"beta": _scalar}),
-    "reaction_diffusion2": (ReactionDiffusion2, 2,
-                            {"d1": _positive, "d2": _positive, "f": _pair, "g": _pair}),
+    "reaction_diffusion2": (ReactionDiffusion2, 2, {
+        "d1": _positive, "d2": _checked(_float, lambda x: x >= 0.0, "must be nonnegative"),
+        "f": _pair, "g": _pair}),
     "fitzhugh_nagumo": (FitzHughNagumo, 2,
                         {"alpha0": _float, "sigma": _float, "gamma": _float, "d1": _positive}),
     "phase_field": (PhaseField, 2, {"k": _positive, "l": _float, "nu": _positive,

@@ -174,18 +174,6 @@ class Trajectory:
             "dt": dt,
         }
 
-    def to_csv(self, path, include_values: bool = False) -> None:
-        cols = ["t", "h_norm", "v_norm", "a_norm"]
-        if include_values:
-            cols += [f"y{j}" for j in range(self.states.shape[1])]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(len(self.times)):
-                row = [self.times[k], self.h_norms[k], self.v_norms[k], self.a_norms[k]]
-                if include_values:
-                    row += list(self.states[k])
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
 
 def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
     return math.sqrt(np.dot(spec.weights, r * r))

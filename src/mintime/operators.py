@@ -3,8 +3,9 @@
 Each operator kind realizes one configuration A_H of the abstract equation
 y' + A_H y = Bu on its own functional frame: the diffusion equation with
 potential and drift, the porous medium equation (state space H^-1), the
-two-component reaction-diffusion systems (including FitzHugh-Nagumo with a
-diffusionless second component) and the Caginalp phase-field system.
+two-component reaction-diffusion systems (FitzHugh-Nagumo is the linear pair
+whose second component does not diffuse, d2 = 0) and the Caginalp
+phase-field system.
 
 Every A_H is a nearest-neighbour stencil (the Laplacian and the drift) plus
 a nodal reaction, so in node-major order (the components of one node
@@ -36,7 +37,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grids import Grid
-from .nonlinearities import PAIR_FAMILIES, PairFn, ScalarFn, scalar_fn
+from .nonlinearities import PAIR_FAMILIES, PairFn, ScalarFn, pair_fn, scalar_fn
 from .spaces import (
     H1,
     HMINUS1,
@@ -326,7 +327,6 @@ class PotentialDrift(OperatorSpec):
             raise ValueError("PotentialDrift is a one-component operator")
         if self.beta.monotone_floor < 0.0:
             raise ValueError("beta must be nondecreasing (beta' >= a0 >= 0)")
-        self.state_tag = L2
         self.is_linear = self.beta.name in ("zero", "linear")
 
     @cached_property
@@ -388,10 +388,10 @@ class PorousMedia(OperatorSpec):
             raise ValueError("porous medium needs beta' >= a0 > 0")
         if not self.beta.growth_exponent < 1.0:
             raise ValueError("porous medium is the slow diffusion case: kappa < 1")
-        self.state_tag = HMINUS1
         self.is_linear = self.beta.name == "linear"
 
-    # V = L2 in the porous-medium frame
+    # H = H^-1 and V = L2 in the porous-medium frame
+    state_tag = HMINUS1
     v_gamma = (False,)
 
     def _base_blocks(self):
@@ -420,7 +420,8 @@ class ReactionDiffusion2(_TwoComponent):
 
     A(y, z) = (-D1 Lap y + f(y, z), -D2 Lap z + g(y, z)). The canonical
     isomorphism is I - Lap per component, as required for invertibility
-    under Neumann conditions.
+    under Neumann conditions. D1 > 0 and D2 >= 0: a second component without
+    diffusion (D2 = 0) is measured in plain L2, so V = H^1 x L2.
     """
 
     grid: Grid
@@ -432,10 +433,13 @@ class ReactionDiffusion2(_TwoComponent):
     def __post_init__(self):
         if self.grid.n_components != 2:
             raise ValueError("ReactionDiffusion2 has two components")
-        if not (self.d1 > 0.0 and self.d2 > 0.0):
-            raise ValueError("diffusivities must be positive (use FitzHughNagumo for D2 = 0)")
-        self.state_tag = L2
+        if not (self.d1 > 0.0 and self.d2 >= 0.0):
+            raise ValueError("diffusivities need d1 > 0 and d2 >= 0")
         self.is_linear = self.f.is_linear and self.g.is_linear
+
+    @property
+    def v_gamma(self) -> tuple[bool, ...]:
+        return (True, self.d2 > 0.0)
 
     def _base_blocks(self):
         return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
@@ -473,36 +477,12 @@ class ReactionDiffusion2(_TwoComponent):
         return [(0, 0, d_y[0]), (0, 1, d_z[0]), (1, 0, d_y[1]), (1, 1, d_z[1])]
 
 
-@dataclass
-class FitzHughNagumo(_TwoComponent):
-    """FitzHugh-Nagumo: f = alpha0 y + z, g = -sigma y + gamma z, D2 = 0.
-
-    The second component carries no Laplacian; its space is plain L2,
-    so V = H^1 x L2.
-    """
-
-    grid: Grid
-    alpha0: float = 1.0
-    sigma: float = 1.0
-    gamma: float = 1.0
-    d1: float = 1.0
-
-    def __post_init__(self):
-        if self.grid.n_components != 2:
-            raise ValueError("FitzHughNagumo has two components")
-        if not self.d1 > 0.0:
-            raise ValueError("first diffusivity must be positive")
-        self.state_tag = L2
-        self.is_linear = True
-
-    # no diffusion in the second component: V = H^1 x L2
-    v_gamma = (True, False)
-
-    def _base_blocks(self):
-        ones = np.ones(self.grid.size)
-        return [(0, 0, _scaled(self.d1, self._lap_diagonals)),
-                (0, 0, {0: self.alpha0 * ones}), (0, 1, {0: ones}),
-                (1, 0, {0: -self.sigma * ones}), (1, 1, {0: self.gamma * ones})]
+def FitzHughNagumo(grid: Grid, alpha0: float = 1.0, sigma: float = 1.0, gamma: float = 1.0,
+                   d1: float = 1.0) -> ReactionDiffusion2:
+    """FitzHugh-Nagumo: the pair f = alpha0 y + z, g = -sigma y + gamma z
+    whose second component does not diffuse (D2 = 0, V = H^1 x L2)."""
+    return ReactionDiffusion2(grid, d1, 0.0, pair_fn("linear2", alpha0, 1.0),
+                              pair_fn("linear2", -sigma, gamma))
 
 
 @dataclass
@@ -528,8 +508,6 @@ class PhaseField(_TwoComponent):
             raise ValueError("PhaseField has two components")
         if not (self.k > 0.0 and self.nu > 0.0):
             raise ValueError("diffusivities k, nu must be positive")
-        self.state_tag = L2
-        self.is_linear = False
 
     def _base_blocks(self):
         lap = self._lap_diagonals
@@ -580,8 +558,8 @@ class ControlMap:
                 raise ValueError("nonlocal mode needs a kernel and a control grid")
             if self.control_grid.n_components != 1:
                 raise ValueError("nonlocal control grid has one component")
-            if self.u_tag.kind == "Hminus1":
-                raise ValueError("Hminus1 control norms require the state grid")
+            if self.u_tag.needs_spectral:
+                raise ValueError("spectral control norms require the state grid")
             self.kernel = np.asarray(self.kernel, dtype=float)
 
     # -- shapes ---------------------------------------------------------------
@@ -594,13 +572,9 @@ class ControlMap:
         return g.size * g.n_components
 
     def _uspace(self, spec: OperatorSpec) -> tuple[Grid, NormTag, SpectralLaplacian | None]:
-        """The grid, norm tag and spectral operator of U, as the row kernels take them."""
-        g = self.ugrid(spec)
-        if not self.u_tag.needs_spectral:
-            return g, self.u_tag, None
-        if g is not spec.grid:
-            raise ValueError("spectral control norms require the state grid")
-        return g, self.u_tag, spec.gamma_op
+        """The grid, norm tag and spectral operator of U, as the row kernels
+        take them (a spectral tag lives on the state grid)."""
+        return self.ugrid(spec), self.u_tag, spec.gamma_op if self.u_tag.needs_spectral else None
 
     # -- B and B* -------------------------------------------------------------
 

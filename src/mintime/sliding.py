@@ -163,10 +163,13 @@ def run_sliding(
     hit_time = None
     hit_index = None
     # the verdict the stop test reached, on the same single-row deviation: a
-    # stacked norm of the same state may differ from it in the last bit
-    if deviation(approach.states[-1]) <= hit_tol:
+    # stacked norm of the same state may differ from it in the last bit, so
+    # the hit row reports the value the stop test saw
+    last = deviation(approach.states[-1])
+    if last <= hit_tol:
         hit_index = approach.steps
         hit_time = times[-1]
+        devs[hit_index] = last
         if hit_index:
             # linear interpolation of the tolerance crossing inside the step
             d0, d1 = devs[-2], devs[-1]

@@ -28,6 +28,12 @@ from mintime.forward import Control, solve_forward
 from mintime.operators import StepFactor
 
 
+def _diffusionless_pair(g):
+    """A nonlinear pair whose second component does not diffuse (d2 = 0)."""
+    return ReactionDiffusion2(g, d1=0.7, d2=0.0, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+
+
 def _instances(n=16):
     g1d = Grid(extent=(1.0,), nodes=(n,), bc=dirichlet())
     g1r = Grid(extent=(1.0,), nodes=(n,), bc=robin(0.8))
@@ -54,6 +60,10 @@ def _instances(n=16):
         ),
         (
             PhaseField(g2, k=1.0, l=0.4, nu=1.0, gamma=0.7),
+            ControlMap(mode="first_component", u_tag=L2, projection="first"),
+        ),
+        (
+            _diffusionless_pair(g2),
             ControlMap(mode="first_component", u_tag=L2, projection="first"),
         ),
     ]
@@ -142,7 +152,7 @@ def test_selfadjoint_heat_adjoint_decays_like_forward():
         )
 
 
-@pytest.mark.parametrize("idx", range(5))
+@pytest.mark.parametrize("idx", range(6))
 def test_duality_identity_every_kind(idx):
     spec, cm = _instances(16)[idx]
     rng = np.random.default_rng(10 + idx)
@@ -233,12 +243,15 @@ _LADDER = [(3,), (32,), (128,), (16, 16), (24, 24), (48, 48)]
 
 
 @pytest.mark.parametrize("nodes", _LADDER, ids=lambda n: "x".join(map(str, n)))
-@pytest.mark.parametrize("kind", ["reaction_diffusion2", "phase_field"])
+@pytest.mark.parametrize("kind", ["reaction_diffusion2", "diffusionless_pair", "phase_field"])
 def test_duality_identity_size_ladder(kind, nodes):
     g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bc=neumann(), n_components=2)
     if kind == "reaction_diffusion2":
         spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
                                   g=pair_fn("tanh_pair", -0.2, 0.6))
+        cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    elif kind == "diffusionless_pair":
+        spec = _diffusionless_pair(g)
         cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
     else:
         spec = PhaseField(g, k=1.0, l=0.4, nu=1.0, gamma=0.7)

@@ -447,6 +447,18 @@ BAD_CONFIGS = [
     (SCALAR_OPTIMIZE, "control.projection", "full", "control.projection"),
     (NONLOCAL_AUDIT, "control.norm", "Hminus1", "control.norm"),
     (POROUS_AUDIT, "grid.bc", "neumann", "grid.bc"),
+    # booleans where numbers belong (YAML reads yes/on/true as True, and
+    # float(True) is 1.0), and numbers where booleans belong (1 == True);
+    # each used to parse as the number or the flag
+    (HEAT_SLIDE, "control.rho", True, "control.rho"),
+    (HEAT_SLIDE, "numerics.dt", True, "numerics.dt"),
+    (HEAT_SLIDE, "initial.y0", True, "initial.y0"),
+    (HEAT_SLIDE, "targets.y_tar", [0.0] * 23 + [True], "targets.y_tar"),
+    (HEAT_SLIDE, "seed", True, "seed"),
+    (SCALAR_OPTIMIZE, "numerics.chain_u_ref", 1, "numerics.chain_u_ref"),
+    (SCALAR_ORACLE, "oracle.target_first_only", 0, "oracle.target_first_only"),
+    # a negative diffusivity (d2 = 0 is the diffusionless second component)
+    (SCALAR_OPTIMIZE, "operator.d2", -0.1, "operator.d2"),
 ]
 
 
@@ -468,6 +480,11 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, doc, path, value, field):
     assert main([doc["command"], "--config", str(_write(tmp_path, bad)), "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
     assert not (out / "report.json").exists()
+
+
+def test_reaction_diffusion2_takes_a_diffusionless_second_component():
+    cfg = parse_config(_with(SCALAR_OPTIMIZE, "operator.d2", 0))
+    assert cfg.spec.d2 == 0.0 and cfg.spec.v_gamma == (True, False)
 
 
 def test_porous_media_without_beta_takes_the_class_default(tmp_path):

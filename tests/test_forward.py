@@ -17,6 +17,7 @@ from mintime import (
     pair_fn,
     scalar_fn,
 )
+from mintime.cli import _write_trajectory
 from mintime.forward import Control, solve_forward, step_implicit
 
 
@@ -202,7 +203,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     u = Control.zeros(cm, spec, 0.01, 5, rho=1.0)
     traj = solve_forward(spec, cm, y0, u)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path, include_values=True)
+    _write_trajectory(path, traj, values=True)
     data = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_allclose(data["t"], traj.times)
     np.testing.assert_allclose(data["h_norm"], traj.h_norms)

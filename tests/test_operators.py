@@ -8,6 +8,7 @@ from mintime import (
     Field,
     FitzHughNagumo,
     Grid,
+    H1,
     L2,
     L4,
     HMINUS1,
@@ -176,9 +177,6 @@ def _apply_reference(spec, w):
     if isinstance(spec, ReactionDiffusion2):
         return np.concatenate([spec.d1 * (lap @ y) + spec.f(y, z),
                                spec.d2 * (lap @ z) + spec.g(y, z)])
-    if isinstance(spec, FitzHughNagumo):
-        return np.concatenate([spec.d1 * (lap @ y) + spec.alpha0 * y + z,
-                               -spec.sigma * y + spec.gamma * z])
     return np.concatenate([
         spec.k * (lap @ y) - spec.k * spec.l * (lap @ z),
         spec.nu * (lap @ z) + spec.beta(z) + spec.pi(z) + spec.gamma * spec.l * z - spec.gamma * y,
@@ -202,11 +200,6 @@ def _jacobian_reference(spec, w):
         j[:n, n:] = np.diag(spec.f.dz(y, z))
         j[n:, :n] = np.diag(spec.g.dy(y, z))
         j[n:, n:] = spec.d2 * lap + np.diag(spec.g.dz(y, z))
-    elif isinstance(spec, FitzHughNagumo):
-        j[:n, :n] = spec.d1 * lap + spec.alpha0 * eye
-        j[:n, n:] = eye
-        j[n:, :n] = -spec.sigma * eye
-        j[n:, n:] = spec.gamma * eye
     else:
         j[:n, :n] = spec.k * lap
         j[:n, n:] = -spec.k * spec.l * lap
@@ -223,6 +216,8 @@ _BAND_CASES = [
     for dim in (1, 2)
     for wall in (("dirichlet",) if kind == "porous_media" else tuple(_WALLS))
 ]
+# a pair whose second component does not diffuse, under a nonlinear coupling
+_DIFFUSIONLESS_CASES = [("diffusionless_pair", dim, wall) for dim in (1, 2) for wall in _WALLS]
 
 
 def _band_spec(kind, dim, wall, rng, nodes=None):
@@ -239,10 +234,13 @@ def _band_spec(kind, dim, wall, rng, nodes=None):
                                   g=pair_fn("tanh_pair", 0.4, 0.3))
     if kind == "fitzhugh_nagumo":
         return FitzHughNagumo(g, alpha0=0.5, sigma=1.5, gamma=0.25, d1=0.7)
+    if kind == "diffusionless_pair":
+        return ReactionDiffusion2(g, d1=0.7, d2=0.0, f=pair_fn("tanh_pair", 0.5, 0.4),
+                                  g=pair_fn("tanh_pair", -0.2, 0.6))
     return PhaseField(g, k=1.0, l=0.5, nu=0.8, gamma=0.9)
 
 
-@pytest.mark.parametrize("kind,dim,wall", _BAND_CASES)
+@pytest.mark.parametrize("kind,dim,wall", _BAND_CASES + _DIFFUSIONLESS_CASES)
 def test_band_is_the_jacobian(kind, dim, wall):
     rng = np.random.default_rng(31)
     spec = _band_spec(kind, dim, wall, rng)
@@ -267,7 +265,8 @@ def test_band_is_the_jacobian(kind, dim, wall):
 # that scipy's dgbmv demands of its matrix
 _APPLY_CASES = [case + ((),) for case in _BAND_CASES] + [
     (kind, 1, "neumann", (3,))
-    for kind in ("reaction_diffusion2", "fitzhugh_nagumo", "phase_field")]
+    for kind in ("reaction_diffusion2", "fitzhugh_nagumo", "phase_field")] + [
+    case + ((),) for case in _DIFFUSIONLESS_CASES] + [("diffusionless_pair", 1, "neumann", (3,))]
 
 
 @pytest.mark.parametrize("kind,dim,wall,nodes", _APPLY_CASES)
@@ -526,7 +525,9 @@ def test_self_adjoint_when_drift_vanishes():
 
 
 def test_fitzhugh_nagumo_adjoint_is_dense_transpose():
-    spec = FitzHughNagumo(grid2(10), alpha0=0.5, sigma=1.5, gamma=0.25)
+    sigma = 1.5
+    spec = FitzHughNagumo(grid2(10), alpha0=0.5, sigma=sigma, gamma=0.25)
+    assert isinstance(spec, ReactionDiffusion2) and spec.d2 == 0.0 and spec.is_linear
     rng = np.random.default_rng(8)
     y = rng.standard_normal(spec.n_dof)
     dt, n, w = 0.05, spec.grid.size, spec.weights
@@ -537,7 +538,7 @@ def test_fitzhugh_nagumo_adjoint_is_dense_transpose():
     np.testing.assert_allclose(adj, expected, atol=1e-13)
     # the adjoint's generator W^-1 J^T W: coupling constants in transposed positions
     astar = (np.linalg.inv(adj) - eye) / dt
-    np.testing.assert_allclose(np.diag(astar[:n, n:]), -spec.sigma, atol=1e-10)
+    np.testing.assert_allclose(np.diag(astar[:n, n:]), -sigma, atol=1e-10)
     np.testing.assert_allclose(np.diag(astar[n:, :n]), 1.0, atol=1e-10)
 
 
@@ -621,6 +622,14 @@ def test_nonlocal_rank_one_kernel():
     lhs = spec.state_inner(bu, v)
     rhs = cm.u_pairing(spec, cm.apply_Bstar(spec, v), u)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("tag", [H1, HMINUS1], ids=lambda t: t.kind)
+def test_nonlocal_map_with_a_spectral_norm_is_refused_when_built(tag):
+    # a spectral U-norm lives on the state grid; a nonlocal control grid has none
+    with pytest.raises(ValueError, match="spectral control norms require the state grid"):
+        ControlMap(mode="nonlocal", u_tag=tag, kernel=np.ones((9, 5)),
+                   control_grid=Grid((1.0,), (5,)))
 
 
 def test_B_and_Bstar_shapes_on_rows_and_stacks():
@@ -740,9 +749,13 @@ def test_porous_media_guards():
         PorousMedia(grid1(8, neumann()))  # needs Dirichlet walls
 
 
-def test_rd2_needs_positive_diffusivities():
-    with pytest.raises(ValueError):
-        ReactionDiffusion2(grid2(8), d1=1.0, d2=0.0)
+def test_rd2_needs_positive_d1_and_nonnegative_d2():
+    for d1, d2 in ((1.0, -0.1), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            ReactionDiffusion2(grid2(8), d1=d1, d2=d2)
+    # a second component without diffusion is measured in L2: V = H^1 x L2
+    assert ReactionDiffusion2(grid2(8), d1=1.0, d2=0.0).v_gamma == (True, False)
+    assert ReactionDiffusion2(grid2(8), d1=1.0, d2=0.5).v_gamma == (True, True)
 
 
 def test_component_mismatch_rejected():

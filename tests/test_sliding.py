@@ -1,10 +1,13 @@
 """Sign feedback, hit times and their bound, manifold invariance."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import mintime.cli as cli
 import mintime.forward as forward
 import mintime.operators as operators
 from mintime import (
@@ -474,15 +477,14 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
     assert len(factors) == (2 if spec.is_linear else newton)
 
 
-def test_hit_verdict_is_the_stop_tests_own(monkeypatch):
-    # the approach stops on a single-row deviation <= hit_tol; a stacked norm
-    # of the same state may read a last bit higher, and must not turn the stop
-    # into a miss. Stacked norms are made to read one ulp high here, so the
-    # case does not hang on how the linear algebra library rounds.
+def _stop_at_300_with_stacked_norms_high(monkeypatch):
+    """``slide_heat``'s config and the single-row deviation of its approach
+    state 300 as a hit_tol, with stacked norms made to read one ulp high, so
+    the cases below do not hang on how the linear algebra library rounds."""
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "slide_heat.yaml")
     spec, cm, num = cfg.spec, cfg.map, cfg.numerics
-    args = (spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"])
-    first = run_sliding(*args, num["hit_tol"], continue_after_hit=False)
+    first = run_sliding(spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
+                        num["hit_tol"], continue_after_hit=False)
     assert first.approach.steps > 300
     tol = float(spec.h_norm(cm.project_state(spec, first.approach.states[300]
                                              - cfg.y_tar.values)))
@@ -493,9 +495,31 @@ def test_hit_verdict_is_the_stop_tests_own(monkeypatch):
         return np.nextafter(out, np.inf) if np.ndim(y) == 2 else out
 
     monkeypatch.setattr(operators.OperatorSpec, "h_norm", stacked_high)
-    run = run_sliding(*args, tol)
+    return cfg, tol
+
+
+def test_hit_verdict_is_the_stop_tests_own(monkeypatch):
+    # the approach stops on a single-row deviation <= hit_tol; a stacked norm
+    # of the same state may read a last bit higher, and must neither turn the
+    # stop into a miss nor be what the hit row reports
+    cfg, tol = _stop_at_300_with_stacked_norms_high(monkeypatch)
+    num = cfg.numerics
+    run = run_sliding(cfg.spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
+                      tol)
     assert run.approach.steps == 300
-    assert run.deviations[300] > tol  # the stacked deviation, as reported
+    assert run.deviations[300] <= tol  # the stop test's own deviation, as reported
     assert run.hit and run.hit_index == 300
     assert run.continuation is not None
     assert run.summary()["T_hit"] <= 300 * num["dt"] + 1e-15
+
+
+def test_reported_hit_row_is_the_stop_tests_own(monkeypatch, tmp_path):
+    cfg, tol = _stop_at_300_with_stacked_norms_high(monkeypatch)
+    path, out = tmp_path / "slide.yaml", tmp_path / "out"
+    path.write_text(yaml.safe_dump({**cfg.raw, "numerics": {**cfg.raw["numerics"],
+                                                           "hit_tol": tol}}))
+    assert cli.run(path, out) == 0
+    residuals = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+    assert residuals[300, 3] == 1.0  # the hit column of the hit row
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["hit"] and summary["max_post_hit_deviation"] <= tol
