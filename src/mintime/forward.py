@@ -1,11 +1,13 @@
-"""Backward-Euler time integration of y' + A_H y = Bu with full Newton.
+"""Backward-Euler time integration of y' + A_H y = Bu by Newton's method.
 
 One stepping loop, ``_integrate``, carries every solve: open-loop controls
 (``solve_forward``) and feedback laws (the sliding approach and its post-hit
 continuation) alike take a control row at the head of each interval and hold
 it over the interval. Every step solves with the banded LU factors of
 I + dt A'(y), a ``StepFactor`` made here: a linear kind is factored once
-per loop that takes a step, and a nonlinear kind at each Newton iterate.
+per loop that takes a step. A nonlinear interval's first Newton update
+reuses the factor of the loop's previous interval if that one converged
+after exactly one update; every other update factors at its iterate.
 On Newton failure the control interval is retried on up to 6 binary
 subdivisions before giving up; the trajectory records the Newton
 iterations, last residual and sub-steps of each interval.
@@ -180,11 +182,15 @@ def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
 
 
 def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: float,
-                    a_guess: np.ndarray | None = None,
+                    a_guess: np.ndarray | None = None, held: list | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Solve x + dt A_H(x) = rhs for a nonlinear kind by Newton from
     ``guess``, whose A_H is ``a_guess`` when the caller has it; returns
-    (x, A_H(x), iters, residual)."""
+    (x, A_H(x), iters, residual). The first update solves with the factor
+    of this dt in the list ``held`` if the caller keeps one there, and every
+    other update factors at its iterate, dropping the old factor first; on
+    return ``held`` keeps the factor of a solve that took exactly one update."""
+    held = [] if held is None else held
     scale = 1.0 + _wnorm(spec, rhs)
     x = guess
     ax = spec.apply(x) if a_guess is None else a_guess
@@ -192,10 +198,16 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
         r = x + dt * ax - rhs
         res = _wnorm(spec, r)
         if res <= NEWTON_TOL * scale:
+            if it != 1:
+                held.clear()
             return x, ax, it, res
         if it == NEWTON_MAX_ITER:
+            held.clear()
             raise StepFailure(res)
-        x = x - StepFactor(spec, x, dt).solve(r)
+        if it or not held:
+            held.clear()
+            held.append(StepFactor(spec, x, dt))
+        x = x - held[0].solve(r)
         ax = spec.apply(x)
 
 
@@ -211,13 +223,15 @@ def step_implicit(spec: OperatorSpec, map: ControlMap, y: Field, u_step: Field,
 
 def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt: float,
                           step_index: int, a_y: np.ndarray | None = None,
+                          held: list | None = None,
                           ) -> tuple[np.ndarray, np.ndarray, int, float, int]:
     """Advance one nonlinear interval, halving the internal step on failure.
 
     ``a_y`` is A_H(y) when the caller has it (else the first Newton residual
     evaluates it); every retry starts from y, so it serves each of them.
-    Returns (state, its A_H, Newton iterations, last residual, sub-steps
-    taken)."""
+    ``held`` (see ``_implicit_solve``) serves the whole step; sub-steps
+    factor on their own and leave it empty. Returns (state, its A_H,
+    Newton iterations, last residual, sub-steps taken)."""
     for level in range(MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
@@ -225,7 +239,8 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt:
         iters = 0
         try:
             for _ in range(nsub):
-                x, ax, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt, ax)
+                x, ax, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt, ax,
+                                                 held if nsub == 1 else None)
                 iters += it
             return x, ax, iters, res, nsub
         except StepFailure as exc:
@@ -252,6 +267,7 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     # B u row and leaves its residual to the trajectory's first read
     linear = spec.is_linear
     factor = StepFactor(spec, y0, dt) if linear and steps else None
+    held = []  # a nonlinear interval's kept factor, see _implicit_solve
     residuals = None if linear else np.zeros(steps)
     forcing = np.empty((steps, spec.n_dof)) if linear else None
 
@@ -265,7 +281,7 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
             forcing[k] = bu
         else:
             y, a_y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
-                spec, y, bu, dt, k, a_y)
+                spec, y, bu, dt, k, a_y, held)
         states[k + 1] = y
         if stop is not None and stop(y):
             K = k + 1

@@ -14,10 +14,11 @@ once, in LAPACK band storage: a cached y-independent band built from the
 per-axis 1D stencils, plus the y-dependent nodal diagonals, the derivative
 of the nodal reaction written beside it. ``apply`` is that cached band times
 y (``dgbmv``) plus the reaction. ``StepFactor`` factors I + dt A'(y) from
-the same band with ``dgbtrf``; the forward Newton step, the variation and
-the adjoint each make theirs where they step, the adjoint solving with the
-exact transpose (``dgbtrs`` with ``trans=1``), never a separate
-discretization. No operator holds a factor or a dense n_dof x n_dof matrix.
+the same band with ``dgbtrf``. The variation and the adjoint make theirs
+where they step, the forward Newton step where it updates (its first one
+may reuse the previous interval's), the adjoint solving with the exact
+transpose (``dgbtrs`` with ``trans=1``), never a separate discretization.
+No operator holds a factor or a dense n_dof x n_dof matrix.
 
 States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
 ``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
@@ -224,18 +225,19 @@ class OperatorSpec:
         """The product of a band in the storage of ``band`` with a
         component-major vector, or with each row of a stack of them, returned
         component-major."""
-        if x.ndim > 1:
-            rows = [self._band_dot(ab, row) for row in x.reshape(-1, x.shape[-1])]
-            return np.reshape(rows, x.shape)
         order, bw = self.node_order, self.bandwidth
         n = order.size
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
-        xs = x[order]
-        if m > n:
-            xs = np.concatenate([xs, np.zeros(m - n)])
+        if ab.shape[1] < m:  # zero columns, once for a whole stack
             wide = np.zeros((ab.shape[0], m), order="F")
             wide[:, :n] = ab
             ab = wide
+        if x.ndim > 1:
+            rows = [self._band_dot(ab, row) for row in x.reshape(-1, x.shape[-1])]
+            return np.reshape(rows, x.shape)
+        xs = x[order]
+        if m > n:
+            xs = np.concatenate([xs, np.zeros(m - n)])
         out = np.empty(n)
         out[order] = dgbmv(m, m, bw, bw, 1.0, ab, xs)[:n]
         return out

@@ -285,3 +285,43 @@ def test_sweeps_hold_one_step_factor_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 3 * factor_bytes
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_forward_solve_holds_one_step_factor_at_a_time(monkeypatch, dt):
+    # the forward loop keeps a factor across intervals while one update with
+    # it converges, and drops it before it factors anew: at dt 1e-3 every
+    # interval takes two updates, at dt 1e-4 most reuse the kept factor and
+    # some refactor, and the memory stays below that of two live factors
+    import mintime.forward as forward
+
+    g = Grid(extent=(1.0, 1.0), nodes=(16, 16), bc=neumann(), n_components=2)
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    x, y = g.coordinates()
+    y0 = Field(g, np.concatenate([0.5 * np.cos(np.pi * x) * np.cos(np.pi * y),
+                                  np.full(g.size, 0.2)]), 2)
+    row = np.concatenate([np.cos(np.pi * x), np.zeros(g.size)])
+    u = Control(dt, np.tile(5.0 * row / cm.u_norms_batch(spec, row), (20, 1)), 10.0, L4)
+    factor_bytes = StepFactor(spec, y0.values, dt).lu.nbytes
+    made = []
+
+    class Counted(StepFactor):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(forward, "StepFactor", Counted)
+    tracemalloc.start()
+    try:
+        traj = solve_forward(spec, cm, y0, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    updates = int(traj.newton_iters.sum())
+    if dt == 1e-3:
+        assert len(made) == updates == 40
+    else:
+        assert 1 < len(made) < updates
+    assert peak < 2.5 * factor_bytes

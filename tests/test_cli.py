@@ -126,7 +126,10 @@ def test_slide_reaction_diffusion_config_reports_the_certified_bound(tmp_path):
     assert run(REPO / "configs/slide_reaction_diffusion.yaml", out) == 0
     summary = json.loads((out / "report.json").read_text())["summary"]
     assert summary["T_star"] == 0.07425107281417975
-    assert summary["T_hit"] == 0.030260619853655298
+    assert summary["T_hit"] == 0.030260621146344785
+    # with a factor made at every Newton update the hit time reads
+    # 0.030260619853655298; a kept factor stops within NEWTON_TOL of it
+    assert abs(summary["T_hit"] - 0.030260619853655298) <= 1e-8
     assert summary["T_star_valid"] is True
 
 

@@ -9,6 +9,7 @@ from mintime import (
     Field,
     Grid,
     L2,
+    L4,
     PorousMedia,
     PotentialDrift,
     ReactionDiffusion2,
@@ -248,6 +249,74 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
     # one interval sub-steps instead of failing
     _, _, iters, _, nsub = forward._step_with_refinement(spec, y, np.zeros_like(y), 0.05, 0)
     assert nsub > 1 and iters > 0
+
+
+def _record_factors(monkeypatch) -> tuple[list, list]:
+    """The (state, dt) of every step factor the stepping loop makes, and the
+    number made before each interval starts."""
+    import mintime.forward as forward
+
+    made, starts = [], []
+
+    class Recorded(forward.StepFactor):
+        def __init__(self, spec, y, dt):
+            made.append((y.copy(), dt))
+            super().__init__(spec, y, dt)
+
+    step = forward._step_with_refinement
+
+    def recorded(*args):
+        starts.append(len(made))
+        return step(*args)
+
+    monkeypatch.setattr(forward, "StepFactor", Recorded)
+    monkeypatch.setattr(forward, "_step_with_refinement", recorded)
+    return made, starts
+
+
+def test_intervals_of_two_updates_keep_no_factor(monkeypatch):
+    # the operator and map of bench/gradient_2d.yaml on 6x6 at its dt 1e-2:
+    # every interval needs a second update, so none hands its factor on and
+    # each update factors at its own iterate
+    g = Grid(extent=(1.0, 1.0), nodes=(6, 6), bc=neumann(), n_components=2)
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
+    x, y = g.coordinates()
+    y0 = Field(g, np.concatenate([0.5 * np.cos(np.pi * x) * np.cos(np.pi * y),
+                                  np.full(g.size, 0.2)]), 2)
+    row = np.concatenate([np.cos(np.pi * x), np.zeros(g.size)])
+    u = Control(1e-2, np.tile(5.0 * row / cm.u_norms_batch(spec, row), (20, 1)), 10.0, L4)
+    made, starts = _record_factors(monkeypatch)
+    traj = solve_forward(spec, cm, y0, u)
+    assert np.all(traj.newton_iters == 2)
+    assert len(made) == int(traj.newton_iters.sum()) == 40
+    for k, first in enumerate(starts):
+        np.testing.assert_array_equal(made[first][0], traj.states[k])
+
+
+def test_substepped_interval_factors_at_its_own_substeps(monkeypatch):
+    # with one update allowed, each interval of dt 1e-2 is carried by 4
+    # sub-steps that converge after one update each: every sub-step must
+    # factor at its own start, and the interval must hand no factor of the
+    # sub-step's dt to the next one
+    import mintime.forward as forward
+
+    spec = tanh_pair_spec()
+    cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    (x,) = spec.grid.coordinates()
+    y0 = Field(spec.grid, np.concatenate([0.5 * np.cos(np.pi * x), np.full(16, 0.2)]), 2)
+    row = np.concatenate([5.0 * np.cos(np.pi * x), np.zeros(16)])
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 1)
+    made, starts = _record_factors(monkeypatch)
+    traj = solve_forward(spec, cm, y0, Control(1e-2, np.tile(row, (3, 1)), rho=1e9))
+    assert traj.substeps[0] == traj.newton_iters[0] == 4
+    carried = [dt for _, dt in made[starts[0]:starts[1]] if dt == 1e-2 / 4]
+    assert len(carried) == 4
+    for k in (1, 2):
+        state, dt = made[starts[k]]
+        assert dt == 1e-2
+        np.testing.assert_array_equal(state, traj.states[k])
 
 
 # ---------------------------------------------------------------------------

@@ -444,12 +444,16 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
 
 
 @pytest.mark.parametrize("name, apply_cap", [("slide_heat", 9),
-                                             ("slide_reaction_diffusion", 9703)])
+                                             ("slide_reaction_diffusion", None)])
 def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_cap):
-    # linear intervals apply nothing, nonlinear ones once per Newton iterate
-    # (A_H(y) carried across intervals), and the full projection's equivalent
-    # control is evaluated once; one factor per Newton iterate (for a linear
-    # kind one per stepping loop: the approach and the continuation)
+    # linear intervals apply nothing, and the full projection's equivalent
+    # control is evaluated once; a linear kind makes one factor per stepping
+    # loop (the approach and the continuation). A nonlinear loop applies once
+    # at its start and once per Newton update (A_H(y) carried across
+    # intervals), the first-component law once per continuation interval,
+    # and the audit and the bound's surrogate 4 times. Its intervals keep a
+    # factor while one update with it converges, so 5,000 intervals make
+    # about 60 factors where a factor per update would make 5,000
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
     spec = cfg.spec
     calls, factors = [], []
@@ -471,10 +475,36 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
     run = run_sliding(spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
                       num["hit_tol"])
     assert run.hit and run.continuation is not None
-    assert len(calls) <= apply_cap
     trajs = (run.approach, run.continuation)
     newton = sum(int(t.newton_iters.sum()) for t in trajs)
-    assert len(factors) == (2 if spec.is_linear else newton)
+    if spec.is_linear:
+        assert len(calls) <= apply_cap
+        assert len(factors) == 2
+    else:
+        assert len(calls) == newton + run.continuation.steps + 6
+        assert len(factors) <= 100
+
+
+def test_kept_factors_meet_the_newton_stop_test_on_every_interval(monkeypatch):
+    # a first update with a kept factor is a chord step: every interval of
+    # the approach and of the continuation must still end within NEWTON_TOL
+    # of its own equation, measured afresh from the stored states
+    stepped = _record_intervals(monkeypatch)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "slide_reaction_diffusion.yaml")
+    spec, num = cfg.spec, cfg.numerics
+    dt = num["dt"]
+    run = run_sliding(spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], dt,
+                      num["hit_tol"])
+    trajs = (run.approach, run.continuation)
+    assert len(stepped) == sum(t.steps for t in trajs) == 5000
+    assert sum(int(t.newton_iters.sum()) for t in trajs) > 5000  # some needed a second update
+    bus = iter(stepped)
+    for traj in trajs:
+        for y, x in zip(traj.states[:-1], traj.states[1:]):
+            rhs = y + dt * next(bus)
+            res = forward._wnorm(spec, x + dt * spec.apply(x) - rhs)
+            assert res <= NEWTON_TOL * (1.0 + forward._wnorm(spec, rhs))
 
 
 def _stop_at_300_with_stacked_norms_high(monkeypatch):
