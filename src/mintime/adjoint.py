@@ -40,10 +40,6 @@ class AdjointState:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def _sweep_factors(spec: OperatorSpec, traj: Trajectory) -> Callable[[int], StepFactor]:
     """The factor of I + dt A'(y_k) at step k, made when a sweep asks for it

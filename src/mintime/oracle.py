@@ -105,7 +105,8 @@ def brute_force_min_time(
 
     Switch instants live on a coarse slot grid (at most ``N_SLOTS`` slots over
     the horizon) while the integration runs on the fine RK4 grid; all
-    sequences advance together as one batched state array.
+    sequences advance together as one batched state array, and the search
+    returns at the first step where any of them hits.
     """
     if not 0 <= switch_budget <= 3:
         raise ValueError(f"switch budget must be 0 to 3, got {switch_budget}")
@@ -134,12 +135,10 @@ def brute_force_min_time(
     def rhs(states: np.ndarray, uvals: np.ndarray) -> np.ndarray:
         return -(states @ m.T) + uvals[:, None] * e1[None, :]
 
-    best = INFEASIBLE
     prev_dist = dist(y)
     if np.any(np.abs(prev_dist) <= 1e-14):
         return 0.0
 
-    alive = np.ones(nseq, dtype=bool)
     t = 0.0
     for k in range(steps):
         slot = min(int(t / slot_dt), n_slots - 1)
@@ -151,27 +150,15 @@ def brute_force_min_time(
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         cur = dist(y)
-        if signed:
-            # the signed first-component distance crosses zero transversally
-            hits = alive & ((np.sign(cur) != np.sign(prev_dist)) | (cur == 0.0))
-            if np.any(hits):
-                before = np.abs(prev_dist[hits])
-                after = np.abs(cur[hits])
-                frac = np.where(before + after > 0, before / (before + after), 1.0)
-                times = (t - dt) + frac * dt
-                best = min(best, float(times.min()))
-                alive[hits] = False
-        else:
-            hits = alive & (cur <= hit_tol)
-            if np.any(hits):
-                before = prev_dist[hits]
-                after = cur[hits]
-                denom = np.maximum(before - after, 1e-300)
-                frac = np.clip((before - hit_tol) / denom, 0.0, 1.0)
-                times = (t - dt) + frac * dt
-                best = min(best, float(times.min()))
-                alive[hits] = False
+        # the signed first-component distance crosses zero transversally
+        hits = (np.sign(cur) != np.sign(prev_dist)) | (cur == 0.0) if signed else cur <= hit_tol
+        if np.any(hits):
+            before, after = prev_dist[hits], cur[hits]
+            if signed:  # before is nonzero: a zero distance is a hit where it is reached
+                frac = np.abs(before) / (np.abs(before) + np.abs(after))
+            else:
+                frac = np.clip((before - hit_tol) / np.maximum(before - after, 1e-300), 0.0, 1.0)
+            # time only moves forward: the first batch hit is minimal
+            return float(((t - dt) + frac * dt).min())
         prev_dist = cur
-        if np.isfinite(best):
-            break  # time only moves forward: the first batch hit is minimal
-    return best
+    return INFEASIBLE

@@ -131,6 +131,8 @@ def run_sliding(
     """
     if not (hit_tol > 0.0 and dt > 0.0 and T_max > 0.0):
         raise ValueError("T_max, dt and hit_tol must be positive")
+    if continue_after_hit and map.mode == "nonlocal":
+        raise ValueError("control mode 'nonlocal' cannot hold the manifold past the hit")
 
     entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
     c1 = float(entry.constants["C1"])

@@ -280,16 +280,15 @@ class _LinearKernel:
 
 class _Sweeps:
     """G and G* from sequential sweeps over the banded step factor: the
-    forward solve of the latest control, and the variation and adjoint
-    linearized along it. Before the first forward solve the linearization
-    point is zero, which serves a linear kind: its factor is state-free."""
+    forward solve of the latest control (on exit, the one ``_newton`` returns),
+    and the variation and adjoint linearized along it, at zero before any
+    forward solve, which serves a linear kind: its factor is state-free."""
 
     def __init__(self, prob: PenalizedProblem, K: int, dte: float):
         self.prob, self.dte = prob, dte
         spec = prob.spec
         self.traj = Trajectory(spec, dte * np.arange(K + 1), np.zeros((K + 1, spec.n_dof)),
                                np.zeros(K, dtype=int), np.zeros(K))
-        self.traj_control = None
 
     def _control(self, vals: np.ndarray) -> Control:
         return Control(self.dte, vals, self.prob.rho, self.prob.map.u_tag)
@@ -301,7 +300,6 @@ class _Sweeps:
     def terminal_state(self, uvals: np.ndarray) -> np.ndarray:
         p = self.prob
         self.traj = solve_forward(p.spec, p.map, p.y0, self._control(uvals))
-        self.traj_control = uvals
         return self.traj.states[-1]
 
     def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
@@ -317,8 +315,6 @@ class _Sweeps:
         """sum_k <p_{k-1}, B u_k - A(y_k)>_H: one adjoint sweep and one
         stacked apply along the control's trajectory."""
         p, spec = self.prob, self.prob.spec
-        if self.traj_control is not uvals:   # a rejected Newton trial came last
-            self.terminal_state(uvals)
         adj = self._adjoint(p_terminal)
         bu = p.map.u_pairing(spec, p.map.apply_Bstar(spec, adj), uvals)
         ay = spec.state_inner(spec.apply(self.traj.states[1:]), adj)
@@ -441,7 +437,8 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
     backtracking on the residual norm. Without ``u_ref`` the unknown is the
     terminal costate and the residual F(p) = p - P(y_K(u(p)) - y_tar)/eps;
     with it, the resolvent argument and F(Z) = Z + B* p_{k-1}(u(Z)) + tail(u(Z)).
-    Returns (u, y_K, p_T, iterations, stop)."""
+    Returns (u, y_K, p_T, iterations, stop); every exit leaves u's forward solve
+    the latest in ``maps`` (a plateau, which ends on a rejected trial, solves u again)."""
     spec, cmap = prob.spec, prob.map
     eps, rho = prob.eps, prob.rho
     tol = prob.inner_tol * rho * math.sqrt(T)
@@ -500,6 +497,7 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
             t *= 0.5
         else:
             stop = "plateau"  # no step decreases the residual norm
+            maps.terminal_state(u)
             break
         x = x + t * delta
         Z, u, y_term, F = trial

@@ -184,6 +184,32 @@ def test_audit_command(tmp_path):
     assert a1 > 0.45
 
 
+def test_audit_with_a_target_adds_the_sign_condition(tmp_path):
+    # the monotone porous operator meets the sign condition with C1 = 0, and
+    # the entry drawn last leaves every other entry as it was
+    doc = yaml.safe_load((REPO / "configs/audit_porous.yaml").read_text())
+    doc["targets"] = {"y_tar": {"profile": "zero"}}
+    bare, targeted = tmp_path / "bare", tmp_path / "targeted"
+    assert run(REPO / "configs/audit_porous.yaml", bare) == 0
+    assert run(_write(tmp_path, doc), targeted) == 0
+    entries = json.loads((targeted / "report.json").read_text())["audit"]["entries"]
+    assert entries.pop("sign_condition_g5_000")["constants"] == {"C1": 0.0}
+    assert entries == json.loads((bare / "report.json").read_text())["audit"]["entries"]
+
+
+def test_seed_override_reaches_the_manifest_the_report_and_the_config(tmp_path):
+    out, written = tmp_path / "override", tmp_path / "written"
+    path = _write(tmp_path, {**POROUS_AUDIT, "seed": 3}, name="three.yaml")
+    assert main(["audit", "--config", str(path), "--out", str(out), "--seed", "11"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 11
+    assert json.loads((out / "report.json").read_text())["seed"] == 11
+    # the same bytes as a config that says seed: 11
+    assert run(_write(tmp_path, {**POROUS_AUDIT, "seed": 11}, name="eleven.yaml"), written) == 0
+    for name in ("manifest.json", "report.json"):
+        assert (out / name).read_bytes() == (written / name).read_bytes()
+
+
 def test_oracle_command(tmp_path):
     doc = {
         "command": "oracle",
@@ -462,6 +488,10 @@ BAD_CONFIGS = [
     (SCALAR_ORACLE, "oracle.target_first_only", 0, "oracle.target_first_only"),
     # a negative diffusivity (d2 = 0 is the diffusionless second component)
     (SCALAR_OPTIMIZE, "operator.d2", -0.1, "operator.d2"),
+    # a node list of the wrong length, and a profile list of the wrong length
+    (HEAT_SLIDE, "initial.y0", [0.0] * 5, "initial.y0"),
+    (SCALAR_OPTIMIZE, "targets.y_tar", [{"profile": "zero"} for _ in range(3)],
+     "targets.y_tar"),
 ]
 
 
@@ -483,6 +513,18 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, doc, path, value, field):
     assert main([doc["command"], "--config", str(_write(tmp_path, bad)), "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("profile, nodal", [
+    (0.3, lambda x: np.full(x.size, 0.3)),
+    (np.linspace(0.0, 1.0, 24).tolist(), lambda x: np.linspace(0.0, 1.0, 24)),
+    ({"profile": "gauss", "scale": 2.0, "center": 0.25, "width": 0.2},
+     lambda x: 2.0 * np.exp(-(x - 0.25) ** 2 / 0.08)),
+], ids=["number", "node_list", "gauss"])
+def test_profile_shorthands_give_their_nodal_values(profile, nodal):
+    cfg = parse_config(_with(HEAT_SLIDE, "initial.y0", profile))
+    (x,) = cfg.grid.coordinates()
+    np.testing.assert_allclose(cfg.y0.values, nodal(x), rtol=1e-14, atol=0.0)
 
 
 def test_reaction_diffusion2_takes_a_diffusionless_second_component():

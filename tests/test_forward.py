@@ -412,3 +412,28 @@ def test_linear_trajectory_without_steps_has_no_residuals():
     traj, rows = forward._integrate(spec, cm, np.ones(8), 0.01, 0, lambda k, y: y)
     assert traj.steps == 0 and rows.shape == (0, 8)
     assert traj.residuals.shape == (0,)
+
+
+def test_interval_fails_with_its_index_after_every_halving(monkeypatch):
+    # with no Newton update allowed, an interval whose start is not already
+    # its solution fails at dt and at each of the MAX_HALVINGS halvings
+    import mintime.forward as forward
+
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    tried = []
+    solve = forward._implicit_solve
+
+    def recorded(spec, rhs, guess, dt, *args):
+        tried.append(dt)
+        return solve(spec, rhs, guess, dt, *args)
+
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 0)
+    monkeypatch.setattr(forward, "_implicit_solve", recorded)
+    u = np.zeros((4, g.size))
+    u[2] = 1.0   # zero state and control solve the first two intervals as they stand
+    with pytest.raises(forward.StepFailure, match="at step 2") as exc:
+        solve_forward(spec, cm, Field(g, np.zeros(g.size)), Control(0.05, u, rho=1e9))
+    assert exc.value.step == 2
+    assert tried == [0.05, 0.05] + [0.05 / 2**level for level in range(forward.MAX_HALVINGS + 1)]

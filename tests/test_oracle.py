@@ -75,3 +75,28 @@ def test_negative_budget_rejected():
     red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
     with pytest.raises(ValueError, match="0 to 3"):
         brute_force_min_time(red, 1e-3, switch_budget=-1)
+
+
+def _drift_free_pair(rho, y0, target):
+    # M = 0: y1' = u and y2 stays at y0_2
+    return OdeReduction(matrix=np.zeros((2, 2)), rho=rho, y0=y0, target=target)
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("rho, expected", [(1.0, 0.498), (2.0, 0.248)])
+def test_full_state_target_is_reached_at_the_tolerance_ball(budget, rho, expected):
+    # the full-state search reports the time the distance reaches
+    # hit_tol = 2 dt max(rho, 1), here (|c1 - y0_1| - hit_tol) / rho
+    red = _drift_free_pair(rho, [0.0, 0.2], [0.5, 0.2])
+    assert brute_force_min_time(red, 1e-3, budget) == expected
+
+
+def test_full_state_target_off_the_uncontrolled_component_is_infeasible():
+    red = _drift_free_pair(1.0, [0.0, 0.2], [0.5, 0.3])
+    assert brute_force_min_time(red, 1e-3, 1, t_max=1.0) == INFEASIBLE
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_full_state_start_inside_the_tolerance_ball_hits_at_zero(budget):
+    red = _drift_free_pair(1.0, [0.001, 0.2], [0.0, 0.2])
+    assert brute_force_min_time(red, 1e-3, budget) == 0.0

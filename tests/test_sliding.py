@@ -553,3 +553,23 @@ def test_reported_hit_row_is_the_stop_tests_own(monkeypatch, tmp_path):
     assert residuals[300, 3] == 1.0  # the hit column of the hit row
     summary = json.loads((out / "report.json").read_text())["summary"]
     assert summary["hit"] and summary["max_post_hit_deviation"] <= tol
+
+
+def test_nonlocal_run_that_continues_past_the_hit_fails_before_it_steps(monkeypatch):
+    # the continuation's equivalent control needs a pointwise map; the run
+    # used to step its whole approach, hit, and only then raise
+    import mintime.sliding as sliding
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the run stepped")
+
+    monkeypatch.setattr(sliding, "_integrate", no_steps)
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    gc = Grid(extent=(1.0,), nodes=(4,), bc=dirichlet())
+    (x,), (z,) = g.coordinates(), gc.coordinates()
+    cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
+                    kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
+    spec = PotentialDrift(g, beta=scalar_fn("zero"))
+    with pytest.raises(ValueError, match="control mode 'nonlocal'"):
+        run_sliding(spec, cm, Field(g, np.sin(np.pi * x)), Field(g, np.zeros(16)),
+                    rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3)
