@@ -13,9 +13,9 @@ means a positive leading constant with nonnegative slack on at least 99% of
 the samples.
 
 Samples are drawn one at a time, in a fixed rng order, and stacked; every
-operator, norm and pairing is then one call on the stack. The dense matrices
-of the quadratic forms are the same row maps applied to the identity and
-transposed.
+operator, norm and pairing is then one call on the stack. Every dense
+matrix comes from ``_dense``: the row map it stands for, applied to the
+identity and transposed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .operators import ControlMap, OperatorSpec
-from .spaces import SpectralLaplacian
+from .spaces import H1, duality_rows
 
 __all__ = ["AuditEntry", "AuditReport", "audit_hypotheses", "audit_sign_condition",
            "projection_constant"]
@@ -128,36 +128,36 @@ def _best_lower_constant(num: np.ndarray, lead: np.ndarray, comp: np.ndarray) ->
 # exact quadratic-form audits
 
 
-def _dense_fn_matrix(s: SpectralLaplacian, fn) -> np.ndarray:
-    return s.apply_fn(np.eye(s.n), fn).T
+def _dense(rowmap, n: int) -> np.ndarray:
+    """The matrix of a linear map of stacked n-vector rows: the map on the identity, transposed."""
+    return rowmap(np.eye(n)).T
 
 
-def _blockdiag_per_component(spec: OperatorSpec, block: np.ndarray) -> np.ndarray:
-    blocks = [block] * spec.n_components
-    return scipy.linalg.block_diag(*blocks)
+def _gamma_blocks(spec: OperatorSpec, fn) -> np.ndarray:
+    """fn(Gamma) on every component block of a state: a block-diagonal matrix."""
+    s = spec.gamma_op
+    return _dense(lambda v: s.apply_fn(v.reshape(-1, s.n), fn).reshape(v.shape), spec.n_dof)
 
 
 def _metric_vstar(spec: OperatorSpec) -> np.ndarray:
     """Matrix M with ||v||_V*^2 = v^T M v, for the V* of ``spec.vstar_norms``:
     Gamma^-1 on the components that V measures with Gamma, L2 on the rest,
     after the H-Riesz map (Gamma^-1 in the H^-1 frame)."""
-    ginv = _dense_fn_matrix(spec.gamma_op, lambda lam: 1.0 / lam)
-    w = spec.grid.weights
-    gamma_block = 0.5 * (w[:, None] * ginv + (w[:, None] * ginv).T)
-    m = scipy.linalg.block_diag(*(gamma_block if with_gamma else np.diag(w)
-                                  for with_gamma in spec.v_gamma))
+    ginv = _gamma_blocks(spec, lambda lam: 1.0 / lam)
+    gam = np.repeat(spec.v_gamma, spec.grid.size)
+    wm = spec.weights[:, None] * np.where(gam[:, None], ginv, np.eye(spec.n_dof))
+    m = 0.5 * (wm + wm.T)
     if spec.state_tag.kind == "Hminus1":
-        riesz = _blockdiag_per_component(spec, ginv)
-        m = riesz.T @ (m @ riesz)
+        m = ginv.T @ (m @ ginv)
     return m
 
 
 def _metric_state(spec: OperatorSpec) -> np.ndarray:
-    return spec.metric_apply(np.eye(spec.n_dof)).T
+    return _dense(spec.metric_apply, spec.n_dof)
 
 
-def _bstar_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
-    return map.apply_Bstar(spec, np.eye(spec.n_dof)).T
+def _projection_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
+    return _dense(lambda v: map.project_state(spec, v), spec.n_dof)
 
 
 def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, float]:
@@ -173,7 +173,7 @@ def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, floa
     w = map.ugrid(spec).component_weights
     if map.u_tag.kind == "Lp":
         return np.diag(w), float(np.min(w)) ** (1.0 / map.u_tag.p - 0.5)
-    wf = w[:, None] * map.F_inverse_batch(spec, np.eye(w.size)).T
+    wf = w[:, None] * _dense(lambda z: map.F_inverse_batch(spec, z), w.size)
     return 0.5 * (wf + wf.T), 1.0
 
 
@@ -196,10 +196,6 @@ def _sup_ratio_quadratic(q1: np.ndarray, q2: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def _projection_matrix(spec: OperatorSpec, map: ControlMap) -> np.ndarray:
-    return map.project_state(spec, np.eye(spec.n_dof)).T
-
-
 def projection_constant(spec: OperatorSpec, map: ControlMap, t: np.ndarray,
                         metric: np.ndarray) -> float:
     """C = sup_v ||t v||_X / ||B* v||_U* for the state matrix ``t`` into X,
@@ -212,7 +208,7 @@ def projection_constant(spec: OperatorSpec, map: ControlMap, t: np.ndarray,
     the L2 supremum (pointwise maps on an L2 state).
     """
     mus, k = _metric_ustar(spec, map)
-    r = _bstar_matrix(spec, map)
+    r = _dense(lambda v: map.apply_Bstar(spec, v), spec.n_dof)
     return k * _sup_ratio_quadratic(t.T @ metric @ t, r.T @ mus @ r)
 
 
@@ -253,7 +249,7 @@ def audit_hypotheses(
 
     # (A0H): (A_H y, Gamma_H y)_H >= a3 ||Gamma_H y||_H^2 - a4 ||y||_V^2
     Y = _samples(spec, rng, samples)
-    gy = spec.gamma_op.apply(Y.reshape(-1, spec.grid.size)).reshape(Y.shape)
+    gy = duality_rows(Y, spec.grid, H1, spec.gamma_op)
     num = spec.state_inner(spec.apply(Y), gy)
     a3, a4 = _best_lower_constant(num, spec.h_norm(gy) ** 2, spec.v_norms(Y) ** 2)
     report.add(AuditEntry(
@@ -272,8 +268,7 @@ def audit_hypotheses(
 
     # (g74): ||P Gamma^(-alpha/2) v||_H <= C ||B* v||_U*
     if spec.gamma_op.min_eigenvalue > 0.0:
-        half = _dense_fn_matrix(spec.gamma_op, lambda lam: np.power(lam, -alpha / 2.0))
-        t = p @ _blockdiag_per_component(spec, half)
+        t = p @ _gamma_blocks(spec, lambda lam: np.power(lam, -alpha / 2.0))
         cd1 = projection_constant(spec, map, t, _metric_state(spec))
         report.add(AuditEntry(
             "fractional_bound_g74", {"C": cd1, "alpha": alpha},

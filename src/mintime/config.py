@@ -373,8 +373,8 @@ def _only_with(block: dict, key: str, needed: bool, where: str, selector: str) -
 def _grid(g: dict, n_components: int) -> Grid:
     dim = g["dimension"]
     extent, nodes = (v if isinstance(v, list) else [v] * dim for v in (g["extent"], g["nodes"]))
-    _require(len(extent) == dim and len(nodes) == dim, "grid.nodes",
-             "extent/nodes must match the dimension")
+    for key, values in (("extent", extent), ("nodes", nodes)):
+        _require(len(values) == dim, f"grid.{key}", f"needs one value per axis, {dim} in all")
     _only_with(g, "robin_gamma", g["bc"] == "robin", "grid", "bc: robin")
     return _build("grid", lambda: Grid(extent=tuple(extent), nodes=tuple(nodes),
                                        bc=BoundaryCondition(g["bc"], g.get("robin_gamma", 0.0)),

@@ -109,6 +109,12 @@ def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float |
     return float(np.log((rho - a_norm) / gap) / c1)
 
 
+def _require_pointwise(map: ControlMap) -> None:
+    """Refuse a nonlocal map: the equivalent control past the hit is pointwise."""
+    if map.mode == "nonlocal":
+        raise ValueError("control mode 'nonlocal' cannot hold the manifold past the hit")
+
+
 def run_sliding(
     spec: OperatorSpec,
     map: ControlMap,
@@ -131,8 +137,8 @@ def run_sliding(
     """
     if not (hit_tol > 0.0 and dt > 0.0 and T_max > 0.0):
         raise ValueError("T_max, dt and hit_tol must be positive")
-    if continue_after_hit and map.mode == "nonlocal":
-        raise ValueError("control mode 'nonlocal' cannot hold the manifold past the hit")
+    if continue_after_hit:
+        _require_pointwise(map)
 
     entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
     c1 = float(entry.constants["C1"])
@@ -237,8 +243,7 @@ def sliding_continuation(
             raise ValueError(
                 f"state is not on the manifold: deviation {dev:.3e} > hit_tol {hit_tol:.3e}"
             )
-    if map.mode == "nonlocal":
-        raise NotImplementedError("sliding continuation needs a pointwise control map")
+    _require_pointwise(map)
     steps = int(np.round(T_extra / dt))
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")

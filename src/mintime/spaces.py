@@ -2,10 +2,11 @@
 
 The canonical isomorphism of the discrete V onto V* is realized by a second
 order finite-difference Laplacian (optionally shifted by the identity, as in
-the reaction-diffusion examples where it is I - Laplacian). All fractional
-powers, inverses and Yosida approximants go through one dense symmetric
-eigendecomposition taken with respect to the trapezoid inner product, so the
-spectral identities hold to essentially machine precision.
+the reaction-diffusion examples where it is I - Laplacian). Every function
+of it, powers and the inverse included, goes through one spectral calculus,
+``SpectralLaplacian.apply_fn``, on one dense symmetric eigendecomposition
+taken with respect to the trapezoid inner product, so the spectral
+identities hold to essentially machine precision.
 
 Each operation has one entry point. The ``SpectralLaplacian`` methods act on
 one component's nodal values; the row kernels (``inner_rows``,
@@ -19,7 +20,7 @@ eps = 0 the resolvent is the bang-bang law, with the zero selection at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
 
 
 class SpectralSingularityError(ValueError):
-    """Negative power requested of an operator with a zero eigenvalue."""
+    """Inverse requested of an operator with a zero eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -139,37 +140,26 @@ class SpectralLaplacian:
     def n(self) -> int:
         return self.grid.size
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self.grid.weights
+    @cached_property
+    def _lam(self) -> np.ndarray:
+        """Unshifted eigenvalues, shape grid.nodes: the sums of the axis eigenvalues."""
+        return reduce(np.add.outer, (ax.eigenvalues for ax in self._axes))
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Flat indices of ``_lam`` in ascending order, ties kept in index order."""
+        return np.argsort(self._lam.ravel(), kind="stable")
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues (shift included), ascending."""
-        if self.grid.dimension == 1:
-            lam = self._axes[0].eigenvalues + self.shift
-            return lam
-        lx = self._axes[0].eigenvalues
-        ly = self._axes[1].eigenvalues
-        return np.sort((lx[:, None] + ly[None, :] + self.shift).ravel())
-
-    @cached_property
-    def _pair_order(self) -> np.ndarray:
-        lx = self._axes[0].eigenvalues
-        ly = self._axes[1].eigenvalues
-        flat = (lx[:, None] + ly[None, :]).ravel()
-        return np.argsort(flat, kind="stable")
+        return (self._lam.ravel() + self.shift)[self._order]
 
     def eigenvector(self, k: int) -> np.ndarray:
         """k-th eigenvector (matching ``eigenvalues`` order), flat nodal values."""
-        if self.grid.dimension == 1:
-            return self._axes[0].eigenvectors[:, k].copy()
-        ny = self.grid.nodes[1]
-        flat_idx = self._pair_order[k]
-        i, j = divmod(flat_idx, ny)
-        return np.outer(
-            self._axes[0].eigenvectors[:, i], self._axes[1].eigenvectors[:, j]
-        ).ravel()
+        idx = np.unravel_index(self._order[k], self.grid.nodes)
+        return reduce(np.multiply.outer, (
+            ax.eigenvectors[:, i] for ax, i in zip(self._axes, idx))).ravel().copy()
 
     @property
     def min_eigenvalue(self) -> float:
@@ -177,53 +167,36 @@ class SpectralLaplacian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense nodal matrix of (shift*I - Laplacian)."""
-        if self.grid.dimension == 1:
-            m = self._axes[0].matrix.copy()
-        else:
-            ax, ay = self._axes
-            m = np.kron(ax.matrix, np.eye(self.grid.nodes[1])) + np.kron(
-                np.eye(self.grid.nodes[0]), ay.matrix
-            )
-        return m + self.shift * np.eye(self.n)
+        """Dense nodal matrix of (shift*I - Laplacian), the axis matrices' Kronecker sum."""
+        eyes = [np.eye(n) for n in self.grid.nodes]
+        return sum(reduce(np.kron, eyes[:k] + [ax.matrix] + eyes[k + 1:])
+                   for k, ax in enumerate(self._axes)) + self.shift * np.eye(self.n)
 
     def apply_fn(self, values: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Apply fn(operator) spectrally along the last axis: one component's
-        nodal values, shape (n,), or a stack of them, shape (rows, n)."""
+        nodal values, shape (n,), or a stack of them, shape (rows, n); fn maps
+        the shifted eigenvalues to the multipliers of the eigenvector coefficients."""
         v = np.asarray(values, dtype=float)
         if v.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} nodal values, got {v.shape[-1]}")
+        mult = fn(self._lam + self.shift)
         if self.grid.dimension == 1:
             ax = self._axes[0]
             coef = (v.reshape(-1, self.n) * ax.weights) @ ax.eigenvectors
-            out = (fn(ax.eigenvalues + self.shift) * coef) @ ax.eigenvectors.T
-            return out.reshape(v.shape)
+            return ((mult * coef) @ ax.eigenvectors.T).reshape(v.shape)
         ax, ay = self._axes
         V = v.reshape(-1, *self.grid.nodes)
         coef = ax.eigenvectors.T @ (ax.weights[:, None] * V * ay.weights[None, :]) @ ay.eigenvectors
-        lam = ax.eigenvalues[:, None] + ay.eigenvalues[None, :] + self.shift
-        return (ax.eigenvectors @ (fn(lam) * coef) @ ay.eigenvectors.T).reshape(v.shape)
+        return (ax.eigenvectors @ (mult * coef) @ ay.eigenvectors.T).reshape(v.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.apply_fn(values, lambda lam: lam)
 
-    def apply_power(self, values: np.ndarray, alpha: float) -> np.ndarray:
-        if not -1.0 <= alpha <= 1.0:
-            raise ValueError("power must lie in [-1, 1]")
-        if alpha < 0.0 and self.min_eigenvalue <= 0.0:
-            raise SpectralSingularityError(
-                "negative power of an operator with a zero eigenvalue; "
-                "configure an identity shift"
-            )
-        return self.apply_fn(values, lambda lam: np.power(lam, alpha))
-
     def apply_inverse(self, values: np.ndarray) -> np.ndarray:
-        return self.apply_power(values, -1.0)
-
-    def apply_yosida(self, values: np.ndarray, nu: float) -> np.ndarray:
-        if not nu > 0.0:
-            raise ValueError("Yosida parameter must be positive")
-        return self.apply_fn(values, lambda lam: lam / (1.0 + nu * lam))
+        if self.min_eigenvalue <= 0.0:
+            raise SpectralSingularityError("inverse of an operator with a zero eigenvalue; "
+                                           "configure an identity shift")
+        return self.apply_fn(values, lambda lam: np.power(lam, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +233,6 @@ def _blocks(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return v.reshape(*v.shape[:-1], *w.shape), w
 
 
-def _blockwise(values: np.ndarray, s: SpectralLaplacian,
-               op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """A spectral map of s applied to every component block of every row."""
-    return op(values.reshape(-1, s.n)).reshape(values.shape)
-
-
 def _gamma_rows(v: np.ndarray, tag: NormTag, s: SpectralLaplacian | None,
                 sign: int = 1) -> np.ndarray:
     """Gamma^(sign * a) per component block, a the tag's spectral power; the
@@ -274,7 +241,7 @@ def _gamma_rows(v: np.ndarray, tag: NormTag, s: SpectralLaplacian | None,
     if power == 0:
         return v
     s = _require_spectral(tag, s)
-    return _blockwise(v, s, s.apply if power > 0 else s.apply_inverse)
+    return (s.apply if power > 0 else s.apply_inverse)(v.reshape(-1, s.n)).reshape(v.shape)
 
 
 def _lp_map(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:

@@ -91,6 +91,7 @@ def test_zero_terminal_adjoint():
     _, _, traj = _random_traj(spec, cm, rng)
     p = solve_adjoint(spec, traj, Field(spec.grid, np.zeros(spec.n_dof), 2))
     np.testing.assert_allclose(p.values, 0.0, atol=1e-14)
+    assert p.steps == traj.steps
 
 
 def test_linear_superposition_exact():

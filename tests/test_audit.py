@@ -25,8 +25,8 @@ from mintime import (
 )
 from mintime.audit import (
     _best_lower_constant,
-    _bstar_matrix,
-    _dense_fn_matrix,
+    _dense,
+    _gamma_blocks,
     _metric_state,
     _metric_ustar,
     _metric_vstar,
@@ -82,6 +82,18 @@ def test_reaction_diffusion_monotonicity_is_the_per_row_formula():
     a1, a2 = _best_lower_constant(spec.state_inner(ay[:, 0] - ay[:, 1], d),
                                   spec.v_norms(d) ** 2, spec.h_norm(d) ** 2)
     assert rep.entries["monotonicity_g5"].constants == {"alpha1": a1, "alpha2": a2}
+
+
+def test_best_lower_constant_without_a_lead_or_a_positive_constant():
+    # no sample with a leading term gives no constants
+    nan_pair = _best_lower_constant(np.ones(3), np.array([0.0, 1e-14, -1.0]), np.ones(3))
+    assert np.isnan(nan_pair).all()
+    # a1(a2) = 1% quantile of (-2 + a2, -1 - a2) is negative on the whole grid
+    # and largest at a2 = 10^-0.25, the grid point nearest the crossing 0.5
+    a1, a2 = _best_lower_constant(np.array([-2.0, -1.0]), np.ones(2), np.array([1.0, -1.0]))
+    assert a2 == pytest.approx(10.0 ** -0.25, rel=1e-12)
+    lo, hi = -1.0 - a2, -2.0 + a2
+    assert a1 == pytest.approx(lo + 0.01 * (hi - lo), rel=1e-12)
 
 
 def test_potential_drift_audit_passes():
@@ -194,9 +206,14 @@ def test_dense_matrices_are_the_row_maps_on_the_identity(case):
 
     s = spec.gamma_op
     fn = lambda lam: 1.0 / (1.0 + lam)  # noqa: E731
-    close(_dense_fn_matrix(s, fn), column_loop(lambda c: s.apply_fn(c, fn), s.n))
+    block = _dense(lambda v: s.apply_fn(v, fn), s.n)
+    close(block, column_loop(lambda c: s.apply_fn(c, fn), s.n))
+    # the per-component blocks are the one-component matrix on the diagonal, bit for bit
+    assert np.array_equal(_gamma_blocks(spec, fn),
+                          scipy.linalg.block_diag(*[block] * spec.n_components))
     close(_metric_state(spec), column_loop(spec.metric_apply))
-    close(_bstar_matrix(spec, cm), column_loop(lambda c: cm.apply_Bstar(spec, c)))
+    bstar = lambda v: cm.apply_Bstar(spec, v)  # noqa: E731
+    close(_dense(bstar, n), column_loop(bstar))
     p = cols.copy()
     if cm.projection == "first":
         p[spec.grid.size:, spec.grid.size:] = 0.0
@@ -307,7 +324,8 @@ def test_l4_projection_constants_bound_every_sample(kind, dim, bc, nodes, contro
     cases = {"gain": (p, _metric_state(spec), spec.h_norm),
              "Cstar": (p, _metric_vstar(spec), spec.vstar_norms)}
     if spec.gamma_op.min_eigenvalue > 0.0:
-        half = _dense_fn_matrix(spec.gamma_op, lambda lam: lam ** -0.25)
+        half = _dense(lambda v: spec.gamma_op.apply_fn(v, lambda lam: lam ** -0.25),
+                      spec.grid.size)
         cases["C_d1"] = (p @ scipy.linalg.block_diag(*[half] * spec.n_components),
                          _metric_state(spec), spec.h_norm)
     for name, (t, metric, norms) in cases.items():

@@ -353,11 +353,35 @@ def test_load_config_missing_file():
         load_config("/nonexistent/path.yaml")
 
 
+def test_config_that_is_not_yaml_exits_2_naming_the_file(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("grid: [1.0, 2.0\n")
+    with pytest.raises(ConfigError, match="not valid YAML") as exc:
+        load_config(path)
+    assert exc.value.field_name == "<file>"
+    out = tmp_path / "o"
+    assert main(["slide", "--config", str(path), "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_sweep_without_configs_exits_2(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not a config")
+    assert main(["sweep", "--sweep", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "no .yaml configs" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # the config schema: strict keys and types, one default per key
 
 REPO = Path(__file__).resolve().parent.parent
-_DROP = object()
+class _Drop:
+    """Marks a key for ``_with`` to delete; its repr names it in the case ids."""
+
+    def __repr__(self):
+        return "DROP"
+
+
+_DROP = _Drop()
 
 POROUS_AUDIT = {
     "command": "audit",
@@ -441,6 +465,13 @@ BAD_CONFIGS = [
     # non-integral values of integer keys, which used to truncate
     (HEAT_SLIDE, "seed", 1.7, "seed"),
     (HEAT_SLIDE, "grid.nodes", 10.9, "grid.nodes"),
+    # one value per axis: an extent of the wrong length used to be reported
+    # as grid.nodes
+    (HEAT_SLIDE, "grid.extent", [1.0, 2.0], "grid.extent"),
+    (HEAT_SLIDE, "grid.nodes", [24, 24], "grid.nodes"),
+    # the commands that steer to a target need one
+    (HEAT_SLIDE, "targets.y_tar", _DROP, "targets.y_tar"),
+    (SCALAR_OPTIMIZE, "targets", {}, "targets.y_tar"),
     # an initial state in an audit, which reads none
     (POROUS_AUDIT, "initial", {"y0": {"profile": "zero"}}, "initial"),
     # non-finite numbers, and an oracle grid without a step, which used to

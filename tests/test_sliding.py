@@ -116,6 +116,8 @@ def test_hit_time_bound_limits():
     assert t == pytest.approx(np.log(1.5 / 1.0), rel=1e-12)
     # infeasible rho
     assert hit_time_bound(1.0, 0.9, 1.0, 0.5) is None
+    # a start on the target hits at once, whatever the premise
+    assert hit_time_bound(1.0, 2.0, 1.0, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +557,11 @@ def test_reported_hit_row_is_the_stop_tests_own(monkeypatch, tmp_path):
     assert summary["hit"] and summary["max_post_hit_deviation"] <= tol
 
 
-def test_nonlocal_run_that_continues_past_the_hit_fails_before_it_steps(monkeypatch):
+@pytest.mark.parametrize("entry", ["run_sliding", "sliding_continuation"])
+def test_nonlocal_run_that_continues_past_the_hit_fails_before_it_steps(monkeypatch, entry):
     # the continuation's equivalent control needs a pointwise map; the run
-    # used to step its whole approach, hit, and only then raise
+    # used to step its whole approach, hit, and only then raise; both entry
+    # points refuse the map with one error
     import mintime.sliding as sliding
 
     def no_steps(*args, **kwargs):
@@ -570,6 +574,9 @@ def test_nonlocal_run_that_continues_past_the_hit_fails_before_it_steps(monkeypa
     cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
                     kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
     spec = PotentialDrift(g, beta=scalar_fn("zero"))
-    with pytest.raises(ValueError, match="control mode 'nonlocal'"):
-        run_sliding(spec, cm, Field(g, np.sin(np.pi * x)), Field(g, np.zeros(16)),
-                    rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3)
+    y0, y_tar = Field(g, np.sin(np.pi * x)), Field(g, np.zeros(16))
+    with pytest.raises(ValueError, match="control mode 'nonlocal' cannot hold the manifold"):
+        if entry == "run_sliding":
+            run_sliding(spec, cm, y0, y_tar, rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3)
+        else:
+            sliding_continuation(spec, cm, y0, y_tar, T_extra=0.1, dt=1e-3, rho=10.0)
