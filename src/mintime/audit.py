@@ -93,7 +93,7 @@ def smooth_sample(spec: OperatorSpec, rng: np.random.Generator, scale: float = 1
         noise = rng.standard_normal(n)
         out[c * n : (c + 1) * n] = s.apply_fn(noise, lambda lam: 1.0 / (1.0 + lam))
     amp = scale * rng.uniform(0.3, 3.0)
-    l2 = np.sqrt(np.dot(spec.weights, out * out))
+    l2 = np.sqrt(np.dot(spec.grid.component_weights, out * out))
     return amp * out / max(l2, 1e-300)
 
 
@@ -145,7 +145,7 @@ def _metric_vstar(spec: OperatorSpec) -> np.ndarray:
     after the H-Riesz map (Gamma^-1 in the H^-1 frame)."""
     ginv = _gamma_blocks(spec, lambda lam: 1.0 / lam)
     gam = np.repeat(spec.v_gamma, spec.grid.size)
-    wm = spec.weights[:, None] * np.where(gam[:, None], ginv, np.eye(spec.n_dof))
+    wm = spec.grid.component_weights[:, None] * np.where(gam[:, None], ginv, np.eye(spec.n_dof))
     m = 0.5 * (wm + wm.T)
     if spec.state_tag.kind == "Hminus1":
         m = ginv.T @ (m @ ginv)
@@ -171,7 +171,7 @@ def _metric_ustar(spec: OperatorSpec, map: ControlMap) -> tuple[np.ndarray, floa
     a lightest node.
     """
     w = map.ugrid(spec).component_weights
-    if map.u_tag.kind == "Lp":
+    if map.u_tag.kind == "L4":
         return np.diag(w), float(np.min(w)) ** (1.0 / map.u_tag.p - 0.5)
     wf = w[:, None] * _dense(lambda z: map.F_inverse_batch(spec, z), w.size)
     return 0.5 * (wf + wf.T), 1.0
@@ -288,21 +288,14 @@ def audit_hypotheses(
     return report
 
 
-def audit_sign_condition(
-    spec: OperatorSpec,
-    map: ControlMap,
-    y_tar: np.ndarray,
-    samples: int = 200,
-    rng: np.random.Generator | int = 0,
-) -> AuditEntry:
+def audit_sign_condition(spec: OperatorSpec, map: ControlMap, y_tar: np.ndarray, samples: int,
+                         rng: np.random.Generator) -> AuditEntry:
     """Constant C1 of (A_H y - A_H yhat, P(y - yhat))_H >= -C1 ||P(y - yhat)||_H^2.
 
     For the first-component projection, yhat carries the target in the
     controlled component and the sample's own value in the uncontrolled one
     (the paper's running choice of the auxiliary state).
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     y_tar = np.asarray(y_tar, dtype=float).ravel()
     if y_tar.size != spec.n_dof:
         raise ValueError("target must be a full state vector")

@@ -157,15 +157,16 @@ _DISPATCH = {
 def run(config_path, outdir, seed: int | None = None, command: str | None = None) -> int:
     """Execute one config; returns the process exit code."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         cfg = load_config(config_path)
         if command is not None and cfg.command != command:
             raise ConfigError("command", f"config says {cfg.command!r}, CLI asked for {command!r}")
         if seed is not None:
-            cfg.seed = int(seed)
-            cfg.raw["seed"] = int(seed)
-    except ConfigError as exc:
+            if seed < 0:
+                raise ConfigError("seed", f"must be nonnegative, got {seed!r}")
+            cfg.seed = cfg.raw["seed"] = int(seed)
+    except (ConfigError, OSError) as exc:  # OSError: an --out or a config it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_json(outdir / "manifest.json", {"tool": "mintime", "version": __version__,
@@ -192,7 +193,8 @@ def _sweep(config_dir, outdir) -> int:
     output directory."""
     config_dir = Path(config_dir)
     outdir = Path(outdir)
-    paths = sorted(p for p in config_dir.iterdir() if p.suffix in (".yaml", ".yml"))
+    found = config_dir.iterdir() if config_dir.is_dir() else ()
+    paths = sorted(p for p in found if p.suffix in (".yaml", ".yml"))
     if not paths:
         print(f"error: no .yaml configs under {config_dir}", file=sys.stderr)
         return 2

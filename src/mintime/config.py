@@ -128,6 +128,7 @@ def _one_or_list(parse):
 
 
 _positive = _checked(_float, lambda x: x > 0.0, "must be positive")
+_count = _checked(_int, lambda n: n >= 0, "must be nonnegative")
 _samples = _checked(_int, lambda n: n >= 100, "need at least 100 samples")
 _str = _checked(lambda val, where: val, lambda val: isinstance(val, str), "expected a string")
 _bool = _checked(lambda val, where: val, lambda val: isinstance(val, bool),
@@ -308,7 +309,7 @@ _NUMERICS = {
         "T_bracket": (_checked(_list(_float), lambda b: len(b) == 2 and 0 < b[0] < b[1],
                                "need [T_lo, T_hi] with 0 < T_lo < T_hi"), _REQUIRED),
         "inner_tol": (_positive, 1e-8),
-        "inner_cap": (_checked(_int, lambda n: n >= 0, "must be nonnegative"), 500),
+        "inner_cap": (_count, 500),
         "golden_tol": (_positive, 1e-4),
         "chain_u_ref": (_bool, False),
     },
@@ -344,7 +345,7 @@ def _oracle(block, where: str) -> dict:
 
 
 # command -> the keys of the document's root
-_ROOT = {"command": (_str, _REQUIRED), "seed": (_int, 0)}
+_ROOT = {"command": (_str, _REQUIRED), "seed": (_count, 0)}
 _PDE_ROOT = {
     **_ROOT,
     "grid": (_block(_GRID), _REQUIRED),

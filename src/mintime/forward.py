@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field
 from .operators import ControlMap, OperatorSpec, StepFactor
 from .spaces import NormTag, L2
 
@@ -135,10 +135,6 @@ class Trajectory:
         r = x + dt * self.spec.apply(x) - (self.states[:-1] + dt * self.forcing)
         return np.array([_wnorm(self.spec, row) for row in r])
 
-    @property
-    def grid(self) -> Grid:
-        return self.spec.grid
-
     @cached_property
     def h_norms(self) -> np.ndarray:
         return self.spec.h_norm(self.states)
@@ -156,12 +152,9 @@ class Trajectory:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    def state(self, k: int) -> Field:
-        return Field(self.grid, self.states[k].copy())
-
     @property
     def terminal(self) -> Field:
-        return self.state(self.steps)
+        return Field(self.spec.grid, self.states[-1].copy())
 
     def summary(self) -> dict:
         dt = float(self.times[1] - self.times[0]) if self.steps else 0.0
@@ -178,7 +171,7 @@ class Trajectory:
 
 
 def _wnorm(spec: OperatorSpec, r: np.ndarray) -> float:
-    return math.sqrt(np.dot(spec.weights, r * r))
+    return math.sqrt(np.dot(spec.grid.component_weights, r * r))
 
 
 def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: float,

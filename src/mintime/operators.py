@@ -131,11 +131,12 @@ class StepFactor:
 class OperatorSpec:
     """Base class: a configured A_H with its derivative and inner products.
 
-    Subclasses define the blocks of their linearization (``_base_blocks``,
-    ``_nodal_blocks``), the nodal reaction that ``_nodal_blocks`` linearizes
-    (``_reaction``) and the components that V measures with Gamma_H
-    (``v_gamma``). ``state_tag`` is the H of the example: L2 except for the
-    porous medium, whose H is H^-1.
+    Subclasses define the blocks of their linearization as (row component,
+    column component, values) triples (``_base_blocks()``, the y-independent
+    node diagonals; ``_nodal_blocks(y)``, the node diagonal at y), the nodal
+    reaction that ``_nodal_blocks`` linearizes (``_reaction``) and the
+    components that V measures with Gamma_H (``v_gamma``). ``state_tag`` is
+    the H of the example: L2 except for the porous medium, whose H is H^-1.
     """
 
     grid: Grid
@@ -149,10 +150,6 @@ class OperatorSpec:
     @cached_property
     def n_dof(self) -> int:
         return self.grid.size * self.n_components
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return self.grid.component_weights
 
     @cached_property
     def gamma_op(self) -> SpectralLaplacian:
@@ -173,23 +170,6 @@ class OperatorSpec:
     def v_gamma(self) -> tuple[bool, ...]:
         """Per component: whether V measures it with Gamma_H (else with L2)."""
         return (True,) * self.n_components
-
-    # -- to be provided by subclasses ---------------------------------------
-
-    def _base_blocks(self):
-        """The y-independent part of A': (row component, column component,
-        node diagonals) triples."""
-        raise NotImplementedError
-
-    def _nodal_blocks(self, y: np.ndarray):
-        """The y-dependent part of A': (row component, column component,
-        nodal values) triples on the node diagonal."""
-        return ()
-
-    def _reaction(self, y: np.ndarray) -> np.ndarray | float:
-        """The nodal part of A_H y that the y-independent band leaves out;
-        ``_nodal_blocks`` is its derivative."""
-        return 0.0
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Nodal A_H y of a state (n_dof,) or of each row of a stack
@@ -276,11 +256,13 @@ class OperatorSpec:
 
     def metric_apply(self, v: np.ndarray) -> np.ndarray:
         """M v with <a, b>_H = a^T M b, on a state or on each row of a stack."""
-        return self.weights * duality_rows(v, self.grid, self.state_tag, self.gamma_op)
+        g = self.grid
+        return g.component_weights * duality_rows(v, g, self.state_tag, self.gamma_op)
 
     def metric_solve(self, v: np.ndarray) -> np.ndarray:
         """M^-1 v, on a state or on each row of a stack."""
-        return duality_rows(v / self.weights, self.grid, self.state_tag, self.gamma_op,
+        g = self.grid
+        return duality_rows(v / g.component_weights, g, self.state_tag, self.gamma_op,
                             inverse=True)
 
     # -- V norm and its dual -------------------------------------------------

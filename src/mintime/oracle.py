@@ -77,7 +77,7 @@ def analytic_min_time_scalar(a: float, y0: float, c: float, rho: float) -> float
     return float(t) if t > 0.0 else INFEASIBLE
 
 
-def _sequences(n_slots: int, budget: int) -> tuple[np.ndarray, int]:
+def _sequences(n_slots: int, budget: int) -> np.ndarray:
     """All bang patterns: sign per slot, up to ``budget`` switches."""
     patterns = []
     boundaries = range(1, n_slots)
@@ -92,7 +92,7 @@ def _sequences(n_slots: int, budget: int) -> tuple[np.ndarray, int]:
                     sign = -sign
                     prev = cut
                 patterns.append(pat)
-    return np.asarray(patterns), len(patterns)
+    return np.asarray(patterns)
 
 
 def brute_force_min_time(
@@ -115,13 +115,13 @@ def brute_force_min_time(
     steps = int(np.ceil(t_max / dt))
     n_slots = max(2, min(N_SLOTS, steps))
     slot_dt = t_max / n_slots
-    pats, nseq = _sequences(n_slots, switch_budget)
+    pats = _sequences(n_slots, switch_budget)
     m = red.matrix
     rho = red.rho
     d = red.dimension
     hit_tol = HIT_TOL_DT * dt * max(rho, float(np.abs(m).max()), 1.0)
 
-    y = np.tile(red.y0, (nseq, 1))
+    y = np.tile(red.y0, (len(pats), 1))
     e1 = np.zeros(d)
     e1[0] = 1.0
 

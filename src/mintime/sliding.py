@@ -140,7 +140,8 @@ def run_sliding(
     if continue_after_hit:
         _require_pointwise(map)
 
-    entry = audit_sign_condition(spec, map, y_tar.values, samples=audit_samples, rng=seed)
+    entry = audit_sign_condition(spec, map, y_tar.values, audit_samples,
+                                 np.random.default_rng(seed))
     c1 = float(entry.constants["C1"])
     # C of ||P v||_H <= C ||B* v||_U*, which scales the feedback's decrement
     gain_c = projection_constant(spec, map, _projection_matrix(spec, map), _metric_state(spec))
@@ -222,7 +223,7 @@ def sliding_continuation(
     y_tar: Field,
     T_extra: float,
     dt: float,
-    rho: float | None = None,
+    rho: float,
     hit_tol: float | None = None,
 ) -> tuple[Trajectory, np.ndarray]:
     """Evolve past the hit with the equivalent control that pins the
@@ -233,9 +234,9 @@ def sliding_continuation(
     two-component systems: the first equation frozen at the target with the
     current uncontrolled state) and advances the true system with it; under
     the full projection that state is the target itself, so u is evaluated
-    once. The control must stay inside the rho-ball when ``rho`` is given;
-    leaving it raises SaturationError, the sign that the largeness
-    conditions on rho do not hold along this trajectory.
+    once. The control must stay inside the rho-ball; leaving it raises
+    SaturationError, the sign that the largeness conditions on rho do not
+    hold along this trajectory.
     """
     if hit_tol is not None:
         dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values))
@@ -253,7 +254,7 @@ def sliding_continuation(
         # current uncontrolled state, held over an honest implicit step
         u = map.project_state(spec, spec.apply(map.auxiliary_state(spec, y, y_tar.values)))
         nu = float(map.u_norms_batch(spec, u))
-        if rho is not None and nu > rho * (1 + 1e-9):
+        if nu > rho * (1 + 1e-9):
             raise SaturationError(
                 f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}"
             )

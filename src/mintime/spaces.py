@@ -12,8 +12,8 @@ Each operation has one entry point. The ``SpectralLaplacian`` methods act on
 one component's nodal values; the row kernels (``inner_rows``,
 ``norm_rows``, ``duality_rows``, ``duality_derivative_rows``,
 ``resolvent_rows`` and ``resolvent_derivative_rows``) give the norms,
-duality maps and ball resolvent of a norm tag and their derivatives, on one
-row of values or a stack of rows. At
+duality maps and ball resolvent of a norm tag (L2, H1, L4 or Hminus1) and
+their derivatives, on one row of values or a stack of rows. At
 eps = 0 the resolvent is the bang-bang law, with the zero selection at 0.
 """
 
@@ -47,32 +47,28 @@ class SpectralSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class NormTag:
-    """Role of a space: L2, H1, Lp(p) or Hminus1.
+    """Role of a space: L2, H1, L4 or Hminus1.
 
-    Lp supports p in {2, 4}; Lp(2) is canonicalized to L2. Hminus1 is the
-    H^-1 norm through a Dirichlet Laplacian.
+    L4 is the one non-Hilbert tag, with the Lp formulas at p = 4. Hminus1 is
+    the H^-1 norm through a Dirichlet Laplacian.
     """
 
     kind: str
-    p: float | None = None
 
-    _KINDS = ("L2", "H1", "Lp", "Hminus1")
+    _KINDS = ("L2", "H1", "L4", "Hminus1")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown norm tag {self.kind!r}")
-        if self.kind == "Lp":
-            if self.p not in (2, 4):
-                raise ValueError("Lp tags support p in {2, 4}")
-            if self.p == 2:
-                object.__setattr__(self, "kind", "L2")
-                object.__setattr__(self, "p", None)
-        elif self.p is not None:
-            raise ValueError("p is only meaningful for Lp tags")
+
+    @property
+    def p(self) -> int | None:
+        """The Lebesgue exponent of a non-Hilbert tag: 4 for L4, else None."""
+        return 4 if self.kind == "L4" else None
 
     @property
     def is_hilbert(self) -> bool:
-        return self.kind != "Lp"
+        return self.kind != "L4"
 
     @property
     def needs_spectral(self) -> bool:
@@ -82,7 +78,7 @@ class NormTag:
 L2 = NormTag("L2")
 H1 = NormTag("H1")
 HMINUS1 = NormTag("Hminus1")
-L4 = NormTag("Lp", 4)
+L4 = NormTag("L4")
 
 
 def _laplacian_matrix_1d(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
@@ -269,7 +265,7 @@ def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
     Lp norms of several components combine as the l2 norm of the
     per-component norms."""
     v = _rows(values, grid)
-    if tag.kind == "Lp":
+    if tag.kind == "L4":
         blocks, w = _blocks(v, grid)
         p = tag.p / (tag.p - 1.0) if dual else tag.p
         comp = np.add.reduce(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
@@ -288,7 +284,7 @@ def duality_rows(values: np.ndarray, grid: Grid, tag: NormTag,
     extended L2 pairing).
     """
     v = _rows(values, grid)
-    if tag.kind == "Lp":
+    if tag.kind == "L4":
         blocks, w = _blocks(v, grid)
         q = tag.p / (tag.p - 1.0) if inverse else tag.p
         return _lp_map(blocks, w, q).reshape(v.shape)
@@ -310,7 +306,7 @@ def duality_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: Gr
     unbounded for q < 2, takes 0 for that term.
     """
     v, dv = _rows(values, grid), _rows(directions, grid)
-    if tag.kind != "Lp":
+    if tag.kind != "L4":
         return np.array(_gamma_rows(dv, tag, s, -1 if inverse else 1))
     (blocks, w), dblocks = _blocks(v, grid), _blocks(dv, grid)[0]
     q = tag.p / (tag.p - 1.0) if inverse else tag.p

@@ -113,7 +113,7 @@ def test_variation_is_first_order_limit():
     vv = rng.standard_normal(u.values.shape)
     v = Control(u.dt, vv, rho=1e9)
     Y = solve_variation(spec, cm, traj, v)
-    w = spec.weights
+    w = spec.grid.component_weights
     errs = []
     for lam in (1e-2, 1e-3, 1e-4):
         ul = Control(u.dt, u.values + lam * vv, rho=1e9)
@@ -326,3 +326,15 @@ def test_forward_solve_holds_one_step_factor_at_a_time(monkeypatch, dt):
     else:
         assert 1 < len(made) < updates
     assert peak < 2.5 * factor_bytes
+
+
+def test_variation_and_adjoint_refuse_another_grid_or_size():
+    g = Grid(extent=(1.0,), nodes=(8,), bc=dirichlet())
+    spec = PotentialDrift(g, beta=scalar_fn("zero"))
+    cm = ControlMap(mode="identity", u_tag=L2)
+    traj = solve_forward(spec, cm, Field(g, np.zeros(8)), Control.zeros(cm, spec, 0.01, 4, 1.0))
+    with pytest.raises(ValueError, match="variation control must share the trajectory's time"):
+        solve_variation(spec, cm, traj, Control.zeros(cm, spec, 0.01, 5, 1.0))
+    other = Grid(extent=(1.0,), nodes=(9,), bc=dirichlet())
+    with pytest.raises(ValueError, match="terminal payload does not match the operator"):
+        solve_adjoint(spec, traj, Field(other, np.zeros(9)))

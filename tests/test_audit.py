@@ -115,7 +115,8 @@ def test_case2_sign_condition_constant_is_zero():
     spec = ReactionDiffusion2(g, d1=1.0, d2=1.0,
                               f=pair_fn("sat_rational", 1.0), g=pair_fn("zero2"))
     cm = ControlMap(mode="first_component", u_tag=L4, projection="first")
-    entry = audit_sign_condition(spec, cm, np.zeros(spec.n_dof), samples=200, rng=4)
+    entry = audit_sign_condition(spec, cm, np.zeros(spec.n_dof), samples=200,
+                                 rng=np.random.default_rng(4))
     assert entry.constants["C1"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -172,6 +173,13 @@ def test_min_samples_guard():
     cm = ControlMap(mode="identity", u_tag=L2)
     with pytest.raises(ValueError):
         audit_hypotheses(spec, cm, samples=10)
+
+
+def test_sign_condition_needs_a_full_state_target():
+    g = Grid(extent=(1.0,), nodes=(8,), bc=dirichlet())
+    cm = ControlMap(mode="identity", u_tag=L2)
+    with pytest.raises(ValueError, match="target must be a full state vector"):
+        audit_sign_condition(PotentialDrift(g), cm, np.zeros(7), 100, np.random.default_rng(0))
 
 
 def _dense_map_cases():

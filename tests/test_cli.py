@@ -364,10 +364,32 @@ def test_config_that_is_not_yaml_exits_2_naming_the_file(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_sweep_without_configs_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("where", ["no_configs", "missing", "file"])
+def test_sweep_without_configs_exits_2(tmp_path, capsys, where):
+    # a directory without configs, a path that does not exist and a regular
+    # file; the last two used to end in a traceback
     (tmp_path / "notes.txt").write_text("not a config")
-    assert main(["sweep", "--sweep", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
-    assert "no .yaml configs" in capsys.readouterr().err
+    sweep = {"no_configs": tmp_path, "missing": tmp_path / "missing",
+             "file": tmp_path / "notes.txt"}[where]
+    assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "o")]) == 2
+    assert f"no .yaml configs under {sweep}" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_made_exits_2_naming_it(tmp_path, capsys):
+    # an --out under a regular file used to end in a traceback
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert main(["audit", "--config", str(_write(tmp_path, POROUS_AUDIT)), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2_before_the_manifest(tmp_path, capsys):
+    # it used to write the manifest and fail in the random generator
+    out = tmp_path / "o"
+    path = _write(tmp_path, HEAT_SLIDE)
+    assert main(["slide", "--config", str(path), "--out", str(out), "--seed", "-3"]) == 2
+    assert "config field 'seed': must be nonnegative, got -3" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +545,9 @@ BAD_CONFIGS = [
     (HEAT_SLIDE, "initial.y0", [0.0] * 5, "initial.y0"),
     (SCALAR_OPTIMIZE, "targets.y_tar", [{"profile": "zero"} for _ in range(3)],
      "targets.y_tar"),
+    # a negative seed, which used to fail in the random generator after the
+    # manifest
+    (HEAT_SLIDE, "seed", -1, "seed"),
 ]
 
 

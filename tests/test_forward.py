@@ -115,7 +115,7 @@ def test_lipschitz_stability_in_control():
     steps = round(T / dt)
     rng = np.random.default_rng(5)
     base = rng.standard_normal((steps, spec.n_dof)) * 0.2
-    w = spec.weights
+    w = spec.grid.component_weights
     gaps = []
     for delta in (1e-2, 1e-3):
         pert = base + delta * rng.standard_normal((steps, spec.n_dof))
@@ -155,7 +155,7 @@ def test_discrete_energy_inequality_linear_heat():
     uvals = 0.5 * rng.standard_normal((steps, spec.n_dof))
     u = Control(dt, uvals, rho=100.0)
     traj = solve_forward(spec, cm, y0, u)
-    w = spec.weights
+    w = spec.grid.component_weights
     for k in range(steps):
         yk, yk1 = traj.states[k], traj.states[k + 1]
         lhs = 0.5 * np.dot(w, yk1**2) - 0.5 * np.dot(w, yk**2)
@@ -171,6 +171,27 @@ def test_admissibility_enforced():
     u = Control(0.01, np.full((3, spec.n_dof), 10.0), rho=0.1)
     with pytest.raises(ValueError, match="admissible"):
         solve_forward(spec, cm, y0, u)
+
+
+@pytest.mark.parametrize("dt, values, rho, message", [
+    (0.0, [[0.0]], 1.0, "time step must be positive"),
+    (0.1, [[0.0]], 0.0, "control radius must be positive"),
+    (0.1, [[np.inf]], 1.0, "control values must be finite"),
+])
+def test_control_refusals(dt, values, rho, message):
+    with pytest.raises(ValueError, match=message):
+        Control(dt, values, rho)
+
+
+def test_step_and_solve_refuse_a_bad_step_or_start():
+    spec = heat_spec(8)
+    cm = ControlMap(mode="identity", u_tag=L2)
+    y = Field(spec.grid, np.zeros(spec.n_dof))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_implicit(spec, cm, y, y, dt=0.0)
+    other = Field(heat_spec(9).grid, np.zeros(9))
+    with pytest.raises(ValueError, match="initial state does not match the operator"):
+        solve_forward(spec, cm, other, Control.zeros(cm, spec, 0.01, 3, rho=1.0))
 
 
 def test_horizon_mismatch_rejected():
@@ -395,7 +416,7 @@ def test_linear_residuals_are_computed_on_read(monkeypatch, name):
     for k in range(u.steps):
         x, y = traj.states[k + 1], traj.states[k]
         r = x + u.dt * spec.apply(x) - (y + u.dt * cm.apply_B(spec, u.values[k]))
-        expected.append(float(np.sqrt(np.dot(spec.weights, r * r))))
+        expected.append(float(np.sqrt(np.dot(spec.grid.component_weights, r * r))))
     del calls[:]
     assert np.array_equal(traj.residuals, np.array(expected))
     assert calls == [(u.steps, spec.n_dof)]       # one stacked apply, kept

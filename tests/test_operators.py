@@ -1,5 +1,7 @@
 """Operator catalog: values, exact linearizations, adjoints, control maps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -530,7 +532,7 @@ def test_fitzhugh_nagumo_adjoint_is_dense_transpose():
     assert isinstance(spec, ReactionDiffusion2) and spec.d2 == 0.0 and spec.is_linear
     rng = np.random.default_rng(8)
     y = rng.standard_normal(spec.n_dof)
-    dt, n, w = 0.05, spec.grid.size, spec.weights
+    dt, n, w = 0.05, spec.grid.size, spec.grid.component_weights
     eye = np.eye(spec.n_dof)
     adj = np.column_stack([_adjoint_step(spec, y, dt, e) for e in eye])
     # W^-1 (I + dt J)^-T W, the transpose in the weighted L2 metric
@@ -747,6 +749,58 @@ def test_porous_media_guards():
         PorousMedia(grid1(8), beta=scalar_fn("zero"))  # a0 = 0
     with pytest.raises(ValueError):
         PorousMedia(grid1(8, neumann()))  # needs Dirichlet walls
+
+
+_ONE_COMPONENT = grid1(8)
+_TWO_COMPONENTS = grid2(8)
+_NONLOCAL = dict(mode="nonlocal", u_tag=L2, kernel=np.ones((8, 5)),
+                 control_grid=Grid((1.0,), (5,)))
+# case -> (call, message) of a ValueError
+REFUSALS = {
+    "potential-drift-two-components": (lambda: PotentialDrift(_TWO_COMPONENTS),
+                                       "PotentialDrift is a one-component operator"),
+    "potential-drift-decreasing-beta": (
+        lambda: PotentialDrift(_ONE_COMPONENT, beta=scalar_fn("linear", -1.0)),
+        "beta must be nondecreasing (beta' >= a0 >= 0)"),
+    "porous-media-two-components": (lambda: PorousMedia(grid2(8, dirichlet())),
+                                    "PorousMedia is a one-component operator"),
+    "reaction-diffusion2-one-component": (lambda: ReactionDiffusion2(_ONE_COMPONENT),
+                                          "ReactionDiffusion2 has two components"),
+    "phase-field-one-component": (lambda: PhaseField(_ONE_COMPONENT),
+                                  "PhaseField has two components"),
+    "phase-field-zero-k": (lambda: PhaseField(_TWO_COMPONENTS, k=0.0),
+                           "diffusivities k, nu must be positive"),
+    "control-map-unknown-mode": (lambda: ControlMap(mode="pointwise"),
+                                 "unknown control mode 'pointwise'"),
+    "control-map-unknown-projection": (lambda: ControlMap(projection="second"),
+                                       "unknown projection 'second'"),
+    "nonlocal-without-kernel": (lambda: ControlMap(**{**_NONLOCAL, "kernel": None}),
+                                "nonlocal mode needs a kernel and a control grid"),
+    "nonlocal-without-grid": (lambda: ControlMap(**{**_NONLOCAL, "control_grid": None}),
+                              "nonlocal mode needs a kernel and a control grid"),
+    "nonlocal-two-component-grid": (
+        lambda: ControlMap(**{**_NONLOCAL, "control_grid": Grid((1.0,), (5,), n_components=2)}),
+        "nonlocal control grid has one component"),
+    "apply-B-control-size": (
+        lambda: ControlMap().apply_B(PotentialDrift(_ONE_COMPONENT), np.zeros(9)),
+        "expected 8 control dof, got 9"),
+    "apply-Bstar-state-size": (
+        lambda: ControlMap().apply_Bstar(PotentialDrift(_ONE_COMPONENT), np.zeros(9)),
+        "expected 8 state dof, got 9"),
+    "nonlocal-kernel-shape": (
+        lambda: ControlMap(**{**_NONLOCAL, "kernel": np.ones((7, 5))}).apply_B(
+            PotentialDrift(_ONE_COMPONENT), np.zeros(5)),
+        "kernel shape (7, 5) does not match state x control (8 x 5)"),
+    "unknown-scalar-family": (lambda: scalar_fn("quartic"), "unknown scalar family 'quartic'"),
+    "unknown-pair-family": (lambda: pair_fn("quartic2"), "unknown pair family 'quartic2'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_rd2_needs_positive_d1_and_nonnegative_d2():

@@ -77,6 +77,27 @@ def test_negative_budget_rejected():
         brute_force_min_time(red, 1e-3, switch_budget=-1)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"matrix": np.eye(3), "y0": [0.0] * 3, "target": [0.5] * 3}, "dimension must be 1 or 2"),
+    ({"y0": [0.0, 0.0]}, "initial state dimension mismatch"),
+    ({"target": [0.5, 0.5]}, "target dimension mismatch"),
+    ({"rho": 0.0}, "control bound must be positive"),
+    ({"matrix": [[np.nan]]}, "reduction data must be finite"),
+], ids=["dimension", "y0", "target", "rho", "finite"])
+def test_reduction_refusals(change, message):
+    scalar = {"matrix": [[1.0]], "rho": 1.0, "y0": [0.0], "target": [0.5]}
+    with pytest.raises(ValueError, match=message):
+        OdeReduction(**{**scalar, **change})
+
+
+def test_oracles_refuse_a_nonpositive_rho_or_a_grid_without_a_step():
+    with pytest.raises(ValueError, match="rho must be positive"):
+        analytic_min_time_scalar(1.0, 0.0, 0.5, 0.0)
+    red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
+    with pytest.raises(ValueError, match="need 0 < dt < t_max"):
+        brute_force_min_time(red, 1.0, switch_budget=0, t_max=1.0)
+
+
 def _drift_free_pair(rho, y0, target):
     # M = 0: y1' = u and y2 stays at y0_2
     return OdeReduction(matrix=np.zeros((2, 2)), rho=rho, y0=y0, target=target)

@@ -259,7 +259,7 @@ def test_case3_equivalent_control_matches_linear_formula():
     # hand-coded linear-case equivalent control at the first step:
     # u = -D1 Lap y1tar + a1 y1tar + b1 z
     expected = spec.d1 * raw.apply(y1tar) + a1 * y1tar + b1 * z0
-    traj, unorms = sliding_continuation(spec, cm, start, ytar, 5e-3, 5e-3)
+    traj, unorms = sliding_continuation(spec, cm, start, ytar, 5e-3, 5e-3, rho=1e6)
     # first-component projection: target in y, the running z kept
     yhat = cm.auxiliary_state(spec, start.values, ytar.values)
     np.testing.assert_array_equal(yhat, np.concatenate([y1tar, z0]))
@@ -351,7 +351,8 @@ def test_off_manifold_start_rejected():
     ytar = Field(spec.grid, np.zeros(spec.n_dof), 2)
     start = Field(spec.grid, np.concatenate([np.ones(n), np.zeros(n)]), 2)
     with pytest.raises(ValueError, match="manifold"):
-        sliding_continuation(spec, cm, start, ytar, T_extra=0.1, dt=1e-2, hit_tol=1e-3)
+        sliding_continuation(spec, cm, start, ytar, T_extra=0.1, dt=1e-2, rho=1e6,
+                             hit_tol=1e-3)
 
 
 def test_post_hit_chattering_bounded():
@@ -385,7 +386,7 @@ def test_nonlinear_sliding_trajectories_carry_newton_counts():
         # the step solved y+ + dt A(y+) = rhs, so rhs is recovered from y+
         ends = traj.states[1:]
         rhs = ends + dt * np.array([spec.apply(y) for y in ends])
-        scale = 1.0 + np.sqrt((rhs * rhs) @ spec.weights)
+        scale = 1.0 + np.sqrt((rhs * rhs) @ spec.grid.component_weights)
         assert np.all(traj.residuals <= NEWTON_TOL * scale * (1 + 1e-6))
 
 
@@ -580,3 +581,19 @@ def test_nonlocal_run_that_continues_past_the_hit_fails_before_it_steps(monkeypa
             run_sliding(spec, cm, y0, y_tar, rho=10.0, T_max=1.0, dt=1e-3, hit_tol=2e-3)
         else:
             sliding_continuation(spec, cm, y0, y_tar, T_extra=0.1, dt=1e-3, rho=10.0)
+
+
+@pytest.mark.parametrize("bad", ["T_max", "dt", "hit_tol"])
+def test_run_sliding_refuses_a_nonpositive_horizon_step_or_tolerance(bad):
+    spec, cm = heat(8)
+    zero = Field(spec.grid, np.zeros(spec.n_dof))
+    numbers = {"T_max": 0.1, "dt": 1e-2, "hit_tol": 1e-3, bad: 0.0}
+    with pytest.raises(ValueError, match="T_max, dt and hit_tol must be positive"):
+        run_sliding(spec, cm, zero, zero, rho=1.0, **numbers)
+
+
+def test_continuation_refuses_less_than_one_step():
+    spec, cm = heat(8)
+    zero = Field(spec.grid, np.zeros(spec.n_dof))
+    with pytest.raises(ValueError, match="T_extra must cover at least one step"):
+        sliding_continuation(spec, cm, zero, zero, T_extra=4e-3, dt=1e-2, rho=1.0)

@@ -1,13 +1,15 @@
 """Discrete space layer: inner products, spectral calculus, duality maps."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mintime import (Field, Grid, L2, L4, H1, HMINUS1, NormTag, SpectralLaplacian, dirichlet,
-                     neumann, robin)
+from mintime import (BoundaryCondition, Field, Grid, L2, L4, H1, HMINUS1, NormTag,
+                     SpectralLaplacian, dirichlet, neumann, robin)
 from mintime.spaces import (
     duality_derivative_rows,
     duality_rows,
@@ -509,5 +511,54 @@ def test_hminus1_requires_dirichlet():
 
 def test_lp_tag_validation():
     with pytest.raises(ValueError):
-        NormTag("Lp", 3)
-    assert NormTag("Lp", 2).kind == "L2"
+        NormTag("Lp")
+
+
+# ---------------------------------------------------------------------------
+# the refusals of the grid and space layer: case -> (call, exception, message)
+
+_LINE = unit_interval(8)
+REFUSALS = {
+    "bc-unknown-kind": (lambda: BoundaryCondition("periodic"), ValueError,
+                        "unknown boundary condition kind 'periodic'"),
+    "bc-robin-without-gamma": (lambda: BoundaryCondition("robin"), ValueError,
+                               "robin boundary condition needs gamma > 0"),
+    "bc-gamma-off-robin": (lambda: BoundaryCondition("neumann", 0.5), ValueError,
+                           "gamma is only meaningful for robin"),
+    "grid-extent-and-nodes-lengths": (lambda: Grid((1.0,), (8, 8)), ValueError,
+                                      "extent and nodes must have the same length"),
+    "grid-3-axes": (lambda: Grid((1.0,) * 3, (4,) * 3), ValueError,
+                    "only 1D and 2D grids are supported"),
+    "grid-zero-extent": (lambda: Grid((0.0,), (8,)), ValueError, "extents must be positive"),
+    "grid-no-components": (lambda: Grid((1.0,), (8,), n_components=0), ValueError,
+                           "need n_components >= 1"),
+    "field-value-count": (lambda: Field(_LINE, np.zeros(9)), ValueError,
+                          "field has 9 values, expected 1 x 8"),
+    "field-non-finite": (lambda: Field(_LINE, np.full(8, np.nan)), ValueError,
+                         "field values must be finite"),
+    "field-component-out-of-range": (lambda: Field(_LINE, np.zeros(8)).component(1), IndexError,
+                                     "component 1 of 1"),
+    "apply-fn-value-count": (lambda: SpectralLaplacian(_LINE).apply_fn(np.zeros(9), np.sqrt),
+                             ValueError, "expected 8 nodal values, got 9"),
+    "spectral-tag-without-laplacian": (lambda: norm_rows(np.ones(8), _LINE, H1), ValueError,
+                                       "norm tag H1 needs a SpectralLaplacian"),
+    "hminus1-on-a-shifted-laplacian": (
+        lambda: norm_rows(np.ones(8), _LINE, HMINUS1, SpectralLaplacian(_LINE, 1.0)),
+        ValueError, "Hminus1 uses the unshifted Dirichlet Laplacian"),
+    "inner-rows-under-l4": (lambda: inner_rows(np.ones(8), np.ones(8), _LINE, L4), ValueError,
+                            "L4 is not an inner-product norm"),
+    "resolvent-zero-rho": (lambda: resolvent_rows(np.ones(8), _LINE, L2, 0.1, 0.0), ValueError,
+                           "ball radius must be positive"),
+    "resolvent-negative-eps": (lambda: resolvent_rows(np.ones(8), _LINE, L2, -0.1, 1.0),
+                               ValueError, "eps must be nonnegative"),
+    "resolvent-derivative-zero-eps": (
+        lambda: resolvent_derivative_rows(np.ones(8), np.ones(8), _LINE, L2, 0.0, 1.0),
+        ValueError, "rho and eps must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, exc, message = REFUSALS[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

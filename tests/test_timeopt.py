@@ -132,6 +132,20 @@ def test_nonpositive_inner_tolerance_and_damping_rejected(field, value):
         replace(scalar_setup(), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["rho", "dt"])
+def test_nonpositive_rho_or_step_rejected(field):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="rho and dt must be positive"):
+        replace(scalar_setup(), **{field: 0.0})
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (0.8, 0.4)])
+def test_outer_minimize_refuses_a_bad_bracket(bracket):
+    with pytest.raises(ValueError, match="need 0 < T_lo < T_hi"):
+        outer_minimize(scalar_setup(), bracket)
+
+
 def test_negative_inner_cap_rejected():
     # the inner solvers would return before binding their iteration count
     from dataclasses import replace
@@ -172,7 +186,7 @@ def test_inner_matches_dense_lq_solution_unconstrained():
         G[:, j] = terminal(e) - base
     # projected state metric and the control-grid weights
     Wp = np.zeros(nd)
-    Wp[: spec.grid.size] = spec.weights[: spec.grid.size]
+    Wp[: spec.grid.size] = spec.grid.component_weights[: spec.grid.size]
     wu = np.tile(cm.ugrid(spec).component_weights, K)
     lhs = G.T @ (Wp[:, None] * G) / prob.eps + prob.eps * dte * np.diag(wu)
     rhs = -G.T @ (Wp * (base - prob.y_tar.values)) / prob.eps
