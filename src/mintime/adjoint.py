@@ -10,15 +10,18 @@ makes the discrete duality identity
 
 hold to machine precision, which is this module's definition of correctness.
 Both sweeps solve with banded step factors (``StepFactor``, the adjoint with
-the transpose), each made as the sweep reaches its step, once for a linear
-kind. A sub-stepped trajectory is refused before any is made: its map is
-not one step of size dt per interval.
+the transpose), each made as the sweep reaches its step. A linear kind makes
+one and marches on it (``StepFactor.march`` and ``march_adjoint``): B is
+applied to the variation's stack once, the rows are permuted into the
+factor's node-major order once, each step is one bare ``dgbtrs`` (the
+adjoint's between the state metric and its inverse), and the rows are
+permuted back once, each row bit for bit the solve of its one step. A sub-stepped trajectory is refused before any
+factor is made: its map is not one step of size dt per interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,20 +44,15 @@ class AdjointState:
         return len(self.times) - 1
 
 
-def _sweep_factors(spec: OperatorSpec, traj: Trajectory) -> Callable[[int], StepFactor]:
-    """The factor of I + dt A'(y_k) at step k, made when a sweep asks for it
-    (a linear kind's one factor, made here, at every k)."""
+def _step_dt(traj: Trajectory) -> float:
+    """The trajectory's step, refused when an interval was sub-stepped."""
     refined = np.flatnonzero(traj.substeps > 1)
     if refined.size:
         k = int(refined[0])
         raise ValueError(
             f"interval {k} was integrated in {int(traj.substeps[k])} sub-steps; "
             "the one-step linearization is not the derivative of that map")
-    dt = float(traj.times[1] - traj.times[0])
-    if spec.is_linear:
-        factor = StepFactor(spec, traj.states[0], dt)
-        return lambda k: factor
-    return lambda k: StepFactor(spec, traj.states[k], dt)
+    return float(traj.times[1] - traj.times[0])
 
 
 def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
@@ -62,13 +60,15 @@ def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     """Solve Y' + A'(y*(t)) Y = Bv, Y(0) = 0 with the trajectory's scheme."""
     if v.steps != traj.steps:
         raise ValueError("variation control must share the trajectory's time grid")
-    dt = float(traj.times[1] - traj.times[0])
-    factor_at = _sweep_factors(spec, traj)
+    dt = _step_dt(traj)
     K = traj.steps
+    forcing = dt * map.apply_B(spec, v.values)
     states = np.zeros((K + 1, spec.n_dof))
-    for k in range(1, K + 1):
-        rhs = states[k - 1] + dt * map.apply_B(spec, v.values[k - 1])
-        states[k] = factor_at(k).solve(rhs)
+    if spec.is_linear:
+        states[1:] = StepFactor(spec, traj.states[0], dt).march(states[0], forcing)
+    else:
+        for k in range(1, K + 1):
+            states[k] = StepFactor(spec, traj.states[k], dt).solve(states[k - 1] + forcing[k - 1])
     return Trajectory(spec, traj.times.copy(), states, np.ones(K, dtype=int), np.zeros(K))
 
 
@@ -80,13 +80,16 @@ def solve_adjoint(spec: OperatorSpec, traj: Trajectory, terminal: Field) -> Adjo
     """
     if terminal.values.size != spec.n_dof:
         raise ValueError("terminal payload does not match the operator")
-    factor_at = _sweep_factors(spec, traj)
+    dt = _step_dt(traj)
     K = traj.steps
     values = np.zeros((K + 1, spec.n_dof))
     values[K] = terminal.values
-    for k in range(K, 0, -1):
-        q = factor_at(k).solve(spec.metric_apply(values[k]), trans=1)
-        values[k - 1] = spec.metric_solve(q)
+    if spec.is_linear:
+        values[:K] = StepFactor(spec, traj.states[0], dt).march_adjoint(values[K], K)
+    else:
+        for k in range(K, 0, -1):
+            q = StepFactor(spec, traj.states[k], dt).solve(spec.metric_apply(values[k]), trans=1)
+            values[k - 1] = spec.metric_solve(q)
     return AdjointState(traj.times.copy(), values)
 
 

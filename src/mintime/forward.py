@@ -5,9 +5,14 @@ One stepping loop, ``_integrate``, carries every solve: open-loop controls
 continuation) alike take a control row at the head of each interval and hold
 it over the interval. Every step solves with the banded LU factors of
 I + dt A'(y), a ``StepFactor`` made here: a linear kind is factored once
-per loop that takes a step. A nonlinear interval's first Newton update
-reuses the factor of the loop's previous interval if that one converged
-after exactly one update; every other update factors at its iterate.
+per loop that takes a step. An open-loop control meets B once, as one
+stack, and on a linear kind it then marches on that one factor
+(``StepFactor.march``): the stack is permuted into node-major order once,
+each step is one bare ``dgbtrs``, and the states are permuted back once,
+each bit for bit the state the loop would reach. A nonlinear interval's
+first Newton update reuses the factor of the loop's previous interval if
+that one converged after exactly one update; every other update factors at
+its iterate.
 On Newton failure the control interval is retried on up to 6 binary
 subdivisions before giving up; the trajectory records the Newton
 iterations, last residual and sub-steps of each interval.
@@ -242,17 +247,34 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt:
 
 
 def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
-               steps: int, control_at: Callable[[int, np.ndarray], np.ndarray],
+               steps: int, control_at: np.ndarray | Callable[[int, np.ndarray], np.ndarray],
                stop: Callable[[np.ndarray], bool] | None = None,
                ) -> tuple[Trajectory, np.ndarray]:
     """The stepping loop of every solve, open-loop or feedback.
 
-    Interval k holds the control row ``control_at(k, y_k)`` taken at its
-    head; with ``stop``, the loop ends after the first interval whose end
+    ``control_at`` is the (steps, m) rows of an open-loop control, or a
+    feedback law: interval k holds the row ``control_at(k, y_k)`` taken at
+    its head. With ``stop``, the loop ends after the first interval whose end
     state meets it. Returns the trajectory and the (steps taken, m) rows.
+
+    On a linear kind, open-loop rows meet B once, as one stack, and march on
+    the loop's one factor (``StepFactor.march``), each step bit for bit the
+    loop's, without its per-interval plumbing: this is the one linear branch
+    beside the loop. A feedback law needs each state before it gives the next
+    row, and a nonlinear interval its Newton solve, so both step interval by
+    interval.
     """
     states = np.empty((steps + 1, spec.n_dof))
     states[0] = y0
+    if not callable(control_at):
+        values = control_at
+        if spec.is_linear:
+            forcing = map.apply_B(spec, values)
+            if steps:
+                states[1:] = StepFactor(spec, y0, dt).march(y0, dt * forcing)
+            return Trajectory(spec, dt * np.arange(steps + 1), states, np.ones(steps, dtype=int),
+                              None, forcing=forcing), values
+        control_at = lambda k, y: values[k]
     rows = np.empty((steps, map.control_size(spec)))
     newton_iters = np.ones(steps, dtype=int)
     substeps = np.ones(steps, dtype=int)
@@ -298,5 +320,5 @@ def solve_forward(spec: OperatorSpec, map: ControlMap, y0: Field, u: Control,
     if T is not None and abs(T - u.horizon) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"horizon {T} does not match the control grid {u.horizon}")
     u.check_admissible(map, spec)
-    traj, _ = _integrate(spec, map, y0.values, u.dt, u.steps, lambda k, y: u.values[k])
+    traj, _ = _integrate(spec, map, y0.values, u.dt, u.steps, u.values)
     return traj

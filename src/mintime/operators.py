@@ -18,14 +18,17 @@ the same band with ``dgbtrf``. The variation and the adjoint make theirs
 where they step, the forward Newton step where it updates (its first one
 may reuse the previous interval's), the adjoint solving with the exact
 transpose (``dgbtrs`` with ``trans=1``), never a separate discretization.
-No operator holds a factor or a dense n_dof x n_dof matrix.
+A linear kind's sweeps march on its one factor (``StepFactor.march`` and
+``march_adjoint``). No operator holds a factor or a dense n_dof x n_dof matrix.
 
 States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
 ``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
 (n_dof,) or a stack of them (rows, n_dof) and work along the last axis. The
 H geometry is the row kernels under ``state_tag`` (``inner_rows``,
-``norm_rows``, ``duality_rows``), and a stacked ``apply`` runs ``dgbmv`` row
-by row, so each row is bit for bit the single-state product.
+``norm_rows``, ``duality_rows``). A stacked ``apply`` permutes and pads the
+whole stack once and collects each row's ``dgbmv`` in one buffer; each row
+is bit for bit the single-state product, as each step of a march is the
+``solve`` of its right-hand side.
 """
 
 from __future__ import annotations
@@ -104,7 +107,10 @@ class StepFactor:
     """LU factors of I + dt A'(y), from LAPACK ``dgbtrf`` on the node-major band.
 
     ``solve(r)`` returns (I + dt A'(y))^-1 r and ``solve(r, trans=1)`` the
-    transpose solve, both on component-major vectors.
+    transpose solve, both on component-major vectors. ``march`` and
+    ``march_adjoint`` run a whole sweep on this one factor, as a linear kind
+    does: one permutation into node-major order, one ``dgbtrs`` per step and
+    one permutation back.
     """
 
     def __init__(self, spec: "OperatorSpec", y: np.ndarray, dt: float):
@@ -118,6 +124,7 @@ class StepFactor:
             raise np.linalg.LinAlgError(
                 f"I + dt A'(y) is singular (dgbtrf info {info}) at dt = {dt!r}")
         self.bw = bw
+        self.spec = spec
         self.order = spec.node_order
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -125,6 +132,40 @@ class StepFactor:
                       trans=trans, overwrite_b=1)
         out = np.empty_like(x)
         out[self.order] = x
+        return out
+
+    def march(self, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """The states x_k = S (x_{k-1} + f_k), k = 1..K, with
+        S = (I + dt A'(y))^-1, from x0 (n_dof,) and the rows f_k of
+        ``forcing`` (K, n_dof); returned as the rows (K, n_dof)."""
+        lu, piv, bw, order = self.lu, self.piv, self.bw, self.order
+        xs = forcing[:, order]
+        x = x0[order]
+        for k in range(len(xs)):
+            x = xs[k] = dgbtrs(lu, bw, bw, x + xs[k], piv, overwrite_b=1)[0]
+        out = np.empty_like(xs)
+        out[:, order] = xs
+        return out
+
+    def march_adjoint(self, p_K: np.ndarray, steps: int) -> np.ndarray:
+        """The adjoint rows p_{k-1} = M^-1 S^T M p_k, k = K..1, with S as in
+        ``march`` and M the state metric (<a, b>_H = a^T M b), from p_K
+        (n_dof,); returned as the rows p_0 .. p_{K-1} (steps, n_dof)."""
+        lu, piv, bw, order, spec = self.lu, self.piv, self.bw, self.order, self.spec
+        if spec.state_tag == L2:  # M is the weights' diagonal, node-major alike
+            w = spec.grid.component_weights[order]
+            to_dual, from_dual = (lambda p: w * p), (lambda q: q / w)
+        else:  # M acts on component-major states: each step permutes to it and back
+            back = np.argsort(order)
+            to_dual, from_dual = ((lambda p: spec.metric_apply(p[back])[order]),
+                                  (lambda q: spec.metric_solve(q[back])[order]))
+        ps = np.empty((steps, order.size))
+        p = p_K[order]
+        for k in range(steps - 1, -1, -1):
+            q = dgbtrs(lu, bw, bw, to_dual(p), piv, trans=1, overwrite_b=1)[0]
+            p = ps[k] = from_dual(q)
+        out = np.empty_like(ps)
+        out[:, order] = ps
         return out
 
 
@@ -204,7 +245,8 @@ class OperatorSpec:
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product of a band in the storage of ``band`` with a
         component-major vector, or with each row of a stack of them, returned
-        component-major."""
+        component-major. The stack is permuted and padded once, and each
+        row's ``dgbmv`` goes into one buffer."""
         order, bw = self.node_order, self.bandwidth
         n = order.size
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
@@ -212,14 +254,18 @@ class OperatorSpec:
             wide = np.zeros((ab.shape[0], m), order="F")
             wide[:, :n] = ab
             ab = wide
-        if x.ndim > 1:
-            rows = [self._band_dot(ab, row) for row in x.reshape(-1, x.shape[-1])]
-            return np.reshape(rows, x.shape)
-        xs = x[order]
-        if m > n:
-            xs = np.concatenate([xs, np.zeros(m - n)])
-        out = np.empty(n)
-        out[order] = dgbmv(m, m, bw, bw, 1.0, ab, xs)[:n]
+        if x.ndim == 1:  # one state, as each Newton iterate: no stack to build
+            xs = x[order]
+            if m > n:
+                xs = np.concatenate([xs, np.zeros(m - n)])
+            out = np.empty(n)
+            out[order] = dgbmv(m, m, bw, bw, 1.0, ab, xs)[:n]
+            return out
+        xs = np.zeros((x.size // n, m))
+        xs[:, :n] = x.reshape(-1, n)[:, order]
+        ys = np.array([dgbmv(m, m, bw, bw, 1.0, ab, row) for row in xs]).reshape(-1, m)
+        out = np.empty(x.shape)
+        out.reshape(-1, n)[:, order] = ys[:, :n]
         return out
 
     def band(self, y: np.ndarray) -> np.ndarray:

@@ -338,3 +338,100 @@ def test_variation_and_adjoint_refuse_another_grid_or_size():
     other = Grid(extent=(1.0,), nodes=(9,), bc=dirichlet())
     with pytest.raises(ValueError, match="terminal payload does not match the operator"):
         solve_adjoint(spec, traj, Field(other, np.zeros(9)))
+
+
+# ---------------------------------------------------------------------------
+# the march: a linear kind's sweeps on its one factor, bit for bit the loop
+
+
+def _linear_cases():
+    g3 = Grid(extent=(1.0,), nodes=(3,), bc=neumann(), n_components=2)
+    g12 = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet())
+    g4x4 = Grid(extent=(1.0, 1.0), nodes=(4, 4), bc=neumann(), n_components=2)
+    first = ControlMap(mode="first_component", u_tag=L2, projection="first")
+
+    def pair(g):
+        return ReactionDiffusion2(g, d1=1.0, d2=0.5, f=pair_fn("linear2", 1.0, 0.4),
+                                  g=pair_fn("linear2", -0.3, 0.7))
+
+    # no repo kind has a non-diagonal metric and several components, so one
+    # pair is given the H^-1 metric by hand: its node order is not the identity
+    hminus1_pair = pair(Grid(extent=(1.0,), nodes=(5,), bc=dirichlet(), n_components=2))
+    hminus1_pair.state_tag = HMINUS1
+    return {
+        "pair_3_nodes": (pair(g3), first),
+        "pair_hminus1_metric": (hminus1_pair, first),
+        "drift_dirichlet": (PotentialDrift(g12, beta=scalar_fn("linear", 0.3), a1=0.2, b=0.4),
+                            ControlMap(mode="identity", u_tag=L2)),
+        "porous": (PorousMedia(g12, beta=scalar_fn("linear", 1.5)),
+                   ControlMap(mode="identity", u_tag=HMINUS1)),
+        "pair_4x4": (pair(g4x4), first),
+    }
+
+
+def _step_loop(spec, cm, y0, u, v, p_K):
+    """The per-step reference: the forward states, the variation states and
+    the adjoint values, each step one solve with the kind's one factor."""
+    dt = u.dt
+    factor = StepFactor(spec, y0, dt)
+    ys, Ys, ps = [y0], [np.zeros(spec.n_dof)], [p_K]
+    for k in range(u.steps):
+        ys.append(factor.solve(ys[-1] + dt * cm.apply_B(spec, u.values[k])))
+        Ys.append(factor.solve(Ys[-1] + dt * cm.apply_B(spec, v.values[k])))
+        ps.append(spec.metric_solve(factor.solve(spec.metric_apply(ps[-1]), trans=1)))
+    return np.array(ys), np.array(Ys), np.array(ps[::-1])
+
+
+@pytest.mark.parametrize("name", sorted(_linear_cases()))
+def test_linear_sweeps_march_bit_for_bit_like_the_step_loop(name):
+    spec, cm = _linear_cases()[name]
+    assert spec.is_linear
+    rng = np.random.default_rng(11)
+    K, dt, m = 25, 1e-2, cm.control_size(spec)
+    y0, p_K = rng.standard_normal(spec.n_dof), rng.standard_normal(spec.n_dof)
+    u = Control(dt, rng.standard_normal((K, m)), rho=1e9, u_tag=cm.u_tag)
+    v = Control(dt, rng.standard_normal((K, m)), rho=1e9, u_tag=cm.u_tag)
+    ys, Ys, ps = _step_loop(spec, cm, y0, u, v, p_K)
+
+    traj = solve_forward(spec, cm, Field(spec.grid, y0), u)
+    terminal = Field(spec.grid, p_K)
+    assert np.array_equal(traj.states, ys)
+    assert np.array_equal(solve_variation(spec, cm, traj, v).states, Ys)
+    assert np.array_equal(solve_adjoint(spec, traj, terminal).values, ps)
+    assert duality_gap(spec, cm, traj, v, terminal)[2] <= 1e-12
+
+
+def test_linear_sweeps_refuse_a_substepped_trajectory():
+    # a linear interval is never subdivided, so the mark is made by hand
+    spec, cm = _linear_cases()["pair_3_nodes"]
+    u = Control.zeros(cm, spec, 1e-2, 6, 1.0)
+    traj = solve_forward(spec, cm, Field(spec.grid, np.ones(spec.n_dof)), u)
+    traj.substeps[2] = 2
+    terminal = Field(spec.grid, np.ones(spec.n_dof))
+    for call in (lambda: solve_adjoint(spec, traj, terminal),
+                 lambda: solve_variation(spec, cm, traj, u),
+                 lambda: duality_gap(spec, cm, traj, u, terminal)):
+        with pytest.raises(ValueError, match="interval 2 was integrated in 2 sub-steps"):
+            call()
+
+
+def test_nonlocal_march_moves_only_in_the_last_bits():
+    # the march applies B to the whole stack at once; a nonlocal B is a
+    # matrix product, whose stacked rows may differ from the row-by-row
+    # products in the last bit
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    gc = Grid(extent=(1.0,), nodes=(4,), bc=dirichlet())
+    (x,), (z,) = g.coordinates(), gc.coordinates()
+    cm = ControlMap(mode="nonlocal", u_tag=L2, control_grid=gc,
+                    kernel=np.exp(-((x[:, None] - z[None, :]) ** 2) / 0.02))
+    spec = PotentialDrift(g, beta=scalar_fn("linear", 0.3), a1=0.2)
+    rng = np.random.default_rng(12)
+    y0, p_K = np.sin(np.pi * x), rng.standard_normal(g.size)
+    u = Control(1e-2, rng.standard_normal((30, gc.size)), rho=1e9)
+    v = Control(1e-2, rng.standard_normal((30, gc.size)), rho=1e9)
+    ys, Ys, ps = _step_loop(spec, cm, y0, u, v, p_K)
+
+    traj = solve_forward(spec, cm, Field(g, y0), u)
+    for got, want in ((traj.states, ys), (solve_variation(spec, cm, traj, v).states, Ys)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    assert np.array_equal(solve_adjoint(spec, traj, Field(g, p_K)).values, ps)

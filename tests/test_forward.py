@@ -425,6 +425,45 @@ def test_linear_residuals_are_computed_on_read(monkeypatch, name):
     assert 0.0 < np.max(traj.residuals) < 1e-10
 
 
+def test_linear_solve_is_the_chain_of_single_steps():
+    # the march of an open-loop solve against the per-interval loop that a
+    # single step takes, on the first-component pair of the optimize configs
+    spec = _linear_specs()["rd2"]
+    cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    _, y0, u = _pair_run(spec, steps=9, dt=0.01, seed=4)
+    traj = solve_forward(spec, cm, y0, u)
+    y = y0
+    for k in range(u.steps):
+        y = step_implicit(spec, cm, y, Field(spec.grid, u.values[k], 2), u.dt)
+        assert np.array_equal(y.values, traj.states[k + 1])
+
+
+def test_linear_open_loop_solve_factors_once_and_applies_B_once(monkeypatch):
+    import mintime.forward as forward
+    from mintime.operators import StepFactor
+
+    spec = _linear_specs()["rd2"]
+    cm, y0, u = _pair_run(spec, steps=9, dt=0.01, seed=4)
+    made, shapes = [], []
+
+    class Counted(StepFactor):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    apply_B = ControlMap.apply_B
+
+    def counted_apply_B(self, spec, u):
+        shapes.append(np.shape(u))
+        return apply_B(self, spec, u)
+
+    monkeypatch.setattr(forward, "StepFactor", Counted)
+    monkeypatch.setattr(ControlMap, "apply_B", counted_apply_B)
+    solve_forward(spec, cm, y0, u)
+    assert len(made) == 1
+    assert shapes == [(u.steps, cm.control_size(spec))]
+
+
 def test_linear_trajectory_without_steps_has_no_residuals():
     import mintime.forward as forward
 

@@ -367,11 +367,19 @@ def test_every_probe_of_the_scalar_continuation_converges(monkeypatch, change):
 def test_importing_mintime_leaves_the_sparse_solvers_unloaded():
     # GMRES serves only solves with a reference control, so its module is
     # imported inside that branch: loading it costs every run about 2 MB of RSS
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import mintime
+
+    # the child imports the mintime this process imported, installed or not
+    src = str(Path(mintime.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, mintime; print('scipy.sparse.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
 
 
