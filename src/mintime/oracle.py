@@ -4,6 +4,8 @@ Spatially constant Neumann solutions of the example systems reduce to small
 ODEs; these oracles solve their minimal-time problems without touching the
 PDE machinery: a closed form for the saturated scalar problem, and a dense
 search over bang control sequences integrated with RK4 for everything else.
+The search builds each slot's forcing once and returns at the first step
+where any sequence hits.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ INFEASIBLE = float("inf")
 # and counts a full-state target hit within HIT_TOL_DT * dt * max(rho, max|M|, 1)
 N_SLOTS = 40
 HIT_TOL_DT = 2.0
+# distances the bang search holds before it checks them for hits (512 KiB)
+HIT_BLOCK = 2**16
 
 
 @dataclass
@@ -105,8 +109,12 @@ def brute_force_min_time(
 
     Switch instants live on a coarse slot grid (at most ``N_SLOTS`` slots over
     the horizon) while the integration runs on the fine RK4 grid; all
-    sequences advance together as one batched state array, and the search
-    returns at the first step where any of them hits.
+    sequences advance together as one batched state array, under a forcing
+    built once per slot. The distances to the target are stacked over blocks
+    of steps within one slot, at most ``HIT_BLOCK`` pattern-steps each (one
+    step when there are more patterns), and each block is checked for hits
+    once: the search returns the time of the first step where any sequence
+    hits.
     """
     if not 0 <= switch_budget <= 3:
         raise ValueError(f"switch budget must be 0 to 3, got {switch_budget}")
@@ -116,49 +124,71 @@ def brute_force_min_time(
     n_slots = max(2, min(N_SLOTS, steps))
     slot_dt = t_max / n_slots
     pats = _sequences(n_slots, switch_budget)
-    m = red.matrix
+    mt = red.matrix.T
     rho = red.rho
     d = red.dimension
-    hit_tol = HIT_TOL_DT * dt * max(rho, float(np.abs(m).max()), 1.0)
+    hit_tol = HIT_TOL_DT * dt * max(rho, float(np.abs(red.matrix).max()), 1.0)
 
     y = np.tile(red.y0, (len(pats), 1))
     e1 = np.zeros(d)
     e1[0] = 1.0
-
     signed = red.target_first_only or d == 1
+    # a block ends with its slot, so it needs no more rows than a slot has steps
+    rows = max(1, min(HIT_BLOCK // len(pats), int(np.ceil(slot_dt / dt)) + 1))
+    dists = np.empty((rows + 1, len(pats)))    # row 0: the distances before the block
 
-    def dist(states: np.ndarray) -> np.ndarray:
+    def dist(states: np.ndarray, out: np.ndarray) -> None:
         if signed:
-            return states[:, 0] - red.target[0]
-        return np.linalg.norm(states - red.target[None, :], axis=1)
+            np.subtract(states[:, 0], red.target[0], out=out)
+        else:
+            out[:] = np.linalg.norm(states - red.target[None, :], axis=1)
 
-    def rhs(states: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-        return -(states @ m.T) + uvals[:, None] * e1[None, :]
+    def first_hit(times: list[float]) -> float | None:
+        """The hit time of the block's first step where any sequence hits."""
+        block = dists[:len(times) + 1]
+        if signed:  # the signed first-component distance crosses zero transversally
+            side = np.sign(block)
+            hits = side[1:] != side[:-1]
+        else:
+            hits = block[1:] <= hit_tol
+        hit_rows = hits.any(axis=1)
+        if not hit_rows.any():
+            return None
+        r = int(hit_rows.argmax())
+        before, after = block[r][hits[r]], block[r + 1][hits[r]]
+        if signed:  # before is nonzero: a zero distance is a hit where it is reached
+            frac = np.abs(before) / (np.abs(before) + np.abs(after))
+        else:
+            frac = np.clip((before - hit_tol) / np.maximum(before - after, 1e-300), 0.0, 1.0)
+        # time only moves forward: the first batch hit is minimal
+        return float(((times[r] - dt) + frac * dt).min())
 
-    prev_dist = dist(y)
-    if np.any(np.abs(prev_dist) <= 1e-14):
+    dist(y, dists[0])
+    if np.any(np.abs(dists[0]) <= 1e-14):
         return 0.0
 
     t = 0.0
-    for k in range(steps):
-        slot = min(int(t / slot_dt), n_slots - 1)
-        uvals = rho * pats[:, slot]
-        k1 = rhs(y, uvals)
-        k2 = rhs(y + 0.5 * dt * k1, uvals)
-        k3 = rhs(y + 0.5 * dt * k2, uvals)
-        k4 = rhs(y + dt * k3, uvals)
+    slot = -1
+    times: list[float] = []     # the accumulated t after each step of the block
+    for _ in range(steps):
+        now = min(int(t / slot_dt), n_slots - 1)
+        if now != slot or len(times) == rows:
+            hit = first_hit(times)
+            if hit is not None:
+                return hit
+            dists[0] = dists[len(times)]
+            times = []
+            if now != slot:
+                slot = now
+                force = (rho * pats[:, slot])[:, None] * e1[None, :]
+        # each stage is -(y M^T) + force to the bit: IEEE a - b is a + (-b)
+        k1 = force - y @ mt
+        k2 = force - (y + 0.5 * dt * k1) @ mt
+        k3 = force - (y + 0.5 * dt * k2) @ mt
+        k4 = force - (y + dt * k3) @ mt
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        cur = dist(y)
-        # the signed first-component distance crosses zero transversally
-        hits = (np.sign(cur) != np.sign(prev_dist)) | (cur == 0.0) if signed else cur <= hit_tol
-        if np.any(hits):
-            before, after = prev_dist[hits], cur[hits]
-            if signed:  # before is nonzero: a zero distance is a hit where it is reached
-                frac = np.abs(before) / (np.abs(before) + np.abs(after))
-            else:
-                frac = np.clip((before - hit_tol) / np.maximum(before - after, 1e-300), 0.0, 1.0)
-            # time only moves forward: the first batch hit is minimal
-            return float(((t - dt) + frac * dt).min())
-        prev_dist = cur
-    return INFEASIBLE
+        times.append(t)
+        dist(y, dists[len(times)])
+    hit = first_hit(times)
+    return INFEASIBLE if hit is None else hit

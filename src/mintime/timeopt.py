@@ -212,8 +212,12 @@ class _LinearKernel:
     """Precomputed step propagators of a linear operator at fixed (T, K).
 
     With S = (I + dt A')^-1 constant, y_K(u) = S^K y0 + dt sum_k S^(K-k+1) B u_k
-    and the rows B* p_{k-1} = B* (S*)^(K-k+1) p_K are each one einsum. Since
-    A S = (I - S)/dt, the horizon pairing is one more:
+    is one einsum, and the rows B* p_{k-1} = B* (S*)^(K-k+1) p_K are one
+    matrix-vector product on the contiguous (K m, n) rows of C. On range P,
+    where every costate ``_newton`` forms lies, that product equals the
+    stacked einsum bit for bit on the repo's optimize kernels; a full-state
+    costate, which no solve forms, may move in the last bit. Since
+    A S = (I - S)/dt, the horizon pairing is one more einsum:
 
         sum_k <p_{k-1}, A y_k>_H = <p_K, K (I - S) S^K y0 / dt
                                    + sum_j (K-j+1) (I - S) S^(K-j+1) B u_j>_H.
@@ -240,7 +244,8 @@ class _LinearKernel:
             c = min(done, K - done)
             pows[done:done + c] = pows[done - 1] @ pows[:c]
             done += c
-        SB = pows[::-1] @ bmat          # S^(K-k+1) B at slot k-1
+        # S^(K-k+1) B at slot k-1: one product on the stacked powers, reversed
+        SB = (pows.reshape(K * n, n) @ bmat).reshape(K, n, m)[::-1]
         self.GB = dte * SB
         # B* (S*)^(K-k+1) = W_u^-1 (S^(K-k+1) B)^T M, the exact transpose of
         # G in the state metric
@@ -270,7 +275,8 @@ class _LinearKernel:
 
     def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
         """B* p_{k-1} for k = 1..K as rows."""
-        return np.einsum("kmn,n->km", self.C, p_terminal)
+        K, m, n = self.C.shape
+        return (self.C.reshape(K * m, n) @ p_terminal).reshape(K, m)
 
     def horizon_pairing(self, uvals: np.ndarray, p_terminal: np.ndarray) -> float:
         """sum_k <p_{k-1}, B u_k - A y_k>_H along the control's trajectory."""

@@ -1,5 +1,6 @@
 """Penalized minimal-time solver: functional, inner Newton, T-search."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,9 @@ from mintime import (
     pair_fn,
     scalar_fn,
 )
+from mintime.config import load_config
 from mintime.forward import Control, solve_forward
+from mintime.operators import StepFactor
 from mintime.oracle import analytic_min_time_scalar
 from mintime import timeopt
 from mintime.timeopt import (
@@ -301,6 +304,46 @@ def test_linear_kernel_rows_are_the_metric_transpose():
     lhs = spec.state_inner(ker.propagate(u), p)
     rhs = 1e-2 * float(np.sum(cm.u_pairing(spec, ker.bstar_rows(p), u)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _config_problem(name):
+    """The optimize config's problem as the CLI builds it, at its first eps."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
+    num = cfg.numerics
+    return PenalizedProblem(cfg.spec, cfg.map, cfg.y0, cfg.y_tar, rho=cfg.rho,
+                            eps=num["eps_schedule"][0], dt=num["dt"])
+
+
+@pytest.mark.parametrize("K", [1, 7, 200, 800])
+@pytest.mark.parametrize("name", ["optimize_scalar", "optimize_pair"])
+def test_linear_kernel_products_equal_the_stacked_forms_bit_for_bit(name, K):
+    # S^j B is one product on the (K n, n) powers, bit for bit the stacked
+    # matmul; G* is one matrix-vector product on the (K m, n) rows, bit for
+    # bit the stacked einsum on range P, where every costate Newton forms lies
+    prob = _config_problem(name)
+    spec, cm = prob.spec, prob.map
+    n, dte = spec.n_dof, 0.65 / K
+    ker = _LinearKernel(prob, K, dte)
+    S = StepFactor(spec, np.zeros(n), dte).solve(np.eye(n))
+    pows = np.empty((K, n, n))     # S^(j+1) by the kernel's doubling
+    pows[0] = S
+    done = 1
+    while done < K:
+        c = min(done, K - done)
+        pows[done:done + c] = pows[done - 1] @ pows[:c]
+        done += c
+    bmat = cm.apply_B(spec, np.eye(cm.control_size(spec))).T
+    np.testing.assert_array_equal(ker.GB, dte * (pows[::-1] @ bmat))
+    rng = np.random.default_rng(K)
+    for _ in range(50):
+        p = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        on_range = cm.project_state(spec, p)
+        np.testing.assert_array_equal(ker.bstar_rows(on_range),
+                                      np.einsum("kmn,n->km", ker.C, on_range))
+        # a full-state costate, which no solve forms, may move in the last bit
+        full = np.einsum("kmn,n->km", ker.C, p)
+        np.testing.assert_allclose(ker.bstar_rows(p), full, rtol=0.0,
+                                   atol=1e-15 * np.abs(full).max())
 
 
 def test_sweep_backend_reproduces_the_uniform_reduction():
