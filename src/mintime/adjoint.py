@@ -9,14 +9,12 @@ makes the discrete duality identity
     (Y_K, p_K)_H = sum_k dt <B v_k, p_{k-1}>_H = sum_k dt <v_k, B* p_{k-1}>
 
 hold to machine precision, which is this module's definition of correctness.
-Both sweeps solve with banded step factors (``StepFactor``, the adjoint with
-the transpose), each made as the sweep reaches its step. A linear kind makes
-one and marches on it (``StepFactor.march`` and ``march_adjoint``): B is
-applied to the variation's stack once, the rows are permuted into the
-factor's node-major order once, each step is one bare ``dgbtrs`` (the
-adjoint's between the state metric and its inverse), and the rows are
-permuted back once, each row bit for bit the solve of its one step. A sub-stepped trajectory is refused before any
-factor is made: its map is not one step of size dt per interval.
+Each sweep is one march of ``operators`` on every kind (``march`` and
+``march_adjoint``): B meets the variation's stack once, and step k solves
+with the banded factor of I + dt A'(y_k) (a linear kind's, state-free, made
+once), the adjoint with its transpose between the state metric and its
+inverse. A sub-stepped trajectory is refused before any factor is made: its
+map is not one step of size dt per interval.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .forward import Control, Trajectory
 from .grids import Field
-from .operators import ControlMap, OperatorSpec, StepFactor
+from .operators import ControlMap, OperatorSpec, march, march_adjoint
 
 __all__ = ["AdjointState", "solve_variation", "solve_adjoint", "duality_gap"]
 
@@ -62,13 +60,7 @@ def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
         raise ValueError("variation control must share the trajectory's time grid")
     dt = _step_dt(traj)
     K = traj.steps
-    forcing = dt * map.apply_B(spec, v.values)
-    states = np.zeros((K + 1, spec.n_dof))
-    if spec.is_linear:
-        states[1:] = StepFactor(spec, traj.states[0], dt).march(states[0], forcing)
-    else:
-        for k in range(1, K + 1):
-            states[k] = StepFactor(spec, traj.states[k], dt).solve(states[k - 1] + forcing[k - 1])
+    states = march(spec, traj.states, dt, np.zeros(spec.n_dof), dt * map.apply_B(spec, v.values))
     return Trajectory(spec, traj.times.copy(), states, np.ones(K, dtype=int), np.zeros(K))
 
 
@@ -80,16 +72,7 @@ def solve_adjoint(spec: OperatorSpec, traj: Trajectory, terminal: Field) -> Adjo
     """
     if terminal.values.size != spec.n_dof:
         raise ValueError("terminal payload does not match the operator")
-    dt = _step_dt(traj)
-    K = traj.steps
-    values = np.zeros((K + 1, spec.n_dof))
-    values[K] = terminal.values
-    if spec.is_linear:
-        values[:K] = StepFactor(spec, traj.states[0], dt).march_adjoint(values[K], K)
-    else:
-        for k in range(K, 0, -1):
-            q = StepFactor(spec, traj.states[k], dt).solve(spec.metric_apply(values[k]), trans=1)
-            values[k - 1] = spec.metric_solve(q)
+    values = march_adjoint(spec, traj.states, _step_dt(traj), terminal.values)
     return AdjointState(traj.times.copy(), values)
 
 

@@ -329,9 +329,9 @@ _ORACLE_SCALAR = {**_ORACLE, "a": (_float, 0.0), "y0": (_float, 0.0),
                   "target": (_float, _REQUIRED)}
 _ORACLE_MATRIX = {
     **_ORACLE,
-    "matrix": (_checked(_array, lambda m: m.ndim == 2 and m.shape[0] == m.shape[1],
-                        "expected a square matrix"), _REQUIRED),
-    "y0": (_array, [0.0, 0.0]),
+    "matrix": (_checked(_array, lambda m: m.ndim == 2 and m.shape[0] == m.shape[1] <= 2,
+                        "expected a square matrix of dimension 1 or 2"), _REQUIRED),
+    "y0": (_array, None),  # zeros of the matrix's dimension
     "target": (_array, _REQUIRED),
 }
 
@@ -339,6 +339,12 @@ _ORACLE_MATRIX = {
 def _oracle(block, where: str) -> dict:
     matrix = "matrix" in _mapping(block, where)
     ob = _block(_ORACLE_MATRIX if matrix else _ORACLE_SCALAR)(block, where)
+    if matrix:
+        d = len(ob["matrix"])
+        ob.setdefault("y0", np.zeros(d))
+        for key, want in (("y0", d), ("target", 1 if ob["target_first_only"] else d)):
+            _require(ob[key].size == want, _join(where, key),
+                     f"expected length {want}, got {ob[key].size}")
     _require(ob["t_max"] > ob["dt"], _join(where, "t_max"),
              f"must exceed oracle.dt = {ob['dt']!r}, got {ob['t_max']!r}")
     return ob
@@ -387,6 +393,8 @@ def _control(c: dict, spec: OperatorSpec) -> ControlMap:
     projection = c.get("projection", "first" if mode == "first_component" else "full")
     kernel = control_grid = None
     _only_with(c, "kernel", mode == "nonlocal", "control", "mode: nonlocal")
+    _require(mode != "nonlocal" or spec.n_components == 1, "control.mode",
+             f"nonlocal maps onto one component, the operator has {spec.n_components}")
     _require(mode != "first_component" or projection == "first", "control.projection",
              f"mode: first_component pairs with projection: first, got {projection!r}")
     _require(norm != "Hminus1" or (mode != "nonlocal" and spec.grid.bc.kind == "dirichlet"),

@@ -4,15 +4,13 @@ One stepping loop, ``_integrate``, carries every solve: open-loop controls
 (``solve_forward``) and feedback laws (the sliding approach and its post-hit
 continuation) alike take a control row at the head of each interval and hold
 it over the interval. Every step solves with the banded LU factors of
-I + dt A'(y), a ``StepFactor`` made here: a linear kind is factored once
-per loop that takes a step. An open-loop control meets B once, as one
-stack, and on a linear kind it then marches on that one factor
-(``StepFactor.march``): the stack is permuted into node-major order once,
-each step is one bare ``dgbtrs``, and the states are permuted back once,
-each bit for bit the state the loop would reach. A nonlinear interval's
-first Newton update reuses the factor of the loop's previous interval if
-that one converged after exactly one update; every other update factors at
-its iterate.
+I + dt A'(y), a ``StepFactor``: a linear kind is factored once per loop
+that takes a step. An open-loop control meets B once, as one stack, and on
+a linear kind it then runs the variation's sweep (``operators.march``) on
+that one factor, each state bit for bit the state the loop would reach. A
+nonlinear interval's first Newton update reuses the factor of the loop's
+previous interval if that one converged after exactly one update; every
+other update factors at its iterate.
 On Newton failure the control interval is retried on up to 6 binary
 subdivisions before giving up; the trajectory records the Newton
 iterations, last residual and sub-steps of each interval.
@@ -36,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import Field
-from .operators import ControlMap, OperatorSpec, StepFactor
+from .operators import ControlMap, OperatorSpec, StepFactor, march
 from .spaces import NormTag, L2
 
 __all__ = ["Control", "Trajectory", "StepFailure", "step_implicit", "solve_forward"]
@@ -257,24 +255,22 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     its head. With ``stop``, the loop ends after the first interval whose end
     state meets it. Returns the trajectory and the (steps taken, m) rows.
 
-    On a linear kind, open-loop rows meet B once, as one stack, and march on
-    the loop's one factor (``StepFactor.march``), each step bit for bit the
-    loop's, without its per-interval plumbing: this is the one linear branch
-    beside the loop. A feedback law needs each state before it gives the next
-    row, and a nonlinear interval its Newton solve, so both step interval by
-    interval.
+    On a linear kind, open-loop rows meet B once, as one stack, and run the
+    variation's sweep (``operators.march``) on the loop's one factor, each
+    step bit for bit the loop's: the one linear branch beside the loop. A
+    feedback law needs each state before its next row, and a nonlinear
+    interval its Newton solve, so both step interval by interval.
     """
-    states = np.empty((steps + 1, spec.n_dof))
-    states[0] = y0
     if not callable(control_at):
         values = control_at
         if spec.is_linear:
             forcing = map.apply_B(spec, values)
-            if steps:
-                states[1:] = StepFactor(spec, y0, dt).march(y0, dt * forcing)
+            states = march(spec, y0[None], dt, y0, dt * forcing)
             return Trajectory(spec, dt * np.arange(steps + 1), states, np.ones(steps, dtype=int),
                               None, forcing=forcing), values
         control_at = lambda k, y: values[k]
+    states = np.empty((steps + 1, spec.n_dof))
+    states[0] = y0
     rows = np.empty((steps, map.control_size(spec)))
     newton_iters = np.ones(steps, dtype=int)
     substeps = np.ones(steps, dtype=int)

@@ -14,12 +14,12 @@ once, in LAPACK band storage: a cached y-independent band built from the
 per-axis 1D stencils, plus the y-dependent nodal diagonals, the derivative
 of the nodal reaction written beside it. ``apply`` is that cached band times
 y (``dgbmv``) plus the reaction. ``StepFactor`` factors I + dt A'(y) from
-the same band with ``dgbtrf``. The variation and the adjoint make theirs
-where they step, the forward Newton step where it updates (its first one
-may reuse the previous interval's), the adjoint solving with the exact
-transpose (``dgbtrs`` with ``trans=1``), never a separate discretization.
-A linear kind's sweeps march on its one factor (``StepFactor.march`` and
-``march_adjoint``). No operator holds a factor or a dense n_dof x n_dof matrix.
+the same band with ``dgbtrf``, where the forward Newton step updates (its
+first one may reuse the previous interval's) and where a sweep steps: one
+``march`` (the variation, and a linear kind's open-loop forward solve) and
+one ``march_adjoint`` (the exact transpose, ``dgbtrs`` with ``trans=1``,
+never a separate discretization) serve every kind, a linear one on one
+factor. No operator holds a factor or a dense n_dof x n_dof matrix.
 
 States follow the row convention of ``spaces``: ``apply``, ``state_inner``,
 ``h_norm``, ``metric_apply``/``metric_solve`` and the V-norms take one state
@@ -28,7 +28,7 @@ H geometry is the row kernels under ``state_tag`` (``inner_rows``,
 ``norm_rows``, ``duality_rows``). A stacked ``apply`` permutes and pads the
 whole stack once and collects each row's ``dgbmv`` in one buffer; each row
 is bit for bit the single-state product, as each step of a march is the
-``solve`` of its right-hand side.
+solve of its right-hand side with its step's factor.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ __all__ = [
     "PhaseField",
     "ControlMap",
     "StepFactor",
+    "march",
+    "march_adjoint",
 ]
 
 # Node diagonals: a one-component nodal matrix M as {s: d}, d[j] = M[j - s, j]
@@ -106,11 +108,7 @@ def _scaled(c: float, diags: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 class StepFactor:
     """LU factors of I + dt A'(y), from LAPACK ``dgbtrf`` on the node-major band.
 
-    ``solve(r)`` returns (I + dt A'(y))^-1 r and ``solve(r, trans=1)`` the
-    transpose solve, both on component-major vectors. ``march`` and
-    ``march_adjoint`` run a whole sweep on this one factor, as a linear kind
-    does: one permutation into node-major order, one ``dgbtrs`` per step and
-    one permutation back.
+    ``solve(r)`` returns (I + dt A'(y))^-1 r on component-major vectors.
     """
 
     def __init__(self, spec: "OperatorSpec", y: np.ndarray, dt: float):
@@ -124,49 +122,61 @@ class StepFactor:
             raise np.linalg.LinAlgError(
                 f"I + dt A'(y) is singular (dgbtrf info {info}) at dt = {dt!r}")
         self.bw = bw
-        self.spec = spec
         self.order = spec.node_order
 
-    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        x, _ = dgbtrs(self.lu, self.bw, self.bw, rhs[self.order], self.piv,
-                      trans=trans, overwrite_b=1)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = dgbtrs(self.lu, self.bw, self.bw, rhs[self.order], self.piv, overwrite_b=1)
         out = np.empty_like(x)
         out[self.order] = x
         return out
 
-    def march(self, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """The states x_k = S (x_{k-1} + f_k), k = 1..K, with
-        S = (I + dt A'(y))^-1, from x0 (n_dof,) and the rows f_k of
-        ``forcing`` (K, n_dof); returned as the rows (K, n_dof)."""
-        lu, piv, bw, order = self.lu, self.piv, self.bw, self.order
-        xs = forcing[:, order]
-        x = x0[order]
-        for k in range(len(xs)):
-            x = xs[k] = dgbtrs(lu, bw, bw, x + xs[k], piv, overwrite_b=1)[0]
-        out = np.empty_like(xs)
-        out[:, order] = xs
-        return out
 
-    def march_adjoint(self, p_K: np.ndarray, steps: int) -> np.ndarray:
-        """The adjoint rows p_{k-1} = M^-1 S^T M p_k, k = K..1, with S as in
-        ``march`` and M the state metric (<a, b>_H = a^T M b), from p_K
-        (n_dof,); returned as the rows p_0 .. p_{K-1} (steps, n_dof)."""
-        lu, piv, bw, order, spec = self.lu, self.piv, self.bw, self.order, self.spec
-        if spec.state_tag == L2:  # M is the weights' diagonal, node-major alike
-            w = spec.grid.component_weights[order]
-            to_dual, from_dual = (lambda p: w * p), (lambda q: q / w)
+def march(spec: "OperatorSpec", at: np.ndarray, dt: float, x0: np.ndarray,
+          forcing: np.ndarray) -> np.ndarray:
+    """The states x_k = S_k (x_{k-1} + f_k), k = 1..K, from x0 (n_dof,) and
+    the rows f_k of ``forcing`` (K, n_dof), as the rows x_0 .. x_K. Step k
+    factors S_k = (I + dt A'(at[k]))^-1 when the march reaches it (a linear
+    kind once, at at[0]: its factor is state-free) and solves with one bare
+    ``dgbtrs`` in node-major order, bit for bit the solve of its step."""
+    bw, order = spec.bandwidth, spec.node_order
+    linear = StepFactor(spec, at[0], dt) if spec.is_linear and len(forcing) else None
+    xs = np.empty((len(forcing) + 1, order.size))
+    x = xs[0] = x0[order]
+    xs[1:] = forcing[:, order]
+    for k in range(1, len(xs)):
+        f = linear or StepFactor(spec, at[k], dt)
+        x = xs[k] = dgbtrs(f.lu, bw, bw, x + xs[k], f.piv, overwrite_b=1)[0]
+        del f  # the next step's factor is made without this one alive
+    out = np.empty_like(xs)
+    out[:, order] = xs
+    return out
+
+
+def march_adjoint(spec: "OperatorSpec", at: np.ndarray, dt: float,
+                  p_K: np.ndarray) -> np.ndarray:
+    """The adjoint rows p_{k-1} = M^-1 S_k^T M p_k, k = K..1, with S_k as in
+    ``march``, K = len(at) - 1 and M the state metric (<a, b>_H = a^T M b),
+    from p_K (n_dof,); returned as the rows p_0 .. p_K."""
+    bw, order = spec.bandwidth, spec.node_order
+    linear = StepFactor(spec, at[0], dt) if spec.is_linear else None
+    l2 = spec.state_tag == L2
+    w = spec.grid.component_weights[order]  # M under L2, node-major alike
+    back = np.argsort(order)
+    ps = np.empty((len(at), order.size))
+    p = ps[-1] = p_K[order]
+    for k in range(len(at) - 1, 0, -1):
+        f = linear or StepFactor(spec, at[k], dt)
+        if l2:
+            q = dgbtrs(f.lu, bw, bw, w * p, f.piv, trans=1, overwrite_b=1)[0]
+            p = ps[k - 1] = q / w
         else:  # M acts on component-major states: each step permutes to it and back
-            back = np.argsort(order)
-            to_dual, from_dual = ((lambda p: spec.metric_apply(p[back])[order]),
-                                  (lambda q: spec.metric_solve(q[back])[order]))
-        ps = np.empty((steps, order.size))
-        p = p_K[order]
-        for k in range(steps - 1, -1, -1):
-            q = dgbtrs(lu, bw, bw, to_dual(p), piv, trans=1, overwrite_b=1)[0]
-            p = ps[k] = from_dual(q)
-        out = np.empty_like(ps)
-        out[:, order] = ps
-        return out
+            q = dgbtrs(f.lu, bw, bw, spec.metric_apply(p[back])[order], f.piv, trans=1,
+                       overwrite_b=1)[0]
+            p = ps[k - 1] = spec.metric_solve(q[back])[order]
+        del f
+    out = np.empty_like(ps)
+    out[:, order] = ps
+    return out
 
 
 class OperatorSpec:
@@ -608,6 +618,15 @@ class ControlMap:
 
     # -- B and B* -------------------------------------------------------------
 
+    def _kernel(self, spec: OperatorSpec) -> np.ndarray:
+        """The nonlocal kernel, which maps onto the nodes of a one-component state."""
+        if spec.n_components != 1:
+            raise ValueError(f"a nonlocal control acts on 1 component, not {spec.n_components}")
+        if self.kernel.shape != (spec.grid.size, self.control_grid.size):
+            raise ValueError(f"kernel shape {self.kernel.shape} does not match state x control "
+                             f"({spec.grid.size} x {self.control_grid.size})")
+        return self.kernel
+
     def apply_B(self, spec: OperatorSpec, u: np.ndarray) -> np.ndarray:
         """B u for one control (m,) or a stack of them (rows, m)."""
         u = np.asarray(u, dtype=float)
@@ -619,13 +638,7 @@ class ControlMap:
             out = np.zeros((*u.shape[:-1], spec.n_dof))
             out[..., : spec.grid.size] = u[..., : spec.grid.size]
             return out
-        wq = self.control_grid.weights
-        if self.kernel.shape != (spec.grid.size, self.control_grid.size):
-            raise ValueError(
-                f"kernel shape {self.kernel.shape} does not match state x control "
-                f"({spec.grid.size} x {self.control_grid.size})"
-            )
-        return (u * wq) @ self.kernel.T
+        return (u * self.control_grid.weights) @ self._kernel(spec).T
 
     def apply_Bstar(self, spec: OperatorSpec, v: np.ndarray) -> np.ndarray:
         """B* v as a U*-element, <u, B*v> = (Bu, v)_H exactly, for one state
@@ -634,7 +647,7 @@ class ControlMap:
         if v.shape[-1] != spec.n_dof:
             raise ValueError(f"expected {spec.n_dof} state dof, got {v.shape[-1]}")
         if self.mode == "nonlocal":
-            return (v * spec.grid.weights) @ self.kernel
+            return (v * spec.grid.component_weights) @ self._kernel(spec)
         # the H-Riesz image of v: v itself in L2, Gamma^-1 v in H^-1
         out = duality_rows(v, spec.grid, spec.state_tag, spec.gamma_op)
         if self.mode == "first_component":

@@ -548,6 +548,14 @@ BAD_CONFIGS = [
     # a negative seed, which used to fail in the random generator after the
     # manifest
     (HEAT_SLIDE, "seed", -1, "seed"),
+    # a nonlocal map on a two-component operator, which used to parse and
+    # then exit 1 after the manifest: its kernel maps onto one component
+    (SCALAR_OPTIMIZE, "control", {**NONLOCAL_AUDIT["control"], "kernel": {
+        **NONLOCAL_AUDIT["control"]["kernel"], "nodes": [4]}}, "control.mode"),
+    # the matrix oracle's sizes, which named the block instead of the key
+    (MATRIX_ORACLE, "oracle.matrix", np.eye(3).tolist(), "oracle.matrix"),
+    (MATRIX_ORACLE, "oracle.y0", [0.0, 0.0], "oracle.y0"),
+    (MATRIX_ORACLE, "oracle.target", [0.5, 0.5], "oracle.target"),
 ]
 
 
@@ -586,6 +594,17 @@ def test_profile_shorthands_give_their_nodal_values(profile, nodal):
 def test_reaction_diffusion2_takes_a_diffusionless_second_component():
     cfg = parse_config(_with(SCALAR_OPTIMIZE, "operator.d2", 0))
     assert cfg.spec.d2 == 0.0 and cfg.spec.v_gamma == (True, False)
+
+
+def test_matrix_oracle_without_y0_starts_at_zeros_of_its_dimension(tmp_path):
+    # a 1x1 matrix without y0 used to be refused: the default was [0.0, 0.0]
+    doc = _with(MATRIX_ORACLE, "oracle.y0", _DROP)
+    assert np.array_equal(parse_config(doc).reduction.y0, [0.0])
+    for name, d in (("given", MATRIX_ORACLE), ("default", doc)):
+        assert run(_write(tmp_path, d, f"{name}.yaml"), tmp_path / name) == 0
+    given, default = (json.loads((tmp_path / name / "report.json").read_text())["oracle"]
+                      for name in ("given", "default"))
+    assert default == given
 
 
 def test_porous_media_without_beta_takes_the_class_default(tmp_path):

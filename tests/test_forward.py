@@ -439,14 +439,13 @@ def test_linear_solve_is_the_chain_of_single_steps():
 
 
 def test_linear_open_loop_solve_factors_once_and_applies_B_once(monkeypatch):
-    import mintime.forward as forward
-    from mintime.operators import StepFactor
+    import mintime.operators as operators
 
     spec = _linear_specs()["rd2"]
     cm, y0, u = _pair_run(spec, steps=9, dt=0.01, seed=4)
     made, shapes = [], []
 
-    class Counted(StepFactor):
+    class Counted(operators.StepFactor):
         def __init__(self, *args):
             made.append(1)
             super().__init__(*args)
@@ -457,7 +456,7 @@ def test_linear_open_loop_solve_factors_once_and_applies_B_once(monkeypatch):
         shapes.append(np.shape(u))
         return apply_B(self, spec, u)
 
-    monkeypatch.setattr(forward, "StepFactor", Counted)
+    monkeypatch.setattr(operators, "StepFactor", Counted)
     monkeypatch.setattr(ControlMap, "apply_B", counted_apply_B)
     solve_forward(spec, cm, y0, u)
     assert len(made) == 1

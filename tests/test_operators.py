@@ -27,7 +27,7 @@ from mintime import (
 from mintime.adjoint import solve_adjoint
 from mintime.forward import Control, Trajectory, solve_forward
 from mintime.nonlinearities import PAIR_FAMILIES
-from mintime.operators import StepFactor
+from mintime.operators import StepFactor, march_adjoint
 from mintime.spaces import SpectralLaplacian
 
 
@@ -255,12 +255,13 @@ def test_band_is_the_jacobian(kind, dim, wall):
 
     dt = 0.05
     step = np.eye(spec.n_dof) + dt * ref
-    factor = StepFactor(spec, w, dt)
     r = rng.standard_normal(spec.n_dof)
-    for trans, mat in ((0, step), (1, step.T)):
-        exact = np.linalg.solve(mat, r)
-        np.testing.assert_allclose(factor.solve(r, trans=trans), exact,
-                                   rtol=0, atol=1e-12 * np.max(np.abs(exact)))
+    # the solve, and the adjoint's one step: the transpose in the state metric
+    for got, exact in (
+            (StepFactor(spec, w, dt).solve(r), np.linalg.solve(step, r)),
+            (march_adjoint(spec, np.stack([w, w]), dt, r)[0],
+             spec.metric_solve(np.linalg.solve(step.T, spec.metric_apply(r))))):
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12 * np.max(np.abs(exact)))
 
 
 # three nodes of two components: 6 dof, fewer than the kl + ku + 1 = 7 rows
@@ -398,7 +399,7 @@ def test_linear_factor_is_state_free_and_made_once_per_solve(monkeypatch):
     # a linear kind's factor is the same at every state, so a forward solve,
     # an adjoint sweep and a variation sweep each make exactly one
     import mintime.adjoint as adjoint
-    import mintime.forward as forward
+    import mintime.operators as operators
 
     spec = all_specs(8)["fitzhugh_nagumo"]
     assert spec.is_linear
@@ -413,8 +414,7 @@ def test_linear_factor_is_state_free_and_made_once_per_solve(monkeypatch):
             made.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(forward, "StepFactor", Counted)
-    monkeypatch.setattr(adjoint, "StepFactor", Counted)
+    monkeypatch.setattr(operators, "StepFactor", Counted)
     rng = np.random.default_rng(8)
     cm = ControlMap(mode="identity", u_tag=L2)
     u = Control(0.1, rng.standard_normal((6, spec.n_dof)), rho=1e9)
@@ -791,6 +791,16 @@ REFUSALS = {
         lambda: ControlMap(**{**_NONLOCAL, "kernel": np.ones((7, 5))}).apply_B(
             PotentialDrift(_ONE_COMPONENT), np.zeros(5)),
         "kernel shape (7, 5) does not match state x control (8 x 5)"),
+    # the kernel maps onto one component's nodes; on a pair B and B* used to
+    # fail inside numpy (an index past the state, a broadcast mismatch)
+    "nonlocal-B-two-component-operator": (
+        lambda: ControlMap(**_NONLOCAL).apply_B(ReactionDiffusion2(_TWO_COMPONENTS),
+                                                np.zeros(5)),
+        "a nonlocal control acts on 1 component, not 2"),
+    "nonlocal-Bstar-two-component-operator": (
+        lambda: ControlMap(**_NONLOCAL).apply_Bstar(ReactionDiffusion2(_TWO_COMPONENTS),
+                                                    np.zeros(16)),
+        "a nonlocal control acts on 1 component, not 2"),
     "unknown-scalar-family": (lambda: scalar_fn("quartic"), "unknown scalar family 'quartic'"),
     "unknown-pair-family": (lambda: pair_fn("quartic2"), "unknown pair family 'quartic2'"),
 }
