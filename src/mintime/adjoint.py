@@ -14,7 +14,8 @@ Each sweep is one march of ``operators`` on every kind (``march`` and
 with the banded factor of I + dt A'(y_k) (a linear kind's, state-free, made
 once), the adjoint with its transpose between the state metric and its
 inverse. A sub-stepped trajectory is refused before any factor is made: its
-map is not one step of size dt per interval.
+map is not one step of size dt per interval. A trajectory without a step
+has the one row: the zero variation, p_K and a zero gap.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class AdjointState:
 
 
 def _step_dt(traj: Trajectory) -> float:
-    """The trajectory's step, refused when an interval was sub-stepped."""
+    """The trajectory's step (0 without one), refused when an interval was
+    sub-stepped."""
     refined = np.flatnonzero(traj.substeps > 1)
     if refined.size:
         k = int(refined[0])
         raise ValueError(
             f"interval {k} was integrated in {int(traj.substeps[k])} sub-steps; "
             "the one-step linearization is not the derivative of that map")
-    return float(traj.times[1] - traj.times[0])
+    return float(traj.times[1] - traj.times[0]) if traj.steps else 0.0
 
 
 def solve_variation(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
@@ -86,7 +88,7 @@ def duality_gap(spec: OperatorSpec, map: ControlMap, traj: Trajectory,
     Y = solve_variation(spec, map, traj, v)
     p = solve_adjoint(spec, traj, terminal)
     lhs = spec.state_inner(Y.states[-1], terminal.values)
-    dt = float(traj.times[1] - traj.times[0])
+    dt = _step_dt(traj)
     rhs = dt * float(np.sum(map.u_pairing(spec, map.apply_Bstar(spec, p.values[:-1]), v.values)))
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return lhs, rhs, abs(lhs - rhs) / denom

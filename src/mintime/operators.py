@@ -28,7 +28,10 @@ H geometry is the row kernels under ``state_tag`` (``inner_rows``,
 ``norm_rows``, ``duality_rows``). A stacked ``apply`` permutes and pads the
 whole stack once and collects each row's ``dgbmv`` in one buffer; each row
 is bit for bit the single-state product, as each step of a march is the
-solve of its right-hand side with its step's factor.
+solve of its right-hand side with its step's factor. Every return from
+node-major to component-major order is one gather on ``node_back``, the
+inverse of ``node_order`` that each operator caches once: ``np.take`` along
+the rows of a stack, a fancy index on one state.
 """
 
 from __future__ import annotations
@@ -122,13 +125,11 @@ class StepFactor:
             raise np.linalg.LinAlgError(
                 f"I + dt A'(y) is singular (dgbtrf info {info}) at dt = {dt!r}")
         self.bw = bw
-        self.order = spec.node_order
+        self.order, self.back = spec.node_order, spec.node_back
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, _ = dgbtrs(self.lu, self.bw, self.bw, rhs[self.order], self.piv, overwrite_b=1)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+        return x[self.back]
 
 
 def march(spec: "OperatorSpec", at: np.ndarray, dt: float, x0: np.ndarray,
@@ -142,14 +143,12 @@ def march(spec: "OperatorSpec", at: np.ndarray, dt: float, x0: np.ndarray,
     linear = StepFactor(spec, at[0], dt) if spec.is_linear and len(forcing) else None
     xs = np.empty((len(forcing) + 1, order.size))
     x = xs[0] = x0[order]
-    xs[1:] = forcing[:, order]
+    np.take(forcing, order, axis=1, out=xs[1:], mode="clip")  # "clip": out= unbuffered
     for k in range(1, len(xs)):
         f = linear or StepFactor(spec, at[k], dt)
         x = xs[k] = dgbtrs(f.lu, bw, bw, x + xs[k], f.piv, overwrite_b=1)[0]
         del f  # the next step's factor is made without this one alive
-    out = np.empty_like(xs)
-    out[:, order] = xs
-    return out
+    return np.take(xs, spec.node_back, axis=1)
 
 
 def march_adjoint(spec: "OperatorSpec", at: np.ndarray, dt: float,
@@ -157,11 +156,10 @@ def march_adjoint(spec: "OperatorSpec", at: np.ndarray, dt: float,
     """The adjoint rows p_{k-1} = M^-1 S_k^T M p_k, k = K..1, with S_k as in
     ``march``, K = len(at) - 1 and M the state metric (<a, b>_H = a^T M b),
     from p_K (n_dof,); returned as the rows p_0 .. p_K."""
-    bw, order = spec.bandwidth, spec.node_order
-    linear = StepFactor(spec, at[0], dt) if spec.is_linear else None
+    bw, order, back = spec.bandwidth, spec.node_order, spec.node_back
+    linear = StepFactor(spec, at[0], dt) if spec.is_linear and len(at) > 1 else None
     l2 = spec.state_tag == L2
     w = spec.grid.component_weights[order]  # M under L2, node-major alike
-    back = np.argsort(order)
     ps = np.empty((len(at), order.size))
     p = ps[-1] = p_K[order]
     for k in range(len(at) - 1, 0, -1):
@@ -174,9 +172,7 @@ def march_adjoint(spec: "OperatorSpec", at: np.ndarray, dt: float,
                        overwrite_b=1)[0]
             p = ps[k - 1] = spec.metric_solve(q[back])[order]
         del f
-    out = np.empty_like(ps)
-    out[:, order] = ps
-    return out
+    return np.take(ps, back, axis=1)
 
 
 class OperatorSpec:
@@ -242,6 +238,12 @@ class OperatorSpec:
         return np.arange(self.n_dof).reshape(self.n_components, -1).T.ravel()
 
     @cached_property
+    def node_back(self) -> np.ndarray:
+        """The node-major position of each component-major dof, the inverse of
+        ``node_order``: every return to component-major order gathers on it."""
+        return np.argsort(self.node_order)
+
+    @cached_property
     def _band_base(self) -> np.ndarray:
         # Fortran order, as dgbmv takes it without a copy; the (a, b) block's
         # node diagonal s lies on band row bw - (s nc + b - a), columns b::nc
@@ -257,7 +259,7 @@ class OperatorSpec:
         component-major vector, or with each row of a stack of them, returned
         component-major. The stack is permuted and padded once, and each
         row's ``dgbmv`` goes into one buffer."""
-        order, bw = self.node_order, self.bandwidth
+        order, back, bw = self.node_order, self.node_back, self.bandwidth
         n = order.size
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
         if ab.shape[1] < m:  # zero columns, once for a whole stack
@@ -268,15 +270,11 @@ class OperatorSpec:
             xs = x[order]
             if m > n:
                 xs = np.concatenate([xs, np.zeros(m - n)])
-            out = np.empty(n)
-            out[order] = dgbmv(m, m, bw, bw, 1.0, ab, xs)[:n]
-            return out
+            return dgbmv(m, m, bw, bw, 1.0, ab, xs)[back]
         xs = np.zeros((x.size // n, m))
         xs[:, :n] = x.reshape(-1, n)[:, order]
         ys = np.array([dgbmv(m, m, bw, bw, 1.0, ab, row) for row in xs]).reshape(-1, m)
-        out = np.empty(x.shape)
-        out.reshape(-1, n)[:, order] = ys[:, :n]
-        return out
+        return np.take(ys, back, axis=1).reshape(x.shape)
 
     def band(self, y: np.ndarray) -> np.ndarray:
         """A'(y) in band storage, ab[bw + i - j, j] = A'[i, j], for node-major

@@ -52,10 +52,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjoint import AdjointState, solve_adjoint, solve_variation
+from .adjoint import AdjointState, _step_dt, solve_adjoint
 from .forward import Control, Trajectory, solve_forward
 from .grids import Field
-from .operators import ControlMap, OperatorSpec, StepFactor
+from .operators import ControlMap, OperatorSpec, StepFactor, march, march_adjoint
 
 __all__ = [
     "PenalizedProblem",
@@ -285,37 +285,35 @@ class _LinearKernel:
 
 
 class _Sweeps:
-    """G and G* from sequential sweeps over the banded step factor: the
-    forward solve of the latest control (on exit, the one ``_newton`` returns),
-    and the variation and adjoint linearized along it, at zero before any
-    forward solve, which serves a linear kind: its factor is state-free."""
+    """G and G* from sweeps over the banded step factor, on the state stack
+    of the latest forward solve (on exit, the one ``_newton`` returns): G is
+    one ``march`` of the variation and G* one ``march_adjoint``, linearized
+    along that stack, zeros before any forward solve, which serves a linear
+    kind: its factor is state-free. A sub-stepped forward solve is refused
+    as soon as it is made, since no sweep along it is its derivative."""
 
     def __init__(self, prob: PenalizedProblem, K: int, dte: float):
         self.prob, self.dte = prob, dte
-        spec = prob.spec
-        self.traj = Trajectory(spec, dte * np.arange(K + 1), np.zeros((K + 1, spec.n_dof)),
-                               np.zeros(K, dtype=int), np.zeros(K))
-
-    def _control(self, vals: np.ndarray) -> Control:
-        return Control(self.dte, vals, self.prob.rho, self.prob.map.u_tag)
+        self.states = np.zeros((K + 1, prob.spec.n_dof))
 
     def propagate(self, vals: np.ndarray) -> np.ndarray:
-        p = self.prob
-        return solve_variation(p.spec, p.map, self.traj, self._control(vals)).states[-1]
+        p, dte = self.prob, self.dte
+        return march(p.spec, self.states, dte, np.zeros(p.spec.n_dof),
+                     dte * p.map.apply_B(p.spec, vals))[-1]
 
     def terminal_state(self, uvals: np.ndarray) -> np.ndarray:
         p = self.prob
-        self.traj = solve_forward(p.spec, p.map, p.y0, self._control(uvals))
-        return self.traj.states[-1]
+        traj = solve_forward(p.spec, p.map, p.y0, Control(self.dte, uvals, p.rho, p.map.u_tag))
+        _step_dt(traj)
+        self.states = traj.states
+        return self.states[-1]
 
     def bstar_rows(self, p_terminal: np.ndarray) -> np.ndarray:
         return self.prob.map.apply_Bstar(self.prob.spec, self._adjoint(p_terminal))
 
     def _adjoint(self, p_terminal: np.ndarray) -> np.ndarray:
         """p_{k-1} for k = 1..K along the latest forward solve."""
-        spec = self.prob.spec
-        adj = solve_adjoint(spec, self.traj, Field(spec.grid, p_terminal))
-        return adj.values[:-1]
+        return march_adjoint(self.prob.spec, self.states, self.dte, p_terminal)[:-1]
 
     def horizon_pairing(self, uvals: np.ndarray, p_terminal: np.ndarray) -> float:
         """sum_k <p_{k-1}, B u_k - A(y_k)>_H: one adjoint sweep and one
@@ -323,7 +321,7 @@ class _Sweeps:
         p, spec = self.prob, self.prob.spec
         adj = self._adjoint(p_terminal)
         bu = p.map.u_pairing(spec, p.map.apply_Bstar(spec, adj), uvals)
-        ay = spec.state_inner(spec.apply(self.traj.states[1:]), adj)
+        ay = spec.state_inner(spec.apply(self.states[1:]), adj)
         return float(np.sum(bu) - np.sum(ay))
 
 

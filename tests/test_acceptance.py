@@ -251,6 +251,20 @@ def test_criterion_6_maximum_principle_residuals(scalar_continuation):
     _verdict(6, ok, "; ".join(details))
 
 
+def _radial_hit(lam: float, r0: float, rho: float, dt: float, tol: float) -> tuple:
+    """The sliding hit of a start on one eigenvector (eigenvalue ``lam``) of
+    a symmetric kind under the identity map, where the radial sign feedback
+    keeps the state: the discrete deviation r_k = (r_{k-1} - rho dt)/(1 + lam dt)
+    from r0, with ``run_sliding``'s linear interpolation inside the step that
+    crosses ``tol``. Returns (T_hit, the deviation at the hit step, the
+    continuous hit time ln((r0 + rho/lam)/(tol + rho/lam))/lam)."""
+    k, r = 0, r0
+    while r > tol:
+        k, prev, r = k + 1, r, (r - rho * dt) / (1.0 + lam * dt)
+    t_hit = (k - 1) * dt + (prev - tol) / (prev - r) * dt
+    return t_hit, r, np.log((r0 + rho / lam) / (tol + rho / lam)) / lam
+
+
 def test_criterion_7_sliding_controllability():
     t0 = time.time()
     g = Grid(extent=(1.0,), nodes=(32,), bc=dirichlet())
@@ -264,6 +278,29 @@ def test_criterion_7_sliding_controllability():
                         hit_tol=2e-3, continue_after_hit=False)
     bound = 0.0707 * (1.0 + 5 * dt / 0.0707)
     ok = run10.hit and run10.hit_time <= bound
+    # sin(pi x) is an eigenvector of the discrete Dirichlet Laplacian: the
+    # hit is the radial recurrence's, and near the continuous one
+    lam = SpectralLaplacian(g).eigenvalues[0]
+    t_hit, r_hit, t_cont = _radial_hit(lam, float(spec.h_norm(y0.values)), 10.0, dt, 2e-3)
+    exact = (run10.hit and abs(run10.hit_time - t_hit) <= 1e-12 * t_hit
+             and abs(run10.summary()["max_post_hit_deviation"] - r_hit) <= 1e-10 * r_hit
+             and abs(run10.hit_time - t_cont) <= dt)
+
+    # the same on the first eigenvector of a 2D Dirichlet rectangle, where
+    # the hit falls strictly with rho
+    g2 = Grid(extent=(1.0, 2.0), nodes=(12, 10), bc=dirichlet())
+    spec2 = PotentialDrift(g2, beta=scalar_fn("zero"))
+    lap2 = SpectralLaplacian(g2)
+    e0 = lap2.eigenvector(0)
+    y2 = Field(g2, 0.5 * e0 / spec2.h_norm(e0))
+    hits2 = []
+    for rho in (5.0, 10.0, 20.0):
+        r = run_sliding(spec2, cm, y2, Field(g2, np.zeros(g2.size)), rho=rho, T_max=0.2,
+                        dt=dt, hit_tol=2e-3, continue_after_hit=False)
+        t_hit2 = _radial_hit(lap2.eigenvalues[0], 0.5, rho, dt, 2e-3)[0]
+        exact = exact and r.hit and abs(r.hit_time - t_hit2) <= 1e-12 * t_hit2
+        hits2.append(r.hit_time if r.hit else np.inf)
+    exact = exact and all(b < a for a, b in zip(hits2, hits2[1:]))
 
     hit_tol = 2e-3
     hits = []
@@ -275,8 +312,10 @@ def test_criterion_7_sliding_controllability():
         hits.append(r.hit_time)
     mono = all(b <= a + 1e-12 for a, b in zip(hits, hits[1:]))
     elapsed = time.time() - t0
-    _verdict(7, ok and mono and elapsed < 10.0,
-             f"heat hit at {run10.hit_time:.5f} <= {bound:.5f}; hit times over "
+    _verdict(7, ok and mono and exact and elapsed < 10.0,
+             f"heat hit at {run10.hit_time:.5f} <= {bound:.5f}, radial recurrence "
+             f"{t_hit:.5f}, continuous {t_cont:.5f}; 2D eigenvector hits "
+             f"{['%.5f' % h for h in hits2]} exact and falling = {exact}; hit times over "
              f"rho grid {['%.4f' % h for h in hits]} nonincreasing = {mono}; "
              f"{elapsed:.1f} s (limit 10 s)")
 

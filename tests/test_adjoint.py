@@ -222,6 +222,42 @@ def test_adjoint_of_substepped_interval_raises(monkeypatch):
             call()
 
 
+def test_inner_solver_refuses_a_substepped_forward_solve(monkeypatch):
+    # the inner solve's sweeps linearize along its latest forward solve, so
+    # a sub-stepped one is refused as soon as it is made
+    import mintime.forward as forward
+    from mintime.timeopt import PenalizedProblem, inner_solve_control
+
+    spec, cm, y0, _, _ = _refinement_setup()
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 4)
+    prob = PenalizedProblem(spec, cm, y0, Field(spec.grid, np.zeros(spec.n_dof)),
+                            rho=1.0, eps=0.1, dt=0.05)
+    with pytest.raises(ValueError, match="interval 0 was integrated in"):
+        inner_solve_control(prob, 0.2)
+
+
+@pytest.mark.parametrize("which", [0, 3], ids=["cubic_drift", "fitzhugh_nagumo"])
+def test_zero_step_trajectory_has_one_row(monkeypatch, which):
+    # a control without a step leaves the start: the variation is the zero
+    # row, the adjoint the terminal row and the duality gap zero, with no
+    # step factor made
+    import mintime.operators as operators
+
+    spec, cm = _instances()[which]
+    rng = np.random.default_rng(31)
+    y0 = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
+    u = Control(1e-2, np.zeros((0, cm.control_size(spec))), rho=1.0, u_tag=cm.u_tag)
+    traj = solve_forward(spec, cm, y0, u)
+    assert traj.states.shape == (1, spec.n_dof)
+    terminal = Field(spec.grid, rng.standard_normal(spec.n_dof), spec.n_components)
+    monkeypatch.setattr(operators, "StepFactor", None)
+    np.testing.assert_array_equal(solve_variation(spec, cm, traj, u).states,
+                                  np.zeros((1, spec.n_dof)))
+    np.testing.assert_array_equal(solve_adjoint(spec, traj, terminal).values,
+                                  terminal.values[None])
+    assert duality_gap(spec, cm, traj, u, terminal) == (0.0, 0.0, 0.0)
+
+
 def test_unrefined_steep_start_gradient_matches_central_differences():
     spec, cm, y0, u, v = _refinement_setup()
     traj = solve_forward(spec, cm, y0, u)
