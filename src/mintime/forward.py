@@ -187,12 +187,15 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
     other update factors at its iterate, dropping the old factor first; on
     return ``held`` keeps the factor of a solve that took exactly one update."""
     held = [] if held is None else held
-    scale = 1.0 + _wnorm(spec, rhs)
+    w = spec.grid.component_weights  # the norms are _wnorm's, on weights read once
+    scale = 1.0 + math.sqrt(np.dot(w, rhs * rhs))
     x = guess
     ax = spec.apply(x) if a_guess is None else a_guess
     for it in range(NEWTON_MAX_ITER + 1):
-        r = x + dt * ax - rhs
-        res = _wnorm(spec, r)
+        r = dt * ax  # x + dt A_H(x) - rhs, formed in place
+        r += x
+        r -= rhs
+        res = math.sqrt(np.dot(w, r * r))
         if res <= NEWTON_TOL * scale:
             if it != 1:
                 held.clear()
@@ -226,16 +229,19 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt:
     ``a_y`` is A_H(y) when the caller has it (else the first Newton residual
     evaluates it); every retry starts from y, so it serves each of them.
     ``held`` (see ``_implicit_solve``) serves the whole step; sub-steps
-    factor on their own and leave it empty. Returns (state, its A_H,
-    Newton iterations, last residual, sub-steps taken)."""
+    factor on their own and leave it empty. Neither y nor a_y is written
+    to. Returns (state, its A_H, Newton iterations, last residual, sub-steps
+    taken)."""
     for level in range(MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
-        x, ax = y.copy(), a_y
+        x, ax = y, a_y
         iters = 0
         try:
             for _ in range(nsub):
-                x, ax, it, res = _implicit_solve(spec, x + sub_dt * bu, x, sub_dt, ax,
+                rhs = sub_dt * bu
+                rhs += x
+                x, ax, it, res = _implicit_solve(spec, rhs, x, sub_dt, ax,
                                                  held if nsub == 1 else None)
                 iters += it
             return x, ax, iters, res, nsub
@@ -298,6 +304,10 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
             K = k + 1
             break
 
+    if K < steps:  # a loop that stopped keeps no buffer of the rows it left unfilled
+        states, rows = states[:K + 1].copy(), rows[:K].copy()
+        if linear:
+            forcing = forcing[:K].copy()
     traj = Trajectory(spec, dt * np.arange(K + 1), states[:K + 1], newton_iters[:K],
                       None if linear else residuals[:K], substeps[:K],
                       forcing[:K] if linear else None)

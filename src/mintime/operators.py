@@ -222,7 +222,9 @@ class OperatorSpec:
         """Nodal A_H y of a state (n_dof,) or of each row of a stack
         (rows, n_dof): the y-independent band times y plus the reaction."""
         y = self._check_dof(y)
-        return self._band_dot(self._band_base, y) + self._reaction(y)
+        out = self._band_dot(self._band_base, y)
+        out += self._reaction(y)
+        return out
 
     # -- the linearization in band storage ----------------------------------
 
@@ -506,8 +508,10 @@ class ReactionDiffusion2(_TwoComponent):
 
     def _reaction(self, w):
         y, z = self._split(w)
-        f, g = self._fg(0, y, z)
-        return np.concatenate([f, g], axis=-1)
+        fg = self._fg(0, y, z)
+        if w.ndim == 1 and self._family_columns is not None:
+            return fg.reshape(-1)  # one state's (2, n) [f, g] is already their concatenation
+        return np.concatenate(fg, axis=-1)
 
     def _nodal_blocks(self, w):
         y, z = self._split(w)
@@ -633,8 +637,8 @@ class ControlMap:
         if self.mode == "identity":
             return u.copy()
         if self.mode == "first_component":
-            out = np.zeros((*u.shape[:-1], spec.n_dof))
-            out[..., : spec.grid.size] = u[..., : spec.grid.size]
+            out = u.copy()
+            out[..., spec.grid.size:] = 0.0
             return out
         return (u * self.control_grid.weights) @ self._kernel(spec).T
 
@@ -654,12 +658,14 @@ class ControlMap:
 
     # -- projections ------------------------------------------------------------
 
-    def project_state(self, spec: OperatorSpec, v: np.ndarray) -> np.ndarray:
-        if self.projection == "full":
-            return np.asarray(v, dtype=float).copy()
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape)
-        out[..., : spec.grid.size] = v[..., : spec.grid.size]
+    def project_state(self, spec: OperatorSpec, v: np.ndarray, copy: bool = True) -> np.ndarray:
+        """P v for a state (n_dof,) or each row of a stack: a fresh array, or
+        with ``copy`` False a float array v itself, projected in place."""
+        out = np.asarray(v, dtype=float)
+        if copy:
+            out = out.copy()
+        if self.projection == "first":
+            out[..., spec.grid.size:] = 0.0
         return out
 
     def auxiliary_state(self, spec: OperatorSpec, y: np.ndarray,

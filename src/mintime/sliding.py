@@ -93,8 +93,9 @@ def sign_feedback(map: ControlMap, spec: OperatorSpec, y: np.ndarray, y_tar: np.
     """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y: the
     eps = 0 resolvent of -B* P(y - y_tar), zero where the argument vanishes.
     ||u||_U is rho or 0."""
-    return map.resolvent_batch(
-        spec, -map.apply_Bstar(spec, map.project_state(spec, y - y_tar)), 0.0, rho)
+    z = map.apply_Bstar(spec, map.project_state(spec, y - y_tar, copy=False))
+    np.negative(z, out=z)
+    return map.resolvent_batch(spec, z, 0.0, rho)
 
 
 def hit_time_bound(rho: float, a_norm: float, c1: float, dev0: float) -> float | None:
@@ -147,7 +148,8 @@ def run_sliding(
     gain_c = projection_constant(spec, map, _projection_matrix(spec, map), _metric_state(spec))
 
     def deviation(y: np.ndarray) -> np.ndarray:
-        return spec.h_norm(map.project_state(spec, y - y_tar.values))
+        # one state or a stack: y - y_tar is formed once and projected in place
+        return spec.h_norm(map.project_state(spec, y - y_tar.values, copy=False))
 
     dev0 = deviation(y0.values)
     a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
@@ -239,7 +241,8 @@ def sliding_continuation(
     hold along this trajectory.
     """
     if hit_tol is not None:
-        dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values))
+        dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values,
+                                            copy=False))
         if dev > hit_tol * (1 + 1e-9):
             raise ValueError(
                 f"state is not on the manifold: deviation {dev:.3e} > hit_tol {hit_tol:.3e}"
@@ -249,12 +252,15 @@ def sliding_continuation(
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")
 
+    target, cap = y_tar.values, rho * (1 + 1e-9)
+
     def law(k: int, y: np.ndarray) -> np.ndarray:
         # equivalent control from the manifold-restricted dynamics at the
         # current uncontrolled state, held over an honest implicit step
-        u = map.project_state(spec, spec.apply(map.auxiliary_state(spec, y, y_tar.values)))
+        u = map.project_state(spec, spec.apply(map.auxiliary_state(spec, y, target)),
+                              copy=False)
         nu = float(map.u_norms_batch(spec, u))
-        if nu > rho * (1 + 1e-9):
+        if nu > cap:
             raise SaturationError(
                 f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}"
             )

@@ -225,8 +225,8 @@ def _rows(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _blocks(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(..., components, nodes) view of the values and the (components, nodes) weights."""
-    w = grid.component_weights.reshape(grid.n_components, grid.size)
-    return v.reshape(*v.shape[:-1], *w.shape), w
+    shape = (grid.n_components, grid.size)
+    return v.reshape(v.shape[:-1] + shape), grid.component_weights.reshape(shape)
 
 
 def _gamma_rows(v: np.ndarray, tag: NormTag, s: SpectralLaplacian | None,
@@ -240,10 +240,25 @@ def _gamma_rows(v: np.ndarray, tag: NormTag, s: SpectralLaplacian | None,
     return (s.apply if power > 0 else s.apply_inverse)(v.reshape(-1, s.n)).reshape(v.shape)
 
 
-def _lp_map(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+def _lp_norms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """Lp norms along the last axis, kept as a length-1 axis:
+    (sum w |v|^p)^(1/p), formed on one temporary."""
+    t = np.abs(values)
+    np.power(t, p, out=t)
+    t *= weights
+    return np.add.reduce(t, axis=-1, keepdims=True) ** (1.0 / p)
+
+
+def _lp_combine(nrm: np.ndarray) -> np.ndarray:
+    """The l2 norm of per-component Lp norms (..., components, 1)."""
+    return np.sqrt(np.add.reduce(np.square(nrm[..., 0]), axis=-1))
+
+
+def _lp_map(values: np.ndarray, weights: np.ndarray, p: float,
+            nrm: np.ndarray | None = None) -> np.ndarray:
     """Duality map of Lp along the last axis, ||v||^(2-p) sign(v) |v|^(p-1);
-    zero on zero rows."""
-    nrm = np.sum(weights * np.abs(values) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+    zero on zero rows. ``nrm`` is ``_lp_norms`` of the values, if known."""
+    nrm = _lp_norms(values, weights, p) if nrm is None else nrm
     nrm = np.where(nrm > 0.0, nrm, 1.0)  # sign(v) = 0 on zero rows
     return nrm ** (2.0 - p) * np.sign(values) * np.abs(values) ** (p - 1.0)
 
@@ -267,9 +282,7 @@ def norm_rows(values: np.ndarray, grid: Grid, tag: NormTag = L2,
     v = _rows(values, grid)
     if tag.kind == "L4":
         blocks, w = _blocks(v, grid)
-        p = tag.p / (tag.p - 1.0) if dual else tag.p
-        comp = np.add.reduce(w * np.abs(blocks) ** p, axis=-1) ** (1.0 / p)
-        return np.sqrt(np.add.reduce(np.square(comp), axis=-1))
+        return _lp_combine(_lp_norms(blocks, w, tag.p / (tag.p - 1.0) if dual else tag.p))
     gv = _gamma_rows(v, tag, s, -1 if dual else 1)
     return np.sqrt(np.maximum((gv * v) @ grid.component_weights, 0.0))
 
@@ -311,7 +324,7 @@ def duality_derivative_rows(values: np.ndarray, directions: np.ndarray, grid: Gr
     (blocks, w), dblocks = _blocks(v, grid), _blocks(dv, grid)[0]
     q = tag.p / (tag.p - 1.0) if inverse else tag.p
     a = np.abs(blocks)
-    nrm = np.sum(w * a**q, axis=-1, keepdims=True) ** (1.0 / q)
+    nrm = _lp_norms(blocks, w, q)
     zero = nrm == 0.0
     nrm = np.where(zero, 1.0, nrm)
     sv = np.sign(blocks) * a ** (q - 1.0)
@@ -335,10 +348,20 @@ def resolvent_rows(values: np.ndarray, grid: Grid, tag: NormTag, eps: float, rho
         raise ValueError("ball radius must be positive")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    nz = norm_rows(values, grid, tag, s, dual=True)
-    finv = duality_rows(values, grid, tag, s, inverse=True)   # F^-1(0) = 0
+    if tag.kind == "L4":  # the dual norm and F^-1 share the component norms
+        v = _rows(values, grid)
+        blocks, w = _blocks(v, grid)
+        q = tag.p / (tag.p - 1.0)
+        comp = _lp_norms(blocks, w, q)
+        nz = _lp_combine(comp)
+        finv = _lp_map(blocks, w, q, comp).reshape(v.shape)
+    else:
+        nz = norm_rows(values, grid, tag, s, dual=True)
+        finv = duality_rows(values, grid, tag, s, inverse=True)   # F^-1(0) = 0
     if eps == 0.0:
-        return rho * finv / np.maximum(nz, 1e-300)[..., None]
+        finv *= rho
+        finv /= np.maximum(nz, 1e-300)[..., None]
+        return finv
     return finv * np.minimum(1.0 / eps, rho / np.maximum(nz, 1e-300))[..., None]
 
 

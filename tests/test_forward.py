@@ -272,6 +272,30 @@ def test_newton_cap_counts_the_last_update(monkeypatch):
     assert nsub > 1 and iters > 0
 
 
+def test_substepped_interval_leaves_the_callers_state_alone(monkeypatch):
+    # every refinement level restarts from the caller's y and A_H(y), which
+    # no level copies: none may be written to, and the interval must come
+    # out as it does from private copies of them
+    import mintime.forward as forward
+
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann())
+    spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.0))
+    (x,) = g.coordinates()
+    y = 3.0 * np.cos(np.pi * x)
+    a_y, bu = spec.apply(y), 2.0 * np.sin(np.pi * x)
+    keep = y.copy(), a_y.copy(), bu.copy()
+    _, _, n, _ = forward._implicit_solve(spec, y + 0.05 * bu, y, 0.05)
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITER", n - 1)
+    out = forward._step_with_refinement(spec, y, bu, 0.05, 0, a_y)
+    assert out[4] > 1
+    for arr, kept in zip((y, a_y, bu), keep):
+        assert arr.tobytes() == kept.tobytes()
+    ref = forward._step_with_refinement(spec, keep[0].copy(), keep[2].copy(), 0.05, 0,
+                                        keep[1].copy())
+    assert out[0].tobytes() == ref[0].tobytes() and out[1].tobytes() == ref[1].tobytes()
+    assert out[2:] == ref[2:]
+
+
 def _record_factors(monkeypatch) -> tuple[list, list]:
     """The (state, dt) of every step factor the stepping loop makes, and the
     number made before each interval starts."""

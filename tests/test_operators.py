@@ -355,6 +355,67 @@ def test_same_family_pair_is_the_separate_calls(name):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("f, g", [
+    (("tanh_pair", 0.5, 0.4), ("tanh_pair", -0.2, 0.6)),   # one family: the column path
+    (("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3)),      # mixed families
+    (("linear2", 1.0, 1.0), ("linear2", -0.8, 0.5)),
+], ids=["tanh_pair", "mixed", "linear2"])
+def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(f, g):
+    # one state's apply adds the reaction to the band product in place, and a
+    # shared family's (2, n) result [f, g] stands for their concatenation:
+    # every value, signed zeros included, is the split-and-concatenate
+    # formula's and the row of a stacked apply, and no call writes to its
+    # input or hands out an array that a later call returns
+    f, g = pair_fn(*f), pair_fn(*g)
+    spec = ReactionDiffusion2(grid2(16), d1=1.0, d2=0.8, f=f, g=g)
+    n = spec.grid.size
+    rng = np.random.default_rng(32)
+    Y = rng.standard_normal((5, spec.n_dof))
+    Y[1] = 0.0
+    Y[2, n:] = -0.0
+    keep = Y.copy()
+    stacked = spec.apply(Y)
+    for y, row in zip(Y, stacked):
+        one = spec.apply(y)
+        old = spec._band_dot(spec._band_base, y) + np.concatenate([f(y[:n], y[n:]),
+                                                                   g(y[:n], y[n:])])
+        assert one.shape == (spec.n_dof,)
+        assert one.tobytes() == old.tobytes() == row.tobytes()
+        one[:] = np.nan
+        assert spec.apply(y).tobytes() == old.tobytes()
+    assert Y.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("projection", ["full", "first"])
+def test_projection_auxiliary_state_and_B_return_fresh_arrays(projection):
+    # each makes one copy and one slice write: writing to the result leaves
+    # the input alone, and a list target serves as an array; without a
+    # copy, the projection works on the caller's float array itself
+    spec = ReactionDiffusion2(grid2(3), d1=1.0, d2=0.5)
+    mode = "first_component" if projection == "first" else "identity"
+    cm = ControlMap(mode=mode, u_tag=L2, projection=projection)
+    rng = np.random.default_rng(15)
+    y_tar = rng.standard_normal(spec.n_dof)
+    tar_keep = y_tar.copy()
+    for v in (rng.standard_normal(spec.n_dof), rng.standard_normal((4, spec.n_dof))):
+        keep = v.copy()
+        projected = cm.project_state(spec, v)
+        aux = cm.auxiliary_state(spec, v, y_tar)
+        bu = cm.apply_B(spec, v)
+        np.testing.assert_array_equal(cm.auxiliary_state(spec, v, list(y_tar)), aux)
+        for out in (projected, aux, bu):
+            assert out is not v and not np.shares_memory(out, v)
+            out[...] = np.nan
+        np.testing.assert_array_equal(v, keep)
+        np.testing.assert_array_equal(y_tar, tar_keep)
+        inplace = v.copy()
+        assert cm.project_state(spec, inplace, copy=False) is inplace
+        np.testing.assert_array_equal(inplace, cm.project_state(spec, keep))
+        if projection == "first":
+            np.testing.assert_array_equal(inplace[..., 3:], 0.0)
+            np.testing.assert_array_equal(cm.apply_B(spec, keep), inplace)
+
+
 def test_linear2_derivatives_are_the_constant_coefficients():
     y, z = np.array([-0.0, 1.5, -2.0]), np.array([3.0, -0.0, 0.25])
     lin = pair_fn("linear2", -0.0, 0.7)

@@ -488,6 +488,41 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
         assert len(factors) <= 100
 
 
+def test_continuation_interval_applies_twice_on_one_held_factor(monkeypatch):
+    # the work of one post-hit interval of the sliding config, started on the
+    # manifold: the equivalent control applies the operator at yhat, and one
+    # chord update with the factor held since the first interval applies it
+    # at the new state; the loop applies once more at its start. So 50
+    # intervals make 101 applies and one factor
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "slide_reaction_diffusion.yaml")
+    spec, num = cfg.spec, cfg.numerics
+    n = spec.grid.size
+    start = Field(spec.grid, np.concatenate([cfg.y_tar.values[:n], cfg.y0.values[n:]]))
+    calls, factors = [], []
+    apply = spec.apply
+
+    def counted(y):
+        calls.append(1)
+        return apply(y)
+
+    monkeypatch.setattr(spec, "apply", counted, raising=False)
+
+    class Counted(operators.StepFactor):
+        def __init__(self, *args):
+            factors.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(forward, "StepFactor", Counted)
+    steps = 50
+    traj, _ = sliding_continuation(spec, cfg.map, start, cfg.y_tar, steps * num["dt"],
+                                   num["dt"], cfg.rho, hit_tol=num["hit_tol"])
+    assert traj.steps == steps
+    assert np.all(traj.newton_iters == 1) and np.all(traj.substeps == 1)
+    assert len(calls) == 2 * steps + 1
+    assert len(factors) == 1
+
+
 def test_kept_factors_meet_the_newton_stop_test_on_every_interval(monkeypatch):
     # a first update with a kept factor is a chord step: every interval of
     # the approach and of the continuation must still end within NEWTON_TOL

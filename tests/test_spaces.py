@@ -376,6 +376,51 @@ def test_resolvent_eps_zero_is_the_bang_bang_law_with_the_zero_selection(tag_nam
     assert np.all(resolvent_rows(Z[3], g, tag, 0.0, rho=2.5, s=s) == 0.0)
 
 
+def _l4_rows(components):
+    """Rows of one- and two-component L4 values over six decades, with a zero
+    row and a zero (negative-zero) block."""
+    g = Grid(extent=(1.0,), nodes=(16,), bc=neumann(), n_components=components)
+    rng = np.random.default_rng(40 + components)
+    V = rng.standard_normal((6, g.size * components)) * 10.0 ** rng.integers(-3, 3, (6, 1))
+    V[1] = 0.0
+    V[2, :16] = -0.0
+    return g, V
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("components", [1, 2])
+def test_l4_norm_of_one_row_keeps_its_bits_alone_and_in_a_stack(components, dual):
+    # the Lp chain runs in place on one temporary: each row's norm is the
+    # three-temporary formula's to the bit, alone and inside a stack, and the
+    # input is left as it was
+    g, V = _l4_rows(components)
+    keep = V.copy()
+    p = 4.0 / 3.0 if dual else 4.0
+    w = g.component_weights.reshape(components, 16)
+    stacked = norm_rows(V, g, L4, dual=dual)
+    for v, row in zip(V, stacked):
+        comp = np.add.reduce(w * np.abs(v.reshape(components, 16)) ** p, axis=-1) ** (1.0 / p)
+        old = np.sqrt(np.add.reduce(np.square(comp), axis=-1))
+        assert norm_rows(v, g, L4, dual=dual).tobytes() == old.tobytes() == row.tobytes()
+    assert V.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("components", [1, 2])
+def test_l4_resolvent_keeps_the_bits_of_its_dual_norm_and_inverse_map(components, eps):
+    # the L4 resolvent shares one set of component norms between ||zeta||_*
+    # and F^-1(zeta), and scales F^-1 in place: on a stack and on each row it
+    # is the formula on norm_rows and duality_rows to the bit
+    g, Z = _l4_rows(components)
+    keep = Z.copy()
+    for z in (Z, *Z):
+        nz = np.maximum(norm_rows(z, g, L4, dual=True), 1e-300)[..., None]
+        finv = duality_rows(z, g, L4, inverse=True)
+        old = 2.5 * finv / nz if eps == 0.0 else finv * np.minimum(1.0 / eps, 2.5 / nz)
+        assert resolvent_rows(z, g, L4, eps, 2.5).tobytes() == old.tobytes()
+    assert Z.tobytes() == keep.tobytes()
+
+
 @pytest.mark.parametrize("tag_name", ["L2", "L4", "H1", "Hminus1"])
 def test_resolvent_derivative_matches_central_differences(tag_name):
     """The clamp derivative D against central differences of the resolvent,
