@@ -89,11 +89,14 @@ class SlidingRun:
 
 
 def sign_feedback(map: ControlMap, spec: OperatorSpec, y: np.ndarray, y_tar: np.ndarray,
-                  rho: float) -> np.ndarray:
+                  rho: float, projected: np.ndarray | None = None) -> np.ndarray:
     """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y: the
     eps = 0 resolvent of -B* P(y - y_tar), zero where the argument vanishes.
-    ||u||_U is rho or 0."""
-    z = map.apply_Bstar(spec, map.project_state(spec, y - y_tar, copy=False))
+    ||u||_U is rho or 0. ``projected`` is P(y - y_tar), if the caller has
+    formed it."""
+    if projected is None:
+        projected = map.project_state(spec, y - y_tar, copy=False)
+    z = map.apply_Bstar(spec, projected)
     np.negative(z, out=z)
     return map.resolvent_batch(spec, z, 0.0, rho)
 
@@ -154,13 +157,21 @@ def run_sliding(
     dev0 = deviation(y0.values)
     a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
+    # the last state the stop test measured and its P(y - y_tar): the loop
+    # hands that same state object to the law at the next interval's head
+    measured = [None, None]
+
+    def stop(y: np.ndarray) -> bool:
+        measured[:] = y, map.project_state(spec, y - y_tar.values, copy=False)
+        return spec.h_norm(measured[1]) <= hit_tol
+
     def law(k: int, y: np.ndarray) -> np.ndarray:
-        return sign_feedback(map, spec, y, y_tar.values, rho)
+        projected = measured[1] if measured[0] is y else None
+        return sign_feedback(map, spec, y, y_tar.values, rho, projected)
 
     # a start on the manifold takes no approach step and hits at t = 0
     steps = 0 if dev0 <= hit_tol else int(np.ceil(T_max / dt - 1e-12))
-    approach, rows = _integrate(spec, map, y0.values, dt, steps, law,
-                                stop=lambda y: deviation(y) <= hit_tol)
+    approach, rows = _integrate(spec, map, y0.values, dt, steps, law, stop=stop)
     devs = np.concatenate([[dev0], deviation(approach.states[1:])])
     unorms = map.u_norms_batch(spec, rows)
     if map.projection == "first":
@@ -238,7 +249,9 @@ def sliding_continuation(
     the full projection that state is the target itself, so u is evaluated
     once. The control must stay inside the rho-ball; leaving it raises
     SaturationError, the sign that the largeness conditions on rho do not
-    hold along this trajectory.
+    hold along this trajectory. Under an Lp norm a row whose bound
+    K max|u| (``ControlMap.u_norm_sup_bound``) lies in the ball is
+    admitted without its exact norm, which decides every other row.
     """
     if hit_tol is not None:
         dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values,
@@ -252,13 +265,24 @@ def sliding_continuation(
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")
 
-    target, cap = y_tar.values, rho * (1 + 1e-9)
+    cap = rho * (1 + 1e-9)
+    # ||u||_U <= K max|u| under an Lp norm: a row whose bound, with a margin
+    # for rounding, stays in the ball needs no exact norm
+    bound = map.u_norm_sup_bound(spec)
+    if bound is not None:
+        bound *= 1 + 1e-12
+    # yhat is built once; only its uncontrolled block, from index ``free`` on,
+    # follows the state (none of it under the full projection)
+    yhat = map.auxiliary_state(spec, state_at_hit.values, y_tar.values)
+    free = spec.grid.size if map.projection == "first" else spec.n_dof
 
     def law(k: int, y: np.ndarray) -> np.ndarray:
         # equivalent control from the manifold-restricted dynamics at the
         # current uncontrolled state, held over an honest implicit step
-        u = map.project_state(spec, spec.apply(map.auxiliary_state(spec, y, target)),
-                              copy=False)
+        yhat[free:] = y[free:]
+        u = map.project_state(spec, spec.apply(yhat), copy=False)
+        if bound is not None and bound * np.abs(u).max() <= cap:
+            return u
         nu = float(map.u_norms_batch(spec, u))
         if nu > cap:
             raise SaturationError(

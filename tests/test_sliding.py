@@ -10,6 +10,7 @@ import yaml
 import mintime.cli as cli
 import mintime.forward as forward
 import mintime.operators as operators
+import mintime.sliding as sliding
 from mintime import (
     ControlMap,
     Field,
@@ -343,6 +344,221 @@ def test_saturation_raises_before_an_out_of_ball_interval(monkeypatch, projectio
     # was never stepped
     assert len(stepped) == k
     assert all(cm.u_norms_batch(spec, bu) <= rho * (1 + 1e-9) for bu in stepped)
+
+
+def _continuation_map(kind):
+    """A nonlinear spec, its map and a manifold start and target: the
+    ``slide_reaction_diffusion`` config (L4, first projection), an L2
+    first-component map, or an L2 map under the full projection."""
+    if kind == "config":
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                          / "slide_reaction_diffusion.yaml")
+        spec, n = cfg.spec, cfg.spec.grid.size
+        start = Field(spec.grid, np.concatenate([cfg.y_tar.values[:n], cfg.y0.values[n:]]), 2)
+        return spec, cfg.map, start, cfg.y_tar, cfg.rho, cfg.numerics["dt"]
+    spec, _ = case1_spec(12)
+    n = spec.grid.size
+    (x,) = spec.grid.coordinates()
+    ytar = Field(spec.grid, np.concatenate([0.3 + 0.05 * np.cos(np.pi * x), np.zeros(n)]), 2)
+    start = Field(spec.grid, np.concatenate([ytar.values[:n], 0.2 + 0.1 * x]), 2)
+    if kind == "first_l2":
+        cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    else:
+        cm = ControlMap(mode="identity", u_tag=L2, projection="full")
+    return spec, cm, start, ytar, 10.0, 1e-3
+
+
+def _continuation_with_rebuilt_yhat(spec, cm, start, ytar, dt, steps, rho):
+    """The continuation as it was: yhat rebuilt and the exact norm taken on
+    every interval, stepped by the forward solver's loop."""
+    cap = rho * (1 + 1e-9)
+
+    def law(k, y):
+        u = cm.project_state(spec, spec.apply(cm.auxiliary_state(spec, y, ytar.values)),
+                             copy=False)
+        nu = float(cm.u_norms_batch(spec, u))
+        if nu > cap:
+            raise SaturationError(
+                f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}")
+        return u
+
+    control_at = law
+    if cm.projection == "full":
+        u_eq = law(0, start.values)
+        control_at = lambda k, y: u_eq
+    traj, rows = forward._integrate(spec, cm, start.values, dt, steps, control_at)
+    return traj, rows, cm.u_norms_batch(spec, rows)
+
+
+def _recorded_rows(monkeypatch) -> list:
+    """The control rows of every stepping loop that ``sliding`` runs."""
+    kept = []
+    integrate = sliding._integrate
+
+    def recorded(*args, **kwargs):
+        traj, rows = integrate(*args, **kwargs)
+        kept.append(rows)
+        return traj, rows
+
+    monkeypatch.setattr(sliding, "_integrate", recorded)
+    return kept
+
+
+@pytest.mark.parametrize("kind", ["config", "first_l2", "full"])
+def test_continuation_keeps_the_bits_of_the_law_that_rebuilds_yhat(monkeypatch, kind):
+    # one yhat buffer per run and the bound's saturation test change no bit
+    # of the states, the rows or the returned norms
+    spec, cm, start, ytar, rho, dt = _continuation_map(kind)
+    steps = 300
+    traj0, rows0, norms0 = _continuation_with_rebuilt_yhat(spec, cm, start, ytar, dt, steps, rho)
+    kept = _recorded_rows(monkeypatch)
+    traj, norms = sliding_continuation(spec, cm, start, ytar, steps * dt, dt, rho)
+    assert traj.steps == steps
+    assert np.array_equal(traj.states, traj0.states)
+    assert np.array_equal(kept[0], rows0)
+    assert np.array_equal(norms, norms0)
+    assert not np.array_equal(traj.states[-1, spec.grid.size:], start.values[spec.grid.size:])
+
+
+def _counted_row_norms(monkeypatch, cm) -> list:
+    """Every single-row ``u_norms_batch`` call of the map, as its row."""
+    rows = []
+    norms = cm.u_norms_batch
+
+    def counted(spec, U):
+        if np.ndim(U) == 1:
+            rows.append(np.array(U))
+        return norms(spec, U)
+
+    monkeypatch.setattr(cm, "u_norms_batch", counted)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["config", "first_l2", "full"])
+def test_saturation_is_decided_as_the_exact_norm_decides(monkeypatch, kind):
+    # the law's equivalent control is made each chosen row in turn, and one
+    # interval is stepped with a stub: the law raises exactly when the exact
+    # norm leaves the ball, whether the bound K max|u| settles the row or not
+    spec, cm, start, ytar, _, dt = _continuation_map(kind)
+    n, m = spec.grid.size, cm.control_size(spec)
+    controlled = n if cm.projection == "first" else m
+    rng = np.random.default_rng(3)
+    smooth, flat, spike = np.zeros((3, m))
+    smooth[:controlled] = rng.uniform(-1.0, 1.0, controlled)
+    flat[:controlled] = 0.7
+    spike[controlled // 2] = 1.0
+    rows = [smooth, flat, spike]
+    row = []
+    monkeypatch.setattr(spec, "apply", lambda y: row[0].copy(), raising=False)
+    monkeypatch.setattr(forward, "_step_with_refinement",
+                        lambda spec, y, bu, *args: (y.copy(), None, 1, 0.0, 1))
+    norms = cm.u_norms_batch
+    norm = lambda u: float(norms(spec, u))
+    exact = _counted_row_norms(monkeypatch, cm)
+    rho = 2.0
+    cap = rho * (1 + 1e-9)
+    k_bound = cm.u_norm_sup_bound(spec)
+    outcomes = set()
+    for base in rows:
+        for rel in (-0.9, -1e-6, -1e-12, 0.0, 1e-12, 1e-6):
+            u = base * (cap * (1 + rel) / norm(base))
+            row[:] = [u]
+            nu = norm(u)
+            exact.clear()
+            try:
+                sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
+            except SaturationError as err:
+                assert nu > cap
+                assert str(err) == (
+                    f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step 0")
+            else:
+                assert not nu > cap
+            by_bound = not exact[:1]
+            outcomes.add((by_bound, nu > cap))
+            if by_bound:
+                assert k_bound * np.abs(u).max() <= cap
+    # spikes lie far inside the ball that their bound leaves
+    u = spike * (0.5 * cap / norm(spike))
+    assert k_bound * np.abs(u).max() > cap
+    row[:] = [u]
+    exact.clear()
+    sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
+    assert len(exact) == 1
+    # a NaN row is admitted, as its exact norm admits it
+    row[:] = [np.full(m, np.nan)]
+    sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
+    # both ways of admitting a row were taken; every row whose norm leaves
+    # the ball was decided by the exact norm
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("tag_name, exact_per_interval",
+                         [("L2", False), ("L4", False), ("H1", True), ("Hminus1", True)])
+def test_only_spectral_norms_take_the_exact_norm_every_interval(monkeypatch, tag_name,
+                                                               exact_per_interval):
+    # H^-1 lives on Dirichlet walls
+    g = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet(), n_components=2)
+    spec = ReactionDiffusion2(g, f=pair_fn("tanh_pair", 0.5, 0.4),
+                              g=pair_fn("tanh_pair", -0.2, 0.6))
+    (x,) = g.coordinates()
+    ytar = Field(g, np.concatenate([0.3 * np.sin(np.pi * x), np.zeros(g.size)]), 2)
+    start = Field(g, np.concatenate([ytar.values[:g.size], 0.2 * np.ones(g.size)]), 2)
+    rho, dt = 100.0, 1e-3
+    tag = {"L2": L2, "L4": L4, "H1": H1, "Hminus1": HMINUS1}[tag_name]
+    cm = ControlMap(mode="first_component", u_tag=tag, projection="first")
+    assert (cm.u_norm_sup_bound(spec) is None) == exact_per_interval
+    exact = _counted_row_norms(monkeypatch, cm)
+    steps = 5
+    traj, norms = sliding_continuation(spec, cm, start, ytar, steps * dt, dt, rho)
+    assert traj.steps == steps and np.all(norms <= rho)
+    assert len(exact) == (steps if exact_per_interval else 0)
+
+
+def test_lp_sup_bound_is_sharp_on_flat_rows():
+    # ||u||_U <= K max|u|, with equality on a row constant over the grid
+    for tag in (L2, L4):
+        for components, mode, projection in ((1, "identity", "full"),
+                                             (2, "first_component", "first")):
+            g = Grid(extent=(1.3,), nodes=(9,), bc=neumann(), n_components=components)
+            spec = ReactionDiffusion2(g) if components == 2 else PotentialDrift(g)
+            cm = ControlMap(mode=mode, u_tag=tag, projection=projection)
+            k = cm.u_norm_sup_bound(spec)
+            u = np.full(cm.control_size(spec), -0.6)
+            assert cm.u_norms_batch(spec, u) == pytest.approx(0.6 * k, rel=1e-14)
+            rows = np.random.default_rng(1).standard_normal((50, u.size))
+            assert np.all(cm.u_norms_batch(spec, rows) <= k * np.abs(rows).max(axis=1))
+    assert ControlMap(u_tag=H1).u_norm_sup_bound(spec) is None
+
+
+@pytest.mark.parametrize("name", ["slide_heat", "slide_reaction_diffusion"])
+def test_approach_keeps_the_bits_of_the_law_that_projects_afresh(monkeypatch, name):
+    # the stop test's P(y - y_tar) goes to the law at the next interval's
+    # head, which would otherwise form it again: every bit of the approach
+    # stays
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
+    spec, cm, num = cfg.spec, cfg.map, cfg.numerics
+    y_tar, dt, hit_tol = cfg.y_tar.values, num["dt"], num["hit_tol"]
+    steps = int(np.ceil(num["T_max"] / dt - 1e-12))
+    traj0, rows0 = forward._integrate(
+        spec, cm, cfg.y0.values, dt, steps,
+        lambda k, y: sign_feedback(cm, spec, y, y_tar, cfg.rho),
+        stop=lambda y: spec.h_norm(cm.project_state(spec, y - y_tar)) <= hit_tol)
+    kept = _recorded_rows(monkeypatch)
+    handed = []
+    feedback = sliding.sign_feedback
+
+    def recorded(*args):
+        handed.append(args[5] is not None)
+        return feedback(*args)
+
+    monkeypatch.setattr(sliding, "sign_feedback", recorded)
+    run = run_sliding(spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], dt, hit_tol,
+                      continue_after_hit=False)
+    assert run.hit and run.approach.steps > 100
+    assert np.array_equal(run.approach.states, traj0.states)
+    assert np.array_equal(kept[0], rows0)
+    # only the first interval's law forms the deviation itself
+    assert handed == [False] + [True] * (run.approach.steps - 1)
 
 
 def test_off_manifold_start_rejected():

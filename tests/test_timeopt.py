@@ -426,6 +426,29 @@ def test_importing_mintime_leaves_the_sparse_solvers_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_mintime_loads_only_scipy_linalg_and_no_yaml():
+    # every run pays for what the import loads: scipy.linalg is the one
+    # public scipy subpackage the library needs at import, and yaml waits
+    # for the first config a run reads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mintime
+
+    src = str(Path(mintime.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mintime\n"
+            "print(sorted(m for m, mod in list(sys.modules.items())\n"
+            "             if m.startswith('scipy.') and m.count('.') == 1\n"
+            "             and not m.split('.')[1].startswith('_') and hasattr(mod, '__path__')))\n"
+            "print('yaml' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split("\n")[:2] == ["['scipy.linalg']", "False"]
+
+
 # ---------------------------------------------------------------------------
 # dJ/dT: the envelope derivative each inner solve reports
 
