@@ -12,8 +12,9 @@ fields and the best constants fitted over the inequality slacks; "pass"
 means a positive leading constant with nonnegative slack on at least 99% of
 the samples.
 
-Samples are drawn one at a time, in a fixed rng order, and stacked; every
-operator, norm and pairing is then one call on the stack. Every dense
+Samples are drawn in a fixed rng order and smoothed in one spectral
+transform of the whole stack, each row with the bits of its own transform;
+every operator, norm and pairing is then one call on the stack. Every dense
 matrix comes from ``_dense``: the row map it stands for, applied to the
 identity and transposed.
 """
@@ -83,24 +84,26 @@ class AuditReport:
 # sampling helpers
 
 
-def smooth_sample(spec: OperatorSpec, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random field with spectrally decaying coefficients, per component,
-    normalized to a random amplitude in the weighted L2 norm."""
-    n = spec.grid.size
-    s = spec.gamma_op
-    out = np.empty(spec.n_dof)
-    for c in range(spec.n_components):
-        noise = rng.standard_normal(n)
-        out[c * n : (c + 1) * n] = s.apply_fn(noise, lambda lam: 1.0 / (1.0 + lam))
-    amp = scale * rng.uniform(0.3, 3.0)
-    l2 = np.sqrt(np.dot(spec.grid.component_weights, out * out))
-    return amp * out / max(l2, 1e-300)
-
-
 def _samples(spec: OperatorSpec, rng: np.random.Generator, count: int,
              scale: float = 1.0) -> np.ndarray:
-    """``count`` smooth samples, one per row, drawn in order."""
-    return np.array([smooth_sample(spec, rng, scale) for _ in range(count)])
+    """``count`` random fields, one per row: per component, noise with
+    spectrally decaying coefficients, each row normalized to a random
+    amplitude in the weighted L2 norm.
+
+    The draws keep a fixed order, per sample one standard normal per
+    component and then its amplitude; the smoothing is one ``apply_fn`` on
+    the stack of single rows, so each row has the bits of its own transform."""
+    n, nc = spec.grid.size, spec.n_components
+    noise = np.empty((count, nc, n))
+    amp = np.empty(count)
+    for i in range(count):
+        for c in range(nc):
+            noise[i, c] = rng.standard_normal(n)
+        amp[i] = rng.uniform(0.3, 3.0)
+    out = spec.gamma_op.apply_fn(noise.reshape(-1, 1, n),
+                                 lambda lam: 1.0 / (1.0 + lam)).reshape(count, nc * n)
+    l2 = np.sqrt(np.matmul((out * out)[:, None, :], spec.grid.component_weights[:, None]))
+    return (scale * amp)[:, None] * out / np.maximum(l2[:, 0], 1e-300)
 
 
 def _best_lower_constant(num: np.ndarray, lead: np.ndarray, comp: np.ndarray) -> tuple[float, float]:

@@ -259,19 +259,21 @@ class OperatorSpec:
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product of a band in the storage of ``band`` with a
         component-major vector, or with each row of a stack of them, returned
-        component-major. The stack is permuted and padded once, and each
-        row's ``dgbmv`` goes into one buffer."""
+        component-major. One state, as each Newton iterate, is one ``dgbmv``
+        on its node-major copy, padded only when the band needs zero columns.
+        A stack is permuted and padded once, and each row's ``dgbmv`` goes
+        into one buffer."""
         order, back, bw = self.node_order, self.node_back, self.bandwidth
         n = order.size
+        if x.ndim == 1 and n > 2 * bw:
+            return dgbmv(n, n, bw, bw, 1.0, ab, x[order])[back]
         m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
         if ab.shape[1] < m:  # zero columns, once for a whole stack
             wide = np.zeros((ab.shape[0], m), order="F")
             wide[:, :n] = ab
             ab = wide
-        if x.ndim == 1:  # one state, as each Newton iterate: no stack to build
-            xs = x[order]
-            if m > n:
-                xs = np.concatenate([xs, np.zeros(m - n)])
+        if x.ndim == 1:
+            xs = np.concatenate([x[order], np.zeros(m - n)])
             return dgbmv(m, m, bw, bw, 1.0, ab, xs)[back]
         xs = np.zeros((x.size // n, m))
         xs[:, :n] = x.reshape(-1, n)[:, order]
@@ -507,10 +509,12 @@ class ReactionDiffusion2(_TwoComponent):
         return fns[which](y, z, *cols)
 
     def _reaction(self, w):
-        y, z = self._split(w)
-        fg = self._fg(0, y, z)
         if w.ndim == 1 and self._family_columns is not None:
-            return fg.reshape(-1)  # one state's (2, n) [f, g] is already their concatenation
+            # one state: the family's (2, n) [f, g] is already their concatenation
+            fns, cols = self._family_columns
+            n = self.grid.size
+            return fns[0](w[:n], w[n:], *cols).reshape(-1)
+        fg = self._fg(0, *self._split(w))
         return np.concatenate(fg, axis=-1)
 
     def _nodal_blocks(self, w):

@@ -171,15 +171,21 @@ class SpectralLaplacian:
     def apply_fn(self, values: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Apply fn(operator) spectrally along the last axis: one component's
         nodal values, shape (n,), or a stack of them, shape (rows, n); fn maps
-        the shifted eigenvalues to the multipliers of the eigenvector coefficients."""
+        the shifted eigenvalues to the multipliers of the eigenvector coefficients.
+
+        On a 1D grid the products take the shape they are given. One row (n,)
+        and a stack of single rows (rows, 1, n) give each row the bits of its
+        one-row product; a flat stack (rows, n) is one matrix product, whose
+        bits can differ from its rows' one-row products in the last place.
+        On a 2D grid every row is its own product."""
         v = np.asarray(values, dtype=float)
         if v.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} nodal values, got {v.shape[-1]}")
         mult = fn(self._lam + self.shift)
         if self.grid.dimension == 1:
             ax = self._axes[0]
-            coef = (v.reshape(-1, self.n) * ax.weights) @ ax.eigenvectors
-            return ((mult * coef) @ ax.eigenvectors.T).reshape(v.shape)
+            coef = (v * ax.weights) @ ax.eigenvectors
+            return (mult * coef) @ ax.eigenvectors.T
         ax, ay = self._axes
         V = v.reshape(-1, *self.grid.nodes)
         coef = ax.eigenvectors.T @ (ax.weights[:, None] * V * ay.weights[None, :]) @ ay.eigenvectors

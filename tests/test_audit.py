@@ -84,6 +84,50 @@ def test_reaction_diffusion_monotonicity_is_the_per_row_formula():
     assert rep.entries["monotonicity_g5"].constants == {"alpha1": a1, "alpha2": a2}
 
 
+def one_sample(spec, rng, scale=1.0):
+    """One smooth sample alone: per component, standard normal noise smoothed
+    by (1 + Gamma)^-1 as a one-row stack, then one amplitude draw, the
+    product normalized in the weighted L2 norm."""
+    n = spec.grid.size
+    out = np.empty(spec.n_dof)
+    for c in range(spec.n_components):
+        noise = rng.standard_normal(n)
+        out[c * n : (c + 1) * n] = spec.gamma_op.apply_fn(noise[None, :],
+                                                          lambda lam: 1.0 / (1.0 + lam))[0]
+    amp = scale * rng.uniform(0.3, 3.0)
+    l2 = np.sqrt(np.dot(spec.grid.component_weights, out * out))
+    return amp * out / max(l2, 1e-300)
+
+
+def _sampled_spec(dims, bc, components):
+    g = Grid(extent=(1.0,) * len(dims), nodes=dims, bc=bc, n_components=components)
+    if components == 1:
+        return PotentialDrift(g)
+    return ReactionDiffusion2(g)
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("dims, bc, components", [
+    ((16,), dirichlet(), 1), ((16,), dirichlet(), 2), ((32,), neumann(), 1),
+    ((3,), neumann(), 2), ((14,), robin(0.8), 1), ((10,), robin(0.8), 2),
+    ((8, 8), neumann(), 2), ((16, 12), dirichlet(), 2),
+], ids=["dirichlet16x1", "dirichlet16x2", "neumann32x1", "neumann3x2", "robin14x1",
+        "robin10x2", "neumann8x8x2", "dirichlet16x12x2"])
+def test_stacked_samples_keep_the_bits_of_one_draw_at_a_time(dims, bc, components, scale,
+                                                             count):
+    # the draws keep their order and each row its one-sample bits, so the
+    # generator is left where one draw at a time leaves it and every later
+    # draw of an audit is the same
+    spec = _sampled_spec(dims, bc, components)
+    rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+    got = _samples(spec, rng, count, scale)
+    want = np.array([one_sample(spec, ref, scale) for _ in range(count)])
+    assert got.shape == (count, spec.n_dof)
+    assert np.array_equal(got, want)
+    assert rng.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+
 def test_best_lower_constant_without_a_lead_or_a_positive_constant():
     # no sample with a leading term gives no constants
     nan_pair = _best_lower_constant(np.ones(3), np.array([0.0, 1e-14, -1.0]), np.ones(3))

@@ -1,9 +1,11 @@
 """Operator catalog: values, exact linearizations, adjoints, control maps."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgbmv
 
 from mintime import (
     ControlMap,
@@ -25,6 +27,7 @@ from mintime import (
     scalar_fn,
 )
 from mintime.adjoint import solve_adjoint
+from mintime.config import load_config
 from mintime.forward import Control, Trajectory, solve_forward
 from mintime.nonlinearities import PAIR_FAMILIES
 from mintime.operators import StepFactor, march_adjoint
@@ -355,30 +358,66 @@ def test_same_family_pair_is_the_separate_calls(name):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("f, g", [
-    (("tanh_pair", 0.5, 0.4), ("tanh_pair", -0.2, 0.6)),   # one family: the column path
-    (("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3)),      # mixed families
-    (("linear2", 1.0, 1.0), ("linear2", -0.8, 0.5)),
-], ids=["tanh_pair", "mixed", "linear2"])
-def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(f, g):
-    # one state's apply adds the reaction to the band product in place, and a
-    # shared family's (2, n) result [f, g] stands for their concatenation:
-    # every value, signed zeros included, is the split-and-concatenate
-    # formula's and the row of a stacked apply, and no call writes to its
-    # input or hands out an array that a later call returns
-    f, g = pair_fn(*f), pair_fn(*g)
-    spec = ReactionDiffusion2(grid2(16), d1=1.0, d2=0.8, f=f, g=g)
+def _padded_apply(spec, y):
+    """One state's A_H y with the state and the band padded to the
+    max(n, 2 bw + 1) columns that a stack row takes, and a pair's reaction
+    [f, g] as the concatenation of its two functions."""
+    order, back, bw = spec.node_order, spec.node_back, spec.bandwidth
+    n = order.size
+    m = max(n, 2 * bw + 1)
+    ab = np.zeros((2 * bw + 1, m), order="F")
+    ab[:, :n] = spec._band_base
+    if isinstance(spec, PorousMedia):
+        x, reaction = spec.beta(y), 0.0
+    elif isinstance(spec, ReactionDiffusion2):
+        k = spec.grid.size
+        x, reaction = y, np.concatenate([spec.f(y[:k], y[k:]), spec.g(y[:k], y[k:])])
+    else:
+        x, reaction = y, spec._reaction(y)
+    xs = np.concatenate([x[order], np.zeros(m - n)])
+    return dgbmv(m, m, bw, bw, 1.0, ab, xs)[back] + reaction
+
+
+def _one_state_specs():
+    """Pairs of one family (the column path), of mixed families and linear,
+    every operator of configs/ (the optimize ones have 6 dof, fewer than
+    2 bw + 1 = 7) and two 2D grids."""
+    for f, g, name in ((("tanh_pair", 0.5, 0.4), ("tanh_pair", -0.2, 0.6), "tanh_pair"),
+                       (("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3), "mixed"),
+                       (("linear2", 1.0, 1.0), ("linear2", -0.8, 0.5), "linear2")):
+        yield pytest.param(ReactionDiffusion2(grid2(16), d1=1.0, d2=0.8, f=pair_fn(*f),
+                                              g=pair_fn(*g)), id=name)
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml")):
+        spec = load_config(path).spec
+        if spec is not None:
+            yield pytest.param(spec, id=path.stem)
+    g2 = Grid(extent=(1.0, 1.0), nodes=(8, 6), bc=neumann(), n_components=2)
+    yield pytest.param(ReactionDiffusion2(g2, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                                          g=pair_fn("tanh_pair", -0.2, 0.6)), id="tanh_pair_8x6")
+    g1 = Grid(extent=(1.0, 1.0), nodes=(6, 5), bc=robin(0.6))
+    yield pytest.param(PotentialDrift(g1, beta=scalar_fn("cubic", 0.5), a1=0.7, b=0.3),
+                       id="potential_drift_6x5")
+
+
+@pytest.mark.parametrize("spec", list(_one_state_specs()))
+def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(spec):
+    # one state's apply is one dgbmv on its node-major copy when the band
+    # fits in n columns, the stack's padded row when it does not, and a
+    # shared family's reaction is its (2, n) result reshaped: every value,
+    # signed zeros included, is the padded, concatenated formula's and the
+    # row of a stacked apply, and no call writes to its input or hands out
+    # an array that a later call returns
     n = spec.grid.size
     rng = np.random.default_rng(32)
     Y = rng.standard_normal((5, spec.n_dof))
     Y[1] = 0.0
     Y[2, n:] = -0.0
+    Y[3, ::2] = -0.0
     keep = Y.copy()
     stacked = spec.apply(Y)
     for y, row in zip(Y, stacked):
         one = spec.apply(y)
-        old = spec._band_dot(spec._band_base, y) + np.concatenate([f(y[:n], y[n:]),
-                                                                   g(y[:n], y[n:])])
+        old = _padded_apply(spec, y)
         assert one.shape == (spec.n_dof,)
         assert one.tobytes() == old.tobytes() == row.tobytes()
         one[:] = np.nan

@@ -244,6 +244,46 @@ def test_negative_power_rejected_on_singular_operator():
         s.apply_inverse(np.ones(12))
 
 
+def reshaped_formula(s, values, fn):
+    """fn(operator) with the values reshaped to a flat stack of rows (1D, one
+    matrix product over the whole stack) or of node arrays (2D)."""
+    mult = fn(s._lam + s.shift)
+    if s.grid.dimension == 1:
+        (ax,) = s._axes
+        coef = (values.reshape(-1, s.n) * ax.weights) @ ax.eigenvectors
+        return ((mult * coef) @ ax.eigenvectors.T).reshape(values.shape)
+    ax, ay = s._axes
+    V = values.reshape(-1, *s.grid.nodes)
+    coef = ax.eigenvectors.T @ (ax.weights[:, None] * V * ay.weights[None, :]) @ ay.eigenvectors
+    return (ax.eigenvectors @ (mult * coef) @ ay.eigenvectors.T).reshape(values.shape)
+
+
+@pytest.mark.parametrize("grid", [
+    unit_interval(3, neumann()), unit_interval(16), unit_interval(32, robin(0.8)),
+    Grid(extent=(1.0, 1.0), nodes=(8, 8), bc=neumann()),
+    Grid(extent=(1.0, 2.0), nodes=(16, 12), bc=dirichlet()),
+], ids=["neumann3", "dirichlet16", "robin32", "neumann8x8", "dirichlet16x12"])
+def test_apply_fn_keeps_the_one_row_bits_by_shape(grid):
+    # one row (n,) and a stack of single rows (rows, 1, n) give every row the
+    # bits of its own one-row product; a flat stack (rows, n) keeps the bits
+    # of one product over the whole stack, on a 2D grid those of each row
+    s = SpectralLaplacian(grid, shift=1.0)
+    fn = lambda lam: 1.0 / (1.0 + lam)  # noqa: E731
+    V = np.random.default_rng(35).standard_normal((300, s.n))
+    keep = V.copy()
+    one = np.array([s.apply_fn(v, fn) for v in V])
+    want = np.array([reshaped_formula(s, v, fn) for v in V])
+    single = s.apply_fn(V[:, None, :], fn)
+    flat = s.apply_fn(V, fn)
+    assert one.shape == flat.shape == V.shape and single.shape == (300, 1, s.n)
+    assert one.tobytes() == want.tobytes()
+    assert single.tobytes() == want.tobytes()
+    assert flat.tobytes() == reshaped_formula(s, V, fn).tobytes()
+    if grid.dimension == 2:
+        assert flat.tobytes() == want.tobytes()
+    assert V.tobytes() == keep.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # duality mappings
 
