@@ -188,7 +188,7 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
     return ``held`` keeps the factor of a solve that took exactly one update."""
     held = [] if held is None else held
     w = spec.grid.component_weights  # the norms are _wnorm's, on weights read once
-    scale = 1.0 + math.sqrt(np.dot(w, rhs * rhs))
+    tol = NEWTON_TOL * (1.0 + math.sqrt(np.dot(w, rhs * rhs)))
     x = guess
     ax = spec.apply(x) if a_guess is None else a_guess
     for it in range(NEWTON_MAX_ITER + 1):
@@ -196,7 +196,7 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
         r += x
         r -= rhs
         res = math.sqrt(np.dot(w, r * r))
-        if res <= NEWTON_TOL * scale:
+        if res <= tol:
             if it != 1:
                 held.clear()
             return x, ax, it, res
@@ -287,15 +287,15 @@ def _integrate(spec: OperatorSpec, map: ControlMap, y0: np.ndarray, dt: float,
     held = []  # a nonlinear interval's kept factor, see _implicit_solve
     residuals = None if linear else np.zeros(steps)
     forcing = np.empty((steps, spec.n_dof)) if linear else None
+    bu = None if linear else np.empty(spec.n_dof)  # each interval's B u, written over
 
     y, a_y = states[0].copy(), None
     K = steps
     for k in range(steps):
-        rows[k] = control_at(k, y)
-        bu = map.apply_B(spec, rows[k])
+        rows[k] = u = control_at(k, y)
+        bu = map.apply_B(spec, u, forcing[k] if linear else bu)
         if linear:
             y = factor.solve(y + dt * bu)
-            forcing[k] = bu
         else:
             y, a_y, newton_iters[k], residuals[k], substeps[k] = _step_with_refinement(
                 spec, y, bu, dt, k, a_y, held)

@@ -222,7 +222,7 @@ class OperatorSpec:
         """Nodal A_H y of a state (n_dof,) or of each row of a stack
         (rows, n_dof): the y-independent band times y plus the reaction."""
         y = self._check_dof(y)
-        out = self._band_dot(self._band_base, y)
+        out = self._band_dot(self._band_apply, y)
         out += self._reaction(y)
         return out
 
@@ -256,24 +256,24 @@ class OperatorSpec:
                 ab[bw - (s * nc + b - a), b::nc] += d
         return ab
 
+    @cached_property
+    def _band_apply(self) -> np.ndarray:
+        """``_band_base`` with the zero columns that ``_band_dot`` needs, made once."""
+        ab, pad = self._band_base, max(0, 2 * self.bandwidth + 1 - self.n_dof)
+        return np.asfortranarray(np.pad(ab, ((0, 0), (0, pad)))) if pad else ab
+
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The product of a band in the storage of ``band`` with a
-        component-major vector, or with each row of a stack of them, returned
-        component-major. One state, as each Newton iterate, is one ``dgbmv``
-        on its node-major copy, padded only when the band needs zero columns.
+        """The product of a band in the storage of ``band``, widened by zero
+        columns to the m = max(n, 2 bw + 1) that scipy's dgbmv requires (as
+        ``_band_apply``), with a component-major vector, or with each row of a
+        stack of them, returned component-major. One state, as each Newton
+        iterate, is one ``dgbmv`` on its node-major copy, padded when m > n.
         A stack is permuted and padded once, and each row's ``dgbmv`` goes
         into one buffer."""
         order, back, bw = self.node_order, self.node_back, self.bandwidth
-        n = order.size
-        if x.ndim == 1 and n > 2 * bw:
-            return dgbmv(n, n, bw, bw, 1.0, ab, x[order])[back]
-        m = max(n, 2 * bw + 1)  # scipy's dgbmv requires m >= kl + ku + 1
-        if ab.shape[1] < m:  # zero columns, once for a whole stack
-            wide = np.zeros((ab.shape[0], m), order="F")
-            wide[:, :n] = ab
-            ab = wide
+        n, m = order.size, ab.shape[1]
         if x.ndim == 1:
-            xs = np.concatenate([x[order], np.zeros(m - n)])
+            xs = x[order] if m == n else np.concatenate([x[order], np.zeros(m - n)])
             return dgbmv(m, m, bw, bw, 1.0, ab, xs)[back]
         xs = np.zeros((x.size // n, m))
         xs[:, :n] = x.reshape(-1, n)[:, order]
@@ -441,7 +441,7 @@ class PorousMedia(OperatorSpec):
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         # -Lap beta(y): the Laplacian's band applied to beta(y)
-        return self._band_dot(self._band_base, self.beta(self._check_dof(y)))
+        return self._band_dot(self._band_apply, self.beta(self._check_dof(y)))
 
     def band(self, y: np.ndarray) -> np.ndarray:
         # -Lap beta'(y): column j of the Laplacian scaled by beta'(y_j)
@@ -489,13 +489,22 @@ class ReactionDiffusion2(_TwoComponent):
 
     @cached_property
     def _family_columns(self) -> tuple[tuple, list[np.ndarray]] | None:
-        """When f and g share a family with parameters: the family's
-        functions and each parameter as the (2, 1) column [f's, g's], so that
-        one call evaluates both (tanh and cosh then taken once per point)."""
+        """When f and g share a family with parameters: the family's functions
+        and each parameter as the (2, 1) column [f's, g's]: one call evaluates
+        both on a stack, with tanh and cosh once a point (one state: ``_family_flat``)."""
         f, g = self.f, self.g
         if f.name != g.name or not f.params:
             return None
         return PAIR_FAMILIES[f.name], [np.array([[a], [b]]) for a, b in zip(f.params, g.params)]
+
+    @cached_property
+    def _family_flat(self) -> tuple:
+        """One state's form of ``_family_columns`` (fewer ufunc calls than the
+        columns' broadcast): the value, the gathers of each dof's (y, z) and
+        each parameter per dof, [f's] * n + [g's] * n."""
+        (fns, cols), n = self._family_columns, self.grid.size
+        iy = np.tile(np.arange(n), 2)
+        return fns[0], iy, iy + n, [np.repeat(c.ravel(), n) for c in cols]
 
     def _fg(self, which: int, y: np.ndarray, z: np.ndarray):
         """(f, g), (f_y, g_y) or (f_z, g_z) at (y, z) for ``which`` 0, 1, 2:
@@ -510,10 +519,8 @@ class ReactionDiffusion2(_TwoComponent):
 
     def _reaction(self, w):
         if w.ndim == 1 and self._family_columns is not None:
-            # one state: the family's (2, n) [f, g] is already their concatenation
-            fns, cols = self._family_columns
-            n = self.grid.size
-            return fns[0](w[:n], w[n:], *cols).reshape(-1)
+            fn, iy, iz, params = self._family_flat  # one state's [f, g] in one call
+            return fn(w[iy], w[iz], *params)
         fg = self._fg(0, *self._split(w))
         return np.concatenate(fg, axis=-1)
 
@@ -633,18 +640,20 @@ class ControlMap:
                              f"({spec.grid.size} x {self.control_grid.size})")
         return self.kernel
 
-    def apply_B(self, spec: OperatorSpec, u: np.ndarray) -> np.ndarray:
-        """B u for one control (m,) or a stack of them (rows, m)."""
+    def apply_B(self, spec: OperatorSpec, u: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """B u for one control (m,) or a stack of them (rows, m), in a fresh
+        array or written into ``out`` (a stepping loop's buffer)."""
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.control_size(spec):
             raise ValueError(f"expected {self.control_size(spec)} control dof, got {u.shape[-1]}")
-        if self.mode == "identity":
-            return u.copy()
+        if self.mode == "nonlocal":
+            return np.matmul(u * self.control_grid.weights, self._kernel(spec).T, out=out)
+        out = np.empty(u.shape) if out is None else out
+        out[...] = u
         if self.mode == "first_component":
-            out = u.copy()
-            out[..., spec.grid.size:] = 0.0
-            return out
-        return (u * self.control_grid.weights) @ self._kernel(spec).T
+            out[..., spec.grid.size:].fill(0.0)
+        return out
 
     def apply_Bstar(self, spec: OperatorSpec, v: np.ndarray) -> np.ndarray:
         """B* v as a U*-element, <u, B*v> = (Bu, v)_H exactly, for one state
@@ -657,7 +666,7 @@ class ControlMap:
         # the H-Riesz image of v: v itself in L2, Gamma^-1 v in H^-1
         out = duality_rows(v, spec.grid, spec.state_tag, spec.gamma_op)
         if self.mode == "first_component":
-            out[..., spec.grid.size:] = 0.0
+            out[..., spec.grid.size:].fill(0.0)
         return out
 
     # -- projections ------------------------------------------------------------
@@ -669,7 +678,7 @@ class ControlMap:
         if copy:
             out = out.copy()
         if self.projection == "first":
-            out[..., spec.grid.size:] = 0.0
+            out[..., spec.grid.size:].fill(0.0)
         return out
 
     def auxiliary_state(self, spec: OperatorSpec, y: np.ndarray,

@@ -281,7 +281,7 @@ def sliding_continuation(
         # current uncontrolled state, held over an honest implicit step
         yhat[free:] = y[free:]
         u = map.project_state(spec, spec.apply(yhat), copy=False)
-        if bound is not None and bound * np.abs(u).max() <= cap:
+        if bound is not None and bound * np.maximum.reduce(np.abs(u)) <= cap:
             return u
         nu = float(map.u_norms_batch(spec, u))
         if nu > cap:

@@ -520,3 +520,83 @@ def test_interval_fails_with_its_index_after_every_halving(monkeypatch):
         solve_forward(spec, cm, Field(g, np.zeros(g.size)), Control(0.05, u, rho=1e9))
     assert exc.value.step == 2
     assert tried == [0.05, 0.05] + [0.05 / 2**level for level in range(forward.MAX_HALVINGS + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the loop's B u buffer: a feedback law may hand back one array every interval
+
+
+def _feedback_cases():
+    """A nonlinear pair under a first-component map and two linear kinds,
+    each with its control map."""
+    first = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    identity = ControlMap(mode="identity", u_tag=L2)
+    return {
+        "tanh_pair_first": (tanh_pair_spec(), first),
+        "heat_identity": (_linear_specs()["heat"], identity),
+        "linear_pair_first": (_linear_specs()["rd2"], first),
+    }
+
+
+def _fresh_law(spec, cm):
+    """A feedback law that makes each row from k and the state, as a new array."""
+    base = np.random.default_rng(36).standard_normal(cm.control_size(spec))
+    return lambda k, y: np.sin(k + 1.0) * base - 0.5 * y
+
+
+@pytest.mark.parametrize("reuse", ["constant", "rewritten", "written_after"])
+@pytest.mark.parametrize("case", sorted(_feedback_cases()))
+def test_loop_keeps_the_bits_of_a_law_that_reuses_its_row(case, reuse):
+    # the loop writes each interval's B u into a buffer of its own (a linear
+    # interval into its forcing row), so a law that hands back one array
+    # every interval, held like the full projection's u_eq or rewritten at
+    # each call, or that writes into it once the loop has stepped with it,
+    # leaves the rows and states of a law that hands out a copy of each row
+    import mintime.forward as forward
+
+    spec, cm = _feedback_cases()[case]
+    fresh = _fresh_law(spec, cm)
+    y0 = np.random.default_rng(37).standard_normal(spec.n_dof)
+    held = fresh(0, y0)
+    ref_law = (lambda k, y: held.copy()) if reuse == "constant" else fresh
+    ref, ref_rows = forward._integrate(spec, cm, y0, 0.01, 12, ref_law)
+
+    one = np.empty(cm.control_size(spec))
+
+    def law(k, y):
+        if reuse == "constant":
+            return held
+        one[:] = fresh(k, y)
+        return one
+
+    def stop(y):
+        if reuse == "written_after":
+            one[:] = np.nan
+        return False
+
+    traj, rows = forward._integrate(spec, cm, y0, 0.01, 12, law, stop=stop)
+    assert np.array_equal(rows, ref_rows)
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert np.array_equal(traj.newton_iters, ref.newton_iters)
+    assert traj.residuals.tobytes() == ref.residuals.tobytes()
+    if spec.is_linear:
+        assert traj.forcing.tobytes() == ref.forcing.tobytes()
+
+
+@pytest.mark.parametrize("case", ["heat_identity", "linear_pair_first"])
+def test_linear_feedback_forcing_is_B_of_the_stacked_rows(case):
+    # a linear interval's B u goes straight into its forcing row: the rows
+    # are B of the stacked control, bit for bit, and the residuals read from
+    # them are the eager formula's, interval by interval
+    import mintime.forward as forward
+
+    spec, cm = _feedback_cases()[case]
+    dt = 0.01
+    traj, rows = forward._integrate(spec, cm, np.ones(spec.n_dof), dt, 12, _fresh_law(spec, cm))
+    assert traj.forcing.tobytes() == cm.apply_B(spec, rows).tobytes()
+    expected = []
+    for k in range(traj.steps):
+        x, y = traj.states[k + 1], traj.states[k]
+        r = x + dt * spec.apply(x) - (y + dt * cm.apply_B(spec, rows[k]))
+        expected.append(forward._wnorm(spec, r))
+    assert traj.residuals.tobytes() == np.array(expected).tobytes()

@@ -64,9 +64,18 @@ def rand_field(spec, rng, scale=1.0):
     return scale * rng.standard_normal(spec.n_dof)
 
 
+def padded_band(spec, y):
+    """A'(y) in band storage, widened by zero columns to the
+    max(n, 2 bw + 1) that ``_band_dot`` takes."""
+    ab, n = spec.band(y), spec.n_dof
+    wide = np.zeros((ab.shape[0], max(n, 2 * spec.bandwidth + 1)), order="F")
+    wide[:, :n] = ab
+    return wide
+
+
 def aprime(spec, y, z):
     """A'(y) z: the full band at y times z."""
-    return spec._band_dot(spec.band(y), z)
+    return spec._band_dot(padded_band(spec, y), z)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +432,47 @@ def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(spec):
         one[:] = np.nan
         assert spec.apply(y).tobytes() == old.tobytes()
     assert Y.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [(16,), (8, 6), (16, 12)], ids=["16", "8x6", "16x12"])
+@pytest.mark.parametrize("name", ["linear2", "sat_rational", "tanh_pair"])
+def test_one_state_pair_reaction_keeps_the_bits_of_the_column_formula(name, nodes):
+    # f and g of one family: one state's reaction is one call of the family
+    # on the gathered (y, z) of each dof with per-dof parameters, and every
+    # value, signed zeros included, is the (2, n) column formula's, written
+    # out here with each parameter as the column [f's, g's]
+    g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bc=neumann(), n_components=2)
+    rng = np.random.default_rng(len(name) + len(nodes))
+    fn = PAIR_FAMILIES[name][0]
+    fp, gp = rng.uniform(-1.0, 1.0, (2, fn.__code__.co_argcount - 2))
+    spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn(name, *fp), g=pair_fn(name, *gp))
+    n = g.size
+    cols = [np.array([[a], [b]]) for a, b in zip(fp, gp)]
+    W = rng.standard_normal((4, spec.n_dof))
+    W[1] = -0.0
+    W[2, ::2] = -0.0
+    W[3, n::3] = 0.0
+    for w in W:
+        keep = w.copy()
+        want = fn(w[:n], w[n:], *cols).reshape(-1)
+        got = spec._reaction(w)
+        assert got.shape == (spec.n_dof,)
+        assert got.tobytes() == want.tobytes()
+        assert w.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("f, g", [(("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3)),
+                                  (("zero2",), ("zero2",))], ids=["mixed", "zero2"])
+def test_one_state_reaction_of_a_mixed_or_bare_pair_calls_each_function(f, g):
+    # a pair of two families, or of one family without parameters, keeps the
+    # per-PairFn path: [f(y, z), g(y, z)], and no flat form is built
+    spec = ReactionDiffusion2(grid2(16), d1=1.0, d2=0.8, f=pair_fn(*f), g=pair_fn(*g))
+    w = np.random.default_rng(36).standard_normal(spec.n_dof)
+    w[::3] = -0.0
+    y, z = w[:16], w[16:]
+    got = spec._reaction(w)
+    assert got.tobytes() == np.concatenate([spec.f(y, z), spec.g(y, z)]).tobytes()
+    assert spec._family_columns is None and "_family_flat" not in vars(spec)
 
 
 @pytest.mark.parametrize("projection", ["full", "first"])
