@@ -105,9 +105,7 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path) -> dict:
         golden_tol_factor=num["golden_tol"],
     )
     bracket = tuple(num["T_bracket"])
-    reports, final_sol = eps_continuation(
-        prob, schedule, bracket, chain_u_ref=num["chain_u_ref"], return_final_solution=True,
-    )
+    reports, final_sol = eps_continuation(prob, schedule, bracket, return_final_solution=True)
     final = reports[-1]
     _write_csv(outdir / "control.csv", ["t", "u_norm"],
                zip(final.times, final.u_norms))

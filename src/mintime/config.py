@@ -311,7 +311,6 @@ _NUMERICS = {
         "inner_tol": (_positive, 1e-8),
         "inner_cap": (_count, 500),
         "golden_tol": (_positive, 1e-4),
-        "chain_u_ref": (_bool, False),
     },
     "audit": {
         "audit_samples": (_samples, 200),

@@ -52,7 +52,6 @@ from .spaces import (
     NormTag,
     SpectralLaplacian,
     _laplacian_matrix_1d,
-    duality_derivative_rows,
     duality_rows,
     inner_rows,
     norm_rows,
@@ -716,11 +715,6 @@ class ControlMap:
 
     def F_inverse_batch(self, spec: OperatorSpec, Z: np.ndarray) -> np.ndarray:
         return duality_rows(Z, *self._uspace(spec), inverse=True)
-
-    def F_derivative_batch(self, spec: OperatorSpec, U: np.ndarray,
-                           dU: np.ndarray) -> np.ndarray:
-        """DF at the rows U, applied to the rows dU."""
-        return duality_derivative_rows(U, dU, *self._uspace(spec))
 
     def resolvent_batch(self, spec: OperatorSpec, Z: np.ndarray, eps: float,
                         rho: float) -> np.ndarray:

@@ -4,21 +4,18 @@ At a fixed horizon T the inner problem is the optimality system of J_eps:
 solve the state forward, load the terminal miss into the adjoint, sweep
 backward, and evaluate the control through the exact ball resolvent
 
-    u_k = (eps F + N_K)^-1 ( -B* p_{k-1} - sum_{j>=k} dt F(h_j) ).
+    u_k = (eps F + N_K)^-1 ( -B* p_{k-1} ).
 
 Semismooth Newton solves it, with the generalized derivative of the radial
-clamp as the Jacobian. Without a reference control ``u_ref`` the control
-depends on the terminal costate p_T alone, and the unknown is p_T in the
-n_dof equation
+clamp as the Jacobian. The control depends on the terminal costate p_T
+alone, and the unknown is p_T in the n_dof equation
 
     p_T = P (y_K(u(p_T)) - y_tar) / eps    on range(P),
 
 each step solved by conjugate gradients in the state metric; a nonlinear
-kind linearizes G and G* along the latest forward sweep. With ``u_ref`` the
-history tail makes u depend on itself, and the unknown is the resolvent
-argument Z, with the residual Z - Z(u(Z)) and each step one restarted GMRES
-cycle. Both forms stop on one gap, the optimality map at the control's own
-terminal costate minus the control, and reach the state only through
+kind linearizes G and G* along the latest forward sweep. The solve stops on
+the gap of the optimality map at the control's own terminal costate minus
+the control, and reaches the state only through
 G: u -> y_K and G*: p_T -> (B* p_{k-1})_k, taken from precomputed step
 propagators on small linear problems and from forward, variation and
 adjoint sweeps over the banded step factor otherwise.
@@ -27,8 +24,7 @@ The outer problem reads the horizon off the transversality condition, which
 for J_eps is dJ/dT = 0. At fixed K (dt = T/K) and a stationary inner solve
 the envelope theorem gives
 
-    dJ/dT = 1 + (sum_k <p_{k-1}, B u_k - A(y_k)>_H + (eps/2) sum_k ||P u_k||^2)/K
-            [+ (3/2) href_energy / T with u_ref],
+    dJ/dT = 1 + (sum_k <p_{k-1}, B u_k - A(y_k)>_H + (eps/2) sum_k ||P u_k||^2)/K,
 
 which each solve evaluates from the G/G* backend it already holds. The sign
 of dJ/dT is scanned across the bracket from left to right, each - to + change
@@ -74,10 +70,8 @@ SCAN_POINTS = 5
 ROOT_WIDTH = 1e-6
 # root-finder probes per sign change, whatever the tolerance
 ROOT_CAP = 60
-# relative residual at which CG (state metric) or GMRES ends a Newton step
+# relative residual at which CG (state metric) ends a Newton step
 CG_RTOL = 1e-10
-# Krylov vectors of the one GMRES cycle of a Newton step on Z
-GMRES_RESTART = 30
 # Newton line search: sufficient decrease of the residual norm and the smallest step
 ARMIJO = 1e-4
 MIN_STEP = 1e-8
@@ -87,9 +81,6 @@ MIN_STEP = 1e-8
 class PenalizedProblem:
     """One penalized instance: operator, control map, data and solver knobs.
 
-    ``u_ref`` switches on the functional's history term (the integral of
-    F of the accumulated control gap); by default it is absent, since the
-    exact reference control is unknown outside of chained continuation runs.
     ``theta0`` is read by no solver; it is kept for callers that pass it.
     """
 
@@ -100,7 +91,6 @@ class PenalizedProblem:
     rho: float
     eps: float
     dt: float
-    u_ref: Control | None = None
     inner_tol: float = 1e-8
     inner_cap: int = 500
     theta0: float = 0.5
@@ -134,11 +124,10 @@ class InnerSolution:
 
     ``J``, ``miss`` and ``dJ_dT`` come from the solver's own terminal
     state; ``stop`` says why it ended ("converged", "plateau" or "cap").
-    ``costate`` is the next solve's warm start. Without ``u_ref`` it is the
-    Newton iterate p; the stop test measures the control gap, not
-    p - P(y_K - y_tar)/eps, and a saturated control has a zero gap whatever
-    the scale of p, so it need not be the terminal costate of the returned
-    control. With ``u_ref`` it is that terminal costate. The trajectory and
+    ``costate`` is the next solve's warm start, the Newton iterate p. The
+    stop test measures the control gap, not p - P(y_K - y_tar)/eps, and a
+    saturated control has a zero gap whatever the scale of p, so it need not
+    be the terminal costate of the returned control. The trajectory and
     adjoint are solved sequentially on first read.
     """
 
@@ -183,7 +172,7 @@ class OptimalityReport:
     g72_skipped_steps: int
     saturation_fraction: float
     control_energy: float
-    href_energy: float
+    href_energy: float  # always 0.0: kept so that report.json keeps its bytes
     inner_iterations: int
     inner_converged: bool
     inner_stop: str
@@ -325,16 +314,6 @@ class _Sweeps:
         return float(np.sum(bu) - np.sum(ay))
 
 
-def _resample_steps(values: np.ndarray, dt_old: float, steps_new: int,
-                    dt_new: float) -> np.ndarray:
-    """Piecewise-constant resampling of per-step values onto a new grid,
-    extending by the last value."""
-    K_old = values.shape[0]
-    mids = (np.arange(steps_new) + 0.5) * dt_new
-    idx = np.minimum((mids / dt_old).astype(int), K_old - 1)
-    return values[idx]
-
-
 # ---------------------------------------------------------------------------
 # the functional
 
@@ -344,33 +323,16 @@ def _grid_for(prob: PenalizedProblem, T: float) -> tuple[int, float]:
     return K, T / K
 
 
-def _href_terms(prob: PenalizedProblem, uvals: np.ndarray, dte: float):
-    """Accumulated control gap h_k, its F-values and the optimality map's
-    tail dt sum_{j>=k} F(h_j), or (None, None, None) without ``u_ref``."""
-    if prob.u_ref is None:
-        return None, None, None
-    K = uvals.shape[0]
-    ref = _resample_steps(prob.u_ref.values, prob.u_ref.dt, K, dte)
-    gap = prob.map.project_control_batch(prob.spec, uvals - ref)
-    h = dte * np.cumsum(gap, axis=0)
-    F_h = prob.map.F_batch(prob.spec, h)
-    return h, F_h, dte * (np.cumsum(F_h[::-1], axis=0)[::-1])
-
-
 def _j_parts(prob: PenalizedProblem, T: float, uvals: np.ndarray, dte: float,
-             y_terminal: np.ndarray) -> tuple[float, float, float, float]:
-    """(J, miss, control energy, href energy) from the terminal state."""
+             y_terminal: np.ndarray) -> tuple[float, float, float]:
+    """(J, miss, control energy) from the terminal state."""
     spec, cmap = prob.spec, prob.map
     miss_vec = cmap.project_state(spec, y_terminal - prob.y_tar.values)
     miss = spec.h_norm(miss_vec)
     pu = cmap.project_control_batch(spec, uvals)
     energy = float(dte * np.sum(cmap.u_norms_batch(spec, pu) ** 2))
-    href_energy = 0.0
-    h, _, _ = _href_terms(prob, uvals, dte)
-    if h is not None:
-        href_energy = float(dte * np.sum(cmap.u_norms_batch(spec, h) ** 2))
-    J = T + miss**2 / (2 * prob.eps) + 0.5 * prob.eps * energy + 0.5 * href_energy
-    return J, miss, energy, href_energy
+    J = T + miss**2 / (2 * prob.eps) + 0.5 * prob.eps * energy
+    return J, miss, energy
 
 
 def _terminal_costate(prob: PenalizedProblem, y_K: np.ndarray) -> np.ndarray:
@@ -391,23 +353,16 @@ def eval_J_eps(prob: PenalizedProblem, T: float, u: Control) -> float:
 # inner problem: fixed horizon
 
 
-def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray, uvals: np.ndarray,
-               dte: float) -> np.ndarray:
-    """The optimality map (eps F + N_K)^-1(-B* p_{k-1} - tail_k) at the
-    current control, from the rows B* p_{k-1}, k = 1..K."""
-    Z = -bstar_rows
-    _, _, tail = _href_terms(prob, uvals, dte)
-    if tail is not None:
-        Z = Z - tail
-    return prob.map.resolvent_batch(prob.spec, Z, prob.eps, prob.rho)
+def _candidate(prob: PenalizedProblem, bstar_rows: np.ndarray) -> np.ndarray:
+    """The optimality map (eps F + N_K)^-1(-B* p_{k-1}) from the rows
+    B* p_{k-1}, k = 1..K."""
+    return prob.map.resolvent_batch(prob.spec, -bstar_rows, prob.eps, prob.rho)
 
 
-def _gap(prob: PenalizedProblem, maps, uvals: np.ndarray, y_K: np.ndarray,
-         dte: float) -> np.ndarray:
+def _gap(prob: PenalizedProblem, maps, uvals: np.ndarray, y_K: np.ndarray) -> np.ndarray:
     """The optimality map at the costate of uvals' end state y_K (the latest
     forward solve of ``maps``) minus uvals: the inner solver's stop test."""
-    bstar = maps.bstar_rows(_terminal_costate(prob, y_K))
-    return _candidate(prob, bstar, uvals, dte) - uvals
+    return _candidate(prob, maps.bstar_rows(_terminal_costate(prob, y_K))) - uvals
 
 
 def _u_l2(prob: PenalizedProblem, rows: np.ndarray, dte: float) -> float:
@@ -437,65 +392,38 @@ def _cg(apply, b: np.ndarray, spec: OperatorSpec) -> np.ndarray:
 
 def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
             warm: InnerSolution | None):
-    """Semismooth Newton from the warm costate (else zero), with
-    backtracking on the residual norm. Without ``u_ref`` the unknown is the
-    terminal costate and the residual F(p) = p - P(y_K(u(p)) - y_tar)/eps;
-    with it, the resolvent argument and F(Z) = Z + B* p_{k-1}(u(Z)) + tail(u(Z)).
-    Returns (u, y_K, p_T, iterations, stop); every exit leaves u's forward solve
-    the latest in ``maps`` (a plateau, which ends on a rejected trial, solves u again)."""
+    """Semismooth Newton on the terminal costate from the warm costate (else
+    zero), with backtracking on the norm of the residual
+    F(p) = p - P(y_K(u(p)) - y_tar)/eps. Returns (u, y_K, p, iterations, stop);
+    every exit leaves u's forward solve the latest in ``maps`` (a plateau,
+    which ends on a rejected trial, solves u again)."""
     spec, cmap = prob.spec, prob.map
     eps, rho = prob.eps, prob.rho
     tol = prob.inner_tol * rho * math.sqrt(T)
-    p = np.zeros(spec.n_dof) if warm is None else cmap.project_state(spec, warm.costate)
-    on_costate = prob.u_ref is None
 
-    def state_at(x):
-        Z = -maps.bstar_rows(x) if on_costate else x
+    def state_at(p):
+        Z = -maps.bstar_rows(p)
         u = cmap.resolvent_batch(spec, Z, eps, rho)
         y_term = maps.terminal_state(u)
-        p_term = _terminal_costate(prob, y_term)
-        if on_costate:
-            return Z, u, y_term, x - p_term
-        return Z, u, y_term, x + maps.bstar_rows(p_term) + _href_terms(prob, u, dte)[2]
+        return Z, u, y_term, p - _terminal_costate(prob, y_term)
 
-    def step(Z, u, F):
-        if on_costate:
-            return _cg(lambda d: d + cmap.project_state(spec, maps.propagate(
-                cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps,
-                -F, spec)
-        from scipy.sparse.linalg import LinearOperator, gmres  # only u_ref solves need it
-        h = _href_terms(prob, u, dte)[0]
-
-        def jacobian(flat):
-            dZ = flat.reshape(Z.shape)
-            du = cmap.resolvent_derivative_batch(spec, Z, dZ, eps, rho)
-            dp = cmap.project_state(spec, maps.propagate(du)) / eps
-            dh = dte * np.cumsum(cmap.project_control_batch(spec, du), axis=0)
-            dtail = dte * np.cumsum(cmap.F_derivative_batch(spec, h, dh)[::-1], axis=0)[::-1]
-            return (dZ + maps.bstar_rows(dp) + dtail).ravel()
-
-        op = LinearOperator((Z.size, Z.size), matvec=jacobian, dtype=float)
-        delta, _ = gmres(op, -F.ravel(), rtol=CG_RTOL, restart=GMRES_RESTART, maxiter=1)
-        return delta.reshape(Z.shape)
-
-    norm = spec.h_norm if on_costate else (lambda F: _u_l2(prob, F, dte))
-    x = p if on_costate else -maps.bstar_rows(p)
-    if not on_costate:  # Z(u) at the control of the warm costate
-        x = x - _href_terms(prob, cmap.resolvent_batch(spec, x, eps, rho), dte)[2]
-    Z, u, y_term, F = state_at(x)
-    F_norm = norm(F)
+    p = np.zeros(spec.n_dof) if warm is None else cmap.project_state(spec, warm.costate)
+    Z, u, y_term, F = state_at(p)
+    F_norm = spec.h_norm(F)
     stop = "cap"
     for it in range(prob.inner_cap + 1):
-        if _u_l2(prob, _gap(prob, maps, u, y_term, dte), dte) <= tol:
+        if _u_l2(prob, _gap(prob, maps, u, y_term), dte) <= tol:
             stop = "converged"
             break
         if it == prob.inner_cap:
             break
-        delta = step(Z, u, F)
+        delta = _cg(lambda d: d + cmap.project_state(spec, maps.propagate(
+            cmap.resolvent_derivative_batch(spec, Z, maps.bstar_rows(d), eps, rho))) / eps,
+            -F, spec)
         t = 1.0
         while t >= MIN_STEP:
-            trial = state_at(x + t * delta)
-            trial_norm = norm(trial[3])
+            trial = state_at(p + t * delta)
+            trial_norm = spec.h_norm(trial[3])
             if trial_norm <= (1.0 - ARMIJO * t) * F_norm:
                 break
             t *= 0.5
@@ -503,32 +431,30 @@ def _newton(prob: PenalizedProblem, maps, T: float, dte: float,
             stop = "plateau"  # no step decreases the residual norm
             maps.terminal_state(u)
             break
-        x = x + t * delta
+        p = p + t * delta
         Z, u, y_term, F = trial
         F_norm = trial_norm
-    costate = x if on_costate else _terminal_costate(prob, y_term)
-    return u, y_term, costate, min(it + 1, prob.inner_cap), stop
+    return u, y_term, p, min(it + 1, prob.inner_cap), stop
 
 
 def inner_solve_control(prob: PenalizedProblem, T: float,
                         warm: InnerSolution | None = None) -> InnerSolution:
     """Solve the optimality system of J_eps at the fixed horizon T.
 
-    Semismooth Newton (``_newton``) starts from ``warm.costate`` (else
-    zero): on the terminal costate without ``u_ref``, on the resolvent
-    argument -B* p_{k-1} - tail_k with it. A solve that stalls or hits
-    ``inner_cap`` returns flagged, not raised.
+    Semismooth Newton on the terminal costate (``_newton``) starts from
+    ``warm.costate`` (else zero). A solve that stalls or hits ``inner_cap``
+    returns flagged, not raised.
     Small linear problems run on precomputed step propagators; the
     returned trajectory and adjoint always come from the sequential scheme.
     """
     K, dte = _grid_for(prob, T)
     maps = _LinearKernel.try_build(prob, K, dte) or _Sweeps(prob, K, dte)
     uvals, y_term, costate, iterations, stop = _newton(prob, maps, T, dte, warm)
-    J, miss, energy, href_energy = _j_parts(prob, T, uvals, dte, y_term)
+    J, miss, energy = _j_parts(prob, T, uvals, dte, y_term)
     # the envelope derivative (module docstring), with p_K from the terminal
     # state: exact at a stationary control
     dJ_dT = (1.0 + maps.horizon_pairing(uvals, _terminal_costate(prob, y_term)) / K
-             + prob.eps * energy / (2.0 * T) + 1.5 * href_energy / T)
+             + prob.eps * energy / (2.0 * T))
     return InnerSolution(
         prob=prob,
         control=Control(dte, uvals, prob.rho, prob.map.u_tag),
@@ -555,7 +481,7 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
     uvals, dte = sol.control.values, sol.control.dt
     states = sol.trajectory.states
     p = sol.adjoint.values[:-1]                       # p_{k-1}, k = 1..K
-    J, miss, _, href_energy = _j_parts(prob, T, uvals, dte, states[-1])
+    J, miss, _ = _j_parts(prob, T, uvals, dte, states[-1])
 
     bstar = cmap.apply_Bstar(spec, p)
     bstar_norms = cmap.ustar_norms_batch(spec, bstar)
@@ -563,16 +489,8 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
     pu_norms = cmap.u_norms_batch(spec, pu)
     ay_p = spec.state_inner(spec.apply(states[:-1]), p)
 
-    h, F_h, tail = _href_terms(prob, uvals, dte)
-    if F_h is None:
-        tail = cross = 0.0
-        rhs = 1.0
-    else:
-        # dt sum_{j>=k} <F(h_j), P u_j> as a reversed cumulative sum
-        cross = dte * np.cumsum(cmap.u_pairing(spec, F_h, pu)[::-1])[::-1]
-        rhs = 1.0 + 0.5 * float(cmap.u_norms_batch(spec, h[-1])) ** 2
-    arg_norms = cmap.ustar_norms_batch(spec, bstar + tail + eps * cmap.F_batch(spec, pu))
-    g42 = np.abs(rho * arg_norms + ay_p + cross + 0.5 * eps * pu_norms**2 - rhs)
+    arg_norms = cmap.ustar_norms_batch(spec, bstar + eps * cmap.F_batch(spec, pu))
+    g42 = np.abs(rho * arg_norms + ay_p + 0.5 * eps * pu_norms**2 - 1.0)
     g73 = np.abs(rho * bstar_norms + ay_p - 1.0)
 
     # (g72): u is the bang-bang law, the eps = 0 resolvent of -B*p, on steps
@@ -586,7 +504,7 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
         T_eps_star=T,
         J=J,
         terminal_miss=miss,
-        stationarity_residual=_u_l2(prob, _candidate(prob, bstar, uvals, dte) - uvals, dte),
+        stationarity_residual=_u_l2(prob, _candidate(prob, bstar) - uvals, dte),
         transversality_residual=float(np.mean(g42)),
         dJ_dT=sol.dJ_dT,
         g73_residual_avg=float(np.mean(g73)),
@@ -594,7 +512,7 @@ def _report_from(prob: PenalizedProblem, T: float, sol: InnerSolution,
         g72_skipped_steps=int(live.size - live.sum()),
         saturation_fraction=float(np.mean(pu_norms >= 0.99 * rho)),
         control_energy=sol.control_energy,
-        href_energy=href_energy,
+        href_energy=0.0,
         inner_iterations=sol.iterations,
         inner_converged=sol.converged,
         inner_stop=sol.stop,
@@ -714,12 +632,15 @@ def eps_continuation(
     """Warm-started sweep of the penalization parameter toward zero.
 
     Every level searches the whole ``T_bracket`` and starts from the previous
-    level's solution. ``chain_u_ref`` feeds each level's control in as the
-    next level's reference, activating the functional's history term.
-    Returns the per-level reports, plus the last level's inner solution when
-    ``return_final_solution`` is set.
+    level's solution. Returns the per-level reports, plus the last level's
+    inner solution when ``return_final_solution`` is set. ``chain_u_ref`` is
+    refused when set: the history term it switched on is gone.
     """
+    if chain_u_ref:
+        raise ValueError("chain_u_ref is retired: the functional has no history term")
     eps_schedule = [float(e) for e in eps_schedule]
+    if not eps_schedule:
+        raise ValueError("eps schedule must be nonempty")
     if any(not e > 0.0 for e in eps_schedule):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
@@ -727,12 +648,8 @@ def eps_continuation(
 
     reports: list[OptimalityReport] = []
     sol: InnerSolution | None = None
-    current = prob
     for eps in eps_schedule:
-        current = replace(current, eps=eps)
-        if chain_u_ref and sol is not None:
-            current = replace(current, u_ref=sol.control)
-        report, sol = outer_minimize(current, T_bracket, sol)
+        report, sol = outer_minimize(replace(prob, eps=eps), T_bracket, sol)
         reports.append(report)
     if return_final_solution:
         return reports, sol

@@ -538,6 +538,9 @@ BAD_CONFIGS = [
     (HEAT_SLIDE, "targets.y_tar", [0.0] * 23 + [True], "targets.y_tar"),
     (HEAT_SLIDE, "seed", True, "seed"),
     (SCALAR_OPTIMIZE, "numerics.chain_u_ref", 1, "numerics.chain_u_ref"),
+    # the history term that chain_u_ref switched on is gone: a config that
+    # turns it on, which used to run, names the key as theta0 does
+    (SCALAR_OPTIMIZE, "numerics.chain_u_ref", True, "numerics.chain_u_ref"),
     (SCALAR_ORACLE, "oracle.target_first_only", 0, "oracle.target_first_only"),
     # a negative diffusivity (d2 = 0 is the diffusionless second component)
     (SCALAR_OPTIMIZE, "operator.d2", -0.1, "operator.d2"),
@@ -623,12 +626,12 @@ REPO_CONFIGS = {
         "rho": 1.0,
         "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
                      "T_bracket": [0.2, 1.4], "inner_tol": 1e-8, "inner_cap": 500,
-                     "golden_tol": 1e-4, "chain_u_ref": False}},
+                     "golden_tol": 1e-4}},
     "configs/optimize_pair.yaml": {
         "rho": 1.0,
         "numerics": {"dt": 1e-3, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4],
                      "T_bracket": [0.3, 2.0], "inner_tol": 1e-8, "inner_cap": 500,
-                     "golden_tol": 1e-4, "chain_u_ref": False}},
+                     "golden_tol": 1e-4}},
     "configs/oracle_pair.yaml": {"rho": 1.0},  # its matrix block is checked below
     "configs/oracle_scalar.yaml": {
         "rho": 1.0,

@@ -81,20 +81,6 @@ def test_J_short_horizon_is_dominated_by_miss():
     assert J == pytest.approx(dev**2 / (2 * prob.eps) + T, rel=5e-2)
 
 
-def test_fourth_term_vanishes_when_uref_equals_u():
-    from dataclasses import replace
-
-    prob = scalar_setup(eps=0.1)
-    T = 0.2
-    K = round(T / prob.dt)
-    m = prob.map.control_size(prob.spec)
-    rng = np.random.default_rng(0)
-    uvals = 0.2 * rng.standard_normal((K, m))
-    u = Control(T / K, uvals, prob.rho)
-    with_ref = replace(prob, u_ref=u)
-    assert eval_J_eps(with_ref, T, u) == pytest.approx(eval_J_eps(prob, T, u), abs=1e-14)
-
-
 def test_eval_grid_mismatch_rejected():
     prob = scalar_setup()
     u = Control(prob.dt, np.zeros((7, prob.map.control_size(prob.spec))), prob.rho)
@@ -243,7 +229,7 @@ def test_cold_start_grid_is_stationary_on_the_sequential_scheme(eps, T):
     prob = scalar_setup(eps=eps)
     sol = inner_solve_control(prob, T)
     assert sol.stop == "converged"
-    assert prob.u_ref is None and sol.costate is not None
+    assert sol.costate is not None
     # On interior rows u = -B*p/eps with p_T = P(y_K - y_tar)/eps, so the
     # roundoff of y_K (about sqrt(K) machine epsilons of ||P y_tar||) reaches
     # the optimality map's gap amplified by 1/eps^2; that floor lies above
@@ -377,11 +363,11 @@ def test_l4_newton_stop_reasons():
     assert inner_solve_control(prob, 0.4).stop == "converged"
 
 
-@pytest.mark.parametrize("change", ["L4", "chain_u_ref"])
+@pytest.mark.parametrize("change", ["L4"])
 def test_every_probe_of_the_scalar_continuation_converges(monkeypatch, change):
-    # L4 controls and a chained reference take Newton as well: no probe of
-    # any level stalls, and on a first-component control over 3 uniform
-    # nodes each level lands on the L2 run's horizon
+    # L4 controls take Newton as well: no probe of any level stalls, and on a
+    # first-component control over 3 uniform nodes each level lands on the
+    # L2 run's horizon
     from dataclasses import replace
 
     from mintime import L4
@@ -389,8 +375,7 @@ def test_every_probe_of_the_scalar_continuation_converges(monkeypatch, change):
     schedule, bracket = [1e-1, 1e-2, 1e-3, 1e-4], (0.2, 1.4)
     prob = scalar_setup(eps=1e-1, dt=1e-3)
     l2 = eps_continuation(prob, schedule, bracket)
-    if change == "L4":
-        prob = replace(prob, map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
+    prob = replace(prob, map=ControlMap(mode="first_component", u_tag=L4, projection="first"))
     stops = []
     solve = timeopt.inner_solve_control
 
@@ -400,30 +385,11 @@ def test_every_probe_of_the_scalar_continuation_converges(monkeypatch, change):
         return sol
 
     monkeypatch.setattr(timeopt, "inner_solve_control", recorded)
-    reports = eps_continuation(prob, schedule, bracket, chain_u_ref=change == "chain_u_ref")
+    reports = eps_continuation(prob, schedule, bracket)
     assert len(stops) >= len(schedule) * timeopt.SCAN_POINTS // 2
     assert stops == ["converged"] * len(stops)
     for a, b in zip(l2, reports, strict=True):
         assert abs(a.T_eps_star - b.T_eps_star) <= 1e-9
-
-
-def test_importing_mintime_leaves_the_sparse_solvers_unloaded():
-    # GMRES serves only solves with a reference control, so its module is
-    # imported inside that branch: loading it costs every run about 2 MB of RSS
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import mintime
-
-    # the child imports the mintime this process imported, installed or not
-    src = str(Path(mintime.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, mintime; print('scipy.sparse.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
 
 
 def test_importing_mintime_loads_only_scipy_linalg_and_no_yaml():
@@ -468,7 +434,7 @@ def _central_dJ_dT(prob, T, warm=None, h=1e-6):
 def test_dJ_dT_matches_central_differences_on_the_kernel_newton(eps, T):
     prob = scalar_setup(eps=eps)
     prob.inner_tol = 1e-12
-    assert prob.u_ref is None and _LinearKernel.try_build(prob, 700, 1e-3) is not None
+    assert _LinearKernel.try_build(prob, 700, 1e-3) is not None
     sol, fd = _central_dJ_dT(prob, T)
     assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
 
@@ -497,23 +463,6 @@ def test_dJ_dT_matches_central_differences_on_nonlinear_sweeps(eps):
     assert _LinearKernel.try_build(prob, 50, 1e-2) is None
     sol, fd = _central_dJ_dT(prob, 0.5)
     assert sol.converged
-    assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
-
-
-def test_dJ_dT_carries_the_history_term():
-    # a chained reference: dJ/dT holds (3/2) href_energy / T
-    from dataclasses import replace
-
-    prob = replace(scalar_setup(dt=1e-2, eps=0.1), inner_tol=1e-12)
-    first = inner_solve_control(prob, 0.5)
-    ref = Control(first.control.dt, 0.5 * first.control.values, prob.rho)
-    chained = replace(prob, eps=0.05, u_ref=ref)
-    sol, fd = _central_dJ_dT(chained, 0.5, first)
-    assert sol.converged
-    u = sol.control
-    href_energy = timeopt._j_parts(chained, 0.5, u.values, u.dt,
-                                   sol.trajectory.states[-1])[3]
-    assert 1.5 * href_energy / 0.5 > 1e-3 * abs(fd)
     assert sol.dJ_dT == pytest.approx(fd, rel=1e-6)
 
 
@@ -771,57 +720,19 @@ def test_eps_schedule_validation():
         eps_continuation(prob, [1e-2, 1e-2], (0.2, 1.0))
     with pytest.raises(ValueError, match="positive"):
         eps_continuation(prob, [1e-2, 0.0], (0.2, 1.0))
+    # an empty schedule used to return no reports (and no solution), where
+    # the config parser refuses it
+    with pytest.raises(ValueError, match="nonempty"):
+        eps_continuation(prob, [], (0.2, 1.0))
+    with pytest.raises(ValueError, match="nonempty"):
+        eps_continuation(prob, [], (0.2, 1.0), return_final_solution=True)
 
 
-def test_chained_uref_energy_decreases():
-    # feeding the previous level's control as reference: the accumulated-gap
-    # energy dies out across the schedule
-    prob = scalar_setup(eps=1e-1, dt=2e-3)
-    reports = eps_continuation(prob, [1e-1, 1e-2, 1e-3, 1e-4], (0.2, 1.4),
-                               chain_u_ref=True)
-    href = [r.href_energy for r in reports[1:]]  # first level has no reference
-    assert all(e >= 0 for e in href)
-    assert href[-1] <= href[0] + 1e-12
-    assert href[-1] <= 1e-4
-
-
-def test_uref_cross_term_is_the_tail_double_sum():
-    # chained reference: dt sum_{j>=k} <F(h_j), P u_j> for every k enters the
-    # transversality residual (g42)
-    from dataclasses import replace
-
-    from mintime.timeopt import _href_terms, _report_from
-
-    prob = replace(scalar_setup(dt=1e-2, eps=0.1), inner_cap=20)
-    T = 0.5
-    first = inner_solve_control(prob, T)
-    ref = Control(first.control.dt, 0.5 * first.control.values, prob.rho)
-    chained = replace(prob, eps=0.05, u_ref=ref)
-    sol = inner_solve_control(chained, T, first)
-    K, dte = sol.control.steps, sol.control.dt
-    assert K == 50
-    spec, cm = chained.spec, chained.map
-    h, F_h, tail = _href_terms(chained, sol.control.values, dte)
-    pu = cm.project_control_batch(spec, sol.control.values)
-    expected = dte * np.array([
-        sum(cm.u_pairing(spec, F_h[j], pu[j]) for j in range(k, K)) for k in range(K)
-    ])
-    assert np.all(expected > 0.0)
-    # g42_k = |rho ||B* p_{k-1} + tail_k + eps F(P u_k)||_U* + <A y_{k-1}, p_{k-1}>_H
-    #          + cross_k + (eps/2) ||P u_k||_U^2 - 1 - ||h_K||_U^2 / 2|
-    p = sol.adjoint.values[:-1]
-    arg = cm.apply_Bstar(spec, p) + tail + chained.eps * cm.F_batch(spec, pu)
-    ay_p = spec.state_inner(spec.apply(sol.trajectory.states[:-1]), p)
-    rest = (chained.rho * cm.ustar_norms_batch(spec, arg) + ay_p
-            + 0.5 * chained.eps * cm.u_norms_batch(spec, pu) ** 2
-            - 1.0 - 0.5 * float(cm.u_norms_batch(spec, h[-1])) ** 2)
-
-    def transversality(cross):
-        return float(np.mean(np.abs(rest + cross)))
-
-    got = _report_from(chained, T, sol, False, 1).transversality_residual
-    np.testing.assert_allclose(got, transversality(expected), rtol=1e-12)
-    assert abs(transversality(0.0) - got) > 1e-12 * abs(got)
+def test_chained_reference_is_refused():
+    # the history term that chain_u_ref switched on is gone; the parameter
+    # stays only for callers that pass False
+    with pytest.raises(ValueError, match="chain_u_ref"):
+        eps_continuation(scalar_setup(), [1e-2], (0.2, 1.0), chain_u_ref=True)
 
 
 def test_degenerate_unreachable_target_reports_large_miss():
