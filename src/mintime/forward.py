@@ -186,9 +186,9 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
     of this dt in the list ``held`` if the caller keeps one there, and every
     other update factors at its iterate, dropping the old factor first; on
     return ``held`` keeps the factor of a solve that took exactly one update."""
-    held = [] if held is None else held
     w = spec.grid.component_weights  # the norms are _wnorm's, on weights read once
     tol = NEWTON_TOL * (1.0 + math.sqrt(np.dot(w, rhs * rhs)))
+    factor = held.pop() if held else None
     x = guess
     ax = spec.apply(x) if a_guess is None else a_guess
     for it in range(NEWTON_MAX_ITER + 1):
@@ -197,16 +197,15 @@ def _implicit_solve(spec: OperatorSpec, rhs: np.ndarray, guess: np.ndarray, dt: 
         r -= rhs
         res = math.sqrt(np.dot(w, r * r))
         if res <= tol:
-            if it != 1:
-                held.clear()
+            if it == 1 and held is not None:
+                held.append(factor)
             return x, ax, it, res
         if it == NEWTON_MAX_ITER:
-            held.clear()
             raise StepFailure(res)
-        if it or not held:
-            held.clear()
-            held.append(StepFactor(spec, x, dt))
-        x = x - held[0].solve(r)
+        if it or factor is None:
+            factor = None  # the old factor goes before the new one is made
+            factor = StepFactor(spec, x, dt)
+        x = x - factor.solve(r)
         ax = spec.apply(x)
 
 
@@ -232,7 +231,14 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt:
     factor on their own and leave it empty. Neither y nor a_y is written
     to. Returns (state, its A_H, Newton iterations, last residual, sub-steps
     taken)."""
-    for level in range(MAX_HALVINGS + 1):
+    rhs = dt * bu
+    rhs += y
+    try:  # the whole interval at once, the one try that may use ``held``
+        x, ax, iters, res = _implicit_solve(spec, rhs, y, dt, a_y, held)
+        return x, ax, iters, res, 1
+    except StepFailure as exc:
+        last = exc
+    for level in range(1, MAX_HALVINGS + 1):
         nsub = 2**level
         sub_dt = dt / nsub
         x, ax = y, a_y
@@ -241,8 +247,7 @@ def _step_with_refinement(spec: OperatorSpec, y: np.ndarray, bu: np.ndarray, dt:
             for _ in range(nsub):
                 rhs = sub_dt * bu
                 rhs += x
-                x, ax, it, res = _implicit_solve(spec, rhs, x, sub_dt, ax,
-                                                 held if nsub == 1 else None)
+                x, ax, it, res = _implicit_solve(spec, rhs, x, sub_dt, ax)
                 iters += it
             return x, ax, iters, res, nsub
         except StepFailure as exc:

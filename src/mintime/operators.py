@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -224,6 +225,21 @@ class OperatorSpec:
         out = self._band_dot(self._band_apply, y)
         out += self._reaction(y)
         return out
+
+    def held_block_apply(self, yhat: np.ndarray,
+                         free: int) -> Callable[[np.ndarray], np.ndarray]:
+        """A_H(yhat) with its free block, from index ``free`` on, zeroed, as
+        a function of that block: ``at(z)`` is the row for yhat[free:] = z.
+        yhat (n_dof,) is the method's to write; the row may be one buffer,
+        rewritten at each call. Here ``at`` writes z into yhat, applies and
+        zeroes; a kind whose held rows need less may compute only those."""
+        def at(z: np.ndarray) -> np.ndarray:
+            yhat[free:] = z
+            out = self.apply(yhat)
+            out[free:] = 0.0
+            return out
+
+        return at
 
     # -- the linearization in band storage ----------------------------------
 
@@ -523,6 +539,28 @@ class ReactionDiffusion2(_TwoComponent):
         fg = self._fg(0, *self._split(w))
         return np.concatenate(fg, axis=-1)
 
+    def held_block_apply(self, yhat, free):
+        """With the second component free, the first rows of A_H(yhat) are
+        -D1 Lap y + f(y, z) at the held y: the base band has no (0, 1) block,
+        so the band rows read z only through zero entries, which leave each
+        row's ``dgbmv`` sum as it is (a sum from +0.0 is never -0.0). They are
+        taken once, and each call adds f(y, z) on the n first dofs alone,
+        bit for bit the rows of ``apply`` with z in yhat; the free block of
+        the returned buffer stays +0.0, as P leaves it."""
+        n = self.grid.size
+        if free != n:
+            return super().held_block_apply(yhat, free)
+        out = np.zeros(self.n_dof)
+        head, y = out[:n], yhat[:n].copy()
+        band_rows = self._band_dot(self._band_apply, yhat)[:n]
+        fn, params = PAIR_FAMILIES[self.f.name][0], self.f.params
+
+        def at(z: np.ndarray) -> np.ndarray:
+            np.add(band_rows, fn(y, z, *params), out=head)
+            return out
+
+        return at
+
     def _nodal_blocks(self, w):
         y, z = self._split(w)
         d_y, d_z = self._fg(1, y, z), self._fg(2, y, z)
@@ -644,8 +682,10 @@ class ControlMap:
         """B u for one control (m,) or a stack of them (rows, m), in a fresh
         array or written into ``out`` (a stepping loop's buffer)."""
         u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.control_size(spec):
-            raise ValueError(f"expected {self.control_size(spec)} control dof, got {u.shape[-1]}")
+        # control_size, without its calls: a pointwise control has n_dof entries
+        m = self.control_grid.size if self.mode == "nonlocal" else spec.n_dof
+        if u.shape[-1] != m:
+            raise ValueError(f"expected {m} control dof, got {u.shape[-1]}")
         if self.mode == "nonlocal":
             return np.matmul(u * self.control_grid.weights, self._kernel(spec).T, out=out)
         out = np.empty(u.shape) if out is None else out

@@ -15,7 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = ["OdeReduction", "analytic_min_time_scalar", "brute_force_min_time"]
+__all__ = ["OdeReduction", "analytic_min_time_scalar", "brute_force_min_time",
+           "radial_hit_time"]
 
 INFEASIBLE = float("inf")
 # the bang search puts switch instants on at most N_SLOTS slots of the horizon,
@@ -79,6 +80,32 @@ def analytic_min_time_scalar(a: float, y0: float, c: float, rho: float) -> float
         return INFEASIBLE
     t = -np.log(ratio) / a
     return float(t) if t > 0.0 else INFEASIBLE
+
+
+def radial_hit_time(lam: float, r0: float, rho: float, dt: float,
+                    tol: float) -> tuple[float, float, float]:
+    """The sliding hit of a start on one eigenvector (eigenvalue ``lam``) of
+    a symmetric kind under the identity map, where the radial sign feedback
+    keeps the state: the discrete deviation r_k = |r_{k-1} - rho dt|/(1 + lam dt)
+    from r0, with ``run_sliding``'s linear interpolation inside the step that
+    crosses ``tol``. Returns (T_hit, the deviation at the hit step, the
+    continuous hit time ln((r0 + rho/lam)/(tol + rho/lam))/lam, or its
+    lam -> 0 limit (r0 - tol)/rho). A start within ``tol`` hits at 0. With
+    rho dt <= 2 tol no step jumps past the tol ball, so the first step into
+    it is the hit (a larger step may chatter around the target for ever)."""
+    if not (np.all(np.isfinite([lam, r0, rho, dt, tol])) and lam >= 0.0 and r0 >= 0.0
+            and rho > 0.0 and dt > 0.0 and tol > 0.0 and rho * dt <= 2.0 * tol):
+        raise ValueError("radial hit needs finite lam >= 0, r0 >= 0, rho, dt, tol > 0 "
+                         "and rho dt <= 2 tol")
+    if r0 <= tol:
+        return 0.0, float(r0), 0.0
+    k, r = 0, r0
+    while r > tol:
+        k, prev, r = k + 1, r, abs(r - rho * dt) / (1.0 + lam * dt)
+    t_hit = (k - 1) * dt + (prev - tol) / (prev - r) * dt
+    if lam < 1e-14:
+        return t_hit, r, (r0 - tol) / rho
+    return t_hit, r, float(np.log((r0 + rho / lam) / (tol + rho / lam)) / lam)
 
 
 def _sequences(n_slots: int, budget: int) -> np.ndarray:

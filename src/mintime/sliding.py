@@ -119,6 +119,13 @@ def _require_pointwise(map: ControlMap) -> None:
         raise ValueError("control mode 'nonlocal' cannot hold the manifold past the hit")
 
 
+def _require_rho(rho: float) -> None:
+    """Refuse a radius that the saturation tests cannot read: NaN fails every
+    comparison, so it would pass them all, and rho <= 0 leaves no ball."""
+    if not (rho > 0.0 and np.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+
+
 def run_sliding(
     spec: OperatorSpec,
     map: ControlMap,
@@ -139,6 +146,7 @@ def run_sliding(
     when the rho-largeness premise fails, which it does when no finite gain
     constant exists (B* has a kernel that P does not annihilate).
     """
+    _require_rho(rho)
     if not (hit_tol > 0.0 and dt > 0.0 and T_max > 0.0):
         raise ValueError("T_max, dt and hit_tol must be positive")
     if continue_after_hit:
@@ -243,16 +251,27 @@ def sliding_continuation(
     controlled components to the target manifold; returns the trajectory and
     the ||u_k||_U of each step's equivalent control.
 
-    Each step evaluates u from the manifold-restricted dynamics (for the
-    two-component systems: the first equation frozen at the target with the
-    current uncontrolled state) and advances the true system with it; under
-    the full projection that state is the target itself, so u is evaluated
-    once. The control must stay inside the rho-ball; leaving it raises
+    Each step evaluates u = P A_H(yhat) from the manifold-restricted
+    dynamics (for the two-component systems: the first equation frozen at
+    the target with the current uncontrolled state) and advances the true
+    system with it; under the full projection that state is the target
+    itself, so u is evaluated once. ``OperatorSpec.held_block_apply`` gives
+    u: a ``ReactionDiffusion2`` computes only the controlled rows, its band
+    rows once per call and the reaction f at each step, bit for bit the
+    projected ``apply``; the other kinds apply A_H at yhat and project. So a
+    converged step of a reaction-diffusion pair applies the operator once,
+    in its Newton update. rho must be positive and finite and dt positive
+    (ValueError otherwise).
+
+    The control must stay inside the rho-ball; leaving it raises
     SaturationError, the sign that the largeness conditions on rho do not
     hold along this trajectory. Under an Lp norm a row whose bound
     K max|u| (``ControlMap.u_norm_sup_bound``) lies in the ball is
     admitted without its exact norm, which decides every other row.
     """
+    _require_rho(rho)
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if hit_tol is not None:
         dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values,
                                             copy=False))
@@ -272,15 +291,16 @@ def sliding_continuation(
     if bound is not None:
         bound *= 1 + 1e-12
     # yhat is built once; only its uncontrolled block, from index ``free`` on,
-    # follows the state (none of it under the full projection)
-    yhat = map.auxiliary_state(spec, state_at_hit.values, y_tar.values)
+    # follows the state (none of it under the full projection), and P zeroes
+    # that block of A_H(yhat)
     free = spec.grid.size if map.projection == "first" else spec.n_dof
+    held = spec.held_block_apply(
+        map.auxiliary_state(spec, state_at_hit.values, y_tar.values), free)
 
     def law(k: int, y: np.ndarray) -> np.ndarray:
         # equivalent control from the manifold-restricted dynamics at the
         # current uncontrolled state, held over an honest implicit step
-        yhat[free:] = y[free:]
-        u = map.project_state(spec, spec.apply(yhat), copy=False)
+        u = held(y[free:])
         if bound is not None and bound * np.maximum.reduce(np.abs(u)) <= cap:
             return u
         nu = float(map.u_norms_batch(spec, u))

@@ -34,7 +34,8 @@ from mintime.audit import audit_hypotheses
 from mintime.cli import run as cli_run
 from mintime.forward import Control, solve_forward
 from mintime.grids import Field
-from mintime.oracle import OdeReduction, analytic_min_time_scalar, brute_force_min_time
+from mintime.oracle import (OdeReduction, analytic_min_time_scalar, brute_force_min_time,
+                            radial_hit_time)
 from mintime.sliding import run_sliding, sliding_continuation
 from mintime.spaces import SpectralLaplacian, duality_rows, inner_rows, norm_rows, resolvent_rows
 from mintime.timeopt import PenalizedProblem, eps_continuation
@@ -254,20 +255,6 @@ def test_criterion_6_maximum_principle_residuals(scalar_continuation):
     _verdict(6, ok, "; ".join(details))
 
 
-def _radial_hit(lam: float, r0: float, rho: float, dt: float, tol: float) -> tuple:
-    """The sliding hit of a start on one eigenvector (eigenvalue ``lam``) of
-    a symmetric kind under the identity map, where the radial sign feedback
-    keeps the state: the discrete deviation r_k = (r_{k-1} - rho dt)/(1 + lam dt)
-    from r0, with ``run_sliding``'s linear interpolation inside the step that
-    crosses ``tol``. Returns (T_hit, the deviation at the hit step, the
-    continuous hit time ln((r0 + rho/lam)/(tol + rho/lam))/lam)."""
-    k, r = 0, r0
-    while r > tol:
-        k, prev, r = k + 1, r, (r - rho * dt) / (1.0 + lam * dt)
-    t_hit = (k - 1) * dt + (prev - tol) / (prev - r) * dt
-    return t_hit, r, np.log((r0 + rho / lam) / (tol + rho / lam)) / lam
-
-
 def test_criterion_7_sliding_controllability():
     t0 = time.time()
     g = Grid(extent=(1.0,), nodes=(32,), bc=dirichlet())
@@ -284,7 +271,7 @@ def test_criterion_7_sliding_controllability():
     # sin(pi x) is an eigenvector of the discrete Dirichlet Laplacian: the
     # hit is the radial recurrence's, and near the continuous one
     lam = SpectralLaplacian(g).eigenvalues[0]
-    t_hit, r_hit, t_cont = _radial_hit(lam, float(spec.h_norm(y0.values)), 10.0, dt, 2e-3)
+    t_hit, r_hit, t_cont = radial_hit_time(lam, float(spec.h_norm(y0.values)), 10.0, dt, 2e-3)
     exact = (run10.hit and abs(run10.hit_time - t_hit) <= 1e-12 * t_hit
              and abs(run10.summary()["max_post_hit_deviation"] - r_hit) <= 1e-10 * r_hit
              and abs(run10.hit_time - t_cont) <= dt)
@@ -300,7 +287,7 @@ def test_criterion_7_sliding_controllability():
     for rho in (5.0, 10.0, 20.0):
         r = run_sliding(spec2, cm, y2, Field(g2, np.zeros(g2.size)), rho=rho, T_max=0.2,
                         dt=dt, hit_tol=2e-3, continue_after_hit=False)
-        t_hit2 = _radial_hit(lap2.eigenvalues[0], 0.5, rho, dt, 2e-3)[0]
+        t_hit2 = radial_hit_time(lap2.eigenvalues[0], 0.5, rho, dt, 2e-3)[0]
         exact = exact and r.hit and abs(r.hit_time - t_hit2) <= 1e-12 * t_hit2
         hits2.append(r.hit_time if r.hit else np.inf)
     exact = exact and all(b < a for a, b in zip(hits2, hits2[1:]))

@@ -475,6 +475,106 @@ def test_one_state_reaction_of_a_mixed_or_bare_pair_calls_each_function(f, g):
     assert spec._family_columns is None and "_family_flat" not in vars(spec)
 
 
+# the equivalent control's rows: held_block_apply against P A_H(yhat)
+
+_HELD_PAIRS = {
+    "tanh_pair": (("tanh_pair", 0.5, 0.4), ("tanh_pair", -0.2, 0.6)),
+    "linear2": (("linear2", 1.5, -0.7), ("linear2", -0.3, 0.2)),
+    "sat_rational": (("sat_rational", 0.9), ("sat_rational", -1.3)),
+    "mixed": (("tanh_pair", 0.5, 0.4), ("sat_rational", 0.7)),
+    "zero2": (("zero2",), ("zero2",)),
+}
+_HELD_NODES = {"16": (16,), "8x6": (8, 6), "3": (3,)}
+
+
+def _held_targets(n_dof, n, rng):
+    """Targets whose controlled block is random, random with +0.0 and -0.0
+    entries, all +0.0 and all -0.0."""
+    T = rng.standard_normal((4, n_dof))
+    T[1, :n:3], T[1, 1:n:3] = 0.0, -0.0
+    T[2, :n], T[3, :n] = 0.0, -0.0
+    return T
+
+
+def _held_free_blocks(n, rng, count=50):
+    """Free blocks of every scale, with signed zeros and an all -0.0 block."""
+    Z = rng.standard_normal((count, n)) * rng.choice([1e-3, 1.0, 30.0], (count, 1))
+    Z[::5, ::2] = -0.0
+    Z[1::5, 1::2] = 0.0
+    Z[-1] = -0.0
+    return Z
+
+
+def _counted_apply(monkeypatch, spec) -> list:
+    calls = []
+    apply = spec.apply
+
+    def counted(y):
+        calls.append(1)
+        return apply(y)
+
+    monkeypatch.setattr(spec, "apply", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("nodes", list(_HELD_NODES))
+@pytest.mark.parametrize("pair", list(_HELD_PAIRS))
+def test_held_block_rows_are_the_projected_apply_bit_for_bit(monkeypatch, pair, nodes):
+    # with the second component free, a reaction-diffusion pair's rows are
+    # its band rows at the held target, taken once, plus f on the n first
+    # dofs; every byte, signed zeros and the +0.0 free block included, is
+    # P A_H(yhat) for yhat = [target, z], and no call applies the operator
+    shape = _HELD_NODES[nodes]
+    g = Grid(extent=(1.0, 0.75)[:len(shape)], nodes=shape, bc=neumann(), n_components=2)
+    f, gg = _HELD_PAIRS[pair]
+    spec = ReactionDiffusion2(g, d1=1.3, d2=0.8, f=pair_fn(*f), g=pair_fn(*gg))
+    cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    n = g.size
+    rng = np.random.default_rng(len(pair) * 7 + len(shape))
+    Z = _held_free_blocks(n, rng)
+    apply = type(spec).apply  # the reference, past the counter
+    calls = _counted_apply(monkeypatch, spec)
+    for y_tar in _held_targets(spec.n_dof, n, rng):
+        at = spec.held_block_apply(
+            cm.auxiliary_state(spec, rng.standard_normal(spec.n_dof), y_tar), n)
+        for z in Z:
+            keep = z.copy()
+            got = at(z).copy()
+            want = cm.project_state(spec, apply(spec, np.concatenate([y_tar[:n], z])))
+            assert got.tobytes() == want.tobytes()
+            assert z.tobytes() == keep.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["phase_field", "full_projection"])
+def test_generic_held_block_applies_once_and_projects(monkeypatch, case):
+    # a coupled base band (PhaseField reads the free block in its first
+    # rows) and the full projection (no free block) keep the generic path:
+    # one apply at yhat per call, its free block zeroed
+    g = grid2(16)
+    if case == "phase_field":
+        spec = PhaseField(g, k=1.0, l=0.5, nu=1.0, gamma=0.9)
+        cm = ControlMap(mode="first_component", u_tag=L2, projection="first")
+    else:
+        spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn("tanh_pair", 0.5, 0.4),
+                                  g=pair_fn("tanh_pair", -0.2, 0.6))
+        cm = ControlMap(mode="identity", u_tag=L2, projection="full")
+    free = g.size if cm.projection == "first" else spec.n_dof
+    rng = np.random.default_rng(38)
+    Z = _held_free_blocks(spec.n_dof - free, rng, count=10)
+    apply = type(spec).apply
+    calls = _counted_apply(monkeypatch, spec)
+    for y_tar in _held_targets(spec.n_dof, g.size, rng):
+        yhat = cm.auxiliary_state(spec, rng.standard_normal(spec.n_dof), y_tar)
+        calls.clear()
+        at = spec.held_block_apply(yhat.copy(), free)
+        for k, z in enumerate(Z):
+            got = at(z).copy()
+            assert len(calls) == k + 1
+            want = cm.project_state(spec, apply(spec, np.concatenate([yhat[:free], z])))
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("projection", ["full", "first"])
 def test_projection_auxiliary_state_and_B_return_fresh_arrays(projection):
     # each makes one copy and one slice write: writing to the result leaves

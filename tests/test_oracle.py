@@ -7,7 +7,8 @@ import pytest
 
 from mintime.config import load_config
 from mintime.oracle import (HIT_TOL_DT, INFEASIBLE, N_SLOTS, OdeReduction, _sequences,
-                            analytic_min_time_scalar, brute_force_min_time)
+                            analytic_min_time_scalar, brute_force_min_time,
+                            radial_hit_time)
 
 
 def test_scalar_reference_instance():
@@ -100,6 +101,40 @@ def test_oracles_refuse_a_nonpositive_rho_or_a_grid_without_a_step():
     red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
     with pytest.raises(ValueError, match="need 0 < dt < t_max"):
         brute_force_min_time(red, 1.0, switch_budget=0, t_max=1.0)
+
+
+@pytest.mark.parametrize("lam, rho", [(0.0, 1.0), (0.0, 10.0), (1.0, 1.0), (1.0, 10.0),
+                                      (np.pi**2, 10.0), (50.0, 100.0)])
+def test_radial_hit_is_the_continuous_hit_within_dt(lam, rho):
+    # backward Euler on r' = -lam r - rho from r0 = 1 at steps within the
+    # model's rho dt <= 2 tol: the interpolated crossing of tol lies within
+    # one step of ln((r0 + rho/lam)/(tol + rho/lam))/lam (here lam T_cont <= 0.7),
+    # its distance falls with dt to first order, and the deviation at the
+    # hit step lies in the ball
+    r0, tol = 1.0, 2e-3
+    gaps = []
+    for dt in (tol / (2 * rho), tol / (20 * rho)):
+        t_hit, r_hit, t_cont = radial_hit_time(lam, r0, rho, dt, tol)
+        want = ((r0 - tol) / rho if lam == 0.0
+                else np.log((r0 + rho / lam) / (tol + rho / lam)) / lam)
+        assert t_cont == pytest.approx(want, rel=1e-14)
+        assert abs(t_hit - t_cont) <= dt
+        assert 0.0 <= r_hit <= tol
+        gaps.append(abs(t_hit - t_cont))
+    if lam == 0.0:  # r0 - k rho dt, crossed on a straight line: exact
+        assert gaps == pytest.approx([0.0, 0.0], abs=1e-12)
+    else:
+        assert 8.0 * gaps[1] <= gaps[0]
+
+
+def test_radial_hit_of_a_start_within_tol_is_at_zero_and_bad_input_is_refused():
+    assert radial_hit_time(1.0, 1e-3, 10.0, 1e-4, 2e-3) == (0.0, 1e-3, 0.0)
+    for args in ((-1.0, 1.0, 1.0, 1e-3, 2e-3), (1.0, np.inf, 1.0, 1e-3, 2e-3),
+                 (1.0, 1.0, 0.0, 1e-3, 2e-3), (1.0, 1.0, 1.0, 0.0, 2e-3),
+                 (1.0, 1.0, 1.0, 1e-3, 0.0), (np.nan, 1.0, 1.0, 1e-3, 2e-3),
+                 (1.0, 1.0, 10.0, 1e-3, 2e-3)):  # rho dt = 1e-2 > 2 tol
+        with pytest.raises(ValueError, match="radial hit needs"):
+            radial_hit_time(*args)
 
 
 def _drift_free_pair(rho, y0, target):

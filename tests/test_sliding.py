@@ -286,6 +286,44 @@ def test_saturation_error_when_rho_too_small():
         sliding_continuation(spec, cm, start, ytar, T_extra=0.1, dt=1e-2, rho=0.05)
 
 
+def _manifold_pair(n=12):
+    """case1_spec with a target and a start on its first-component manifold."""
+    spec, cm = case1_spec(n)
+    ytar = Field(spec.grid, np.concatenate([np.full(n, 0.3), np.zeros(n)]), 2)
+    start = Field(spec.grid, np.concatenate([np.full(n, 0.3), np.full(n, 0.2)]), 2)
+    return spec, cm, ytar, start
+
+
+@pytest.mark.parametrize("rho", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "zero", "neg", "inf"])
+def test_sliding_entry_points_refuse_a_radius_without_a_ball(rho):
+    # NaN fails every saturation test, so the continuation ran and a run
+    # started on the manifold reported a valid bound; rho <= 0 raised a
+    # SaturationError that blamed the equivalent control
+    spec, cm, ytar, start = _manifold_pair()
+    with pytest.raises(ValueError, match=r"^rho must be positive and finite, got "):
+        sliding_continuation(spec, cm, start, ytar, T_extra=0.01, dt=1e-3, rho=rho)
+    with pytest.raises(ValueError, match=r"^rho must be positive and finite, got "):
+        run_sliding(spec, cm, start, ytar, rho=rho, T_max=0.01, dt=1e-3, hit_tol=2e-3)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan], ids=["zero", "neg", "nan"])
+def test_continuation_refuses_a_step_that_is_not_positive(dt):
+    # dt = 0 divided T_extra by zero
+    spec, cm, ytar, start = _manifold_pair()
+    with pytest.raises(ValueError, match=r"^dt must be positive, got "):
+        sliding_continuation(spec, cm, start, ytar, T_extra=0.01, dt=dt, rho=10.0)
+    with pytest.raises(ValueError, match="dt and hit_tol must be positive"):
+        run_sliding(spec, cm, start, ytar, rho=10.0, T_max=0.01, dt=dt, hit_tol=2e-3)
+
+
+def test_valid_radius_and_step_still_run_from_the_manifold():
+    spec, cm, ytar, start = _manifold_pair()
+    traj, norms = sliding_continuation(spec, cm, start, ytar, T_extra=0.01, dt=1e-3, rho=10.0)
+    assert traj.steps == 10 and np.all(norms <= 10.0)
+    run = run_sliding(spec, cm, start, ytar, rho=10.0, T_max=0.01, dt=1e-3, hit_tol=2e-3)
+    assert run.hit_time == 0.0 and run.continuation.steps == 10
+
+
 def _record_intervals(monkeypatch) -> list:
     """The B u row of every interval the stepping loop advances."""
     stepped = []
@@ -420,6 +458,33 @@ def test_continuation_keeps_the_bits_of_the_law_that_rebuilds_yhat(monkeypatch, 
     assert not np.array_equal(traj.states[-1, spec.grid.size:], start.values[spec.grid.size:])
 
 
+def test_whole_continuation_keeps_the_bits_of_the_projected_apply(monkeypatch):
+    # the slide_reaction_diffusion run's whole continuation, whose law takes
+    # the held band rows plus f, against the same loop driven by
+    # P A_H(yhat), yhat rebuilt at every head: the bytes of every state, row,
+    # Newton count, residual, sub-step count and control norm
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "slide_reaction_diffusion.yaml")
+    spec, cm, num = cfg.spec, cfg.map, cfg.numerics
+    y_tar = cfg.y_tar.values
+    kept = _recorded_rows(monkeypatch)
+    run = run_sliding(spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
+                      num["hit_tol"])
+    cont = run.continuation
+    assert cont.steps == 4697
+    ref, rows = forward._integrate(
+        spec, cm, run.approach.states[-1], num["dt"], cont.steps,
+        lambda k, y: cm.project_state(spec, spec.apply(cm.auxiliary_state(spec, y, y_tar))))
+    assert cont.states.tobytes() == ref.states.tobytes()
+    assert kept[1].tobytes() == rows.tobytes()
+    assert cont.newton_iters.tobytes() == ref.newton_iters.tobytes()
+    assert cont.residuals.tobytes() == ref.residuals.tobytes()
+    assert cont.substeps.tobytes() == ref.substeps.tobytes()
+    assert (run.control_norms[run.approach.steps:].tobytes()
+            == cm.u_norms_batch(spec, rows).tobytes())
+    assert np.all(cont.newton_iters == 1)  # one update, so one apply, per interval
+
+
 def _counted_row_norms(monkeypatch, cm) -> list:
     """Every single-row ``u_norms_batch`` call of the map, as its row."""
     rows = []
@@ -449,7 +514,8 @@ def test_saturation_is_decided_as_the_exact_norm_decides(monkeypatch, kind):
     spike[controlled // 2] = 1.0
     rows = [smooth, flat, spike]
     row = []
-    monkeypatch.setattr(spec, "apply", lambda y: row[0].copy(), raising=False)
+    monkeypatch.setattr(spec, "held_block_apply", lambda yhat, free: lambda z: row[0].copy(),
+                        raising=False)
     monkeypatch.setattr(forward, "_step_with_refinement",
                         lambda spec, y, bu, *args: (y.copy(), None, 1, 0.0, 1))
     norms = cm.u_norms_batch
@@ -669,10 +735,11 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
     # control is evaluated once; a linear kind makes one factor per stepping
     # loop (the approach and the continuation). A nonlinear loop applies once
     # at its start and once per Newton update (A_H(y) carried across
-    # intervals), the first-component law once per continuation interval,
-    # and the audit and the bound's surrogate 4 times. Its intervals keep a
-    # factor while one update with it converges, so 5,000 intervals make
-    # about 60 factors where a factor per update would make 5,000
+    # intervals), and the audit and the bound's surrogate 4 times; the
+    # reaction-diffusion pair's first-component law applies nothing, its
+    # held rows taken from the band once. Its intervals keep a factor while
+    # one update with it converges, so 5,000 intervals make about 60
+    # factors where a factor per update would make 5,000
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
     spec = cfg.spec
     calls, factors = [], []
@@ -700,16 +767,17 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
         assert len(calls) <= apply_cap
         assert len(factors) == 2
     else:
-        assert len(calls) == newton + run.continuation.steps + 6
+        assert len(calls) == newton + 6
         assert len(factors) <= 100
 
 
-def test_continuation_interval_applies_twice_on_one_held_factor(monkeypatch):
+def test_continuation_interval_applies_once_on_one_held_factor(monkeypatch):
     # the work of one post-hit interval of the sliding config, started on the
-    # manifold: the equivalent control applies the operator at yhat, and one
-    # chord update with the factor held since the first interval applies it
-    # at the new state; the loop applies once more at its start. So 50
-    # intervals make 101 applies and one factor
+    # manifold: the equivalent control adds f to the band rows held since
+    # the loop's start and applies nothing, and one chord update with the
+    # factor held since the first interval applies the operator at the new
+    # state; the loop applies once more at its start. So 50 intervals make
+    # 51 applies and one factor
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
                       / "slide_reaction_diffusion.yaml")
     spec, num = cfg.spec, cfg.numerics
@@ -735,7 +803,7 @@ def test_continuation_interval_applies_twice_on_one_held_factor(monkeypatch):
                                    num["dt"], cfg.rho, hit_tol=num["hit_tol"])
     assert traj.steps == steps
     assert np.all(traj.newton_iters == 1) and np.all(traj.substeps == 1)
-    assert len(calls) == 2 * steps + 1
+    assert len(calls) == steps + 1
     assert len(factors) == 1
 
 
