@@ -1,9 +1,10 @@
 """Backward-Euler time integration of y' + A_H y = Bu by Newton's method.
 
 One stepping loop, ``_integrate``, carries every solve: open-loop controls
-(``solve_forward``) and feedback laws (the sliding approach and its post-hit
-continuation) alike take a control row at the head of each interval and hold
-it over the interval. Every step solves with the banded LU factors of
+(``solve_forward``, and a post-hit continuation whose equivalent control is
+one held row) and feedback laws (the sliding approach and the continuation
+that follows a free block) alike take a control row at the head of each
+interval and hold it over the interval. Every step solves with the banded LU factors of
 I + dt A'(y), a ``StepFactor``: a linear kind is factored once per loop
 that takes a step. An open-loop control meets B once, as one stack, and on
 a linear kind it then runs the variation's sweep (``operators.march``) on

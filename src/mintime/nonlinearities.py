@@ -103,32 +103,41 @@ class PairFn:
         return self.name in ("zero2", "linear2")
 
 
-# name -> (value, d/dy, d/dz); all vanish at the origin. Every family with
-# parameters broadcasts them against y and z, so parameter arrays of shape
-# (2, 1, ...) evaluate two members of one family in a single call.
+# name -> (value, d/dy, d/dz, phi); all vanish at the origin. Every family
+# with parameters broadcasts them against y and z, so parameter arrays of
+# shape (2, 1, ...) evaluate two members of one family in a single call.
+# phi is the elementwise map of a separable family, whose value is
+# a phi(y) + b phi(z) with the operands in that order, and None for a family
+# that is not separable. phi acts value by value, so phi taken once over a
+# state and gathered for y and z keeps the bits of the value: one state's
+# reaction and the held rows of the sliding law take tanh once a point.
 PAIR_FAMILIES = {
     "zero2": (
         lambda y, z: np.zeros_like(y),
         lambda y, z: np.zeros_like(y),
         lambda y, z: np.zeros_like(y),
+        None,
     ),
     # a y + b z
     "linear2": (
         lambda y, z, a, b: a * y + b * z,
         lambda y, z, a, b: a * np.ones_like(y),
         lambda y, z, a, b: b * np.ones_like(y),
+        lambda r: r,
     ),
     # c y z^2/(1+z^2): the saturating interaction of the sliding example
     "sat_rational": (
         lambda y, z, c: c * y * z**2 / (1.0 + z**2),
         lambda y, z, c: c * z**2 / (1.0 + z**2),
         lambda y, z, c: c * y * 2.0 * z / (1.0 + z**2) ** 2,
+        None,
     ),
     # a tanh(y) + b tanh(z): globally bounded gradient
     "tanh_pair": (
         lambda y, z, a, b: a * np.tanh(y) + b * np.tanh(z),
         lambda y, z, a, b: a / np.cosh(y) ** 2,
         lambda y, z, a, b: b / np.cosh(z) ** 2,
+        np.tanh,
     ),
 }
 

@@ -220,11 +220,25 @@ class OperatorSpec:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Nodal A_H y of a state (n_dof,) or of each row of a stack
-        (rows, n_dof): the y-independent band times y plus the reaction."""
+        (rows, n_dof): the y-independent band times y plus the reaction. The
+        shape is read once, here: one state, as each Newton iterate, is one
+        ``dgbmv`` on its node-major gather plus the one-state reaction."""
         y = self._check_dof(y)
-        out = self._band_dot(self._band_apply, y)
-        out += self._reaction(y)
+        if y.ndim == 1:
+            out = self._band_dot_one(self._band_apply, y)
+            out += self._reaction_one(y)
+        else:
+            out = self._band_dot(self._band_apply, y)
+            out += self._reaction(y)
         return out
+
+    def _reaction_one(self, y: np.ndarray) -> np.ndarray:
+        """One state's reaction. A kind with a leaner one-state form than its
+        ``_reaction`` makes it once, as a function of the state that holds no
+        reference to the operator: an operator that held a function of
+        itself would outlive its last use until the cyclic garbage collector
+        ran, its band caches with it."""
+        return self._reaction(y)
 
     def held_block_apply(self, yhat: np.ndarray,
                          free: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -280,20 +294,26 @@ class OperatorSpec:
     def _band_dot(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product of a band in the storage of ``band``, widened by zero
         columns to the m = max(n, 2 bw + 1) that scipy's dgbmv requires (as
-        ``_band_apply``), with a component-major vector, or with each row of a
-        stack of them, returned component-major. One state, as each Newton
-        iterate, is one ``dgbmv`` on its node-major copy, padded when m > n.
-        A stack is permuted and padded once, and each row's ``dgbmv`` goes
-        into one buffer."""
+        ``_band_apply``), with a component-major vector (``_band_dot_one``),
+        or with each row of a stack of them, returned component-major. A
+        stack is permuted and padded once, and each row's ``dgbmv`` goes into
+        one buffer."""
+        if x.ndim == 1:
+            return self._band_dot_one(ab, x)
         order, back, bw = self.node_order, self.node_back, self.bandwidth
         n, m = order.size, ab.shape[1]
-        if x.ndim == 1:
-            xs = x[order] if m == n else np.concatenate([x[order], np.zeros(m - n)])
-            return dgbmv(m, m, bw, bw, 1.0, ab, xs)[back]
         xs = np.zeros((x.size // n, m))
         xs[:, :n] = x.reshape(-1, n)[:, order]
         ys = np.array([dgbmv(m, m, bw, bw, 1.0, ab, row) for row in xs]).reshape(-1, m)
         return np.take(ys, back, axis=1).reshape(x.shape)
+
+    def _band_dot_one(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``_band_dot`` of one state: one ``dgbmv`` on its node-major copy,
+        padded when m > n."""
+        order, bw = self.node_order, self.bandwidth
+        n, m = order.size, ab.shape[1]
+        xs = x[order] if m == n else np.concatenate([x[order], np.zeros(m - n)])
+        return dgbmv(m, m, bw, bw, 1.0, ab, xs)[self.node_back]
 
     def band(self, y: np.ndarray) -> np.ndarray:
         """A'(y) in band storage, ab[bw + i - j, j] = A'[i, j], for node-major
@@ -506,20 +526,12 @@ class ReactionDiffusion2(_TwoComponent):
     def _family_columns(self) -> tuple[tuple, list[np.ndarray]] | None:
         """When f and g share a family with parameters: the family's functions
         and each parameter as the (2, 1) column [f's, g's]: one call evaluates
-        both on a stack, with tanh and cosh once a point (one state: ``_family_flat``)."""
+        both on a stack, with tanh and cosh once a point (one state:
+        ``_reaction_one``)."""
         f, g = self.f, self.g
         if f.name != g.name or not f.params:
             return None
         return PAIR_FAMILIES[f.name], [np.array([[a], [b]]) for a, b in zip(f.params, g.params)]
-
-    @cached_property
-    def _family_flat(self) -> tuple:
-        """One state's form of ``_family_columns`` (fewer ufunc calls than the
-        columns' broadcast): the value, the gathers of each dof's (y, z) and
-        each parameter per dof, [f's] * n + [g's] * n."""
-        (fns, cols), n = self._family_columns, self.grid.size
-        iy = np.tile(np.arange(n), 2)
-        return fns[0], iy, iy + n, [np.repeat(c.ravel(), n) for c in cols]
 
     def _fg(self, which: int, y: np.ndarray, z: np.ndarray):
         """(f, g), (f_y, g_y) or (f_z, g_z) at (y, z) for ``which`` 0, 1, 2:
@@ -533,11 +545,33 @@ class ReactionDiffusion2(_TwoComponent):
         return fns[which](y, z, *cols)
 
     def _reaction(self, w):
-        if w.ndim == 1 and self._family_columns is not None:
-            fn, iy, iz, params = self._family_flat  # one state's [f, g] in one call
-            return fn(w[iy], w[iz], *params)
         fg = self._fg(0, *self._split(w))
         return np.concatenate(fg, axis=-1)
+
+    @cached_property
+    def _reaction_one(self) -> Callable[[np.ndarray], np.ndarray]:
+        """One state's reaction [f, g], a function of the state made once
+        (see ``OperatorSpec._reaction_one``). For f and g of one family it is
+        one call on the gathers of each dof's (y, z), with each parameter per
+        dof, [f's] * n + [g's] * n (fewer ufunc calls than the columns'
+        broadcast); a separable family takes phi once over the state and
+        gathers it, so a tanh pair evaluates tanh on 2n values, not 4n."""
+        f, g, n = self.f, self.g, self.grid.size
+        if self._family_columns is None:
+            return lambda w: np.concatenate([f(w[:n], w[n:]), g(w[:n], w[n:])])
+        (fn, _, _, phi), cols = self._family_columns
+        iy = np.tile(np.arange(n), 2)
+        iz = iy + n
+        params = [np.repeat(c.ravel(), n) for c in cols]
+        if phi is None:
+            return lambda w: fn(w[iy], w[iz], *params)
+        a, b = params
+
+        def reaction(w):
+            t = phi(w)
+            return a * t[iy] + b * t[iz]
+
+        return reaction
 
     def held_block_apply(self, yhat, free):
         """With the second component free, the first rows of A_H(yhat) are
@@ -546,18 +580,28 @@ class ReactionDiffusion2(_TwoComponent):
         row's ``dgbmv`` sum as it is (a sum from +0.0 is never -0.0). They are
         taken once, and each call adds f(y, z) on the n first dofs alone,
         bit for bit the rows of ``apply`` with z in yhat; the free block of
-        the returned buffer stays +0.0, as P leaves it."""
+        the returned buffer stays +0.0, as P leaves it. A separable f =
+        a phi(y) + b phi(z) takes its held term a phi(y) once too, and each
+        call adds b phi(z) to it, the same operands in the same order."""
         n = self.grid.size
         if free != n:
             return super().held_block_apply(yhat, free)
         out = np.zeros(self.n_dof)
         head, y = out[:n], yhat[:n].copy()
-        band_rows = self._band_dot(self._band_apply, yhat)[:n]
-        fn, params = PAIR_FAMILIES[self.f.name][0], self.f.params
+        band_rows = self._band_dot_one(self._band_apply, yhat)[:n]
+        fn, _, _, phi = PAIR_FAMILIES[self.f.name]
+        params = self.f.params
+        if phi is None:
+            def at(z: np.ndarray) -> np.ndarray:
+                np.add(band_rows, fn(y, z, *params), out=head)
+                return out
+        else:
+            a, b = params
+            cy = a * phi(y)
 
-        def at(z: np.ndarray) -> np.ndarray:
-            np.add(band_rows, fn(y, z, *params), out=head)
-            return out
+            def at(z: np.ndarray) -> np.ndarray:
+                np.add(band_rows, cy + b * phi(z), out=head)
+                return out
 
         return at
 

@@ -126,6 +126,14 @@ def _require_rho(rho: float) -> None:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse an infinite or NaN horizon or step: the step count would
+    overflow, fail to convert or come out zero with NaN times."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def run_sliding(
     spec: OperatorSpec,
     map: ControlMap,
@@ -149,6 +157,7 @@ def run_sliding(
     _require_rho(rho)
     if not (hit_tol > 0.0 and dt > 0.0 and T_max > 0.0):
         raise ValueError("T_max, dt and hit_tol must be positive")
+    _require_finite(T_max=T_max, dt=dt)
     if continue_after_hit:
         _require_pointwise(map)
 
@@ -254,14 +263,18 @@ def sliding_continuation(
     Each step evaluates u = P A_H(yhat) from the manifold-restricted
     dynamics (for the two-component systems: the first equation frozen at
     the target with the current uncontrolled state) and advances the true
-    system with it; under the full projection that state is the target
-    itself, so u is evaluated once. ``OperatorSpec.held_block_apply`` gives
-    u: a ``ReactionDiffusion2`` computes only the controlled rows, its band
-    rows once per call and the reaction f at each step, bit for bit the
-    projected ``apply``; the other kinds apply A_H at yhat and project. So a
-    converged step of a reaction-diffusion pair applies the operator once,
-    in its Newton update. rho must be positive and finite and dt positive
-    (ValueError otherwise).
+    system with it. When no block is free (the full projection, or one
+    component under the first) that state is the target itself, so u is
+    evaluated once and the loop runs it as an open-loop control: a linear
+    kind marches it on one factor, bit for bit the loop. Otherwise
+    ``OperatorSpec.held_block_apply`` gives u at each step: a
+    ``ReactionDiffusion2`` computes only the controlled rows, its band rows
+    and a separable f's held term once per call and the rest of f at each
+    step, bit for bit the projected ``apply``; the other kinds apply A_H at
+    yhat and project. So a converged step of a reaction-diffusion pair
+    applies the operator once, in its Newton update. rho must be positive
+    and finite, dt positive and finite and T_extra finite (ValueError
+    otherwise).
 
     The control must stay inside the rho-ball; leaving it raises
     SaturationError, the sign that the largeness conditions on rho do not
@@ -272,6 +285,7 @@ def sliding_continuation(
     _require_rho(rho)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    _require_finite(T_extra=T_extra, dt=dt)
     if hit_tol is not None:
         dev = spec.h_norm(map.project_state(spec, state_at_hit.values - y_tar.values,
                                             copy=False))
@@ -291,8 +305,8 @@ def sliding_continuation(
     if bound is not None:
         bound *= 1 + 1e-12
     # yhat is built once; only its uncontrolled block, from index ``free`` on,
-    # follows the state (none of it under the full projection), and P zeroes
-    # that block of A_H(yhat)
+    # follows the state (none of it under the full projection or on one
+    # component), and P zeroes that block of A_H(yhat)
     free = spec.grid.size if map.projection == "first" else spec.n_dof
     held = spec.held_block_apply(
         map.auxiliary_state(spec, state_at_hit.values, y_tar.values), free)
@@ -310,14 +324,14 @@ def sliding_continuation(
             )
         return u
 
-    control_at = law
-    if map.projection == "full":
+    control = law
+    if free == spec.n_dof:
         # yhat is y_tar at every step, so the control is one row: evaluated
         # and checked once, at step 0, before any interval is stepped
         u_eq = law(0, state_at_hit.values)
+        control = np.broadcast_to(u_eq, (steps, u_eq.size))
 
-        def control_at(k: int, y: np.ndarray) -> np.ndarray:
-            return u_eq
-
-    traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, control_at)
-    return traj, map.u_norms_batch(spec, rows)
+    traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, control)
+    # numpy gives a zero-stride operand its own product loop, not BLAS, so
+    # the held row's broadcast is measured as the stack the loop would fill
+    return traj, map.u_norms_batch(spec, np.ascontiguousarray(rows))

@@ -1,6 +1,8 @@
 """Operator catalog: values, exact linearizations, adjoints, control maps."""
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -437,27 +439,35 @@ def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(spec):
 @pytest.mark.parametrize("nodes", [(16,), (8, 6), (16, 12)], ids=["16", "8x6", "16x12"])
 @pytest.mark.parametrize("name", ["linear2", "sat_rational", "tanh_pair"])
 def test_one_state_pair_reaction_keeps_the_bits_of_the_column_formula(name, nodes):
-    # f and g of one family: one state's reaction is one call of the family
-    # on the gathered (y, z) of each dof with per-dof parameters, and every
-    # value, signed zeros included, is the (2, n) column formula's, written
-    # out here with each parameter as the column [f's, g's]
+    # f and g of one family: one state's reaction is one call on the
+    # gathered (y, z) of each dof with per-dof parameters, and a separable
+    # family (linear2, tanh_pair) takes phi once over the state and gathers
+    # it. Every value, signed zeros included, is the two-gather formula's
+    # (the family's value on the gathers) and the (2, n) column formula's,
+    # both written out here, and so is the stack form's on the one state
     g = Grid(extent=(1.0,) * len(nodes), nodes=nodes, bc=neumann(), n_components=2)
     rng = np.random.default_rng(len(name) + len(nodes))
-    fn = PAIR_FAMILIES[name][0]
+    fn, _, _, phi = PAIR_FAMILIES[name]
+    assert (phi is None) == (name == "sat_rational")
     fp, gp = rng.uniform(-1.0, 1.0, (2, fn.__code__.co_argcount - 2))
     spec = ReactionDiffusion2(g, d1=1.0, d2=0.8, f=pair_fn(name, *fp), g=pair_fn(name, *gp))
     n = g.size
     cols = [np.array([[a], [b]]) for a, b in zip(fp, gp)]
-    W = rng.standard_normal((4, spec.n_dof))
+    iy = np.tile(np.arange(n), 2)
+    per_dof = [np.repeat(c.ravel(), n) for c in cols]
+    W = rng.standard_normal((5, spec.n_dof))
     W[1] = -0.0
     W[2, ::2] = -0.0
     W[3, n::3] = 0.0
+    W[4] *= 40.0  # tanh saturates
     for w in W:
         keep = w.copy()
         want = fn(w[:n], w[n:], *cols).reshape(-1)
-        got = spec._reaction(w)
-        assert got.shape == (spec.n_dof,)
-        assert got.tobytes() == want.tobytes()
+        two_gather = fn(w[iy], w[iy + n], *per_dof)
+        assert two_gather.tobytes() == want.tobytes()
+        for got in (spec._reaction_one(w), spec._reaction(w)):
+            assert got.shape == (spec.n_dof,)
+            assert got.tobytes() == want.tobytes()
         assert w.tobytes() == keep.tobytes()
 
 
@@ -465,14 +475,48 @@ def test_one_state_pair_reaction_keeps_the_bits_of_the_column_formula(name, node
                                   (("zero2",), ("zero2",))], ids=["mixed", "zero2"])
 def test_one_state_reaction_of_a_mixed_or_bare_pair_calls_each_function(f, g):
     # a pair of two families, or of one family without parameters, keeps the
-    # per-PairFn path: [f(y, z), g(y, z)], and no flat form is built
+    # per-PairFn path, one state or a stack: [f(y, z), g(y, z)], and no
+    # family form (``_family_columns``) is built
     spec = ReactionDiffusion2(grid2(16), d1=1.0, d2=0.8, f=pair_fn(*f), g=pair_fn(*g))
     w = np.random.default_rng(36).standard_normal(spec.n_dof)
     w[::3] = -0.0
     y, z = w[:16], w[16:]
-    got = spec._reaction(w)
-    assert got.tobytes() == np.concatenate([spec.f(y, z), spec.g(y, z)]).tobytes()
-    assert spec._family_columns is None and "_family_flat" not in vars(spec)
+    want = np.concatenate([spec.f(y, z), spec.g(y, z)]).tobytes()
+    assert spec._reaction_one(w).tobytes() == spec._reaction(w).tobytes() == want
+    assert spec._family_columns is None
+
+
+def _one_state_kinds():
+    """Every kind, and a reaction-diffusion pair on each one-state path: a
+    separable family, a family that is not, and two families."""
+    specs = all_specs(8)
+    for f, g in ((("tanh_pair", 0.5, 0.4), ("tanh_pair", -0.2, 0.6)),
+                 (("sat_rational", 1.0), ("sat_rational", -0.5)),
+                 (("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3))):
+        specs[f"pair_{f[0]}_{g[0]}"] = ReactionDiffusion2(grid2(8), d1=1.0, d2=0.8,
+                                                          f=pair_fn(*f), g=pair_fn(*g))
+    return specs
+
+
+@pytest.mark.parametrize("name", list(_one_state_kinds()))
+def test_an_operator_that_applied_one_state_dies_on_del(name):
+    # what an operator keeps for its one-state apply (band caches, gathers,
+    # the one-state reaction) never refers to the operator itself: with the
+    # cyclic collector off, dropping the last reference frees it. A function
+    # of the operator kept on it would be a cycle that kept every pass's
+    # operator and its caches alive until the collector ran
+    spec = _one_state_kinds()[name]
+    w = np.random.default_rng(39).standard_normal(spec.n_dof)
+    spec.apply(w)
+    spec.apply(np.stack([w, -w]))
+    spec.band(w)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # the equivalent control's rows: held_block_apply against P A_H(yhat)

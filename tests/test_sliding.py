@@ -316,6 +316,24 @@ def test_continuation_refuses_a_step_that_is_not_positive(dt):
         run_sliding(spec, cm, start, ytar, rho=10.0, T_max=0.01, dt=dt, hit_tol=2e-3)
 
 
+@pytest.mark.parametrize("entry, name, value", [
+    ("run", "T_max", np.inf), ("run", "dt", np.inf), ("continuation", "T_extra", np.nan),
+    ("continuation", "T_extra", np.inf), ("continuation", "dt", np.inf)],
+    ids=["run_T_max_inf", "run_dt_inf", "cont_T_extra_nan", "cont_T_extra_inf", "cont_dt_inf"])
+def test_sliding_entry_points_refuse_an_infinite_horizon_or_step(entry, name, value):
+    # T_max = inf overflowed the step count, dt = inf ran zero steps with NaN
+    # times after a RuntimeWarning, T_extra = nan failed to convert to an
+    # integer, T_extra = inf overflowed, and dt = inf made T_extra cover no
+    # step
+    spec, cm, ytar, start = _manifold_pair()
+    args = {"T_max" if entry == "run" else "T_extra": 0.01, "dt": 1e-3, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        if entry == "run":
+            run_sliding(spec, cm, start, ytar, rho=10.0, hit_tol=2e-3, **args)
+        else:
+            sliding_continuation(spec, cm, start, ytar, rho=10.0, **args)
+
+
 def test_valid_radius_and_step_still_run_from_the_manifold():
     spec, cm, ytar, start = _manifold_pair()
     traj, norms = sliding_continuation(spec, cm, start, ytar, T_extra=0.01, dt=1e-3, rho=10.0)
@@ -483,6 +501,43 @@ def test_whole_continuation_keeps_the_bits_of_the_projected_apply(monkeypatch):
     assert (run.control_norms[run.approach.steps:].tobytes()
             == cm.u_norms_batch(spec, rows).tobytes())
     assert np.all(cont.newton_iters == 1)  # one update, so one apply, per interval
+
+
+@pytest.mark.parametrize("start", ["on_target", "near_target"])
+def test_one_component_first_projection_holds_one_open_loop_control(monkeypatch, start):
+    # one component under the first projection has no free block, as under
+    # the full one: yhat is the target at every step, so the equivalent
+    # control is evaluated once and runs as an open-loop control. On the
+    # target 100 intervals converge without a Newton update and apply twice
+    # (the control and the loop's start), not 101 times; near it, each
+    # Newton update applies once more. The states and rows are the full
+    # projection's, bit for bit
+    g = Grid(extent=(1.0,), nodes=(16,), bc=dirichlet())
+    (x,) = g.coordinates()
+    ytar = Field(g, 0.3 * np.sin(np.pi * x))
+    y0 = ytar.values + (1e-4 * np.cos(3 * np.pi * x) if start == "near_target" else 0.0)
+    dt, steps = 1e-3, 100
+    runs = []
+    for projection in ("first", "full"):
+        spec = PotentialDrift(g, beta=scalar_fn("cubic", 0.5))
+        cm = ControlMap(mode="identity", u_tag=L2, projection=projection)
+        calls = []
+        apply = spec.apply
+
+        def counted(y):
+            calls.append(1)
+            return apply(y)
+
+        monkeypatch.setattr(spec, "apply", counted, raising=False)
+        kept = _recorded_rows(monkeypatch)
+        traj, norms = sliding_continuation(spec, cm, Field(g, y0), ytar, steps * dt, dt,
+                                           rho=10.0, hit_tol=2e-3)
+        newton = int(traj.newton_iters.sum())
+        assert traj.steps == steps
+        assert len(calls) == 2 + newton
+        assert (newton == 0) == (start == "on_target")
+        runs.append((traj.states.tobytes(), kept[0].tobytes(), norms.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def _counted_row_norms(monkeypatch, cm) -> list:
@@ -733,7 +788,9 @@ def test_rank_deficient_nonlocal_map_has_no_gain_constant():
 def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_cap):
     # linear intervals apply nothing, and the full projection's equivalent
     # control is evaluated once; a linear kind makes one factor per stepping
-    # loop (the approach and the continuation). A nonlinear loop applies once
+    # loop (the approach, and the continuation, which marches its held row
+    # as an open-loop control and so factors through operators' name, not
+    # forward's: both names are counted). A nonlinear loop applies once
     # at its start and once per Newton update (A_H(y) carried across
     # intervals), and the audit and the bound's surrogate 4 times; the
     # reaction-diffusion pair's first-component law applies nothing, its
@@ -757,6 +814,7 @@ def test_sliding_runs_apply_only_where_numbers_need_it(monkeypatch, name, apply_
             super().__init__(*args)
 
     monkeypatch.setattr(forward, "StepFactor", Counted)
+    monkeypatch.setattr(operators, "StepFactor", Counted)
     num = cfg.numerics
     run = run_sliding(spec, cfg.map, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
                       num["hit_tol"])
