@@ -55,6 +55,15 @@ class StepFailure(RuntimeError):
         super().__init__(f"implicit step failed{where}; residual {residual:.3e}")
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse an infinite or NaN horizon, step, radius or tolerance, named by
+    its keyword: a step count would overflow, fail to convert or come out
+    zero, and a comparison with it would pass or fail whatever the data."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class Control:
     """A time-sampled control: values[k] acts on the interval (k dt, (k+1) dt].
@@ -74,6 +83,7 @@ class Control:
             raise ValueError("time step must be positive")
         if not self.rho > 0.0:
             raise ValueError("control radius must be positive")
+        _require_finite(dt=self.dt, rho=self.rho)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("control values must be finite")
 

@@ -780,17 +780,6 @@ class ControlMap:
     def u_norms_batch(self, spec: OperatorSpec, U: np.ndarray) -> np.ndarray:
         return norm_rows(U, *self._uspace(spec))
 
-    def u_norm_sup_bound(self, spec: OperatorSpec) -> float | None:
-        """K with ||u||_U <= K max|u| for every control row u under an Lp
-        norm (L2, L4): each component's norm is at most max|u| W_c^(1/p), W_c
-        its weight total, and the components combine in l2, so
-        K = sqrt(sum_c W_c^(2/p)). None under a spectral norm."""
-        if self.u_tag.needs_spectral:
-            return None
-        g = self.ugrid(spec)
-        totals = g.component_weights.reshape(g.n_components, g.size).sum(axis=1)
-        return float(np.sqrt(np.sum(totals ** (2.0 / (self.u_tag.p or 2)))))
-
     def ustar_norms_batch(self, spec: OperatorSpec, Z: np.ndarray) -> np.ndarray:
         return norm_rows(Z, *self._uspace(spec), dual=True)
 

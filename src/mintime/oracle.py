@@ -52,6 +52,8 @@ class OdeReduction:
             raise ValueError("target dimension mismatch")
         if not self.rho > 0.0:
             raise ValueError("control bound must be positive")
+        if not np.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho!r}")
         if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.y0))
                 and np.all(np.isfinite(self.target))):
             raise ValueError("reduction data must be finite")
@@ -68,8 +70,8 @@ def analytic_min_time_scalar(a: float, y0: float, c: float, rho: float) -> float
     target, giving T = -(1/a) ln[(c - u/a)/(y0 - u/a)] with u = rho sign(c - y0)
     (and the a -> 0 limit |c - y0|/rho). Unreachable targets return inf.
     """
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0.0 and np.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if c == y0:
         return 0.0
     u = rho * np.sign(c - y0)
@@ -147,6 +149,8 @@ def brute_force_min_time(
         raise ValueError(f"switch budget must be 0 to 3, got {switch_budget}")
     if not (dt > 0.0 and t_max > dt):
         raise ValueError("need 0 < dt < t_max")
+    if not np.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
     steps = int(np.ceil(t_max / dt))
     n_slots = max(2, min(N_SLOTS, steps))
     slot_dt = t_max / n_slots

@@ -31,7 +31,7 @@ import numpy as np
 
 from .audit import (_metric_state, _projection_matrix, audit_sign_condition,
                     projection_constant)
-from .forward import Trajectory, _integrate
+from .forward import Trajectory, _integrate, _require_finite
 from .grids import Field
 from .operators import ControlMap, OperatorSpec
 
@@ -89,14 +89,11 @@ class SlidingRun:
 
 
 def sign_feedback(map: ControlMap, spec: OperatorSpec, y: np.ndarray, y_tar: np.ndarray,
-                  rho: float, projected: np.ndarray | None = None) -> np.ndarray:
+                  rho: float) -> np.ndarray:
     """The control row u = -rho Sign(B* P(y - y_tar)) at the state row y: the
     eps = 0 resolvent of -B* P(y - y_tar), zero where the argument vanishes.
-    ||u||_U is rho or 0. ``projected`` is P(y - y_tar), if the caller has
-    formed it."""
-    if projected is None:
-        projected = map.project_state(spec, y - y_tar, copy=False)
-    z = map.apply_Bstar(spec, projected)
+    ||u||_U is rho or 0. y - y_tar is formed once and projected in place."""
+    z = map.apply_Bstar(spec, map.project_state(spec, y - y_tar, copy=False))
     np.negative(z, out=z)
     return map.resolvent_batch(spec, z, 0.0, rho)
 
@@ -124,14 +121,6 @@ def _require_rho(rho: float) -> None:
     comparison, so it would pass them all, and rho <= 0 leaves no ball."""
     if not (rho > 0.0 and np.isfinite(rho)):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
-
-
-def _require_finite(**values: float) -> None:
-    """Refuse an infinite or NaN horizon or step: the step count would
-    overflow, fail to convert or come out zero with NaN times."""
-    for name, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def run_sliding(
@@ -174,17 +163,11 @@ def run_sliding(
     dev0 = deviation(y0.values)
     a_sup = spec.h_norm(spec.apply(map.auxiliary_state(spec, y0.values, y_tar.values)))
 
-    # the last state the stop test measured and its P(y - y_tar): the loop
-    # hands that same state object to the law at the next interval's head
-    measured = [None, None]
-
     def stop(y: np.ndarray) -> bool:
-        measured[:] = y, map.project_state(spec, y - y_tar.values, copy=False)
-        return spec.h_norm(measured[1]) <= hit_tol
+        return deviation(y) <= hit_tol
 
     def law(k: int, y: np.ndarray) -> np.ndarray:
-        projected = measured[1] if measured[0] is y else None
-        return sign_feedback(map, spec, y, y_tar.values, rho, projected)
+        return sign_feedback(map, spec, y, y_tar.values, rho)
 
     # a start on the manifold takes no approach step and hits at t = 0
     steps = 0 if dev0 <= hit_tol else int(np.ceil(T_max / dt - 1e-12))
@@ -278,9 +261,10 @@ def sliding_continuation(
 
     The control must stay inside the rho-ball; leaving it raises
     SaturationError, the sign that the largeness conditions on rho do not
-    hold along this trajectory. Under an Lp norm a row whose bound
-    K max|u| (``ControlMap.u_norm_sup_bound``) lies in the ball is
-    admitted without its exact norm, which decides every other row.
+    hold along this trajectory. The ball is checked once, after the loop, on
+    the norms this function returns, so a saturating run steps to the end of
+    T_extra before it raises; the error names the first step out of the
+    ball.
     """
     _require_rho(rho)
     if not dt > 0.0:
@@ -298,12 +282,6 @@ def sliding_continuation(
     if steps < 1:
         raise ValueError("T_extra must cover at least one step")
 
-    cap = rho * (1 + 1e-9)
-    # ||u||_U <= K max|u| under an Lp norm: a row whose bound, with a margin
-    # for rounding, stays in the ball needs no exact norm
-    bound = map.u_norm_sup_bound(spec)
-    if bound is not None:
-        bound *= 1 + 1e-12
     # yhat is built once; only its uncontrolled block, from index ``free`` on,
     # follows the state (none of it under the full projection or on one
     # component), and P zeroes that block of A_H(yhat)
@@ -311,27 +289,20 @@ def sliding_continuation(
     held = spec.held_block_apply(
         map.auxiliary_state(spec, state_at_hit.values, y_tar.values), free)
 
-    def law(k: int, y: np.ndarray) -> np.ndarray:
-        # equivalent control from the manifold-restricted dynamics at the
-        # current uncontrolled state, held over an honest implicit step
-        u = held(y[free:])
-        if bound is not None and bound * np.maximum.reduce(np.abs(u)) <= cap:
-            return u
-        nu = float(map.u_norms_batch(spec, u))
-        if nu > cap:
-            raise SaturationError(
-                f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}"
-            )
-        return u
-
-    control = law
+    # equivalent control from the manifold-restricted dynamics at the current
+    # uncontrolled state, held over an honest implicit step
+    control = lambda k, y: held(y[free:])
     if free == spec.n_dof:
-        # yhat is y_tar at every step, so the control is one row: evaluated
-        # and checked once, at step 0, before any interval is stepped
-        u_eq = law(0, state_at_hit.values)
+        # yhat is y_tar at every step, so the control is one row
+        u_eq = held(state_at_hit.values[free:])
         control = np.broadcast_to(u_eq, (steps, u_eq.size))
 
     traj, rows = _integrate(spec, map, state_at_hit.values, dt, steps, control)
     # numpy gives a zero-stride operand its own product loop, not BLAS, so
     # the held row's broadcast is measured as the stack the loop would fill
-    return traj, map.u_norms_batch(spec, np.ascontiguousarray(rows))
+    norms = map.u_norms_batch(spec, np.ascontiguousarray(rows))
+    out = np.flatnonzero(norms > rho * (1 + 1e-9))
+    if out.size:
+        raise SaturationError(f"equivalent control norm {norms[out[0]]:.4e} exceeds "
+                              f"rho = {rho:.4e} at step {out[0]}")
+    return traj, norms

@@ -43,13 +43,14 @@ inclusion and the transversality identity) along the trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .adjoint import AdjointState, _step_dt, solve_adjoint
-from .forward import Control, Trajectory, solve_forward
+from .forward import Control, Trajectory, _require_finite, solve_forward
 from .grids import Field
 from .operators import ControlMap, OperatorSpec, StepFactor, march, march_adjoint
 
@@ -104,8 +105,10 @@ class PenalizedProblem:
         for name in ("inner_tol", "theta0", "golden_tol_factor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.inner_cap < 0:
-            raise ValueError("inner_cap must be nonnegative")
+        _require_finite(rho=self.rho, eps=self.eps, dt=self.dt, inner_tol=self.inner_tol,
+                        golden_tol_factor=self.golden_tol_factor)
+        if not (isinstance(self.inner_cap, numbers.Integral) and self.inner_cap >= 0):
+            raise ValueError(f"inner_cap must be an integer >= 0, got {self.inner_cap!r}")
         dev = self.spec.h_norm(
             self.map.project_state(self.spec, self.y0.values - self.y_tar.values)
         )
@@ -556,6 +559,7 @@ def outer_minimize(prob: PenalizedProblem, T_bracket: tuple[float, float],
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0.0 < T_lo < T_hi:
         raise ValueError("need 0 < T_lo < T_hi")
+    _require_finite(T_lo=T_lo, T_hi=T_hi)
     probes: list[tuple[float, InnerSolution]] = []
 
     def solve(T: float) -> tuple[float, InnerSolution]:
@@ -643,6 +647,8 @@ def eps_continuation(
         raise ValueError("eps schedule must be nonempty")
     if any(not e > 0.0 for e in eps_schedule):
         raise ValueError("eps values must be positive")
+    for eps in eps_schedule:
+        _require_finite(eps=eps)
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
 

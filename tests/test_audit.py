@@ -106,6 +106,7 @@ def _sampled_spec(dims, bc, components):
     return ReactionDiffusion2(g)
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("count", [1, 300])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("dims, bc, components", [

@@ -177,6 +177,10 @@ def test_admissibility_enforced():
     (0.0, [[0.0]], 1.0, "time step must be positive"),
     (0.1, [[0.0]], 0.0, "control radius must be positive"),
     (0.1, [[np.inf]], 1.0, "control values must be finite"),
+    # an infinite step made the horizon infinite, and an infinite radius
+    # admitted every control
+    (np.inf, [[0.0]], 1.0, "^dt must be finite, got inf$"),
+    (0.1, [[0.0]], np.inf, "^rho must be finite, got inf$"),
 ])
 def test_control_refusals(dt, values, rho, message):
     with pytest.raises(ValueError, match=message):
@@ -544,6 +548,7 @@ def _fresh_law(spec, cm):
     return lambda k, y: np.sin(k + 1.0) * base - 0.5 * y
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("reuse", ["constant", "rewritten", "written_after"])
 @pytest.mark.parametrize("case", sorted(_feedback_cases()))
 def test_loop_keeps_the_bits_of_a_law_that_reuses_its_row(case, reuse):
@@ -583,6 +588,7 @@ def test_loop_keeps_the_bits_of_a_law_that_reuses_its_row(case, reuse):
         assert traj.forcing.tobytes() == ref.forcing.tobytes()
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("case", ["heat_identity", "linear_pair_first"])
 def test_linear_feedback_forcing_is_B_of_the_stacked_rows(case):
     # a linear interval's B u goes straight into its forcing row: the rows

@@ -410,6 +410,7 @@ def _one_state_specs():
                        id="potential_drift_6x5")
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("spec", list(_one_state_specs()))
 def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(spec):
     # one state's apply is one dgbmv on its node-major copy when the band
@@ -436,6 +437,7 @@ def test_apply_on_one_state_keeps_the_bits_of_the_concatenated_formula(spec):
     assert Y.tobytes() == keep.tobytes()
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("nodes", [(16,), (8, 6), (16, 12)], ids=["16", "8x6", "16x12"])
 @pytest.mark.parametrize("name", ["linear2", "sat_rational", "tanh_pair"])
 def test_one_state_pair_reaction_keeps_the_bits_of_the_column_formula(name, nodes):
@@ -471,6 +473,7 @@ def test_one_state_pair_reaction_keeps_the_bits_of_the_column_formula(name, node
         assert w.tobytes() == keep.tobytes()
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("f, g", [(("sat_rational", 1.0), ("tanh_pair", 0.4, 0.3)),
                                   (("zero2",), ("zero2",))], ids=["mixed", "zero2"])
 def test_one_state_reaction_of_a_mixed_or_bare_pair_calls_each_function(f, g):
@@ -498,6 +501,7 @@ def _one_state_kinds():
     return specs
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("name", list(_one_state_kinds()))
 def test_an_operator_that_applied_one_state_dies_on_del(name):
     # what an operator keeps for its one-state apply (band caches, gathers,
@@ -561,6 +565,7 @@ def _counted_apply(monkeypatch, spec) -> list:
     return calls
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("nodes", list(_HELD_NODES))
 @pytest.mark.parametrize("pair", list(_HELD_PAIRS))
 def test_held_block_rows_are_the_projected_apply_bit_for_bit(monkeypatch, pair, nodes):
@@ -590,6 +595,7 @@ def test_held_block_rows_are_the_projected_apply_bit_for_bit(monkeypatch, pair, 
     assert calls == []
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("case", ["phase_field", "full_projection"])
 def test_generic_held_block_applies_once_and_projects(monkeypatch, case):
     # a coupled base band (PhaseField reads the free block in its first

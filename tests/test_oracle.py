@@ -88,7 +88,8 @@ def test_negative_budget_rejected():
     ({"target": [0.5, 0.5]}, "target dimension mismatch"),
     ({"rho": 0.0}, "control bound must be positive"),
     ({"matrix": [[np.nan]]}, "reduction data must be finite"),
-], ids=["dimension", "y0", "target", "rho", "finite"])
+    ({"rho": np.inf}, "^rho must be finite, got inf$"),
+], ids=["dimension", "y0", "target", "rho", "finite", "rho_inf"])
 def test_reduction_refusals(change, message):
     scalar = {"matrix": [[1.0]], "rho": 1.0, "y0": [0.0], "target": [0.5]}
     with pytest.raises(ValueError, match=message):
@@ -101,6 +102,16 @@ def test_oracles_refuse_a_nonpositive_rho_or_a_grid_without_a_step():
     red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
     with pytest.raises(ValueError, match="need 0 < dt < t_max"):
         brute_force_min_time(red, 1.0, switch_budget=0, t_max=1.0)
+
+
+def test_oracles_refuse_an_infinite_radius_or_horizon():
+    # rho = inf returned inf (unreachable) after a RuntimeWarning, and
+    # t_max = inf overflowed the step count
+    with pytest.raises(ValueError, match=r"^rho must be positive and finite, got inf$"):
+        analytic_min_time_scalar(1.0, 0.0, 0.5, np.inf)
+    red = OdeReduction(matrix=[[1.0]], rho=1.0, y0=[0.0], target=[0.5])
+    with pytest.raises(ValueError, match=r"^t_max must be finite, got inf$"):
+        brute_force_min_time(red, 1e-3, switch_budget=0, t_max=np.inf)
 
 
 @pytest.mark.parametrize("lam, rho", [(0.0, 1.0), (0.0, 10.0), (1.0, 1.0), (1.0, 10.0),

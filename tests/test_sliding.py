@@ -369,7 +369,7 @@ def _first_saturation(spec, cm, start, ytar, dt, steps, rho):
 
 
 @pytest.mark.parametrize("projection", ["full", "first"])
-def test_saturation_raises_before_an_out_of_ball_interval(monkeypatch, projection):
+def test_saturation_names_the_first_out_of_ball_interval(monkeypatch, projection):
     g = Grid(extent=(1.0,), nodes=(12,), bc=neumann(), n_components=2)
     n = g.size
     (x,) = g.coordinates()
@@ -396,10 +396,11 @@ def test_saturation_raises_before_an_out_of_ball_interval(monkeypatch, projectio
         sliding_continuation(spec, cm, start, ytar, T_extra=steps * dt, dt=dt, rho=rho)
     assert str(exc.value) == (
         f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step {k}")
-    # every interval stepped held an admissible control; the saturated one
-    # was never stepped
-    assert len(stepped) == k
-    assert all(cm.u_norms_batch(spec, bu) <= rho * (1 + 1e-9) for bu in stepped)
+    # the ball is checked on the returned norms, after the loop: the run
+    # stepped to the end of T_extra, and every interval before the first
+    # saturated one held an admissible control
+    assert len(stepped) == steps
+    assert all(cm.u_norms_batch(spec, bu) <= rho * (1 + 1e-9) for bu in stepped[:k])
 
 
 def _continuation_map(kind):
@@ -460,10 +461,11 @@ def _recorded_rows(monkeypatch) -> list:
     return kept
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("kind", ["config", "first_l2", "full"])
 def test_continuation_keeps_the_bits_of_the_law_that_rebuilds_yhat(monkeypatch, kind):
-    # one yhat buffer per run and the bound's saturation test change no bit
-    # of the states, the rows or the returned norms
+    # one yhat buffer per run and the saturation test on the returned norms
+    # change no bit of the states, the rows or the norms
     spec, cm, start, ytar, rho, dt = _continuation_map(kind)
     steps = 300
     traj0, rows0, norms0 = _continuation_with_rebuilt_yhat(spec, cm, start, ytar, dt, steps, rho)
@@ -476,6 +478,7 @@ def test_continuation_keeps_the_bits_of_the_law_that_rebuilds_yhat(monkeypatch, 
     assert not np.array_equal(traj.states[-1, spec.grid.size:], start.values[spec.grid.size:])
 
 
+@pytest.mark.bitpin
 def test_whole_continuation_keeps_the_bits_of_the_projected_apply(monkeypatch):
     # the slide_reaction_diffusion run's whole continuation, whose law takes
     # the held band rows plus f, against the same loop driven by
@@ -503,6 +506,7 @@ def test_whole_continuation_keeps_the_bits_of_the_projected_apply(monkeypatch):
     assert np.all(cont.newton_iters == 1)  # one update, so one apply, per interval
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("start", ["on_target", "near_target"])
 def test_one_component_first_projection_holds_one_open_loop_control(monkeypatch, start):
     # one component under the first projection has no free block, as under
@@ -540,25 +544,11 @@ def test_one_component_first_projection_holds_one_open_loop_control(monkeypatch,
     assert runs[0] == runs[1]
 
 
-def _counted_row_norms(monkeypatch, cm) -> list:
-    """Every single-row ``u_norms_batch`` call of the map, as its row."""
-    rows = []
-    norms = cm.u_norms_batch
-
-    def counted(spec, U):
-        if np.ndim(U) == 1:
-            rows.append(np.array(U))
-        return norms(spec, U)
-
-    monkeypatch.setattr(cm, "u_norms_batch", counted)
-    return rows
-
-
 @pytest.mark.parametrize("kind", ["config", "first_l2", "full"])
 def test_saturation_is_decided_as_the_exact_norm_decides(monkeypatch, kind):
     # the law's equivalent control is made each chosen row in turn, and one
-    # interval is stepped with a stub: the law raises exactly when the exact
-    # norm leaves the ball, whether the bound K max|u| settles the row or not
+    # interval is stepped with a stub: the continuation raises exactly when
+    # the norm it returns, the exact norm of its stack of rows, leaves the ball
     spec, cm, start, ytar, _, dt = _continuation_map(kind)
     n, m = spec.grid.size, cm.control_size(spec)
     controlled = n if cm.projection == "first" else m
@@ -567,95 +557,72 @@ def test_saturation_is_decided_as_the_exact_norm_decides(monkeypatch, kind):
     smooth[:controlled] = rng.uniform(-1.0, 1.0, controlled)
     flat[:controlled] = 0.7
     spike[controlled // 2] = 1.0
-    rows = [smooth, flat, spike]
     row = []
     monkeypatch.setattr(spec, "held_block_apply", lambda yhat, free: lambda z: row[0].copy(),
                         raising=False)
     monkeypatch.setattr(forward, "_step_with_refinement",
                         lambda spec, y, bu, *args: (y.copy(), None, 1, 0.0, 1))
-    norms = cm.u_norms_batch
-    norm = lambda u: float(norms(spec, u))
-    exact = _counted_row_norms(monkeypatch, cm)
+    norm = lambda u: float(cm.u_norms_batch(spec, u[None])[0])
     rho = 2.0
     cap = rho * (1 + 1e-9)
-    k_bound = cm.u_norm_sup_bound(spec)
     outcomes = set()
-    for base in rows:
+    for base in (smooth, flat, spike):
         for rel in (-0.9, -1e-6, -1e-12, 0.0, 1e-12, 1e-6):
             u = base * (cap * (1 + rel) / norm(base))
             row[:] = [u]
             nu = norm(u)
-            exact.clear()
             try:
-                sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
+                _, norms = sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
             except SaturationError as err:
                 assert nu > cap
                 assert str(err) == (
                     f"equivalent control norm {nu:.4e} exceeds rho = {rho:.4e} at step 0")
             else:
                 assert not nu > cap
-            by_bound = not exact[:1]
-            outcomes.add((by_bound, nu > cap))
-            if by_bound:
-                assert k_bound * np.abs(u).max() <= cap
-    # spikes lie far inside the ball that their bound leaves
-    u = spike * (0.5 * cap / norm(spike))
-    assert k_bound * np.abs(u).max() > cap
-    row[:] = [u]
-    exact.clear()
-    sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
-    assert len(exact) == 1
+                assert norms.tolist() == [nu]
+            outcomes.add(nu > cap)
+    assert outcomes == {False, True}
     # a NaN row is admitted, as its exact norm admits it
     row[:] = [np.full(m, np.nan)]
-    sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
-    # both ways of admitting a row were taken; every row whose norm leaves
-    # the ball was decided by the exact norm
-    assert outcomes == {(True, False), (False, False), (False, True)}
+    _, norms = sliding_continuation(spec, cm, start, ytar, dt, dt, rho)
+    assert np.isnan(norms).all()
 
 
-@pytest.mark.parametrize("tag_name, exact_per_interval",
-                         [("L2", False), ("L4", False), ("H1", True), ("Hminus1", True)])
-def test_only_spectral_norms_take_the_exact_norm_every_interval(monkeypatch, tag_name,
-                                                               exact_per_interval):
-    # H^-1 lives on Dirichlet walls
-    g = Grid(extent=(1.0,), nodes=(12,), bc=dirichlet(), n_components=2)
-    spec = ReactionDiffusion2(g, f=pair_fn("tanh_pair", 0.5, 0.4),
-                              g=pair_fn("tanh_pair", -0.2, 0.6))
-    (x,) = g.coordinates()
-    ytar = Field(g, np.concatenate([0.3 * np.sin(np.pi * x), np.zeros(g.size)]), 2)
-    start = Field(g, np.concatenate([ytar.values[:g.size], 0.2 * np.ones(g.size)]), 2)
-    rho, dt = 100.0, 1e-3
-    tag = {"L2": L2, "L4": L4, "H1": H1, "Hminus1": HMINUS1}[tag_name]
-    cm = ControlMap(mode="first_component", u_tag=tag, projection="first")
-    assert (cm.u_norm_sup_bound(spec) is None) == exact_per_interval
-    exact = _counted_row_norms(monkeypatch, cm)
-    steps = 5
-    traj, norms = sliding_continuation(spec, cm, start, ytar, steps * dt, dt, rho)
-    assert traj.steps == steps and np.all(norms <= rho)
-    assert len(exact) == (steps if exact_per_interval else 0)
+@pytest.mark.parametrize("name", ["slide_heat", "slide_reaction_diffusion"])
+def test_sliding_takes_one_norm_stack_per_phase_and_one_law_call_per_interval(monkeypatch,
+                                                                              name):
+    # the continuation checks the ball on the one stack of norms it returns,
+    # and the approach law projects its own deviation once per interval
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
+    spec, cm, num = cfg.spec, cfg.map, cfg.numerics
+    stacks = []
+    norms = cm.u_norms_batch
 
+    def counted(spec, U):
+        stacks.append(np.shape(U))
+        return norms(spec, U)
 
-def test_lp_sup_bound_is_sharp_on_flat_rows():
-    # ||u||_U <= K max|u|, with equality on a row constant over the grid
-    for tag in (L2, L4):
-        for components, mode, projection in ((1, "identity", "full"),
-                                             (2, "first_component", "first")):
-            g = Grid(extent=(1.3,), nodes=(9,), bc=neumann(), n_components=components)
-            spec = ReactionDiffusion2(g) if components == 2 else PotentialDrift(g)
-            cm = ControlMap(mode=mode, u_tag=tag, projection=projection)
-            k = cm.u_norm_sup_bound(spec)
-            u = np.full(cm.control_size(spec), -0.6)
-            assert cm.u_norms_batch(spec, u) == pytest.approx(0.6 * k, rel=1e-14)
-            rows = np.random.default_rng(1).standard_normal((50, u.size))
-            assert np.all(cm.u_norms_batch(spec, rows) <= k * np.abs(rows).max(axis=1))
-    assert ControlMap(u_tag=H1).u_norm_sup_bound(spec) is None
+    monkeypatch.setattr(cm, "u_norms_batch", counted)
+    laws = []
+    feedback = sliding.sign_feedback
+
+    def recorded(*args):
+        laws.append(1)
+        return feedback(*args)
+
+    monkeypatch.setattr(sliding, "sign_feedback", recorded)
+    run = run_sliding(spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], num["dt"],
+                      num["hit_tol"])
+    m = cm.control_size(spec)
+    assert run.hit and run.continuation.steps > 100
+    assert stacks == [(run.approach.steps, m), (run.continuation.steps, m)]
+    assert len(laws) == run.approach.steps
 
 
 @pytest.mark.parametrize("name", ["slide_heat", "slide_reaction_diffusion"])
 def test_approach_keeps_the_bits_of_the_law_that_projects_afresh(monkeypatch, name):
-    # the stop test's P(y - y_tar) goes to the law at the next interval's
-    # head, which would otherwise form it again: every bit of the approach
-    # stays
+    # the run's stop test and law, each of which forms P(y - y_tar) itself,
+    # against the same loop driven afresh: every bit of the approach stays
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml")
     spec, cm, num = cfg.spec, cfg.map, cfg.numerics
     y_tar, dt, hit_tol = cfg.y_tar.values, num["dt"], num["hit_tol"]
@@ -665,21 +632,11 @@ def test_approach_keeps_the_bits_of_the_law_that_projects_afresh(monkeypatch, na
         lambda k, y: sign_feedback(cm, spec, y, y_tar, cfg.rho),
         stop=lambda y: spec.h_norm(cm.project_state(spec, y - y_tar)) <= hit_tol)
     kept = _recorded_rows(monkeypatch)
-    handed = []
-    feedback = sliding.sign_feedback
-
-    def recorded(*args):
-        handed.append(args[5] is not None)
-        return feedback(*args)
-
-    monkeypatch.setattr(sliding, "sign_feedback", recorded)
     run = run_sliding(spec, cm, cfg.y0, cfg.y_tar, cfg.rho, num["T_max"], dt, hit_tol,
                       continue_after_hit=False)
     assert run.hit and run.approach.steps > 100
     assert np.array_equal(run.approach.states, traj0.states)
     assert np.array_equal(kept[0], rows0)
-    # only the first interval's law forms the deviation itself
-    assert handed == [False] + [True] * (run.approach.steps - 1)
 
 
 def test_off_manifold_start_rejected():

@@ -258,6 +258,7 @@ def reshaped_formula(s, values, fn):
     return (ax.eigenvectors @ (mult * coef) @ ay.eigenvectors.T).reshape(values.shape)
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("grid", [
     unit_interval(3, neumann()), unit_interval(16), unit_interval(32, robin(0.8)),
     Grid(extent=(1.0, 1.0), nodes=(8, 8), bc=neumann()),

@@ -145,6 +145,34 @@ def test_negative_inner_cap_rejected():
     assert replace(prob, inner_cap=0).inner_cap == 0
 
 
+@pytest.mark.parametrize("entry, name, value, message", [
+    ("problem", "rho", np.inf, None), ("problem", "eps", np.inf, None),
+    ("problem", "dt", np.inf, None), ("problem", "inner_tol", np.inf, None),
+    ("problem", "golden_tol_factor", np.inf, None),
+    ("problem", "inner_cap", 2.5, "an integer >= 0"),
+    ("problem", "inner_cap", np.inf, "an integer >= 0"),
+    ("bracket", "T_hi", np.inf, None), ("schedule", "eps", np.inf, None)],
+    ids=["rho", "eps", "dt", "inner_tol", "golden_tol_factor", "inner_cap_2.5",
+         "inner_cap_inf", "bracket_inf", "schedule_inf"])
+def test_optimize_entry_points_refuse_a_value_they_cannot_read(entry, name, value, message):
+    # dt = inf and inner_tol = inf returned a horizon with every probe
+    # converged, eps = inf and the schedule [inf, 0.1] died on the min() of an
+    # empty sequence, the bracket (0.2, inf) failed to convert NaN to an
+    # integer, and inner_cap = 2.5 raised a TypeError inside the Newton loop
+    from dataclasses import replace
+
+    prob = scalar_setup()
+    expected = f"{name} must be {message or 'finite'}, got {value!r}"
+    with pytest.raises(ValueError) as exc:
+        if entry == "problem":
+            replace(prob, **{name: value})
+        elif entry == "bracket":
+            outer_minimize(prob, (0.2, value))
+        else:
+            eps_continuation(prob, [value, 0.1], (0.2, 1.0))
+    assert str(exc.value) == expected
+
+
 # ---------------------------------------------------------------------------
 # inner problem
 
